@@ -7,16 +7,21 @@ acknowledgment of the chunk and slow data acquisition").
 
 The benefit of the immediate ack is overlap between client transmission
 and conversion/writing, so the comparison runs on the discrete-event
-model (where transmission time is explicit) *and* sanity-checks that the
-real pipeline supports both modes with identical results.
+model (where transmission time is explicit) *and* sanity-checks on the
+real pipeline — with the held ack emulated by a wrapper local to this
+file — that both modes load identical results.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 from conftest import emit, scaled
 
 from repro.bench import format_series, run_import_workload
 from repro.core import HyperQConfig
+from repro.core.pipeline import AcquisitionPipeline
 from repro.sim import SimParams, simulate_acquisition
 from repro.workloads import make_workload
 
@@ -34,12 +39,29 @@ def _sim(synchronous: bool):
         synchronous_ack=synchronous))
 
 
+@contextmanager
+def _held_ack():
+    """Section 5's rejected design: ack a chunk once it is on disk."""
+    submit = AcquisitionPipeline.submit_chunk
+
+    def submit_and_wait(self, chunk_seq, data, **kwargs):
+        submit(self, chunk_seq, data, **kwargs)
+        with self._state:
+            self._state.wait_for(
+                lambda: chunk_seq in self.chunk_records or self._failures)
+        self._check_failures()
+
+    with mock.patch.object(AcquisitionPipeline, "submit_chunk",
+                           submit_and_wait):
+        yield
+
+
 def _real(synchronous: bool):
     workload = make_workload(rows=ROWS, row_bytes=300, seed=51)
-    config = HyperQConfig(converters=4, filewriters=2, credits=32,
-                          synchronous_ack=synchronous)
-    return run_import_workload(
-        workload, config=config, sessions=4, chunk_bytes=64 * 1024)
+    config = HyperQConfig(converters=4, filewriters=2, credits=32)
+    with _held_ack() if synchronous else nullcontext():
+        return run_import_workload(
+            workload, config=config, sessions=4, chunk_bytes=64 * 1024)
 
 
 def test_ablation_sync_ack(benchmark, results_dir):

@@ -1,23 +1,21 @@
-"""Eager-apply overlap + zone-map pruning A/B (writes BENCH_apply.json).
+"""Eager-apply overlap A/B + range-scan scaling (writes BENCH_apply.json).
 
 PR 5's tentpole: pipeline DML application under the acquisition phase
-(``eager_apply``) and push ``__SEQ BETWEEN`` ranges down to a
-binary-searched slice of the sorted staging table
-(``zone_map_pruning``).  Two claims are gated here:
+(``eager_apply``) on top of ``__SEQ BETWEEN`` ranges pushed down to a
+binary-searched slice of the sorted staging table.  Two claims are
+gated here:
 
 * **Figure 7 overlap** — at the 4x dataset point, over a
   bandwidth-limited legacy link (the paper's scenario: the acquisition
   phase is bounded by the legacy-side pipe, the application phase by
-  the CDW), eager apply + pruning beats the two-phase baseline by
-  >= 1.3x wall-clock.  Measured warmed best-of-5, modes interleaved so
-  machine noise hits all arms equally.
+  the CDW), eager apply beats the two-phase baseline by >= 1.3x
+  wall-clock.  Measured warmed best-of-5, modes interleaved so machine
+  noise hits both arms equally.
 
-* **Figure 11 range scans** — with pruning on, total apply time is
-  sub-linear in the number of ranged DML statements the adaptive
-  splitter issues: each statement touches only its slice, so the
-  split cascade costs O(rows touched), not O(ranges x staging rows).
-  A small pruned-vs-full A/B documents the absolute gap (the full-scan
-  cascade is quadratic and already painful at 1/4 of Figure 11 scale).
+* **Figure 11 range scans** — total apply time is sub-linear in the
+  number of ranged DML statements the adaptive splitter issues: each
+  statement touches only its slice, so the split cascade costs
+  O(rows touched), not O(ranges x staging rows).
 """
 
 from __future__ import annotations
@@ -35,17 +33,11 @@ BASE_ROWS = scaled(12_500)          # Figure 7 base; 4x = 50k rows
 LINK_BW = 16 * 1024 * 1024          # constrained legacy link, bytes/s
 ROUNDS = 5
 
-MODES = {                           # label -> (eager_apply, pruning)
-    "two-phase": (False, False),
-    "two-phase+prune": (False, True),
-    "eager": (True, False),
-    "eager+prune": (True, True),
-}
+MODES = {"two-phase": False, "eager": True}     # label -> eager_apply
 
 
-def _run_job(rows, eager, pruning, error_rate=0.0, max_errors=None,
-             bw=None):
-    config = HyperQConfig(eager_apply=eager, zone_map_pruning=pruning,
+def _run_job(rows, eager, error_rate=0.0, max_errors=None, bw=None):
+    config = HyperQConfig(eager_apply=eager,
                           converters=2, filewriters=2, credits=8)
     workload = make_workload(rows=rows, row_bytes=500, seed=42,
                              error_rate=error_rate)
@@ -58,25 +50,24 @@ def _run_job(rows, eager, pruning, error_rate=0.0, max_errors=None,
 
 
 def test_apply_overlap(benchmark, results_dir):
-    # -- Figure 7 A/B matrix: overlap on/off x pruning on/off ------------
+    # -- Figure 7 A/B: overlap on/off -------------------------------------
     matrix = []
     speedups = {}
     for multiplier in (1, 4):
         rows = BASE_ROWS * multiplier
-        _run_job(rows, True, True, bw=LINK_BW)      # warm every path
+        _run_job(rows, True, bw=LINK_BW)            # warm every path
         best = {label: float("inf") for label in MODES}
         stats = {}
         for _ in range(ROUNDS):                     # interleaved rounds
-            for label, (eager, pruning) in MODES.items():
-                wall, metrics = _run_job(rows, eager, pruning,
-                                         bw=LINK_BW)
+            for label, eager in MODES.items():
+                wall, metrics = _run_job(rows, eager, bw=LINK_BW)
                 if wall < best[label]:
                     best[label] = wall
                     stats[label] = metrics
         inserted = {m.rows_inserted for m in stats.values()}
         assert len(inserted) == 1, \
             f"modes disagree on rows loaded: {inserted}"
-        speedups[multiplier] = best["two-phase"] / best["eager+prune"]
+        speedups[multiplier] = best["two-phase"] / best["eager"]
         for label in MODES:
             matrix.append({
                 "multiplier": multiplier, "rows": rows, "mode": label,
@@ -85,13 +76,13 @@ def test_apply_overlap(benchmark, results_dir):
                 "apply_s": round(stats[label].application_s, 4),
             })
 
-    # -- Figure 11 leg: apply time vs range count, pruning on ------------
+    # -- Figure 11 leg: apply time vs range count -------------------------
     fig11_rows = scaled(4_000)
     range_scan = []
     for error_rate in (0.01, 0.10):
         point = None
         for _ in range(5):                          # best-of-5 per point
-            _, metrics = _run_job(fig11_rows, False, True,
+            _, metrics = _run_job(fig11_rows, False,
                                   error_rate=error_rate,
                                   max_errors=10**9)
             if point is None or \
@@ -103,31 +94,20 @@ def test_apply_overlap(benchmark, results_dir):
     range_growth = range_scan[1]["ranges"] / range_scan[0]["ranges"]
     apply_growth = range_scan[1]["apply_s"] / range_scan[0]["apply_s"]
 
-    # -- pruned vs full-scan cascade, small scale (full scan is slow) ----
-    ab_rows = scaled(1_000)
-    pruning_ab = {"rows": ab_rows, "error_rate": 0.02}
-    for label, pruning in (("pruned", True), ("full_scan", False)):
-        _, metrics = _run_job(ab_rows, False, pruning,
-                              error_rate=0.02, max_errors=10**9)
-        pruning_ab[label + "_apply_s"] = round(metrics.application_s, 4)
-
     lines = [f"Apply overlap A/B ({BASE_ROWS} base rows, "
              f"link {LINK_BW // (1024 * 1024)}MB/s, best of {ROUNDS})"]
     for row in matrix:
         lines.append(
-            f"  {row['multiplier']}x {row['mode']:<16} "
+            f"  {row['multiplier']}x {row['mode']:<10} "
             f"wall={row['best_s']:.3f}s apply={row['apply_s']:.3f}s "
             f"overlap={row['overlap_s']:.3f}s")
-    lines.append(f"  speedup(4x, eager+prune vs two-phase): "
+    lines.append(f"  speedup(4x, eager vs two-phase): "
                  f"{speedups[4]:.3f}x")
     lines.append(f"  ranges {range_scan[0]['ranges']} -> "
                  f"{range_scan[1]['ranges']} ({range_growth:.2f}x), "
                  f"apply {range_scan[0]['apply_s']:.3f}s -> "
                  f"{range_scan[1]['apply_s']:.3f}s "
                  f"({apply_growth:.2f}x)")
-    lines.append(f"  cascade at {ab_rows} rows: "
-                 f"pruned {pruning_ab['pruned_apply_s']:.3f}s vs "
-                 f"full {pruning_ab['full_scan_apply_s']:.3f}s")
     emit(results_dir, "apply_overlap", "\n".join(lines))
 
     bench_json("apply", {
@@ -140,19 +120,15 @@ def test_apply_overlap(benchmark, results_dir):
         "fig11_range_scan": range_scan,
         "range_growth": round(range_growth, 4),
         "apply_growth": round(apply_growth, 4),
-        "pruning_ab": pruning_ab,
     })
 
     assert speedups[4] >= 1.3, \
-        f"eager apply + pruning should beat two-phase by >=1.3x at " \
+        f"eager apply should beat two-phase by >=1.3x at " \
         f"the 4x point (got {speedups[4]:.3f}x)"
     assert apply_growth < 0.6 * range_growth, \
-        f"apply time must be sub-linear in range count with pruning " \
-        f"on ({apply_growth:.2f}x apply vs {range_growth:.2f}x ranges)"
-    assert pruning_ab["pruned_apply_s"] < \
-        pruning_ab["full_scan_apply_s"] / 3, \
-        "range pruning should collapse the full-scan split cascade"
+        f"apply time must be sub-linear in range count " \
+        f"({apply_growth:.2f}x apply vs {range_growth:.2f}x ranges)"
 
     benchmark.pedantic(
-        _run_job, args=(BASE_ROWS, True, True),
+        _run_job, args=(BASE_ROWS, True),
         kwargs={"bw": LINK_BW}, rounds=1, iterations=1)

@@ -1,15 +1,12 @@
 """Codec kernel microbenchmarks — compiled vs reference (A/B, same process).
 
-Three results in one module, all persisted to ``BENCH_codec.json`` at the
+Two results in one module, both persisted to ``BENCH_codec.json`` at the
 repo root (plus a human-readable table under ``benchmarks/results/``):
 
 * micro: encode/decode rows-per-second for BINARY and VARTEXT, narrow and
   wide layouts, reference interpreters vs the layout-compiled codecs from
   :mod:`repro.legacy.codec`.  The reference classes are the unchanged
   pre-compilation code, so the in-process A/B *is* the before/after.
-* e2e: one Figure-7-sized import with compiled codecs disabled
-  (``HyperQConfig(compiled_codecs=False)`` + ``datafmt.DEFAULT_COMPILED``
-  off) vs the default compiled stack.
 * plan cache: DML prepared-plan hit rate on an error-heavy load (the
   Figure 11 shape), read back through ``hyperq_plan_cache_*_total``.
 
@@ -31,10 +28,7 @@ import pytest
 from conftest import bench_json, bench_scale, emit, scaled
 
 from repro.bench import format_series
-from repro.bench.harness import build_stack, run_import_workload, \
-    run_workload_through_hyperq
-from repro.core.config import HyperQConfig
-from repro.legacy import datafmt
+from repro.bench.harness import build_stack, run_workload_through_hyperq
 from repro.legacy.codec import compile_format
 from repro.legacy.datafmt import BinaryFormat, FormatSpec, VartextFormat
 from repro.legacy.types import FieldDef, Layout, parse_type
@@ -58,8 +52,6 @@ PRE_PR_BASELINE = {
         "vartext_narrow": {"encode": 119_371, "decode": 123_415},
         "vartext_wide": {"encode": 56_171, "decode": 36_921},
     },
-    "e2e_fig7_1x": {"rows": 12_500, "total_s": 1.985,
-                    "acquisition_s": 1.633, "application_s": 0.347},
 }
 
 # accumulated by the tests, flushed once per module run
@@ -77,11 +69,6 @@ def _flush_bench_json():
     if micro and "binary_narrow" in micro:
         headline["binary_narrow_decode_speedup_vs_reference"] = \
             micro["binary_narrow"]["decode"]["speedup"]
-    e2e = payload.get("e2e_fig7")
-    if e2e and abs(SCALE - 1.0) < 1e-9:
-        headline["fig7_1x_speedup_vs_pre_pr"] = round(
-            PRE_PR_BASELINE["e2e_fig7_1x"]["total_s"]
-            / e2e["compiled"]["total_s"], 2)
     plan = payload.get("plan_cache")
     if plan:
         headline["plan_cache_hit_rate"] = plan["hit_rate"]
@@ -220,38 +207,6 @@ def test_codec_micro(results_dir):
 
     assert micro["binary_narrow"]["decode"]["speedup"] >= 2.0, \
         "headline: compiled BINARY decode must be >= 2x the reference"
-
-
-def test_codec_e2e_fig7(results_dir):
-    rows = scaled(12_500)
-    legs = {}
-    for leg, compiled in [("reference", False), ("compiled", True)]:
-        saved = datafmt.DEFAULT_COMPILED
-        datafmt.DEFAULT_COMPILED = compiled
-        try:
-            workload = make_workload(rows=rows, row_bytes=500, seed=71)
-            metrics = run_import_workload(
-                workload,
-                config=HyperQConfig(converters=4, filewriters=2,
-                                    credits=32, compiled_codecs=compiled),
-                sessions=4, chunk_bytes=256 * 1024)
-        finally:
-            datafmt.DEFAULT_COMPILED = saved
-        legs[leg] = {
-            "rows": rows,
-            "total_s": round(metrics.total_s, 3),
-            "acquisition_s": round(metrics.acquisition_s, 3),
-            "application_s": round(metrics.application_s, 3),
-        }
-    speedup = legs["reference"]["total_s"] / legs["compiled"]["total_s"]
-    _RESULTS["e2e_fig7"] = {**legs, "speedup": round(speedup, 2)}
-    emit(results_dir, "codec_e2e_fig7", format_series(
-        f"Figure 7 (1x, {rows} rows): codecs off vs on",
-        [{"leg": leg, **vals} for leg, vals in legs.items()],
-        note="'reference' runs the whole stack with compiled_codecs=False"))
-    assert legs["compiled"]["total_s"] <= \
-        legs["reference"]["total_s"] * 1.05, \
-        "compiled codecs should not slow the end-to-end import"
 
 
 def test_plan_cache_hit_rate(results_dir):

@@ -92,7 +92,6 @@ class CdwEngine:
     def __init__(self, store: CloudStore | None = None,
                  native_unique: bool = True,
                  parse_cache_size: int = 256,
-                 zone_map_pruning: bool = True,
                  columnar: bool = True):
         self.catalog = Catalog()
         self.store = store
@@ -103,13 +102,10 @@ class CdwEngine:
         #: eager-apply DML ranges interleave with later files' copies.
         self.locks = LockManager()
         self._counts_lock = threading.Lock()
-        #: slice BETWEEN scans over zone-mapped tables via binary search
-        #: (False keeps the full-scan path, for A/B benchmarking).
-        self.zone_map_pruning = zone_map_pruning
-        #: store tables as typed column vectors and execute SELECT /
-        #: INSERT..SELECT / COPY / plain DELETE over column batches.
-        #: False keeps row-of-tuples storage and the per-row interpreter
-        #: everywhere — the behavioural oracle for differential tests.
+        #: storage mode of the tables this engine creates: typed column
+        #: vectors executed over column batches, or (False) row-of-tuples
+        #: storage under the per-row interpreter everywhere — the
+        #: behavioural oracle for differential tests.
         self.columnar = columnar
         #: parsed-statement cache for SQL text handed to execute():
         #: repeated statement texts (staging DDL probes, prepared error
@@ -258,7 +254,7 @@ class CdwEngine:
             if blob.endswith(".gz"):
                 data = stagefile.decompress(data)
             datas.append(data)
-        if self.columnar and table.columnar:
+        if table.columnar:
             result = self._try_columnar_copy(table, datas, stmt.delimiter)
             if result is not None:
                 return result
@@ -527,8 +523,6 @@ class CdwEngine:
         keeps Hyper-Q's recursive chunk splitting (Section 7) cheap: each
         sub-chunk attempt touches only its own row range.
         """
-        if not self.zone_map_pruning:
-            return None
         if not isinstance(stmt.from_, n.TableRef) or stmt.where is None:
             return None
         table = self.catalog.get(stmt.from_.name)
@@ -569,8 +563,7 @@ class CdwEngine:
         the Fig 11 cascade: each re-executed ``__SEQ`` range now binds
         O(rows in range) source contexts instead of O(staging_rows).
         """
-        if (self.zone_map_pruning and isinstance(source, n.TableRef)
-                and where is not None):
+        if isinstance(source, n.TableRef) and where is not None:
             table = self.catalog.get(source.name)
             conjuncts = self._where_conjuncts(where)
             chosen = self._zone_map_conjunct(
@@ -665,7 +658,7 @@ class CdwEngine:
         vectorized mask, and returns ``(batch, layout, binding_upper)``
         for the surviving rows — or None when out of scope.
         """
-        if not self.columnar or not isinstance(stmt.from_, n.TableRef):
+        if not isinstance(stmt.from_, n.TableRef):
             return None
         table = self.catalog.get(stmt.from_.name)
         if not table.columnar:
@@ -675,8 +668,7 @@ class CdwEngine:
         layout = prepare_layout(table.column_names)
         lo, hi = 0, table.row_count
         residual = stmt.where
-        if self.zone_map_pruning and stmt.where is not None \
-                and table.sorted_by is not None:
+        if stmt.where is not None and table.sorted_by is not None:
             conjuncts = self._where_conjuncts(stmt.where)
             chosen = self._zone_map_conjunct(conjuncts, table, binding)
             if chosen is not None:
@@ -1092,8 +1084,7 @@ class CdwEngine:
         run the row path — including on any error, whose canonical
         version the row path then raises."""
         src = stmt.source
-        if (not self.columnar or not table.columnar
-                or not isinstance(src, n.Select)
+        if (not table.columnar or not isinstance(src, n.Select)
                 or src.group_by or src.order_by or src.distinct
                 or src.limit is not None or src.having is not None):
             return None
@@ -1212,8 +1203,7 @@ class CdwEngine:
         # sub-linear in staging size.
         rows = table.rows
         lo, hi = 0, len(rows)
-        if (self.zone_map_pruning and stmt.using is None
-                and stmt.where is not None):
+        if stmt.using is None and stmt.where is not None:
             conjuncts = self._where_conjuncts(stmt.where)
             chosen = self._zone_map_conjunct(conjuncts, table, binding)
             if chosen is not None:
@@ -1222,7 +1212,7 @@ class CdwEngine:
                     between.low.value, between.high.value)
                 self._note_pruned(table, lo, hi)
         if (stmt.using is None and stmt.where is not None
-                and self.columnar and table.columnar):
+                and table.columnar):
             result = self._try_vector_delete(table, binding,
                                              stmt.where, lo, hi)
             if result is not None:

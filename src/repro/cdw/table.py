@@ -9,8 +9,9 @@ Tables store their data in one of two layouts:
   pre-existing tuple-level call site keeps working; the engine's
   vectorized paths read whole columns via :meth:`CdwTable.column_values`
   instead.
-- **row** (``columnar=False``): the original list of plain tuples, kept
-  as the behavioural oracle and A/B baseline.
+- **row** (``columnar=False``, reached only through
+  ``CdwEngine(columnar=False)``): the original list of plain tuples, kept
+  as the behavioural oracle of the differential suites.
 
 Uniqueness enforcement is *declared* here but *checked* by the engine at
 statement commit, so that violation semantics stay set-oriented.
@@ -30,10 +31,6 @@ from repro.cdw.types import CdwType
 from repro.errors import BulkExecutionError, CatalogError, ExpressionError
 
 __all__ = ["ColumnSpec", "CdwTable", "RowsView", "Catalog"]
-
-#: storage layout for tables constructed without an explicit choice
-#: (the engine passes its own ``columnar`` flag for tables it creates).
-COLUMNAR_DEFAULT = True
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ class CdwTable:
 
     def __init__(self, name: str, columns: list[ColumnSpec],
                  unique_keys: list[tuple[str, ...]] | None = None,
-                 columnar: bool | None = None):
+                 columnar: bool = True):
         if not columns:
             raise CatalogError(f"table {name!r} needs at least one column")
         self.name = name
@@ -119,7 +116,7 @@ class CdwTable:
         for key in unique_keys or []:
             self.unique_keys.append(
                 tuple(self.column_index(col) for col in key))
-        self.columnar = COLUMNAR_DEFAULT if columnar is None else columnar
+        self.columnar = columnar
         #: cached per-key sets of the current rows' unique-key values;
         #: None when stale.  Maintained by :meth:`append_rows`, dropped
         #: by any wholesale ``rows`` reassignment or :meth:`truncate_rows`.

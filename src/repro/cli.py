@@ -257,9 +257,9 @@ def _add_chaos_args(sub_parser) -> None:
         help="override the chaos profile's rng seed")
 
 
-def _load_chaos_profile(args):
-    """The parsed --chaos-profile JSON, or None when not given."""
-    path = getattr(args, "chaos_profile", None)
+def _load_json_arg(args, name):
+    """The parsed JSON file named by option ``name``, or None if unset."""
+    path = getattr(args, name, None)
     if path is None:
         return None
     import json
@@ -274,16 +274,6 @@ def _add_wlm_args(sub_parser) -> None:
              "(resource pools + fair-share policy; see docs/WLM.md)")
 
 
-def _load_wlm_profile(args):
-    """The parsed --wlm-profile JSON, or None when not given."""
-    path = getattr(args, "wlm_profile", None)
-    if path is None:
-        return None
-    import json
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _add_dq_args(sub_parser) -> None:
     sub_parser.add_argument(
         "--dq-profile", default=None, metavar="PATH",
@@ -291,40 +281,13 @@ def _add_dq_args(sub_parser) -> None:
              "dq-profile JSON (rulesets + rules; see docs/DQ.md)")
 
 
-def _load_dq_profile(args):
-    """The parsed --dq-profile JSON, or None when not given."""
-    path = getattr(args, "dq_profile", None)
-    if path is None:
-        return None
-    import json
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _load_stream_profile(args):
-    """The parsed --stream-profile JSON, or None when not given."""
-    path = getattr(args, "stream_profile", None)
-    if path is None:
-        return None
-    import json
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _add_perf_args(sub_parser) -> None:
-    """Pipelining/pruning knobs shared by the job-running commands."""
+    """Pipelining knobs shared by the job-running commands."""
     sub_parser.add_argument(
         "--eager-apply", action="store_true",
         help="pipeline DML application into acquisition: COPY and "
              "apply durable __SEQ prefixes while later chunks still "
              "convert/upload (see docs/PERFORMANCE.md)")
-    sub_parser.add_argument(
-        "--no-zone-map-pruning", action="store_true",
-        help="disable __SEQ zone-map pruning of staging-table scans")
-    sub_parser.add_argument(
-        "--no-columnar", action="store_true",
-        help="store CDW tables as row tuples and evaluate per-row "
-             "instead of columnar storage + vectorized execution")
     sub_parser.add_argument(
         "--upload-workers", type=int, default=None, metavar="N",
         help="parallel staging-file upload workers (default: 4)")
@@ -332,12 +295,7 @@ def _add_perf_args(sub_parser) -> None:
 
 def _perf_config_kwargs(args) -> dict:
     """HyperQConfig overrides from the _add_perf_args options."""
-    kwargs = {
-        "eager_apply": bool(getattr(args, "eager_apply", False)),
-        "zone_map_pruning":
-            not getattr(args, "no_zone_map_pruning", False),
-        "columnar": not getattr(args, "no_columnar", False),
-    }
+    kwargs = {"eager_apply": bool(getattr(args, "eager_apply", False))}
     workers = getattr(args, "upload_workers", None)
     if workers is not None:
         kwargs["upload_workers"] = workers
@@ -394,12 +352,12 @@ def _run_observed_job(args, *, trace: bool,
     from repro.core.config import HyperQConfig
     from repro.workloads.generator import make_workload
 
-    config_kwargs.setdefault("dq_profile", _load_dq_profile(args))
+    config_kwargs.setdefault("dq_profile", _load_json_arg(args, "dq_profile"))
     config = HyperQConfig(credits=args.credits, trace_enabled=trace,
                           trace_buffer_events=trace_buffer_events,
-                          chaos_profile=_load_chaos_profile(args),
+                          chaos_profile=_load_json_arg(args, "chaos_profile"),
                           chaos_seed=getattr(args, "chaos_seed", None),
-                          wlm_profile=_load_wlm_profile(args),
+                          wlm_profile=_load_json_arg(args, "wlm_profile"),
                           **_perf_config_kwargs(args),
                           **config_kwargs)
     stack = build_stack(config=config)
@@ -592,7 +550,7 @@ def _cmd_stream(args) -> int:
     from repro.workloads.streamgen import stream_workload
 
     _configure_cli_logging(args)
-    profile = _load_stream_profile(args) or {}
+    profile = _load_json_arg(args, "stream_profile") or {}
     batches = args.batches if args.batches is not None \
         else int(profile.get("batches", 12))
     rows = args.rows if args.rows is not None \
@@ -612,10 +570,10 @@ def _cmd_stream(args) -> int:
     config = HyperQConfig(
         credits=args.credits,
         stream_profile=profile or None,
-        chaos_profile=_load_chaos_profile(args),
+        chaos_profile=_load_json_arg(args, "chaos_profile"),
         chaos_seed=getattr(args, "chaos_seed", None),
-        wlm_profile=_load_wlm_profile(args),
-        dq_profile=_load_dq_profile(args),
+        wlm_profile=_load_json_arg(args, "wlm_profile"),
+        dq_profile=_load_json_arg(args, "dq_profile"),
         **_perf_config_kwargs(args))
     stack = build_stack(config=config)
     try:
@@ -720,10 +678,10 @@ def _cmd_run_script(args) -> int:
         stack = build_stack(config=HyperQConfig(
             credits=args.credits,
             trace_enabled=args.trace_out is not None,
-            chaos_profile=_load_chaos_profile(args),
+            chaos_profile=_load_json_arg(args, "chaos_profile"),
             chaos_seed=args.chaos_seed,
-            wlm_profile=_load_wlm_profile(args),
-            dq_profile=_load_dq_profile(args),
+            wlm_profile=_load_json_arg(args, "wlm_profile"),
+            dq_profile=_load_json_arg(args, "dq_profile"),
             **_perf_config_kwargs(args)))
         connect = stack.node.connect
         engine = stack.engine
@@ -780,13 +738,14 @@ def _cmd_serve(args) -> int:
     engine = CdwEngine(store=store)
     listener = TcpListener(host=args.host, port=args.port)
     node = HyperQNode(engine, store,
-                      HyperQConfig(credits=args.credits,
-                                   trace_enabled=args.trace,
-                                   async_frontend=args.async_frontend,
-                                   gateway_shards=args.shards,
-                                   max_connections=args.max_connections,
-                                   wlm_profile=_load_wlm_profile(args),
-                                   dq_profile=_load_dq_profile(args)),
+                      HyperQConfig(
+                          credits=args.credits,
+                          trace_enabled=args.trace,
+                          async_frontend=args.async_frontend,
+                          gateway_shards=args.shards,
+                          max_connections=args.max_connections,
+                          wlm_profile=_load_json_arg(args, "wlm_profile"),
+                          dq_profile=_load_json_arg(args, "dq_profile")),
                       listener=listener)
     node.start()
     frontend = node.stats()["gateway"].get("frontend", "threaded")

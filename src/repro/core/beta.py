@@ -201,15 +201,10 @@ class Beta:
 
     # -- uniqueness emulation ------------------------------------------------------
 
-    @property
-    def _emulate_unique(self) -> bool:
-        return (not self.engine.native_unique
-                or self.config.force_unique_emulation)
-
     def _execute_with_emulation(self, statement: n.Statement,
                                 target_name: str, kind: str):
         target = self.engine.table(target_name)
-        if not (self._emulate_unique and target.unique_keys):
+        if self.engine.native_unique or not target.unique_keys:
             return self.engine.execute(statement)
         # The check-and-rollback sequence below reads and rewrites
         # target.rows *around* the engine call, so it must hold the

@@ -3,6 +3,12 @@
 Section 6: "Hyper-Q exposes these different tuning parameters that the
 customers can configure according to different ETL job requirements" —
 intermediate file size, compression, parallelism, and the credit pool.
+
+A field here describes a job requirement or a deployment setting; it
+never selects between an implementation and the baseline it replaced.
+Reference implementations (interpreter codecs, row storage, full
+scans) are reached by constructing them directly in the differential
+tests, not through configuration.
 """
 
 from __future__ import annotations
@@ -42,13 +48,6 @@ class HyperQConfig:
     export_chunk_rows: int = 1000
     #: how many TDF packets the TDFCursor buffers ahead of the client.
     prefetch_packets: int = 4
-    #: emulate uniqueness checks even if the CDW enforces them natively
-    #: (normally derived from the engine's capability; True forces it).
-    force_unique_emulation: bool = False
-    #: use the layout-compiled row codecs (repro.legacy.codec) for the
-    #: job's record format; False falls back to the reference
-    #: interpreters (kept as the behavioural oracle and A/B baseline).
-    compiled_codecs: bool = True
     #: entries in Beta's prepared-DML plan cache (LRU; one entry per
     #: distinct (DML text, staging table, layout) shape).
     plan_cache_size: int = 128
@@ -59,21 +58,8 @@ class HyperQConfig:
     #: bundled client always does); jobs without it fall back to the
     #: two-phase path.
     eager_apply: bool = False
-    #: binary-search ``__SEQ BETWEEN`` ranges over the staging table's
-    #: sorted zone map instead of scanning every row per range; False
-    #: keeps the full-scan path (A/B baseline).
-    zone_map_pruning: bool = True
-    #: store CDW tables as typed column vectors and evaluate scans /
-    #: aggregates / bulk DML over column batches; False keeps the
-    #: row-of-tuples storage and the per-row interpreter (the
-    #: differential-testing and A/B baseline).
-    columnar: bool = True
     #: worker threads for BulkLoader.upload_directory.
     upload_workers: int = 4
-    #: acknowledge a chunk only after it is written to disk — the
-    #: *rejected* synchronous design of Section 5, kept for the ablation
-    #: benchmark.  Default (False) is the paper's immediate-ack pipeline.
-    synchronous_ack: bool = False
     #: maintain the node-level metrics registry (counters/histograms
     #: behind ``HyperQNode.stats()``); near-zero cost, but can be turned
     #: off for pure-throughput benchmarking.
@@ -132,9 +118,6 @@ class HyperQConfig:
     breaker_failure_threshold: int = 5
     #: how long an open breaker rejects calls before half-open probes.
     breaker_cooldown_s: float = 5.0
-    #: write a per-job chunk-level CheckpointJournal enabling load
-    #: restart without re-sending/re-uploading durable work.
-    checkpoint_enabled: bool = True
 
     # -- workload management (repro.wlm) --
     #: parsed wlm-profile JSON ({"policy": ..., "pools": [...]} or a

@@ -192,8 +192,6 @@ class HyperQNode:
             engine.on_statement = (
                 lambda stmt, seconds: self.obs.statement_seconds
                 .labels(statement=stmt).observe(seconds))
-        engine.zone_map_pruning = self.config.zone_map_pruning
-        engine.columnar = self.config.columnar
         if engine.on_scan_pruned is None:
             engine.on_scan_pruned = (
                 lambda skipped: self.obs.scan_pruned_rows.inc(skipped))
@@ -286,10 +284,7 @@ class HyperQNode:
             exports = list(self._exports.values())
             self._exports.clear()
         for job in jobs:
-            if job.eager is not None:
-                job.eager.shutdown()
-                job.eager.join()
-            job.pipeline.shutdown()
+            self._stop_load_workers(job)
             self.wlm.release(job.ticket)
         for export in exports:
             self.wlm.release(export.ticket)
@@ -461,7 +456,7 @@ class HyperQNode:
         connection owns — a control connection that vanishes must not
         leave its jobs holding admission slots forever.
         """
-        return {"user": "", "loads": {}, "exports": {}}
+        return {"user": "", "loads": {}, "exports": set()}
 
     def wrap_endpoint(self, endpoint):
         """Chaos hook: armed ``net.send`` rules surface as connection
@@ -517,8 +512,8 @@ class HyperQNode:
                                          conn.get("session_no", 0))
         for job in list(conn["loads"].values()):
             self._abort_load_job(job, event="abandoned")
-        for job in list(conn["exports"].values()):
-            self._drop_export(job)
+        for job_id in conn["exports"]:
+            self._drop_export(job_id)
 
     def _dispatch(self, channel: MessageChannel, message: Message,
                   conn: dict) -> None:
@@ -675,14 +670,9 @@ class HyperQNode:
             with self._registry_lock:
                 stale = self._jobs.pop(job_id, None)
             if stale is not None:
-                # Eager first (see _abort_load_job): the applier must
-                # finish journaling any in-flight range before the
-                # pipeline teardown closes the journal — and before
-                # this restart seeds its watermark from it.
-                if stale.eager is not None:
-                    stale.eager.shutdown()
-                    stale.eager.join()
-                stale.pipeline.shutdown()
+                # The stale applier must be gone before this restart
+                # seeds its watermark from the journal.
+                self._stop_load_workers(stale)
                 stale.span.end("error")
                 self.wlm.release(stale.ticket)
                 self.obs.jobs_total.labels(event="restarted").inc()
@@ -698,11 +688,9 @@ class HyperQNode:
             shard.staging_dir if shard is not None else self._base_dir,
             job_id)
         os.makedirs(staging_dir, exist_ok=True)
-        journal = None
-        if self.config.checkpoint_enabled:
-            journal = CheckpointJournal(
-                os.path.join(staging_dir, "checkpoint.jsonl"),
-                fresh=not resume)
+        journal = CheckpointJournal(
+            os.path.join(staging_dir, "checkpoint.jsonl"),
+            fresh=not resume)
         # Per-pool/target rule resolution mirrors WLM classification:
         # first matching ruleset in declaration order wins.
         dq = None
@@ -741,10 +729,8 @@ class HyperQNode:
             metrics.trace_id = f"{job_span.trace_id:032x}"
         with self.obs.tracer.span(
                 "codec.compile", parent=job_span, job_id=job_id,
-                kind=format_spec.kind,
-                compiled=self.config.compiled_codecs):
-            record_format = make_format(
-                format_spec, layout, compiled=self.config.compiled_codecs)
+                kind=format_spec.kind):
+            record_format = make_format(format_spec, layout)
         self.obs.codec_compiles.labels(kind=format_spec.kind).inc()
         converter = DataConverter(
             record_format,
@@ -1373,6 +1359,24 @@ class HyperQNode:
             dq_routed=job.metrics.dq_routed_rows)
         channel.send(Message(MessageKind.APPLY_RESULT, result_meta))
 
+    def _stop_load_workers(self, job: _LoadJob,
+                           quiesce: bool = False) -> None:
+        """The one teardown order of a load job's threads.
+
+        The eager coordinator goes first: the pipeline teardown closes
+        the shared checkpoint journal, and an applier that has run a
+        range's DML must still be able to journal the new watermark.
+        ``quiesce`` lets already-submitted chunks reach durable state
+        first (an abort keeps them for a ``resume`` restart).
+        """
+        if job.eager is not None:
+            job.eager.shutdown()
+            job.eager.join()
+        if quiesce:
+            job.pipeline.quiesce()
+        else:
+            job.pipeline.shutdown()
+
     def _abort_load_job(self, job: _LoadJob,
                         event: str = "aborted") -> None:
         """Tear down a failed/abandoned load and free its pool slot.
@@ -1391,14 +1395,8 @@ class HyperQNode:
         # registry a resume restart can no longer find (and join) it,
         # so its applier must already be gone — an in-flight range that
         # finished after the restart seeded its journal watermark would
-        # be double-applied.  The eager coordinator goes first: the
-        # pipeline teardown closes the shared checkpoint journal, and
-        # an applier that has run a range's DML must still be able to
-        # journal the new watermark.
-        if job.eager is not None:
-            job.eager.shutdown()
-            job.eager.join()
-        job.pipeline.quiesce()
+        # be double-applied.
+        self._stop_load_workers(job, quiesce=True)
         with self._registry_lock:
             if self._jobs.get(job.job_id) is not job:
                 # A resume restart replaced the job while we quiesced —
@@ -1454,7 +1452,7 @@ class HyperQNode:
             self._abort_load_job(job)
             channel.send(Message(MessageKind.END_LOAD_OK))
             return
-        job.pipeline.shutdown()
+        self._stop_load_workers(job)
         self.engine.execute(f"DROP TABLE IF EXISTS {job.staging_table}")
         self.store.delete_prefix(self.config.container, f"{job_id}/")
         shutil.rmtree(job.staging_dir, ignore_errors=True)
@@ -1523,8 +1521,9 @@ class HyperQNode:
             self._exports[job_id] = job
         # This control connection owns the export: if it closes before
         # every data session drains, the job is dropped and its
-        # admission slot freed.
-        conn["exports"][job_id] = job
+        # admission slot freed.  Only the id is kept — the job (cursor
+        # + materialized rows) must die when its last session drains.
+        conn["exports"].add(job_id)
         channel.send(Message(MessageKind.BEGIN_EXPORT_OK, {
             "columns": [[f.name, f.type.render()] for f in layout.fields],
         }))
@@ -1550,13 +1549,16 @@ class HyperQNode:
             job.span.end()
             self.wlm.release(job.ticket)
 
-    def _drop_export(self, job: _ExportJob) -> None:
-        """Abandon an export whose owning connection vanished."""
+    def _drop_export(self, job_id: str) -> None:
+        """Abandon an export whose owning connection vanished (no-op
+        for one that already drained)."""
         with self._registry_lock:
-            if self._exports.get(job.job_id) is job:
-                self._exports.pop(job.job_id)
-        job.span.end("error")
-        self.wlm.release(job.ticket)
+            job = self._exports.pop(job_id, None)
+        if job is not None:
+            # Undrained: the prefetch thread is still holding the rows.
+            job.cursor.close()
+            job.span.end("error")
+            self.wlm.release(job.ticket)
 
     def _handle_export_fetch(self, channel: MessageChannel,
                              message: Message) -> None:

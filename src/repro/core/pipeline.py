@@ -379,15 +379,6 @@ class AcquisitionPipeline:
             self._convert_lane.submit(item)
         else:
             self._converter_queue.put(item)
-        if self.config.synchronous_ack:
-            # The rejected design of Section 5: hold the ack until this
-            # chunk's bytes are on disk.
-            with self._state:
-                while chunk_seq not in self.chunk_records:
-                    if self._failures:
-                        break
-                    self._state.wait(timeout=0.5)
-            self._check_failures()
 
     # -- workers -----------------------------------------------------------------
 

@@ -36,7 +36,6 @@ __all__ = [
     "VartextFormat",
     "BinaryFormat",
     "make_format",
-    "DEFAULT_COMPILED",
     "LEGACY_FIELD_COUNT_ERROR",
 ]
 
@@ -67,31 +66,16 @@ class FormatSpec:
         return cls(kind=kind, delimiter=delim or "|")
 
 
-#: process-wide default for ``make_format(compiled=None)``.  Benchmarks
-#: flip this to run the reference interpreters as an A/B baseline.
-DEFAULT_COMPILED = True
-
-
-def make_format(spec: FormatSpec, layout: Layout,
-                compiled: bool | None = None) -> "RecordFormat":
+def make_format(spec: FormatSpec, layout: Layout) -> "RecordFormat":
     """Instantiate the encoder/decoder named by ``spec`` for ``layout``.
 
-    With ``compiled`` true (the default via :data:`DEFAULT_COMPILED`),
-    returns the layout-compiled codecs from :mod:`repro.legacy.codec`;
+    Returns the layout-compiled codecs from :mod:`repro.legacy.codec`;
     they are subclasses of the reference classes below and byte-identical
     in behaviour, errors included.
     """
-    if compiled is None:
-        compiled = DEFAULT_COMPILED
-    if compiled:
-        from repro.legacy import codec
+    from repro.legacy import codec
 
-        return codec.compile_format(spec, layout)
-    if spec.kind == "vartext":
-        return VartextFormat(layout, delimiter=spec.delimiter)
-    if spec.kind == "binary":
-        return BinaryFormat(layout)
-    raise DataFormatError(f"unknown record format {spec.kind!r}")
+    return codec.compile_format(spec, layout)
 
 
 class RecordFormat:

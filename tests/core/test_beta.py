@@ -231,15 +231,6 @@ class TestUniqueEmulation:
         assert summary.uv_errors == 1
         assert engine.query("SELECT COUNT(*) FROM TGT") == [(1,)]
 
-    def test_forced_emulation_with_native_engine(self):
-        engine, beta = make_rig(
-            native_unique=True,
-            config=HyperQConfig(force_unique_emulation=True))
-        stage_rows(engine, [("k1", "a", "2020-01-01"),
-                            ("k1", "b", "2020-01-02")])
-        summary = apply(engine, beta)
-        assert summary.uv_errors == 1
-
 
 class TestRownumMapping:
     def test_multi_chunk_rownums(self):

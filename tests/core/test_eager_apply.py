@@ -10,6 +10,7 @@ The only observable differences are timing: a recorded
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -194,3 +195,44 @@ class TestEagerResume:
                 [(24,)]
             assert stack.engine.query(
                 "SELECT COUNT(DISTINCT A) FROM R") == [(24,)]
+
+
+class TestEagerTeardown:
+    def test_end_load_without_apply_stops_eager_threads(self):
+        """BEGIN_LOAD → DATA → END_LOAD with no APPLY in between: the
+        copier/applier must be joined before END_LOAD closes the journal
+        and drops the staging table, and the admission slot freed."""
+        from repro.legacy.client import _layout_to_wire
+        from repro.legacy.datafmt import FormatSpec
+        from repro.legacy.protocol import Message, MessageKind
+        config = _config(eager_apply=True, wlm_profile={"pools": [
+            {"name": "only", "weight": 1, "max_concurrency": 1,
+             "queue_limit": 0, "queue_timeout_s": 1.0, "match": {}}]})
+        layout = Layout("L", [FieldDef("A", parse_type("varchar(20)"))])
+        with make_node(config=config) as stack:
+            client = LegacyEtlClient(stack.node.connect, timeout=15)
+            client.logon("h", "u", "p")
+            client.execute_sql("create table R (A varchar(20))")
+            control = client._require_control()
+            control.request(Message(MessageKind.BEGIN_LOAD, {
+                "job_id": "noapply", "target": "R",
+                "et_table": "R_ET", "uv_table": "R_UV",
+                "layout": _layout_to_wire(layout),
+                "format": FormatSpec("vartext", "|").to_wire(),
+                "sessions": 1,
+                "apply_sql": "insert into R values (:A)",
+            }), MessageKind.BEGIN_LOAD_OK)
+            data = client._open_data_session("noapply", 0)
+            data.request(Message(
+                MessageKind.DATA,
+                {"job_id": "noapply", "session_no": 0, "seq": 0},
+                body=b"a\nb\n"), MessageKind.DATA_ACK)
+            data.close()
+            control.request(
+                Message(MessageKind.END_LOAD, {"job_id": "noapply"}),
+                MessageKind.END_LOAD_OK)
+            assert [t.name for t in threading.enumerate()
+                    if t.name.startswith("hyperq-job-noapply-eager")] == []
+            pool = stack.node.stats()["wlm"]["pools"]["only"]
+            assert pool["occupied_slots"] == 0
+            client.logoff()

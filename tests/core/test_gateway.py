@@ -5,6 +5,8 @@ a Hyper-Q node — the transparency property the paper claims.
 """
 
 import datetime
+import gc
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.errors import ProtocolError
 from repro.legacy.client import ExportJobSpec, LegacyEtlClient
 from repro.legacy.script import ScriptInterpreter, parse_script
 from tests.conftest import EXAMPLE_DATA, EXAMPLE_SCRIPT, make_node
+from tests.resilience.test_chaos_e2e import wait_until
 
 
 class TestExampleThroughHyperQ:
@@ -178,6 +181,58 @@ class TestExportThroughHyperQ:
         client.logoff()
         assert stack.engine.query("SELECT * FROM DST ORDER BY K") == \
             stack.engine.query("SELECT * FROM SRC ORDER BY K")
+
+    @pytest.fixture
+    def cursors(self, monkeypatch):
+        """Weak references to every TdfCursor the gateway creates."""
+        from repro.core import gateway
+        refs = []
+        real_cursor = gateway.TdfCursor
+
+        def tracked_cursor(*args, **kwargs):
+            cursor = real_cursor(*args, **kwargs)
+            refs.append(weakref.ref(cursor))
+            return cursor
+
+        monkeypatch.setattr(gateway, "TdfCursor", tracked_cursor)
+        return refs
+
+    @staticmethod
+    def _assert_collected(ref):
+        def collected():
+            gc.collect()
+            return ref() is None
+
+        # A serving thread may still be unwinding from its last reply.
+        wait_until(collected, timeout_s=5.0)
+
+    def test_result_set_freed_when_export_drains(self, stack, cursors):
+        """An export's cursor (and its materialized rows) dies with the
+        job, not with the control session that began it."""
+        client = self._load_target(stack)
+        for done in range(1, 4):
+            client.run_export(ExportJobSpec(
+                "sel A from E order by A", sessions=2))
+            assert stack.node._exports == {}
+            assert len(cursors) == done
+            self._assert_collected(cursors[-1])
+        client.logoff()
+
+    def test_result_set_freed_when_export_abandoned(self, stack, cursors):
+        """A control session that vanishes mid-export must also stop
+        the prefetch thread, which otherwise pins the rows forever."""
+        from repro.legacy.protocol import Message, MessageKind
+        stack.node.config.export_chunk_rows = 1
+        client = self._load_target(stack)
+        client._require_control().request(
+            Message(MessageKind.BEGIN_EXPORT, {
+                "job_id": "abandoned", "sessions": 1,
+                "sql": "sel A from E order by A"}),
+            MessageKind.BEGIN_EXPORT_OK)
+        assert set(stack.node._exports) == {"abandoned"}
+        client._require_control().close()
+        wait_until(lambda: not stack.node._exports, timeout_s=5.0)
+        self._assert_collected(cursors[-1])
 
     def test_unknown_export_job_rejected(self, stack):
         from repro.legacy.protocol import (

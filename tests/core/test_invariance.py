@@ -19,8 +19,6 @@ CONFIGS = {
                          file_threshold_bytes=8 << 20),
     "gzip": HyperQConfig(converters=2, filewriters=2, credits=8,
                          compression="gzip"),
-    "sync-ack": HyperQConfig(converters=2, filewriters=2, credits=8,
-                             synchronous_ack=True),
 }
 
 

@@ -10,7 +10,9 @@ import re
 import pytest
 
 from repro.bench.harness import build_stack
+from repro.cdw import CdwEngine, CloudStore
 from repro.core.config import HyperQConfig
+from repro.core.gateway import HyperQNode
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +39,12 @@ class TestStorageSnapshot:
         assert storage["EMPTY"]["rows"] == 0
 
     def test_row_mode_reported(self):
-        with build_stack(config=HyperQConfig(columnar=False)) as stack:
-            stack.engine.execute("CREATE TABLE R (ID INT)")
-            stack.engine.execute("INSERT INTO R VALUES (1)")
-            storage = stack.node.stats()["storage"]
-            assert storage["R"]["mode"] == "rows"
+        store = CloudStore()
+        engine = CdwEngine(store, columnar=False)
+        with HyperQNode(engine, store) as node:
+            engine.execute("CREATE TABLE R (ID INT)")
+            engine.execute("INSERT INTO R VALUES (1)")
+            assert node.stats()["storage"]["R"]["mode"] == "rows"
 
 
 class TestTableBytesGauge:

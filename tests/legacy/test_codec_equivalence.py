@@ -259,14 +259,6 @@ class TestMakeFormatSelection:
         fmt = make_format(FormatSpec(kind="vartext"), self.LAYOUT)
         assert isinstance(fmt, CompiledVartextFormat)
 
-    def test_compiled_false_gives_reference(self):
-        fmt = make_format(FormatSpec(kind="binary"), self.LAYOUT,
-                          compiled=False)
-        assert type(fmt) is BinaryFormat
-        fmt = make_format(FormatSpec(kind="vartext"), self.LAYOUT,
-                          compiled=False)
-        assert type(fmt) is VartextFormat
-
     def test_compiled_is_subclass_of_reference(self):
         assert issubclass(CompiledBinaryFormat, BinaryFormat)
         assert issubclass(CompiledVartextFormat, VartextFormat)
