@@ -31,10 +31,11 @@ from decimal import Decimal
 from repro import values
 from repro.cdw import stagefile
 from repro.cdw.cloudstore import CloudStore
-from repro.cdw.expressions import (_Evaluator, ColumnBatch, GatherBatch,
-                                   RowContext, compile_expr, compile_vector,
-                                   evaluate, is_true, prepare_layout,
-                                   vec_values)
+from repro.cdw.expressions import (VECTOR_ERRORS, _Evaluator, ColumnBatch,
+                                   GatherBatch, RowContext, compile_expr,
+                                   compile_vector, evaluate,
+                                   first_failing_row, is_true,
+                                   prepare_layout, vec_values)
 from repro.cdw.locks import LockManager
 from repro.cdw.table import Catalog, CdwTable, ColumnSpec
 from repro.cdw.types import cdw_type_from_node
@@ -49,6 +50,12 @@ from repro.sqlxc.parser import parse_statement
 __all__ = ["CdwEngine", "CdwResult"]
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+
+
+class _SpuriousVectorError(Exception):
+    """Eager vector evaluation raised on a row the interpreter evaluates
+    cleanly (e.g. the right side of a short-circuited ``AND``); the
+    statement re-runs on the row interpreter."""
 
 
 @dataclass
@@ -121,6 +128,16 @@ class CdwEngine:
         #: optional observability hook ``(rows_skipped,)`` fired whenever
         #: a zone-map slice avoids scanning that many rows.
         self.on_scan_pruned: "callable | None" = None
+        #: executions of a statement kind the vector path serves
+        #: (SELECT incl. sub-selects, INSERT, plain DELETE, COPY) that
+        #: ran on the row interpreter instead, by reason:
+        #: ``out_of_scope`` — a shape or expression the vector compiler
+        #: does not cover (or row-mode storage); ``spurious_error`` —
+        #: eager evaluation raised on a row the interpreter accepts.
+        self.vector_fallbacks = {"out_of_scope": 0, "spurious_error": 0}
+        #: optional observability hook ``(reason,)``, one call per
+        #: :attr:`vector_fallbacks` increment.
+        self.on_vector_fallback: "callable | None" = None
 
     # -- locking -------------------------------------------------------------
 
@@ -132,7 +149,23 @@ class CdwEngine:
         exclusive catalog hold.  Read names come from every TableRef in
         the tree (joins, derived tables, scalar subqueries included), so
         a held statement never touches an unlocked table.
+
+        The answer is a function of tree structure, which executors
+        treat as read-only, so it is memoized on the statement node:
+        it lives exactly as long as whoever retains the statement (a
+        plan-cache entry, a ``PreparedDml`` template) and dies with an
+        ad-hoc AST.
         """
+        try:
+            return statement.__dict__["_lock_sets"]
+        except KeyError:
+            sets = statement.__dict__["_lock_sets"] = \
+                self._compute_lock_sets(statement)
+            return sets
+
+    @staticmethod
+    def _compute_lock_sets(statement: n.Statement
+                           ) -> "tuple[frozenset, frozenset] | None":
         if isinstance(statement, (n.Insert, n.Update, n.Delete)):
             writes = {statement.table.name}
         elif isinstance(statement, n.Merge):
@@ -148,7 +181,7 @@ class CdwEngine:
             return None
         reads = {node.name for node in n.walk(statement)
                  if isinstance(node, n.TableRef)}
-        return reads, writes
+        return frozenset(reads), frozenset(writes)
 
     # -- public API ----------------------------------------------------------
 
@@ -254,19 +287,22 @@ class CdwEngine:
             if blob.endswith(".gz"):
                 data = stagefile.decompress(data)
             datas.append(data)
-        if table.columnar:
-            result = self._try_columnar_copy(table, datas, stmt.delimiter)
-            if result is not None:
-                return result
-        new_rows: list[tuple] = []
-        for data in datas:
-            for raw in stagefile.decode_csv_rows(data, stmt.delimiter):
-                try:
-                    new_rows.append(table.coerce_row(raw))
-                except ExpressionError as exc:
-                    raise BulkExecutionError(
-                        f"COPY INTO {table.name} aborted: {exc}",
-                        field=exc.field) from exc
+        try:
+            return self._vector_or_rows(
+                lambda: self._try_columnar_copy(table, datas,
+                                                stmt.delimiter),
+                lambda spurious: self._row_copy(table, datas,
+                                                stmt.delimiter))
+        except ExpressionError as exc:
+            raise BulkExecutionError(
+                f"COPY INTO {table.name} aborted: {exc}",
+                field=exc.field) from exc
+
+    def _row_copy(self, table: CdwTable, datas: list[bytes],
+                  delimiter: str) -> CdwResult:
+        """COPY INTO row by row."""
+        new_rows = [table.coerce_row(raw) for data in datas
+                    for raw in stagefile.decode_csv_rows(data, delimiter)]
         if self.native_unique and table.unique_keys:
             table.check_unique_append(new_rows)
         table.append_rows(new_rows)
@@ -277,12 +313,13 @@ class CdwEngine:
         """Staged bytes straight into column vectors.
 
         CSV fields decode columnwise (:func:`stagefile.decode_csv_columns`),
-        coerce in bulk per column, and append without intermediate row
-        tuples.  Returns None — quoted/ragged data, any coercion or NOT
-        NULL failure — to let the row path produce the canonical result
-        or error (decode and coercion have no side effects, so re-running
-        them is safe).
+        coerce in bulk per column (:meth:`_coerce_columns`, which raises
+        the row path's error for the first bad row), and append without
+        intermediate row tuples.  Returns None for row-mode tables and
+        quoted/ragged data the columnwise decoder leaves to the row path.
         """
+        if not table.columnar:
+            return None
         cols: "list[list] | None" = None
         for data in datas:
             decoded = stagefile.decode_csv_columns(data, delimiter,
@@ -296,15 +333,7 @@ class CdwEngine:
                     bucket.extend(col)
         if cols is None:
             cols = [[] for _ in range(table.arity)]
-        try:
-            coerced = []
-            for spec, col in zip(table.columns, cols):
-                if not spec.nullable and any(v is None for v in col):
-                    return None
-                coerced.append(spec.ctype.coerce_many(col,
-                                                      field=spec.name))
-        except ExpressionError:
-            return None
+        coerced = self._coerce_columns(table, cols)
         if self.native_unique and table.unique_keys:
             table.check_unique_append_columns(coerced)
         table.append_columns(coerced)
@@ -470,10 +499,17 @@ class CdwEngine:
             return item.expr.name
         return f"col{index + 1}"
 
-    def _contains_aggregate(self, expr: n.Expr) -> bool:
-        return any(
-            isinstance(node, n.FuncCall) and node.name in _AGGREGATES
-            for node in n.walk(expr))
+    @staticmethod
+    def _contains_aggregate(expr: n.Expr) -> bool:
+        """Whether ``expr`` calls an aggregate; a fact of the (read-only)
+        tree structure, memoized on the node like its compiled forms."""
+        d = expr.__dict__
+        found = d.get("_has_aggregate")
+        if found is None:
+            found = d["_has_aggregate"] = any(
+                isinstance(node, n.FuncCall) and node.name in _AGGREGATES
+                for node in n.walk(expr))
+        return found
 
     @staticmethod
     def _where_conjuncts(where: n.Expr) -> list[n.Expr]:
@@ -586,9 +622,14 @@ class CdwEngine:
     def _run_select(self, stmt: n.Select,
                     outer: RowContext | None) -> tuple[list[tuple],
                                                        list[str]]:
-        vectorized = self._try_vector_select(stmt)
-        if vectorized is not None:
-            return vectorized
+        return self._vector_or_rows(
+            lambda: self._try_vector_select(stmt),
+            lambda spurious: self._select_rows(stmt, outer))
+
+    def _select_rows(self, stmt: n.Select,
+                     outer: RowContext | None) -> tuple[list[tuple],
+                                                        list[str]]:
+        """SELECT on the row interpreter."""
         sliced = self._try_sorted_slice(stmt, outer)
         if sliced is not None:
             contexts, where = sliced
@@ -642,20 +683,88 @@ class CdwEngine:
     # plain DELETE over whole column slices: predicates compile once per
     # (layout, binding) into vector closures (repro.cdw.expressions),
     # the WHERE produces a selection, and projection / aggregation read
-    # only the touched columns.  Every helper returns None the moment
-    # anything falls outside the vector compiler's scope — or when eager
-    # evaluation raises — and the caller runs the per-row interpreter
-    # instead, which either succeeds (it short-circuits rows the eager
-    # path touched) or raises its canonical first error.  Statements
-    # have no effects before commit, so the re-execution is safe and the
-    # two paths are observationally identical.
+    # only the touched columns.  Every helper returns None when a shape
+    # or expression is outside the vector compiler's scope, and the
+    # caller runs the per-row interpreter instead.
+    #
+    # Errors are raised here, once, and are the row path's own: the
+    # phases run in the row path's order (residual WHERE over the whole
+    # range, then the select list, then coercion / NOT NULL), and when a
+    # phase raises, :meth:`_vector_eval` bisects to the first raising
+    # row and evaluates that single row on the interpreter, whose error
+    # propagates.  Only when the interpreter accepts that row — eager
+    # evaluation raised where it short-circuits — does the statement
+    # re-run on rows (``vector_fallbacks["spurious_error"]``).
+    # Statements have no effects before commit, so either way the two
+    # paths are observationally identical.
+
+    def _vector_or_rows(self, vector, rows):
+        """Run a statement's vector path, ``vector()``; when it declines
+        (None) or its error was spurious, count the fallback and run
+        ``rows(spurious)``, the row interpreter's version."""
+        reason = "out_of_scope"
+        try:
+            result = vector()
+            if result is not None:
+                return result
+        except _SpuriousVectorError:
+            reason = "spurious_error"
+        with self._counts_lock:
+            self.vector_fallbacks[reason] += 1
+        if self.on_vector_fallback is not None:
+            self.on_vector_fallback(reason)
+        return rows(reason == "spurious_error")
+
+    def _vector_eval(self, exprs: list[n.Expr], data, layout,
+                     binding_upper) -> "list[list] | None":
+        """One phase of a vector statement: each expression's values
+        over ``data``, one list per expression — or None when one is
+        outside the vector compiler's scope.
+
+        The row path evaluates a phase row by row, so its error is that
+        of the first row any expression raises on.  When a closure
+        raises, that row is found by bisecting sub-batches that share
+        ``data``'s materialized columns, and the interpreter evaluates
+        it: its error is the statement's.  If it evaluates cleanly the
+        eager error was spurious: :class:`_SpuriousVectorError`.
+        """
+        fns = []
+        for expr in exprs:
+            fn = compile_vector(expr, layout, binding_upper)
+            if fn is None:
+                return None
+            fns.append(fn)
+        nrows = data.length
+        if not nrows:
+            return [[] for _ in fns]    # like the row path: nothing runs
+        out = []
+        try:
+            for fn in fns:
+                out.append(vec_values(fn(data), nrows))
+            return out
+        except VECTOR_ERRORS:
+            suspects = fns[len(out):]   # the others passed on every row
+
+        def attempt(lo: int, hi: int) -> None:
+            sub = GatherBatch(data, range(lo, hi))
+            for fn in suspects:
+                fn(sub)
+
+        ctx = RowContext()
+        ctx.bind_prepared(binding_upper, layout,
+                          data.row(first_failing_row(nrows, attempt)))
+        ev = _Evaluator(ctx, self._subquery_runner)
+        for expr in exprs:
+            ev.eval(expr)
+        raise _SpuriousVectorError
 
     def _vector_scan(self, stmt: n.Select):
         """FROM-one-columnar-table scan for the vector paths.
 
         Zone-map-slices the batch exactly like :meth:`_try_sorted_slice`
         (same pruning telemetry), applies the residual WHERE as a
-        vectorized mask, and returns ``(batch, layout, binding_upper)``
+        vectorized mask (a :meth:`_vector_eval` phase: its errors are
+        the row path's), and returns ``(batch, layout, binding_upper)``
         for the surviving rows — or None when out of scope.
         """
         if not isinstance(stmt.from_, n.TableRef):
@@ -685,39 +794,35 @@ class CdwEngine:
         batch = ColumnBatch(table, lo, max(hi, lo))
         if residual is None:
             return batch, layout, binding_upper
-        mask_fn = compile_vector(residual, layout, binding_upper)
-        if mask_fn is None:
+        masks = self._vector_eval([residual], batch, layout,
+                                  binding_upper)
+        if masks is None:
             return None
-        mask = vec_values(mask_fn(batch), batch.length)
-        sel = [i for i, v in enumerate(mask) if v is True]
+        sel = [i for i, v in enumerate(masks[0]) if v is True]
         return GatherBatch(batch, sel), layout, binding_upper
 
     def _try_vector_select(self, stmt: n.Select
                            ) -> "tuple[list[tuple], list[str]] | None":
         """Columnar SELECT: WHERE, projection, and aggregation over
         column batches instead of per-row contexts.  Returns the usual
-        ``(rows, columns)`` pair, or None to run the row path."""
-        if not isinstance(stmt.from_, n.TableRef):
+        ``(rows, columns)`` pair or None when out of scope; raises the
+        row path's error, or :class:`_SpuriousVectorError`."""
+        scan = self._vector_scan(stmt)
+        if scan is None:
             return None
-        try:
-            scan = self._vector_scan(stmt)
-            if scan is None:
-                return None
-            data, layout, binding_upper = scan
-            items = self._expand_items(stmt, [])
-            columns = [self._item_name(item, i)
-                       for i, item in enumerate(items)]
-            grouped = bool(stmt.group_by) or any(
-                self._contains_aggregate(item.expr) for item in items)
-            if grouped:
-                rows = self._vector_grouped(stmt, items, data, layout,
-                                            binding_upper)
-            else:
-                rows = self._vector_project(stmt, items, data, layout,
-                                            binding_upper)
-            if rows is None:
-                return None
-        except (ExpressionError, SqlTranslationError):
+        data, layout, binding_upper = scan
+        items = self._expand_items(stmt, [])
+        columns = [self._item_name(item, i)
+                   for i, item in enumerate(items)]
+        grouped = bool(stmt.group_by) or any(
+            self._contains_aggregate(item.expr) for item in items)
+        if grouped:
+            rows = self._vector_grouped(stmt, items, data, layout,
+                                        binding_upper)
+        else:
+            rows = self._vector_project(stmt, items, data, layout,
+                                        binding_upper)
+        if rows is None:
             return None
         return self._finish_select(stmt, rows), columns
 
@@ -725,14 +830,10 @@ class CdwEngine:
                         data, layout, binding_upper
                         ) -> "list[tuple] | None":
         """Evaluate the select list columnwise and zip into rows."""
-        fns = []
-        for item in items:
-            fn = compile_vector(item.expr, layout, binding_upper)
-            if fn is None:
-                return None
-            fns.append(fn)
-        nrows = data.length
-        out_cols = [vec_values(fn(data), nrows) for fn in fns]
+        out_cols = self._vector_eval([item.expr for item in items], data,
+                                     layout, binding_upper)
+        if out_cols is None:
+            return None
         rows = list(zip(*out_cols)) if out_cols else []
         return self._vector_order(stmt, rows, items, data, layout,
                                   binding_upper)
@@ -751,19 +852,28 @@ class CdwEngine:
         for i, item in enumerate(items):
             if item.alias:
                 aliases[item.alias.upper()] = i
-        key_cols = []
-        for expr, ascending in stmt.order_by:
+        # Per ORDER BY entry: an output position, or None for a source
+        # expression (evaluated together as one phase, like the row
+        # path's sort-key pass).
+        positions: "list[int | None]" = []
+        for expr, _ in stmt.order_by:
             if isinstance(expr, n.Literal) and isinstance(expr.value, int):
-                vals = [row[expr.value - 1] for row in rows]
+                positions.append(expr.value - 1)
             elif isinstance(expr, n.ColumnRef) and expr.table is None \
                     and expr.name.upper() in aliases:
-                idx = aliases[expr.name.upper()]
-                vals = [row[idx] for row in rows]
+                positions.append(aliases[expr.name.upper()])
             else:
-                fn = compile_vector(expr, layout, binding_upper)
-                if fn is None:
-                    return None
-                vals = vec_values(fn(data), data.length)
+                positions.append(None)
+        computed = self._vector_eval(
+            [expr for (expr, _), pos in zip(stmt.order_by, positions)
+             if pos is None], data, layout, binding_upper)
+        if computed is None:
+            return None
+        computed_cols = iter(computed)
+        key_cols = []
+        for (_, ascending), pos in zip(stmt.order_by, positions):
+            vals = next(computed_cols) if pos is None \
+                else [row[pos] for row in rows]
             key_cols.append((vals, ascending))
 
         def order_key(i: int):
@@ -788,27 +898,33 @@ class CdwEngine:
         """
         if stmt.having is not None:
             return None
-        plans: list[tuple[str, object]] = []
+        # Per item ``(call, expr, fn)``: an aggregate call over ``expr``
+        # (None for COUNT(*)), or — call None — a plain expression.
+        plans: list[tuple] = []
         for item in items:
-            expr = item.expr
+            call, expr = None, item.expr
             if type(expr) is n.FuncCall and expr.name in _AGGREGATES:
-                plans.append(("agg", expr))
+                call = expr
+                if call.name == "COUNT" and call.args \
+                        and isinstance(call.args[0], n.Star):
+                    plans.append((call, None, None))
+                    continue
+                if not call.args or any(isinstance(a, n.Star)
+                                        for a in call.args):
+                    return None             # row path raises for these
+                expr = call.args[0]
             elif self._contains_aggregate(expr):
                 return None
-            else:
-                fn = compile_vector(expr, layout, binding_upper)
-                if fn is None:
-                    return None
-                plans.append(("expr", fn))
+            fn = compile_vector(expr, layout, binding_upper)
+            if fn is None:
+                return None
+            plans.append((call, expr, fn))
         nrows = data.length
         if stmt.group_by:
-            key_fns = []
-            for group_expr in stmt.group_by:
-                fn = compile_vector(group_expr, layout, binding_upper)
-                if fn is None:
-                    return None
-                key_fns.append(fn)
-            key_cols = [vec_values(fn(data), nrows) for fn in key_fns]
+            key_cols = self._vector_eval(stmt.group_by, data, layout,
+                                         binding_upper)
+            if key_cols is None:
+                return None
             groups: dict[tuple, list[int]] = {}
             for i in range(nrows):
                 key = tuple(_sort_key(col[i]) for col in key_cols)
@@ -816,34 +932,32 @@ class CdwEngine:
             group_list = [groups[k] for k in sorted(groups)]
         else:
             group_list = [list(range(nrows))]
-        evaluated: list = []
-        for kind, payload in plans:
-            if kind == "expr":
-                evaluated.append(vec_values(payload(data), nrows))
-                continue
-            call = payload
-            if call.name == "COUNT" and call.args \
-                    and isinstance(call.args[0], n.Star):
-                evaluated.append(None)      # COUNT(*): group size only
-                continue
-            if not call.args or any(isinstance(a, n.Star)
-                                    for a in call.args):
-                return None                 # row path raises for these
-            fn = compile_vector(call.args[0], layout, binding_upper)
-            if fn is None:
-                return None
-            evaluated.append(vec_values(fn(data), nrows))
+        try:
+            evaluated = [
+                None if fn is None else vec_values(fn(data), nrows)
+                for _, _, fn in plans]
+        except VECTOR_ERRORS:
+            # The row path works group by group in key order and item
+            # by item, a plain expression on the group's first row only.
+            for group in group_list:
+                for call, expr, _ in plans:
+                    if expr is not None:
+                        self._vector_eval(
+                            [expr], GatherBatch(
+                                data, group if call else group[:1]),
+                            layout, binding_upper)
+            raise _SpuriousVectorError from None
         out_rows: list[tuple] = []
         for group in group_list:
             row = []
-            for (kind, payload), values_ in zip(plans, evaluated):
-                if kind == "expr":
+            for (call, _, _), values_ in zip(plans, evaluated):
+                if call is None:
                     if not group:
                         return None   # representative-row semantics
                     row.append(values_[group[0]])
                 else:
                     row.append(self._vector_aggregate(
-                        payload, values_, group))
+                        call, values_, group))
             out_rows.append(tuple(row))
         if stmt.order_by:
             out_rows = self._order_rows(stmt, out_rows, [], items)
@@ -1049,7 +1163,10 @@ class CdwEngine:
         return BulkExecutionError(
             f"{what} aborted: {exc}", kind="conversion", field=exc.field)
 
-    def _insert_rows_from_source(self, stmt: n.Insert) -> list[tuple]:
+    def _insert_rows_from_source(self, stmt: n.Insert,
+                                 rows_only: bool = False) -> list[tuple]:
+        """Source rows of an INSERT; ``rows_only`` keeps a SELECT source
+        on the row interpreter (its vector attempt was spurious)."""
         if isinstance(stmt.source, n.Values):
             ctx = RowContext()
             rows = []
@@ -1058,6 +1175,8 @@ class CdwEngine:
                     evaluate(e, ctx, self._subquery_runner)
                     for e in row_exprs))
             return rows
+        if rows_only and isinstance(stmt.source, n.Select):
+            return self._select_rows(stmt.source, None)[0]
         if isinstance(stmt.source, (n.Select, n.SetOp)):
             rows, _ = self._run_query(stmt.source, outer=None)
             return rows
@@ -1076,76 +1195,96 @@ class CdwEngine:
             full[table.column_index(name)] = value
         return tuple(full)
 
+    @staticmethod
+    def _coerce_columns(table: CdwTable, cols: list[list]) -> list[list]:
+        """Columnwise :meth:`CdwTable.coerce_row` over candidate column
+        lists: NOT NULL checks and bulk coercion per column.
+
+        The row path coerces row by row, so when a column raises, the
+        first offending row is bisected out of slices of ``cols`` and
+        :meth:`CdwTable.coerce_row` raises that row's error.
+        """
+        def attempt(lo: int, hi: "int | None") -> list[list]:
+            out = []
+            for spec, col in zip(table.columns, cols):
+                if hi is not None:
+                    col = col[lo:hi]
+                if not spec.nullable and any(v is None for v in col):
+                    raise ExpressionError(f"NULL in {spec.name}")
+                out.append(spec.ctype.coerce_many(col, field=spec.name))
+            return out
+
+        try:
+            return attempt(0, None)
+        except VECTOR_ERRORS:
+            pass
+        bad = first_failing_row(len(cols[0]), attempt)
+        table.coerce_row(tuple(col[bad] for col in cols))
+        raise _SpuriousVectorError
+
     def _try_vector_insert(self, stmt: n.Insert, table: CdwTable
                            ) -> "CdwResult | None":
         """Columnwise INSERT..SELECT: source columns are computed by the
         vector path, coerced in bulk, and appended to the target's
-        column store without ever forming row tuples.  Returns None to
-        run the row path — including on any error, whose canonical
-        version the row path then raises."""
+        column store without ever forming row tuples.  Returns None when
+        out of scope; a bad row raises the row path's own error from
+        here (:meth:`_vector_eval`, :meth:`_coerce_columns`), or
+        :class:`_SpuriousVectorError`."""
         src = stmt.source
         if (not table.columnar or not isinstance(src, n.Select)
                 or src.group_by or src.order_by or src.distinct
                 or src.limit is not None or src.having is not None):
             return None
-        try:
-            if any(self._contains_aggregate(item.expr)
-                   for item in src.items):
-                return None
-            scan = self._vector_scan(src)
-            if scan is None:
-                return None
-            data, layout, binding_upper = scan
-            items = self._expand_items(src, [])
-            source_cols = []
-            for item in items:
-                fn = compile_vector(item.expr, layout, binding_upper)
-                if fn is None:
-                    return None
-                source_cols.append(vec_values(fn(data), data.length))
-            nrows = data.length
-            if stmt.columns:
-                if len(stmt.columns) != len(source_cols):
-                    return None       # row path raises the arity error
-                full = [[None] * nrows for _ in range(table.arity)]
-                for name, col in zip(stmt.columns, source_cols):
-                    full[table.column_index(name)] = col
-            else:
-                if len(source_cols) != table.arity:
-                    return None       # row path raises the arity error
-                full = source_cols
-            coerced = []
-            for spec, col in zip(table.columns, full):
-                if not spec.nullable and any(v is None for v in col):
-                    return None       # row path raises NOT NULL error
-                coerced.append(spec.ctype.coerce_many(col,
-                                                      field=spec.name))
-        except (ExpressionError, SqlTranslationError, BulkExecutionError):
+        if any(self._contains_aggregate(item.expr) for item in src.items):
             return None
+        scan = self._vector_scan(src)
+        if scan is None:
+            return None
+        data, layout, binding_upper = scan
+        source_cols = self._vector_eval(
+            [item.expr for item in self._expand_items(src, [])], data,
+            layout, binding_upper)
+        if source_cols is None:
+            return None
+        nrows = data.length
+        if stmt.columns:
+            if len(stmt.columns) != len(source_cols):
+                return None           # row path raises the arity error
+            full = [[None] * nrows for _ in range(table.arity)]
+            for name, col in zip(stmt.columns, source_cols):
+                full[table.column_index(name)] = col
+        else:
+            if len(source_cols) != table.arity:
+                return None           # row path raises the arity error
+            full = source_cols
+        coerced = self._coerce_columns(table, full)
         if self.native_unique and table.unique_keys:
             table.check_unique_append_columns(coerced)
         table.append_columns(coerced)
         return CdwResult(kind="count", rows_inserted=nrows)
 
-    def _exec_Insert(self, stmt: n.Insert) -> CdwResult:
-        table = self.catalog.get(stmt.table.name)
-        vectorized = self._try_vector_insert(stmt, table)
-        if vectorized is not None:
-            return vectorized
-        try:
-            source_rows = self._insert_rows_from_source(stmt)
-            new_rows = [
-                table.coerce_row(
-                    self._shape_insert_row(table, stmt.columns, row))
-                for row in source_rows
-            ]
-        except ExpressionError as exc:
-            raise self._wrap_row_error(
-                exc, f"INSERT INTO {table.name}") from exc
+    def _row_insert(self, stmt: n.Insert, table: CdwTable,
+                    rows_only: bool) -> CdwResult:
+        """INSERT on the row interpreter."""
+        new_rows = [
+            table.coerce_row(
+                self._shape_insert_row(table, stmt.columns, row))
+            for row in self._insert_rows_from_source(stmt, rows_only)
+        ]
         if self.native_unique and table.unique_keys:
             table.check_unique_append(new_rows)
         table.append_rows(new_rows)
         return CdwResult(kind="count", rows_inserted=len(new_rows))
+
+    def _exec_Insert(self, stmt: n.Insert) -> CdwResult:
+        table = self.catalog.get(stmt.table.name)
+        try:
+            return self._vector_or_rows(
+                lambda: self._try_vector_insert(stmt, table),
+                lambda spurious: self._row_insert(stmt, table, spurious))
+        except ExpressionError as exc:
+            raise self._wrap_row_error(
+                exc, f"INSERT INTO {table.name}") from exc
 
     def _exec_Update(self, stmt: n.Update) -> CdwResult:
         table = self.catalog.get(stmt.table.name)
@@ -1192,17 +1331,13 @@ class CdwEngine:
     def _exec_Delete(self, stmt: n.Delete) -> CdwResult:
         table = self.catalog.get(stmt.table.name)
         binding = stmt.table.binding
-        source_contexts = (
-            self._pruned_source_contexts(stmt.using, stmt.where)
-            if stmt.using is not None else [None])
         # Plain DELETEs (no USING) zone-map-slice the *target* scan:
         # rows outside a top-level ``sorted_by BETWEEN`` conjunct cannot
         # match, so only the slice is evaluated and everything around it
         # is kept untouched (order preserved — the zone map stays armed).
         # This is what keeps the dq precheck's violation-routing DELETE
         # sub-linear in staging size.
-        rows = table.rows
-        lo, hi = 0, len(rows)
+        lo, hi = 0, table.row_count
         if stmt.using is None and stmt.where is not None:
             conjuncts = self._where_conjuncts(stmt.where)
             chosen = self._zone_map_conjunct(conjuncts, table, binding)
@@ -1211,60 +1346,67 @@ class CdwEngine:
                 lo, hi = table.seq_slice(
                     between.low.value, between.high.value)
                 self._note_pruned(table, lo, hi)
-        if (stmt.using is None and stmt.where is not None
-                and table.columnar):
-            result = self._try_vector_delete(table, binding,
-                                             stmt.where, lo, hi)
-            if result is not None:
-                return result
+        try:
+            return self._vector_or_rows(
+                lambda: self._try_vector_delete(stmt, table, lo, hi),
+                lambda spurious: self._row_delete(stmt, table, lo, hi))
+        except ExpressionError as exc:
+            raise self._wrap_row_error(
+                exc, f"DELETE FROM {table.name}") from exc
+
+    def _row_delete(self, stmt: n.Delete, table: CdwTable,
+                    lo: int, hi: int) -> CdwResult:
+        """DELETE on the row interpreter over target rows ``[lo, hi)``."""
+        binding = stmt.table.binding
+        source_contexts = (
+            self._pruned_source_contexts(stmt.using, stmt.where)
+            if stmt.using is not None else [None])
+        rows = table.rows
         keep: list[tuple] = []
         deleted = 0
         ev = _Evaluator(None, self._subquery_runner)
         where_fn = compile_expr(stmt.where) if stmt.where is not None \
             else None
-        try:
-            for row in rows[lo:hi]:
-                doomed = False
-                for source_ctx in source_contexts:
-                    ctx = RowContext(parent=source_ctx)
-                    ctx.bind(binding, table.column_names, row)
-                    if where_fn is None:
-                        doomed = True
-                        break
-                    ev.ctx = ctx
-                    if where_fn(ev) is True:
-                        doomed = True
-                        break
-                if doomed:
-                    deleted += 1
-                else:
-                    keep.append(row)
-        except ExpressionError as exc:
-            raise self._wrap_row_error(
-                exc, f"DELETE FROM {table.name}") from exc
+        for row in rows[lo:hi]:
+            doomed = False
+            for source_ctx in source_contexts:
+                ctx = RowContext(parent=source_ctx)
+                ctx.bind(binding, table.column_names, row)
+                if where_fn is None:
+                    doomed = True
+                    break
+                ev.ctx = ctx
+                if where_fn(ev) is True:
+                    doomed = True
+                    break
+            if doomed:
+                deleted += 1
+            else:
+                keep.append(row)
         table.rows = rows[:lo] + keep + rows[hi:]
         return CdwResult(kind="count", rows_deleted=deleted)
 
-    def _try_vector_delete(self, table: CdwTable, binding: str,
-                           where: n.Expr, lo: int, hi: int
-                           ) -> "CdwResult | None":
+    def _try_vector_delete(self, stmt: n.Delete, table: CdwTable,
+                           lo: int, hi: int) -> "CdwResult | None":
         """Vectorized plain DELETE: mask the (possibly zone-map-sliced)
         candidate range, drop matching rows via a columnwise take.
 
         Order of survivors is preserved, so ``sorted_by`` stays armed —
-        exactly like the row path.  Returns None to run the row path.
+        exactly like the row path.  Returns None when out of scope; the
+        mask is a :meth:`_vector_eval` phase, so a bad row raises the
+        row path's error.
         """
-        layout = prepare_layout(table.column_names)
-        fn = compile_vector(where, layout, binding.upper())
-        if fn is None:
+        if (stmt.using is not None or stmt.where is None
+                or not table.columnar):
             return None
         batch = ColumnBatch(table, lo, hi)
-        try:
-            mask = vec_values(fn(batch), batch.length)
-        except (ExpressionError, SqlTranslationError):
+        masks = self._vector_eval(
+            [stmt.where], batch, prepare_layout(table.column_names),
+            stmt.table.binding.upper())
+        if masks is None:
             return None
         keep = list(range(lo))
-        keep.extend(lo + i for i, v in enumerate(mask) if v is not True)
+        keep.extend(lo + i for i, v in enumerate(masks[0]) if v is not True)
         deleted = batch.length - (len(keep) - lo)
         if deleted:
             keep.extend(range(hi, table.row_count))

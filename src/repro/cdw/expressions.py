@@ -866,12 +866,19 @@ def _compile_func(expr: n.FuncCall, handler):
 # binding) into a *vector* closure: ``fn(batch) -> (is_const, payload)``
 # where payload is either a single value (constant over the batch) or a
 # list with one entry per batch row.  Evaluation is eager — both AND
-# operands, every CASE arm — which is safe because the engine falls back
-# to the row path on any ExpressionError, reproducing the interpreter's
-# short-circuit and error behaviour exactly.  ``compile_vector`` returns
-# None for any node kind it does not understand; the engine then keeps
-# the row path for the whole statement, so vectorized execution can
-# never change semantics, only speed.
+# operands, every CASE arm — so a closure raises on every row the
+# interpreter raises on, and possibly on rows it short-circuits past.
+# The closures are row-independent, which lets the engine name the
+# first raising row itself (:func:`first_failing_row`) and hand only
+# that row to the interpreter for the canonical error — or, when the
+# interpreter evaluates it cleanly, learn that the eager error was
+# spurious.  ``compile_vector`` returns None for any node kind it does
+# not understand; the engine then keeps the row path for the whole
+# statement, so vectorized execution can never change semantics, only
+# speed.
+
+#: what eager vector evaluation (and bulk coercion) raises for a bad row.
+VECTOR_ERRORS = (ExpressionError, SqlTranslationError)
 
 #: evaluator instance backing the vector closures' _compare calls
 #: (carries no state the closures use).
@@ -914,6 +921,10 @@ class ColumnBatch:
                 idx, self.lo, self.hi)
         return c
 
+    def row(self, i: int) -> tuple:
+        """Batch row ``i`` as a table tuple (error localisation only)."""
+        return self.table.rows[self.lo + i]
+
 
 class GatherBatch:
     """A selection of a parent batch's rows, presented as a batch.
@@ -925,7 +936,7 @@ class GatherBatch:
 
     __slots__ = ("parent", "sel", "length", "_cols")
 
-    def __init__(self, parent, sel: list):
+    def __init__(self, parent, sel: "list | range"):
         self.parent = parent
         self.sel = sel
         self.length = len(sel)
@@ -936,14 +947,42 @@ class GatherBatch:
         c = self._cols.get(idx)
         if c is None:
             pc = self.parent.col(idx)
-            c = self._cols[idx] = [pc[i] for i in self.sel]
+            sel = self.sel
+            c = self._cols[idx] = pc[sel.start:sel.stop] \
+                if type(sel) is range and sel.step == 1 \
+                else [pc[i] for i in sel]
         return c
+
+    def row(self, i: int) -> tuple:
+        """Selected row ``i`` as a table tuple (error localisation only)."""
+        return self.parent.row(self.sel[i])
 
 
 def vec_values(result, nrows: int) -> list:
     """Expand a vector-closure result into a per-row value list."""
     const, payload = result
     return [payload] * nrows if const else payload
+
+
+def first_failing_row(nrows: int, attempt) -> int:
+    """Smallest ``i`` for which ``attempt(i, i + 1)`` raises.
+
+    ``attempt(a, b)`` evaluates rows ``[a, b)`` and raises one of
+    :data:`VECTOR_ERRORS` iff one of those rows is bad (row-independent
+    work: vector closures over a sub-batch, bulk coercion of a slice);
+    the caller has seen ``attempt(0, nrows)`` raise.  Halving the
+    candidate range costs about one more pass over the rows in total.
+    """
+    lo, hi = 0, nrows
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            attempt(lo, mid)
+        except VECTOR_ERRORS:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def _value_getter(result):

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from repro.cdw.bulkloader import CloudBulkLoader
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
+from repro.core import tdf
 from repro.core.beta import SEQ_COLUMN, ApplySummary, Beta
 from repro.core.config import HyperQConfig
 from repro.core.converter import DataConverter
@@ -50,7 +51,8 @@ from repro.resilience import (
 )
 from repro.wlm import WorkloadManager
 from repro.legacy.client import layout_from_wire
-from repro.legacy.datafmt import BinaryFormat, FormatSpec, make_format
+from repro.legacy.datafmt import (BinaryFormat, FormatSpec, RecordFormat,
+                                   make_format)
 from repro.legacy.infer import infer_result_layout
 from repro.legacy.protocol import Message, MessageChannel, MessageKind
 from repro.legacy.types import Layout
@@ -144,6 +146,9 @@ class _ExportJob:
     job_id: str
     cursor: TdfCursor
     layout: Layout
+    #: the layout-compiled legacy binary encoder every packet of this
+    #: export is re-encoded with.
+    record_format: RecordFormat
     #: the job's root trace span (continues the client's trace when a
     #: traceparent rode in on BEGIN_EXPORT).
     span: object = NULL_SPAN
@@ -195,6 +200,10 @@ class HyperQNode:
         if engine.on_scan_pruned is None:
             engine.on_scan_pruned = (
                 lambda skipped: self.obs.scan_pruned_rows.inc(skipped))
+        if engine.on_vector_fallback is None:
+            engine.on_vector_fallback = (
+                lambda reason: self.obs.engine_vector_fallbacks
+                .labels(reason=reason).inc())
         self.credits = CreditManager(
             self.config.credits, self.config.credit_timeout_s,
             obs=self.obs)
@@ -352,6 +361,7 @@ class HyperQNode:
                 "min_available": self.credits.min_available,
             },
             "engine_statements": dict(self.engine.statement_counts),
+            "engine_vector_fallbacks": dict(self.engine.vector_fallbacks),
             "storage": self._storage_snapshot(),
             "plan_cache": {
                 "dml": self.beta.plans.stats(),
@@ -1515,6 +1525,7 @@ class HyperQNode:
             raise
         job = _ExportJob(
             job_id=job_id, cursor=cursor, layout=layout,
+            record_format=make_format(FormatSpec("binary"), layout),
             span=export_span, ticket=ticket,
             eof_needed=max(1, message.meta.get("sessions", 1)))
         with self._registry_lock:
@@ -1582,11 +1593,9 @@ class HyperQNode:
             return
         # PXC unwraps the TDF packet and re-encodes rows in the legacy
         # binary representation the client expects (Section 4).
-        from repro.core import tdf
         packet = tdf.decode_packet(packet_bytes)
-        fmt = BinaryFormat(job.layout)
         channel.send(Message(
             MessageKind.EXPORT_DATA,
             {"chunk_no": chunk_no, "eof": False,
              "records": len(packet.rows)},
-            body=fmt.encode_records(packet.rows)))
+            body=job.record_format.encode_records(packet.rows)))

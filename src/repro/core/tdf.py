@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from datetime import timedelta
 from decimal import Decimal
 
 from repro import values
@@ -132,8 +133,7 @@ def decode_value(view: memoryview, pos: int) -> tuple[object, int]:
             return (raw.decode("utf-8") if tag == _T_STR else raw), pos
         if tag == _T_DATE:
             (days,) = struct.unpack_from("<i", view, pos)
-            return _EPOCH + __import__("datetime").timedelta(days=days), \
-                pos + 4
+            return _EPOCH + timedelta(days=days), pos + 4
         if tag == _T_TIMESTAMP:
             year, month, day, hour, minute, second, micro = \
                 struct.unpack_from("<HBBBBBI", view, pos)

@@ -14,6 +14,7 @@ numbers and block until theirs is ready.
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.cdw.engine import CdwEngine
 from repro.core import tdf
@@ -82,7 +83,6 @@ class TdfCursor:
         if chunk_no >= self.num_chunks:
             return None
         with self._ready:
-            import time
             deadline = time.monotonic() + timeout_s
             while chunk_no not in self._buffer:
                 if self._closed:

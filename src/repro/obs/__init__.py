@@ -180,6 +180,10 @@ class Observability:
         self.scan_pruned_rows = reg.counter(
             "hyperq_scan_pruned_rows_total",
             "Staging rows skipped by __SEQ zone-map range pruning")
+        self.engine_vector_fallbacks = reg.counter(
+            "hyperq_engine_vector_fallbacks_total",
+            "Vectorizable statement kinds the engine ran on the row "
+            "interpreter instead", ("reason",))
 
         # -- data-quality precheck (repro.dq) --
         self.dq_checked = reg.counter(
