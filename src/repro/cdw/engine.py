@@ -32,9 +32,8 @@ from repro import values
 from repro.cdw import stagefile
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.expressions import (VECTOR_ERRORS, _Evaluator, ColumnBatch,
-                                   GatherBatch, RowContext, compile_expr,
-                                   compile_vector, evaluate,
-                                   first_failing_row, is_true,
+                                   GatherBatch, RowContext, compile_vector,
+                                   evaluate, first_failing_row, is_true,
                                    prepare_layout, vec_values)
 from repro.cdw.locks import LockManager
 from repro.cdw.table import Catalog, CdwTable, ColumnSpec
@@ -50,12 +49,6 @@ from repro.sqlxc.parser import parse_statement
 __all__ = ["CdwEngine", "CdwResult"]
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
-
-
-class _SpuriousVectorError(Exception):
-    """Eager vector evaluation raised on a row the interpreter evaluates
-    cleanly (e.g. the right side of a short-circuited ``AND``); the
-    statement re-runs on the row interpreter."""
 
 
 @dataclass
@@ -129,12 +122,12 @@ class CdwEngine:
         #: a zone-map slice avoids scanning that many rows.
         self.on_scan_pruned: "callable | None" = None
         #: executions of a statement kind the vector path serves
-        #: (SELECT incl. sub-selects, INSERT, plain DELETE, COPY) that
-        #: ran on the row interpreter instead, by reason:
-        #: ``out_of_scope`` — a shape or expression the vector compiler
-        #: does not cover (or row-mode storage); ``spurious_error`` —
-        #: eager evaluation raised on a row the interpreter accepts.
-        self.vector_fallbacks = {"out_of_scope": 0, "spurious_error": 0}
+        #: (SELECT incl. sub-selects, INSERT..SELECT, plain DELETE,
+        #: COPY) that ran on the row interpreter instead, by reason —
+        #: there is one: ``out_of_scope``, a shape or expression the
+        #: vector compiler does not cover (or row-mode storage).
+        #: ``INSERT .. VALUES`` was never vectorizable and is not counted.
+        self.vector_fallbacks = {"out_of_scope": 0}
         #: optional observability hook ``(reason,)``, one call per
         #: :attr:`vector_fallbacks` increment.
         self.on_vector_fallback: "callable | None" = None
@@ -291,8 +284,7 @@ class CdwEngine:
             return self._vector_or_rows(
                 lambda: self._try_columnar_copy(table, datas,
                                                 stmt.delimiter),
-                lambda spurious: self._row_copy(table, datas,
-                                                stmt.delimiter))
+                lambda: self._row_copy(table, datas, stmt.delimiter))
         except ExpressionError as exc:
             raise BulkExecutionError(
                 f"COPY INTO {table.name} aborted: {exc}",
@@ -499,6 +491,19 @@ class CdwEngine:
             return item.expr.name
         return f"col{index + 1}"
 
+    @classmethod
+    def _output_aliases(cls, items: list[n.SelectItem]) -> dict[str, int]:
+        """``{UPPER name: output position}`` for ORDER BY: output columns
+        are addressable by alias or by projected name (e.g. ``GROUP BY
+        REGION ... ORDER BY REGION``); an explicit alias wins."""
+        aliases: dict[str, int] = {}
+        for i, item in enumerate(items):
+            aliases.setdefault(cls._item_name(item, i).upper(), i)
+        for i, item in enumerate(items):
+            if item.alias:
+                aliases[item.alias.upper()] = i
+        return aliases
+
     @staticmethod
     def _contains_aggregate(expr: n.Expr) -> bool:
         """Whether ``expr`` calls an aggregate; a fact of the (read-only)
@@ -624,7 +629,7 @@ class CdwEngine:
                                                        list[str]]:
         return self._vector_or_rows(
             lambda: self._try_vector_select(stmt),
-            lambda spurious: self._select_rows(stmt, outer))
+            lambda: self._select_rows(stmt, outer))
 
     def _select_rows(self, stmt: n.Select,
                      outer: RowContext | None) -> tuple[list[tuple],
@@ -641,11 +646,10 @@ class CdwEngine:
         # per-row state beyond the context).
         ev = _Evaluator(None, self._subquery_runner)
         if where is not None:
-            where_fn = compile_expr(where)
             kept = []
             for ctx in contexts:
                 ev.ctx = ctx
-                if where_fn(ev) is True:
+                if ev.eval(where) is True:
                     kept.append(ctx)
             contexts = kept
         items = self._expand_items(stmt, contexts)
@@ -680,40 +684,37 @@ class CdwEngine:
     # -- vectorized execution ------------------------------------------------
     #
     # Columnar tables execute single-table SELECT / INSERT..SELECT /
-    # plain DELETE over whole column slices: predicates compile once per
-    # (layout, binding) into vector closures (repro.cdw.expressions),
-    # the WHERE produces a selection, and projection / aggregation read
-    # only the touched columns.  Every helper returns None when a shape
-    # or expression is outside the vector compiler's scope, and the
-    # caller runs the per-row interpreter instead.
+    # plain DELETE / COPY over whole column slices: predicates compile
+    # once per (layout, binding) into vector closures
+    # (repro.cdw.expressions), the WHERE produces a selection, and
+    # projection / aggregation read only the touched columns.  Every
+    # helper returns None when a shape or expression is outside the
+    # vector compiler's scope, and the caller runs the statement on the
+    # row interpreter instead — the one fallback there is.
     #
-    # Errors are raised here, once, and are the row path's own: the
+    # Errors are raised here, once, and are the interpreter's own: the
     # phases run in the row path's order (residual WHERE over the whole
     # range, then the select list, then coercion / NOT NULL), and when a
     # phase raises, :meth:`_vector_eval` bisects to the first raising
     # row and evaluates that single row on the interpreter, whose error
-    # propagates.  Only when the interpreter accepts that row — eager
-    # evaluation raised where it short-circuits — does the statement
-    # re-run on rows (``vector_fallbacks["spurious_error"]``).
-    # Statements have no effects before commit, so either way the two
-    # paths are observationally identical.
+    # propagates.  The closures raise only where the interpreter does,
+    # so it always rejects the located row; if it ever accepts one, the
+    # two evaluators disagree and the statement fails with a
+    # :class:`CdwError` naming the phase instead of hiding the bug
+    # behind a slow re-run.
 
     def _vector_or_rows(self, vector, rows):
         """Run a statement's vector path, ``vector()``; when it declines
-        (None) or its error was spurious, count the fallback and run
-        ``rows(spurious)``, the row interpreter's version."""
-        reason = "out_of_scope"
-        try:
-            result = vector()
-            if result is not None:
-                return result
-        except _SpuriousVectorError:
-            reason = "spurious_error"
+        (None), count the fallback and run ``rows()``, the row
+        interpreter's version."""
+        result = vector()
+        if result is not None:
+            return result
         with self._counts_lock:
-            self.vector_fallbacks[reason] += 1
+            self.vector_fallbacks["out_of_scope"] += 1
         if self.on_vector_fallback is not None:
-            self.on_vector_fallback(reason)
-        return rows(reason == "spurious_error")
+            self.on_vector_fallback("out_of_scope")
+        return rows()
 
     def _vector_eval(self, exprs: list[n.Expr], data, layout,
                      binding_upper) -> "list[list] | None":
@@ -725,8 +726,7 @@ class CdwEngine:
         of the first row any expression raises on.  When a closure
         raises, that row is found by bisecting sub-batches that share
         ``data``'s materialized columns, and the interpreter evaluates
-        it: its error is the statement's.  If it evaluates cleanly the
-        eager error was spurious: :class:`_SpuriousVectorError`.
+        it: its error is the statement's.
         """
         fns = []
         for expr in exprs:
@@ -742,7 +742,8 @@ class CdwEngine:
             for fn in fns:
                 out.append(vec_values(fn(data), nrows))
             return out
-        except VECTOR_ERRORS:
+        except VECTOR_ERRORS as exc:
+            eager = repr(exc)           # (not exc: its traceback pins data)
             suspects = fns[len(out):]   # the others passed on every row
 
         def attempt(lo: int, hi: int) -> None:
@@ -756,7 +757,8 @@ class CdwEngine:
         ev = _Evaluator(ctx, self._subquery_runner)
         for expr in exprs:
             ev.eval(expr)
-        raise _SpuriousVectorError
+        raise CdwError(f"vector evaluation raised {eager} on a row the "
+                       f"interpreter accepts")
 
     def _vector_scan(self, stmt: n.Select):
         """FROM-one-columnar-table scan for the vector paths.
@@ -806,7 +808,7 @@ class CdwEngine:
         """Columnar SELECT: WHERE, projection, and aggregation over
         column batches instead of per-row contexts.  Returns the usual
         ``(rows, columns)`` pair or None when out of scope; raises the
-        row path's error, or :class:`_SpuriousVectorError`."""
+        row path's error."""
         scan = self._vector_scan(stmt)
         if scan is None:
             return None
@@ -846,12 +848,7 @@ class CdwEngine:
         an expression over the source row)."""
         if not stmt.order_by:
             return rows
-        aliases: dict[str, int] = {}
-        for i, item in enumerate(items):
-            aliases.setdefault(self._item_name(item, i).upper(), i)
-        for i, item in enumerate(items):
-            if item.alias:
-                aliases[item.alias.upper()] = i
+        aliases = self._output_aliases(items)
         # Per ORDER BY entry: an output position, or None for a source
         # expression (evaluated together as one phase, like the row
         # path's sort-key pass).
@@ -930,15 +927,24 @@ class CdwEngine:
                 key = tuple(_sort_key(col[i]) for col in key_cols)
                 groups.setdefault(key, []).append(i)
             group_list = [groups[k] for k in sorted(groups)]
-        else:
+        elif nrows or all(call for call, _, _ in plans):
             group_list = [list(range(nrows))]
+        else:
+            return None     # a plain item over no row: the row path's
+        # Like the interpreter, an aggregate's argument is evaluated on
+        # every row and a plain expression on each group's first row.
+        firsts = GatherBatch(data, [group[0] for group in group_list
+                                    if group])
         try:
-            evaluated = [
-                None if fn is None else vec_values(fn(data), nrows)
-                for _, _, fn in plans]
-        except VECTOR_ERRORS:
+            evaluated = []
+            for call, _, fn in plans:
+                batch = data if call else firsts
+                evaluated.append(
+                    vec_values(fn(batch), batch.length)
+                    if fn is not None and batch.length else None)
+        except VECTOR_ERRORS as exc:
             # The row path works group by group in key order and item
-            # by item, a plain expression on the group's first row only.
+            # by item; the first of those to raise names the error.
             for group in group_list:
                 for call, expr, _ in plans:
                     if expr is not None:
@@ -946,87 +952,31 @@ class CdwEngine:
                             [expr], GatherBatch(
                                 data, group if call else group[:1]),
                             layout, binding_upper)
-            raise _SpuriousVectorError from None
+            raise CdwError(f"vector grouping raised {exc!r} on rows the "
+                           f"interpreter accepts") from None
         out_rows: list[tuple] = []
-        for group in group_list:
+        for ordinal, group in enumerate(group_list):
             row = []
-            for (call, _, _), values_ in zip(plans, evaluated):
+            for (call, expr, _), values_ in zip(plans, evaluated):
                 if call is None:
-                    if not group:
-                        return None   # representative-row semantics
-                    row.append(values_[group[0]])
+                    row.append(values_[ordinal])
+                elif expr is None:          # COUNT(*)
+                    row.append(len(group))
                 else:
-                    row.append(self._vector_aggregate(
-                        call, values_, group))
+                    row.append(_fold_aggregate(
+                        call, [values_[i] for i in group]))
             out_rows.append(tuple(row))
         if stmt.order_by:
             out_rows = self._order_rows(stmt, out_rows, [], items)
         return out_rows
 
-    def _vector_aggregate(self, call: n.FuncCall,
-                          arg_values: "list | None",
-                          group: list[int]):
-        """One aggregate over a group's positions (mirrors _aggregate)."""
-        if arg_values is None:              # COUNT(*)
-            return len(group)
-        name = call.name
-        non_null = [v for v in (arg_values[i] for i in group)
-                    if v is not None]
-        if call.distinct:
-            deduped = []
-            seen = set()
-            for v in non_null:
-                key = _sort_key(v)
-                if key not in seen:
-                    seen.add(key)
-                    deduped.append(v)
-            non_null = deduped
-        if name == "COUNT":
-            return len(non_null)
-        if not non_null:
-            return None
-        if name == "SUM":
-            return _sum(non_null)
-        if name == "AVG":
-            total = _sum(non_null)
-            return float(total) / len(non_null)
-        if name == "MIN":
-            return min(non_null, key=_sort_key)
-        if name == "MAX":
-            return max(non_null, key=_sort_key)
-        raise CdwError(f"unknown aggregate {name}")
-
     def _project(self, items: list[n.SelectItem],
                  contexts: list[RowContext],
                  ev: _Evaluator) -> list[tuple]:
-        """Evaluate the select list against each row context.
-
-        When every item is an unqualified column over a single-table
-        context — the shape of every bulk INSERT..SELECT and dq pass —
-        resolve the column indexes once and slice rows directly instead
-        of walking the expression tree per row.  Anything irregular
-        (extra bindings, qualified or computed items, a name the layout
-        lacks) falls back to the evaluator row by row.
-        """
+        """Evaluate the select list against each row context."""
         exprs = [item.expr for item in items]
-        fast_cols = [e.name.upper() for e in exprs] \
-            if exprs and all(type(e) is n.ColumnRef and e.table is None
-                             for e in exprs) else None
         rows: list[tuple] = []
-        idxs: "list[int] | None" = None
-        prev_layout: "dict[str, int] | None" = None
         for ctx in contexts:
-            if fast_cols is not None and len(ctx._bindings) == 1:
-                layout, row = next(iter(ctx._bindings.values()))
-                if layout is not prev_layout:
-                    prev_layout = layout
-                    try:
-                        idxs = [layout[c] for c in fast_cols]
-                    except KeyError:
-                        idxs = None
-                if idxs is not None:
-                    rows.append(tuple(row[i] for i in idxs))
-                    continue
             ev.ctx = ctx
             rows.append(tuple(ev.eval(e) for e in exprs))
         return rows
@@ -1036,14 +986,7 @@ class CdwEngine:
                     items: list[n.SelectItem]) -> list[tuple]:
         if not stmt.order_by:
             return rows
-        # Output columns are addressable by alias or by projected name
-        # (e.g. ``GROUP BY REGION ... ORDER BY REGION``).
-        aliases: dict[str, int] = {}
-        for i, item in enumerate(items):
-            aliases.setdefault(self._item_name(item, i).upper(), i)
-        for i, item in enumerate(items):
-            if item.alias:
-                aliases[item.alias.upper()] = i
+        aliases = self._output_aliases(items)
 
         def order_values(pair):
             row, ctx = pair
@@ -1077,11 +1020,10 @@ class CdwEngine:
                      contexts: list[RowContext]) -> list[tuple]:
         groups: dict[tuple, list[RowContext]] = {}
         if stmt.group_by:
-            key_fns = [compile_expr(g) for g in stmt.group_by]
             ev = _Evaluator(None, self._subquery_runner)
             for ctx in contexts:
                 ev.ctx = ctx
-                key = tuple(_sort_key(fn(ev)) for fn in key_fns)
+                key = tuple(_sort_key(ev.eval(g)) for g in stmt.group_by)
                 groups.setdefault(key, []).append(ctx)
         else:
             groups[()] = contexts
@@ -1125,36 +1067,12 @@ class CdwEngine:
             return len(group)
         if not call.args:
             raise CdwError(f"{name} needs an argument")
-        arg_fn = compile_expr(call.args[0])
         ev = _Evaluator(None, self._subquery_runner)
         raw = []
         for ctx in group:
             ev.ctx = ctx
-            raw.append(arg_fn(ev))
-        non_null = [v for v in raw if v is not None]
-        if call.distinct:
-            deduped = []
-            seen = set()
-            for v in non_null:
-                key = _sort_key(v)
-                if key not in seen:
-                    seen.add(key)
-                    deduped.append(v)
-            non_null = deduped
-        if name == "COUNT":
-            return len(non_null)
-        if not non_null:
-            return None
-        if name == "SUM":
-            return _sum(non_null)
-        if name == "AVG":
-            total = _sum(non_null)
-            return float(total) / len(non_null)
-        if name == "MIN":
-            return min(non_null, key=_sort_key)
-        if name == "MAX":
-            return max(non_null, key=_sort_key)
-        raise CdwError(f"unknown aggregate {name}")
+            raw.append(ev.eval(call.args[0]))
+        return _fold_aggregate(call, raw)
 
     # -- DML --------------------------------------------------------------------------
 
@@ -1163,10 +1081,8 @@ class CdwEngine:
         return BulkExecutionError(
             f"{what} aborted: {exc}", kind="conversion", field=exc.field)
 
-    def _insert_rows_from_source(self, stmt: n.Insert,
-                                 rows_only: bool = False) -> list[tuple]:
-        """Source rows of an INSERT; ``rows_only`` keeps a SELECT source
-        on the row interpreter (its vector attempt was spurious)."""
+    def _insert_rows_from_source(self, stmt: n.Insert) -> list[tuple]:
+        """Source rows of an INSERT on the row interpreter."""
         if isinstance(stmt.source, n.Values):
             ctx = RowContext()
             rows = []
@@ -1175,8 +1091,6 @@ class CdwEngine:
                     evaluate(e, ctx, self._subquery_runner)
                     for e in row_exprs))
             return rows
-        if rows_only and isinstance(stmt.source, n.Select):
-            return self._select_rows(stmt.source, None)[0]
         if isinstance(stmt.source, (n.Select, n.SetOp)):
             rows, _ = self._run_query(stmt.source, outer=None)
             return rows
@@ -1220,7 +1134,8 @@ class CdwEngine:
             pass
         bad = first_failing_row(len(cols[0]), attempt)
         table.coerce_row(tuple(col[bad] for col in cols))
-        raise _SpuriousVectorError
+        raise CdwError(f"bulk coercion into {table.name} rejected a row "
+                       f"coerce_row accepts")
 
     def _try_vector_insert(self, stmt: n.Insert, table: CdwTable
                            ) -> "CdwResult | None":
@@ -1228,8 +1143,7 @@ class CdwEngine:
         vector path, coerced in bulk, and appended to the target's
         column store without ever forming row tuples.  Returns None when
         out of scope; a bad row raises the row path's own error from
-        here (:meth:`_vector_eval`, :meth:`_coerce_columns`), or
-        :class:`_SpuriousVectorError`."""
+        here (:meth:`_vector_eval`, :meth:`_coerce_columns`)."""
         src = stmt.source
         if (not table.columnar or not isinstance(src, n.Select)
                 or src.group_by or src.order_by or src.distinct
@@ -1263,13 +1177,12 @@ class CdwEngine:
         table.append_columns(coerced)
         return CdwResult(kind="count", rows_inserted=nrows)
 
-    def _row_insert(self, stmt: n.Insert, table: CdwTable,
-                    rows_only: bool) -> CdwResult:
+    def _row_insert(self, stmt: n.Insert, table: CdwTable) -> CdwResult:
         """INSERT on the row interpreter."""
         new_rows = [
             table.coerce_row(
                 self._shape_insert_row(table, stmt.columns, row))
-            for row in self._insert_rows_from_source(stmt, rows_only)
+            for row in self._insert_rows_from_source(stmt)
         ]
         if self.native_unique and table.unique_keys:
             table.check_unique_append(new_rows)
@@ -1279,9 +1192,11 @@ class CdwEngine:
     def _exec_Insert(self, stmt: n.Insert) -> CdwResult:
         table = self.catalog.get(stmt.table.name)
         try:
+            if isinstance(stmt.source, n.Values):
+                return self._row_insert(stmt, table)
             return self._vector_or_rows(
                 lambda: self._try_vector_insert(stmt, table),
-                lambda spurious: self._row_insert(stmt, table, spurious))
+                lambda: self._row_insert(stmt, table))
         except ExpressionError as exc:
             raise self._wrap_row_error(
                 exc, f"INSERT INTO {table.name}") from exc
@@ -1349,7 +1264,7 @@ class CdwEngine:
         try:
             return self._vector_or_rows(
                 lambda: self._try_vector_delete(stmt, table, lo, hi),
-                lambda spurious: self._row_delete(stmt, table, lo, hi))
+                lambda: self._row_delete(stmt, table, lo, hi))
         except ExpressionError as exc:
             raise self._wrap_row_error(
                 exc, f"DELETE FROM {table.name}") from exc
@@ -1365,18 +1280,13 @@ class CdwEngine:
         keep: list[tuple] = []
         deleted = 0
         ev = _Evaluator(None, self._subquery_runner)
-        where_fn = compile_expr(stmt.where) if stmt.where is not None \
-            else None
         for row in rows[lo:hi]:
             doomed = False
             for source_ctx in source_contexts:
                 ctx = RowContext(parent=source_ctx)
                 ctx.bind(binding, table.column_names, row)
-                if where_fn is None:
-                    doomed = True
-                    break
                 ev.ctx = ctx
-                if where_fn(ev) is True:
+                if stmt.where is None or ev.eval(stmt.where) is True:
                     doomed = True
                     break
             if doomed:
@@ -1603,6 +1513,35 @@ def _infer_cdw_type(column_values: list) -> "CdwType":
            for v in column_values if v is not None):
         return CdwType("DATE")
     return CdwType("NVARCHAR")
+
+
+def _fold_aggregate(call: n.FuncCall, arg_values: list):
+    """One aggregate call over its argument's values for a group."""
+    name = call.name
+    non_null = [v for v in arg_values if v is not None]
+    if call.distinct:
+        deduped = []
+        seen = set()
+        for v in non_null:
+            key = _sort_key(v)
+            if key not in seen:
+                seen.add(key)
+                deduped.append(v)
+        non_null = deduped
+    if name == "COUNT":
+        return len(non_null)
+    if not non_null:
+        return None
+    if name == "SUM":
+        return _sum(non_null)
+    if name == "AVG":
+        total = _sum(non_null)
+        return float(total) / len(non_null)
+    if name == "MIN":
+        return min(non_null, key=_sort_key)
+    if name == "MAX":
+        return max(non_null, key=_sort_key)
+    raise CdwError(f"unknown aggregate {name}")
 
 
 def _sum(items: list):

@@ -13,6 +13,8 @@ by construction the cross-compiled query computes the same value.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from decimal import Decimal
 from typing import Callable
@@ -117,6 +119,7 @@ def evaluate(expr: n.Expr, ctx: RowContext,
     return _Evaluator(ctx, subquery_runner).eval(expr)
 
 
+@functools.lru_cache
 def _like_to_regex(pattern: str) -> re.Pattern:
     out = []
     for ch in pattern:
@@ -641,11 +644,11 @@ _FUNCTIONS = {
     "MOD": _fn_mod,
     "ROUND": _fn_round,
     "FLOOR": _null_passthrough(
-        lambda a: int(__import__("math").floor(_numeric(a[0], "FLOOR")))),
+        lambda a: int(math.floor(_numeric(a[0], "FLOOR")))),
     "CEIL": _null_passthrough(
-        lambda a: int(__import__("math").ceil(_numeric(a[0], "CEIL")))),
+        lambda a: int(math.ceil(_numeric(a[0], "CEIL")))),
     "CEILING": _null_passthrough(
-        lambda a: int(__import__("math").ceil(_numeric(a[0], "CEILING")))),
+        lambda a: int(math.ceil(_numeric(a[0], "CEILING")))),
     "TO_DATE": _fn_to_date,
     "TO_TIMESTAMP": _fn_to_timestamp,
     "EXTRACT": _fn_extract,
@@ -665,217 +668,29 @@ _FUNCTIONS = {
 }
 
 
-# -- closure compilation -------------------------------------------------------
-#
-# Tree-walking costs a dispatch lookup plus a method frame per node per
-# row; on the scan hot paths (WHERE filters, aggregate arguments — e.g.
-# the dq precheck's SUM(CASE …) passes) that constant dominates.
-# ``compile_expr`` folds an expression once into nested closures taking
-# the evaluator (whose ``ctx`` the caller rebinds per row).  Only the
-# hot node kinds are compiled — their closures mirror the
-# ``_eval_{Node}`` methods above line for line; anything else (casts,
-# subqueries, LIKE, …) falls back to the interpreter, so the compiled
-# form can never diverge on node kinds it does not understand.
-
-def compile_expr(expr: n.Expr):
-    """The expression as a ``fn(evaluator) -> value`` closure, memoized
-    on the node.  Tree *structure* is treated as read-only; node values
-    (``Literal.value``, ``BoundParam.value``) may be rebound between
-    calls, so closures read them live."""
-    d = expr.__dict__
-    fn = d.get("_compiled")
-    if fn is None:
-        fn = d["_compiled"] = _compile(expr)
-    return fn
-
-
-def _compile(expr: n.Expr):
-    t = type(expr)
-    if t is n.Literal:
-        # Must read ``expr.value`` at call time, not capture it: the
-        # prepared-DML cache rebinds the ``__SEQ`` range literals of a
-        # shared statement template between executions (PreparedDml.bind).
-        return lambda ev: expr.value
-    if t is n.ColumnRef:
-        return _compile_column(expr)
-    if t is n.BoundParam:
-        return lambda ev: expr.value      # reads the live binding
-    if t is n.IsNull:
-        operand = _compile(expr.operand)
-        if expr.negated:
-            return lambda ev: operand(ev) is not None
-        return lambda ev: operand(ev) is None
-    if t is n.UnaryOp and expr.op == "NOT":
-        operand = _compile(expr.operand)
-
-        def _not(ev):
-            value = operand(ev)
-            return None if value is None else not value
-        return _not
-    if t is n.BinaryOp:
-        return _compile_binary(expr)
-    if t is n.Between:
-        return _compile_between(expr)
-    if t is n.CaseExpr:
-        return _compile_case(expr)
-    if t is n.InExpr and expr.subquery is None:
-        return _compile_in(expr)
-    if t is n.FuncCall and not expr.distinct:
-        handler = _FUNCTIONS.get(expr.name.upper())
-        if handler is not None:
-            return _compile_func(expr, handler)
-    # Anything else: interpret.  (Also the safety net for node kinds
-    # added later — they stay correct, just not compiled.)
-    return lambda ev: ev.eval(expr)
-
-
-def _compile_column(expr: n.ColumnRef):
-    upper = expr.name.upper()
-    tbl = expr.table.upper() if expr.table else None
-    name, table = expr.name, expr.table
-    if tbl is None:
-        def _unqualified(ev):
-            bindings = ev.ctx._bindings
-            if len(bindings) == 1:
-                for layout, row in bindings.values():
-                    idx = layout.get(upper)
-                    if idx is not None:
-                        return row[idx]
-            return ev.ctx.resolve(name, table)
-        return _unqualified
-
-    def _qualified(ev):
-        entry = ev.ctx._bindings.get(tbl)
-        if entry is not None:
-            idx = entry[0].get(upper)
-            if idx is not None:
-                return entry[1][idx]
-        return ev.ctx.resolve(name, table)
-    return _qualified
-
-
-def _compile_binary(expr: n.BinaryOp):
-    op = expr.op
-    left = _compile(expr.left)
-    right = _compile(expr.right)
-    if op == "AND":
-        def _and(ev):
-            lv = left(ev)
-            if lv is False:
-                return False
-            rv = right(ev)
-            if lv is None or rv is None:
-                return False if rv is False else None
-            return bool(lv) and bool(rv)
-        return _and
-    if op == "OR":
-        def _or(ev):
-            lv = left(ev)
-            if lv is True:
-                return True
-            rv = right(ev)
-            if lv is None or rv is None:
-                return True if rv is True else None
-            return bool(lv) or bool(rv)
-        return _or
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        compare = _Evaluator._compare
-        return lambda ev: compare(ev, op, left(ev), right(ev))
-    # arithmetic / concatenation keep the interpreter's error paths
-    return lambda ev: ev.eval(expr)
-
-
-def _compile_between(expr: n.Between):
-    operand = _compile(expr.operand)
-    low = _compile(expr.low)
-    high = _compile(expr.high)
-    negated = expr.negated
-    compare = _Evaluator._compare
-
-    def _between(ev):
-        value = operand(ev)
-        ge = compare(ev, ">=", value, low(ev))
-        le = compare(ev, "<=", value, high(ev))
-        if ge is None or le is None:
-            result = None
-        else:
-            result = ge and le
-        if negated and result is not None:
-            return not result
-        return result
-    return _between
-
-
-def _compile_case(expr: n.CaseExpr):
-    whens = tuple((_compile(w.condition), _compile(w.result))
-                  for w in expr.whens)
-    else_fn = None if expr.else_result is None \
-        else _compile(expr.else_result)
-
-    def _case(ev):
-        for condition, result in whens:
-            if condition(ev) is True:
-                return result(ev)
-        return None if else_fn is None else else_fn(ev)
-    return _case
-
-
-def _compile_in(expr: n.InExpr):
-    fast = _in_literal_table(expr)
-    if fast is None:
-        return lambda ev: ev.eval(expr)
-    operand = _compile(expr.operand)
-    members, saw_null, ctype = fast
-    negated = expr.negated
-
-    def _in(ev):
-        value = operand(ev)
-        if value is None or type(value) is not ctype:
-            return ev.eval(expr)      # NULL / mixed-type generic path
-        probe = value.rstrip() if ctype is str else value
-        if probe in members:
-            result = True
-        elif saw_null:
-            result = None
-        else:
-            result = False
-        if negated and result is not None:
-            return not result
-        return result
-    return _in
-
-
-def _compile_func(expr: n.FuncCall, handler):
-    arg_fns = tuple(_compile(a) for a in expr.args)
-
-    def _call(ev):
-        args = [fn(ev) for fn in arg_fns]
-        try:
-            return handler(args)
-        except ExpressionError as exc:
-            if exc.field is None and expr.args:
-                exc.field = _Evaluator._provenance(expr.args[0])
-            raise
-    return _call
-
-
 # -- vectorized compilation ----------------------------------------------------
 #
-# The closure compiler above still runs once per row.  For columnar
-# tables the engine instead compiles an expression once per (layout,
-# binding) into a *vector* closure: ``fn(batch) -> (is_const, payload)``
-# where payload is either a single value (constant over the batch) or a
-# list with one entry per batch row.  Evaluation is eager — both AND
-# operands, every CASE arm — so a closure raises on every row the
-# interpreter raises on, and possibly on rows it short-circuits past.
-# The closures are row-independent, which lets the engine name the
-# first raising row itself (:func:`first_failing_row`) and hand only
-# that row to the interpreter for the canonical error — or, when the
-# interpreter evaluates it cleanly, learn that the eager error was
-# spurious.  ``compile_vector`` returns None for any node kind it does
-# not understand; the engine then keeps the row path for the whole
-# statement, so vectorized execution can never change semantics, only
-# speed.
+# Two evaluators, one job each.  ``_Evaluator`` above is the semantics:
+# it runs one row at a time, serves every statement shape the vector
+# path does not (UPDATE, MERGE, joins, VALUES, HAVING, subqueries), and
+# names the canonical error of a failed vector statement.  For columnar
+# tables the engine compiles an expression once per (layout, binding)
+# into a *vector* closure: ``fn(batch) -> (is_const, payload)`` where
+# payload is either a single value (constant over the batch) or a list
+# with one entry per batch row.
+#
+# A closure raises iff the interpreter raises on some row of the batch.
+# Evaluation is eager where the interpreter is (function arguments, IN
+# lists, BETWEEN bounds); where it short-circuits — the right side of
+# AND/OR, the conditions and arms of CASE — an operand that raises
+# eagerly is evaluated again over just the rows the interpreter reaches
+# (:func:`_reached_values`).  The closures are row-independent, so the
+# engine can name the first raising row itself
+# (:func:`first_failing_row`) and hand only that row to the interpreter
+# for the error; a located row the interpreter accepts is a bug in this
+# file and the engine says so loudly.  ``compile_vector`` returns None
+# for any node kind it does not understand; the engine then runs the
+# whole statement on the interpreter.
 
 #: what eager vector evaluation (and bulk coercion) raises for a bad row.
 VECTOR_ERRORS = (ExpressionError, SqlTranslationError)
@@ -1001,8 +816,11 @@ def compile_vector(expr: n.Expr, layout: dict[str, int],
     expression contains a node the vector compiler does not support
     (subqueries, outer references, unknown columns, ...), in which case
     the caller must use the row path.  Memoized per (layout, binding)
-    on the node; like ``compile_expr``, closures read ``Literal.value``
-    and ``BoundParam.value`` live so prepared-DML rebinding works.
+    on the node.  Tree *structure* is treated as read-only; node values
+    may be rebound between calls — the prepared-DML cache rebinds the
+    ``__SEQ`` range literals of a shared statement template
+    (PreparedDml.bind) — so closures read ``Literal.value`` and
+    ``BoundParam.value`` live.
     """
     cache = expr.__dict__.get("_vcompiled")
     if cache is None:
@@ -1110,6 +928,32 @@ def _v_or(lv, rv):
     return bool(lv) or bool(rv)
 
 
+def _reached_values(fn, b, reached) -> list:
+    """``fn``'s per-row values over batch ``b`` for an operand the
+    interpreter evaluates on some rows only: ``reached()`` lists them.
+
+    Eager evaluation over the whole batch serves every statement that
+    does not fail.  When it raises, ``fn`` runs again over the reached
+    rows alone, so it raises iff the interpreter does; unreached rows
+    read None (their value is never used), and with no reached row
+    ``fn`` does not run at all — a constant that cannot be cast raises
+    for every row and for none.
+    """
+    nrows = b.length
+    try:
+        return vec_values(fn(b), nrows)
+    except VECTOR_ERRORS:
+        rows = reached()
+        if len(rows) == nrows:
+            raise
+    out = [None] * nrows
+    if rows:
+        values_ = vec_values(fn(GatherBatch(b, rows)), len(rows))
+        for i, value in zip(rows, values_):
+            out[i] = value
+    return out
+
+
 def _vcompile_binary(expr: n.BinaryOp, layout, bu):
     op = expr.op
     left = compile_vector(expr.left, layout, bu)
@@ -1118,14 +962,19 @@ def _vcompile_binary(expr: n.BinaryOp, layout, bu):
         return None
     if op in ("AND", "OR"):
         pair = _v_and if op == "AND" else _v_or
+        decided = op == "OR"        # the left value that skips the right
 
         def _logic(b):
-            lres, rres = left(b), right(b)
-            if lres[0] and rres[0]:
-                return (True, pair(lres[1], rres[1]))
-            nrows = b.length
-            lv = vec_values(lres, nrows)
-            rv = vec_values(rres, nrows)
+            lconst, lv = left(b)
+            if lconst:
+                if lv is decided:
+                    return (True, decided)
+                rconst, rv = right(b)
+                if rconst:
+                    return (True, pair(lv, rv))
+                return (False, [pair(lv, c) for c in rv])
+            rv = _reached_values(right, b, lambda: [
+                i for i, a in enumerate(lv) if a is not decided])
             return (False, [pair(a, c) for a, c in zip(lv, rv)])
         return _logic
     if op in _CMP_OPS:
@@ -1244,20 +1093,22 @@ def _vcompile_case(expr: n.CaseExpr, layout, bu):
             return None
 
     def _case(b):
-        nrows = b.length
-        conds = [vec_values(c(b), nrows) for c, _ in whens]
-        results = [_value_getter(r(b)) for _, r in whens]
-        else_at = None if else_fn is None else _value_getter(else_fn(b))
-        out = []
-        append = out.append
-        n_whens = len(conds)
-        for i in range(nrows):
-            for j in range(n_whens):
-                if conds[j][i] is True:
-                    append(results[j](i))
-                    break
-            else:
-                append(None if else_at is None else else_at(i))
+        out = [None] * b.length
+        rest = range(b.length)      # rows no earlier WHEN has claimed
+        for condition, result in whens:
+            if not rest:
+                break
+            cv = _reached_values(condition, b, lambda: rest)
+            hits = [i for i in rest if cv[i] is True]
+            if hits:
+                rv = _reached_values(result, b, lambda: hits)
+                for i in hits:
+                    out[i] = rv[i]
+                rest = [i for i in rest if cv[i] is not True]
+        if else_fn is not None and rest:
+            ev = _reached_values(else_fn, b, lambda: rest)
+            for i in rest:
+                out[i] = ev[i]
         return (False, out)
     return _case
 
@@ -1347,17 +1198,13 @@ def _vcompile_like(expr: n.Like, layout, bu):
     if operand is None or pattern is None:
         return None
     negated = expr.negated
-    regex_cache: dict[str, "re.Pattern"] = {}
 
     def _pair(value, pat):
         if value is None or pat is None:
             return None
         if not isinstance(value, str) or not isinstance(pat, str):
             raise ExpressionError("LIKE needs string operands")
-        regex = regex_cache.get(pat)
-        if regex is None:
-            regex = regex_cache[pat] = _like_to_regex(pat)
-        result = bool(regex.match(value))
+        result = bool(_like_to_regex(pat).match(value))
         return not result if negated else result
 
     def _like(b):

@@ -204,6 +204,8 @@ class HyperQNode:
             engine.on_vector_fallback = (
                 lambda reason: self.obs.engine_vector_fallbacks
                 .labels(reason=reason).inc())
+            for reason in engine.vector_fallbacks:      # exposed at zero
+                self.obs.engine_vector_fallbacks.labels(reason=reason)
         self.credits = CreditManager(
             self.config.credits, self.config.credit_timeout_s,
             obs=self.obs)

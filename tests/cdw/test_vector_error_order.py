@@ -4,10 +4,12 @@ A failed set-oriented statement must report exactly what the per-row
 interpreter would — the first bad row in the row path's own phase
 order (residual WHERE over the whole range, then the select list, then
 coercion / NOT NULL), ``BulkExecutionError`` message, ``kind`` and
-``field`` included — without re-running the range on rows.  Every case
-runs on a vector engine and on ``CdwEngine(columnar=False)`` (the
-oracle) and diffs the outcome and the table state; the work-bound test
-counts what a failing range costs.
+``field`` included — without re-running the range on rows, and it must
+fail *only* where the interpreter does: the vector closures
+short-circuit ``AND``/``OR``/``CASE`` like it, so no statement needs a
+second run.  Every case runs on a vector engine and on
+``CdwEngine(columnar=False)`` (the oracle) and diffs the outcome and the
+table state; the work-bound test counts what a failing range costs.
 """
 
 import pytest
@@ -16,6 +18,10 @@ from repro.cdw import engine as engine_module
 from repro.cdw import stagefile
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
+from repro.errors import CdwError
+
+#: ``vector_fallbacks`` of an engine whose every statement ran on vectors
+NO_FALLBACKS = {"out_of_scope": 0}
 
 DDL = (
     "CREATE TABLE S (A NVARCHAR(10), B NVARCHAR(10), C NVARCHAR(10), "
@@ -46,6 +52,15 @@ def make_pair(rows, armed):
             engine.table("S").set_sorted("__SEQ")
         engines.append(engine)
     return engines
+
+
+def forbid_row_paths(monkeypatch, engine):
+    """Make ``engine`` fail any statement that enters a row-interpreter
+    executor (the oracle engine keeps its own, unpatched)."""
+    for name in ("_select_rows", "_row_insert", "_row_delete"):
+        def entered(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} entered")
+        monkeypatch.setattr(engine, name, entered)
 
 
 def outcome(engine, sql):
@@ -130,8 +145,7 @@ def test_failed_statement_raises_the_row_paths_error(
     kind, message, error_kind, _field = assert_same(engines, sql)
     assert kind == "BulkExecutionError" and expected in message
     assert error_kind == "conversion"
-    assert engines[0].vector_fallbacks == {
-        "out_of_scope": 0, "spurious_error": 0}
+    assert engines[0].vector_fallbacks == NO_FALLBACKS
 
 
 #: (case id, staging cells, statement) — nothing may fail
@@ -158,20 +172,20 @@ CLEAN_CASES = [
 def test_rows_outside_the_statement_do_not_fail_it(cells, sql, armed):
     engines = make_pair(staged(**cells), armed)
     assert assert_same(engines, sql)[0] == "ok"
-    assert engines[0].vector_fallbacks["spurious_error"] == 0
+    assert engines[0].vector_fallbacks == NO_FALLBACKS
 
 
 @ARMED
-def test_empty_range_delete(armed):
+def test_empty_range_delete(armed, monkeypatch):
     """Armed, the zone map slices the range away and nothing is
     evaluated; disarmed, ``__SEQ BETWEEN`` is just the left side of an
-    ``AND`` whose right side only eager evaluation reaches."""
+    ``AND`` whose right side no row reaches."""
     engines = make_pair(staged(a2="badA2"), armed)
+    forbid_row_paths(monkeypatch, engines[0])
     assert assert_same(
         engines, "DELETE FROM S WHERE __SEQ BETWEEN 50 AND 60 "
                  "AND CAST(A AS INT) > 4")[0] == "ok"
-    assert engines[0].vector_fallbacks == {
-        "out_of_scope": 0, "spurious_error": 0 if armed else 1}
+    assert engines[0].vector_fallbacks == NO_FALLBACKS
 
 
 @ARMED
@@ -182,25 +196,68 @@ def test_empty_range_delete(armed):
     "AND 9 AND (A = 'x' OR CAST(A AS INTEGER) > 0)",
     "DELETE FROM S WHERE A <> 'x' AND CAST(A AS INTEGER) > 4",
     "SELECT CASE WHEN A = 'x' THEN 0 ELSE CAST(A AS INT) END FROM S",
-], ids=["select", "insert", "delete", "case-arm"])
-def test_spurious_eager_error_succeeds_and_is_counted(sql, armed):
-    """Eager evaluation casts the ``'x'`` the interpreter short-circuits
-    past; the statement must succeed, once, on the row interpreter."""
+    # The inner AND reaches every row and raises; the outer OR must
+    # recover by asking it again without row 3.
+    "SELECT A FROM S WHERE A = 'x' OR (A <> 'y' AND CAST(A AS INTEGER) >= 0)",
+    # ...and here each side of the OR guards its own cast.
+    "SELECT A FROM S WHERE (A <> 'x' AND CAST(A AS INTEGER) >= 0) "
+    "OR (A = 'x' OR CAST(A AS INTEGER) < 0)",
+    "SELECT CASE WHEN A = 'x' THEN -1 WHEN CAST(A AS INT) > 4 THEN 1 "
+    "ELSE 0 END FROM S",
+    "SELECT CASE WHEN __SEQ >= 0 THEN 1 ELSE CAST(A AS INT) END FROM S",
+    "SELECT A FROM S WHERE 1 = 1 OR CAST(A AS INTEGER) > 0",
+    "DELETE FROM S WHERE 1 = 0 AND CAST(A AS INTEGER) > 0",
+    # No row needs the right operand, so its uncastable constant is
+    # never evaluated.
+    "SELECT A FROM S WHERE __SEQ >= 0 OR CAST('q' AS INT) > 0",
+    "SELECT CASE WHEN __SEQ >= 0 THEN 1 ELSE CAST('q' AS INT) END FROM S",
+], ids=["select", "insert", "delete", "case-arm", "and-inside-or",
+        "guard-on-each-side", "case-condition", "case-else-unreached",
+        "constant-left-or", "constant-left-and", "constant-operand-no-rows",
+        "constant-else-unreached"])
+def test_spurious_eager_error_succeeds_and_is_counted(
+        sql, armed, monkeypatch):
+    """Eager evaluation would cast the ``'x'`` the interpreter
+    short-circuits past; the statement must succeed, on vectors — the
+    count of statements re-run on rows stays zero."""
     engines = make_pair(staged(a3="x"), armed)
+    forbid_row_paths(monkeypatch, engines[0])
     assert assert_same(engines, sql)[0] == "ok"
-    assert engines[0].vector_fallbacks == {
-        "out_of_scope": 0, "spurious_error": 1}
+    assert engines[0].vector_fallbacks == NO_FALLBACKS
 
 
 @ARMED
-def test_spurious_row_before_a_real_error(armed):
-    """Row 3 only fails eagerly; row 6 fails for the interpreter too."""
+def test_spurious_row_before_a_real_error(armed, monkeypatch):
+    """Row 3 would only fail eagerly; row 6 fails for the interpreter
+    too."""
     engines = make_pair(staged(a3="x", a6="badA6"), armed)
+    forbid_row_paths(monkeypatch, engines[0])
     result = assert_same(
         engines,
         "INSERT INTO T SELECT __SEQ, 1, NULL FROM S WHERE __SEQ BETWEEN 0 "
         "AND 9 AND (A = 'x' OR CAST(A AS INTEGER) > 0)")
     assert result[0] == "BulkExecutionError" and "badA6" in result[1]
+    assert engines[0].vector_fallbacks == NO_FALLBACKS
+
+
+@ARMED
+@pytest.mark.parametrize("sql,expected", [
+    ("SELECT CASE WHEN A = 'x' THEN -1 WHEN CAST(A AS INT) > 4 THEN 1 "
+     "END FROM S", "badA6"),
+    ("SELECT CASE WHEN A = 'x' THEN 0 ELSE CAST(A AS INT) END FROM S",
+     "badA6"),
+    ("SELECT A FROM S WHERE A = 'x' OR (A <> 'y' AND CAST(A AS INT) >= 0)",
+     "badA6"),
+    # Rows 0-4 need the constant operand: it fails the statement.
+    ("SELECT A FROM S WHERE __SEQ >= 5 OR CAST('q' AS INT) > 0", "'q'"),
+], ids=["case-condition", "case-else", "and-inside-or", "constant-operand"])
+def test_guarded_operand_still_fails_on_the_rows_that_reach_it(
+        sql, expected, armed, monkeypatch):
+    engines = make_pair(staged(a3="x", a6="badA6"), armed)
+    forbid_row_paths(monkeypatch, engines[0])
+    kind, message, _, _ = assert_same(engines, sql)
+    assert kind == "ExpressionError" and expected in message
+    assert engines[0].vector_fallbacks == NO_FALLBACKS
 
 
 @ARMED
@@ -227,16 +284,28 @@ def test_failed_select_raises_the_row_paths_error(
     engines = make_pair(staged(**cells), armed)
     kind, message, _, _ = assert_same(engines, sql)
     assert kind == "ExpressionError" and expected in message
-    assert engines[0].vector_fallbacks["spurious_error"] == 0
+    assert engines[0].vector_fallbacks == NO_FALLBACKS
 
 
-def test_plain_group_item_only_sees_the_first_row_of_its_group():
+def test_plain_group_item_only_sees_the_first_row_of_its_group(monkeypatch):
     """``CAST(A AS INT)`` beside an aggregate is evaluated on a group's
-    first row only; a bad cell further down is a spurious error."""
-    engines = make_pair(staged(a6="badA6"), armed=False)
-    sql = "SELECT CAST(A AS INT), COUNT(*) FROM S"
-    assert assert_same(engines, sql)[0] == "ok"
-    assert engines[0].vector_fallbacks["spurious_error"] == 1
+    first row only; a bad cell further down fails nothing."""
+    rows = staged(a6="badA6", b6="5", b7="5", a7="badA7")
+    engines = make_pair(rows, armed=False)
+    forbid_row_paths(monkeypatch, engines[0])
+    for sql in ("SELECT CAST(A AS INT), COUNT(*) FROM S",
+                "SELECT B, CAST(A AS INT), SUM(__SEQ) FROM S GROUP BY B"):
+        assert assert_same(engines, sql)[0] == "ok"
+    assert engines[0].vector_fallbacks == NO_FALLBACKS
+
+
+def test_bad_first_row_of_a_later_group_fails_the_select(monkeypatch):
+    engines = make_pair(staged(a6="badA6", b7="6", a2="badA2", b2="1"),
+                        armed=False)
+    forbid_row_paths(monkeypatch, engines[0])
+    kind, message, _, _ = assert_same(
+        engines, "SELECT B, CAST(A AS INT), SUM(__SEQ) FROM S GROUP BY B")
+    assert kind == "ExpressionError" and "badA6" in message
 
 
 @pytest.mark.parametrize("rows,expected", [
@@ -256,8 +325,7 @@ def test_copy_raises_the_row_paths_error(rows, expected):
     kind, message, _, _ = assert_same(
         engines, "COPY INTO T FROM 'store://stage/job/' FORMAT csv")
     assert kind == "BulkExecutionError" and expected in message
-    assert engines[0].vector_fallbacks == {
-        "out_of_scope": 0, "spurious_error": 0}
+    assert engines[0].vector_fallbacks == NO_FALLBACKS
 
 
 def test_failing_range_binds_one_row_context(monkeypatch):
@@ -290,6 +358,23 @@ def test_failing_range_binds_one_row_context(monkeypatch):
     assert outcome(vector, sql) == expected
     assert len(contexts) <= 1
     assert selects == []
-    assert vector.vector_fallbacks == {
-        "out_of_scope": 0, "spurious_error": 0}
+    assert vector.vector_fallbacks == NO_FALLBACKS
     assert vector.table("T").row_count == 0
+
+
+def test_a_located_row_the_interpreter_accepts_is_a_loud_error(monkeypatch):
+    """The closures raise only where the interpreter does.  Break that
+    (a closure that rejects every batch) and the statement must fail
+    naming the disagreement, not quietly succeed some other way."""
+    vector, _ = make_pair(staged(), armed=False)
+
+    def always_raises(expr, layout, binding_upper):
+        def closure(batch):
+            raise engine_module.ExpressionError("eager only")
+        return closure
+
+    monkeypatch.setattr(engine_module, "compile_vector", always_raises)
+    with pytest.raises(CdwError, match="vector evaluation raised .*eager "
+                                       "only.* interpreter accepts"):
+        vector.execute("SELECT A FROM S WHERE __SEQ >= 0")
+    assert vector.vector_fallbacks == NO_FALLBACKS

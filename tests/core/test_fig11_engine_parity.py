@@ -5,8 +5,8 @@ into per-tuple ET/UV records, so whatever error text, field and failing
 range the engine reports ends up in those tables.  The vector engine
 raises each failure itself instead of re-running the range on the row
 interpreter; the tables it leaves behind must be the ones the row-mode
-engine leaves, and no failure of the cascade may have needed the
-interpreter's whole-range fallback.
+engine leaves, and no statement of the job that the vector path serves
+may have run on the interpreter instead.
 """
 
 import re
@@ -52,11 +52,9 @@ def test_tables_are_identical_to_the_row_mode_engines(stacks, table):
 def test_no_failure_needed_the_row_interpreter(stacks):
     vector, _ = stacks
     assert vector.node.completed_jobs[-1].chunk_retries > 0
-    fallbacks = vector.engine.vector_fallbacks
-    assert fallbacks["spurious_error"] == 0
-    # What is left on rows: the ET/UV ``INSERT .. VALUES`` records.
-    inserts = vector.engine.statement_counts["Insert"]
-    assert 0 < fallbacks["out_of_scope"] < inserts
+    # The ET/UV ``INSERT .. VALUES`` records run on rows and were never
+    # vectorizable: they are not fallbacks, and nothing else fell back.
+    assert vector.engine.vector_fallbacks == {"out_of_scope": 0}
 
 
 def test_fallbacks_surface_in_stats_and_exposition(stacks):
@@ -71,4 +69,4 @@ def test_fallbacks_surface_in_stats_and_exposition(stacks):
             r'hyperq_engine_vector_fallbacks_total\{reason="([^"]+)"\} '
             r'(\S+)', text)
     }
-    assert exposed == {"out_of_scope": fallbacks["out_of_scope"]}
+    assert exposed == {"out_of_scope": 0.0}
