@@ -2,9 +2,9 @@
 
 Section 6: "CDWs offer utilities to upload local data files to remote
 storage accounts.  Some tuning may be needed ... data compression can
-improve upload speed if the communication link ... is slow.  It may also
-be more efficient to upload a directory of files rather than individual
-files."  This utility exposes exactly those knobs.
+improve upload speed if the communication link ... is slow."  This
+utility exposes that knob; the acquisition pipeline hands it each
+staging file as it is finalized.
 
 The loader is also the stack's first cloud-facing hop, so it hosts the
 ``store.upload`` / ``store.download`` fault-injection points and wraps
@@ -16,7 +16,6 @@ pipeline above.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.cdw import stagefile
@@ -24,7 +23,9 @@ from repro.cdw.cloudstore import CloudStore
 from repro.errors import StorageError
 from repro.faults import NULL_INJECTOR, FaultInjector
 from repro.obs import NULL_OBS, NULL_SPAN, Observability, get_logger
-from repro.resilience import CircuitBreakerRegistry, RetryPolicy
+from repro.resilience import (
+    CircuitBreakerRegistry, RetryPolicy, guarded_call,
+)
 
 __all__ = ["CloudBulkLoader", "UploadReport"]
 
@@ -54,32 +55,15 @@ class CloudBulkLoader:
                  obs: Observability = NULL_OBS,
                  faults: FaultInjector = NULL_INJECTOR,
                  retry: RetryPolicy | None = None,
-                 breakers: CircuitBreakerRegistry | None = None,
-                 upload_workers: int = 1):
+                 breakers: CircuitBreakerRegistry | None = None):
         if compression not in (None, "gzip"):
             raise StorageError(f"unsupported compression {compression!r}")
-        if upload_workers < 1:
-            raise StorageError("upload_workers must be >= 1")
         self.store = store
         self.compression = compression
         self.obs = obs
         self.faults = faults
         self.retry = retry
         self.breakers = breakers
-        #: default directory-upload concurrency (HyperQConfig wires
-        #: ``upload_workers`` here).
-        self.upload_workers = upload_workers
-
-    def _guarded(self, target: str, fn, span=NULL_SPAN):
-        """Run one store call under breaker + retry (when configured)."""
-        op = fn
-        if self.breakers is not None:
-            breaker = self.breakers.get(target)
-            op = lambda: breaker.call(fn)  # noqa: E731
-        if self.retry is not None:
-            return self.retry.call(op, target=target, obs=self.obs,
-                                   parent=span)
-        return op()
 
     def _prepare(self, data: bytes) -> bytes:
         if self.compression == "gzip":
@@ -119,50 +103,15 @@ class CloudBulkLoader:
             self.store.put_blob(container, blob, payload)
 
         with self.obs.upload_seconds.time():
-            self._guarded("store.upload", put, span=span)
+            guarded_call("store.upload", put, retry=self.retry,
+                         breakers=self.breakers, obs=self.obs,
+                         parent=span)
         self.obs.bytes_uploaded.inc(len(payload))
         log.debug("uploaded %s/%s (%d -> %d bytes)",
                   container, blob, len(data), len(payload))
         return UploadReport(
             files=1, raw_bytes=len(data), uploaded_bytes=len(payload),
             compressed=self.compression is not None)
-
-    def upload_directory(self, local_dir: str, container: str,
-                         prefix: str = "",
-                         workers: int | None = None) -> UploadReport:
-        """Upload every regular file in a directory (one loader call).
-
-        Files are enumerated in sorted name order — ``os.listdir`` order
-        is filesystem-dependent, and blob manifests / COPY input sets
-        must be identical across platforms and runs.  Uploads run on a
-        bounded worker pool (``workers``, defaulting to the loader's
-        ``upload_workers``), but the report is folded in the same sorted
-        order as the old sequential walk, and blob names are independent
-        of completion order, so both surfaces stay byte-identical.
-        """
-        paths = [
-            path for entry in sorted(os.listdir(local_dir))
-            if os.path.isfile(path := os.path.join(local_dir, entry))
-        ]
-        pool_size = min(workers if workers is not None
-                        else self.upload_workers, max(len(paths), 1))
-        if pool_size <= 1:
-            singles = [self.upload_file(path, container, prefix)
-                       for path in paths]
-        else:
-            with ThreadPoolExecutor(
-                    max_workers=pool_size,
-                    thread_name_prefix="bulkloader-upload") as pool:
-                singles = list(pool.map(
-                    lambda path: self.upload_file(path, container,
-                                                  prefix),
-                    paths))
-        report = UploadReport(compressed=self.compression is not None)
-        for single in singles:
-            report.files += single.files
-            report.raw_bytes += single.raw_bytes
-            report.uploaded_bytes += single.uploaded_bytes
-        return report
 
     # -- read side (used by COPY INTO) ---------------------------------------
 
@@ -175,7 +124,9 @@ class CloudBulkLoader:
                              blob=blob)
             return self.store.get_blob(container, blob)
 
-        data = self._guarded("store.download", get, span=span)
+        data = guarded_call("store.download", get, retry=self.retry,
+                            breakers=self.breakers, obs=self.obs,
+                            parent=span)
         if blob.endswith(".gz"):
             return stagefile.decompress(data)
         return data

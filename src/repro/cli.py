@@ -282,24 +282,12 @@ def _add_dq_args(sub_parser) -> None:
 
 
 def _add_perf_args(sub_parser) -> None:
-    """Pipelining knobs shared by the job-running commands."""
+    """The pipelining knob shared by the job-running commands."""
     sub_parser.add_argument(
         "--eager-apply", action="store_true",
         help="pipeline DML application into acquisition: COPY and "
              "apply durable __SEQ prefixes while later chunks still "
              "convert/upload (see docs/PERFORMANCE.md)")
-    sub_parser.add_argument(
-        "--upload-workers", type=int, default=None, metavar="N",
-        help="parallel staging-file upload workers (default: 4)")
-
-
-def _perf_config_kwargs(args) -> dict:
-    """HyperQConfig overrides from the _add_perf_args options."""
-    kwargs = {"eager_apply": bool(getattr(args, "eager_apply", False))}
-    workers = getattr(args, "upload_workers", None)
-    if workers is not None:
-        kwargs["upload_workers"] = workers
-    return kwargs
 
 
 def _add_logging_args(sub_parser) -> None:
@@ -358,7 +346,7 @@ def _run_observed_job(args, *, trace: bool,
                           chaos_profile=_load_json_arg(args, "chaos_profile"),
                           chaos_seed=getattr(args, "chaos_seed", None),
                           wlm_profile=_load_json_arg(args, "wlm_profile"),
-                          **_perf_config_kwargs(args),
+                          eager_apply=getattr(args, "eager_apply", False),
                           **config_kwargs)
     stack = build_stack(config=config)
     try:
@@ -574,7 +562,7 @@ def _cmd_stream(args) -> int:
         chaos_seed=getattr(args, "chaos_seed", None),
         wlm_profile=_load_json_arg(args, "wlm_profile"),
         dq_profile=_load_json_arg(args, "dq_profile"),
-        **_perf_config_kwargs(args))
+        eager_apply=getattr(args, "eager_apply", False))
     stack = build_stack(config=config)
     try:
         stack.engine.execute(workload.ddl)
@@ -682,7 +670,7 @@ def _cmd_run_script(args) -> int:
             chaos_seed=args.chaos_seed,
             wlm_profile=_load_json_arg(args, "wlm_profile"),
             dq_profile=_load_json_arg(args, "dq_profile"),
-            **_perf_config_kwargs(args)))
+            eager_apply=getattr(args, "eager_apply", False)))
         connect = stack.node.connect
         engine = stack.engine
         closer = stack.close

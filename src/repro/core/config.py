@@ -22,9 +22,9 @@ __all__ = ["HyperQConfig"]
 class HyperQConfig:
     """Configuration for one Hyper-Q node."""
 
-    #: number of DataConverter worker threads.
+    #: DataConverter lanes per load job (chunk ``seq % converters``).
     converters: int = 4
-    #: number of FileWriter workers (parallel staging files).
+    #: FileWriter lanes per load job (parallel staging files).
     filewriters: int = 2
     #: size of the CreditManager pool shared by all jobs on the node.
     credits: int = 16
@@ -58,8 +58,6 @@ class HyperQConfig:
     #: bundled client always does); jobs without it fall back to the
     #: two-phase path.
     eager_apply: bool = False
-    #: worker threads for BulkLoader.upload_directory.
-    upload_workers: int = 4
     #: maintain the node-level metrics registry (counters/histograms
     #: behind ``HyperQNode.stats()``); near-zero cost, but can be turned
     #: off for pure-throughput benchmarking.
@@ -100,10 +98,6 @@ class HyperQConfig:
     #: typed retryable ERROR (code 3159) instead of growing without
     #: bound under a connection flood.  0 = unlimited.
     max_connections: int = 0
-    #: worker threads in each shard's shared pipeline pool (sharded
-    #: jobs run their converter/writer/uploader stages on the shard's
-    #: pool instead of spawning three threads per job).
-    shard_pipeline_workers: int = 4
 
     # -- resilience (repro.resilience) --
     #: total tries per cloud-facing call (1 = no retry).
@@ -182,14 +176,10 @@ class HyperQConfig:
             raise ValueError("flight_max_events must be >= 1")
         if self.plan_cache_size < 1:
             raise ValueError("plan_cache_size must be >= 1")
-        if self.upload_workers < 1:
-            raise ValueError("upload_workers must be >= 1")
         if self.gateway_shards < 0:
             raise ValueError("gateway_shards cannot be negative")
         if self.max_connections < 0:
             raise ValueError("max_connections cannot be negative")
-        if self.shard_pipeline_workers < 1:
-            raise ValueError("shard_pipeline_workers must be >= 1")
         if self.retry_max_attempts < 1:
             raise ValueError("retry_max_attempts must be >= 1")
         if min(self.retry_base_delay_s, self.retry_max_delay_s,

@@ -74,7 +74,7 @@ class DataConverter:
         self.obs = obs
         self.staging_table = staging_table
         self.kernel = stagefile.CsvKernel(csv_delimiter)
-        # Each pipeline converter thread reuses one scratch line buffer
+        # Each pool thread running convert lanes reuses one scratch buffer
         # instead of growing a fresh list per chunk.
         self._scratch = threading.local()
 

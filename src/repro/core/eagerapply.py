@@ -49,6 +49,7 @@ from repro.core.filewriter import StagedFile
 from repro.errors import GatewayError
 from repro.faults import NULL_INJECTOR, FaultInjector
 from repro.obs import NULL_OBS, NULL_SPAN, Observability, get_logger
+from repro.resilience import guarded_call
 
 __all__ = ["DurableFileRelay", "EagerApplyCoordinator"]
 
@@ -249,14 +250,9 @@ class EagerApplyCoordinator:
                              staging_table=self.staging_table)
             return self.engine.execute(statement)
 
-        op = attempt
-        if self.breakers is not None:
-            breaker = self.breakers.get("copy.into")
-            op = lambda: breaker.call(attempt)  # noqa: E731
-        if self.retry is not None:
-            return self.retry.call(op, target="copy.into", obs=self.obs,
-                                   parent=copy_span, job_id=self.job_id)
-        return op()
+        return guarded_call(
+            "copy.into", attempt, retry=self.retry, breakers=self.breakers,
+            obs=self.obs, parent=copy_span, job_id=self.job_id)
 
     # -- applier worker ----------------------------------------------------
 
@@ -331,15 +327,9 @@ class EagerApplyCoordinator:
             self.faults.fire("dml.apply", job_id=self.job_id)
             self.run.apply_seq_range(lo_seq, hi_seq)
 
-        op = attempt
-        if self.breakers is not None:
-            breaker = self.breakers.get("dml.apply")
-            op = lambda: breaker.call(attempt)  # noqa: E731
-        if self.retry is not None:
-            self.retry.call(op, target="dml.apply", obs=self.obs,
-                            parent=span, job_id=self.job_id)
-            return
-        op()
+        guarded_call(
+            "dml.apply", attempt, retry=self.retry, breakers=self.breakers,
+            obs=self.obs, parent=span, job_id=self.job_id)
 
     def shutdown(self) -> None:
         """Abandon the workers (job aborted/abandoned): wake both so

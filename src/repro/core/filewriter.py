@@ -49,8 +49,8 @@ class FileWriter:
     """Accumulates CSV bytes and cuts files at the size threshold.
 
     Not thread-safe by itself: the pipeline gives each FileWriter its own
-    worker thread and queue, which also "prevents fluctuations in I/O
-    performance from stalling the DataConverter workers".
+    ordered lane, which also "prevents fluctuations in I/O performance
+    from stalling the DataConverter workers".
     """
 
     def __init__(self, directory: str, writer_no: int,

@@ -47,7 +47,7 @@ from repro.errors import (
 from repro.faults import FaultInjector, FaultyEndpoint
 from repro.obs import NULL_SPAN, Observability, configure_logging, get_logger
 from repro.resilience import (
-    CheckpointJournal, CircuitBreakerRegistry, RetryPolicy,
+    CheckpointJournal, CircuitBreakerRegistry, RetryPolicy, guarded_call,
 )
 from repro.wlm import WorkloadManager
 from repro.legacy.client import layout_from_wire
@@ -236,8 +236,7 @@ class HyperQNode:
             self.config, obs=self.obs)
         self.loader = CloudBulkLoader(
             store, compression=self.config.compression, obs=self.obs,
-            faults=self.faults, retry=self.retry, breakers=self.breakers,
-            upload_workers=self.config.upload_workers)
+            faults=self.faults, retry=self.retry, breakers=self.breakers)
         #: any object with accept()/connect()/close() — the in-memory
         #: transport by default, or a repro.net_tcp.TcpListener for a
         #: real socket.
@@ -273,7 +272,6 @@ class HyperQNode:
                 self, self.listener, name=self.name,
                 shards=self.config.gateway_shards,
                 max_connections=self.config.max_connections,
-                shard_pipeline_workers=self.config.shard_pipeline_workers,
                 obs=self.obs, base_dir=self._base_dir)
         else:
             self.frontend = ThreadedFrontend(
@@ -1250,15 +1248,14 @@ class HyperQNode:
                 span=apply_span, job_id=job.job_id,
             )
 
-        breaker = self.breakers.get("dml.apply")
         self.obs.flight.record(job.job_id, "apply_started")
         try:
             with job.application_watch, \
                     self.obs.stage_seconds.labels(stage="apply").time():
-                summary = self.retry.call(
-                    lambda: breaker.call(run_apply),
-                    target="dml.apply", obs=self.obs, parent=apply_span,
-                    job_id=job.job_id)
+                summary = guarded_call(
+                    "dml.apply", run_apply, retry=self.retry,
+                    breakers=self.breakers, obs=self.obs,
+                    parent=apply_span, job_id=job.job_id)
         except BaseException:
             apply_span.end("error")
             raise

@@ -2,17 +2,23 @@
 
 Stage wiring for one load job::
 
-    session handler ──credit──> converter queue ──> DataConverter workers
+    session handler ──credit──> convert lane ``seq % converters``
          (ack sent immediately after enqueueing; credits provide the only
           back-pressure, exactly as in Section 5)
-    DataConverter ──(credit, converted chunk)──> FileWriter worker queues
+    DataConverter ──(credit, converted chunk)──> writer lane
+         ``seq % filewriters``
     FileWriter: returns the credit *just before* writing to disk (Fig. 4),
          cuts staging files at the size threshold
-    finalized file ──> uploader thread ──> cloud bulk loader ──> store
+    finalized file ──> upload lane ──> cloud bulk loader ──> store
     drain(): flush writers, wait for uploads, then one in-cloud COPY INTO
          the staging table
 
-Worker failures are captured and re-raised to the job's control session
+Every stage is a :class:`_SerialLane` — an ordered task stream — on a
+:class:`PipelineWorkerPool`: the pool a gateway shard shares among its
+jobs, or a private one of ``converters + filewriters + 1`` threads that
+the pipeline creates and closes itself.
+
+Stage failures are captured and re-raised to the job's control session
 as a :class:`~repro.errors.PipelineFailure` whose ``__cause__`` is the
 original worker exception (traceback preserved across the thread hop).
 
@@ -33,6 +39,7 @@ import re
 import threading
 import time
 from dataclasses import asdict
+from functools import partial
 
 from repro.cdw.bulkloader import CloudBulkLoader
 from repro.cdw.cloudstore import CloudStore
@@ -48,7 +55,7 @@ from repro.errors import GatewayError, PipelineFailure
 from repro.faults import NULL_INJECTOR, FaultInjector
 from repro.obs import NULL_OBS, NULL_SPAN, Observability, get_logger
 from repro.resilience import (
-    CheckpointJournal, CircuitBreakerRegistry, RetryPolicy,
+    CheckpointJournal, CircuitBreakerRegistry, RetryPolicy, guarded_call,
 )
 
 __all__ = ["AcquisitionPipeline", "PipelineWorkerPool"]
@@ -62,15 +69,15 @@ _PART_NAME = re.compile(r"part-(\d+)-(\d+)\.csv$")
 
 
 class PipelineWorkerPool:
-    """A fixed set of worker threads shared by many jobs' pipelines.
+    """A fixed set of worker threads that run pipelines' stage lanes.
 
-    The thread-per-job execution model (three dedicated workers per
-    pipeline) multiplies threads by concurrent jobs; a gateway shard
-    instead owns one of these pools and every job on the shard runs its
-    converter/writer/uploader stages as :class:`_SerialLane` tasks on
-    it.  Stage ordering is preserved per lane, thread count is bounded
-    per shard, and two shards never touch each other's pool — the
-    "per-shard pipelines" half of the sharded front end.
+    Every :class:`AcquisitionPipeline` runs its converter/writer/
+    uploader stages as :class:`_SerialLane` tasks on one of these.  A
+    gateway shard owns one pool and shares it among all its jobs, so
+    thread count is bounded per shard and two shards never touch each
+    other's pool — the "per-shard pipelines" half of the sharded front
+    end; a pipeline that is given no pool owns a private one sized to
+    its lane count.  Stage ordering is preserved per lane either way.
     """
 
     def __init__(self, workers: int = 4, name: str = "shard"):
@@ -107,13 +114,13 @@ class PipelineWorkerPool:
 
 
 class _SerialLane:
-    """One strictly-ordered task stream multiplexed onto a shared pool.
+    """One strictly-ordered task stream multiplexed onto a pool.
 
     Items submitted to a lane are handled one at a time, in order, but
-    the lane only occupies a pool thread while it has items — the
-    pool-mode replacement for a dedicated stage thread.  A stage whose
-    handler must never run concurrently (a FileWriter appending to one
-    staging file) gets its own lane.
+    the lane only occupies a pool thread while it has items.  A stage
+    whose handler must never run concurrently (a FileWriter appending
+    to one staging file) gets its own lane; a stage that may (the
+    DataConverter) gets several.
     """
 
     def __init__(self, pool: PipelineWorkerPool, handler, on_error):
@@ -166,7 +173,7 @@ class AcquisitionPipeline:
         #: :class:`repro.wlm.PoolCredits` view when workload management
         #: is enabled (same acquire()/release(credit) surface).
         self.credits = credits
-        #: owning job id; stamps worker thread names for diagnosability.
+        #: owning job id; stamps private-pool thread names and retry events.
         self.job_id = job_id
         self.loader = loader
         self.engine = engine
@@ -200,7 +207,7 @@ class AcquisitionPipeline:
         self._uploaded_files = 0
         self._failures: list[BaseException] = []
         self._drained = False
-        #: hook ``(staged: StagedFile)`` fired from the uploader thread
+        #: hook ``(staged: StagedFile)`` fired from the upload lane
         #: once a staging file is durable in the cloud store (and
         #: journaled) — the eager-apply coordinator uses it to COPY and
         #: apply contiguous ``__SEQ`` prefixes while later chunks are
@@ -225,33 +232,25 @@ class AcquisitionPipeline:
             for i in range(config.filewriters)
         ]
 
-        self._threads: list[threading.Thread] = []
-        #: shard-pool execution: stages run as ordered lanes on the
-        #: shared pool instead of three-plus dedicated threads per job.
-        self._pool = worker_pool
-        if worker_pool is not None:
-            self._convert_lane = _SerialLane(
-                worker_pool, self._convert_item, self._fail)
-            self._writer_lanes = [
-                _SerialLane(worker_pool,
-                            (lambda item, _no=i: self._write_item(
-                                _no, item)),
-                            self._fail)
-                for i in range(config.filewriters)
-            ]
-            self._upload_lane = _SerialLane(
-                worker_pool, self._upload_item, self._fail)
-        else:
-            self._converter_queue: queue.Queue = queue.Queue()
-            self._upload_queue: queue.Queue = queue.Queue()
-            self._writer_queues: list[queue.Queue] = [
-                queue.Queue() for _ in range(config.filewriters)]
-            for i in range(config.converters):
-                self._spawn(self._converter_worker, f"converter-{i}")
-            for i in range(config.filewriters):
-                self._spawn(self._filewriter_worker, f"filewriter-{i}", i)
-            self._spawn(self._uploader_worker, "uploader")
-        # staged-but-unuploaded survivors go back through the uploader.
+        #: a shard injects the pool its jobs share; otherwise the job
+        #: owns one thread per lane, closed in :meth:`shutdown`.
+        #: Job-scoped names (``hyperq-job-<id>-pipeline-0``) make thread
+        #: dumps of a busy multi-tenant node attributable at a glance.
+        self._private_pool = None
+        if worker_pool is None:
+            worker_pool = self._private_pool = PipelineWorkerPool(
+                workers=config.converters + config.filewriters + 1,
+                name=f"hyperq-job-{job_id}" if job_id else "hyperq")
+        self._convert_lanes = [
+            _SerialLane(worker_pool, self._convert_item, self._fail)
+            for _ in range(config.converters)]
+        self._writer_lanes = [
+            _SerialLane(worker_pool, partial(self._write_item, i),
+                        self._fail)
+            for i in range(config.filewriters)]
+        self._upload_lane = _SerialLane(
+            worker_pool, self._upload_item, self._fail)
+        # staged-but-unuploaded survivors go back through the upload lane.
         for staged in resumed_uploads:
             self._enqueue_upload(staged, journaled=True)
 
@@ -312,17 +311,6 @@ class AcquisitionPipeline:
                 highest = max(highest, int(match.group(2)))
         return highest + 1
 
-    def _spawn(self, target, name: str, *args) -> None:
-        # Job-scoped names (``hyperq-job-<id>-converter-0``) make thread
-        # dumps of a busy multi-tenant node attributable at a glance.
-        prefix = (f"hyperq-job-{self.job_id}" if self.job_id
-                  else "hyperq")
-        thread = threading.Thread(
-            target=target, args=args, daemon=True,
-            name=f"{prefix}-{name}")
-        thread.start()
-        self._threads.append(thread)
-
     def _fail(self, exc: BaseException) -> None:
         with self._state:
             self._failures.append(exc)
@@ -374,20 +362,10 @@ class AcquisitionPipeline:
             if waited > 0.0005:
                 self.metrics.credit_waits += 1
             self._submitted += 1
-        item = (credit, chunk_seq, data, span)
-        if self._pool is not None:
-            self._convert_lane.submit(item)
-        else:
-            self._converter_queue.put(item)
+        self._convert_lanes[chunk_seq % len(self._convert_lanes)].submit(
+            (credit, chunk_seq, data, span))
 
-    # -- workers -----------------------------------------------------------------
-
-    def _converter_worker(self) -> None:
-        while True:
-            item = self._converter_queue.get()
-            if item is _STOP:
-                return
-            self._convert_item(item)
+    # -- stage handlers (run on pool threads, one item at a time per lane) ---
 
     def _convert_item(self, item) -> None:
         """Convert one raw chunk and route it to its FileWriter."""
@@ -406,12 +384,8 @@ class AcquisitionPipeline:
             return
         convert_span.set_attribute("records", converted.records)
         convert_span.end()
-        writer_no = chunk_seq % len(self._writers)
-        payload = (credit, converted, convert_span)
-        if self._pool is not None:
-            self._writer_lanes[writer_no].submit(payload)
-        else:
-            self._writer_queues[writer_no].put(payload)
+        self._writer_lanes[chunk_seq % len(self._writer_lanes)].submit(
+            (credit, converted, convert_span))
 
     @staticmethod
     def _manifest_entry(converted: ConvertedChunk) -> dict:
@@ -421,14 +395,6 @@ class AcquisitionPipeline:
             "records": converted.total_records,
             "errors": [asdict(e) for e in converted.errors],
         }
-
-    def _filewriter_worker(self, writer_no: int) -> None:
-        q = self._writer_queues[writer_no]
-        while True:
-            item = q.get()
-            if item is _STOP:
-                return
-            self._write_item(writer_no, item)
 
     def _write_item(self, writer_no: int, item) -> None:
         """Append one converted chunk (or flush) on its FileWriter."""
@@ -485,17 +451,7 @@ class AcquisitionPipeline:
         with self._state:
             self._finalized_files += 1
             self.metrics.files_written += 1
-        if self._pool is not None:
-            self._upload_lane.submit(staged)
-        else:
-            self._upload_queue.put(staged)
-
-    def _uploader_worker(self) -> None:
-        while True:
-            item = self._upload_queue.get()
-            if item is _STOP:
-                return
-            self._upload_item(item)
+        self._upload_lane.submit(staged)
 
     def _upload_item(self, staged: StagedFile) -> None:
         """Ship one finalized staging file to the cloud store."""
@@ -559,12 +515,8 @@ class AcquisitionPipeline:
         self._check_failures()
         # Flush partial files and wait for every writer to acknowledge.
         expected_flushes = self._flushes_done + len(self._writers)
-        if self._pool is not None:
-            for lane in self._writer_lanes:
-                lane.submit(_FLUSH)
-        else:
-            for q in self._writer_queues:
-                q.put(_FLUSH)
+        for lane in self._writer_lanes:
+            lane.submit(_FLUSH)
         wait_for(lambda: self._flushes_done >= expected_flushes)
         wait_for(lambda: self._uploaded_files >= self._finalized_files)
         self._check_failures()
@@ -610,26 +562,32 @@ class AcquisitionPipeline:
             self.faults.fire("copy.into", staging_table=self.staging_table)
             return self.engine.execute(statement)
 
-        op = attempt
-        if self.breakers is not None:
-            breaker = self.breakers.get("copy.into")
-            op = lambda: breaker.call(attempt)  # noqa: E731
-        if self.retry is not None:
-            return self.retry.call(op, target="copy.into", obs=self.obs,
-                                   parent=copy_span, job_id=self.job_id)
-        return op()
+        return guarded_call(
+            "copy.into", attempt, retry=self.retry, breakers=self.breakers,
+            obs=self.obs, parent=copy_span, job_id=self.job_id)
 
     # -- teardown ----------------------------------------------------------------------
 
     def quiesce(self, timeout_s: float = 30.0) -> None:
         """Graceful teardown for an aborted/abandoned job.
 
-        Lets already-submitted work finish (bounded, best-effort)
-        before stopping the workers: credits travel attached to queued
-        items, so a mid-queue STOP would strand them, and everything
-        that stages/uploads before the stop is checkpointed work a
-        ``resume`` restart can skip.  Unlike :meth:`drain` it never
-        flushes partial files, never COPYs, and never raises — a
+        :meth:`shutdown` with a deadline long enough for
+        already-submitted work to finish (still bounded, best-effort):
+        everything that stages/uploads before the stop is checkpointed
+        work a ``resume`` restart can skip.
+        """
+        self.shutdown(timeout_s)
+
+    def shutdown(self, timeout_s: float = 10.0) -> None:
+        """Stop the job's stage work (idempotent, never raises).
+
+        Waits (bounded) for already-queued lane work to finish, then
+        closes the private pool (an injected pool outlives the job) and
+        the journal.  The wait comes first because credits travel
+        attached to queued items — closing the pool under them would
+        strand them — and a journal write after close would fail its
+        lane task and mask the real teardown reason.  Unlike
+        :meth:`drain` it never flushes partial files and never COPYs; a
         pipeline that already failed is shut down immediately.
         """
         deadline = time.monotonic() + timeout_s
@@ -642,35 +600,7 @@ class AcquisitionPipeline:
                 if remaining <= 0:
                     break
                 self._state.wait(timeout=min(remaining, 1.0))
-        self.shutdown()
-
-    def shutdown(self) -> None:
-        """Stop all workers (idempotent).
-
-        In shard-pool mode there are no dedicated threads to stop: the
-        pool outlives the job, so shutdown only waits (bounded) for the
-        job's already-queued lane work to finish before closing the
-        journal — a mid-flight journal write after close would fail the
-        write's lane task and mask the real teardown reason.
-        """
-        if self._pool is not None:
-            deadline = time.monotonic() + 10.0
-            with self._state:
-                while (self._written < self._submitted
-                       or self._uploaded_files < self._finalized_files):
-                    if self._failures:
-                        break
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._state.wait(timeout=min(remaining, 0.5))
-        else:
-            for _ in range(self.config.converters):
-                self._converter_queue.put(_STOP)
-            for q in self._writer_queues:
-                q.put(_STOP)
-            self._upload_queue.put(_STOP)
-            for thread in self._threads:
-                thread.join(timeout=10.0)
+        if self._private_pool is not None:
+            self._private_pool.close()
         if self.journal is not None:
             self.journal.close()

@@ -63,6 +63,8 @@ log = get_logger("net_async")
 _ADMIT_WORKERS = 8
 #: concurrent non-admission handlers per shard.
 _WORK_WORKERS = 4
+#: stage threads in each shard's shared pipeline pool.
+_PIPELINE_WORKERS = 4
 #: accept backlog when no connection cap implies one — a reconnect
 #: storm must queue in the kernel, not stall in SYN retransmit.
 _DEFAULT_BACKLOG = 1024
@@ -268,14 +270,14 @@ class GatewayShard:
     """
 
     def __init__(self, frontend: "AsyncFrontend", index: int,
-                 staging_root: str, pipeline_workers: int):
+                 staging_root: str):
         self.frontend = frontend
         self.index = index
         self.staging_dir = os.path.join(staging_root, f"shard-{index}")
         os.makedirs(self.staging_dir, exist_ok=True)
         #: shared stage-task pool for every pipeline on this shard.
         self.pool = PipelineWorkerPool(
-            workers=pipeline_workers, name=f"shard{index}")
+            workers=_PIPELINE_WORKERS, name=f"shard{index}")
         name = f"{frontend.name}-shard{index}"
         self.exec_admit = ThreadPoolExecutor(
             max_workers=_ADMIT_WORKERS, thread_name_prefix=f"{name}-admit")
@@ -346,8 +348,7 @@ class AsyncFrontend:
 
     def __init__(self, node, listener, *, name: str = "server",
                  shards: int = 0, max_connections: int = 0,
-                 shard_pipeline_workers: int = 4, obs=NULL_OBS,
-                 base_dir: str | None = None):
+                 obs=NULL_OBS, base_dir: str | None = None):
         self.node = node
         self.listener = listener
         self.name = name
@@ -356,8 +357,7 @@ class AsyncFrontend:
         staging_root = base_dir or os.getcwd()
         count = shards or default_shards()
         self.shards = [
-            GatewayShard(self, i, staging_root, shard_pipeline_workers)
-            for i in range(count)]
+            GatewayShard(self, i, staging_root) for i in range(count)]
         #: job id -> shard index (route DATA/END_LOAD/data-LOGON to the
         #: shard that owns the job's pipeline).
         self._job_shard: dict[str, int] = {}

@@ -10,9 +10,9 @@ one load job yields a tree like::
     job
     ├── receive (chunk 0)          [session handler thread]
     │   ├── credit.acquire
-    │   └── convert                [converter worker]
-    │       └── write              [filewriter worker]
-    ├── upload (part-00-00000.csv) [uploader thread]
+    │   └── convert                [convert lane]
+    │       └── write              [writer lane]
+    ├── upload (part-00-00000.csv) [upload lane]
     ├── copy
     └── apply
         └── apply.split …          (adaptive error handler events)

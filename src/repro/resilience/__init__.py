@@ -6,6 +6,8 @@ layer survive those failures without changing observable ETL semantics:
 
 - :class:`RetryPolicy` — exponential backoff with full jitter, a sleep
   budget, and a transient-only predicate (:func:`is_transient`);
+  :func:`guarded_call` is the breaker-inside-retry stack every
+  cloud-facing call site runs under;
 - :class:`CircuitBreaker` / :class:`CircuitBreakerRegistry` — per-target
   closed/open/half-open admission control that fails fast while a
   dependency is down;
@@ -22,11 +24,11 @@ from __future__ import annotations
 from repro.resilience.breaker import CircuitBreaker, CircuitBreakerRegistry
 from repro.resilience.checkpoint import CheckpointJournal
 from repro.resilience.retry import (
-    RetryPolicy, full_jitter_delay, is_transient,
+    RetryPolicy, full_jitter_delay, guarded_call, is_transient,
 )
 
 __all__ = [
-    "RetryPolicy", "is_transient", "full_jitter_delay",
+    "RetryPolicy", "is_transient", "full_jitter_delay", "guarded_call",
     "CircuitBreaker", "CircuitBreakerRegistry",
     "CheckpointJournal",
 ]

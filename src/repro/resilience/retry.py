@@ -26,7 +26,8 @@ import time
 
 from repro.errors import FaultInjected, TransportClosed
 
-__all__ = ["RetryPolicy", "is_transient", "full_jitter_delay"]
+__all__ = ["RetryPolicy", "guarded_call", "is_transient",
+           "full_jitter_delay"]
 
 
 def is_transient(exc: BaseException) -> bool:
@@ -188,3 +189,26 @@ class RetryPolicy:
                 "giveups": self.giveups_total,
                 "by_target": dict(sorted(self.by_target.items())),
             }
+
+
+def guarded_call(target: str, fn, *, retry: RetryPolicy | None = None,
+                 breakers=None, obs=None, parent=None, job_id: str = ""):
+    """Run ``fn`` through ``target``'s circuit breaker, inside retry.
+
+    The guard stack of every cloud-facing call site.  The breaker sits
+    *inside* the retry so each attempt consults it and a breaker that
+    opens mid-retry stops the remaining attempts; a call site fires its
+    fault-injection point first thing in ``fn``, so an absorbed fault
+    is retried before anything was dispatched.  ``breakers``
+    (a :class:`~repro.resilience.CircuitBreakerRegistry`) and ``retry``
+    each drop out when ``None`` — with both ``None`` ``fn`` is called
+    bare.  ``obs``/``parent``/``job_id`` go to :meth:`RetryPolicy.call`.
+    """
+    op = fn
+    if breakers is not None:
+        breaker = breakers.get(target)
+        op = lambda: breaker.call(fn)  # noqa: E731
+    if retry is None:
+        return op()
+    return retry.call(op, target=target, obs=obs, parent=parent,
+                      job_id=job_id)

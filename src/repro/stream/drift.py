@@ -53,14 +53,6 @@ class DriftEvent:
             out["new_type"] = self.new_type
         return out
 
-    @classmethod
-    def from_wire(cls, payload: dict) -> "DriftEvent":
-        """Inverse of :meth:`to_wire`."""
-        return cls(kind=payload["kind"], column=payload["column"],
-                   old_name=payload.get("old_name", ""),
-                   old_type=payload.get("old_type", ""),
-                   new_type=payload.get("new_type", ""))
-
 
 @dataclass
 class SchemaDriftResolver:
@@ -129,30 +121,6 @@ class SchemaDriftResolver:
                     new_type=obs.type.render()))
         self.last_events = events
         return events
-
-    @staticmethod
-    def evolve_statements(target: str,
-                          events: list[DriftEvent]) -> list[str]:
-        """ALTER TABLE statements propagating ``events`` to ``target``.
-
-        ``added`` → ``ADD COLUMN IF NOT EXISTS`` (idempotent: a crash
-        between the ALTER and the drift journal record replays safely);
-        ``renamed`` → ``RENAME COLUMN``; ``retyped`` needs no target
-        DDL — staging parses with the new type, the target keeps its
-        declared one and the application phase's per-tuple conversion
-        arbitrates (docs/STREAMING.md).
-        """
-        statements = []
-        for event in events:
-            if event.kind == "added":
-                statements.append(
-                    f"ALTER TABLE {target} ADD COLUMN IF NOT EXISTS "
-                    f"{event.column} {event.new_type}")
-            elif event.kind == "renamed":
-                statements.append(
-                    f"ALTER TABLE {target} RENAME COLUMN "
-                    f"{event.old_name} TO {event.column}")
-        return statements
 
     @staticmethod
     def apply_to_mapping(mapping: dict[str, str],

@@ -1,7 +1,5 @@
 """Tests for the cloud store, bulk loader, and COPY INTO."""
 
-import os
-
 import pytest
 
 from repro.cdw import stagefile
@@ -94,36 +92,6 @@ class TestBulkLoader:
         fetched = loader.fetch_decoded("c", "job/part.csv.gz")
         assert fetched == b"abc" * 1000
 
-    def test_upload_directory(self, tmp_path):
-        for i in range(3):
-            (tmp_path / f"f{i}.csv").write_bytes(b"x" * (i + 1))
-        os.makedirs(tmp_path / "subdir")  # directories are skipped
-        store = CloudStore()
-        store.create_container("c")
-        report = CloudBulkLoader(store).upload_directory(
-            str(tmp_path), "c", "d/")
-        assert report.files == 3
-        assert report.raw_bytes == 6
-
-    def test_upload_directory_visits_files_in_sorted_order(
-            self, tmp_path):
-        """Blob manifests must not depend on os.listdir ordering."""
-        for name in ("b.csv", "part-2.csv", "a.csv", "part-10.csv"):
-            (tmp_path / name).write_bytes(b"x")
-        store = CloudStore()
-        store.create_container("c")
-        puts = []
-        original = store.put_blob
-
-        def recording_put(container, blob, data):
-            puts.append(blob)
-            return original(container, blob, data)
-
-        store.put_blob = recording_put
-        CloudBulkLoader(store).upload_directory(str(tmp_path), "c", "d/")
-        assert puts == ["d/a.csv", "d/b.csv", "d/part-10.csv",
-                        "d/part-2.csv"]
-
     def test_unknown_compression_rejected(self):
         with pytest.raises(StorageError):
             CloudBulkLoader(CloudStore(), compression="zstd")
@@ -175,65 +143,3 @@ class TestCopyInto:
         from repro.errors import CdwError
         with pytest.raises(CdwError):
             engine.execute("COPY INTO t FROM 'store://stage/j/'")
-
-
-class TestParallelUploadDirectory:
-    """upload_directory on a worker pool: same observable surfaces as
-    the old sorted sequential walk."""
-
-    def _populate(self, tmp_path, count=12):
-        for i in range(count):
-            (tmp_path / f"part-{i:02d}.csv").write_bytes(
-                b"x" * (i + 1))
-
-    def _manifest_and_report(self, tmp_path, workers):
-        store = CloudStore()
-        store.create_container("c")
-        report = CloudBulkLoader(store).upload_directory(
-            str(tmp_path), "c", "d/", workers=workers)
-        blobs = store.list_blobs("c", "d/")
-        contents = {b: store.get_blob("c", b) for b in blobs}
-        return report, blobs, contents
-
-    def test_parallel_matches_sequential(self, tmp_path):
-        self._populate(tmp_path)
-        seq_report, seq_blobs, seq_data = self._manifest_and_report(
-            tmp_path, workers=1)
-        par_report, par_blobs, par_data = self._manifest_and_report(
-            tmp_path, workers=4)
-        assert par_blobs == seq_blobs
-        assert par_data == seq_data
-        assert par_report == seq_report
-        assert par_report.files == 12
-
-    def test_pool_actually_runs_concurrently(self, tmp_path):
-        import threading
-        self._populate(tmp_path, count=8)
-        store = CloudStore()
-        store.create_container("c")
-        seen = set()
-        original = store.put_blob
-        # Hold the first upload at a barrier until a second worker
-        # arrives — otherwise one fast thread can drain the whole
-        # queue before the pool spins up a second one.
-        rendezvous = threading.Barrier(2)
-        met = threading.Event()
-
-        def recording_put(container, blob, data):
-            seen.add(threading.current_thread().name)
-            if not met.is_set():
-                try:
-                    rendezvous.wait(timeout=5)
-                    met.set()
-                except threading.BrokenBarrierError:
-                    pass  # single-threaded pool; the assert will fail
-            return original(container, blob, data)
-
-        store.put_blob = recording_put
-        CloudBulkLoader(store, upload_workers=4).upload_directory(
-            str(tmp_path), "c", "d/")
-        assert len(seen) > 1  # more than one worker thread uploaded
-
-    def test_worker_count_validation(self):
-        with pytest.raises(StorageError):
-            CloudBulkLoader(CloudStore(), upload_workers=0)

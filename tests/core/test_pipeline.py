@@ -1,7 +1,12 @@
-"""Acquisition pipeline tests: drain, ordering, back-pressure, failures."""
+"""Acquisition pipeline tests: drain, ordering, back-pressure, failures.
+
+``TestPipeline`` runs on the pipeline's private pool and again, as
+``TestPipelineOnInjectedPool``, on a pool the pipeline does not own —
+the two ways a job gets its stage threads.
+"""
 
 import os
-import tempfile
+import threading
 
 import pytest
 
@@ -12,10 +17,11 @@ from repro.core.config import HyperQConfig
 from repro.core.converter import DataConverter
 from repro.core.credits import CreditManager
 from repro.core.metrics import JobMetrics
-from repro.core.pipeline import AcquisitionPipeline
+from repro.core.pipeline import AcquisitionPipeline, PipelineWorkerPool
 from repro.errors import GatewayError
 from repro.legacy.datafmt import VartextFormat
 from repro.legacy.types import FieldDef, Layout, parse_type
+from repro.resilience import CheckpointJournal
 
 LAYOUT = Layout("L", [
     FieldDef("A", parse_type("varchar(20)")),
@@ -23,14 +29,19 @@ LAYOUT = Layout("L", [
 ])
 
 
-@pytest.fixture
-def rig(tmp_path):
-    store = CloudStore()
-    store.create_container("stage")
-    engine = CdwEngine(store=store)
-    engine.execute(
-        "CREATE TABLE STG (A NVARCHAR, B NVARCHAR, __SEQ BIGINT)")
-    config = HyperQConfig(converters=2, filewriters=2, credits=4,
+def build_rig(staging_dir, worker_pool=None, *, converters=2, cloud=None,
+              **pipeline_kwargs):
+    """A pipeline over a fresh store + engine, or over ``cloud`` (the
+    ``(store, engine)`` of an earlier incarnation of the same job)."""
+    if cloud is None:
+        store = CloudStore()
+        store.create_container("stage")
+        engine = CdwEngine(store=store)
+        engine.execute(
+            "CREATE TABLE STG (A NVARCHAR, B NVARCHAR, __SEQ BIGINT)")
+    else:
+        store, engine = cloud
+    config = HyperQConfig(converters=converters, filewriters=2, credits=4,
                           file_threshold_bytes=64)
     credits = CreditManager(config.credits, timeout_s=10)
     metrics = JobMetrics(job_id="j1")
@@ -43,12 +54,31 @@ def rig(tmp_path):
         staging_table="STG",
         container="stage",
         prefix="j1/",
-        staging_dir=str(tmp_path),
+        staging_dir=str(staging_dir),
         config=config,
         metrics=metrics,
+        worker_pool=worker_pool,
+        **pipeline_kwargs,
     )
-    yield pipeline, engine, store, credits, metrics
-    pipeline.shutdown()
+    return pipeline, engine, store, credits, metrics
+
+
+@pytest.fixture
+def worker_pool():
+    """None: the pipeline creates (and closes) its private pool."""
+    return None
+
+
+@pytest.fixture
+def rig(tmp_path, worker_pool):
+    built = build_rig(tmp_path, worker_pool)
+    yield built
+    built[0].shutdown()
+
+
+def pipeline_threads(job_id):
+    return [t for t in threading.enumerate()
+            if t.name.startswith(f"hyperq-job-{job_id}-pipeline-")]
 
 
 class TestPipeline:
@@ -148,3 +178,112 @@ class TestPipeline:
             pipeline.submit_chunk(seq, payload)
         pipeline.drain()
         assert os.listdir(str(tmp_path)) == []
+
+    def test_duplicate_chunk_is_processed_once(self, rig):
+        pipeline, engine, _store, credits, metrics = rig
+        pipeline.submit_chunk(0, b"a|b\n")
+        pipeline.submit_chunk(0, b"a|b\n")
+        pipeline.drain()
+        assert engine.query("SELECT COUNT(*) FROM STG") == [(1,)]
+        assert metrics.records_converted == 1
+        credits.check_conservation()
+
+    def test_resume_skips_durable_chunks(self, tmp_path, worker_pool):
+        """Shut down before drain, rebuild with ``resume=True``: chunks
+        in uploaded files are reported durable and a full resend lands
+        every row exactly once."""
+        journal_path = str(tmp_path / "job.journal")
+        chunks = {seq: ("x" * 30 + f"|v{seq}\n").encode()
+                  for seq in range(6)}
+        first, engine, store, _credits, _metrics = build_rig(
+            tmp_path, worker_pool, journal=CheckpointJournal(journal_path))
+        for seq, data in chunks.items():
+            first.submit_chunk(seq, data)
+        first.shutdown()  # no flush: each writer's partial file is lost
+        uploaded = store.list_blobs("stage", "j1/")
+
+        resumed, _engine, _store, credits, _metrics = build_rig(
+            tmp_path, worker_pool, cloud=(store, engine), resume=True,
+            journal=CheckpointJournal(journal_path))
+        try:
+            assert resumed.resumed_files == len(uploaded) > 0
+            assert set() < resumed.resumed_seqs < set(chunks)
+            for seq, data in chunks.items():
+                resumed.submit_chunk(seq, data)
+            resumed.drain()
+            rows = engine.query("SELECT B FROM STG ORDER BY __SEQ")
+            assert rows == [(f"v{seq}",) for seq in chunks]
+            credits.check_conservation()
+        finally:
+            resumed.shutdown()
+
+    def test_convert_lanes_run_in_parallel_in_lane_order(
+            self, tmp_path, worker_pool):
+        """``converters=3``: three chunks convert at once (they meet at
+        a barrier only concurrent lanes can fill), and chunks sharing a
+        lane (``seq % converters``) convert in submit order."""
+        pipeline, engine, _store, _credits, _metrics = build_rig(
+            tmp_path, worker_pool, converters=3)
+        barrier = threading.Barrier(3)
+        converted = []
+        convert = pipeline.converter.convert
+
+        def meeting_convert(chunk_seq, data):
+            if chunk_seq < 3:
+                barrier.wait(timeout=5)
+            converted.append(chunk_seq)
+            return convert(chunk_seq, data)
+
+        pipeline.converter.convert = meeting_convert
+        try:
+            for seq in range(12):
+                pipeline.submit_chunk(seq, f"a{seq}|b\n".encode())
+            pipeline.drain()
+        finally:
+            pipeline.shutdown()
+        assert engine.query("SELECT COUNT(*) FROM STG") == [(12,)]
+        for lane in range(3):
+            assert [s for s in converted if s % 3 == lane] == \
+                list(range(lane, 12, 3))
+
+
+class TestPipelineOnInjectedPool(TestPipeline):
+    """Every case above on a shared pool, as a gateway shard injects."""
+
+    @pytest.fixture
+    def worker_pool(self):
+        pool = PipelineWorkerPool(workers=4, name="shared")
+        yield pool
+        pool.close()
+
+
+class TestPoolOwnership:
+    def test_private_pool_is_one_thread_per_lane_and_dies_with_the_job(
+            self, tmp_path):
+        pipeline, *_ = build_rig(tmp_path, job_id="owned")
+        config = pipeline.config
+        try:
+            assert len(pipeline_threads("owned")) == \
+                config.converters + config.filewriters + 1
+            pipeline.submit_chunk(0, b"a|b\n")
+            pipeline.drain()
+        finally:
+            pipeline.shutdown()
+        assert pipeline_threads("owned") == []
+
+    def test_injected_pool_starts_no_threads_and_outlives_the_job(
+            self, tmp_path):
+        pool = PipelineWorkerPool(workers=2, name="shared")
+        try:
+            before = set(threading.enumerate())
+            for job in ("a", "b"):  # b runs after a's shutdown
+                os.makedirs(tmp_path / job)
+                pipeline, engine, *_ = build_rig(
+                    tmp_path / job, pool, job_id=job)
+                assert set(threading.enumerate()) <= before
+                pipeline.submit_chunk(0, b"a|b\n")
+                pipeline.drain()
+                pipeline.shutdown()
+                assert engine.query("SELECT COUNT(*) FROM STG") == [(1,)]
+        finally:
+            pool.close()

@@ -4,8 +4,13 @@ import random
 
 import pytest
 
-from repro.errors import PermanentFault, TransientFault, TransportClosed
-from repro.resilience import RetryPolicy, full_jitter_delay, is_transient
+from repro.errors import (
+    CircuitOpenError, PermanentFault, TransientFault, TransportClosed,
+)
+from repro.resilience import (
+    CircuitBreakerRegistry, RetryPolicy, full_jitter_delay, guarded_call,
+    is_transient,
+)
 
 
 def flaky(failures, exc_factory=lambda: TransientFault("blip")):
@@ -200,3 +205,32 @@ class TestRetryObservability:
         counters = obs.registry.collect()["hyperq_retry_giveups_total"]
         (sample,) = counters["samples"]
         assert sample["value"] == 1
+
+
+def test_guarded_call_runs_fn_through_breaker_inside_retry():
+    retry = no_sleep_policy(max_attempts=4)
+    breakers = CircuitBreakerRegistry(failure_threshold=2, cooldown_s=60)
+
+    # a transient failure is retried, and the breaker saw each attempt
+    fn = flaky(1)
+    assert guarded_call("store.upload", fn, retry=retry,
+                        breakers=breakers) == "ok"
+    assert fn.state["calls"] == 2
+    assert retry.by_target == {"store.upload": 1}
+    assert breakers.get("store.upload").snapshot()["state"] == "closed"
+
+    # the breaker opens mid-retry and short-circuits before fn
+    fn = flaky(10)
+    with pytest.raises(CircuitOpenError):
+        guarded_call("copy.into", fn, retry=retry, breakers=breakers)
+    assert fn.state["calls"] == 2
+    with pytest.raises(CircuitOpenError):
+        guarded_call("copy.into", fn, breakers=breakers)
+    assert fn.state["calls"] == 2
+
+    # neither layer: fn is called bare, its error propagates as is
+    fn = flaky(1)
+    with pytest.raises(TransientFault):
+        guarded_call("dml.apply", fn)
+    assert guarded_call("dml.apply", fn) == "ok"
+    assert fn.state["calls"] == 2

@@ -238,7 +238,7 @@ class TestThreadNamingAndExports:
             names = {t.name for t in threading.enumerate()}
             # Control handler and pipeline workers are job-attributed.
             assert any("job-threadjob-ctl" in n for n in names), names
-            assert any(n.startswith("hyperq-job-threadjob-converter")
+            assert any(n.startswith("hyperq-job-threadjob-pipeline")
                        for n in names), names
             channel.request(
                 Message(MessageKind.END_LOAD, {"job_id": "threadjob"}),
