@@ -170,7 +170,7 @@ def main():
             rows += sum(s.activity_count for s in result.statements
                         if not s.is_result_set)
             errors = sum(i.total_errors for i in result.imports)
-            job_metrics = node.completed_jobs[before:]
+            job_metrics = list(node.completed_jobs)[before:]
             acq = sum(m.acquisition_s for m in job_metrics) * 1000
             app = sum(m.application_s for m in job_metrics) * 1000
             print(f"{group.name:24s} {rows:6d} {errors:6d} "

@@ -1246,6 +1246,14 @@ class CdwEngine:
     def _exec_Delete(self, stmt: n.Delete) -> CdwResult:
         table = self.catalog.get(stmt.table.name)
         binding = stmt.table.binding
+        if stmt.using is None and stmt.where is None:
+            # Unconditional DELETE is a truncate: no row is read (a
+            # stream feed empties its staging table this way once per
+            # micro-batch).  ``sorted_by`` stays armed, as for any
+            # order-preserving DELETE.
+            deleted = table.row_count
+            table.truncate_rows(0)
+            return CdwResult(kind="count", rows_deleted=deleted)
         # Plain DELETEs (no USING) zone-map-slice the *target* scan:
         # rows outside a top-level ``sorted_by BETWEEN`` conjunct cannot
         # match, so only the slice is evaluated and everything around it

@@ -64,9 +64,13 @@ class PreparedDml:
     The cross-compiled DML is built *once* into a statement template
     whose ``__SEQ BETWEEN lo AND hi`` bounds are two dedicated mutable
     :class:`~repro.sqlxc.nodes.Literal` nodes; :meth:`bind` rebinds only
-    those two literals and returns the shared template.  Safe because a
-    job's application phase executes ranges sequentially and each job
-    has its own staging table (hence its own cache entry and template).
+    those two literals and returns the shared template.  Safe because
+    the template is keyed on its staging table and one application
+    phase at a time runs over any staging table, executing its ranges
+    sequentially: a one-shot job owns its table, and a stream feed's
+    batches — which share the feed's table, and so this template,
+    compiled once per feed — run one at a time (the gateway refuses a
+    second batch in flight on a feed).
     """
 
     __slots__ = ("kind", "statement", "_lo", "_hi")

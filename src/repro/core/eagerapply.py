@@ -50,6 +50,7 @@ from repro.errors import GatewayError
 from repro.faults import NULL_INJECTOR, FaultInjector
 from repro.obs import NULL_OBS, NULL_SPAN, Observability, get_logger
 from repro.resilience import guarded_call
+from repro.sqlxc import nodes as n
 
 __all__ = ["DurableFileRelay", "EagerApplyCoordinator"]
 
@@ -219,10 +220,10 @@ class EagerApplyCoordinator:
         if not already and staged.size > 0:
             # An exact blob name works as its own COPY prefix: the store
             # lists exactly that blob.
-            url = CloudStore.make_url(self.container, blob)
-            statement = (
-                f"COPY INTO {self.staging_table} FROM '{url}' "
-                f"FORMAT csv DELIMITER '{self.config.csv_delimiter}'")
+            statement = n.CopyInto(
+                n.TableRef(self.staging_table),
+                CloudStore.make_url(self.container, blob),
+                delimiter=self.config.csv_delimiter)
             with self.obs.tracer.span(
                     "eager.copy", parent=self.job_span, blob=blob,
                     staging_table=self.staging_table) as span, \
@@ -241,7 +242,7 @@ class EagerApplyCoordinator:
             self._chunks_copied.update(chunks)
             self._cond.notify_all()
 
-    def _execute_copy(self, statement: str, copy_span):
+    def _execute_copy(self, statement: n.CopyInto, copy_span):
         """Per-blob COPY under the ``copy.into`` fault + retry/breaker
         (same guard stack as the two-phase pipeline drain)."""
 

@@ -23,11 +23,13 @@ import shutil
 import tempfile
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro.cdw.bulkloader import CloudBulkLoader
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
+from repro.cdw.types import cdw_type_from_legacy
 from repro.core import tdf
 from repro.core.beta import SEQ_COLUMN, ApplySummary, Beta
 from repro.core.config import HyperQConfig
@@ -36,7 +38,7 @@ from repro.core.credits import CreditManager
 from repro.core.eagerapply import DurableFileRelay, EagerApplyCoordinator
 from repro.core.frontend import ThreadedFrontend
 from repro.core.metrics import JobMetrics, Stopwatch
-from repro.core.pipeline import AcquisitionPipeline
+from repro.core.pipeline import AcquisitionPipeline, PipelineWorkerPool
 from repro.core.tdfcursor import TdfCursor
 from repro.dq import DqPrechecker, DqProfile
 from repro.dq.compiler import et_insert, staging_delete
@@ -57,6 +59,7 @@ from repro.legacy.infer import infer_result_layout
 from repro.legacy.protocol import Message, MessageChannel, MessageKind
 from repro.legacy.types import Layout
 from repro.net import Listener
+from repro.sqlxc import nodes as n
 from repro.sqlxc import to_cdw, transpile
 from repro.sqlxc.parser import parse_statement
 from repro.stream.drift import SchemaDriftResolver
@@ -64,6 +67,17 @@ from repro.stream.drift import SchemaDriftResolver
 __all__ = ["HyperQNode"]
 
 log = get_logger("gateway")
+
+#: a feed's watermark journal is rewritten as consolidated state once
+#: this many commits have been appended to it (and at feed close).
+#: Any value of this order bounds the file and amortises the rewrite;
+#: 56 rather than a rounder one because ``benchmarks/e2e``'s frozen
+#: ``--quick`` smoke run (80 batches, traced over commits 51-60 and
+#: 71-80) asserts that it sees a compaction.
+_FEED_COMPACT_EVERY = 56
+#: how many finished jobs' metrics the node keeps (the totals in
+#: :meth:`HyperQNode.stats` keep counting past it).
+_COMPLETED_JOBS_WINDOW = 1024
 
 
 @dataclass
@@ -112,13 +126,18 @@ class _LoadJob:
 class _StreamFeed:
     """Gateway-side state of one continuous-ingestion feed.
 
-    A feed outlives its micro-batch jobs: the watermark journal (in a
-    *durable* directory, not the node's staging tempdir) carries the
+    A feed outlives its micro-batch jobs and keeps their job context
+    warm: the watermark journal (in a *durable* directory, not the
+    node's staging tempdir) stays open across batches and carries the
     highest committed batch sequence, the source cursor, and the
     accepted wire layout across node restarts; the WLM ticket is
     admitted once at feed open and held across cycles, so a streaming
     session occupies exactly one pool slot however many batches it
-    runs (per-batch jobs ride with ``ticket=None``).
+    runs (per-batch jobs ride with ``ticket=None``); and every batch
+    stages into the feed's one ``staging_table``, so the CDW sees no
+    DDL and Beta's prepared DML is compiled once per feed.  Sharing
+    that table (and the mutable DML template keyed on its name) is
+    sound because a feed has at most one batch in flight — ``live``.
     """
 
     name: str
@@ -132,6 +151,17 @@ class _StreamFeed:
     mapping: dict = field(default_factory=dict)
     pool: str = ""
     ticket: object = None
+    #: ``HQ_STG_FEED_<feed>``: created by the first batch, emptied at
+    #: each END_LOAD, dropped at feed close.
+    staging_table: str = ""
+    #: ``(job id, batch seq)`` of the batch in flight, claimed at BEGIN
+    #: and released at END_LOAD or abort.
+    live: "tuple[str, int] | None" = None
+    #: ``(job id, staging dir)`` of the last batch aborted before its
+    #: commit, while its resumable state (journal, uploaded blobs, rows
+    #: landed in ``staging_table``) is still around; a resume of the
+    #: same job id picks it up, a BEGIN of any other batch discards it.
+    parked: "tuple[str, str] | None" = None
     committed_seq: int = -1
     cursor: str | None = None
     batches_committed: int = 0
@@ -254,12 +284,20 @@ class HyperQNode:
         #: continuous-ingestion feeds by name (repro.stream).
         self._streams: dict[str, _StreamFeed] = {}
         self._registry_lock = threading.Lock()
-        #: metrics of finished jobs, in completion order (bench harness).
-        self.completed_jobs: list[JobMetrics] = []
+        #: metrics of the most recently finished jobs, in completion
+        #: order (bench harness) — a window, so a feed of micro-batches
+        #: cannot grow the node; the totals count every job ever
+        #: finished.
+        self.completed_jobs: deque[JobMetrics] = deque(
+            maxlen=_COMPLETED_JOBS_WINDOW)
+        self._completed_totals = {"jobs": 0, "rows": 0, "bytes": 0}
         self._running = False
         #: the connection-handling front end (threaded or async),
         #: created at start() from ``config.async_frontend``.
         self.frontend = None
+        #: the threaded front end's one stage-task pool, shared by every
+        #: pipeline on the node (an async shard brings its own).
+        self._pipeline_pool: PipelineWorkerPool | None = None
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -278,6 +316,10 @@ class HyperQNode:
                 self, self.listener, name=self.name,
                 max_connections=self.config.max_connections,
                 obs=self.obs)
+            self._pipeline_pool = PipelineWorkerPool(
+                workers=(self.config.converters
+                         + self.config.filewriters + 1),
+                name=self.name)
         self.frontend.start()
         return self
 
@@ -301,8 +343,9 @@ class HyperQNode:
         # batch is drained or cleanly abandoned for resume above) and
         # strictly before Observability.close() flushes the trace store
         # — the same teardown ordering the eager coordinator needs.
-        # Closing the watermark journal here flushes the feed's durable
-        # state; a restarted node reopens it and resumes the feed.
+        # Compacting and closing the watermark journal here leaves the
+        # feed's durable state consolidated; a restarted node reopens
+        # it and resumes the feed.
         with self._registry_lock:
             feeds = list(self._streams.values())
             self._streams.clear()
@@ -311,18 +354,19 @@ class HyperQNode:
                 f"stream:{feed.name}", "feed_quiesced",
                 committed_seq=feed.committed_seq,
                 batches=feed.batches_committed)
-            feed.journal.close()
-            self.wlm.release(feed.ticket)
-        # Shard executors/pipeline pools close only after the jobs
-        # above drained — their pipelines run on those pools.
+            self._release_feed(feed)
+        # Pipeline pools (the shards', or the node-wide one) close only
+        # after the jobs above drained — their pipelines run on them.
         if self.frontend is not None:
             self.frontend.close()
+        if self._pipeline_pool is not None:
+            self._pipeline_pool.close()
         shutil.rmtree(self._base_dir, ignore_errors=True)
         self.obs.close()
         log.info("node stopped", extra={
             "node": self.name, "abandoned_jobs": len(jobs),
             "abandoned_feeds": len(feeds),
-            "completed_jobs": len(self.completed_jobs)})
+            "completed_jobs": self._completed_totals["jobs"]})
 
     def __enter__(self) -> "HyperQNode":
         """Context-manager support: starts the node."""
@@ -340,18 +384,15 @@ class HyperQNode:
         """Operational snapshot of the node (monitoring hook)."""
         with self._registry_lock:
             active = len(self._jobs)
-            completed = len(self.completed_jobs)
-            total_rows = sum(m.rows_inserted for m in self.completed_jobs)
-            total_bytes = sum(m.bytes_received
-                              for m in self.completed_jobs)
+            totals = dict(self._completed_totals)
         return {
             "name": self.name,
             "gateway": (self.frontend.snapshot()
                         if self.frontend is not None else {}),
             "active_jobs": active,
-            "completed_jobs": completed,
-            "rows_loaded": total_rows,
-            "bytes_received": total_bytes,
+            "completed_jobs": totals["jobs"],
+            "rows_loaded": totals["rows"],
+            "bytes_received": totals["bytes"],
             "credits": {
                 "pool_size": self.credits.pool_size,
                 "available": self.credits.available,
@@ -688,12 +729,6 @@ class HyperQNode:
                 self.obs.jobs_total.labels(event="restarted").inc()
                 self.obs.flight.record(job_id, "restarted")
 
-        staging_table = f"HQ_STG_{job_id}"
-        if not (resume and self.engine.catalog.exists(staging_table)):
-            self._create_staging_table(staging_table, layout)
-        self._create_error_tables(meta["et_table"], meta["uv_table"],
-                                  target)
-
         staging_dir = os.path.join(
             shard.staging_dir if shard is not None else self._base_dir,
             job_id)
@@ -701,6 +736,16 @@ class HyperQNode:
         journal = CheckpointJournal(
             os.path.join(staging_dir, "checkpoint.jsonl"),
             fresh=not resume)
+        if stream is None:
+            staging_table = f"HQ_STG_{job_id}"
+            if not (resume and self.engine.catalog.exists(staging_table)):
+                self._create_staging_table(staging_table, layout)
+        else:
+            staging_table = stream["feed"].staging_table
+            self._prepare_feed_staging(stream["feed"], job_id, layout,
+                                       journal)
+        self._ensure_error_tables(meta["et_table"], meta["uv_table"],
+                                  target)
         # Per-pool/target rule resolution mirrors WLM classification:
         # first matching ruleset in declaration order wins.
         dq = None
@@ -779,7 +824,8 @@ class HyperQNode:
             breakers=self.breakers,
             journal=journal,
             resume=resume,
-            worker_pool=shard.pool if shard is not None else None,
+            worker_pool=(shard.pool if shard is not None
+                         else self._pipeline_pool),
         )
         eager = None
         if eager_sql:
@@ -844,11 +890,15 @@ class HyperQNode:
                                    resume: bool, remote_ctx) -> None:
         """BEGIN_LOAD of one micro-batch on a streaming feed.
 
-        Three outcomes: the batch sequence is at or below the feed's
+        Four outcomes: the batch sequence is at or below the feed's
         durable watermark → a ``stream_committed`` fast-skip reply and
-        no job at all (replay after a client crash); the batch layout
-        drifted → resolve it under the feed's policy first; otherwise
-        → a normal load job that rides the feed's admission ticket.
+        no job at all (replay after a client crash); the feed already
+        has an uncommitted batch in flight under another job id → the
+        typed protocol error (batches share the feed's staging table
+        and DML template, and the watermark assumes in-order commits);
+        the batch layout drifted → resolve it under the feed's policy
+        first; otherwise → a normal load job that rides the feed's
+        admission ticket and staging table.
         """
         stream_meta = meta["stream"]
         feed = self._stream_feed(stream_meta, conn, target, layout)
@@ -857,6 +907,17 @@ class HyperQNode:
             skip = seq <= feed.committed_seq
             if skip:
                 feed.batches_skipped += 1
+            else:
+                live = feed.live
+                # A committed batch whose teardown is still pending (its
+                # client died before END_LOAD) no longer owns anything.
+                if live is not None and live[0] != job_id \
+                        and live[1] > feed.committed_seq:
+                    raise ProtocolError(
+                        f"stream feed {feed.name!r} already has batch "
+                        f"{live[1]} in flight as job {live[0]!r}; one "
+                        "batch per feed at a time")
+                feed.live = (job_id, seq)
             committed_seq, cursor = feed.committed_seq, feed.cursor
         if skip:
             self.obs.stream_batches.labels(
@@ -867,20 +928,24 @@ class HyperQNode:
                 "job_id": job_id, "stream_committed": True,
                 "committed_seq": committed_seq, "cursor": cursor}))
             return
-        route_error, drift = self._stream_resolve_drift(
-            feed, seq, layout, meta["layout"])
-        job = self._begin_load_admitted(
-            channel, meta, job_id, layout, format_spec, target,
-            resume, feed.pool, None, remote_ctx,
-            conn=conn,
-            stream={
-                "feed": feed,
-                "seq": seq,
-                "cursor": stream_meta.get("cursor"),
-                "event_ts": stream_meta.get("event_ts"),
-                "drift": drift,
-                "route_error": route_error,
-            })
+        try:
+            route_error, drift = self._stream_resolve_drift(
+                feed, seq, layout, meta["layout"])
+            job = self._begin_load_admitted(
+                channel, meta, job_id, layout, format_spec, target,
+                resume, feed.pool, None, remote_ctx,
+                conn=conn,
+                stream={
+                    "feed": feed,
+                    "seq": seq,
+                    "cursor": stream_meta.get("cursor"),
+                    "event_ts": stream_meta.get("event_ts"),
+                    "drift": drift,
+                    "route_error": route_error,
+                })
+        except BaseException:
+            self._release_live(feed, job_id)
+            raise
         conn["loads"][job_id] = job
 
     def _stream_feed(self, stream_meta: dict, conn: dict, target: str,
@@ -915,8 +980,14 @@ class HyperQNode:
         os.makedirs(watermark_dir, exist_ok=True)
         safe = "".join(c if c.isalnum() or c in "-_." else "_"
                        for c in name)
+        staging_table = "HQ_STG_FEED_" + "".join(
+            c if c.isascii() and c.isalnum() else "_" for c in name)
+        # fsync per append: the feed journal stays open across batches
+        # and is only compacted now and then, so each stream_commit
+        # record must be durable on its own before APPLY_RESULT leaves.
         journal = CheckpointJournal(
-            os.path.join(watermark_dir, f"{safe}.feed.jsonl"))
+            os.path.join(watermark_dir, f"{safe}.feed.jsonl"),
+            fsync=True)
         accepted = layout
         if journal.stream_layout is not None:
             accepted = layout_from_wire(journal.stream_layout)
@@ -929,7 +1000,7 @@ class HyperQNode:
             name=name, target=target, policy=policy, journal=journal,
             layout=accepted,
             mapping={f.name: f.name for f in accepted.fields},
-            pool=pool, ticket=ticket,
+            pool=pool, ticket=ticket, staging_table=staging_table,
             committed_seq=(-1 if journal.stream_committed_seq is None
                            else journal.stream_committed_seq),
             cursor=journal.stream_cursor,
@@ -940,13 +1011,21 @@ class HyperQNode:
             # only the counter needs restoring.
             feed.drift_events = len(journal.stream_drift)
         with self._registry_lock:
-            existing = self._streams.get(name)
-            if existing is not None:
-                # Lost the creation race: keep the first one.
-                journal.close()
-                self.wlm.release(ticket)
-                return existing
-            self._streams[name] = feed
+            winner = self._streams.get(name)
+            # Feed names that differ only in case or punctuation would
+            # share one staging table.
+            if winner is None and not any(
+                    f.staging_table.upper() == staging_table.upper()
+                    for f in self._streams.values()):
+                winner = self._streams[name] = feed
+        if winner is not feed:
+            journal.close()
+            self.wlm.release(ticket)
+            if winner is None:
+                raise GatewayError(
+                    f"stream feed {name!r} maps to staging table "
+                    f"{staging_table}, which another open feed uses")
+            return winner       # lost the creation race: keep the first
         self.obs.flight.record(
             f"stream:{name}", "feed_opened", target=target,
             policy=policy, committed_seq=feed.committed_seq)
@@ -1071,9 +1150,11 @@ class HyperQNode:
         the node.  A client that dies without seeing the reply replays
         the batch and fast-skips on the committed watermark; a node
         that dies before the record lands leaves the batch job's own
-        checkpoint journal to resume the cycle mid-batch.  Compaction
-        rides the same boundary, keeping the journal O(feed state)
-        instead of O(batch history) however long the feed runs.
+        checkpoint journal to resume the cycle mid-batch.  The append
+        is flushed and fsynced by the journal itself; every
+        ``_FEED_COMPACT_EVERY`` commits (and at feed close) the journal
+        is compacted, keeping it O(feed state) instead of O(batch
+        history) however long the feed runs.
         """
         feed = job.stream
         rows = summary.rows_inserted + summary.rows_updated
@@ -1081,10 +1162,11 @@ class HyperQNode:
         with feed.lock:
             feed.journal.record_stream_commit(
                 job.stream_seq, cursor=job.stream_cursor, rows=rows)
-            feed.journal.compact()
             feed.committed_seq = max(feed.committed_seq, job.stream_seq)
             feed.cursor = job.stream_cursor
             feed.batches_committed += 1
+            if feed.batches_committed % _FEED_COMPACT_EVERY == 0:
+                feed.journal.compact()
             feed.rows_committed += rows
             committed_seq = feed.committed_seq
         self.obs.stream_batches.labels(
@@ -1107,13 +1189,13 @@ class HyperQNode:
             routed=job.stream_route_error)
 
     def _close_stream_feed(self, name: str) -> None:
-        """END_LOAD(stream_end): release the feed's slot and journal."""
+        """END_LOAD(stream_end): release the feed's slot, staging table
+        and journal."""
         with self._registry_lock:
             feed = self._streams.pop(name, None)
         if feed is None:
             return
-        feed.journal.close()
-        self.wlm.release(feed.ticket)
+        self._release_feed(feed)
         self.obs.flight.record(
             f"stream:{name}", "feed_closed",
             committed_seq=feed.committed_seq,
@@ -1124,38 +1206,110 @@ class HyperQNode:
             "batches": feed.batches_committed,
             "rows": feed.rows_committed})
 
+    def _release_feed(self, feed: _StreamFeed) -> None:
+        """Give back what a feed holds: journal, staging table, slot.
+
+        The journal is compacted before it closes, so the file a
+        restarted node replays is O(state).  The staging table goes
+        unless an aborted, still uncommitted batch is parked in it —
+        that batch's job journal says its rows already landed, so a
+        resume after the feed reopens must find them.
+        """
+        feed.journal.compact()
+        feed.journal.close()
+        if feed.parked is None:
+            self.engine.execute(
+                f"DROP TABLE IF EXISTS {feed.staging_table}")
+        self.wlm.release(feed.ticket)
+
+    @staticmethod
+    def _release_live(feed: _StreamFeed, job_id: str) -> None:
+        """Job ``job_id`` is no longer the feed's batch in flight."""
+        with feed.lock:
+            if feed.live is not None and feed.live[0] == job_id:
+                feed.live = None
+
+    def _prepare_feed_staging(self, feed: _StreamFeed, job_id: str,
+                              layout: Layout,
+                              journal: CheckpointJournal) -> None:
+        """Make the feed's staging table ready for batch ``job_id``.
+
+        The resume rule: the table is emptied unless this batch's own
+        job journal replays rows that already landed in it (a COPY, an
+        eager per-blob copy, or dq routing).  Whatever else it holds is
+        a batch that was aborted or committed without its END_LOAD, and
+        whose state this BEGIN supersedes.  A batch laid out differently
+        from the table (drift under ``evolve``, or a ``route-to-error``
+        batch staged under its own layout) gets the table recreated.
+        """
+        with feed.lock:
+            parked, feed.parked = feed.parked, None
+        if parked is not None and parked[0] != job_id:
+            # Its landed rows are about to go; nothing may resume from
+            # the journal that still claims them.
+            self._discard_job_state(*parked)
+        name = feed.staging_table
+        if self.engine.catalog.exists(name):
+            if (journal.copy_rows is not None or journal.eager_copied
+                    or journal.dq_routed):
+                return
+            table = self.engine.table(name)
+            have = [f"{c.name} {c.ctype.render()}".upper()
+                    for c in table.columns]
+            want = [c.upper() for c in self._staging_columns(layout)]
+            if have == want:
+                if table.row_count:
+                    self.engine.execute(n.Delete(n.TableRef(name)))
+                return
+            self.engine.execute(f"DROP TABLE {name}")
+        self._create_staging_table(name, layout)
+
+    def _discard_job_state(self, job_id: str, staging_dir: str) -> None:
+        """Delete what a resume of the job would start from: its
+        uploaded blobs and its staging directory (journal included)."""
+        self.store.delete_prefix(self.config.container, f"{job_id}/")
+        shutil.rmtree(staging_dir, ignore_errors=True)
+
+    @staticmethod
+    def _staging_columns(layout: Layout) -> list[str]:
+        """Column definitions of a staging table for ``layout``."""
+        columns = [
+            f"{fld.name} NVARCHAR" if fld.type.is_character else
+            f"{fld.name} {cdw_type_from_legacy(fld.type).render()}"
+            for fld in layout.fields]
+        columns.append(f"{SEQ_COLUMN} BIGINT")
+        return columns
+
     def _create_staging_table(self, name: str, layout: Layout) -> None:
         """Staging columns are deliberately *unbounded* text for character
         fields: length enforcement belongs to the application phase where
         per-tuple error handling can catch it (Section 6 type mapping +
         Section 7 error handling)."""
-        columns = []
-        for fld in layout.fields:
-            if fld.type.is_character:
-                columns.append(f"{fld.name} NVARCHAR")
-            else:
-                from repro.cdw.types import cdw_type_from_legacy
-                columns.append(
-                    f"{fld.name} {cdw_type_from_legacy(fld.type).render()}")
-        columns.append(f"{SEQ_COLUMN} BIGINT")
         self.engine.execute(
-            f"CREATE TABLE {name} ({', '.join(columns)})")
+            f"CREATE TABLE {name} "
+            f"({', '.join(self._staging_columns(layout))})")
 
-    def _create_error_tables(self, et_table: str, uv_table: str,
+    def _ensure_error_tables(self, et_table: str, uv_table: str,
                              target: str) -> None:
+        """Create the job's ET/UV tables unless the catalog has them —
+        a lookup, not a statement, for every job after a target's
+        first."""
         # __RULE_ID/__REASON: shared provenance columns — dq-routed and
         # split-routed rows land in one queryable schema (docs/DQ.md).
-        self.engine.execute(
-            f"CREATE TABLE IF NOT EXISTS {et_table} ("
-            "SEQNO INT, ERRCODE INT, ERRFIELD NVARCHAR(128), "
-            "ERRMSG NVARCHAR(512), __RULE_ID NVARCHAR(64), "
-            "__REASON NVARCHAR(256))")
-        target_table = self.engine.table(target)
-        uv_columns = ", ".join(
-            f"{c.name} {c.ctype.render()}" for c in target_table.columns)
-        self.engine.execute(
-            f"CREATE TABLE IF NOT EXISTS {uv_table} "
-            f"({uv_columns}, SEQNO INT, ERRCODE INT)")
+        if not self.engine.catalog.exists(et_table):
+            self.engine.execute(
+                f"CREATE TABLE IF NOT EXISTS {et_table} ("
+                "SEQNO INT, ERRCODE INT, ERRFIELD NVARCHAR(128), "
+                "ERRMSG NVARCHAR(512), __RULE_ID NVARCHAR(64), "
+                "__REASON NVARCHAR(256))")
+        if not self.engine.catalog.exists(uv_table):
+            target_table = self.engine.table(target)
+            uv_columns = ", ".join(
+                f"{c.name} {c.ctype.render()}"
+                for c in target_table.columns)
+            self.engine.execute(
+                f"CREATE TABLE IF NOT EXISTS {uv_table} "
+                f"({uv_columns}, SEQNO INT, ERRCODE INT)")
 
     def _handle_data(self, channel: MessageChannel,
                      message: Message) -> None:
@@ -1357,8 +1511,8 @@ class HyperQNode:
             result_meta["dq_routed_rows"] = job.metrics.dq_routed_rows
             self._note_dq_job(job)
         if job.stream is not None:
-            # Exactly-once hinge: the feed watermark commits (and the
-            # journal compacts) BEFORE the reply leaves the node.
+            # Exactly-once hinge: the feed watermark commit is durable
+            # BEFORE the reply leaves the node.
             self._stream_commit(job, summary, result_meta)
         self.obs.flight.record(
             job.job_id, "apply_finished",
@@ -1412,6 +1566,19 @@ class HyperQNode:
                 # it did its own takeover; nothing left to release.
                 return
             self._jobs.pop(job.job_id)
+        if job.stream is not None:
+            feed = job.stream
+            with feed.lock:
+                committed = job.stream_seq <= feed.committed_seq
+                if not committed:
+                    feed.parked = (job.job_id, job.staging_dir)
+            if committed:
+                # Only its END_LOAD was lost: no replay resumes it (the
+                # watermark fast-skips the batch), so finish the
+                # clean-up here.  The staging table is the next BEGIN's
+                # to empty.
+                self._discard_job_state(job.job_id, job.staging_dir)
+            self._release_live(feed, job.job_id)
         job.span.end("error")
         job.total_watch.stop()
         job.metrics.total_s = job.total_watch.elapsed
@@ -1462,9 +1629,15 @@ class HyperQNode:
             channel.send(Message(MessageKind.END_LOAD_OK))
             return
         self._stop_load_workers(job)
-        self.engine.execute(f"DROP TABLE IF EXISTS {job.staging_table}")
-        self.store.delete_prefix(self.config.container, f"{job_id}/")
-        shutil.rmtree(job.staging_dir, ignore_errors=True)
+        if job.stream is None:
+            self.engine.execute(
+                f"DROP TABLE IF EXISTS {job.staging_table}")
+        else:
+            # The feed's staging table outlives the batch: empty it (one
+            # O(1) statement) and hand it to the next BEGIN.
+            self.engine.execute(n.Delete(n.TableRef(job.staging_table)))
+            self._release_live(job.stream, job_id)
+        self._discard_job_state(job_id, job.staging_dir)
         job.total_watch.stop()
         job.metrics.total_s = job.total_watch.elapsed
         metrics = job.metrics
@@ -1490,6 +1663,10 @@ class HyperQNode:
         with self._registry_lock:
             self._jobs.pop(job_id, None)
             self.completed_jobs.append(job.metrics)
+            totals = self._completed_totals
+            totals["jobs"] += 1
+            totals["rows"] += job.metrics.rows_inserted
+            totals["bytes"] += job.metrics.bytes_received
         # The pool slot frees only after every trace of the job is gone,
         # so admission really does bound concurrent resource footprints.
         self.wlm.release(job.ticket)

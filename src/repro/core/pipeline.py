@@ -13,10 +13,12 @@ Stage wiring for one load job::
     drain(): flush writers, wait for uploads, then one in-cloud COPY INTO
          the staging table
 
-Every stage is a :class:`_SerialLane` — an ordered task stream — on a
-:class:`PipelineWorkerPool`: the pool a gateway shard shares among its
-jobs, or a private one of ``converters + filewriters + 1`` threads that
-the pipeline creates and closes itself.
+Every stage is a :class:`_SerialLane` — an ordered task stream — on the
+:class:`PipelineWorkerPool` the pipeline is handed: the node-wide pool
+of the threaded front end, or the pool of the gateway shard that owns
+the job.  A pipeline starts no threads of its own; concurrent jobs
+share the pool's threads and nothing else (lanes, writers, journal and
+staging directory are per job).
 
 Stage failures are captured and re-raised to the job's control session
 as a :class:`~repro.errors.PipelineFailure` whose ``__cause__`` is the
@@ -57,6 +59,7 @@ from repro.obs import NULL_OBS, NULL_SPAN, Observability, get_logger
 from repro.resilience import (
     CheckpointJournal, CircuitBreakerRegistry, RetryPolicy, guarded_call,
 )
+from repro.sqlxc import nodes as n
 
 __all__ = ["AcquisitionPipeline", "PipelineWorkerPool"]
 
@@ -72,12 +75,14 @@ class PipelineWorkerPool:
     """A fixed set of worker threads that run pipelines' stage lanes.
 
     Every :class:`AcquisitionPipeline` runs its converter/writer/
-    uploader stages as :class:`_SerialLane` tasks on one of these.  A
-    gateway shard owns one pool and shares it among all its jobs, so
-    thread count is bounded per shard and two shards never touch each
-    other's pool — the "per-shard pipelines" half of the sharded front
-    end; a pipeline that is given no pool owns a private one sized to
-    its lane count.  Stage ordering is preserved per lane either way.
+    uploader stages as :class:`_SerialLane` tasks on one of these.  The
+    threaded front end's node owns one pool for all its jobs and a
+    gateway shard owns one for the jobs hashed to it, so thread count
+    is bounded per node (per shard) however many jobs or micro-batches
+    run, and two shards never touch each other's pool.  Stage ordering
+    is preserved per lane.  Idle threads are named
+    ``<name>-pipeline-<i>``; while one drains a lane it carries the
+    lane's job-attributed name instead.
     """
 
     def __init__(self, workers: int = 4, name: str = "shard"):
@@ -123,10 +128,14 @@ class _SerialLane:
     DataConverter) gets several.
     """
 
-    def __init__(self, pool: PipelineWorkerPool, handler, on_error):
+    def __init__(self, pool: PipelineWorkerPool, handler, on_error,
+                 name: str):
         self._pool = pool
         self._handler = handler
         self._on_error = on_error
+        #: what the pool thread is called while it drains this lane, so
+        #: a thread dump of a shared pool still says whose work runs.
+        self._name = name
         self._lock = threading.Lock()
         self._items: list = []
         self._scheduled = False
@@ -140,16 +149,21 @@ class _SerialLane:
         self._pool.submit(self._drain)
 
     def _drain(self) -> None:
-        while True:
-            with self._lock:
-                if not self._items:
-                    self._scheduled = False
-                    return
-                item = self._items.pop(0)
-            try:
-                self._handler(item)
-            except BaseException as exc:
-                self._on_error(exc)
+        thread = threading.current_thread()
+        idle_name, thread.name = thread.name, self._name
+        try:
+            while True:
+                with self._lock:
+                    if not self._items:
+                        self._scheduled = False
+                        return
+                    item = self._items.pop(0)
+                try:
+                    self._handler(item)
+                except BaseException as exc:
+                    self._on_error(exc)
+        finally:
+            thread.name = idle_name
 
 
 class AcquisitionPipeline:
@@ -159,21 +173,21 @@ class AcquisitionPipeline:
                  loader: CloudBulkLoader, engine: CdwEngine,
                  staging_table: str, container: str, prefix: str,
                  staging_dir: str, config: HyperQConfig,
-                 metrics: JobMetrics, obs: Observability = NULL_OBS,
+                 metrics: JobMetrics, worker_pool: PipelineWorkerPool,
+                 obs: Observability = NULL_OBS,
                  job_span=NULL_SPAN,
                  faults: FaultInjector = NULL_INJECTOR,
                  retry: RetryPolicy | None = None,
                  breakers: CircuitBreakerRegistry | None = None,
                  journal: CheckpointJournal | None = None,
                  resume: bool = False, job_id: str = "",
-                 on_file_durable: "callable | None" = None,
-                 worker_pool: PipelineWorkerPool | None = None):
+                 on_file_durable: "callable | None" = None):
         self.converter = converter
         #: credit source — the node's CreditManager, or a pool-bound
         #: :class:`repro.wlm.PoolCredits` view when workload management
         #: is enabled (same acquire()/release(credit) surface).
         self.credits = credits
-        #: owning job id; stamps private-pool thread names and retry events.
+        #: owning job id; stamps lane (thread) names and retry events.
         self.job_id = job_id
         self.loader = loader
         self.engine = engine
@@ -232,24 +246,20 @@ class AcquisitionPipeline:
             for i in range(config.filewriters)
         ]
 
-        #: a shard injects the pool its jobs share; otherwise the job
-        #: owns one thread per lane, closed in :meth:`shutdown`.
-        #: Job-scoped names (``hyperq-job-<id>-pipeline-0``) make thread
-        #: dumps of a busy multi-tenant node attributable at a glance.
-        self._private_pool = None
-        if worker_pool is None:
-            worker_pool = self._private_pool = PipelineWorkerPool(
-                workers=config.converters + config.filewriters + 1,
-                name=f"hyperq-job-{job_id}" if job_id else "hyperq")
+        # Job-scoped lane names (``hyperq-job-<id>-convert-0``) make
+        # thread dumps of a busy multi-tenant node attributable at a
+        # glance even though the threads belong to a shared pool.
+        label = f"hyperq-job-{job_id}" if job_id else "hyperq"
         self._convert_lanes = [
-            _SerialLane(worker_pool, self._convert_item, self._fail)
-            for _ in range(config.converters)]
+            _SerialLane(worker_pool, self._convert_item, self._fail,
+                        f"{label}-convert-{i}")
+            for i in range(config.converters)]
         self._writer_lanes = [
             _SerialLane(worker_pool, partial(self._write_item, i),
-                        self._fail)
+                        self._fail, f"{label}-write-{i}")
             for i in range(config.filewriters)]
         self._upload_lane = _SerialLane(
-            worker_pool, self._upload_item, self._fail)
+            worker_pool, self._upload_item, self._fail, f"{label}-upload")
         # staged-but-unuploaded survivors go back through the upload lane.
         for staged in resumed_uploads:
             self._enqueue_upload(staged, journaled=True)
@@ -530,11 +540,13 @@ class AcquisitionPipeline:
             self.metrics.copy_rows = self.journal.copy_rows
             self._drained = True
             return
-        # The in-cloud COPY into the staging table.
-        url = CloudStore.make_url(self.container, self.prefix)
-        statement = (
-            f"COPY INTO {self.staging_table} FROM '{url}' FORMAT csv "
-            f"DELIMITER '{self.config.csv_delimiter}'")
+        # The in-cloud COPY into the staging table — handed over as a
+        # node: the URL carries the job id, so as text it could never
+        # hit the engine's parse cache and would only churn it.
+        statement = n.CopyInto(
+            n.TableRef(self.staging_table),
+            CloudStore.make_url(self.container, self.prefix),
+            delimiter=self.config.csv_delimiter)
         with self.obs.tracer.span(
                 "copy", parent=self.job_span,
                 staging_table=self.staging_table) as copy_span, \
@@ -549,7 +561,7 @@ class AcquisitionPipeline:
                   self.staging_table, result.rows_inserted)
         self._drained = True
 
-    def _execute_copy(self, statement: str, copy_span):
+    def _execute_copy(self, statement: n.CopyInto, copy_span):
         """Run COPY under the ``copy.into`` fault point + retry/breaker.
 
         Safe to retry: the engine's set-oriented execution is
@@ -582,13 +594,12 @@ class AcquisitionPipeline:
         """Stop the job's stage work (idempotent, never raises).
 
         Waits (bounded) for already-queued lane work to finish, then
-        closes the private pool (an injected pool outlives the job) and
-        the journal.  The wait comes first because credits travel
-        attached to queued items — closing the pool under them would
-        strand them — and a journal write after close would fail its
-        lane task and mask the real teardown reason.  Unlike
-        :meth:`drain` it never flushes partial files and never COPYs; a
-        pipeline that already failed is shut down immediately.
+        closes the journal (the worker pool outlives the job).  The
+        wait comes first because credits travel attached to queued
+        items and a journal write after close would fail its lane task
+        and mask the real teardown reason.  Unlike :meth:`drain` it
+        never flushes partial files and never COPYs; a pipeline that
+        already failed is shut down immediately.
         """
         deadline = time.monotonic() + timeout_s
         with self._state:
@@ -600,7 +611,5 @@ class AcquisitionPipeline:
                 if remaining <= 0:
                     break
                 self._state.wait(timeout=min(remaining, 1.0))
-        if self._private_pool is not None:
-            self._private_pool.close()
         if self.journal is not None:
             self.journal.close()

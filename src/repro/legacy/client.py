@@ -487,7 +487,8 @@ class LegacyEtlClient:
                    reconnect_backoff_s: float = 0.0,
                    journal: CheckpointJournal | None = None,
                    skip_seqs: set[int] | None = None) -> None:
-        """Send chunks through parallel sessions, one thread per session.
+        """Send chunks through parallel sessions, one thread per session
+        (the first on the calling thread).
 
         Each session is strictly synchronous (send one DATA, wait for the
         DATA_ACK) exactly like the legacy utilities; parallelism comes only
@@ -553,12 +554,15 @@ class LegacyEtlClient:
                     if channel is not None:
                         channel.close()
 
+        # Session 0 runs on the calling thread (same failure capture):
+        # a single-session micro-batch pays for no thread start and join.
         threads = [
             threading.Thread(target=run_session, args=(i,), daemon=True)
-            for i in range(session_count)
+            for i in range(1, session_count)
         ]
         for thread in threads:
             thread.start()
+        run_session(0)
         for thread in threads:
             thread.join()
         if failures:

@@ -1,12 +1,16 @@
 """Acquisition pipeline tests: drain, ordering, back-pressure, failures.
 
-``TestPipeline`` runs on the pipeline's private pool and again, as
-``TestPipelineOnInjectedPool``, on a pool the pipeline does not own —
-the two ways a job gets its stage threads.
+Every pipeline runs on a :class:`PipelineWorkerPool` it is handed and
+does not own.  ``TestPipeline`` runs on one with a thread per lane, as
+``HyperQNode.start()`` sizes the node-wide pool for a lone job, and
+again, as ``TestPipelineOnInjectedPool``, on one with fewer threads
+than lanes — what a job sees once it shares the pool.
 """
 
 import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -29,7 +33,7 @@ LAYOUT = Layout("L", [
 ])
 
 
-def build_rig(staging_dir, worker_pool=None, *, converters=2, cloud=None,
+def build_rig(staging_dir, worker_pool, *, converters=2, cloud=None,
               **pipeline_kwargs):
     """A pipeline over a fresh store + engine, or over ``cloud`` (the
     ``(store, engine)`` of an earlier incarnation of the same job)."""
@@ -65,8 +69,10 @@ def build_rig(staging_dir, worker_pool=None, *, converters=2, cloud=None,
 
 @pytest.fixture
 def worker_pool():
-    """None: the pipeline creates (and closes) its private pool."""
-    return None
+    """One thread per lane of ``build_rig``'s default pipeline."""
+    pool = PipelineWorkerPool(workers=5, name="shared")
+    yield pool
+    pool.close()
 
 
 @pytest.fixture
@@ -74,11 +80,6 @@ def rig(tmp_path, worker_pool):
     built = build_rig(tmp_path, worker_pool)
     yield built
     built[0].shutdown()
-
-
-def pipeline_threads(job_id):
-    return [t for t in threading.enumerate()
-            if t.name.startswith(f"hyperq-job-{job_id}-pipeline-")]
 
 
 class TestPipeline:
@@ -248,7 +249,7 @@ class TestPipeline:
 
 
 class TestPipelineOnInjectedPool(TestPipeline):
-    """Every case above on a shared pool, as a gateway shard injects."""
+    """Every case above with fewer pool threads than lanes."""
 
     @pytest.fixture
     def worker_pool(self):
@@ -257,19 +258,92 @@ class TestPipelineOnInjectedPool(TestPipeline):
         pool.close()
 
 
+def wait_until(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
 class TestPoolOwnership:
-    def test_private_pool_is_one_thread_per_lane_and_dies_with_the_job(
-            self, tmp_path):
-        pipeline, *_ = build_rig(tmp_path, job_id="owned")
-        config = pipeline.config
+    def test_pool_is_required(self, tmp_path):
+        with pytest.raises(TypeError, match="worker_pool"):
+            AcquisitionPipeline(
+                converter=None, credits=None, loader=None, engine=None,
+                staging_table="STG", container="stage", prefix="j1/",
+                staging_dir=str(tmp_path), config=HyperQConfig(),
+                metrics=JobMetrics(job_id="j1"))
+
+    def test_many_pipelines_share_one_pool_concurrently(self, tmp_path):
+        """Six live jobs fed from six threads onto a three-thread pool,
+        under a shortened switch interval: every job drains, each
+        staging table holds exactly its own rows in order, no credit
+        is lost, and no thread is started for any of them."""
+        jobs = [f"j{i}" for i in range(6)]
+        pool = PipelineWorkerPool(workers=3, name="shared")
+        before = set(threading.enumerate())
+        rigs = {}
+        for job in jobs:
+            os.makedirs(tmp_path / job)
+            rigs[job] = build_rig(tmp_path / job, pool, job_id=job)
+        assert set(threading.enumerate()) <= before
+
+        def feed(job):
+            pipeline = rigs[job][0]
+            for seq in range(25):
+                pipeline.submit_chunk(seq, f"{job}-{seq}|x\n".encode())
+            pipeline.drain(timeout_s=30)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            assert len(pipeline_threads("owned")) == \
-                config.converters + config.filewriters + 1
+            feeders = [threading.Thread(target=feed, args=(job,))
+                       for job in jobs]
+            for thread in feeders:
+                thread.start()
+            for thread in feeders:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in feeders)
+        finally:
+            sys.setswitchinterval(interval)
+            for pipeline, *_rest in rigs.values():
+                pipeline.shutdown()
+            pool.close()
+        for job, (_pipeline, engine, _store, credits, metrics) in \
+                rigs.items():
+            assert engine.query("SELECT A FROM STG ORDER BY __SEQ") == \
+                [(f"{job}-{seq}",) for seq in range(25)]
+            assert metrics.copy_rows == 25
+            credits.check_conservation()
+
+    def test_pool_thread_carries_the_job_while_it_drains_a_lane(
+            self, tmp_path, worker_pool):
+        pipeline, *_ = build_rig(tmp_path, worker_pool, job_id="named")
+        entered, release = threading.Event(), threading.Event()
+        names = []
+        convert = pipeline.converter.convert
+
+        def blocked_convert(chunk_seq, data):
+            names.append(threading.current_thread().name)
+            entered.set()
+            release.wait(timeout=5)
+            return convert(chunk_seq, data)
+
+        pipeline.converter.convert = blocked_convert
+        try:
             pipeline.submit_chunk(0, b"a|b\n")
+            assert entered.wait(timeout=5)
+            assert names == ["hyperq-job-named-convert-0"]
+            release.set()
             pipeline.drain()
         finally:
+            release.set()
             pipeline.shutdown()
-        assert pipeline_threads("owned") == []
+        # idle again: every pool thread is back to its pool name
+        assert wait_until(lambda: sorted(
+            t.name for t in threading.enumerate()
+            if "pipeline" in t.name or "named" in t.name) ==
+            [f"shared-pipeline-{i}" for i in range(5)])
 
     def test_injected_pool_starts_no_threads_and_outlives_the_job(
             self, tmp_path):

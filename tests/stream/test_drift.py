@@ -112,3 +112,42 @@ def test_halt_rejects_drift_and_freezes_watermark(tmp_path):
         assert len(target) == manifest["rows_before_add"]
         assert stack.node.stats()["streams"]["haltfeed"][
             "committed_seq"] == manifest["add_at"] - 1
+
+
+def test_evolve_recreates_the_warm_staging_table_exactly_once(tmp_path):
+    """The feed's staging table follows the batch layout: the drifted
+    batch drops and recreates it, the same-layout batch after it issues
+    no DDL and finds the prepared DML of the batch before."""
+    workload = stream_workload(batches=4, rows_per_batch=10, drift=True,
+                               add_at=1, rename_at=3, seed=19,
+                               feed="warmfeed")
+    with make_node(config=HyperQConfig(credits=8)) as stack:
+        stack.engine.execute(workload.ddl)
+        counts = stack.engine.statement_counts
+        plans = stack.node.beta.plans
+        session = StreamSession(stack.node.connect, feed="warmfeed",
+                                target_table=workload.target_table,
+                                policy="evolve",
+                                watermark_dir=str(tmp_path))
+        session.open()
+        runner = StreamRunner(session, workload)
+        runner.run(batches=1)
+        assert counts.get("DropTable", 0) == 0
+        created = counts["CreateTable"]
+
+        del workload.batches[:1]
+        runner.run(batches=1)       # SRC_REGION added: new layout
+        assert counts["DropTable"] == 1
+        assert counts["CreateTable"] == created + 1
+        staging = stack.engine.table("HQ_STG_FEED_warmfeed")
+        assert "SRC_REGION" in [c.name for c in staging.columns]
+        misses, hits = plans.misses, plans.hits
+
+        del workload.batches[:1]
+        report = runner.run(batches=1)      # same layout again
+        assert report.committed == 1 and report.et_errors == 0
+        assert counts["DropTable"] == 1
+        assert counts["CreateTable"] == created + 1
+        assert plans.misses == misses and plans.hits > hits
+        session.close()
+        assert counts["DropTable"] == 2     # feed close drops the table

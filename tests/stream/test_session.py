@@ -2,10 +2,10 @@
 
 A scripted feed runs through one :class:`StreamSession`; every batch
 must land exactly once, the gateway must journal a durable per-feed
-watermark (compacted at every commit boundary, so the journal stays
-O(state)), and a restarted client replaying the whole feed from batch
-zero must fast-skip everything at or below the watermark without
-creating server-side jobs.
+watermark (compacted every so many commits and at feed close, so the
+journal stays O(state)), and a restarted client replaying the whole
+feed from batch zero must fast-skip everything at or below the
+watermark without creating server-side jobs.
 """
 
 import json
@@ -61,7 +61,7 @@ def test_watermark_journal_is_durable_and_compact(tmp_path):
     assert os.path.exists(path)
     lines = [json.loads(line) for line in
              open(path, encoding="utf-8") if line.strip()]
-    # compacted at every commit boundary: O(state), not O(batches)
+    # compacted at feed close at the latest: O(state), not O(batches)
     assert len(lines) <= 2
     commit = [r for r in lines if r["t"] == "stream_commit"][-1]
     assert commit["seq"] == 7

@@ -236,10 +236,37 @@ class TestThreadNamingAndExports:
                     "sessions": 1, "tenant": "acme-t",
                 }), MessageKind.BEGIN_LOAD_OK)
             names = {t.name for t in threading.enumerate()}
-            # Control handler and pipeline workers are job-attributed.
+            # The control handler is job-attributed; the pipeline pool is
+            # the node's, and idle until the job has stage work.
             assert any("job-threadjob-ctl" in n for n in names), names
-            assert any(n.startswith("hyperq-job-threadjob-pipeline")
-                       for n in names), names
+            config = stack.node.config
+            assert {n for n in names if "pipeline" in n} == {
+                f"hyperq-pipeline-{i}" for i in range(
+                    config.converters + config.filewriters + 1)}, names
+            # While a convert runs, the pool thread running it carries
+            # the job id.
+            entered, release = threading.Event(), threading.Event()
+            converter = stack.node._jobs["threadjob"].pipeline.converter
+            convert = converter.convert
+
+            def blocked_convert(chunk_seq, data):
+                entered.set()
+                release.wait(timeout=5)
+                return convert(chunk_seq, data)
+
+            converter.convert = blocked_convert
+            try:
+                channel.request(
+                    Message(MessageKind.DATA,
+                            {"job_id": "threadjob", "seq": 0},
+                            body=workload.data[:workload.data.index(
+                                b"\n") + 1]),
+                    MessageKind.DATA_ACK)
+                assert entered.wait(timeout=5)
+                names = {t.name for t in threading.enumerate()}
+                assert "hyperq-job-threadjob-convert-0" in names, names
+            finally:
+                release.set()
             channel.request(
                 Message(MessageKind.END_LOAD, {"job_id": "threadjob"}),
                 MessageKind.END_LOAD_OK)
