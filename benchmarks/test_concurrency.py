@@ -16,10 +16,14 @@ The benchmark runs identical burst workloads through both front ends
 over real localhost sockets and writes ``BENCH_concurrency.json``:
 the sessions x throughput curve (1/8/64 both, 256 async-only), the
 p95/median per-session fairness ratio, and the idle-session footprint.
+The gated 8- and 64-feed points run ``REPEATS`` times each, front ends
+alternating, and every gate reads the median of those runs — one
+noisy burst on a shared host cannot trip a gate on its own.
 """
 
 from __future__ import annotations
 
+import statistics
 import threading
 import time
 
@@ -40,6 +44,9 @@ ROW_BYTES = 64
 CHUNK_BYTES = 4096
 SHARDS = 4
 IDLE_SESSIONS = 2000
+#: runs of each gated burst point (the gates compare medians).
+REPEATS = 3
+GATED_SESSIONS = (8, 64)
 
 GATES = {
     #: async throughput over threaded at the 64-feed burst.
@@ -191,25 +198,45 @@ def run_idle() -> dict:
         stack.node.stop()
 
 
+def fairness(row: dict) -> float:
+    """p95/median per-session completion ratio of one burst."""
+    return row["p95_s"] / max(row["median_s"], 1e-9)
+
+
+def median_row(runs: list[dict]) -> dict:
+    """One curve point from repeated bursts: the per-field median, plus
+    the median fairness ratio of the runs."""
+    row = {"sessions": runs[0]["sessions"], "runs": len(runs)}
+    for key in ("wall_s", "jobs_per_s", "median_s", "p95_s"):
+        row[key] = round(statistics.median(r[key] for r in runs), 4)
+    row["fairness"] = round(statistics.median(map(fairness, runs)), 2)
+    return row
+
+
 def test_concurrency(results_dir):
-    curve = {"threaded": [], "async": []}
+    runs = {"threaded": {}, "async": {}}
+    modes = [("threaded", False), ("async", True)]
     for sessions in (1, 8, 64):
-        curve["threaded"].append(run_burst(False, sessions))
-        curve["async"].append(run_burst(True, sessions))
-    curve["async"].append(run_burst(True, 256))
+        repeats = REPEATS if sessions in GATED_SESSIONS else 1
+        for repeat in range(repeats):
+            # alternate which front end goes first, so a slow spell on
+            # the host does not always land on the same one
+            for mode, flag in modes[::1 if repeat % 2 == 0 else -1]:
+                runs[mode].setdefault(sessions, []).append(
+                    run_burst(flag, sessions))
+    runs["async"][256] = [run_burst(True, 256)]
     idle = run_idle()
 
+    curve = {mode: [median_row(points) for points in by_n.values()]
+             for mode, by_n in runs.items()}
     by_n = {row["sessions"]: row for row in curve["async"]}
     threaded_by_n = {row["sessions"]: row for row in curve["threaded"]}
     speedup_64 = round(
         by_n[64]["jobs_per_s"] / threaded_by_n[64]["jobs_per_s"], 2)
+    fairness_growth = round(by_n[64]["fairness"] / by_n[8]["fairness"], 2)
 
-    def fairness(row: dict) -> float:
-        return row["p95_s"] / max(row["median_s"], 1e-9)
-
-    fairness_growth = round(fairness(by_n[64]) / fairness(by_n[8]), 2)
-
-    lines = [format_series(f"{mode} front end, burst arrival", rows)
+    lines = [format_series(f"{mode} front end, burst arrival "
+                           f"(median of runs)", rows)
              for mode, rows in curve.items()]
     lines.append(
         f"speedup@64: {speedup_64}x   "
@@ -222,18 +249,20 @@ def test_concurrency(results_dir):
 
     bench_json("concurrency", {
         "rows_per_feed": ROWS,
+        "repeats": REPEATS,
         "sessions_curve": curve,
         "speedup_at_64": speedup_64,
         "fairness_p95_over_median": {
-            "async_8": round(fairness(by_n[8]), 2),
-            "async_64": round(fairness(by_n[64]), 2),
+            "async_8": by_n[8]["fairness"],
+            "async_64": by_n[64]["fairness"],
             "growth_8_to_64": fairness_growth,
         },
         "idle": idle,
         "gates": GATES,
     })
 
-    # -- gates (the acceptance criteria of the sharded front end) -----
+    # -- gates (the acceptance criteria of the sharded front end), all
+    # on the medians of the repeated points -------------------------
     assert speedup_64 >= GATES["min_speedup_at_64"], \
         f"async only {speedup_64}x threaded at 64 sessions"
     assert fairness_growth <= GATES["max_fairness_growth_8_to_64"], \

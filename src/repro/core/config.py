@@ -88,9 +88,10 @@ class HyperQConfig:
     #: (and the differential-testing baseline); flip this to multiplex
     #: thousands of sessions onto a handful of threads.
     async_frontend: bool = False
-    #: shard workers behind the async front end; each shard owns its
-    #: jobs' pipelines, staging namespace, and eager-apply coordinators
-    #: (shard key = target table, tenant as tiebreaker).  0 picks a
+    #: shard workers behind the async front end; each shard runs the
+    #: handlers of the jobs routed to it (shard key = target table,
+    #: tenant as tiebreaker), while pipelines and staging stay the
+    #: node's, as on the threaded front end.  0 picks a
     #: default from the host's core count.  Ignored by the threaded
     #: front end.
     gateway_shards: int = 0

@@ -3,12 +3,21 @@
 The two-phase load of Sections 4-7 runs acquisition to completion, then
 COPYs every staged blob, then applies the DML — even though a staged
 file is ready for the CDW the moment its upload is durable.  This module
-is the pipelined alternative (``HyperQConfig.eager_apply``): a
-per-job :class:`EagerApplyCoordinator` listens for durable staged files,
-COPYs each blob into the staging table as it lands, and applies the
-job's DML over every *chunk-aligned contiguous* ``__SEQ`` prefix that
-becomes fully copied — while later chunks are still converting,
-uploading, or in flight from the client.
+is the pipelined alternative (``HyperQConfig.eager_apply``): an
+:class:`~repro.core.pipeline.AcquisitionPipeline` handed the job's
+:class:`~repro.core.beta.ApplyRun` builds an :class:`EagerApplyCoordinator`
+— two more ordered lanes on the pipeline's worker pool, next to its
+convert/write/upload lanes::
+
+    upload lane ──durable file──> eager-copy lane ──nudge──> eager-apply lane
+
+The copy lane COPYs each blob into the staging table as it lands; the
+apply lane applies the job's DML over every *chunk-aligned contiguous*
+``__SEQ`` prefix that becomes fully copied — while later chunks are
+still converting, uploading, or in flight from the client.  A lane only
+ever *submits* to the next one, never waits on it, so the pool's
+no-deadlock argument (docs/CONCURRENCY.md) holds, and an eager job
+starts no thread of its own.
 
 Correctness rests on two invariants:
 
@@ -24,18 +33,22 @@ Correctness rests on two invariants:
   of earlier chunks, which the prefix always has.
 
 The client's APPLY message becomes a drain barrier: the gateway drains
-the acquisition pipeline (with the prefix-wide COPY suppressed — the
-coordinator owns every copy), then :meth:`EagerApplyCoordinator.finish`
-waits for the copier and applier workers to run dry and returns the
-merged :class:`~repro.core.beta.ApplySummary`.
+the acquisition pipeline (which, knowing the job is eager, skips its
+prefix-wide COPY), then :meth:`EagerApplyCoordinator.finish` waits for
+both lanes to run dry and returns the merged
+:class:`~repro.core.beta.ApplySummary`.  Teardown is the pipeline's:
+:meth:`~repro.core.pipeline.AcquisitionPipeline.shutdown` calls
+:meth:`EagerApplyCoordinator.stop` — queued eager items become no-ops
+and the one in flight finishes — before it closes the journal, so no
+caller can get that order wrong.
 
 Restart: each copied blob is journaled (``eager_copy``) and each prefix
 advance is journaled (``eager_apply``), so a resumed job re-copies and
 re-applies nothing that is already durable.  Acquisition-error rows for
 ranges applied right at a crash boundary are at-least-once (the journal
-records the advance after the ET writes).  Do not flip ``eager_apply``
-across a resume of the same job: the two modes journal different copy
-records.
+records the advance after the ET writes).  A job whose journal holds
+eager records resumes only eagerly — the gateway refuses a resume that
+would run it two-phase (it would re-COPY and re-apply the prefix).
 """
 
 from __future__ import annotations
@@ -47,342 +60,241 @@ from repro.cdw.cloudstore import CloudStore
 from repro.core.beta import ApplyRun
 from repro.core.filewriter import StagedFile
 from repro.errors import GatewayError
-from repro.faults import NULL_INJECTOR, FaultInjector
-from repro.obs import NULL_OBS, NULL_SPAN, Observability, get_logger
+from repro.obs import get_logger
 from repro.resilience import guarded_call
 from repro.sqlxc import nodes as n
 
-__all__ = ["DurableFileRelay", "EagerApplyCoordinator"]
+__all__ = ["EagerApplyCoordinator"]
 
 log = get_logger("eagerapply")
 
 
-class DurableFileRelay:
-    """Buffering forwarder breaking the pipeline↔coordinator cycle.
+class EagerApplyCoordinator:
+    """A job's eager copy + apply lanes, run on its pipeline's pool.
 
-    The pipeline needs its durable-file hook at construction (a resumed
-    pipeline starts re-uploading journaled files inside ``__init__``),
-    but the coordinator needs the constructed pipeline.  The relay goes
-    into the pipeline first and buffers callbacks until
-    :meth:`attach` hands them (and everything thereafter) to the
-    coordinator.
+    ``make_lane(handler, on_error, suffix)`` builds one ordered lane on
+    the pipeline's worker pool; the pipeline passes it in so this module
+    never touches the pool itself.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._target = None
-        self._buffered: list[StagedFile] = []
-
-    def __call__(self, staged: StagedFile) -> None:
-        with self._lock:
-            if self._target is None:
-                self._buffered.append(staged)
-                return
-            target = self._target
-        target(staged)
-
-    def attach(self, target) -> None:
-        """Set the forward target and replay everything buffered so far."""
-        with self._lock:
-            self._target = target
-            buffered, self._buffered = self._buffered, []
-        for staged in buffered:
-            target(staged)
-
-
-class EagerApplyCoordinator:
-    """Per-job copier + applier workers overlapping apply with load."""
-
-    def __init__(self, *, run: ApplyRun, pipeline, loader, engine,
-                 config, container: str, prefix: str, staging_table: str,
-                 metrics, obs: Observability = NULL_OBS,
-                 job_span=NULL_SPAN, journal=None,
-                 faults: FaultInjector = NULL_INJECTOR,
-                 retry=None, breakers=None, job_id: str = "",
-                 dq=None):
-        self.run = run
+    def __init__(self, pipeline, run: ApplyRun, make_lane, dq=None):
         self.pipeline = pipeline
-        self.loader = loader
-        self.engine = engine
-        self.config = config
-        self.container = container
-        self.prefix = prefix
-        self.staging_table = staging_table
-        self.metrics = metrics
-        self.obs = obs
-        self.job_span = job_span
-        self.journal = journal
-        self.faults = faults
-        self.retry = retry
-        self.breakers = breakers
-        self.job_id = job_id
+        self.run = run
         #: optional :class:`repro.dq.DqPrechecker` — when set, every
         #: prefix is dq-prechecked (violators routed out of staging)
         #: before its ranged DML runs.
         self.dq = dq
-
-        self._cond = threading.Condition()
-        self._copy_queue: list[StagedFile] = []
+        self._lock = threading.Lock()
         self._chunks_copied: set[int] = set()
         #: chunks [0, _applied_below) are applied (the watermark).
         self._applied_below = 0
-        self._finishing = False
-        self._copier_done = False
+        #: set by :meth:`stop`: every item still queued is a no-op.
+        self._stopped = False
         self._failures: list[BaseException] = []
         #: perf_counter of the first eager range application (None until
         #: one runs) — basis of the job's apply/acquisition overlap.
         self.first_apply_at: float | None = None
-        #: eager work counters (stats/bench surfaces).
-        self.blobs_copied = 0
-        self.ranges_applied = 0
-
-        self._seed_from_journal()
         self.run.arm_staging()
-        self._threads = [
-            threading.Thread(target=self._copier, daemon=True,
-                             name=f"hyperq-job-{job_id}-eager-copier"),
-            threading.Thread(target=self._applier, daemon=True,
-                             name=f"hyperq-job-{job_id}-eager-applier"),
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._copy_lane = make_lane(self._copy_item, self._fail,
+                                    "eager-copy")
+        self._apply_lane = make_lane(self._apply_item, self._fail,
+                                     "eager-apply")
 
     # -- resume ------------------------------------------------------------
 
-    def _seed_from_journal(self) -> None:
-        """Replay eager progress from a resumed job's journal."""
-        journal = self.journal
-        if journal is None:
-            return
+    def resume(self, journal) -> None:
+        """Replay eager progress from a resumed job's journal.
+
+        Runs after the pipeline replayed its own acquisition state and
+        before it re-enqueues any upload.
+        """
         self._applied_below = journal.eager_applied_below or 0
-        stride = self.config.seq_stride
+        pipeline = self.pipeline
+        stride = pipeline.config.seq_stride
         self.run.mark_acquisition_recorded(
-            e.seq for e in self.pipeline.acquisition_errors
+            e.seq for e in pipeline.acquisition_errors
             if e.seq < self._applied_below * stride)
         for rec in journal.durable_files():
-            blob = self.loader.blob_name(self.prefix, rec["file"])
+            blob = pipeline.loader.blob_name(pipeline.prefix, rec["file"])
             chunks = [c["seq"] for c in rec.get("chunks", ())]
             if blob in journal.eager_copied \
                     or journal.copy_rows is not None:
                 # Already in the staging table — just mark it.
-                self._chunks_copied.update(chunks)
+                with self._lock:
+                    self._chunks_copied.update(chunks)
             else:
                 # Durable in the store but never copied; the resumed
-                # pipeline will not re-upload it, so re-enqueue the copy
-                # here (the copier needs only the name and manifest).
-                self._copy_queue.append(StagedFile(
+                # pipeline will not re-upload it, so queue the copy here
+                # (the copy needs only the name and manifest).
+                self._copy_lane.submit(StagedFile(
                     path=rec.get("path", rec["file"]),
                     size=rec.get("size", 0),
                     records=rec.get("records", 0),
                     chunks=tuple(rec.get("chunks", ()))))
+        # Copied-but-unapplied chunks need no new copy to be applied.
+        self._apply_lane.submit(None)
 
-    # -- pipeline callback -------------------------------------------------
+    # -- lane handlers (pool threads, one item at a time per lane) ---------
 
     def file_durable(self, staged: StagedFile) -> None:
-        """Uploader hook: queue one durable staged file for COPY."""
-        with self._cond:
-            self._copy_queue.append(staged)
-            self._cond.notify_all()
+        """Upload-lane hand-off: queue one durable staged file for COPY."""
+        self._copy_lane.submit(staged)
 
     def _fail(self, exc: BaseException) -> None:
-        with self._cond:
+        with self._lock:
             self._failures.append(exc)
-            self._cond.notify_all()
 
-    # -- copier worker -----------------------------------------------------
+    def _halted(self) -> bool:
+        return self._stopped or bool(self._failures)
 
-    def _copier(self) -> None:
-        while True:
-            with self._cond:
-                while not self._copy_queue and not self._finishing \
-                        and not self._failures:
-                    self._cond.wait()
-                if self._failures or (self._finishing
-                                      and not self._copy_queue):
-                    self._copier_done = True
-                    self._cond.notify_all()
-                    return
-                staged = self._copy_queue.pop(0)
-            try:
-                self._copy_one(staged)
-            except BaseException as exc:
-                self._fail(exc)
-                with self._cond:
-                    self._copier_done = True
-                    self._cond.notify_all()
-                return
-
-    def _copy_one(self, staged: StagedFile) -> None:
-        blob = self.loader.blob_name(self.prefix, staged.name)
+    def _copy_item(self, staged) -> None:
+        if isinstance(staged, threading.Event):
+            # A barrier marker: pass it on behind every nudge this lane
+            # has sent so far.
+            self._apply_lane.submit(staged)
+            return
+        if self._halted():
+            return
+        pipeline = self.pipeline
+        journal = pipeline.journal
+        blob = pipeline.loader.blob_name(pipeline.prefix, staged.name)
         chunks = [c["seq"] for c in staged.chunks]
-        already = (self.journal is not None
-                   and blob in self.journal.eager_copied)
+        already = journal is not None and blob in journal.eager_copied
         if not already and staged.size > 0:
             # An exact blob name works as its own COPY prefix: the store
             # lists exactly that blob.
             statement = n.CopyInto(
-                n.TableRef(self.staging_table),
-                CloudStore.make_url(self.container, blob),
-                delimiter=self.config.csv_delimiter)
-            with self.obs.tracer.span(
-                    "eager.copy", parent=self.job_span, blob=blob,
-                    staging_table=self.staging_table) as span, \
-                    self.obs.stage_seconds.labels(stage="copy").time():
-                result = self._execute_copy(statement, span)
+                n.TableRef(pipeline.staging_table),
+                CloudStore.make_url(pipeline.container, blob),
+                delimiter=pipeline.config.csv_delimiter)
+            obs = pipeline.obs
+            with obs.tracer.span(
+                    "eager.copy", parent=pipeline.job_span, blob=blob,
+                    staging_table=pipeline.staging_table) as span, \
+                    obs.stage_seconds.labels(stage="copy").time():
+                result = pipeline._execute_copy(statement, span)
                 span.set_attribute("rows", result.rows_inserted)
-            if self.journal is not None:
-                self.journal.record_eager_copy(blob, result.rows_inserted)
-            self.metrics.copy_rows += result.rows_inserted
-            self.obs.copy_rows.inc(result.rows_inserted)
-            self.blobs_copied += 1
-            self.obs.flight.record(
-                self.job_id, "eager_copy", blob=blob,
+            if journal is not None:
+                journal.record_eager_copy(blob, result.rows_inserted)
+            pipeline.metrics.copy_rows += result.rows_inserted
+            obs.copy_rows.inc(result.rows_inserted)
+            obs.flight.record(
+                pipeline.job_id, "eager_copy", blob=blob,
                 rows=result.rows_inserted)
-        with self._cond:
+        with self._lock:
             self._chunks_copied.update(chunks)
-            self._cond.notify_all()
+        self._apply_lane.submit(None)
 
-    def _execute_copy(self, statement: n.CopyInto, copy_span):
-        """Per-blob COPY under the ``copy.into`` fault + retry/breaker
-        (same guard stack as the two-phase pipeline drain)."""
-
-        def attempt():
-            self.faults.fire("copy.into",
-                             staging_table=self.staging_table)
-            return self.engine.execute(statement)
-
-        return guarded_call(
-            "copy.into", attempt, retry=self.retry, breakers=self.breakers,
-            obs=self.obs, parent=copy_span, job_id=self.job_id)
-
-    # -- applier worker ----------------------------------------------------
+    def _apply_item(self, marker) -> None:
+        if marker is not None:
+            marker.set()
+            return
+        if self._halted():
+            return
+        k = self._next_prefix()
+        if k > self._applied_below:
+            self._apply_prefix(k)
 
     def _next_prefix(self) -> int:
         """Largest k ≥ watermark with chunks [watermark, k) all copied."""
         k = self._applied_below
-        while k in self._chunks_copied:
-            k += 1
+        with self._lock:
+            while k in self._chunks_copied:
+                k += 1
         return k
 
-    def _applier(self) -> None:
-        while True:
-            with self._cond:
-                while True:
-                    if self._failures:
-                        return
-                    k = self._next_prefix()
-                    if k > self._applied_below:
-                        break
-                    if self._finishing and self._copier_done \
-                            and not self._copy_queue:
-                        return
-                    self._cond.wait()
-            try:
-                self._apply_prefix(k)
-            except BaseException as exc:
-                self._fail(exc)
-                return
-            with self._cond:
-                self._applied_below = k
-                self._cond.notify_all()
-
     def _apply_prefix(self, k: int) -> None:
-        """Apply chunks [watermark, k): acquisition errors + ranged DML."""
-        stride = self.config.seq_stride
+        """Apply chunks [watermark, k): acquisition errors + ranged DML,
+        then advance the watermark to ``k``."""
+        pipeline = self.pipeline
+        obs = pipeline.obs
+        stride = pipeline.config.seq_stride
         lo_chunk = self._applied_below
         lo_seq = lo_chunk * stride
         hi_seq = k * stride - 1
         run = self.run
-        run.update_chunks(dict(self.pipeline.chunk_records))
+        run.update_chunks(dict(pipeline.chunk_records))
         run.record_acquisition_errors([
-            e for e in list(self.pipeline.acquisition_errors)
+            e for e in list(pipeline.acquisition_errors)
             if e.seq <= hi_seq])
         if self.dq is not None:
-            self.dq.update_chunks(dict(self.pipeline.chunk_records))
+            self.dq.update_chunks(dict(pipeline.chunk_records))
             self.dq.check_range(lo_seq, hi_seq,
-                                parent_span=self.job_span)
+                                parent_span=pipeline.job_span)
         if self.first_apply_at is None:
             self.first_apply_at = time.perf_counter()
-        with self.obs.tracer.span(
-                "eager.apply_range", parent=self.job_span,
-                lo_chunk=lo_chunk, hi_chunk=k - 1) as span, \
-                self.obs.stage_seconds.labels(stage="apply").time():
-            self._apply_guarded(lo_seq, hi_seq, span)
-        self.ranges_applied += 1
-        self.obs.flight.record(
-            self.job_id, "eager_apply_range", lo_chunk=lo_chunk,
-            hi_chunk=k - 1)
-        if self.journal is not None:
-            self.journal.record_eager_apply(k)
-        log.debug("eagerly applied chunks [%d, %d)", lo_chunk, k)
-
-    def _apply_guarded(self, lo_seq: int, hi_seq: int, span) -> None:
-        """One ranged apply under the ``dml.apply`` fault + retry/breaker.
-
-        The fault fires *before* any DML of the batch is dispatched, so
-        an absorbed transient fault never retries a partially applied
-        range.
-        """
 
         def attempt():
-            self.faults.fire("dml.apply", job_id=self.job_id)
-            self.run.apply_seq_range(lo_seq, hi_seq)
+            # The fault fires *before* any DML of the range is
+            # dispatched, so an absorbed transient fault never retries
+            # a partially applied range.
+            pipeline.faults.fire("dml.apply", job_id=pipeline.job_id)
+            run.apply_seq_range(lo_seq, hi_seq)
 
-        guarded_call(
-            "dml.apply", attempt, retry=self.retry, breakers=self.breakers,
-            obs=self.obs, parent=span, job_id=self.job_id)
+        with obs.tracer.span(
+                "eager.apply_range", parent=pipeline.job_span,
+                lo_chunk=lo_chunk, hi_chunk=k - 1) as span, \
+                obs.stage_seconds.labels(stage="apply").time():
+            guarded_call(
+                "dml.apply", attempt, retry=pipeline.retry,
+                breakers=pipeline.breakers, obs=obs, parent=span,
+                job_id=pipeline.job_id)
+        obs.flight.record(
+            pipeline.job_id, "eager_apply_range", lo_chunk=lo_chunk,
+            hi_chunk=k - 1)
+        if pipeline.journal is not None:
+            pipeline.journal.record_eager_apply(k)
+        self._applied_below = k
+        log.debug("eagerly applied chunks [%d, %d)", lo_chunk, k)
 
-    def shutdown(self) -> None:
-        """Abandon the workers (job aborted/abandoned): wake both so
-        they exit; idempotent, never blocks."""
-        with self._cond:
-            self._finishing = True
-            self._failures.append(
-                GatewayError("eager-apply coordinator shut down"))
-            self._cond.notify_all()
+    # -- barrier and teardown ----------------------------------------------
 
-    def join(self, timeout_s: float = 30.0) -> None:
-        """Wait for both workers to exit after :meth:`shutdown`.
+    def _barrier(self, timeout_s: float) -> bool:
+        """True once every eager item queued before this call is done.
+
+        A marker travels the copy lane, then the apply lane — both FIFO
+        — so it arrives only after every copy and every nudge ahead of
+        it.
+        """
+        done = threading.Event()
+        self._copy_lane.submit(done)
+        return done.wait(timeout_s)
+
+    def stop(self, timeout_s: float) -> None:
+        """Abandon eager work (job aborted/ended): queued items become
+        no-ops and the one in flight finishes within ``timeout_s``.
 
         A restarted job must not seed its journal watermark while a
-        stale applier can still finish an in-flight range and journal
-        past it — that would double-apply the overlap.  An in-flight
-        range is bounded work, so the workers exit promptly once woken.
+        stale range can still finish and journal past it — that would
+        double-apply the overlap — so the pipeline calls this before it
+        closes the journal.  Idempotent.
         """
-        deadline = time.monotonic() + timeout_s
-        for thread in self._threads:
-            thread.join(timeout=max(deadline - time.monotonic(), 0.0))
-
-    # -- barrier -----------------------------------------------------------
+        self._stopped = True
+        self._barrier(timeout_s)
 
     def finish(self, timeout_s: float = 300.0):
-        """The APPLY barrier: drain both workers, merge the summary.
+        """The APPLY barrier: drain both lanes, merge the summary.
 
-        The caller must have drained the acquisition pipeline first
-        (``drain(copy=False)``), so every staged file has already passed
-        through :meth:`_file_durable`.
+        The caller must have drained the acquisition pipeline first, so
+        every staged file has already been handed to the copy lane.
         """
-        with self._cond:
-            self._finishing = True
-            self._cond.notify_all()
-        deadline = time.monotonic() + timeout_s
-        for thread in self._threads:
-            thread.join(timeout=max(deadline - time.monotonic(), 0.1))
-            if thread.is_alive():
-                raise GatewayError(
-                    "eager-apply coordinator drain timed out")
+        if not self._barrier(timeout_s):
+            raise GatewayError("eager-apply drain timed out")
+        if self._stopped:
+            # Queued items were skipped and the journal may be closed: a
+            # tail applied now could not journal its watermark.
+            raise GatewayError("eager apply stopped with the job")
         if self._failures:
             raise self._failures[0]
         # Final catch-all under the same run: any acquisition errors in
         # trailing never-staged chunks, plus any staged rows past the
         # watermark (none in a clean run — every chunk is copied by now
-        # and the applier advanced over all of them).
+        # and the apply lane advanced over all of them).
+        pipeline = self.pipeline
         run = self.run
-        run.update_chunks(dict(self.pipeline.chunk_records))
-        run.record_acquisition_errors(
-            list(self.pipeline.acquisition_errors))
-        tail_lo = self._applied_below * self.config.seq_stride
+        run.update_chunks(dict(pipeline.chunk_records))
+        run.record_acquisition_errors(list(pipeline.acquisition_errors))
+        tail_lo = self._applied_below * pipeline.config.seq_stride
         if run.staged_seqs(tail_lo, None):
-            self._apply_prefix(1 + max(
-                self.pipeline.chunk_records, default=0))
+            self._apply_prefix(1 + max(pipeline.chunk_records, default=0))
         return run.finish()

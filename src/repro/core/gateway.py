@@ -35,7 +35,6 @@ from repro.core.beta import SEQ_COLUMN, ApplySummary, Beta
 from repro.core.config import HyperQConfig
 from repro.core.converter import DataConverter
 from repro.core.credits import CreditManager
-from repro.core.eagerapply import DurableFileRelay, EagerApplyCoordinator
 from repro.core.frontend import ThreadedFrontend
 from repro.core.metrics import JobMetrics, Stopwatch
 from repro.core.pipeline import AcquisitionPipeline, PipelineWorkerPool
@@ -53,8 +52,7 @@ from repro.resilience import (
 )
 from repro.wlm import WorkloadManager
 from repro.legacy.client import layout_from_wire
-from repro.legacy.datafmt import (BinaryFormat, FormatSpec, RecordFormat,
-                                   make_format)
+from repro.legacy.datafmt import FormatSpec, RecordFormat, make_format
 from repro.legacy.infer import infer_result_layout
 from repro.legacy.protocol import Message, MessageChannel, MessageKind
 from repro.legacy.types import Layout
@@ -104,9 +102,8 @@ class _LoadJob:
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: workload-management admission (None when wlm is disabled).
     ticket: object = None
-    #: eager-apply coordinator (None on the two-phase path) and the
-    #: DML it was armed with at BEGIN_LOAD.
-    eager: EagerApplyCoordinator | None = None
+    #: the DML eager apply was armed with at BEGIN_LOAD (None on the
+    #: two-phase path; the pipeline runs the eager lanes).
     eager_sql: str | None = None
     #: data-quality prechecker (None when no ruleset matched the job).
     dq: DqPrechecker | None = None
@@ -295,8 +292,8 @@ class HyperQNode:
         #: the connection-handling front end (threaded or async),
         #: created at start() from ``config.async_frontend``.
         self.frontend = None
-        #: the threaded front end's one stage-task pool, shared by every
-        #: pipeline on the node (an async shard brings its own).
+        #: the node's one stage-task pool, shared by every pipeline on
+        #: the node under either front end.
         self._pipeline_pool: PipelineWorkerPool | None = None
 
     # -- lifecycle --------------------------------------------------------------
@@ -304,22 +301,21 @@ class HyperQNode:
     def start(self) -> "HyperQNode":
         """Start the front end; returns self for chaining."""
         self._running = True
+        self._pipeline_pool = PipelineWorkerPool(
+            workers=self.config.converters + self.config.filewriters + 1,
+            name=self.name)
         if self.config.async_frontend:
             from repro.net_async import AsyncFrontend
             self.frontend = AsyncFrontend(
                 self, self.listener, name=self.name,
                 shards=self.config.gateway_shards,
                 max_connections=self.config.max_connections,
-                obs=self.obs, base_dir=self._base_dir)
+                obs=self.obs)
         else:
             self.frontend = ThreadedFrontend(
                 self, self.listener, name=self.name,
                 max_connections=self.config.max_connections,
                 obs=self.obs)
-            self._pipeline_pool = PipelineWorkerPool(
-                workers=(self.config.converters
-                         + self.config.filewriters + 1),
-                name=self.name)
         self.frontend.start()
         return self
 
@@ -335,14 +331,14 @@ class HyperQNode:
             exports = list(self._exports.values())
             self._exports.clear()
         for job in jobs:
-            self._stop_load_workers(job)
+            job.pipeline.shutdown()
             self.wlm.release(job.ticket)
         for export in exports:
             self.wlm.release(export.ticket)
         # Stream feeds quiesce after their in-flight batch jobs (each
         # batch is drained or cleanly abandoned for resume above) and
         # strictly before Observability.close() flushes the trace store
-        # — the same teardown ordering the eager coordinator needs.
+        # — the same teardown ordering a job's pipeline keeps.
         # Compacting and closing the watermark journal here leaves the
         # feed's durable state consolidated; a restarted node reopens
         # it and resumes the feed.
@@ -355,8 +351,8 @@ class HyperQNode:
                 committed_seq=feed.committed_seq,
                 batches=feed.batches_committed)
             self._release_feed(feed)
-        # Pipeline pools (the shards', or the node-wide one) close only
-        # after the jobs above drained — their pipelines run on them.
+        # The pipeline pool closes only after the jobs above drained —
+        # their pipelines run on it.
         if self.frontend is not None:
             self.frontend.close()
         if self._pipeline_pool is not None:
@@ -622,7 +618,7 @@ class HyperQNode:
         result = self.engine.execute(statement)
         if result.kind == "rows":
             layout = infer_result_layout(result.columns, result.rows)
-            fmt = BinaryFormat(layout)
+            fmt = make_format(FormatSpec("binary"), layout)
             channel.send(Message(
                 MessageKind.RESULT_SET,
                 {"columns": [[f.name, f.type.render()]
@@ -690,8 +686,7 @@ class HyperQNode:
         try:
             job = self._begin_load_admitted(channel, meta, job_id, layout,
                                             format_spec, target, resume,
-                                            pool, ticket, remote_ctx,
-                                            conn=conn)
+                                            pool, ticket, remote_ctx)
         except BaseException:
             self.wlm.release(ticket)
             raise
@@ -704,16 +699,14 @@ class HyperQNode:
                              format_spec: FormatSpec, target: str,
                              resume: bool, pool: str, ticket,
                              remote_ctx=None,
-                             stream: dict | None = None,
-                             conn: dict | None = None) -> _LoadJob:
+                             stream: dict | None = None) -> _LoadJob:
         """Set up one admitted load job (the pre-wlm BEGIN_LOAD body)."""
-        # On the sharded front end the connection carries its shard:
-        # the job's local staging lands in the shard's namespace and
-        # the pipeline stages run on the shard's worker pool instead of
-        # dedicated per-job threads.  The *cloud* prefix stays job_id/
-        # either way, so a job resumed under a different front end still
-        # finds its durable uploads.
-        shard = conn.get("shard") if conn else None
+        eager_sql = (meta.get("apply_sql")
+                     if self.config.eager_apply else None)
+        if stream is not None and stream["route_error"]:
+            # Nothing of a route-to-error batch may reach the target
+            # before APPLY moves it wholesale to the error table.
+            eager_sql = None
         # A restarted job (same job_id, resume flag) replaces whatever
         # is left of its killed predecessor; the checkpoint journal in
         # the job's staging directory carries the durable progress over.
@@ -721,21 +714,30 @@ class HyperQNode:
             with self._registry_lock:
                 stale = self._jobs.pop(job_id, None)
             if stale is not None:
-                # The stale applier must be gone before this restart
-                # seeds its watermark from the journal.
-                self._stop_load_workers(stale)
+                # The stale eager lanes must be idle before this restart
+                # seeds its watermark from the journal — bounded like
+                # an abort.
+                stale.pipeline.quiesce()
                 stale.span.end("error")
                 self.wlm.release(stale.ticket)
                 self.obs.jobs_total.labels(event="restarted").inc()
                 self.obs.flight.record(job_id, "restarted")
 
-        staging_dir = os.path.join(
-            shard.staging_dir if shard is not None else self._base_dir,
-            job_id)
+        staging_dir = os.path.join(self._base_dir, job_id)
         os.makedirs(staging_dir, exist_ok=True)
         journal = CheckpointJournal(
             os.path.join(staging_dir, "checkpoint.jsonl"),
             fresh=not resume)
+        if eager_sql is None and (
+                journal.eager_copied
+                or journal.eager_applied_below is not None):
+            # Run two-phase, this resume would COPY every blob again into
+            # the staging table that kept the eager copies and re-apply
+            # the prefix that is already in the target.
+            journal.close()
+            raise GatewayError(
+                f"load job {job_id!r} was running eager apply; resume it "
+                "eagerly, with the apply_sql it began with")
         if stream is None:
             staging_table = f"HQ_STG_{job_id}"
             if not (resume and self.engine.catalog.exists(staging_table)):
@@ -793,19 +795,16 @@ class HyperQNode:
             csv_delimiter=self.config.csv_delimiter,
             obs=self.obs,
             staging_table=staging_table)
-        # Eager apply needs the durable-file hook wired before the
-        # pipeline exists (a resumed pipeline re-uploads during its own
-        # __init__), but the coordinator needs the pipeline — the relay
-        # buffers callbacks across that construction gap.
-        eager_sql = (meta.get("apply_sql")
-                     if self.config.eager_apply else None)
-        if stream is not None and stream["route_error"]:
-            # Nothing of a route-to-error batch may reach the target
-            # before APPLY moves it wholesale to the error table.
-            eager_sql = None
-        relay = DurableFileRelay() if eager_sql else None
+        apply_run = None
+        if eager_sql:
+            apply_run = self.beta.start_apply(
+                sql=eager_sql, layout=layout,
+                staging_table=staging_table, target_table=target,
+                et_table=meta["et_table"], uv_table=meta["uv_table"],
+                max_errors=meta.get("max_errors"),
+                max_retries=meta.get("max_retries"),
+                span=job_span, job_id=job_id)
         pipeline = AcquisitionPipeline(
-            on_file_durable=relay,
             converter=converter,
             credits=self.wlm.credit_source(pool),
             loader=self.loader,
@@ -824,27 +823,10 @@ class HyperQNode:
             breakers=self.breakers,
             journal=journal,
             resume=resume,
-            worker_pool=(shard.pool if shard is not None
-                         else self._pipeline_pool),
+            worker_pool=self._pipeline_pool,
+            apply_run=apply_run,
+            dq=dq,
         )
-        eager = None
-        if eager_sql:
-            run = self.beta.start_apply(
-                sql=eager_sql, layout=layout,
-                staging_table=staging_table, target_table=target,
-                et_table=meta["et_table"], uv_table=meta["uv_table"],
-                max_errors=meta.get("max_errors"),
-                max_retries=meta.get("max_retries"),
-                span=job_span, job_id=job_id)
-            eager = EagerApplyCoordinator(
-                run=run, pipeline=pipeline, loader=self.loader,
-                engine=self.engine, config=self.config,
-                container=self.config.container, prefix=f"{job_id}/",
-                staging_table=staging_table, metrics=metrics,
-                obs=self.obs, job_span=job_span, journal=journal,
-                faults=self.faults, retry=self.retry,
-                breakers=self.breakers, job_id=job_id, dq=dq)
-            relay.attach(eager.file_durable)
         job = _LoadJob(
             job_id=job_id, target=target,
             et_table=meta["et_table"], uv_table=meta["uv_table"],
@@ -852,7 +834,7 @@ class HyperQNode:
             staging_table=staging_table, staging_dir=staging_dir,
             pipeline=pipeline, metrics=metrics,
             span=job_span, ticket=ticket,
-            eager=eager, eager_sql=eager_sql, dq=dq,
+            eager_sql=eager_sql, dq=dq,
         )
         if stream is not None:
             job.stream = stream["feed"]
@@ -934,7 +916,6 @@ class HyperQNode:
             job = self._begin_load_admitted(
                 channel, meta, job_id, layout, format_spec, target,
                 resume, feed.pool, None, remote_ctx,
-                conn=conn,
                 stream={
                     "feed": feed,
                     "seq": seq,
@@ -1348,7 +1329,7 @@ class HyperQNode:
     def _handle_apply(self, channel: MessageChannel,
                       message: Message) -> None:
         job = self._job(message.meta["job_id"])
-        if job.eager is not None:
+        if job.pipeline.eager is not None:
             self._handle_apply_eager(channel, message, job)
             return
         # Acquisition ends once the pipeline has fully drained into the
@@ -1421,17 +1402,18 @@ class HyperQNode:
                             message: Message, job: _LoadJob) -> None:
         """APPLY on the eager path: a drain barrier, not a phase.
 
-        The coordinator has been copying and applying durable prefixes
-        since BEGIN_LOAD; here the gateway drains the acquisition
-        pipeline (suppressing its prefix-wide COPY — the coordinator
-        owns every copy), waits for the workers to run dry, and merges
-        one summary identical to the two-phase outcome.
+        The pipeline's eager lanes have been copying and applying
+        durable prefixes since BEGIN_LOAD; here the gateway drains the
+        acquisition pipeline (an eager pipeline runs no prefix-wide
+        COPY — its copy lane owns every copy), waits for both eager
+        lanes to run dry, and merges one summary identical to the
+        two-phase outcome.
         """
         if message.meta["sql"] != job.eager_sql:
             raise GatewayError(
                 "APPLY statement differs from the DML announced at "
                 "BEGIN_LOAD; eager apply already ran the announced one")
-        job.pipeline.drain(copy=False)
+        job.pipeline.drain()
         job.acquisition_watch.stop()
         acquisition_ended = time.perf_counter()
         job.metrics.acquisition_s = job.acquisition_watch.elapsed
@@ -1442,19 +1424,19 @@ class HyperQNode:
             "apply", parent=job.span, job_id=job.job_id,
             target=job.target, eager=True)
         self.obs.flight.record(job.job_id, "apply_started", eager=True)
+        eager = job.pipeline.eager
         try:
             with job.application_watch, \
                     self.obs.stage_seconds.labels(stage="apply").time():
-                summary = job.eager.finish()
+                summary = eager.finish()
         except BaseException:
             apply_span.end("error")
             raise
         # Overlap: time between the first eager range application and
         # the end of acquisition — the wall clock the pipelining saved.
         overlap = 0.0
-        if job.eager.first_apply_at is not None:
-            overlap = max(
-                0.0, acquisition_ended - job.eager.first_apply_at)
+        if eager.first_apply_at is not None:
+            overlap = max(0.0, acquisition_ended - eager.first_apply_at)
         job.metrics.overlap_s = overlap
         self.obs.apply_overlap_seconds.observe(overlap)
         apply_span.set_attribute("rows_inserted", summary.rows_inserted)
@@ -1522,24 +1504,6 @@ class HyperQNode:
             dq_routed=job.metrics.dq_routed_rows)
         channel.send(Message(MessageKind.APPLY_RESULT, result_meta))
 
-    def _stop_load_workers(self, job: _LoadJob,
-                           quiesce: bool = False) -> None:
-        """The one teardown order of a load job's threads.
-
-        The eager coordinator goes first: the pipeline teardown closes
-        the shared checkpoint journal, and an applier that has run a
-        range's DML must still be able to journal the new watermark.
-        ``quiesce`` lets already-submitted chunks reach durable state
-        first (an abort keeps them for a ``resume`` restart).
-        """
-        if job.eager is not None:
-            job.eager.shutdown()
-            job.eager.join()
-        if quiesce:
-            job.pipeline.quiesce()
-        else:
-            job.pipeline.shutdown()
-
     def _abort_load_job(self, job: _LoadJob,
                         event: str = "aborted") -> None:
         """Tear down a failed/abandoned load and free its pool slot.
@@ -1555,11 +1519,12 @@ class HyperQNode:
             if self._jobs.get(job.job_id) is not job:
                 return
         # Quiesce *before* unregistering: once the job leaves the
-        # registry a resume restart can no longer find (and join) it,
-        # so its applier must already be gone — an in-flight range that
-        # finished after the restart seeded its journal watermark would
-        # be double-applied.
-        self._stop_load_workers(job, quiesce=True)
+        # registry a resume restart can no longer find (and stop) it,
+        # so its eager lanes must already be idle — an in-flight range
+        # that finished after the restart seeded its journal watermark
+        # would be double-applied.  Already-submitted chunks reach
+        # durable state first, for a ``resume`` restart.
+        job.pipeline.quiesce()
         with self._registry_lock:
             if self._jobs.get(job.job_id) is not job:
                 # A resume restart replaced the job while we quiesced —
@@ -1628,7 +1593,7 @@ class HyperQNode:
             self._abort_load_job(job)
             channel.send(Message(MessageKind.END_LOAD_OK))
             return
-        self._stop_load_workers(job)
+        job.pipeline.shutdown()
         if job.stream is None:
             self.engine.execute(
                 f"DROP TABLE IF EXISTS {job.staging_table}")

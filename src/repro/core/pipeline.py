@@ -13,12 +13,17 @@ Stage wiring for one load job::
     drain(): flush writers, wait for uploads, then one in-cloud COPY INTO
          the staging table
 
+Handed the job's :class:`~repro.core.beta.ApplyRun` (eager apply), the
+pipeline also builds the two lanes of an
+:class:`~repro.core.eagerapply.EagerApplyCoordinator`: the upload lane
+hands every durable file to an eager-copy lane, which COPYs it and
+nudges an eager-apply lane, and ``drain()`` skips the prefix-wide COPY.
+
 Every stage is a :class:`_SerialLane` — an ordered task stream — on the
-:class:`PipelineWorkerPool` the pipeline is handed: the node-wide pool
-of the threaded front end, or the pool of the gateway shard that owns
-the job.  A pipeline starts no threads of its own; concurrent jobs
-share the pool's threads and nothing else (lanes, writers, journal and
-staging directory are per job).
+:class:`PipelineWorkerPool` the pipeline is handed: the node's one
+pool, under either front end.  A pipeline starts no threads of its own;
+concurrent jobs share the pool's threads and nothing else (lanes,
+writers, journal and staging directory are per job).
 
 Stage failures are captured and re-raised to the job's control session
 as a :class:`~repro.errors.PipelineFailure` whose ``__cause__`` is the
@@ -46,11 +51,12 @@ from functools import partial
 from repro.cdw.bulkloader import CloudBulkLoader
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
+from repro.core.beta import ApplyRun
 from repro.core.config import HyperQConfig
 from repro.core.converter import (
     AcquisitionError, ConvertedChunk, DataConverter,
 )
-from repro.core.credits import Credit
+from repro.core.eagerapply import EagerApplyCoordinator
 from repro.core.filewriter import FileWriter, StagedFile
 from repro.core.metrics import JobMetrics
 from repro.errors import GatewayError, PipelineFailure
@@ -75,12 +81,11 @@ class PipelineWorkerPool:
     """A fixed set of worker threads that run pipelines' stage lanes.
 
     Every :class:`AcquisitionPipeline` runs its converter/writer/
-    uploader stages as :class:`_SerialLane` tasks on one of these.  The
-    threaded front end's node owns one pool for all its jobs and a
-    gateway shard owns one for the jobs hashed to it, so thread count
-    is bounded per node (per shard) however many jobs or micro-batches
-    run, and two shards never touch each other's pool.  Stage ordering
-    is preserved per lane.  Idle threads are named
+    uploader (and eager copy/apply) stages as :class:`_SerialLane`
+    tasks on one of these.  A node owns one pool for all its jobs,
+    under either front end, so thread count is bounded per node however
+    many jobs or micro-batches run.  Stage ordering is preserved per
+    lane.  Idle threads are named
     ``<name>-pipeline-<i>``; while one drains a lane it carries the
     lane's job-attributed name instead.
     """
@@ -181,7 +186,7 @@ class AcquisitionPipeline:
                  breakers: CircuitBreakerRegistry | None = None,
                  journal: CheckpointJournal | None = None,
                  resume: bool = False, job_id: str = "",
-                 on_file_durable: "callable | None" = None):
+                 apply_run: ApplyRun | None = None, dq=None):
         self.converter = converter
         #: credit source — the node's CreditManager, or a pool-bound
         #: :class:`repro.wlm.PoolCredits` view when workload management
@@ -221,21 +226,27 @@ class AcquisitionPipeline:
         self._uploaded_files = 0
         self._failures: list[BaseException] = []
         self._drained = False
-        #: hook ``(staged: StagedFile)`` fired from the upload lane
-        #: once a staging file is durable in the cloud store (and
-        #: journaled) — the eager-apply coordinator uses it to COPY and
-        #: apply contiguous ``__SEQ`` prefixes while later chunks are
-        #: still converting.  Exceptions it raises fail the pipeline.
-        #: Constructor-injected (not assigned post-hoc) because a
-        #: resumed pipeline starts re-uploading journaled files before
-        #: __init__ returns.
-        self.on_file_durable = on_file_durable
         #: chunks/files found durable in the journal on resume.
         self.resumed_chunks = 0
         self.resumed_files = 0
         #: the durable chunk seqs replayed on resume — reported back to
         #: the client in BEGIN_LOAD_OK so it can skip exactly these.
         self.resumed_seqs: set[int] = set()
+
+        # Job-scoped lane names (``hyperq-job-<id>-convert-0``) make
+        # thread dumps of a busy multi-tenant node attributable at a
+        # glance even though the threads belong to a shared pool.
+        label = f"hyperq-job-{job_id}" if job_id else "hyperq"
+        #: the eager copy/apply lanes (None on the two-phase path) —
+        #: built before the journal replay so a resumed job's durable
+        #: files have somewhere to go.
+        self.eager: EagerApplyCoordinator | None = None
+        if apply_run is not None:
+            self.eager = EagerApplyCoordinator(
+                self, apply_run,
+                lambda handler, on_error, suffix: _SerialLane(
+                    worker_pool, handler, on_error, f"{label}-{suffix}"),
+                dq=dq)
 
         resumed_uploads = self._replay_journal() if resume else []
 
@@ -246,10 +257,6 @@ class AcquisitionPipeline:
             for i in range(config.filewriters)
         ]
 
-        # Job-scoped lane names (``hyperq-job-<id>-convert-0``) make
-        # thread dumps of a busy multi-tenant node attributable at a
-        # glance even though the threads belong to a shared pool.
-        label = f"hyperq-job-{job_id}" if job_id else "hyperq"
         self._convert_lanes = [
             _SerialLane(worker_pool, self._convert_item, self._fail,
                         f"{label}-convert-{i}")
@@ -274,7 +281,8 @@ class AcquisitionPipeline:
         everything and only the lost tail is re-processed.  Staging
         files that were finalized but never uploaded are returned for
         re-enqueueing — already-uploaded files are *not*, which is the
-        restart guarantee: zero re-uploads of durable work.
+        restart guarantee: zero re-uploads of durable work.  An eager
+        job's copy and apply progress replays too.
         """
         if self.journal is None:
             return []
@@ -303,6 +311,8 @@ class AcquisitionPipeline:
                 "durable_chunks": self.resumed_chunks,
                 "uploaded_files": self.resumed_files,
                 "requeued_files": len(pending)})
+        if self.eager is not None:
+            self.eager.resume(self.journal)
         return pending
 
     def _next_file_no(self, writer_no: int, resume: bool) -> int:
@@ -477,9 +487,8 @@ class AcquisitionPipeline:
             if self.journal is not None:
                 self.journal.record_uploaded(staged.name)
             os.unlink(staged.path)
-            hook = self.on_file_durable
-            if hook is not None:
-                hook(staged)
+            if self.eager is not None:
+                self.eager.file_durable(staged)
         except BaseException as exc:
             upload_span.end("error")
             self._fail(exc)
@@ -494,17 +503,16 @@ class AcquisitionPipeline:
 
     # -- drain -----------------------------------------------------------------------
 
-    def drain(self, timeout_s: float = 300.0, copy: bool = True) -> None:
+    def drain(self, timeout_s: float = 300.0) -> None:
         """Wait for every submitted chunk to be staged, then COPY.
 
         Called when the client starts the application phase: "After data
         is completely consumed, Hyper-Q initiates an in-the-cloud COPY
         operation to move data to a staging table in the CDW".
 
-        ``copy=False`` skips the terminal prefix-wide COPY — the
-        eager-apply coordinator owns per-file copies in that mode, and a
-        prefix-wide COPY here would double-load every blob it already
-        moved.
+        An eager job skips the terminal prefix-wide COPY — its copy lane
+        has been COPYing file by file, and a prefix-wide COPY here would
+        double-load every blob it already moved.
         """
         if self._drained:
             return
@@ -530,7 +538,7 @@ class AcquisitionPipeline:
         wait_for(lambda: self._flushes_done >= expected_flushes)
         wait_for(lambda: self._uploaded_files >= self._finalized_files)
         self._check_failures()
-        if not copy:
+        if self.eager is not None:
             self._drained = True
             return
         if self.journal is not None and self.journal.copy_rows is not None:
@@ -593,15 +601,20 @@ class AcquisitionPipeline:
     def shutdown(self, timeout_s: float = 10.0) -> None:
         """Stop the job's stage work (idempotent, never raises).
 
-        Waits (bounded) for already-queued lane work to finish, then
-        closes the journal (the worker pool outlives the job).  The
-        wait comes first because credits travel attached to queued
-        items and a journal write after close would fail its lane task
-        and mask the real teardown reason.  Unlike :meth:`drain` it
-        never flushes partial files and never COPYs; a pipeline that
-        already failed is shut down immediately.
+        The one teardown order of a load job: eager work stops first
+        (queued copy/apply items become no-ops, the one in flight
+        finishes), then already-queued acquisition work finishes, and
+        only then is the journal closed (the worker pool outlives the
+        job).  The waits are bounded and come first because credits
+        travel attached to queued items, an applied range must still
+        journal its watermark, and a journal write after close would
+        fail its lane task and mask the real teardown reason.  Unlike
+        :meth:`drain` it never flushes partial files and never COPYs;
+        a pipeline that already failed is shut down immediately.
         """
         deadline = time.monotonic() + timeout_s
+        if self.eager is not None:
+            self.eager.stop(timeout_s)
         with self._state:
             while (self._written < self._submitted
                    or self._uploaded_files < self._finalized_files):

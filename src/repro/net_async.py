@@ -9,17 +9,17 @@ the scheduler.  This module multiplexes the same session contract onto
   framing for every TCP connection.  Frames are reassembled by the
   same :class:`~repro.legacy.protocol.Coalescer` the threaded path
   uses, then *routed*, never handled, on the loop;
-- **N shard workers**: each :class:`GatewayShard` owns its jobs'
-  pipelines (a shared :class:`~repro.core.pipeline.PipelineWorkerPool`
-  instead of three threads per job), its own staging namespace
-  (``base_dir/shard-K``), and its jobs' eager-apply coordinators, so
-  shards never contend on pipeline queues or per-table locks.
+- **N shard workers**: each :class:`GatewayShard` runs the handlers of
+  the frames routed to it on two executors.  What a load job owns
+  below the protocol — pipeline lanes, local staging, eager apply — is
+  the node's, exactly as on the threaded front end: the lanes run on
+  the node's one pipeline worker pool.
 
 Routing is deterministic: BEGIN_LOAD hashes ``(target table, tenant)``
 via :func:`shard_key`, so concurrent loads into one table land on one
-shard (per-table locks are shard-local); job-carrying frames (DATA,
-END_LOAD, data-session LOGONs...) follow the job's recorded shard; the
-rest stays on the connection's round-robin home shard.
+shard (per-table affinity); job-carrying frames (DATA, END_LOAD,
+data-session LOGONs...) follow the job's recorded shard; the rest stays
+on the connection's round-robin home shard.
 
 The legacy wire protocol is strictly one-outstanding-request per
 connection — the client never sends frame *k+1* before frame *k*'s
@@ -48,7 +48,6 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.frontend import refuse_connection
-from repro.core.pipeline import PipelineWorkerPool
 from repro.errors import ReproError, TransportClosed
 from repro.legacy.protocol import Coalescer, Message, MessageKind
 from repro.net_tcp import tune_socket
@@ -63,8 +62,6 @@ log = get_logger("net_async")
 _ADMIT_WORKERS = 8
 #: concurrent non-admission handlers per shard.
 _WORK_WORKERS = 4
-#: stage threads in each shard's shared pipeline pool.
-_PIPELINE_WORKERS = 4
 #: accept backlog when no connection cap implies one — a reconnect
 #: storm must queue in the kernel, not stall in SYN retransmit.
 _DEFAULT_BACKLOG = 1024
@@ -76,9 +73,9 @@ _ADMIT_KINDS = frozenset({MessageKind.BEGIN_LOAD, MessageKind.BEGIN_EXPORT})
 def shard_key(target: str, tenant: str, shards: int) -> int:
     """Deterministic shard index for a ``(target table, tenant)`` pair.
 
-    ``crc32`` rather than builtin ``hash()`` so the mapping is stable
-    across processes and runs — a job resumed after a node restart
-    must land on the shard whose staging namespace holds its files.
+    Per-table affinity: concurrent loads into one table (for one
+    tenant) are handled on one shard.  ``crc32`` rather than builtin
+    ``hash()`` so the mapping is the same in every process and run.
     """
     return zlib.crc32(f"{target}|{tenant}".encode()) % shards
 
@@ -259,25 +256,16 @@ class _ReplySink:
 
 
 class GatewayShard:
-    """One shard worker: pipelines, staging namespace, two executors.
+    """One shard worker: the handlers of the frames routed to it.
 
-    Everything a load job owns below the protocol — converter/writer/
-    uploader stages, local staging files, the eager-apply coordinator —
-    lives in the shard that BEGIN_LOAD hashed to, so two shards never
-    share a pipeline queue or a per-table lock.  The two executors
-    split *blocking admission* from *slot-freeing work*: END_LOAD must
-    never queue behind a BEGIN_LOAD parked in ``wlm.admit``.
+    The two executors split *blocking admission* from *slot-freeing
+    work*: END_LOAD must never queue behind a BEGIN_LOAD parked in
+    ``wlm.admit``.
     """
 
-    def __init__(self, frontend: "AsyncFrontend", index: int,
-                 staging_root: str):
+    def __init__(self, frontend: "AsyncFrontend", index: int):
         self.frontend = frontend
         self.index = index
-        self.staging_dir = os.path.join(staging_root, f"shard-{index}")
-        os.makedirs(self.staging_dir, exist_ok=True)
-        #: shared stage-task pool for every pipeline on this shard.
-        self.pool = PipelineWorkerPool(
-            workers=_PIPELINE_WORKERS, name=f"shard{index}")
         name = f"{frontend.name}-shard{index}"
         self.exec_admit = ThreadPoolExecutor(
             max_workers=_ADMIT_WORKERS, thread_name_prefix=f"{name}-admit")
@@ -328,10 +316,9 @@ class GatewayShard:
                 "handled": handled, "queue_depth": depth}
 
     def close(self) -> None:
-        """Shut down both executors and the shared pipeline pool."""
+        """Shut down both executors."""
         self.exec_admit.shutdown(wait=False, cancel_futures=True)
         self.exec_work.shutdown(wait=False, cancel_futures=True)
-        self.pool.close()
 
 
 class AsyncFrontend:
@@ -348,18 +335,16 @@ class AsyncFrontend:
 
     def __init__(self, node, listener, *, name: str = "server",
                  shards: int = 0, max_connections: int = 0,
-                 obs=NULL_OBS, base_dir: str | None = None):
+                 obs=NULL_OBS):
         self.node = node
         self.listener = listener
         self.name = name
         self.max_connections = max_connections
         self.obs = obs
-        staging_root = base_dir or os.getcwd()
         count = shards or default_shards()
-        self.shards = [
-            GatewayShard(self, i, staging_root) for i in range(count)]
+        self.shards = [GatewayShard(self, i) for i in range(count)]
         #: job id -> shard index (route DATA/END_LOAD/data-LOGON to the
-        #: shard that owns the job's pipeline).
+        #: shard that began the job).
         self._job_shard: dict[str, int] = {}
         self._route_lock = threading.Lock()
         self._home_counter = 0
@@ -403,7 +388,7 @@ class AsyncFrontend:
 
     def close(self) -> None:
         """Second teardown phase (after the node reaped its jobs):
-        shard executors and pipeline pools go away."""
+        shard executors go away."""
         for shard in self.shards:
             shard.close()
 
@@ -575,13 +560,8 @@ class AsyncFrontend:
 
     def _execute(self, conn: _Conn, message: Message,
                  shard: GatewayShard) -> None:
-        session = conn.session
-        # The shard context _begin_load_admitted reads: shard staging
-        # namespace + shared pipeline pool.  One outstanding request
-        # per connection means no concurrent writer to this key.
-        session["shard"] = shard
         try:
-            self.node.handle_message(conn.sink, message, session)
+            self.node.handle_message(conn.sink, message, conn.session)
         except ReproError:
             # Dead transport (or unrecoverable dispatch error): hang
             # up; connection_lost runs the teardown exactly once.

@@ -102,6 +102,34 @@ class TestAdHocSql:
         assert stack.engine.table("T").column("B").ctype.base == \
             "NVARCHAR"
 
+    def test_result_set_body_matches_reference_encoder(self, stack):
+        """The RESULT_SET body comes from the compiled binary codec;
+        the reference ``BinaryFormat`` is the oracle, byte for byte."""
+        from repro.legacy.datafmt import BinaryFormat
+        from repro.legacy.infer import infer_result_layout
+        from repro.legacy.protocol import Message, MessageChannel, \
+            MessageKind
+        stack.engine.execute(
+            "CREATE TABLE RS (K INT, V NVARCHAR(10), D DATE, "
+            "F FLOAT, N DECIMAL(9,2))")
+        stack.engine.execute(
+            "INSERT INTO RS VALUES (1, 'one', DATE '2012-01-01', 2.5, "
+            "12.25), (2, NULL, NULL, NULL, NULL), "
+            "(-3, 'three', DATE '1999-12-31', -0.125, -7.5)")
+        channel = MessageChannel(stack.node.connect(), timeout=5)
+        channel.request(Message(MessageKind.LOGON, {"user": "u"}),
+                        MessageKind.LOGON_OK)
+        reply = channel.request(
+            Message(MessageKind.SQL_REQUEST,
+                    {"sql": "sel * from RS order by K"}),
+            MessageKind.RESULT_SET)
+        channel.close()
+        result = stack.engine.execute("SELECT * FROM RS ORDER BY K")
+        layout = infer_result_layout(result.columns, result.rows)
+        assert reply.body == \
+            BinaryFormat(layout).encode_records(result.rows)
+        assert len(result.rows) == 3
+
     def test_error_surfaces_as_protocol_error(self, stack):
         client = LegacyEtlClient(stack.node.connect)
         client.logon("h", "u", "p")
