@@ -1,6 +1,6 @@
 """Gateway concurrency: session burst scaling + idle-session ceiling.
 
-The async, sharded front end exists for exactly two workload shapes a
+The async front end exists for exactly two workload shapes a
 thread-per-socket server handles badly:
 
 1. **Session bursts.**  Legacy schedulers start ETL windows by firing
@@ -42,7 +42,6 @@ from repro.workloads.generator import make_workload
 ROWS = max(scaled(80) // 25, 40)
 ROW_BYTES = 64
 CHUNK_BYTES = 4096
-SHARDS = 4
 IDLE_SESSIONS = 2000
 #: runs of each gated burst point (the gates compare medians).
 REPEATS = 3
@@ -65,8 +64,7 @@ GATES = {
 def _config(async_frontend: bool) -> HyperQConfig:
     return HyperQConfig(
         converters=1, filewriters=1, credits=256,
-        metrics_enabled=False, async_frontend=async_frontend,
-        gateway_shards=SHARDS)
+        metrics_enabled=False, async_frontend=async_frontend)
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -158,9 +156,9 @@ def run_idle() -> dict:
         for _ in range(IDLE_SESSIONS):
             idle.append(listener.connect())
         deadline = time.monotonic() + 60
-        while frontend.connections_active < IDLE_SESSIONS:
+        while frontend.connections.active < IDLE_SESSIONS:
             assert time.monotonic() < deadline, \
-                f"only {frontend.connections_active} sessions admitted"
+                f"only {frontend.connections.active} sessions admitted"
             time.sleep(0.05)
         rss_after = _vm_rss_kb()
         threads_after = threading.active_count()
@@ -261,7 +259,7 @@ def test_concurrency(results_dir):
         "gates": GATES,
     })
 
-    # -- gates (the acceptance criteria of the sharded front end), all
+    # -- gates (the acceptance criteria of the async front end), all
     # on the medians of the repeated points -------------------------
     assert speedup_64 >= GATES["min_speedup_at_64"], \
         f"async only {speedup_64}x threaded at 64 sessions"

@@ -91,9 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--async-frontend", action="store_true",
                        help="multiplex sessions on the asyncio reactor "
                             "front end instead of a thread per socket")
-    serve.add_argument("--shards", type=int, default=0,
-                       help="shard workers behind the async front end "
-                            "(0 = auto from core count)")
     serve.add_argument("--max-connections", type=int, default=0,
                        help="refuse connections beyond this many "
                             "concurrent sessions (0 = unlimited)")
@@ -730,7 +727,6 @@ def _cmd_serve(args) -> int:
                           credits=args.credits,
                           trace_enabled=args.trace,
                           async_frontend=args.async_frontend,
-                          gateway_shards=args.shards,
                           max_connections=args.max_connections,
                           wlm_profile=_load_json_arg(args, "wlm_profile"),
                           dq_profile=_load_json_arg(args, "dq_profile")),

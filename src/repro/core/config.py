@@ -88,13 +88,6 @@ class HyperQConfig:
     #: (and the differential-testing baseline); flip this to multiplex
     #: thousands of sessions onto a handful of threads.
     async_frontend: bool = False
-    #: shard workers behind the async front end; each shard runs the
-    #: handlers of the jobs routed to it (shard key = target table,
-    #: tenant as tiebreaker), while pipelines and staging stay the
-    #: node's, as on the threaded front end.  0 picks a
-    #: default from the host's core count.  Ignored by the threaded
-    #: front end.
-    gateway_shards: int = 0
     #: refuse connections beyond this many concurrent sessions with a
     #: typed retryable ERROR (code 3159) instead of growing without
     #: bound under a connection flood.  0 = unlimited.
@@ -177,8 +170,6 @@ class HyperQConfig:
             raise ValueError("flight_max_events must be >= 1")
         if self.plan_cache_size < 1:
             raise ValueError("plan_cache_size must be >= 1")
-        if self.gateway_shards < 0:
-            raise ValueError("gateway_shards cannot be negative")
         if self.max_connections < 0:
             raise ValueError("max_connections cannot be negative")
         if self.retry_max_attempts < 1:

@@ -1,9 +1,10 @@
 """Connection-handling front ends, split from job orchestration.
 
 A *front end* owns everything between ``listener.accept()`` and the
-per-message handler: framing, connection lifecycle, the connection cap,
-and connection gauges.  The node behind it (``HyperQNode`` or the
-reference ``LegacyServer``) only implements the session contract:
+per-message handler: framing, connection lifecycle, and the connection
+cap with its gauges (one :class:`ConnectionCap` per front end).  The
+node behind it (``HyperQNode`` or the reference ``LegacyServer``) only
+implements the session contract:
 
 - ``new_conn()`` — per-connection session state (a dict);
 - ``handle_message(channel, message, conn)`` — dispatch one frame,
@@ -15,7 +16,7 @@ reference ``LegacyServer``) only implements the session contract:
 :class:`ThreadedFrontend` here is the classic one-OS-thread-per-socket
 server — simple, debuggable, and kept as the differential-testing
 baseline; :class:`repro.net_async.AsyncFrontend` multiplexes the same
-contract onto an asyncio reactor plus shard workers.
+contract onto an asyncio reactor plus two handler executors.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.errors import ConnectionLimited, ReproError
 from repro.legacy.protocol import Message, MessageChannel, MessageKind
 from repro.obs import NULL_OBS, get_logger
 
-__all__ = ["ThreadedFrontend", "refuse_connection"]
+__all__ = ["ConnectionCap", "ThreadedFrontend", "refuse_connection"]
 
 log = get_logger("frontend")
 
@@ -57,6 +58,53 @@ def refuse_connection(endpoint, limit: int, obs=NULL_OBS) -> None:
         endpoint.close_both()
 
 
+class ConnectionCap:
+    """Session-slot bookkeeping for one front end: the
+    ``max_connections`` cap, the active/refused counts and the
+    ``hyperq_connections_active`` gauge."""
+
+    def __init__(self, limit: int = 0, obs=NULL_OBS):
+        #: the cap; 0 = unlimited.
+        self.limit = limit
+        self._obs = obs
+        self._lock = threading.Lock()
+        self._active = 0
+        self._refused = 0
+
+    def admit(self) -> bool:
+        """Claim a slot; False (counted as refused) at the cap."""
+        with self._lock:
+            if self.limit and self._active >= self.limit:
+                self._refused += 1
+                return False
+            self._active += 1
+        self._obs.connections_active.inc()
+        return True
+
+    def release(self) -> None:
+        """Give back a slot claimed by :meth:`admit`."""
+        with self._lock:
+            self._active -= 1
+        self._obs.connections_active.dec()
+
+    @property
+    def active(self) -> int:
+        """Sessions currently holding a slot."""
+        with self._lock:
+            return self._active
+
+    def snapshot(self, kind: str) -> dict:
+        """``stats()["gateway"]``: front-end kind and the slot counts."""
+        with self._lock:
+            active, refused = self._active, self._refused
+        return {
+            "frontend": kind,
+            "connections_active": active,
+            "connections_refused": refused,
+            "max_connections": self.limit,
+        }
+
+
 class ThreadedFrontend:
     """One accept-loop thread, one handler thread per connection."""
 
@@ -67,13 +115,10 @@ class ThreadedFrontend:
         self.node = node
         self.listener = listener
         self.name = name
-        self.max_connections = max_connections
         self.obs = obs
+        self.connections = ConnectionCap(max_connections, obs=obs)
         self._running = False
         self._accept_thread: threading.Thread | None = None
-        self._lock = threading.Lock()
-        self._active = 0
-        self._refused = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -92,51 +137,22 @@ class ThreadedFrontend:
         self.listener.close()
 
     def close(self) -> None:
-        """Second teardown phase (shard-pool parity with the async
-        front end); the threaded front end has nothing left to free."""
-
-    @property
-    def connections_active(self) -> int:
-        with self._lock:
-            return self._active
+        """Second teardown phase (executor parity with the async front
+        end); the threaded front end has nothing left to free."""
 
     def snapshot(self) -> dict:
         """``stats()["gateway"]`` contribution of this front end."""
-        with self._lock:
-            active, refused = self._active, self._refused
-        return {
-            "frontend": self.kind,
-            "connections_active": active,
-            "connections_refused": refused,
-            "max_connections": self.max_connections,
-            "shards": [],
-        }
+        return self.connections.snapshot(self.kind)
 
     # -- accept / serve ------------------------------------------------------
-
-    def _admit(self) -> bool:
-        """Try to claim a connection slot against the cap."""
-        with self._lock:
-            if self.max_connections and \
-                    self._active >= self.max_connections:
-                self._refused += 1
-                return False
-            self._active += 1
-        self.obs.connections_active.inc()
-        return True
-
-    def _release(self) -> None:
-        with self._lock:
-            self._active -= 1
-        self.obs.connections_active.dec()
 
     def _accept_loop(self) -> None:
         while self._running:
             endpoint = self.listener.accept(timeout=0.5)
             if endpoint is None:
                 continue
-            if not self._admit():
-                refuse_connection(endpoint, self.max_connections,
+            if not self.connections.admit():
+                refuse_connection(endpoint, self.connections.limit,
                                   obs=self.obs)
                 continue
             endpoint = self.node.wrap_endpoint(endpoint)
@@ -157,5 +173,5 @@ class ThreadedFrontend:
             pass  # connection torn down mid-message
         finally:
             channel.close()
-            self._release()
+            self.connections.release()
             self.node.connection_closed(conn)

@@ -308,7 +308,6 @@ class HyperQNode:
             from repro.net_async import AsyncFrontend
             self.frontend = AsyncFrontend(
                 self, self.listener, name=self.name,
-                shards=self.config.gateway_shards,
                 max_connections=self.config.max_connections,
                 obs=self.obs)
         else:
@@ -518,7 +517,7 @@ class HyperQNode:
 
         ``channel`` only needs ``send(message)`` — a
         :class:`~repro.legacy.protocol.MessageChannel` on the threaded
-        path, a shard reply sink on the async path.  A dead transport
+        path, a reply sink on the async path.  A dead transport
         (``TransportClosed`` from the reply send) propagates to the
         caller, which tears the connection down.
         """

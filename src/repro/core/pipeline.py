@@ -90,7 +90,7 @@ class PipelineWorkerPool:
     lane's job-attributed name instead.
     """
 
-    def __init__(self, workers: int = 4, name: str = "shard"):
+    def __init__(self, workers: int = 4, name: str = "node"):
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
         self._threads = [
             threading.Thread(target=self._run, daemon=True,

@@ -1,4 +1,4 @@
-"""Async, sharded gateway front end: session multiplexing on a reactor.
+"""Async gateway front end: session multiplexing on a reactor.
 
 The threaded front end (:class:`repro.core.frontend.ThreadedFrontend`)
 spends one OS thread per socket — simple, but a reconnect storm of
@@ -8,81 +8,58 @@ the scheduler.  This module multiplexes the same session contract onto
 - **one reactor**: a selector-based ``asyncio`` loop owns accept and
   framing for every TCP connection.  Frames are reassembled by the
   same :class:`~repro.legacy.protocol.Coalescer` the threaded path
-  uses, then *routed*, never handled, on the loop;
-- **N shard workers**: each :class:`GatewayShard` runs the handlers of
-  the frames routed to it on two executors.  What a load job owns
-  below the protocol — pipeline lanes, local staging, eager apply — is
-  the node's, exactly as on the threaded front end: the lanes run on
-  the node's one pipeline worker pool.
-
-Routing is deterministic: BEGIN_LOAD hashes ``(target table, tenant)``
-via :func:`shard_key`, so concurrent loads into one table land on one
-shard (per-table affinity); job-carrying frames (DATA, END_LOAD,
-data-session LOGONs...) follow the job's recorded shard; the rest stays
-on the connection's round-robin home shard.
+  uses, then *dispatched*, never handled, on the loop;
+- **two handler executors**: ``<name>-admit`` runs BEGIN_LOAD /
+  BEGIN_EXPORT, ``<name>-work`` runs every other frame and connection
+  teardowns.  What a load job owns below the protocol — pipeline
+  lanes, local staging, eager apply — is the node's, exactly as on the
+  threaded front end: the lanes run on the node's one pipeline worker
+  pool.
 
 The legacy wire protocol is strictly one-outstanding-request per
 connection — the client never sends frame *k+1* before frame *k*'s
 reply — so per-connection handler ordering is protocol-guaranteed and
-shard executors need no per-connection serialization.
+the executors need no per-connection serialization.
 
 WLM admission can block inside a BEGIN_LOAD handler for seconds, so
-each shard splits its handlers across two executors: admission frames
-on one, everything that *frees* slots or credits (END_LOAD, APPLY,
-fetches) on the other.  A shard full of parked admits can therefore
-still finish jobs — the deadlock a single shard thread would hit.
+admission frames run on their own executor and everything that *frees*
+slots or credits (END_LOAD, APPLY, fetches) on the other.  A full admit
+executor of parked admissions can therefore still finish jobs — the
+deadlock one shared executor would hit.
 
 In-memory :class:`repro.net.Listener` endpoints are queue-based, not
 selectable; for those the front end substitutes one bridge reader
-thread per connection feeding the identical framing/routing path (the
-differential tests exercise sharding this way; the reactor is for real
-sockets).
+thread per connection feeding the identical framing/dispatch path (the
+differential tests run this way; the reactor is for real sockets).
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.frontend import refuse_connection
+from repro.core.frontend import ConnectionCap, refuse_connection
 from repro.errors import ReproError, TransportClosed
 from repro.legacy.protocol import Coalescer, Message, MessageKind
 from repro.net_tcp import tune_socket
 from repro.obs import NULL_OBS, get_logger
 
-__all__ = ["AsyncFrontend", "GatewayShard", "shard_key"]
+__all__ = ["AsyncFrontend"]
 
 log = get_logger("net_async")
 
-#: concurrent BEGIN_LOAD/BEGIN_EXPORT handlers per shard — each may
-#: park inside WLM admission, so this bounds parked admits, not work.
-_ADMIT_WORKERS = 8
-#: concurrent non-admission handlers per shard.
-_WORK_WORKERS = 4
+#: concurrent BEGIN_LOAD/BEGIN_EXPORT handlers — each may park inside
+#: WLM admission, so this bounds parked admissions, not work.
+_ADMIT_WORKERS = 32
+#: concurrent handlers of every other frame, teardowns included.
+_WORK_WORKERS = 16
 #: accept backlog when no connection cap implies one — a reconnect
 #: storm must queue in the kernel, not stall in SYN retransmit.
 _DEFAULT_BACKLOG = 1024
 
-#: frames that may block in WLM admission (see GatewayShard).
+#: frames that may block in WLM admission (they get the admit executor).
 _ADMIT_KINDS = frozenset({MessageKind.BEGIN_LOAD, MessageKind.BEGIN_EXPORT})
-
-
-def shard_key(target: str, tenant: str, shards: int) -> int:
-    """Deterministic shard index for a ``(target table, tenant)`` pair.
-
-    Per-table affinity: concurrent loads into one table (for one
-    tenant) are handled on one shard.  ``crc32`` rather than builtin
-    ``hash()`` so the mapping is the same in every process and run.
-    """
-    return zlib.crc32(f"{target}|{tenant}".encode()) % shards
-
-
-def default_shards() -> int:
-    """Auto shard count: scale with cores, stay useful on small hosts."""
-    return max(2, min(8, os.cpu_count() or 2))
 
 
 class _Conn:
@@ -91,7 +68,7 @@ class _Conn:
     Implements the Endpoint *write* surface (``send_bytes`` / ``close``
     / ``close_both``) so chaos wrapping
     (:class:`~repro.faults.injector.FaultyEndpoint`) composes, plus the
-    teardown bookkeeping: a frame in flight on a shard keeps the
+    teardown bookkeeping: a frame in flight on an executor keeps the
     session state alive until its handler returns no matter when the
     peer vanishes, and ``connection_closed`` fires exactly once, off
     the reactor (it can block quiescing an abandoned job's pipeline).
@@ -100,21 +77,18 @@ class _Conn:
     def __init__(self, frontend: "AsyncFrontend"):
         self.frontend = frontend
         self.name = ""
-        self.home_shard = frontend._next_home()
         self.coalescer = Coalescer()
         #: node.new_conn() dict (None until admitted past the cap).
         self.session: dict | None = None
         #: chaos-wrapped self; what the reply sink writes through.
         self.endpoint = None
         self.sink: "_ReplySink | None" = None
-        #: job ids this connection registered in the route map.
-        self.registered: set[str] = set()
         self._lock = threading.Lock()
         self._outstanding = 0
         self._peer_gone = False
         self._teardown_fired = False
 
-    # -- teardown protocol (reactor/bridge + shard threads) ------------------
+    # -- teardown protocol (reactor/bridge + executor threads) ---------------
 
     def frame_arrived(self) -> None:
         with self._lock:
@@ -154,7 +128,7 @@ class _Conn:
 class _TcpConn(_Conn, asyncio.Protocol):
     """A TCP session on the reactor.
 
-    ``send_bytes`` is callable from any shard thread: the write is
+    ``send_bytes`` is callable from any executor thread: the write is
     marshalled onto the loop with ``call_soon_threadsafe`` (asyncio
     transports are not thread-safe).  The one-outstanding-request
     protocol keeps per-connection reply ordering trivially correct —
@@ -235,7 +209,7 @@ class _BridgeConn(_Conn):
 
 
 class _ReplySink:
-    """The ``channel`` a shard handler answers on: just ``send``.
+    """The ``channel`` a handler answers on: just ``send``.
 
     Matches the slice of :class:`~repro.legacy.protocol.MessageChannel`
     the node's handlers actually use; writes go through the
@@ -255,74 +229,8 @@ class _ReplySink:
         self._endpoint.close()
 
 
-class GatewayShard:
-    """One shard worker: the handlers of the frames routed to it.
-
-    The two executors split *blocking admission* from *slot-freeing
-    work*: END_LOAD must never queue behind a BEGIN_LOAD parked in
-    ``wlm.admit``.
-    """
-
-    def __init__(self, frontend: "AsyncFrontend", index: int):
-        self.frontend = frontend
-        self.index = index
-        name = f"{frontend.name}-shard{index}"
-        self.exec_admit = ThreadPoolExecutor(
-            max_workers=_ADMIT_WORKERS, thread_name_prefix=f"{name}-admit")
-        self.exec_work = ThreadPoolExecutor(
-            max_workers=_WORK_WORKERS, thread_name_prefix=f"{name}-work")
-        self._lock = threading.Lock()
-        self._routed = 0
-        self._handled = 0
-        self._depth = 0
-
-    def enqueue(self, conn: _Conn, message: Message) -> None:
-        """Hand one routed frame to the right executor (never blocks)."""
-        executor = (self.exec_admit if message.kind in _ADMIT_KINDS
-                    else self.exec_work)
-        with self._lock:
-            self._routed += 1
-            self._depth += 1
-        self.frontend.obs.shard_queue_depth \
-            .labels(shard=str(self.index)).inc()
-        executor.submit(self._handle, conn, message)
-
-    def _handle(self, conn: _Conn, message: Message) -> None:
-        with self._lock:
-            self._depth -= 1
-        self.frontend.obs.shard_queue_depth \
-            .labels(shard=str(self.index)).dec()
-        try:
-            self.frontend._execute(conn, message, self)
-        finally:
-            with self._lock:
-                self._handled += 1
-
-    def submit_teardown(self, conn: _Conn) -> None:
-        """Run a connection teardown off the reactor (it can block)."""
-        try:
-            self.exec_work.submit(self.frontend._teardown, conn)
-        except RuntimeError:
-            # Executors already closed: the node is stopping and reaps
-            # every job itself; nothing left to tear down per-conn.
-            pass
-
-    def snapshot(self) -> dict:
-        """Routed/handled frame counters + current queue depth."""
-        with self._lock:
-            routed, handled, depth = \
-                self._routed, self._handled, self._depth
-        return {"shard": self.index, "routed": routed,
-                "handled": handled, "queue_depth": depth}
-
-    def close(self) -> None:
-        """Shut down both executors."""
-        self.exec_admit.shutdown(wait=False, cancel_futures=True)
-        self.exec_work.shutdown(wait=False, cancel_futures=True)
-
-
 class AsyncFrontend:
-    """Reactor + shard workers behind ``config.async_frontend``.
+    """Reactor + admit/work executors behind ``config.async_frontend``.
 
     Drives the same node session contract as
     :class:`~repro.core.frontend.ThreadedFrontend` (``new_conn`` /
@@ -334,23 +242,19 @@ class AsyncFrontend:
     kind = "async"
 
     def __init__(self, node, listener, *, name: str = "server",
-                 shards: int = 0, max_connections: int = 0,
-                 obs=NULL_OBS):
+                 max_connections: int = 0, obs=NULL_OBS):
         self.node = node
         self.listener = listener
         self.name = name
-        self.max_connections = max_connections
         self.obs = obs
-        count = shards or default_shards()
-        self.shards = [GatewayShard(self, i) for i in range(count)]
-        #: job id -> shard index (route DATA/END_LOAD/data-LOGON to the
-        #: shard that began the job).
-        self._job_shard: dict[str, int] = {}
-        self._route_lock = threading.Lock()
-        self._home_counter = 0
-        self._cap_lock = threading.Lock()
-        self._active = 0
-        self._refused = 0
+        self.connections = ConnectionCap(max_connections, obs=obs)
+        # The split is the WLM no-deadlock rule: END_LOAD must never
+        # queue behind a BEGIN_LOAD parked in ``wlm.admit``.  Threads
+        # start lazily, so an idle node pays for neither.
+        self._exec_admit = ThreadPoolExecutor(
+            max_workers=_ADMIT_WORKERS, thread_name_prefix=f"{name}-admit")
+        self._exec_work = ThreadPoolExecutor(
+            max_workers=_WORK_WORKERS, thread_name_prefix=f"{name}-work")
         self._running = False
         self.loop: asyncio.AbstractEventLoop | None = None
         self._reactor: threading.Thread | None = None
@@ -375,8 +279,8 @@ class AsyncFrontend:
         return self
 
     def stop(self) -> None:
-        """Stop accepting and halt the reactor; shards keep serving
-        in-flight handlers until :meth:`close`."""
+        """Stop accepting and halt the reactor; the executors keep
+        serving in-flight handlers until :meth:`close`."""
         self._running = False
         if self.loop is not None and self._stop_event is not None:
             try:
@@ -388,26 +292,13 @@ class AsyncFrontend:
 
     def close(self) -> None:
         """Second teardown phase (after the node reaped its jobs):
-        shard executors go away."""
-        for shard in self.shards:
-            shard.close()
-
-    @property
-    def connections_active(self) -> int:
-        with self._cap_lock:
-            return self._active
+        the handler executors go away."""
+        self._exec_admit.shutdown(wait=False, cancel_futures=True)
+        self._exec_work.shutdown(wait=False, cancel_futures=True)
 
     def snapshot(self) -> dict:
         """``stats()["gateway"]`` contribution of this front end."""
-        with self._cap_lock:
-            active, refused = self._active, self._refused
-        return {
-            "frontend": self.kind,
-            "connections_active": active,
-            "connections_refused": refused,
-            "max_connections": self.max_connections,
-            "shards": [shard.snapshot() for shard in self.shards],
-        }
+        return self.connections.snapshot(self.kind)
 
     # -- reactor (TCP listeners) ---------------------------------------------
 
@@ -418,7 +309,7 @@ class AsyncFrontend:
         # the cap (or a storm-sized default) bounds what we are willing
         # to queue, the listener's own backlog is the floor.
         backlog = max(getattr(self.listener, "backlog", 0),
-                      self.max_connections or _DEFAULT_BACKLOG)
+                      self.connections.limit or _DEFAULT_BACKLOG)
 
         async def _serve():
             self._stop_event = asyncio.Event()
@@ -476,25 +367,11 @@ class AsyncFrontend:
 
     # -- connection admission / teardown -------------------------------------
 
-    def _next_home(self) -> int:
-        with self._route_lock:
-            self._home_counter += 1
-            return self._home_counter % len(self.shards)
-
     def _admit_conn(self, conn: _Conn) -> bool:
         """Admit past the connection cap or shed with a typed error."""
-        with self._cap_lock:
-            if self.max_connections and \
-                    self._active >= self.max_connections:
-                self._refused += 1
-                refused = True
-            else:
-                self._active += 1
-                refused = False
-        if refused:
-            refuse_connection(conn, self.max_connections, obs=self.obs)
+        if not self.connections.admit():
+            refuse_connection(conn, self.connections.limit, obs=self.obs)
             return False
-        self.obs.connections_active.inc()
         conn.session = self.node.new_conn()
         conn.endpoint = self.node.wrap_endpoint(conn)
         conn.sink = _ReplySink(conn.endpoint)
@@ -506,21 +383,20 @@ class AsyncFrontend:
         if conn.peer_lost():
             # connection_closed can block quiescing an abandoned job's
             # pipeline — never run it on the reactor.
-            self.shards[conn.home_shard].submit_teardown(conn)
+            try:
+                self._exec_work.submit(self._teardown, conn)
+            except RuntimeError:
+                # Executors already closed: the node is stopping and
+                # reaps every job itself; nothing left to tear down.
+                pass
 
     def _teardown(self, conn: _Conn) -> None:
         try:
             self.node.connection_closed(conn.session)
         finally:
-            if conn.registered:
-                with self._route_lock:
-                    for job_id in conn.registered:
-                        self._job_shard.pop(job_id, None)
-            with self._cap_lock:
-                self._active -= 1
-            self.obs.connections_active.dec()
+            self.connections.release()
 
-    # -- framing + routing ---------------------------------------------------
+    # -- framing + dispatch --------------------------------------------------
 
     def _on_bytes(self, conn: _Conn, data: bytes) -> None:
         if conn.session is None:
@@ -532,34 +408,21 @@ class AsyncFrontend:
             conn.close_both()  # garbage frames: hang up
 
     def _route(self, conn: _Conn, message: Message) -> None:
-        shard = self._pick_shard(conn, message)
-        span = self.obs.tracer.span(
+        self.obs.tracer.span(
             "gateway.route", parent=message.trace_context(),
-            kind=message.kind.name, shard=shard.index)
-        span.end()
+            kind=message.kind.name).end()
         conn.frame_arrived()
-        shard.enqueue(conn, message)
+        executor = (self._exec_admit if message.kind in _ADMIT_KINDS
+                    else self._exec_work)
+        executor.submit(self._execute, conn, message)
 
-    def _pick_shard(self, conn: _Conn, message: Message) -> GatewayShard:
-        meta = message.meta
-        if message.kind == MessageKind.BEGIN_LOAD:
-            tenant = str(meta.get("tenant")
-                         or (conn.session or {}).get("user", ""))
-            index = shard_key(str(meta.get("target", "")), tenant,
-                              len(self.shards))
-            return self.shards[index]
-        job_id = meta.get("job_id")
-        if job_id:
-            with self._route_lock:
-                index = self._job_shard.get(job_id)
-            if index is not None:
-                return self.shards[index]
-        return self.shards[conn.home_shard]
+    # -- handler execution (executor threads) --------------------------------
 
-    # -- handler execution (shard executors) ---------------------------------
-
-    def _execute(self, conn: _Conn, message: Message,
-                 shard: GatewayShard) -> None:
+    def _execute(self, conn: _Conn, message: Message) -> None:
+        # Handlers name their thread after the job; an executor thread
+        # serves many jobs, so it takes its own name back afterwards.
+        thread = threading.current_thread()
+        idle_name = thread.name
         try:
             self.node.handle_message(conn.sink, message, conn.session)
         except ReproError:
@@ -567,28 +430,10 @@ class AsyncFrontend:
             # up; connection_lost runs the teardown exactly once.
             conn.close_both()
         except BaseException:
-            log.exception("shard handler crashed", extra={
-                "shard": shard.index, "kind": message.kind.name})
+            log.exception("frame handler crashed", extra={
+                "kind": message.kind.name})
             conn.close_both()
         finally:
-            self._register_jobs(conn, shard)
+            thread.name = idle_name
             if conn.frame_done():
                 self._teardown(conn)
-
-    def _register_jobs(self, conn: _Conn, shard: GatewayShard) -> None:
-        """Sync the job->shard route map with what this conn now owns.
-
-        Safe to read ``conn.session`` here: data-session LOGONs for a
-        job only arrive after BEGIN_LOAD_OK was sent, i.e. after this
-        ran for the registering BEGIN_LOAD.
-        """
-        session = conn.session
-        current = set(session["loads"]) | set(session["exports"])
-        if current == conn.registered:
-            return
-        with self._route_lock:
-            for job_id in current - conn.registered:
-                self._job_shard.setdefault(job_id, shard.index)
-            for job_id in conn.registered - current:
-                self._job_shard.pop(job_id, None)
-        conn.registered = current

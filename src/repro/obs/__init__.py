@@ -104,9 +104,6 @@ class Observability:
         self.connections_refused = reg.counter(
             "hyperq_connections_refused_total",
             "Connections shed at the max_connections cap")
-        self.shard_queue_depth = reg.gauge(
-            "hyperq_shard_queue_depth",
-            "Frames queued per gateway shard worker", ("shard",))
         self.jobs_total = reg.counter(
             "hyperq_jobs_total",
             "Load jobs by lifecycle event", ("event",))

@@ -17,9 +17,17 @@ both ends of the wire with one append-only JSONL journal:
   already-durable files, re-enqueues staged-but-unuploaded local files,
   and treats every chunk inside a durable file as already seen.
 
-Records are single-line JSON objects with a ``t`` type tag; a torn final
-line (the process died mid-append) is ignored on load, so a journal is
-always readable after a crash.
+Records are single-line JSON objects with a ``t`` type tag; a record
+counts only once its newline is on disk.  A final line without one (the
+process died mid-append) is ignored on load and truncated, even when it
+parses, so a journal is always readable after a crash and a reopen sees
+what the first open saw.
+
+Crash model (docs/RESILIENCE.md): every append is flushed, so any
+journal survives a process kill.  Only a journal opened ``fsync=True``
+— the feed watermark journal — survives power loss: it fsyncs each
+append, and its directory after creating the file and after each
+compaction's rename.
 """
 
 from __future__ import annotations
@@ -29,6 +37,15 @@ import os
 import threading
 
 __all__ = ["CheckpointJournal"]
+
+
+def _fsync_dir(path: str) -> None:
+    """Make ``path``'s directory entry durable (a create or rename)."""
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class CheckpointJournal:
@@ -72,7 +89,10 @@ class CheckpointJournal:
             os.unlink(path)
         elif os.path.exists(path):
             self._load()
+        created = not os.path.exists(path)
         self._handle = open(path, "a", encoding="utf-8")
+        if fsync and created:
+            _fsync_dir(path)  # a new file's name is a directory entry
 
     # -- load / replay ---------------------------------------------------------
 
@@ -80,6 +100,11 @@ class CheckpointJournal:
         valid_bytes = 0
         with open(self.path, "rb") as handle:
             for raw in handle:
+                if not raw.endswith(b"\n"):
+                    # Unterminated tail, even if it parses: the append
+                    # never finished, and it is truncated below — acting
+                    # on it would act on a record the disk drops.
+                    break
                 line = raw.decode("utf-8", errors="replace").strip()
                 if line:
                     try:
@@ -88,8 +113,6 @@ class CheckpointJournal:
                         break  # torn tail write from a crash — stop
                     self._apply(record)
                     self.replayed += 1
-                if not raw.endswith(b"\n"):
-                    break  # unterminated tail — do not append onto it
                 valid_bytes += len(raw)
         if valid_bytes < os.path.getsize(self.path):
             # Drop the torn tail so future appends start a fresh line.
@@ -256,6 +279,9 @@ class CheckpointJournal:
             if not self._handle.closed:
                 self._handle.close()
             os.replace(tmp_path, self.path)
+            if self.fsync:
+                # The rename is durable only once its directory is.
+                _fsync_dir(self.path)
             self._handle = open(self.path, "a", encoding="utf-8")
             return max(0, before - os.path.getsize(self.path))
 

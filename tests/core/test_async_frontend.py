@@ -1,4 +1,4 @@
-"""Differential tests: async sharded front end vs threaded baseline.
+"""Differential tests: async front end vs threaded baseline.
 
 The async front end (``config.async_frontend``) must be invisible to
 job semantics: every suite here runs the same client traffic against
@@ -14,13 +14,13 @@ import time
 
 import pytest
 
+from repro import net_async
 from repro.core.config import HyperQConfig
 from repro.errors import ConnectionLimited, TransportClosed
 from repro.legacy.client import (
     ExportJobSpec, ImportJobSpec, LegacyEtlClient,
 )
 from repro.legacy.types import FieldDef, Layout, parse_type
-from repro.net_async import default_shards, shard_key
 from repro.net_tcp import TcpListener
 from repro.workloads.generator import make_workload
 
@@ -35,31 +35,24 @@ def wait_until(predicate, timeout_s=10.0):
         time.sleep(0.01)
 
 
-class TestShardKey:
-    def test_deterministic_and_in_range(self):
-        for shards in (1, 2, 4, 7):
-            for target in ("PROD.FACT", "PROD.DIM", "T"):
-                key = shard_key(target, "tenant-1", shards)
-                assert 0 <= key < shards
-                assert key == shard_key(target, "tenant-1", shards)
-
-    def test_tenant_is_a_tiebreaker(self):
-        """Same table, different tenants can differ; same pair never."""
-        keys = {shard_key("PROD.FACT", f"tenant-{i}", 8)
-                for i in range(64)}
-        assert len(keys) > 1  # tenants actually spread
-
-    def test_default_shards_bounded(self):
-        assert 2 <= default_shards() <= 8
-
-
-def run_jobs(async_frontend: bool, *, n_jobs: int = 3,
-             shards: int = 3) -> dict:
-    """Run a mixed clean/dirty load + export suite; return outcomes."""
+def run_jobs(async_frontend: bool, *, n_jobs: int = 3) -> dict:
+    """Run a mixed clean/dirty load + export suite; return outcomes,
+    plus the front end's stats and the threads that ran handlers."""
     config = HyperQConfig(
         converters=2, filewriters=1, credits=16,
-        async_frontend=async_frontend, gateway_shards=shards)
+        async_frontend=async_frontend)
     stack = make_node(config=config)
+    node = stack.node
+    handler_threads = set()
+    handle_message = node.handle_message
+
+    def spying_handle_message(channel, message, conn):
+        # executor threads are "<prefix>_<i>"; keep the prefix
+        handler_threads.add(
+            threading.current_thread().name.rsplit("_", 1)[0])
+        handle_message(channel, message, conn)
+
+    node.handle_message = spying_handle_message
     out = {}
     try:
         for i in range(n_jobs):
@@ -93,10 +86,12 @@ def run_jobs(async_frontend: bool, *, n_jobs: int = 3,
                 "exported": exported.rows_exported,
                 "table": sorted(rows),
             }
-        stack.node.credits.check_conservation()
-        out["gateway"] = stack.node.stats()["gateway"]
+        node.credits.check_conservation()
+        out["gateway"] = node.stats()["gateway"]
+        out["handler_threads"] = {
+            name.removeprefix(f"{node.name}-") for name in handler_threads}
     finally:
-        stack.node.stop()
+        node.stop()
     return out
 
 
@@ -104,35 +99,52 @@ class TestDifferential:
     def test_async_equals_threaded_end_to_end(self):
         """Loads (clean + dirty) and exports: identical outcomes."""
         threaded = run_jobs(False)
-        sharded = run_jobs(True)
-        gateway = sharded.pop("gateway")
+        multiplexed = run_jobs(True)
+        gateway = multiplexed.pop("gateway")
+        threads = multiplexed.pop("handler_threads")
         threaded.pop("gateway")
-        assert sharded == threaded
+        threaded.pop("handler_threads")
+        assert multiplexed == threaded
         assert gateway["frontend"] == "async"
-        # The jobs actually went through shard workers, and every
-        # routed frame was handled.
-        assert sum(s["routed"] for s in gateway["shards"]) > 0
-        assert all(s["routed"] == s["handled"]
-                   for s in gateway["shards"])
-        assert all(s["queue_depth"] == 0 for s in gateway["shards"])
+        # Every frame ran on one of the two executors: admissions on
+        # the admit executor, everything else on the work executor.
+        assert threads == {"admit", "work"}
 
-    def test_same_table_loads_share_a_shard(self):
-        """Two loads into one table hash to one shard (per-table locks
-        stay shard-local by construction)."""
+
+class TestAdmitWorkSplit:
+    def test_parked_admits_do_not_block_end_load(self, monkeypatch):
+        """BEGIN_LOADs parked in ``wlm.admit`` fill every admit worker;
+        the job holding the slot still finishes DATA/APPLY/END_LOAD on
+        the work executor, and that admits a parked job."""
+        monkeypatch.setattr(net_async, "_ADMIT_WORKERS", 2)
         config = HyperQConfig(
-            converters=1, filewriters=1, credits=16,
-            async_frontend=True, gateway_shards=4)
+            converters=1, filewriters=1, credits=8, async_frontend=True,
+            wlm_profile=[{"name": "one", "max_concurrency": 1,
+                          "queue_limit": 4, "queue_timeout_s": 10.0,
+                          "match": {"user": "u*"}}])
         stack = make_node(config=config)
-        try:
-            for i in range(2):
-                workload = make_workload(
-                    rows=40, row_bytes=60, seed=5, table="PROD.SAME",
-                    name=f"round{i}")
-                client = LegacyEtlClient(stack.node.connect, timeout=60)
-                client.logon("h", "etl", "pw")
-                if i == 0:
-                    client.execute_sql(workload.ddl)
-                client.run_import(ImportJobSpec(
+        assert stack.node.frontend._exec_admit._max_workers == 2
+        workloads = [
+            make_workload(rows=30, row_bytes=40, seed=41 + i,
+                          table=f"PROD.SPLIT{i}", name=f"split{i}")
+            for i in range(3)]
+        holding, release = threading.Event(), threading.Event()
+        results, failures = {}, []
+
+        def run_one(workload, hold: bool = False):
+            try:
+                client = LegacyEtlClient(stack.node.connect, timeout=30)
+                client.logon("h", "u", "pw")
+                if hold:
+                    pump = client._pump_data
+
+                    def held_pump(*args, **kwargs):
+                        holding.set()  # admitted: this job holds the slot
+                        release.wait(timeout=10)
+                        pump(*args, **kwargs)
+
+                    client._pump_data = held_pump
+                loaded = client.run_import(ImportJobSpec(
                     target_table=workload.target_table,
                     et_table=workload.et_table,
                     uv_table=workload.uv_table,
@@ -140,12 +152,36 @@ class TestDifferential:
                     apply_sql=workload.apply_sql,
                     data=workload.data, sessions=1))
                 client.logoff()
-            shards = stack.node.stats()["gateway"]["shards"]
-            loaded_on = [s["shard"] for s in shards
-                         if s["routed"] >= 4]  # BEGIN/DATA/APPLY/END
-            assert loaded_on == \
-                [shard_key("PROD.SAME", "etl", 4)]
+                results[workload.name] = loaded.rows_inserted
+            except BaseException as exc:
+                failures.append(exc)
+
+        def pool():
+            return stack.node.stats()["wlm"]["pools"]["one"]
+
+        try:
+            for workload in workloads:
+                stack.engine.execute(workload.ddl)
+            holder = threading.Thread(
+                target=run_one, args=(workloads[0], True))
+            holder.start()
+            assert holding.wait(timeout=10)
+            parked = [threading.Thread(target=run_one, args=(w,))
+                      for w in workloads[1:]]
+            for thread in parked:
+                thread.start()
+            wait_until(lambda: pool()["queue_depth"] == 2)
+            release.set()
+            for thread in [holder, *parked]:
+                thread.join(timeout=30)
+            assert not failures
+            assert results == {
+                w.name: w.expected_good_rows for w in workloads}
+            # Both parked jobs were admitted from the queue, none shed.
+            assert pool()["admitted"] == 3
+            assert pool()["queue_timeouts"] == 0
         finally:
+            release.set()
             stack.node.stop()
 
 
@@ -163,7 +199,7 @@ class TestChaosDifferential:
         profile = [{"point": "net.send", "at_call": 7, "max_fires": 1}]
         config = HyperQConfig(
             converters=2, filewriters=2, credits=8,
-            async_frontend=async_frontend, gateway_shards=2,
+            async_frontend=async_frontend,
             chaos_profile=profile)
         stack = make_node(config=config)
         try:
@@ -207,7 +243,7 @@ class TestWlmDifferential:
     def test_throttled_tenants_all_complete(self, async_frontend):
         config = HyperQConfig(
             converters=2, filewriters=1, credits=8,
-            async_frontend=async_frontend, gateway_shards=2,
+            async_frontend=async_frontend,
             wlm_profile=WLM_PROFILE)
         stack = make_node(config=config)
         workloads = [
@@ -267,7 +303,7 @@ class TestConnectionCap:
     def test_over_cap_connection_refused_typed(self, async_frontend):
         config = HyperQConfig(
             converters=1, filewriters=1, credits=4,
-            async_frontend=async_frontend, gateway_shards=2,
+            async_frontend=async_frontend,
             max_connections=2)
         stack = make_node(config=config)
         try:
@@ -277,7 +313,7 @@ class TestConnectionCap:
                 client = LegacyEtlClient(stack.node.connect, timeout=10)
                 client.logon("h", "u", "pw")
                 held.append(client)
-            wait_until(lambda: frontend.connections_active == 2)
+            wait_until(lambda: frontend.connections.active == 2)
 
             extra = LegacyEtlClient(stack.node.connect, timeout=10)
             with pytest.raises(ConnectionLimited) as excinfo:
@@ -294,7 +330,7 @@ class TestConnectionCap:
             # Freeing a slot readmits new sessions (the typed error is
             # retryable for a reason).
             held.pop().logoff()
-            wait_until(lambda: frontend.connections_active < 2)
+            wait_until(lambda: frontend.connections.active < 2)
             retry = LegacyEtlClient(stack.node.connect, timeout=10)
             retry.logon("h", "u", "pw")
             retry.logoff()
@@ -309,7 +345,7 @@ class TestIdleSessions:
         session opened last still gets served first."""
         config = HyperQConfig(
             converters=1, filewriters=1, credits=4,
-            async_frontend=True, gateway_shards=2,
+            async_frontend=True,
             metrics_enabled=False)
         listener = TcpListener()
         stack = make_node(config=config, listener=listener)
@@ -319,7 +355,7 @@ class TestIdleSessions:
             for _ in range(100):
                 idle.append(listener.connect())
             frontend = stack.node.frontend
-            wait_until(lambda: frontend.connections_active == 100)
+            wait_until(lambda: frontend.connections.active == 100)
             # No thread-per-connection: the thread count is flat.
             assert threading.active_count() - threads_before < 10
 
@@ -330,7 +366,7 @@ class TestIdleSessions:
             for endpoint in idle:
                 endpoint.close_both()
             idle = []
-            wait_until(lambda: frontend.connections_active == 0)
+            wait_until(lambda: frontend.connections.active == 0)
         finally:
             for endpoint in idle:
                 endpoint.close_both()
@@ -343,7 +379,7 @@ class TestFrontendTeardown:
         WLM admission and job state (teardown runs off-reactor)."""
         config = HyperQConfig(
             converters=1, filewriters=1, credits=4,
-            async_frontend=True, gateway_shards=2,
+            async_frontend=True,
             wlm_profile=[{"name": "only", "max_concurrency": 1,
                           "queue_limit": 0, "queue_timeout_s": 0.1,
                           "match": {"user": "u*"}}])

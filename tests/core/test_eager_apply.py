@@ -174,7 +174,7 @@ class TestEagerEquivalence:
 
 
 class TestEagerEquivalenceAsync(TestEagerEquivalence):
-    """Every case above on the async, sharded front end."""
+    """Every case above on the async front end."""
 
     async_frontend = True
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 from repro.resilience import CheckpointJournal
 
@@ -59,6 +60,65 @@ class TestTornTail:
             journal.record_ack(1)  # journal stays appendable
         with CheckpointJournal(path) as reopened:
             assert reopened.acked == {0, 1}
+
+    def test_complete_record_without_newline_is_not_applied(
+            self, tmp_path):
+        """Parsable but unterminated: the append never finished, and
+        the load truncates it — so it must not be acted on either."""
+        path = journal_path(tmp_path)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"t":"copy","rows":5}')
+        for _ in range(2):  # a reopen agrees with the first open
+            with CheckpointJournal(path) as journal:
+                assert journal.copy_rows is None
+                assert journal.replayed == 0
+
+
+class TestPowerLossDurability:
+    """An ``fsync=True`` journal makes its directory entry durable too."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def noting_fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            events.append("fsync-dir" if is_dir else "fsync-file")
+            fsync(fd)
+
+        def noting_replace(src, dst):
+            replace(src, dst)
+            events.append("replace")
+
+        monkeypatch.setattr(os, "fsync", noting_fsync)
+        monkeypatch.setattr(os, "replace", noting_replace)
+        return events
+
+    def test_compaction_fsyncs_directory_after_rename(
+            self, tmp_path, monkeypatch):
+        path = journal_path(tmp_path)
+        with CheckpointJournal(path, fsync=True) as journal:
+            journal.record_stream_commit(0, rows=3)
+            events = self._spy(monkeypatch)
+            journal.compact()
+        assert events == ["fsync-file", "replace", "fsync-dir"]
+        with CheckpointJournal(path) as reopened:
+            assert reopened.stream_committed_seq == 0
+
+    def test_new_durable_journal_fsyncs_its_directory(
+            self, tmp_path, monkeypatch):
+        events = self._spy(monkeypatch)
+        CheckpointJournal(journal_path(tmp_path), fsync=True).close()
+        assert events == ["fsync-dir"]
+
+    def test_process_kill_journal_never_fsyncs_its_directory(
+            self, tmp_path, monkeypatch):
+        events = self._spy(monkeypatch)
+        with CheckpointJournal(journal_path(tmp_path)) as journal:
+            journal.record_copy(3)
+            journal.compact()
+        assert "fsync-dir" not in events
 
 
 class TestResumeQueries:

@@ -54,8 +54,7 @@ def test_steady_state_batches_add_nothing(tmp_path, monkeypatch,
     workload = stream_workload(batches=WARMUP + MEASURED,
                                rows_per_batch=5, drift=False,
                                feed="dayfeed", seed=41)
-    config = HyperQConfig(credits=8, async_frontend=async_frontend,
-                          gateway_shards=2)
+    config = HyperQConfig(credits=8, async_frontend=async_frontend)
     with make_node(config=config) as stack:
         node, engine = stack.node, stack.engine
         engine.execute(workload.ddl)
@@ -110,7 +109,7 @@ def test_eager_feed_starts_no_threads_per_batch(tmp_path, monkeypatch,
                                rows_per_batch=5, drift=False,
                                feed="eagerfeed", seed=43)
     config = HyperQConfig(credits=8, eager_apply=True,
-                          async_frontend=async_frontend, gateway_shards=2)
+                          async_frontend=async_frontend)
     with make_node(config=config) as stack:
         stack.engine.execute(workload.ddl)
         session = StreamSession(stack.node.connect, feed="eagerfeed",

@@ -50,8 +50,7 @@ def _workload(date_error_rate=0.0):
 def _config(chaos=None, async_frontend=False, eager_apply=False):
     return HyperQConfig(
         converters=1, filewriters=1, credits=8, chaos_profile=chaos,
-        async_frontend=async_frontend, gateway_shards=2,
-        eager_apply=eager_apply)
+        async_frontend=async_frontend, eager_apply=eager_apply)
 
 
 def _final_state(engine, table):
