@@ -6,6 +6,12 @@ baseline at 0%, jumps 0%->1% when splitting first triggers, degrades
 smoothly, and still wins at 10%; the baseline is flat.  Series logic:
 :mod:`repro.bench.figures` (which also asserts both systems load
 identical rows).
+
+The range-scan leg gates why the splitter's cost stays bounded: total
+apply time is sub-linear in the number of ranged DML statements, because
+each ``__SEQ BETWEEN`` range is a binary-searched slice of the sorted
+staging table, so the split cascade costs O(rows touched), not
+O(ranges x staging rows).
 """
 
 from __future__ import annotations
@@ -15,10 +21,27 @@ from conftest import bench_json, bench_scale, emit, scaled
 from repro.bench import format_series
 from repro.bench.figures import fig11_series
 from repro.bench.harness import build_stack, run_workload_through_hyperq
+from repro.core.config import HyperQConfig
 from repro.workloads import make_workload
 
 SCALE = bench_scale()
 ROWS = scaled(4_000)
+
+
+def range_scan_point(error_rate: float) -> dict:
+    """Best-of-5 apply time and DML statement count at one error rate."""
+    config = HyperQConfig(converters=2, filewriters=2, credits=8)
+    workload = make_workload(rows=ROWS, row_bytes=500, seed=42,
+                             error_rate=error_rate)
+    point = None
+    for _ in range(5):
+        with build_stack(config) as stack:
+            metrics = run_workload_through_hyperq(
+                stack, workload, sessions=2, max_errors=10**9)
+        if point is None or metrics.application_s < point["apply_s"]:
+            point = {"ranges": metrics.dml_statements,
+                     "apply_s": round(metrics.application_s, 4)}
+    return point
 
 
 def test_fig11_error_handling(benchmark, results_dir):
@@ -28,7 +51,18 @@ def test_fig11_error_handling(benchmark, results_dir):
         series,
         note="expect: Hyper-Q much faster at 0%, steep 0%->1% jump, "
              "baseline flat, Hyper-Q still ahead at 10%")
+
+    low, high = range_scan_point(0.01), range_scan_point(0.10)
+    range_growth = high["ranges"] / low["ranges"]
+    apply_growth = high["apply_s"] / low["apply_s"]
+    text += (f"range scans (1% -> 10% errors, best of 5): ranges "
+             f"{low['ranges']} -> {high['ranges']} ({range_growth:.2f}x), "
+             f"apply {low['apply_s']:.3f}s -> {high['apply_s']:.3f}s "
+             f"({apply_growth:.2f}x)\n")
     emit(results_dir, "fig11_error_handling", text)
+    assert apply_growth < 0.6 * range_growth, \
+        f"apply time must be sub-linear in range count " \
+        f"({apply_growth:.2f}x apply vs {range_growth:.2f}x ranges)"
 
     t = {row["error_pct"]: row for row in series}
     assert t["0%"]["hyperq_total_s"] < t["0%"]["baseline_total_s"] / 3, \

@@ -5,11 +5,14 @@ throughput (the protocol replays BEGIN_LOAD → acquire → APPLY per
 batch, so the gate bounds the per-cycle overhead) and must not degrade
 as the watermark journal accumulates history — compaction at every
 commit boundary keeps the journal O(state), so late batches must be as
-fast as early ones.
+fast as early ones.  The feed runs ``FEEDS`` times and the degradation
+gate reads the median of the runs' ratios, so one noisy feed on a
+shared host cannot trip it on its own.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import bench_json, bench_scale, emit, scaled
@@ -29,6 +32,8 @@ BATCHES = max(int(50 * SCALE), 50)
 #: floor of a near-empty cycle.
 ROWS_PER_BATCH = max(scaled(2_000) // 2, 1_000)
 ROW_BYTES = 120
+#: feeds run per measurement (the degradation gate reads their median).
+FEEDS = 3
 
 
 def _p95(values: list[float]) -> float:
@@ -53,6 +58,12 @@ def run_stream() -> dict:
     return {"report": report, "rows": rows}
 
 
+def degradation_of(report) -> float:
+    """Last-10 over first-10 batch-latency p95 of one feed."""
+    return _p95(report.latencies_s[-10:]) / \
+        max(_p95(report.latencies_s[:10]), 1e-9)
+
+
 def run_oneshot() -> dict:
     workload = make_workload(BATCHES * ROWS_PER_BATCH,
                              row_bytes=ROW_BYTES, seed=61)
@@ -65,7 +76,7 @@ def run_oneshot() -> dict:
 
 
 def test_stream_throughput_and_journal_growth(benchmark, results_dir):
-    streams = [run_stream() for _ in range(2)]
+    streams = [run_stream() for _ in range(FEEDS)]
     stream = min(streams, key=lambda s: s["report"].elapsed_s)
     oneshots = [run_oneshot() for _ in range(2)]
     oneshot = min(oneshots, key=lambda o: o["elapsed_s"])
@@ -74,6 +85,8 @@ def test_stream_throughput_and_journal_growth(benchmark, results_dir):
     stream_rps = report.rows_per_second
     first10_p95 = _p95(report.latencies_s[:10])
     last10_p95 = _p95(report.latencies_s[-10:])
+    degradations = [degradation_of(s["report"]) for s in streams]
+    degradation = statistics.median(degradations)
 
     series = [{
         "mode": "stream",
@@ -99,6 +112,9 @@ def test_stream_throughput_and_journal_growth(benchmark, results_dir):
         note="expect: micro-batching keeps >=0.7x one-shot "
              "throughput, and last-10 p95 stays within 1.2x first-10 "
              "(journal compaction keeps cycles O(state))")
+    text += (f"last-10/first-10 p95, median of {FEEDS} feeds: "
+             f"{degradation:.2f}x (runs: "
+             f"{', '.join(f'{d:.2f}x' for d in degradations)})\n")
     emit(results_dir, "stream_steady_state", text)
 
     # -- gate 1: per-batch protocol overhead is bounded --
@@ -107,11 +123,11 @@ def test_stream_throughput_and_journal_growth(benchmark, results_dir):
         f"stream throughput fell to {ratio:.2f}x of one-shot " \
         f"({stream_rps:.0f} vs {oneshot['rows_per_s']:.0f} rows/s)"
 
-    # -- gate 2: no degradation across the feed's lifetime --
-    degradation = last10_p95 / max(first10_p95, 1e-9)
+    # -- gate 2: no degradation across the feed's lifetime (median of
+    # the feeds' ratios) --
     assert degradation <= 1.2, \
-        f"late batches degraded to {degradation:.2f}x early p95 " \
-        f"({last10_p95 * 1000:.2f}ms vs {first10_p95 * 1000:.2f}ms)"
+        f"late batches degraded to a median {degradation:.2f}x early " \
+        f"p95 (runs: {', '.join(f'{d:.2f}x' for d in degradations)})"
 
     bench_json("stream", {
         "scale": SCALE,
@@ -120,6 +136,7 @@ def test_stream_throughput_and_journal_growth(benchmark, results_dir):
         "series": series,
         "throughput_ratio": round(ratio, 3),
         "p95_degradation": round(degradation, 3),
+        "p95_degradation_runs": [round(d, 3) for d in degradations],
         "latency_p50_s": round(report.latency_p(0.50), 6),
         "latency_p95_s": round(report.latency_p(0.95), 6),
     })

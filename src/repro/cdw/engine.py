@@ -99,7 +99,7 @@ class CdwEngine:
         #: catalog + per-table reader/writer locks.  Statements lock only
         #: the tables they touch (write beats read), so read-only SQL and
         #: exports proceed concurrently with a bulk load's COPY INTO, and
-        #: eager-apply DML ranges interleave with later files' copies.
+        #: concurrent jobs' COPY and DML run side by side.
         self.locks = LockManager()
         self._counts_lock = threading.Lock()
         #: storage mode of the tables this engine creates: typed column

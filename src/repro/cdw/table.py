@@ -186,7 +186,7 @@ class CdwTable:
         become insertable again.  ``sorted_by`` is deliberately left
         armed: truncation removes a suffix, which cannot disturb the
         order of what remains, so zone-map slices stay valid for the
-        eager ranges that follow a rollback.
+        ranges the error handler applies after a rollback.
         """
         if self._store is not None:
             self._store.truncate(length)
@@ -272,8 +272,8 @@ class CdwTable:
         """One column's values over row range ``[lo, hi)`` as a list.
 
         O(range) without materializing row tuples in columnar mode —
-        the read primitive of the vectorized engine paths and Beta's
-        ``staged_seqs``.
+        the read primitive of the vectorized engine paths and of Beta's
+        ``ApplyRun.apply_seq_range``.
         """
         return self.column_values_at(self.column_index(name), lo, hi)
 
@@ -294,9 +294,8 @@ class CdwTable:
 
         After this, :meth:`seq_slice` answers range queries by binary
         search and :meth:`append_rows` keeps the order as new rows land
-        (Hyper-Q's Beta arms the staging table once per apply run; the
-        eager-apply path then interleaves COPY INTO appends with
-        range-pruned DML scans).
+        (Hyper-Q's Beta arms the staging table once per apply run, and
+        the adaptive error handler's range-pruned DML scans slice it).
         """
         col = self.column_index(column)
         if self._store is not None:
@@ -337,8 +336,8 @@ class CdwTable:
     def append_rows(self, new_rows: list[tuple]) -> None:
         """Append rows, preserving the zone-map order when armed.
 
-        The common eager-apply case — a staged file strictly after every
-        row already present — is a plain extend; out-of-order arrivals
+        The common case — rows strictly after every row already present
+        — is a plain extend; out-of-order arrivals
         (round-robin writers finishing early chunks late) fall back to a
         sort, which is near-linear on the mostly-sorted result.
         """
@@ -501,9 +500,9 @@ class CdwTable:
 
         The incremental counterpart to :meth:`check_unique`: instead of
         rescanning the whole table per statement — quadratic across the
-        many small ranged statements eager apply issues — it checks new
-        rows against a cached key index (built once, extended by
-        :meth:`append_rows`, dropped on any other mutation).  Only valid
+        many small ranged statements the error handler issues — it
+        checks new rows against a cached key index (built once, extended
+        by :meth:`append_rows`, dropped on any other mutation).  Only valid
         when every prior insert into this table was checked, which the
         engine's ``native_unique`` mode guarantees.  Raises the same
         uniqueness :class:`BulkExecutionError` as :meth:`check_unique`.

@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chaos_args(run)
     _add_wlm_args(run)
     _add_dq_args(run)
-    _add_perf_args(run)
     _add_logging_args(run)
 
     serve = sub.add_parser(
@@ -228,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chaos_args(stream)
     _add_wlm_args(stream)
     _add_dq_args(stream)
-    _add_perf_args(stream)
     _add_logging_args(stream)
 
     simulate = sub.add_parser(
@@ -278,15 +276,6 @@ def _add_dq_args(sub_parser) -> None:
              "dq-profile JSON (rulesets + rules; see docs/DQ.md)")
 
 
-def _add_perf_args(sub_parser) -> None:
-    """The pipelining knob shared by the job-running commands."""
-    sub_parser.add_argument(
-        "--eager-apply", action="store_true",
-        help="pipeline DML application into acquisition: COPY and "
-             "apply durable __SEQ prefixes while later chunks still "
-             "convert/upload (see docs/PERFORMANCE.md)")
-
-
 def _add_logging_args(sub_parser) -> None:
     sub_parser.add_argument(
         "--log-level", default=None, metavar="LEVEL",
@@ -313,7 +302,6 @@ def _add_observed_job_args(sub_parser) -> None:
     _add_chaos_args(sub_parser)
     _add_wlm_args(sub_parser)
     _add_dq_args(sub_parser)
-    _add_perf_args(sub_parser)
 
 
 def _configure_cli_logging(args) -> None:
@@ -343,7 +331,6 @@ def _run_observed_job(args, *, trace: bool,
                           chaos_profile=_load_json_arg(args, "chaos_profile"),
                           chaos_seed=getattr(args, "chaos_seed", None),
                           wlm_profile=_load_json_arg(args, "wlm_profile"),
-                          eager_apply=getattr(args, "eager_apply", False),
                           **config_kwargs)
     stack = build_stack(config=config)
     try:
@@ -558,8 +545,7 @@ def _cmd_stream(args) -> int:
         chaos_profile=_load_json_arg(args, "chaos_profile"),
         chaos_seed=getattr(args, "chaos_seed", None),
         wlm_profile=_load_json_arg(args, "wlm_profile"),
-        dq_profile=_load_json_arg(args, "dq_profile"),
-        eager_apply=getattr(args, "eager_apply", False))
+        dq_profile=_load_json_arg(args, "dq_profile"))
     stack = build_stack(config=config)
     try:
         stack.engine.execute(workload.ddl)
@@ -666,8 +652,7 @@ def _cmd_run_script(args) -> int:
             chaos_profile=_load_json_arg(args, "chaos_profile"),
             chaos_seed=args.chaos_seed,
             wlm_profile=_load_json_arg(args, "wlm_profile"),
-            dq_profile=_load_json_arg(args, "dq_profile"),
-            eager_apply=getattr(args, "eager_apply", False)))
+            dq_profile=_load_json_arg(args, "dq_profile")))
         connect = stack.node.connect
         engine = stack.engine
         closer = stack.close

@@ -255,29 +255,6 @@ class Beta:
 
     # -- the application phase ------------------------------------------------------------
 
-    def start_apply(self, *, sql: str, layout: Layout, staging_table: str,
-                    target_table: str, et_table: str, uv_table: str,
-                    max_errors: int | None = None,
-                    max_retries: int | None = None,
-                    span=NULL_SPAN, job_id: str = "") -> "ApplyRun":
-        """Open an incremental application run for one load job.
-
-        The two-phase path drives the returned :class:`ApplyRun` with a
-        single whole-table :meth:`ApplyRun.apply_seq_range`; the
-        eager-apply coordinator calls it once per durable contiguous
-        ``__SEQ`` prefix extension while acquisition is still running.
-        Both share one error budget and produce one merged summary.
-        """
-        return ApplyRun(
-            self, sql=sql, layout=layout, staging_table=staging_table,
-            target_table=target_table, et_table=et_table,
-            uv_table=uv_table,
-            max_errors=(max_errors if max_errors is not None
-                        else self.config.max_errors),
-            max_retries=(max_retries if max_retries is not None
-                         else self.config.max_retries),
-            span=span, job_id=job_id)
-
     def apply_dml(self, *, sql: str, layout: Layout, staging_table: str,
                   target_table: str, et_table: str, uv_table: str,
                   chunk_records: dict[int, int],
@@ -287,18 +264,26 @@ class Beta:
                   span=NULL_SPAN, job_id: str = "") -> ApplySummary:
         """Run the application phase of a load job in one shot.
 
-        ``span`` is the tracing parent (the job's ``apply`` span);
-        adaptive-error-handler splits and skips are emitted as child
-        events under it (and into the job's flight recorder when a
-        ``job_id`` is given).
+        One :class:`ApplyRun` applies the DML to the whole staging table
+        under one error budget.  ``span`` is the tracing parent (the
+        job's ``apply`` span); adaptive-error-handler splits and skips
+        are emitted as child events under it (and into the job's flight
+        recorder when a ``job_id`` is given).
         """
-        run = self.start_apply(
-            sql=sql, layout=layout, staging_table=staging_table,
+        # Sort the staging table by __SEQ and arm its zone map, so every
+        # range the error handler slices is a binary search.
+        staging = self.engine.table(staging_table)
+        with self.engine.locks.table_lock(staging_table).write():
+            staging.set_sorted(SEQ_COLUMN)
+        run = ApplyRun(
+            self, sql=sql, layout=layout, staging_table=staging_table,
             target_table=target_table, et_table=et_table,
-            uv_table=uv_table, max_errors=max_errors,
-            max_retries=max_retries, span=span, job_id=job_id)
-        run.arm_staging()
-        run.update_chunks(chunk_records)
+            uv_table=uv_table, chunk_records=chunk_records,
+            max_errors=(max_errors if max_errors is not None
+                        else self.config.max_errors),
+            max_retries=(max_retries if max_retries is not None
+                         else self.config.max_retries),
+            span=span, job_id=job_id)
         run.record_acquisition_errors(acquisition_errors)
         run.apply_seq_range(None, None)
         return run.finish()
@@ -340,20 +325,18 @@ class Beta:
 
 
 class ApplyRun:
-    """Incremental application state for one load job.
+    """Application state for one load job.
 
-    Owns the job-wide :class:`ApplyOutcome` (shared ``max_errors``
+    Owns the job-wide :class:`ApplyOutcome` (one ``max_errors``
     budget), the prepared-DML builder, and the adaptive error handler;
-    each :meth:`apply_seq_range` call extends the applied ``__SEQ``
-    range.  Rownum mapping only depends on the record counts of earlier
-    chunks, so applying a growing chunk-aligned prefix yields row
-    numbers — and therefore ET/UV rows — identical to one whole-table
-    pass.
+    :meth:`apply_seq_range` applies the DML over a ``__SEQ`` range and
+    :meth:`finish` folds the outcome into the job's summary.
     """
 
     def __init__(self, beta: Beta, *, sql: str, layout: Layout,
                  staging_table: str, target_table: str, et_table: str,
-                 uv_table: str, max_errors: int, max_retries: int,
+                 uv_table: str, chunk_records: dict[int, int],
+                 max_errors: int, max_retries: int,
                  span=NULL_SPAN, job_id: str = ""):
         self.beta = beta
         self.job_id = job_id
@@ -368,8 +351,7 @@ class ApplyRun:
         self.outcome = ApplyOutcome()
         self._builder, self._kind = beta.prepare_dml(
             sql, layout, staging_table)
-        self._rownum = beta._rownum_mapper({})
-        self._recorded_acq: set[int] = set()
+        self._rownum = beta._rownum_mapper(chunk_records)
         self._handler = AdaptiveErrorHandler(
             execute_range=self._execute_range,
             record_tuple_error=self._record_tuple_error,
@@ -431,36 +413,12 @@ class ApplyRun:
         elif event == "range_skip":
             obs.apply_errors.labels(kind="range").inc()
 
-    # -- incremental driving ------------------------------------------------
-
-    def arm_staging(self) -> None:
-        """Sort the staging table by ``__SEQ`` and arm its zone map.
-
-        Under the eager path this runs on the (empty) staging table
-        right after creation; subsequent COPY INTO appends keep the
-        order, so every later slice is a binary search.
-        """
-        engine = self.beta.engine
-        staging = engine.table(self.staging_table)
-        with engine.locks.table_lock(self.staging_table).write():
-            staging.set_sorted(SEQ_COLUMN)
-
-    def update_chunks(self, chunk_records: dict[int, int]) -> None:
-        """Refresh the rownum mapper with every chunk known so far."""
-        self._rownum = self.beta._rownum_mapper(chunk_records)
-
-    def mark_acquisition_recorded(self, seqs) -> None:
-        """Resume support: these seqs' acquisition errors are already in
-        the error table from a previous incarnation of the job."""
-        self._recorded_acq.update(seqs)
+    # -- driving ----------------------------------------------------------
 
     def record_acquisition_errors(
             self, acquisition_errors: list[AcquisitionError]) -> None:
-        """Write acquisition-time rejects to the error table (idempotent
-        per seq — eager prefixes re-pass the growing list)."""
-        fresh = [e for e in acquisition_errors
-                 if e.seq not in self._recorded_acq]
-        for error in sorted(fresh, key=lambda e: e.seq):
+        """Write acquisition-time rejects to the error table."""
+        for error in sorted(acquisition_errors, key=lambda e: e.seq):
             rownum = self._rownum(error.seq)
             self.beta._record_et(
                 self.et_table, rownum, error.code, error.field,
@@ -468,35 +426,29 @@ class ApplyRun:
                 f"{self.target_table}, row number: {rownum}",
                 rule_id="acquisition", reason=error.message)
             self.summary.et_errors += 1
-            self._recorded_acq.add(error.seq)
 
-    def staged_seqs(self, lo_seq: int | None,
-                    hi_seq: int | None) -> list[int]:
-        """Sorted ``__SEQ`` values currently staged within a bound."""
+    def apply_seq_range(self, lo_seq: int | None,
+                        hi_seq: int | None) -> None:
+        """Apply the DML to staged rows with ``__SEQ`` in the bound
+        (None = open end), accumulating into the run's outcome."""
         engine = self.beta.engine
         staging = engine.table(self.staging_table)
         with engine.locks.table_lock(self.staging_table).read():
             # Read the __SEQ column directly — no tuple materialization
             # when the staging table is columnar.
             if lo_seq is None and hi_seq is None:
-                return sorted(
-                    staging.column_values(SEQ_COLUMN, 0,
-                                          staging.row_count))
-            lo, hi = staging.seq_slice(
-                lo_seq if lo_seq is not None else 0,
-                hi_seq if hi_seq is not None else (1 << 62))
-            return staging.column_values(SEQ_COLUMN, lo, hi)
-
-    def apply_seq_range(self, lo_seq: int | None,
-                        hi_seq: int | None) -> None:
-        """Apply the DML to staged rows with ``__SEQ`` in the bound
-        (None = open end), accumulating into the shared outcome."""
-        seqs = self.staged_seqs(lo_seq, hi_seq)
+                seqs = sorted(staging.column_values(
+                    SEQ_COLUMN, 0, staging.row_count))
+            else:
+                lo, hi = staging.seq_slice(
+                    lo_seq if lo_seq is not None else 0,
+                    hi_seq if hi_seq is not None else (1 << 62))
+                seqs = staging.column_values(SEQ_COLUMN, lo, hi)
         self._handler.apply(seqs, outcome=self.outcome)
 
     def finish(self) -> ApplySummary:
         """Close the run: fold the outcome into the summary, flush the
-        observability counters, and return the merged summary."""
+        observability counters, and return the summary."""
         summary = self.summary
         outcome = self.outcome
         summary.rows_inserted = outcome.rows_inserted

@@ -51,13 +51,6 @@ class HyperQConfig:
     #: entries in Beta's prepared-DML plan cache (LRU; one entry per
     #: distinct (DML text, staging table, layout) shape).
     plan_cache_size: int = 128
-    #: overlap the application phase with acquisition: COPY INTO + DML
-    #: run on durable contiguous ``__SEQ`` prefixes as staged files
-    #: land, and the client's APPLY becomes a drain barrier.  Requires
-    #: the client to send its apply DML in BEGIN_LOAD metadata (the
-    #: bundled client always does); jobs without it fall back to the
-    #: two-phase path.
-    eager_apply: bool = False
     #: maintain the node-level metrics registry (counters/histograms
     #: behind ``HyperQNode.stats()``); near-zero cost, but can be turned
     #: off for pure-throughput benchmarking.

@@ -87,10 +87,9 @@ class AdaptiveErrorHandler:
         numbers), splitting adaptively on failure.
 
         Pass ``outcome`` to continue accumulating into a prior call's
-        result — the eager-apply path invokes the handler once per
-        durable ``__SEQ`` prefix extension and must share one
-        ``max_errors`` budget (and one set of counters) across the whole
-        job, exactly as a single two-phase call would.
+        result: an :class:`~repro.core.beta.ApplyRun` passes its own, so
+        every range it applies shares one ``max_errors`` budget (and
+        one set of counters).
         """
         if outcome is None:
             outcome = ApplyOutcome()

@@ -92,8 +92,7 @@ class FileWriter:
         A buffer of zero bytes still finalizes when chunk manifests are
         pending: a chunk whose records were all rejected contributes no
         CSV, but its manifest entry must reach the checkpoint journal
-        (and the eager-apply coordinator's durable-chunk tracking) all
-        the same.
+        all the same.
         """
         if not self._buffer and not self._buffered_chunks:
             return None

@@ -102,9 +102,6 @@ class _LoadJob:
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: workload-management admission (None when wlm is disabled).
     ticket: object = None
-    #: the DML eager apply was armed with at BEGIN_LOAD (None on the
-    #: two-phase path; the pipeline runs the eager lanes).
-    eager_sql: str | None = None
     #: data-quality prechecker (None when no ruleset matched the job).
     dq: DqPrechecker | None = None
     #: owning stream feed (None for one-shot loads), the micro-batch
@@ -700,12 +697,6 @@ class HyperQNode:
                              remote_ctx=None,
                              stream: dict | None = None) -> _LoadJob:
         """Set up one admitted load job (the pre-wlm BEGIN_LOAD body)."""
-        eager_sql = (meta.get("apply_sql")
-                     if self.config.eager_apply else None)
-        if stream is not None and stream["route_error"]:
-            # Nothing of a route-to-error batch may reach the target
-            # before APPLY moves it wholesale to the error table.
-            eager_sql = None
         # A restarted job (same job_id, resume flag) replaces whatever
         # is left of its killed predecessor; the checkpoint journal in
         # the job's staging directory carries the durable progress over.
@@ -713,9 +704,8 @@ class HyperQNode:
             with self._registry_lock:
                 stale = self._jobs.pop(job_id, None)
             if stale is not None:
-                # The stale eager lanes must be idle before this restart
-                # seeds its watermark from the journal — bounded like
-                # an abort.
+                # The stale pipeline must be idle before this restart
+                # replays the journal — bounded like an abort.
                 stale.pipeline.quiesce()
                 stale.span.end("error")
                 self.wlm.release(stale.ticket)
@@ -727,16 +717,6 @@ class HyperQNode:
         journal = CheckpointJournal(
             os.path.join(staging_dir, "checkpoint.jsonl"),
             fresh=not resume)
-        if eager_sql is None and (
-                journal.eager_copied
-                or journal.eager_applied_below is not None):
-            # Run two-phase, this resume would COPY every blob again into
-            # the staging table that kept the eager copies and re-apply
-            # the prefix that is already in the target.
-            journal.close()
-            raise GatewayError(
-                f"load job {job_id!r} was running eager apply; resume it "
-                "eagerly, with the apply_sql it began with")
         if stream is None:
             staging_table = f"HQ_STG_{job_id}"
             if not (resume and self.engine.catalog.exists(staging_table)):
@@ -794,15 +774,6 @@ class HyperQNode:
             csv_delimiter=self.config.csv_delimiter,
             obs=self.obs,
             staging_table=staging_table)
-        apply_run = None
-        if eager_sql:
-            apply_run = self.beta.start_apply(
-                sql=eager_sql, layout=layout,
-                staging_table=staging_table, target_table=target,
-                et_table=meta["et_table"], uv_table=meta["uv_table"],
-                max_errors=meta.get("max_errors"),
-                max_retries=meta.get("max_retries"),
-                span=job_span, job_id=job_id)
         pipeline = AcquisitionPipeline(
             converter=converter,
             credits=self.wlm.credit_source(pool),
@@ -823,8 +794,6 @@ class HyperQNode:
             journal=journal,
             resume=resume,
             worker_pool=self._pipeline_pool,
-            apply_run=apply_run,
-            dq=dq,
         )
         job = _LoadJob(
             job_id=job_id, target=target,
@@ -832,8 +801,7 @@ class HyperQNode:
             layout=layout, format_spec=format_spec,
             staging_table=staging_table, staging_dir=staging_dir,
             pipeline=pipeline, metrics=metrics,
-            span=job_span, ticket=ticket,
-            eager_sql=eager_sql, dq=dq,
+            span=job_span, ticket=ticket, dq=dq,
         )
         if stream is not None:
             job.stream = stream["feed"]
@@ -846,8 +814,7 @@ class HyperQNode:
         self.obs.jobs_total.labels(event="started").inc()
         self.obs.flight.record(
             job_id, "started", target=target, pool=pool,
-            resume=resume, eager=bool(eager_sql),
-            trace_id=metrics.trace_id)
+            resume=resume, trace_id=metrics.trace_id)
         log.info("load job started", extra={
             "job_id": job_id, "target": target, "pool": pool,
             "sessions": meta.get("sessions", 0)})
@@ -1215,10 +1182,10 @@ class HyperQNode:
         """Make the feed's staging table ready for batch ``job_id``.
 
         The resume rule: the table is emptied unless this batch's own
-        job journal replays rows that already landed in it (a COPY, an
-        eager per-blob copy, or dq routing).  Whatever else it holds is
-        a batch that was aborted or committed without its END_LOAD, and
-        whose state this BEGIN supersedes.  A batch laid out differently
+        job journal replays rows that already landed in it (a COPY or dq
+        routing).  Whatever else it holds is a batch that was aborted
+        or committed without its END_LOAD, and whose state this BEGIN
+        supersedes.  A batch laid out differently
         from the table (drift under ``evolve``, or a ``route-to-error``
         batch staged under its own layout) gets the table recreated.
         """
@@ -1230,8 +1197,7 @@ class HyperQNode:
             self._discard_job_state(*parked)
         name = feed.staging_table
         if self.engine.catalog.exists(name):
-            if (journal.copy_rows is not None or journal.eager_copied
-                    or journal.dq_routed):
+            if journal.copy_rows is not None or journal.dq_routed:
                 return
             table = self.engine.table(name)
             have = [f"{c.name} {c.ctype.render()}".upper()
@@ -1328,9 +1294,6 @@ class HyperQNode:
     def _handle_apply(self, channel: MessageChannel,
                       message: Message) -> None:
         job = self._job(message.meta["job_id"])
-        if job.pipeline.eager is not None:
-            self._handle_apply_eager(channel, message, job)
-            return
         # Acquisition ends once the pipeline has fully drained into the
         # staging table (upload + in-cloud COPY included).
         job.pipeline.drain()
@@ -1394,52 +1357,6 @@ class HyperQNode:
             apply_span.end("error")
             raise
         apply_span.set_attribute("rows_inserted", summary.rows_inserted)
-        apply_span.end()
-        self._record_apply_result(channel, job, summary)
-
-    def _handle_apply_eager(self, channel: MessageChannel,
-                            message: Message, job: _LoadJob) -> None:
-        """APPLY on the eager path: a drain barrier, not a phase.
-
-        The pipeline's eager lanes have been copying and applying
-        durable prefixes since BEGIN_LOAD; here the gateway drains the
-        acquisition pipeline (an eager pipeline runs no prefix-wide
-        COPY — its copy lane owns every copy), waits for both eager
-        lanes to run dry, and merges one summary identical to the
-        two-phase outcome.
-        """
-        if message.meta["sql"] != job.eager_sql:
-            raise GatewayError(
-                "APPLY statement differs from the DML announced at "
-                "BEGIN_LOAD; eager apply already ran the announced one")
-        job.pipeline.drain()
-        job.acquisition_watch.stop()
-        acquisition_ended = time.perf_counter()
-        job.metrics.acquisition_s = job.acquisition_watch.elapsed
-        job.metrics.sessions = max(
-            job.metrics.sessions, len(job.sessions_seen))
-
-        apply_span = self.obs.tracer.span(
-            "apply", parent=job.span, job_id=job.job_id,
-            target=job.target, eager=True)
-        self.obs.flight.record(job.job_id, "apply_started", eager=True)
-        eager = job.pipeline.eager
-        try:
-            with job.application_watch, \
-                    self.obs.stage_seconds.labels(stage="apply").time():
-                summary = eager.finish()
-        except BaseException:
-            apply_span.end("error")
-            raise
-        # Overlap: time between the first eager range application and
-        # the end of acquisition — the wall clock the pipelining saved.
-        overlap = 0.0
-        if eager.first_apply_at is not None:
-            overlap = max(0.0, acquisition_ended - eager.first_apply_at)
-        job.metrics.overlap_s = overlap
-        self.obs.apply_overlap_seconds.observe(overlap)
-        apply_span.set_attribute("rows_inserted", summary.rows_inserted)
-        apply_span.set_attribute("overlap_s", round(overlap, 6))
         apply_span.end()
         self._record_apply_result(channel, job, summary)
 
@@ -1519,10 +1436,10 @@ class HyperQNode:
                 return
         # Quiesce *before* unregistering: once the job leaves the
         # registry a resume restart can no longer find (and stop) it,
-        # so its eager lanes must already be idle — an in-flight range
-        # that finished after the restart seeded its journal watermark
-        # would be double-applied.  Already-submitted chunks reach
-        # durable state first, for a ``resume`` restart.
+        # so its lanes must already be idle — the restart replays the
+        # journal and must see every record the old pipeline writes.
+        # Already-submitted chunks reach durable state first, for a
+        # ``resume`` restart.
         job.pipeline.quiesce()
         with self._registry_lock:
             if self._jobs.get(job.job_id) is not job:

@@ -55,9 +55,6 @@ class JobMetrics:
     total_s: float = 0.0
     acquisition_s: float = 0.0
     application_s: float = 0.0
-    #: wall-clock seconds during which eager DML application overlapped
-    #: ongoing acquisition (0.0 for two-phase jobs).
-    overlap_s: float = 0.0
 
     # -- acquisition counters --
     chunks_received: int = 0
@@ -115,7 +112,6 @@ class JobMetrics:
             "total_s": round(self.total_s, 4),
             "acquisition_s": round(self.acquisition_s, 4),
             "application_s": round(self.application_s, 4),
-            "overlap_s": round(self.overlap_s, 4),
             "other_s": round(self.other_s, 4),
             "records": self.records_converted,
             "bytes_in": self.bytes_received,

@@ -13,12 +13,6 @@ Stage wiring for one load job::
     drain(): flush writers, wait for uploads, then one in-cloud COPY INTO
          the staging table
 
-Handed the job's :class:`~repro.core.beta.ApplyRun` (eager apply), the
-pipeline also builds the two lanes of an
-:class:`~repro.core.eagerapply.EagerApplyCoordinator`: the upload lane
-hands every durable file to an eager-copy lane, which COPYs it and
-nudges an eager-apply lane, and ``drain()`` skips the prefix-wide COPY.
-
 Every stage is a :class:`_SerialLane` — an ordered task stream — on the
 :class:`PipelineWorkerPool` the pipeline is handed: the node's one
 pool, under either front end.  A pipeline starts no threads of its own;
@@ -51,12 +45,10 @@ from functools import partial
 from repro.cdw.bulkloader import CloudBulkLoader
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
-from repro.core.beta import ApplyRun
 from repro.core.config import HyperQConfig
 from repro.core.converter import (
     AcquisitionError, ConvertedChunk, DataConverter,
 )
-from repro.core.eagerapply import EagerApplyCoordinator
 from repro.core.filewriter import FileWriter, StagedFile
 from repro.core.metrics import JobMetrics
 from repro.errors import GatewayError, PipelineFailure
@@ -81,11 +73,10 @@ class PipelineWorkerPool:
     """A fixed set of worker threads that run pipelines' stage lanes.
 
     Every :class:`AcquisitionPipeline` runs its converter/writer/
-    uploader (and eager copy/apply) stages as :class:`_SerialLane`
-    tasks on one of these.  A node owns one pool for all its jobs,
-    under either front end, so thread count is bounded per node however
-    many jobs or micro-batches run.  Stage ordering is preserved per
-    lane.  Idle threads are named
+    uploader stages as :class:`_SerialLane` tasks on one of these.  A
+    node owns one pool for all its jobs, under either front end, so
+    thread count is bounded per node however many jobs or micro-batches
+    run.  Stage ordering is preserved per lane.  Idle threads are named
     ``<name>-pipeline-<i>``; while one drains a lane it carries the
     lane's job-attributed name instead.
     """
@@ -185,8 +176,7 @@ class AcquisitionPipeline:
                  retry: RetryPolicy | None = None,
                  breakers: CircuitBreakerRegistry | None = None,
                  journal: CheckpointJournal | None = None,
-                 resume: bool = False, job_id: str = "",
-                 apply_run: ApplyRun | None = None, dq=None):
+                 resume: bool = False, job_id: str = ""):
         self.converter = converter
         #: credit source — the node's CreditManager, or a pool-bound
         #: :class:`repro.wlm.PoolCredits` view when workload management
@@ -237,17 +227,6 @@ class AcquisitionPipeline:
         # thread dumps of a busy multi-tenant node attributable at a
         # glance even though the threads belong to a shared pool.
         label = f"hyperq-job-{job_id}" if job_id else "hyperq"
-        #: the eager copy/apply lanes (None on the two-phase path) —
-        #: built before the journal replay so a resumed job's durable
-        #: files have somewhere to go.
-        self.eager: EagerApplyCoordinator | None = None
-        if apply_run is not None:
-            self.eager = EagerApplyCoordinator(
-                self, apply_run,
-                lambda handler, on_error, suffix: _SerialLane(
-                    worker_pool, handler, on_error, f"{label}-{suffix}"),
-                dq=dq)
-
         resumed_uploads = self._replay_journal() if resume else []
 
         self._writers = [
@@ -281,8 +260,7 @@ class AcquisitionPipeline:
         everything and only the lost tail is re-processed.  Staging
         files that were finalized but never uploaded are returned for
         re-enqueueing — already-uploaded files are *not*, which is the
-        restart guarantee: zero re-uploads of durable work.  An eager
-        job's copy and apply progress replays too.
+        restart guarantee: zero re-uploads of durable work.
         """
         if self.journal is None:
             return []
@@ -311,8 +289,6 @@ class AcquisitionPipeline:
                 "durable_chunks": self.resumed_chunks,
                 "uploaded_files": self.resumed_files,
                 "requeued_files": len(pending)})
-        if self.eager is not None:
-            self.eager.resume(self.journal)
         return pending
 
     def _next_file_no(self, writer_no: int, resume: bool) -> int:
@@ -487,8 +463,6 @@ class AcquisitionPipeline:
             if self.journal is not None:
                 self.journal.record_uploaded(staged.name)
             os.unlink(staged.path)
-            if self.eager is not None:
-                self.eager.file_durable(staged)
         except BaseException as exc:
             upload_span.end("error")
             self._fail(exc)
@@ -509,10 +483,6 @@ class AcquisitionPipeline:
         Called when the client starts the application phase: "After data
         is completely consumed, Hyper-Q initiates an in-the-cloud COPY
         operation to move data to a staging table in the CDW".
-
-        An eager job skips the terminal prefix-wide COPY — its copy lane
-        has been COPYing file by file, and a prefix-wide COPY here would
-        double-load every blob it already moved.
         """
         if self._drained:
             return
@@ -538,9 +508,6 @@ class AcquisitionPipeline:
         wait_for(lambda: self._flushes_done >= expected_flushes)
         wait_for(lambda: self._uploaded_files >= self._finalized_files)
         self._check_failures()
-        if self.eager is not None:
-            self._drained = True
-            return
         if self.journal is not None and self.journal.copy_rows is not None:
             # A previous incarnation of this job already COPYed: running
             # it again would double-load every staged blob.
@@ -555,11 +522,23 @@ class AcquisitionPipeline:
             n.TableRef(self.staging_table),
             CloudStore.make_url(self.container, self.prefix),
             delimiter=self.config.csv_delimiter)
+
+        def attempt():
+            # Safe to retry: the engine's set-oriented execution is
+            # all-or-nothing, and the injection point fires *before*
+            # the statement is dispatched, so an absorbed fault never
+            # leaves a partial COPY behind.
+            self.faults.fire("copy.into", staging_table=self.staging_table)
+            return self.engine.execute(statement)
+
         with self.obs.tracer.span(
                 "copy", parent=self.job_span,
                 staging_table=self.staging_table) as copy_span, \
                 self.obs.stage_seconds.labels(stage="copy").time():
-            result = self._execute_copy(statement, copy_span)
+            result = guarded_call(
+                "copy.into", attempt, retry=self.retry,
+                breakers=self.breakers, obs=self.obs, parent=copy_span,
+                job_id=self.job_id)
             copy_span.set_attribute("rows", result.rows_inserted)
         if self.journal is not None:
             self.journal.record_copy(result.rows_inserted)
@@ -568,23 +547,6 @@ class AcquisitionPipeline:
         log.debug("COPY INTO %s landed %d rows",
                   self.staging_table, result.rows_inserted)
         self._drained = True
-
-    def _execute_copy(self, statement: n.CopyInto, copy_span):
-        """Run COPY under the ``copy.into`` fault point + retry/breaker.
-
-        Safe to retry: the engine's set-oriented execution is
-        all-or-nothing, and the injection point fires *before* the
-        statement is dispatched, so an absorbed fault never leaves a
-        partial COPY behind.
-        """
-
-        def attempt():
-            self.faults.fire("copy.into", staging_table=self.staging_table)
-            return self.engine.execute(statement)
-
-        return guarded_call(
-            "copy.into", attempt, retry=self.retry, breakers=self.breakers,
-            obs=self.obs, parent=copy_span, job_id=self.job_id)
 
     # -- teardown ----------------------------------------------------------------------
 
@@ -601,20 +563,16 @@ class AcquisitionPipeline:
     def shutdown(self, timeout_s: float = 10.0) -> None:
         """Stop the job's stage work (idempotent, never raises).
 
-        The one teardown order of a load job: eager work stops first
-        (queued copy/apply items become no-ops, the one in flight
-        finishes), then already-queued acquisition work finishes, and
-        only then is the journal closed (the worker pool outlives the
-        job).  The waits are bounded and come first because credits
-        travel attached to queued items, an applied range must still
-        journal its watermark, and a journal write after close would
-        fail its lane task and mask the real teardown reason.  Unlike
-        :meth:`drain` it never flushes partial files and never COPYs;
-        a pipeline that already failed is shut down immediately.
+        The one teardown order of a load job: already-queued acquisition
+        work finishes, and only then is the journal closed (the worker
+        pool outlives the job).  The wait is bounded and comes first
+        because credits travel attached to queued items, and a journal
+        write after close would fail its lane task and mask the real
+        teardown reason.  Unlike :meth:`drain` it never flushes partial
+        files and never COPYs; a pipeline that already failed is shut
+        down immediately.
         """
         deadline = time.monotonic() + timeout_s
-        if self.eager is not None:
-            self.eager.stop(timeout_s)
         with self._state:
             while (self._written < self._submitted
                    or self._uploaded_files < self._finalized_files):

@@ -198,9 +198,8 @@ class CompiledRuleSet:
         """(key…, __SEQ) of every keyed row in the staging table.
 
         Scans the whole table on purpose: the surviving-first-
-        occurrence cascade must hold *globally*, and clean rows from
-        already-applied eager prefixes stay in staging, so a later
-        duplicate always sees the earlier winner here.
+        occurrence cascade must hold *globally*, so a duplicate always
+        sees the earlier winner here, whatever range is checked.
         """
         items = [n.SelectItem(n.ColumnRef(c))
                  for c in rule.key_columns]

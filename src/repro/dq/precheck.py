@@ -1,9 +1,8 @@
 """The pre-APPLY data-quality check + violation routing pass.
 
-:class:`DqPrechecker` runs between acquisition and application — once
-over the whole staging table for two-phase jobs, or once per durable
-contiguous ``__SEQ`` prefix under eager apply.  Each
-:meth:`check_range` is a handful of set-oriented SQL passes:
+:class:`DqPrechecker` runs between acquisition and application, once
+over the whole staging table.  Each :meth:`check_range` is a handful of
+set-oriented SQL passes:
 
 1. the single aggregated counts pass (``{rule_id: failed_count}``);
 2. one flag-columns routing pass shared by every *violated* per-row
@@ -22,8 +21,7 @@ the routing cascade instead: a duplicate only violates when an earlier
 *surviving* row holds its key — rows routed by another rule (or deleted
 by an earlier range) never claim a key, which keeps rules-on runs
 row-for-row equivalent to what the target's constraints would have
-decided during application, and makes the eager per-prefix path and the
-two-phase whole-table path route identical sets.  Routed seqs are
+decided during application.  Routed seqs are
 journaled (``dq_route`` records) so kill+resume re-deletes
 re-materialized rows but never double-inserts them into the error
 table.
@@ -206,7 +204,7 @@ class DqPrechecker:
     def _arm_staging(self) -> None:
         """Arm the staging ``__SEQ`` zone map if Beta has not yet.
 
-        Two-phase jobs precheck *before* the apply run sorts staging;
+        The precheck runs *before* the apply run sorts staging;
         without this, every counts/routing/delete pass would be a full
         scan.  Idempotent — subsequent appends keep the order.
         """

@@ -347,9 +347,6 @@ class LegacyEtlClient:
             "layout": _layout_to_wire(spec.layout),
             "format": spec.format_spec.to_wire(),
             "sessions": spec.sessions,
-            # Announcing the DML up front lets an eager-apply gateway
-            # start applying durable prefixes before APPLY_DML arrives.
-            "apply_sql": spec.apply_sql,
         }
         if spec.max_errors is not None:
             begin_meta["max_errors"] = spec.max_errors

@@ -12,7 +12,7 @@ the scheduler.  This module multiplexes the same session contract onto
 - **two handler executors**: ``<name>-admit`` runs BEGIN_LOAD /
   BEGIN_EXPORT, ``<name>-work`` runs every other frame and connection
   teardowns.  What a load job owns below the protocol — pipeline
-  lanes, local staging, eager apply — is the node's, exactly as on the
+  lanes, local staging — is the node's, exactly as on the
   threaded front end: the lanes run on the node's one pipeline worker
   pool.
 

@@ -170,10 +170,6 @@ class Observability:
         self.apply_errors = reg.counter(
             "hyperq_apply_errors_total",
             "Errors recorded during application", ("kind",))
-        self.apply_overlap_seconds = reg.histogram(
-            "hyperq_apply_overlap_seconds",
-            "Wall-clock seconds eager DML application overlapped "
-            "ongoing acquisition, per job")
         self.scan_pruned_rows = reg.counter(
             "hyperq_scan_pruned_rows_total",
             "Staging rows skipped by __SEQ zone-map range pruning")

@@ -2,10 +2,9 @@
 
 The adaptive story of the paper turns on one number per job: where did
 the wall time go — acquisition, COPY, apply, or waiting for admission?
-Phase stopwatches answer that for the two-phase pipeline, but once
-eager apply overlaps COPY with acquisition and WLM queues jobs before
-they start, only the span tree has enough structure to attribute time
-honestly.
+Phase stopwatches answer that for one job's own phases, but once
+concurrent stage lanes overlap and WLM queues jobs before they start,
+only the span tree has enough structure to attribute time honestly.
 
 :func:`analyze` takes span records (from a tracer buffer or a
 :class:`~repro.obs.tracestore.TraceStore` query) and, for each ``job``
@@ -33,9 +32,7 @@ STAGE_OF_SPAN = {
     "write": "acquisition",
     "upload": "acquisition",
     "copy": "copy",
-    "eager.copy": "copy",
     "apply": "apply",
-    "eager.apply_range": "apply",
     "wlm.admit": "admission_wait",
 }
 

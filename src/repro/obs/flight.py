@@ -3,7 +3,7 @@
 When a load job dies — aborted by the client, abandoned on a dropped
 connection, failed in apply — the interesting evidence is everything
 that happened *before* the failure: admission throttles, retry loops,
-breaker trips, eager COPY/apply ranges, adaptive DML splits.  Metrics
+breaker trips, dq routing, adaptive DML splits.  Metrics
 aggregate that history away and the span buffer may have rotated past
 it, so the recorder keeps a small bounded event deque per live job
 (plus one node-wide deque for events with no job context, like breaker

@@ -64,12 +64,6 @@ class CheckpointJournal:
         self.uploaded: set[str] = set()
         #: rows landed by a completed COPY INTO (None = not yet run).
         self.copy_rows: int | None = None
-        #: blobs already copied by the eager-apply coordinator
-        #: (blob name -> rows landed).
-        self.eager_copied: dict[str, int] = {}
-        #: highest chunk seq below which every staged row has been
-        #: eagerly applied (None = eager apply never ran).
-        self.eager_applied_below: int | None = None
         #: staging ``__SEQ``\ s the dq precheck already routed to the
         #: error table — resume re-deletes but never re-records them.
         self.dq_routed: set[int] = set()
@@ -129,10 +123,6 @@ class CheckpointJournal:
             self.uploaded.add(record["file"])
         elif kind == "copy":
             self.copy_rows = record["rows"]
-        elif kind == "eager_copy":
-            self.eager_copied[record["blob"]] = record["rows"]
-        elif kind == "eager_apply":
-            self.eager_applied_below = record["below_chunk"]
         elif kind == "dq_route":
             self.dq_routed.update(record["seqs"])
         elif kind == "stream_commit":
@@ -185,14 +175,6 @@ class CheckpointJournal:
     def record_copy(self, rows: int) -> None:
         """Gateway side: COPY INTO the staging table completed."""
         self._append({"t": "copy", "rows": rows})
-
-    def record_eager_copy(self, blob: str, rows: int) -> None:
-        """Gateway side: the eager coordinator COPYed one blob."""
-        self._append({"t": "eager_copy", "blob": blob, "rows": rows})
-
-    def record_eager_apply(self, below_chunk: int) -> None:
-        """Gateway side: every chunk seq below ``below_chunk`` applied."""
-        self._append({"t": "eager_apply", "below_chunk": below_chunk})
 
     def record_dq_route(self, seqs) -> None:
         """Gateway side: the dq precheck routed these staging seqs to
@@ -248,12 +230,6 @@ class CheckpointJournal:
                 records.append({"t": "uploaded", "file": name})
             if self.copy_rows is not None:
                 records.append({"t": "copy", "rows": self.copy_rows})
-            for blob in sorted(self.eager_copied):
-                records.append({"t": "eager_copy", "blob": blob,
-                                "rows": self.eager_copied[blob]})
-            if self.eager_applied_below is not None:
-                records.append({"t": "eager_apply",
-                                "below_chunk": self.eager_applied_below})
             if self.dq_routed:
                 records.append({"t": "dq_route",
                                 "seqs": sorted(self.dq_routed)})
@@ -291,12 +267,6 @@ class CheckpointJournal:
         """Is the named staging file already durable in the store?"""
         with self._lock:
             return name in self.uploaded
-
-    def durable_files(self) -> list[dict]:
-        """``staged`` records of files already uploaded."""
-        with self._lock:
-            return [rec for name, rec in sorted(self.staged.items())
-                    if name in self.uploaded]
 
     def pending_files(self) -> list[dict]:
         """``staged`` records finalized locally but never uploaded."""

@@ -221,7 +221,7 @@ def test_random_statement_streams_agree(seed, armed):
 
 
 def test_seq_range_scans_agree_while_zone_map_armed():
-    """The eager-apply shape: __SEQ BETWEEN conjunct + residual."""
+    """The ranged-apply shape: __SEQ BETWEEN conjunct + residual."""
     engines = make_pair(99, arm_zone_map=True)
     rng = random.Random(99)
     for _ in range(60):

@@ -149,8 +149,8 @@ class TestPrunedStatements:
 
 class TestTruncateKeepsZoneMap:
     """Beta's emulation rollback truncates the staging suffix; the
-    zone map must stay armed so the eager ranges appended afterwards
-    still slice correctly (PR 8 satellite)."""
+    zone map must stay armed so rows appended afterwards still slice
+    correctly."""
 
     def test_truncate_then_append_slices_match_oracle(self):
         engine = make_engine()
@@ -161,7 +161,7 @@ class TestTruncateKeepsZoneMap:
         assert table.sorted_by == "__SEQ", \
             "suffix truncation cannot disturb the sort order"
 
-        # eager ranges re-land after the rollback point
+        # rows re-land after the rollback point
         table.append_rows([(f"r{s}", s) for s in range(300, 420)])
         assert table.sorted_by == "__SEQ"
         live = list(range(420))

@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import HyperQConfig
 from repro.errors import ProtocolError
 from repro.legacy.client import ExportJobSpec, LegacyEtlClient
+from repro.legacy.protocol import MessageKind
 from repro.legacy.script import ScriptInterpreter, parse_script
 from tests.conftest import EXAMPLE_DATA, EXAMPLE_SCRIPT, make_node
 from tests.resilience.test_chaos_e2e import wait_until
@@ -22,12 +23,23 @@ class TestExampleThroughHyperQ:
     """Figure 5 parity + Figure 6 when max_errors=2."""
 
     def test_parity_with_legacy_figure5(self, stack):
+        begins = []
+        handle_message = stack.node.handle_message
+
+        def noting_handle_message(channel, message, conn):
+            if message.kind == MessageKind.BEGIN_LOAD:
+                begins.append(message.meta)
+            handle_message(channel, message, conn)
+
+        stack.node.handle_message = noting_handle_message
         interp = ScriptInterpreter(
             stack.node.connect, files={"input.txt": EXAMPLE_DATA})
         result = interp.run(parse_script(EXAMPLE_SCRIPT))
         imp = result.last_import
         assert (imp.rows_inserted, imp.et_errors, imp.uv_errors) == \
             (2, 2, 1)
+        # The DML travels in APPLY_DML only; BEGIN_LOAD does not carry it.
+        assert len(begins) == 1 and "apply_sql" not in begins[0]
         assert stack.engine.query(
             "SELECT * FROM PROD.CUSTOMER ORDER BY CUST_ID") == [
                 ("123", "Smith", datetime.date(2012, 1, 1)),

@@ -107,18 +107,15 @@ class TestJobMetrics:
         assert row["other_s"] == 0.5
 
     def test_as_row_identity_and_overlap_fields(self):
-        metrics = JobMetrics(job_id="j9", trace_id="00af",
-                             pool="etl", overlap_s=0.98765)
+        metrics = JobMetrics(job_id="j9", trace_id="00af", pool="etl")
         row = metrics.as_row()
         # Identity columns lead the row so bench tables and flight
         # bundles key on them first.
         assert list(row)[:3] == ["job_id", "trace_id", "pool"]
         assert row["trace_id"] == "00af"
         assert row["pool"] == "etl"
-        assert row["overlap_s"] == 0.9877
 
     def test_as_row_defaults_blank_identity(self):
         row = JobMetrics(job_id="j").as_row()
         assert row["trace_id"] == ""
         assert row["pool"] == ""
-        assert row["overlap_s"] == 0.0

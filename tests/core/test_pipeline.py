@@ -17,7 +17,6 @@ import pytest
 from repro.cdw.bulkloader import CloudBulkLoader
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
-from repro.core.beta import Beta
 from repro.core.config import HyperQConfig
 from repro.core.converter import DataConverter
 from repro.core.credits import CreditManager
@@ -259,29 +258,6 @@ class TestPipelineOnInjectedPool(TestPipeline):
         pool.close()
 
 
-def build_eager_rig(staging_dir, worker_pool, job_id):
-    """``build_rig`` for an eager job: the pipeline is handed the
-    ApplyRun of ``insert into T`` and COPYs/applies as files land."""
-    store = CloudStore()
-    store.create_container("stage")
-    engine = CdwEngine(store=store)
-    engine.execute(
-        "CREATE TABLE STG (A NVARCHAR, B NVARCHAR, __SEQ BIGINT)")
-    engine.execute("CREATE TABLE T (A NVARCHAR, B NVARCHAR)")
-    engine.execute(
-        "CREATE TABLE T_ET (SEQNO INT, ERRCODE INT, ERRFIELD NVARCHAR, "
-        "ERRMSG NVARCHAR, __RULE_ID NVARCHAR, __REASON NVARCHAR)")
-    engine.execute(
-        "CREATE TABLE T_UV (A NVARCHAR, B NVARCHAR, SEQNO INT, "
-        "ERRCODE INT)")
-    run = Beta(engine, HyperQConfig()).start_apply(
-        sql="insert into T values (:A, :B)", layout=LAYOUT,
-        staging_table="STG", target_table="T", et_table="T_ET",
-        uv_table="T_UV", job_id=job_id)
-    return build_rig(staging_dir, worker_pool, cloud=(store, engine),
-                     job_id=job_id, apply_run=run)
-
-
 def wait_until(predicate, timeout_s=5.0):
     deadline = time.monotonic() + timeout_s
     while not predicate() and time.monotonic() < deadline:
@@ -338,54 +314,6 @@ class TestPoolOwnership:
             assert engine.query("SELECT A FROM STG ORDER BY __SEQ") == \
                 [(f"{job}-{seq}",) for seq in range(25)]
             assert metrics.copy_rows == 25
-            credits.check_conservation()
-
-    def test_two_eager_pipelines_share_a_three_thread_pool(self, tmp_path):
-        """Two eager jobs — seven lanes each, eager copy and apply
-        included — fed at once onto three pool threads under a
-        shortened switch interval: both drain and finish, each applies
-        exactly its own rows once, and no thread is started (no lane
-        ever waits on another)."""
-        pool = PipelineWorkerPool(workers=3, name="shared")
-        before = set(threading.enumerate())
-        rigs, summaries = {}, {}
-        try:
-            for job in ("e0", "e1"):
-                os.makedirs(tmp_path / job)
-                rigs[job] = build_eager_rig(tmp_path / job, pool, job)
-            assert set(threading.enumerate()) <= before
-
-            def feed(job):
-                pipeline = rigs[job][0]
-                for seq in range(30):
-                    pipeline.submit_chunk(
-                        seq, f"{job}-{seq:02d}-{'x' * 40}|y\n".encode())
-                pipeline.drain(timeout_s=30)
-                summaries[job] = pipeline.eager.finish(timeout_s=30)
-
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                feeders = [threading.Thread(target=feed, args=(job,))
-                           for job in rigs]
-                for thread in feeders:
-                    thread.start()
-                for thread in feeders:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in feeders)
-            finally:
-                sys.setswitchinterval(interval)
-        finally:
-            for pipeline, *_rest in rigs.values():
-                pipeline.shutdown()
-            pool.close()
-        for job, (_pipeline, engine, _store, credits, metrics) in \
-                rigs.items():
-            assert summaries[job].rows_inserted == 30
-            assert engine.query("SELECT A FROM T ORDER BY A") == \
-                [(f"{job}-{seq:02d}-{'x' * 40}",) for seq in range(30)]
-            assert metrics.copy_rows == 30
-            assert metrics.files_written > 1
             credits.check_conservation()
 
     def test_pool_thread_carries_the_job_while_it_drains_a_lane(

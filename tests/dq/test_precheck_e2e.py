@@ -26,11 +26,9 @@ def make_dirty(rows=1200, rate=0.03, seed=31, mix=EQUIV_MIX):
     return dirty_workload(rows, violation_rate=rate, seed=seed, mix=mix)
 
 
-def run_job(dirty, *, rules=False, eager=False, chunk_bytes=16 * 1024):
+def run_job(dirty, *, rules=False, chunk_bytes=16 * 1024):
     """One full gateway run; returns everything the assertions need."""
-    config = HyperQConfig(
-        dq_profile=dirty.dq_rules if rules else None,
-        eager_apply=eager)
+    config = HyperQConfig(dq_profile=dirty.dq_rules if rules else None)
     with build_stack(config=config) as stack:
         for sql in dirty.setup_sql:
             stack.engine.execute(sql)
@@ -74,20 +72,6 @@ class TestEquivalence:
         dq_rows = [r for r in on["et"] if r[2] is not None]
         assert {r[1] for r in dq_rows} == {HYPERQ_DQ_VIOLATION}
         assert len(dq_rows) == on["metrics"].dq_routed_rows
-
-    def test_eager_apply_rules_on_matches_rules_off(self):
-        dirty = make_dirty(seed=77)
-        off = run_job(dirty, rules=False)
-        on = run_job(dirty, rules=True, eager=True)
-        assert_equivalent(off, on)
-        assert on["metrics"].dq_routed_rows == len(on["rejected"])
-
-    def test_eager_and_two_phase_route_identically(self):
-        dirty = make_dirty(seed=5)
-        two_phase = run_job(dirty, rules=True, eager=False)
-        eager = run_job(dirty, rules=True, eager=True)
-        assert sorted(eager["et"]) == sorted(two_phase["et"])
-        assert eager["target"] == two_phase["target"]
 
 
 class TestObservability:

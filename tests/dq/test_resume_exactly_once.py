@@ -1,20 +1,24 @@
 """Kill + resume: dq routing stays exactly-once.
 
-A dirty eager-apply load is killed mid-data (chaos-dropped ack, no
-retry budget) after the precheck has already routed violators from the
-durable prefix, then resumed under the same ``job_id``.  The resume
-path re-materializes staged chunks, so the precheck *re-deletes*
-re-appearing violators — but the journal's ``dq_route`` records must
-stop it from ever inserting a row into the error table twice or
-double-counting ``hyperq_dq_routed_rows_total``.
+A dirty load fails at APPLY (a one-shot permanent ``dml.apply`` fault)
+after the precheck has routed every violator out of the staging table
+and journaled the ``dq_route`` records, then resumes under the same
+``job_id``.  The resumed job skips its journaled COPY and runs the
+precheck again over the staging table the abort kept — and the
+journal's ``dq_route`` records must stop it from ever inserting a row
+into the error table twice or double-counting
+``hyperq_dq_routed_rows_total``.
 """
+
+import os
 
 import pytest
 
 from repro.bench.harness import build_stack, run_workload_through_hyperq
 from repro.core.config import HyperQConfig
+from repro.errors import ReproError
 from repro.legacy.client import ImportJobSpec, LegacyEtlClient
-from repro.errors import TransportClosed
+from repro.resilience import CheckpointJournal
 from repro.workloads.generator import dirty_workload
 
 from tests.conftest import make_node
@@ -22,8 +26,7 @@ from tests.conftest import make_node
 
 def reference_outcome(dirty):
     """The single clean rules-on run every resume must reproduce."""
-    config = HyperQConfig(
-        dq_profile=dirty.dq_rules, eager_apply=True)
+    config = HyperQConfig(dq_profile=dirty.dq_rules)
     with build_stack(config=config) as stack:
         for sql in dirty.setup_sql:
             stack.engine.execute(sql)
@@ -44,10 +47,9 @@ def test_killed_and_resumed_load_routes_each_violator_once(tmp_path):
 
     config = HyperQConfig(
         converters=1, filewriters=1, credits=8,
-        eager_apply=True, dq_profile=dirty.dq_rules,
-        file_threshold_bytes=4096,
-        chaos_profile=[{"point": "net.send", "at_call": 14,
-                        "max_fires": 1}])
+        dq_profile=dirty.dq_rules, file_threshold_bytes=4096,
+        chaos_profile=[{"point": "dml.apply", "at_call": 1,
+                        "max_fires": 1, "error": "permanent"}])
     w = dirty.workload
     spec_kwargs = dict(
         target_table=w.target_table, et_table=w.et_table,
@@ -63,10 +65,15 @@ def test_killed_and_resumed_load_routes_each_violator_once(tmp_path):
         client.logon("h", "u", "p")
         client.execute_sql(w.ddl)
 
-        # Run 1: the dropped ack kills the client mid-load; the durable
-        # prefix may already have been prechecked and routed.
-        with pytest.raises(TransportClosed):
+        # Run 1: the precheck routes and journals every violator, then
+        # the apply fails; the abort keeps staging table and journal.
+        with pytest.raises(ReproError, match="injected"):
             client.run_import(ImportJobSpec(**spec_kwargs))
+        with CheckpointJournal(os.path.join(
+                stack.node._base_dir, "dqrestart",
+                "checkpoint.jsonl")) as journal:
+            assert journal.copy_rows is not None
+            assert len(journal.dq_routed) == len(expected_et)
 
         # Run 2: same job_id, resume from both journals.
         client.run_import(ImportJobSpec(**spec_kwargs, resume=True))

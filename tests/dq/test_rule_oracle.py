@@ -164,8 +164,8 @@ def test_recheck_is_idempotent():
 
 
 def test_range_split_equals_single_pass():
-    """Prechecking [0,n) in two halves routes the same set as one pass
-    (the eager-apply prefix path vs the two-phase path)."""
+    """Prechecking [0,n) in two halves routes the same set as one
+    pass."""
     rng = random.Random(17)
     rows = random_rows(rng, 300)
 

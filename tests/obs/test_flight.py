@@ -159,7 +159,6 @@ def test_killed_job_bundle_reconstructs_history(tmp_path):
                     "layout": _layout_to_wire(spec.layout),
                     "format": spec.format_spec.to_wire(),
                     "sessions": 2,
-                    "apply_sql": spec.apply_sql,
                     "tenant": "tenant-0",
                 }),
                 MessageKind.BEGIN_LOAD_OK, 40, 0.05)

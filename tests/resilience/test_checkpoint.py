@@ -133,8 +133,7 @@ class TestResumeQueries:
             self._staged(journal, "a.csv", "/gone/a.csv", [0])
             self._staged(journal, "b.csv", "/gone/b.csv", [1])
             journal.record_uploaded("a.csv")
-            assert [r["file"] for r in journal.durable_files()] == \
-                ["a.csv"]
+            assert journal.uploaded == {"a.csv"}
             assert [r["file"] for r in journal.pending_files()] == \
                 ["b.csv"]
 

@@ -4,8 +4,7 @@ A feed keeps its job context warm — one node-wide pipeline pool, one
 staging table, one open journal — so a steady-state micro-batch costs
 the node one thread start (the data session's connection handler) and
 leaves nothing behind: no thread, no catalog table, no table lock, no
-plan-cache entry, no unbounded per-job record.  Eager apply changes
-none of that: its copy/apply stages are lanes on the same pool.
+plan-cache entry, no unbounded per-job record.
 """
 
 import threading
@@ -96,37 +95,3 @@ def test_steady_state_batches_add_nothing(tmp_path, monkeypatch,
                 assert len(journal.readlines()) <= \
                     gateway._FEED_COMPACT_EVERY + 1
 
-
-@pytest.mark.parametrize("async_frontend", [False, True],
-                         ids=["threaded", "async"])
-def test_eager_feed_starts_no_threads_per_batch(tmp_path, monkeypatch,
-                                                async_frontend):
-    """With ``eager_apply`` a batch starts no stage thread on either
-    front end — the eager copy and apply stages run as lanes on the
-    node's pipeline pool — so a threaded batch still starts exactly one
-    thread, the data session's handler."""
-    workload = stream_workload(batches=WARMUP + MEASURED,
-                               rows_per_batch=5, drift=False,
-                               feed="eagerfeed", seed=43)
-    config = HyperQConfig(credits=8, eager_apply=True,
-                          async_frontend=async_frontend)
-    with make_node(config=config) as stack:
-        stack.engine.execute(workload.ddl)
-        session = StreamSession(stack.node.connect, feed="eagerfeed",
-                                target_table=workload.target_table,
-                                watermark_dir=str(tmp_path), sessions=1)
-        with session:
-            rows_total = workload.rows_total
-            runner = StreamRunner(session, workload)
-            runner.run(batches=WARMUP)
-            del workload.batches[:WARMUP]
-            starts, undo = counting_thread_starts(monkeypatch)
-            report = runner.run()
-            undo()
-        assert report.committed == MEASURED
-        assert [n for n in starts if "eager" in n or "pipeline" in n] == []
-        if not async_frontend:
-            assert len(starts) == MEASURED, starts[:16]
-        assert stack.engine.query(
-            f"SELECT COUNT(*) FROM {workload.target_table}") == \
-            [(rows_total,)]

@@ -15,8 +15,7 @@ from repro.resilience.checkpoint import CheckpointJournal
 
 def _state(journal):
     return (journal.acked, dict(journal.staged), journal.uploaded,
-            journal.copy_rows, dict(journal.eager_copied),
-            journal.eager_applied_below, journal.dq_routed,
+            journal.copy_rows, journal.dq_routed,
             journal.stream_committed_seq, journal.stream_cursor,
             journal.stream_rows, list(journal.stream_drift))
 
@@ -29,8 +28,6 @@ def _fill(journal):
                                    "errors": []}])
     journal.record_uploaded("f0")
     journal.record_copy(6)
-    journal.record_eager_copy("blob0", 6)
-    journal.record_eager_apply(3)
     journal.record_dq_route([2, 4])
     journal.record_stream_drift(
         3, [{"kind": "added", "column": "C", "new_type": "INT"}],
