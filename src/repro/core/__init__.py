@@ -15,7 +15,7 @@ FileWriter          :mod:`repro.core.filewriter`
 CreditManager       :mod:`repro.core.credits`
 cloud integration   :mod:`repro.core.pipeline` (upload + COPY INTO)
 Beta                :mod:`repro.core.beta`
-TDF / TDFCursor     :mod:`repro.core.tdf` / :mod:`repro.core.tdfcursor`
+TDFCursor           :mod:`repro.core.tdfcursor` (pre-encoded BINARY chunks)
 error handling      :mod:`repro.core.errorhandling`
 ==================  =====================================================
 """

@@ -44,9 +44,9 @@ class HyperQConfig:
     #: default adaptive-error-handling limits (overridable per job).
     max_errors: int = 1000
     max_retries: int = 64
-    #: rows per TDF packet on the export path.
+    #: rows per export chunk (one EXPORT_DATA record block).
     export_chunk_rows: int = 1000
-    #: how many TDF packets the TDFCursor buffers ahead of the client.
+    #: how many encoded chunks the TDFCursor buffers ahead of the client.
     prefetch_packets: int = 4
     #: entries in Beta's prepared-DML plan cache (LRU; one entry per
     #: distinct (DML text, staging table, layout) shape).

@@ -30,7 +30,6 @@ from repro.cdw.bulkloader import CloudBulkLoader
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
 from repro.cdw.types import cdw_type_from_legacy
-from repro.core import tdf
 from repro.core.beta import SEQ_COLUMN, ApplySummary, Beta
 from repro.core.config import HyperQConfig
 from repro.core.converter import DataConverter
@@ -52,7 +51,7 @@ from repro.resilience import (
 )
 from repro.wlm import WorkloadManager
 from repro.legacy.client import layout_from_wire
-from repro.legacy.datafmt import FormatSpec, RecordFormat, make_format
+from repro.legacy.datafmt import FormatSpec, make_format
 from repro.legacy.infer import infer_result_layout
 from repro.legacy.protocol import Message, MessageChannel, MessageKind
 from repro.legacy.types import Layout
@@ -169,10 +168,6 @@ class _StreamFeed:
 class _ExportJob:
     job_id: str
     cursor: TdfCursor
-    layout: Layout
-    #: the layout-compiled legacy binary encoder every packet of this
-    #: export is re-encoded with.
-    record_format: RecordFormat
     #: the job's root trace span (continues the client's trace when a
     #: traceparent rode in on BEGIN_EXPORT).
     span: object = NULL_SPAN
@@ -1573,17 +1568,12 @@ class HyperQNode:
                 chunk_rows=self.config.export_chunk_rows,
                 prefetch=max(self.config.prefetch_packets,
                              message.meta.get("sessions", 1)))
-            # Infer the legacy layout from the materialized result so
-            # every chunk is encoded consistently.
-            layout = infer_result_layout(cursor.columns, cursor._rows)
         except BaseException:
             export_span.end("error")
             self.wlm.release(ticket)
             raise
         job = _ExportJob(
-            job_id=job_id, cursor=cursor, layout=layout,
-            record_format=make_format(FormatSpec("binary"), layout),
-            span=export_span, ticket=ticket,
+            job_id=job_id, cursor=cursor, span=export_span, ticket=ticket,
             eof_needed=max(1, message.meta.get("sessions", 1)))
         with self._registry_lock:
             self._exports[job_id] = job
@@ -1593,7 +1583,8 @@ class HyperQNode:
         # + materialized rows) must die when its last session drains.
         conn["exports"].add(job_id)
         channel.send(Message(MessageKind.BEGIN_EXPORT_OK, {
-            "columns": [[f.name, f.type.render()] for f in layout.fields],
+            "columns": [[f.name, f.type.render()]
+                        for f in cursor.layout.fields],
         }))
 
     def _export_session_drained(self, job_id: str,
@@ -1635,9 +1626,9 @@ class HyperQNode:
         if job is None:
             raise ProtocolError(
                 f"unknown export job {message.meta.get('job_id')!r}")
-        chunk_no = message.meta["chunk_no"]
-        packet_bytes = job.cursor.packet(chunk_no)
-        if packet_bytes is None:
+        cursor, chunk_no = job.cursor, message.meta["chunk_no"]
+        block = cursor.packet(chunk_no)
+        if block is None:
             # The fetching session identifies itself in the request;
             # older clients that omit ``session_no`` fetch the stripe
             # ``chunk_no ≡ session (mod sessions)``, so the past-the-end
@@ -1648,11 +1639,10 @@ class HyperQNode:
             channel.send(Message(MessageKind.EXPORT_DATA,
                                  {"chunk_no": chunk_no, "eof": True}))
             return
-        # PXC unwraps the TDF packet and re-encodes rows in the legacy
-        # binary representation the client expects (Section 4).
-        packet = tdf.decode_packet(packet_bytes)
+        # Already the legacy BINARY block the client expects (Section 4).
+        records = min(cursor.chunk_rows,
+                      cursor.total_rows - chunk_no * cursor.chunk_rows)
         channel.send(Message(
             MessageKind.EXPORT_DATA,
-            {"chunk_no": chunk_no, "eof": False,
-             "records": len(packet.rows)},
-            body=job.record_format.encode_records(packet.rows)))
+            {"chunk_no": chunk_no, "eof": False, "records": records},
+            body=block))

@@ -6,26 +6,26 @@ Hyper-Q buffers chunks received by the TDFCursor process in advance and
 associates each chunk with its order to serve client sessions requesting
 different chunks."
 
-A background thread encodes TDF packets ahead of the clients into a
-bounded buffer; parallel export sessions each request their own chunk
-numbers and block until theirs is ready.
+A background thread encodes each chunk once, as the legacy BINARY block
+the client expects, into a bounded buffer ahead of the parallel export
+sessions, which each request their own chunks and block until ready.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 from repro.cdw.engine import CdwEngine
-from repro.core import tdf
 from repro.errors import GatewayError
+from repro.legacy.datafmt import FormatSpec, make_format
+from repro.legacy.infer import infer_result_layout
 from repro.sqlxc import nodes as n
 
 __all__ = ["TdfCursor"]
 
 
 class TdfCursor:
-    """Buffers a query's result as ordered TDF packets."""
+    """Buffers a query's result as ordered legacy BINARY record blocks."""
 
     def __init__(self, engine: CdwEngine, select: "n.Select | str",
                  chunk_rows: int = 1000, prefetch: int = 4):
@@ -36,17 +36,20 @@ class TdfCursor:
             raise GatewayError("TDFCursor needs a SELECT statement")
         self.columns: list[str] = result.columns
         self.total_rows = len(result.rows)
-        self._rows = result.rows
+        # Inferred from the whole result so every chunk is encoded alike.
+        self.layout = infer_result_layout(result.columns, result.rows)
+        self._format = make_format(FormatSpec("binary"), self.layout)
+        self._rows: list[tuple] | None = result.rows
         self.chunk_rows = chunk_rows
-        self.num_chunks = max(
-            (self.total_rows + chunk_rows - 1) // chunk_rows, 0)
+        self.num_chunks = (self.total_rows + chunk_rows - 1) // chunk_rows
         self.prefetch = max(prefetch, 1)
 
         self._buffer: dict[int, bytes] = {}
+        #: every chunk below this one has been encoded.
         self._next_to_encode = 0
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        self._closed = False
+        #: why the encoder stopped early (closed, or a chunk failed).
+        self._stopped: str | None = None
+        self._ready = threading.Condition()
         self._encoder = threading.Thread(
             target=self._encode_ahead, daemon=True, name="tdf-cursor")
         self._encoder.start()
@@ -54,51 +57,57 @@ class TdfCursor:
     # -- background encoding ---------------------------------------------------
 
     def _encode_ahead(self) -> None:
-        while True:
+        try:
+            for chunk_no in range(self.num_chunks):
+                with self._ready:
+                    self._ready.wait_for(lambda: self._stopped
+                                         or len(self._buffer) < self.prefetch)
+                    if self._stopped:
+                        return
+                start = chunk_no * self.chunk_rows
+                block = self._format.encode_records(
+                    self._rows[start:start + self.chunk_rows])
+                with self._ready:
+                    self._buffer[chunk_no] = block
+                    self._next_to_encode = chunk_no + 1
+                    self._ready.notify_all()
+        except Exception as exc:
             with self._ready:
-                while (len(self._buffer) >= self.prefetch
-                       and not self._closed):
-                    self._ready.wait(timeout=0.5)
-                if self._closed or self._next_to_encode >= self.num_chunks:
-                    return
-                chunk_no = self._next_to_encode
-                self._next_to_encode += 1
-            start = chunk_no * self.chunk_rows
-            packet = tdf.encode_packet(
-                chunk_no, self.columns,
-                self._rows[start:start + self.chunk_rows])
-            with self._ready:
-                self._buffer[chunk_no] = packet
+                self._stopped = (f"export chunk {self._next_to_encode} "
+                                 f"could not be encoded: {exc}")
                 self._ready.notify_all()
+        finally:
+            self._rows = None
 
     # -- serving ------------------------------------------------------------------
 
     def packet(self, chunk_no: int,
                timeout_s: float = 30.0) -> bytes | None:
-        """The TDF packet for ``chunk_no`` (``None`` past end of data).
+        """The BINARY record block (EXPORT_DATA body) for ``chunk_no``.
 
-        Each packet is served exactly once; serving frees its buffer slot
-        so the encoder can run ahead.
+        ``None`` past end of data.  Each block is served once, freeing its
+        slot for the encoder; a chunk already served, that does not exist
+        or that will never be encoded raises at once.
         """
         if chunk_no >= self.num_chunks:
             return None
         with self._ready:
-            deadline = time.monotonic() + timeout_s
-            while chunk_no not in self._buffer:
-                if self._closed:
-                    raise GatewayError("TDFCursor is closed")
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise GatewayError(
-                        f"timed out waiting for export chunk {chunk_no}")
-                self._ready.wait(timeout=min(remaining, 0.5))
-            packet = self._buffer.pop(chunk_no)
-            self._ready.notify_all()
-            return packet
+            self._ready.wait_for(
+                lambda: chunk_no in self._buffer or self._stopped
+                or chunk_no < self._next_to_encode, timeout_s)
+            if chunk_no in self._buffer:
+                block = self._buffer.pop(chunk_no)
+                self._ready.notify_all()
+                return block
+            if chunk_no < self._next_to_encode:
+                raise GatewayError(f"export chunk {chunk_no} was already "
+                                   f"served or does not exist")
+            raise GatewayError(self._stopped or f"timed out waiting for "
+                               f"export chunk {chunk_no}")
 
     def close(self) -> None:
         """Stop the prefetch thread and drop the buffer."""
         with self._ready:
-            self._closed = True
+            self._stopped = self._stopped or "TDFCursor is closed"
             self._ready.notify_all()
         self._encoder.join(timeout=5.0)

@@ -6,6 +6,7 @@ a Hyper-Q node — the transparency property the paper claims.
 
 import datetime
 import gc
+import time
 import weakref
 
 import pytest
@@ -285,6 +286,39 @@ class TestExportThroughHyperQ:
                              {"job_id": "ghost", "chunk_no": 0}))
         response = channel.recv()
         assert response.kind == MessageKind.ERROR
+
+    def test_unencodable_export_fails_fast_and_frees_its_slot(self):
+        """A chunk the cursor cannot encode (a product overflowing
+        BIGINT) is an immediate error reply naming the chunk, not a
+        30 s wait; the export is then gone, its single WLM slot is free
+        and the node serves the next export."""
+        stack = make_node(config=HyperQConfig(wlm_profile=[
+            {"name": "one", "max_concurrency": 1, "queue_limit": 0,
+             "queue_timeout_s": 0.2, "match": {"user": "*"}}]))
+        try:
+            client = LegacyEtlClient(stack.node.connect, timeout=60)
+            client.logon("h", "u", "p")
+            client.execute_sql("create table OV (A bigint, B integer)")
+            client.execute_sql("insert into OV values (4000000000, 1)")
+            client.execute_sql("insert into OV values (2, 2)")
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match="export chunk 0"):
+                client.run_export(ExportJobSpec(
+                    "SELECT A * A * A AS P, B FROM OV", sessions=2))
+            assert time.monotonic() - started < 2.0
+            client.logoff()
+            wait_until(lambda: stack.node._exports == {}, timeout_s=5.0)
+            pool = stack.node.stats()["wlm"]["pools"]["one"]
+            assert pool["occupied_slots"] == 0
+
+            again = LegacyEtlClient(stack.node.connect, timeout=60)
+            again.logon("h", "u", "p")
+            result = again.run_export(ExportJobSpec(
+                "SELECT A, B FROM OV ORDER BY B", sessions=2))
+            again.logoff()
+            assert result.data == b"4000000000|1\n2|2\n"
+        finally:
+            stack.close()
 
 
 class TestConcurrentJobs:
