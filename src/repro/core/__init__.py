@@ -15,7 +15,7 @@ FileWriter          :mod:`repro.core.filewriter`
 CreditManager       :mod:`repro.core.credits`
 cloud integration   :mod:`repro.core.pipeline` (upload + COPY INTO)
 Beta                :mod:`repro.core.beta`
-TDFCursor           :mod:`repro.core.tdfcursor` (pre-encoded BINARY chunks)
+TDFCursor           :mod:`repro.core.tdfcursor` (pre-encoded export chunks)
 error handling      :mod:`repro.core.errorhandling`
 ==================  =====================================================
 """

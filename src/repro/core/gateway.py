@@ -1554,6 +1554,9 @@ class HyperQNode:
                              message: Message, conn: dict) -> None:
         job_id = message.meta["job_id"]
         threading.current_thread().name = f"{self.name}-job-{job_id}-ctl"
+        # The job's output format is the EXPORT_DATA body encoding.
+        format_spec = FormatSpec.from_wire(
+            message.meta.get("format", "binary:")).validate()
         pool = self._classify(message.meta, conn)
         remote_ctx = message.trace_context()
         ticket = self.wlm.admit(pool, job_id, kind="export",
@@ -1567,7 +1570,8 @@ class HyperQNode:
                 self.engine, cdw_sql,
                 chunk_rows=self.config.export_chunk_rows,
                 prefetch=max(self.config.prefetch_packets,
-                             message.meta.get("sessions", 1)))
+                             message.meta.get("sessions", 1)),
+                format_spec=format_spec)
         except BaseException:
             export_span.end("error")
             self.wlm.release(ticket)
@@ -1639,7 +1643,7 @@ class HyperQNode:
             channel.send(Message(MessageKind.EXPORT_DATA,
                                  {"chunk_no": chunk_no, "eof": True}))
             return
-        # Already the legacy BINARY block the client expects (Section 4).
+        # Already the legacy records in the job's format (Section 4).
         records = min(cursor.chunk_rows,
                       cursor.total_rows - chunk_no * cursor.chunk_rows)
         channel.send(Message(

@@ -6,9 +6,11 @@ Hyper-Q buffers chunks received by the TDFCursor process in advance and
 associates each chunk with its order to serve client sessions requesting
 different chunks."
 
-A background thread encodes each chunk once, as the legacy BINARY block
-the client expects, into a bounded buffer ahead of the parallel export
-sessions, which each request their own chunks and block until ready.
+A background thread encodes each chunk once, as the block of legacy
+records in the job's output format (VARTEXT or BINARY), into a bounded
+buffer ahead of the parallel export sessions, which each request their
+own chunks and block until ready.  The client writes the blocks to its
+file in chunk order; no record is decoded or re-encoded after this.
 """
 
 from __future__ import annotations
@@ -25,10 +27,15 @@ __all__ = ["TdfCursor"]
 
 
 class TdfCursor:
-    """Buffers a query's result as ordered legacy BINARY record blocks."""
+    """Buffers a query's result as ordered blocks of legacy records.
+
+    ``format_spec`` names the record format of every block (the export
+    job's output format); BINARY unless given.
+    """
 
     def __init__(self, engine: CdwEngine, select: "n.Select | str",
-                 chunk_rows: int = 1000, prefetch: int = 4):
+                 chunk_rows: int = 1000, prefetch: int = 4,
+                 format_spec: FormatSpec = FormatSpec("binary")):
         if chunk_rows < 1:
             raise GatewayError("chunk_rows must be positive")
         result = engine.execute(select)
@@ -38,7 +45,7 @@ class TdfCursor:
         self.total_rows = len(result.rows)
         # Inferred from the whole result so every chunk is encoded alike.
         self.layout = infer_result_layout(result.columns, result.rows)
-        self._format = make_format(FormatSpec("binary"), self.layout)
+        self._format = make_format(format_spec, self.layout)
         self._rows: list[tuple] | None = result.rows
         self.chunk_rows = chunk_rows
         self.num_chunks = (self.total_rows + chunk_rows - 1) // chunk_rows
@@ -83,7 +90,7 @@ class TdfCursor:
 
     def packet(self, chunk_no: int,
                timeout_s: float = 30.0) -> bytes | None:
-        """The BINARY record block (EXPORT_DATA body) for ``chunk_no``.
+        """The record block (EXPORT_DATA body) for ``chunk_no``.
 
         ``None`` past end of data.  Each block is served once, freeing its
         slot for the encoder; a chunk already served, that does not exist

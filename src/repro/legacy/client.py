@@ -149,6 +149,14 @@ class ExportJobSpec:
 
 @dataclass
 class ExportJobResult:
+    """An export's file, exactly as the server encoded it.
+
+    ``data`` is the EXPORT_DATA bodies in chunk order — records in the
+    job's ``format_spec`` — and ``rows_exported`` the sum of their
+    ``records`` counts; ``columns`` is the result layout as
+    ``(name, type)`` pairs.
+    """
+
     data: bytes = b""
     rows_exported: int = 0
     chunks_fetched: int = 0
@@ -591,11 +599,10 @@ class LegacyEtlClient:
             export_span.end("error")
             raise
         columns = [tuple(c) for c in begun.meta["columns"]]
-        layout = _columns_layout(columns)
-        fmt = make_format(spec.format_spec, layout)
 
         session_count = max(1, spec.sessions)
-        collected: dict[int, bytes] = {}
+        # chunk_no -> (records, body in the job's output format).
+        collected: dict[int, tuple[int, bytes]] = {}
         lock = threading.Lock()
         failures: list[BaseException] = []
 
@@ -614,7 +621,8 @@ class LegacyEtlClient:
                         if response.meta.get("eof"):
                             break
                         with lock:
-                            collected[chunk_no] = response.body
+                            collected[chunk_no] = (response.meta["records"],
+                                                   response.body)
                         chunk_no += session_count
                 finally:
                     channel.close()
@@ -634,15 +642,10 @@ class LegacyEtlClient:
             raise failures[0]
         export_span.end()
 
-        # Chunks arrive in legacy *binary* encoding from the server; the
-        # client re-encodes them into the requested output file format.
-        binary_fmt = make_format(FormatSpec("binary"), layout)
-        out = bytearray()
-        rows_exported = 0
-        for chunk_no in sorted(collected):
-            rows = binary_fmt.decode_records(collected[chunk_no])
-            rows_exported += len(rows)
-            out += fmt.encode_records(rows)
+        # Each body is already records in the job's output format: the
+        # file is the bodies in chunk order.
+        chunks = [collected[chunk_no] for chunk_no in sorted(collected)]
         return ExportJobResult(
-            data=bytes(out), rows_exported=rows_exported,
+            data=b"".join(body for _, body in chunks),
+            rows_exported=sum(records for records, _ in chunks),
             chunks_fetched=len(collected), columns=columns)

@@ -12,9 +12,10 @@ closures, the way push-down translators cache per-shape plans:
   bitmap is all zeroes and whose layout is entirely fixed-width decodes
   with one ``unpack_from`` call.
 - **VARTEXT** — a line with no backslash escapes splits with
-  ``str.split`` instead of the character-at-a-time escape scanner, and
-  the encoder only runs the escape replacements when a precompiled
-  regex says the rendered text needs them.
+  ``str.split`` instead of the character-at-a-time escape scanner; the
+  encoder is one generated straight-line function per layout that
+  renders each field by its type, and a chunk pays for escaping only
+  when counting its delimiters and newlines says a field needs it.
 
 Error semantics are byte-identical to the reference implementations by
 construction: the fast paths handle the well-formed cases, and *any*
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import functools
-import re
 import struct
 from decimal import Decimal
 from typing import Iterable, Iterator
@@ -38,6 +38,7 @@ from repro import values
 from repro.errors import DataFormatError
 from repro.legacy.datafmt import (
     _DATE_EPOCH_BASE,
+    INT_RANGES,
     LEGACY_FIELD_COUNT_ERROR,
     BinaryFormat,
     FormatSpec,
@@ -88,65 +89,110 @@ def compile_format(spec: FormatSpec, layout: Layout):
 # VARTEXT
 
 
+#: exec templates rendering field ``{v}`` as its type carries it, in
+#: place; a value the fast path does not render raises ``_Slow``.
+_RENDER_SRC = {
+    "character": ["if type({v}) is not str:",
+                  "    {v} = '' if {v} is None else str({v})"],
+    "integer": ["if {v} is None: {v} = ''",
+                "elif type({v}) is int and {lo} <= {v} <= {hi}:"
+                " {v} = str({v})",
+                "else: raise _Slow"],
+    "FLOAT": ["if {v} is None: {v} = ''",
+              "elif type({v}) is float: {v} = str({v})",
+              "elif type({v}) is int: {v} = str(float({v}))",
+              "else: raise _Slow"],
+    "DECIMAL": ["if {v} is None: {v} = ''",
+                "elif type({v}) is _Decimal or type({v}) is int:"
+                " {v} = str({v})",
+                "else: raise _Slow"],
+    "DATE": ["if {v} is None: {v} = ''",
+             "elif type({v}) is _date:"
+             " {v} = '%04d-%02d-%02d' % ({v}.year, {v}.month, {v}.day)",
+             "else: raise _Slow"],
+    "TIMESTAMP": ["if {v} is None: {v} = ''",
+                  "elif type({v}) is _datetime and {v}.tzinfo is None:"
+                  " {v} = {v}.isoformat(' ')",
+                  "else: raise _Slow"],
+}
+
+
+def _gen_render(layout: Layout, delimiter: str, escape=None):
+    """exec-compile a straight-line ``row -> line`` VARTEXT renderer.
+
+    Each field renders by its type's template (the typed rendering of
+    :class:`VartextFormat`); with ``escape`` every field text also
+    passes through it.  Without, the line is unescaped and the caller
+    checks that no field needed escaping.  A wrong-arity row fails the
+    unpacking; the caller falls back to the reference for it.
+    """
+    env = {"_Slow": _Slow, "_Decimal": Decimal, "_date": _dt.date,
+           "_datetime": _dt.datetime, "_esc": escape, "_d": delimiter}
+    names = [f"v{i}" for i in range(layout.arity)]
+    fields = f"[{', '.join(names)}]"
+    src = ["def _render(row):", f"    {fields} = row"]
+    for name, fld in zip(names, layout.fields):
+        ftype = fld.type
+        family = ("character" if ftype.is_character
+                  else "integer" if ftype.is_integer else ftype.base)
+        lo, hi = INT_RANGES.get(ftype.base, (0, 0))
+        src += ["    " + line.format(v=name, lo=lo, hi=hi)
+                for line in _RENDER_SRC[family]]
+        if escape is not None:
+            src.append(f"    {name} = _esc({name})")
+    src.append(f"    return _d.join({fields}) + '\\n'")
+    exec("\n".join(src), env)
+    return env["_render"]
+
+
 class CompiledVartextFormat(VartextFormat):
-    """VartextFormat with precompiled render/split fast paths."""
+    """VartextFormat with a generated renderer and a split fast path.
+
+    A chunk renders unescaped through one straight-line function per
+    layout; three C-level counts over the chunk's text (no backslash,
+    one delimiter per field gap, one newline per record) prove that no
+    field needed escaping.  Otherwise each record renders again with
+    per-field escapes, and a record the generated code does not render
+    (wrong arity, an unusual value) goes to the reference.
+    """
 
     def __init__(self, layout: Layout, delimiter: str = "|"):
         super().__init__(layout, delimiter)
         self._arity = layout.arity
-        # Characters whose presence forces the escape replacements.
-        self._esc_search = re.compile(
-            "[\\\\\n%s]" % re.escape(delimiter)).search
+        self._gaps = max(layout.arity - 1, 0)
 
     # -- encoding ----------------------------------------------------------
 
-    def _fast_text(self, row: tuple) -> str:
-        if len(row) != self._arity:
-            raise _Slow
-        delimiter = self.delimiter
-        search = self._esc_search
-        parts: list[str] = []
-        append = parts.append
-        for value in row:
-            if value is None:
-                append("")
-                continue
-            kind = type(value)
-            if kind is str:
-                text = value
-            elif kind is int or kind is float or kind is Decimal:
-                text = str(value)
-            elif kind is _dt.date:
-                text = f"{value.year:04d}-{value.month:02d}-{value.day:02d}"
-            elif kind is _dt.datetime:
-                text = value.isoformat(sep=" ")
-            else:
-                # bool, value subclasses, unsupported types: let the
-                # reference dispatch (and its errors) decide.
-                raise _Slow
-            if search(text) is not None:
-                text = (text.replace("\\", "\\\\")
-                        .replace(delimiter, "\\" + delimiter)
-                        .replace("\n", "\\n"))
-            append(text)
-        return delimiter.join(parts) + "\n"
+    # Generated on first encode: a load job only decodes, and per-job
+    # exec compiles would be a visible share of a small feed batch.
+    @functools.cached_property
+    def _render(self):
+        return _gen_render(self.layout, self.delimiter)
+
+    @functools.cached_property
+    def _render_escaped(self):
+        return _gen_render(self.layout, self.delimiter, self._escape)
+
+    def _line(self, row: tuple) -> str:
+        try:
+            return self._render_escaped(row)
+        except Exception:
+            return VartextFormat.encode_record(self, row).decode("utf-8")
 
     def encode_record(self, row: tuple) -> bytes:
-        try:
-            return self._fast_text(row).encode("utf-8")
-        except Exception:
-            return VartextFormat.encode_record(self, row)
+        return self._line(row).encode("utf-8")
 
     def encode_records(self, rows: Iterable[tuple]) -> bytes:
-        texts: list[str] = []
-        append = texts.append
-        fast = self._fast_text
-        for row in rows:
-            try:
-                append(fast(row))
-            except Exception:
-                append(VartextFormat.encode_record(self, row).decode("utf-8"))
-        return "".join(texts).encode("utf-8")
+        rows = list(rows)
+        try:
+            text = "".join([self._render(row) for row in rows])
+        except Exception:
+            text = None
+        if (text is None or "\\" in text
+                or text.count("\n") != len(rows)
+                or text.count(self.delimiter) != len(rows) * self._gaps):
+            text = "".join([self._line(row) for row in rows])
+        return text.encode("utf-8")
 
     # -- decoding ----------------------------------------------------------
 
@@ -248,6 +294,9 @@ def _make_text_encoder(base: str):
     pack = _S_H.pack
     if base == "DECIMAL":
         def encode(value):
+            kind = type(value)
+            if kind is not Decimal and kind is not int:
+                raise _Slow  # the reference checks that the text parses
             raw = str(value).encode("ascii")
             return pack(len(raw)) + raw
     else:  # TIMESTAMP

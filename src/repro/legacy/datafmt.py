@@ -8,7 +8,10 @@ families of legacy load formats:
   are character data; an *empty* field means SQL NULL (this is the
   "detecting null values, handling empty strings" discrepancy that the
   DataConverter of Section 4 must bridge, because the CDW's CSV input
-  distinguishes NULL from the empty string).
+  distinguishes NULL from the empty string).  The encoder renders each
+  value as its field's type carries it — the text a BINARY encode →
+  decode of the value renders as — so an export written straight to
+  VARTEXT reads the same as one re-encoded from BINARY.
 - **BINARY** — length-prefixed typed records with a null-indicator bitmap,
   using the legacy system's value encodings (e.g. dates as the classic
   ``(year-1900)*10000 + month*100 + day`` integer).
@@ -21,14 +24,14 @@ records — the hook for per-tuple error reporting during acquisition.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Iterable, Iterator
 
 from repro import values
-from repro.errors import DataFormatError
-from repro.legacy.types import Layout, LegacyType
+from repro.errors import DataFormatError, ExpressionError, ProtocolError
+from repro.legacy.types import FieldDef, Layout
 
 __all__ = [
     "FormatSpec",
@@ -43,6 +46,32 @@ __all__ = [
 LEGACY_FIELD_COUNT_ERROR = 2673
 
 _DATE_EPOCH_BASE = 1900
+
+#: value range of each integer type's BINARY width.
+INT_RANGES = {
+    "BYTEINT": (-2**7, 2**7 - 1),
+    "SMALLINT": (-2**15, 2**15 - 1),
+    "INTEGER": (-2**31, 2**31 - 1),
+    "BIGINT": (-2**63, 2**63 - 1),
+}
+
+
+def _valid_delimiter(delimiter: str) -> bool:
+    return len(delimiter) == 1 and delimiter not in ("\\", "\n")
+
+
+def _escaper(delimiter: str):
+    """``text -> text`` with VARTEXT's backslash escapes applied."""
+    search = re.compile("[\\\\\n%s]" % re.escape(delimiter)).search
+
+    def escape(text: str) -> str:
+        if search(text) is None:
+            return text
+        return (text.replace("\\", "\\\\")
+                .replace(delimiter, "\\" + delimiter)
+                .replace("\n", "\\n"))
+
+    return escape
 
 
 @dataclass(frozen=True)
@@ -64,6 +93,18 @@ class FormatSpec:
     def from_wire(cls, text: str) -> "FormatSpec":
         kind, _, delim = text.partition(":")
         return cls(kind=kind, delimiter=delim or "|")
+
+    def validate(self) -> "FormatSpec":
+        """This spec, if it names a record format :func:`make_format` builds.
+
+        Otherwise raise :class:`ProtocolError` naming the wire form: a
+        bad format is a bad request, not a record's conversion error.
+        """
+        if self.kind == "binary" or (
+                self.kind == "vartext" and _valid_delimiter(self.delimiter)):
+            return self
+        raise ProtocolError(
+            f"unsupported record format {self.to_wire()!r}")
 
 
 def make_format(spec: FormatSpec, layout: Layout) -> "RecordFormat":
@@ -117,39 +158,59 @@ class RecordFormat:
         return sum(1 for _ in self.iter_decode(data))
 
 
+def _typed_text(value, fld: FieldDef) -> str:
+    """``value`` rendered as ``fld``'s type carries it.
+
+    The text is exactly what a BINARY encode → decode of the value
+    renders as: an int in a FLOAT field reads ``4.0``, a bool in a
+    BIGINT field ``1``, a value BINARY cannot carry raises
+    :class:`DataFormatError`.
+    """
+    ftype = fld.type
+    base = ftype.base
+    try:
+        if ftype.is_character:
+            return str(value)
+        if ftype.is_integer:
+            number = int(value)
+            low, high = INT_RANGES[base]
+            if not low <= number <= high:
+                raise ValueError(f"{number} is out of range")
+            return str(number)
+        if base == "FLOAT":
+            return str(float(value))
+        if base == "DECIMAL":
+            # BINARY carries the text as ASCII and decodes it as a decimal.
+            text = str(value)
+            text.encode("ascii")
+            return str(values.parse_decimal(text))
+        if base == "DATE":
+            return values.format_date(value)
+        return values.parse_timestamp(  # TIMESTAMP
+            value.isoformat(sep=" ")).isoformat(sep=" ")
+    except (ArithmeticError, AttributeError, ExpressionError, TypeError,
+            ValueError) as exc:
+        raise DataFormatError(
+            f"cannot encode {value!r} as {ftype.render()}: {exc}",
+            field=fld.name) from exc
+
+
 class VartextFormat(RecordFormat):
     """Delimiter-separated text records, one per ``\\n``-terminated line."""
 
     def __init__(self, layout: Layout, delimiter: str = "|"):
         super().__init__(layout)
-        if len(delimiter) != 1 or delimiter in ("\\", "\n"):
+        if not _valid_delimiter(delimiter):
             raise DataFormatError(f"invalid vartext delimiter {delimiter!r}")
         self.delimiter = delimiter
+        self._escape = _escaper(delimiter)
 
     # -- encoding ----------------------------------------------------------
 
-    def _render_field(self, value, ftype: LegacyType) -> str:
+    def _render_field(self, value, fld: FieldDef) -> str:
         if value is None:
             return ""
-        if isinstance(value, str):
-            text = value
-        elif isinstance(value, values.Date) and not isinstance(
-                value, values.Timestamp):
-            text = values.format_date(value)
-        elif isinstance(value, values.Timestamp):
-            text = value.isoformat(sep=" ")
-        elif isinstance(value, (int, float, Decimal)):
-            text = str(value)
-        else:
-            raise DataFormatError(
-                f"cannot encode {type(value).__name__} as vartext",
-                field=ftype.base)
-        escaped = (
-            text.replace("\\", "\\\\")
-            .replace(self.delimiter, "\\" + self.delimiter)
-            .replace("\n", "\\n")
-        )
-        return escaped
+        return self._escape(_typed_text(value, fld))
 
     def encode_record(self, row: tuple) -> bytes:
         """Encode one row as a delimited text line."""
@@ -159,7 +220,7 @@ class VartextFormat(RecordFormat):
                 f"{self.layout.name!r} expects {self.layout.arity}",
                 code=LEGACY_FIELD_COUNT_ERROR)
         parts = [
-            self._render_field(v, f.type)
+            self._render_field(v, f)
             for v, f in zip(row, self.layout.fields)
         ]
         return (self.delimiter.join(parts) + "\n").encode("utf-8")
@@ -243,7 +304,10 @@ class BinaryFormat(RecordFormat):
             if ftype.base == "FLOAT":
                 return struct.pack("<d", float(value))
             if ftype.base == "DECIMAL":
-                raw = str(value).encode("ascii")
+                text = str(value)
+                # A payload the decoder cannot parse fails here, not there.
+                values.parse_decimal(text)
+                raw = text.encode("ascii")
                 return struct.pack("<H", len(raw)) + raw
             if ftype.base == "DATE":
                 encoded = ((value.year - _DATE_EPOCH_BASE) * 10000
@@ -252,7 +316,8 @@ class BinaryFormat(RecordFormat):
             if ftype.base == "TIMESTAMP":
                 raw = value.isoformat(sep=" ").encode("ascii")
                 return struct.pack("<H", len(raw)) + raw
-        except (struct.error, AttributeError, ValueError, TypeError) as exc:
+        except (struct.error, ArithmeticError, AttributeError,
+                ExpressionError, TypeError, ValueError) as exc:
             raise DataFormatError(
                 f"cannot encode {value!r} as {ftype.render()}: {exc}",
                 field=name) from exc

@@ -30,7 +30,9 @@ from repro.errors import (
     ReproError, SqlError,
 )
 from repro.legacy.client import layout_from_wire
-from repro.legacy.datafmt import BinaryFormat, FormatSpec, make_format
+from repro.legacy.datafmt import (
+    BinaryFormat, FormatSpec, RecordFormat, VartextFormat, make_format,
+)
 from repro.legacy.infer import infer_result_layout
 from repro.legacy.protocol import Message, MessageChannel, MessageKind
 from repro.legacy.types import Layout
@@ -72,7 +74,8 @@ class _ExportJob:
     job_id: str
     columns: list[str]
     chunks: list[list[tuple]]
-    layout: Layout
+    #: the job's output format: encodes every EXPORT_DATA body.
+    record_format: RecordFormat
 
 
 class LegacyServer:
@@ -374,11 +377,16 @@ class LegacyServer:
 
     def _handle_begin_export(self, channel: MessageChannel,
                              message: Message) -> None:
+        # The job's output format is the EXPORT_DATA body encoding.
+        spec = FormatSpec.from_wire(
+            message.meta.get("format", "binary:")).validate()
         statement = parse_statement(message.meta["sql"], dialect="legacy")
         if not isinstance(statement, Select):
             raise ProtocolError("export job needs a SELECT statement")
         result = self.engine.execute(statement)
         layout = infer_result_layout(result.columns, result.rows)
+        record_format = (VartextFormat(layout, spec.delimiter)
+                         if spec.kind == "vartext" else BinaryFormat(layout))
         chunks = [
             result.rows[i:i + self.chunk_rows]
             for i in range(0, len(result.rows), self.chunk_rows)
@@ -387,7 +395,7 @@ class LegacyServer:
             job_id=message.meta["job_id"],
             columns=result.columns,
             chunks=chunks,
-            layout=layout,
+            record_format=record_format,
         )
         with self._jobs_lock:
             self._exports[job.job_id] = job
@@ -408,8 +416,7 @@ class LegacyServer:
             channel.send(Message(MessageKind.EXPORT_DATA,
                                  {"chunk_no": chunk_no, "eof": True}))
             return
-        fmt = BinaryFormat(job.layout)
-        body = fmt.encode_records(job.chunks[chunk_no])
+        body = job.record_format.encode_records(job.chunks[chunk_no])
         channel.send(Message(
             MessageKind.EXPORT_DATA,
             {"chunk_no": chunk_no, "eof": False,

@@ -14,6 +14,7 @@ import pytest
 from repro.core.config import HyperQConfig
 from repro.errors import ProtocolError
 from repro.legacy.client import ExportJobSpec, LegacyEtlClient
+from repro.legacy.datafmt import FormatSpec
 from repro.legacy.protocol import MessageKind
 from repro.legacy.script import ScriptInterpreter, parse_script
 from tests.conftest import EXAMPLE_DATA, EXAMPLE_SCRIPT, make_node
@@ -317,6 +318,38 @@ class TestExportThroughHyperQ:
                 "SELECT A, B FROM OV ORDER BY B", sessions=2))
             again.logoff()
             assert result.data == b"4000000000|1\n2|2\n"
+        finally:
+            stack.close()
+
+    def test_bad_export_format_is_refused_and_frees_its_slot(self):
+        """A BEGIN_EXPORT whose ``format`` names no record format is a
+        typed error naming the format (not the 2666 conversion code),
+        and it holds no WLM slot: the next export on the same logon
+        runs on a one-slot pool."""
+        stack = make_node(config=HyperQConfig(wlm_profile=[
+            {"name": "one", "max_concurrency": 1, "queue_limit": 0,
+             "queue_timeout_s": 0.2, "match": {"user": "*"}}]))
+        try:
+            client = LegacyEtlClient(stack.node.connect, timeout=60)
+            client.logon("h", "u", "p")
+            client.execute_sql("create table BF (A integer)")
+            client.execute_sql("insert into BF values (7)")
+            started = time.monotonic()
+            with pytest.raises(ProtocolError) as caught:
+                client.run_export(ExportJobSpec(
+                    "SELECT A FROM BF", sessions=2,
+                    format_spec=FormatSpec("vartext", "\\")))
+            assert time.monotonic() - started < 1.0
+            assert "'vartext:\\\\'" in str(caught.value)
+            assert "2666" not in str(caught.value)
+            assert stack.node._exports == {}
+            pool = stack.node.stats()["wlm"]["pools"]["one"]
+            assert pool["occupied_slots"] == 0
+
+            result = client.run_export(ExportJobSpec(
+                "SELECT A FROM BF", sessions=2))
+            client.logoff()
+            assert (result.data, result.rows_exported) == (b"7\n", 1)
         finally:
             stack.close()
 
