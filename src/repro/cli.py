@@ -87,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: run until interrupted)")
     serve.add_argument("--trace", action="store_true",
                        help="enable span tracing on the served node")
-    serve.add_argument("--async-frontend", action="store_true",
-                       help="multiplex sessions on the asyncio reactor "
-                            "front end instead of a thread per socket")
     serve.add_argument("--max-connections", type=int, default=0,
                        help="refuse connections beyond this many "
                             "concurrent sessions (0 = unlimited)")
@@ -711,15 +708,13 @@ def _cmd_serve(args) -> int:
                       HyperQConfig(
                           credits=args.credits,
                           trace_enabled=args.trace,
-                          async_frontend=args.async_frontend,
                           max_connections=args.max_connections,
                           wlm_profile=_load_json_arg(args, "wlm_profile"),
                           dq_profile=_load_json_arg(args, "dq_profile")),
                       listener=listener)
     node.start()
-    frontend = node.stats()["gateway"].get("frontend", "threaded")
     print(f"Hyper-Q serving on {listener.host}:{listener.port} "
-          f"(credits={args.credits}, frontend={frontend})", flush=True)
+          f"(credits={args.credits})", flush=True)
     try:
         if args.duration is not None:
             time.sleep(args.duration)

@@ -75,12 +75,7 @@ class HyperQConfig:
     #: emit logs as JSON lines instead of human-readable text.
     log_json: bool = False
 
-    # -- front end (repro.core.frontend / repro.net_async) --
-    #: serve connections on the asyncio reactor front end instead of
-    #: one OS thread per socket.  The threaded path stays the default
-    #: (and the differential-testing baseline); flip this to multiplex
-    #: thousands of sessions onto a handful of threads.
-    async_frontend: bool = False
+    # -- front end (repro.core.frontend: one thread per connection) --
     #: refuse connections beyond this many concurrent sessions with a
     #: typed retryable ERROR (code 3159) instead of growing without
     #: bound under a connection flood.  0 = unlimited.

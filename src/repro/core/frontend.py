@@ -1,6 +1,6 @@
-"""Connection-handling front ends, split from job orchestration.
+"""The connection-handling front end, split from job orchestration.
 
-A *front end* owns everything between ``listener.accept()`` and the
+The *front end* owns everything between ``listener.accept()`` and the
 per-message handler: framing, connection lifecycle, and the connection
 cap with its gauges (one :class:`ConnectionCap` per front end).  The
 node behind it (``HyperQNode`` or the reference ``LegacyServer``) only
@@ -13,10 +13,11 @@ implements the session contract:
 - ``connection_closed(conn)`` — reap whatever the connection owned;
 - ``wrap_endpoint(endpoint)`` — chaos instrumentation hook.
 
-:class:`ThreadedFrontend` here is the classic one-OS-thread-per-socket
-server — simple, debuggable, and kept as the differential-testing
-baseline; :class:`repro.net_async.AsyncFrontend` multiplexes the same
-contract onto an asyncio reactor plus two handler executors.
+:class:`ThreadedFrontend` is one OS thread per socket, plus one accept
+thread.  Handler threads block in ``recv``, so an idle session costs a
+thread's stack and no CPU.  A reconnect storm of legacy feeds is
+absorbed by the listener's deep accept backlog
+(:class:`repro.net_tcp.TcpListener`), not by a reactor.
 """
 
 from __future__ import annotations
@@ -81,10 +82,12 @@ class ConnectionCap:
         self._obs.connections_active.inc()
         return True
 
-    def release(self) -> None:
-        """Give back a slot claimed by :meth:`admit`."""
+    def release(self, refused: bool = False) -> None:
+        """Give back a slot claimed by :meth:`admit`; ``refused`` also
+        counts its connection as refused (it was shed after all)."""
         with self._lock:
             self._active -= 1
+            self._refused += refused
         self._obs.connections_active.dec()
 
     @property
@@ -93,12 +96,11 @@ class ConnectionCap:
         with self._lock:
             return self._active
 
-    def snapshot(self, kind: str) -> dict:
-        """``stats()["gateway"]``: front-end kind and the slot counts."""
+    def snapshot(self) -> dict:
+        """``stats()["gateway"]``: the slot counts."""
         with self._lock:
             active, refused = self._active, self._refused
         return {
-            "frontend": kind,
             "connections_active": active,
             "connections_refused": refused,
             "max_connections": self.limit,
@@ -107,8 +109,6 @@ class ConnectionCap:
 
 class ThreadedFrontend:
     """One accept-loop thread, one handler thread per connection."""
-
-    kind = "threaded"
 
     def __init__(self, node, listener, *, name: str = "server",
                  max_connections: int = 0, obs=NULL_OBS):
@@ -136,13 +136,9 @@ class ThreadedFrontend:
         self._running = False
         self.listener.close()
 
-    def close(self) -> None:
-        """Second teardown phase (executor parity with the async front
-        end); the threaded front end has nothing left to free."""
-
     def snapshot(self) -> dict:
         """``stats()["gateway"]`` contribution of this front end."""
-        return self.connections.snapshot(self.kind)
+        return self.connections.snapshot()
 
     # -- accept / serve ------------------------------------------------------
 
@@ -155,10 +151,20 @@ class ThreadedFrontend:
                 refuse_connection(endpoint, self.connections.limit,
                                   obs=self.obs)
                 continue
-            endpoint = self.node.wrap_endpoint(endpoint)
-            threading.Thread(
-                target=self._serve_connection, args=(endpoint,),
-                daemon=True, name=f"{self.name}-conn").start()
+            handler = threading.Thread(
+                target=self._serve_connection,
+                args=(self.node.wrap_endpoint(endpoint),),
+                daemon=True, name=f"{self.name}-conn")
+            try:
+                handler.start()
+            except RuntimeError as exc:
+                # The host is out of threads: shed this connection as
+                # over capacity and keep accepting the next one.
+                self.connections.release(refused=True)
+                refuse_connection(endpoint, self.connections.active,
+                                  obs=self.obs)
+                log.warning("connection handler failed to start",
+                            extra={"node": self.name, "error": str(exc)})
 
     def _serve_connection(self, endpoint) -> None:
         channel = MessageChannel(endpoint, timeout=None)

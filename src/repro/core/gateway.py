@@ -281,11 +281,10 @@ class HyperQNode:
             maxlen=_COMPLETED_JOBS_WINDOW)
         self._completed_totals = {"jobs": 0, "rows": 0, "bytes": 0}
         self._running = False
-        #: the connection-handling front end (threaded or async),
-        #: created at start() from ``config.async_frontend``.
-        self.frontend = None
+        #: the connection-handling front end, created at start().
+        self.frontend: ThreadedFrontend | None = None
         #: the node's one stage-task pool, shared by every pipeline on
-        #: the node under either front end.
+        #: the node.
         self._pipeline_pool: PipelineWorkerPool | None = None
 
     # -- lifecycle --------------------------------------------------------------
@@ -296,18 +295,10 @@ class HyperQNode:
         self._pipeline_pool = PipelineWorkerPool(
             workers=self.config.converters + self.config.filewriters + 1,
             name=self.name)
-        if self.config.async_frontend:
-            from repro.net_async import AsyncFrontend
-            self.frontend = AsyncFrontend(
-                self, self.listener, name=self.name,
-                max_connections=self.config.max_connections,
-                obs=self.obs)
-        else:
-            self.frontend = ThreadedFrontend(
-                self, self.listener, name=self.name,
-                max_connections=self.config.max_connections,
-                obs=self.obs)
-        self.frontend.start()
+        self.frontend = ThreadedFrontend(
+            self, self.listener, name=self.name,
+            max_connections=self.config.max_connections,
+            obs=self.obs).start()
         return self
 
     def stop(self) -> None:
@@ -344,8 +335,6 @@ class HyperQNode:
             self._release_feed(feed)
         # The pipeline pool closes only after the jobs above drained —
         # their pipelines run on it.
-        if self.frontend is not None:
-            self.frontend.close()
         if self._pipeline_pool is not None:
             self._pipeline_pool.close()
         shutil.rmtree(self._base_dir, ignore_errors=True)
@@ -482,8 +471,8 @@ class HyperQNode:
 
     # -- connection handling (Alpha/Coalescer + PXC dispatch) --------------------
     #
-    # The front end (ThreadedFrontend or AsyncFrontend) owns accept,
-    # framing, and connection lifecycle; the node implements the
+    # The front end (ThreadedFrontend) owns accept, framing, and
+    # connection lifecycle; the node implements the
     # session contract it drives: new_conn / handle_message /
     # connection_closed / wrap_endpoint.
 
@@ -507,9 +496,9 @@ class HyperQNode:
                        conn: dict) -> None:
         """Dispatch one frame; typed failures become ERROR replies.
 
-        ``channel`` only needs ``send(message)`` — a
-        :class:`~repro.legacy.protocol.MessageChannel` on the threaded
-        path, a reply sink on the async path.  A dead transport
+        ``channel`` is the connection's
+        :class:`~repro.legacy.protocol.MessageChannel`; only its
+        ``send(message)`` is used.  A dead transport
         (``TransportClosed`` from the reply send) propagates to the
         caller, which tears the connection down.
         """

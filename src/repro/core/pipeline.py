@@ -15,7 +15,7 @@ Stage wiring for one load job::
 
 Every stage is a :class:`_SerialLane` — an ordered task stream — on the
 :class:`PipelineWorkerPool` the pipeline is handed: the node's one
-pool, under either front end.  A pipeline starts no threads of its own;
+pool.  A pipeline starts no threads of its own;
 concurrent jobs share the pool's threads and nothing else (lanes,
 writers, journal and staging directory are per job).
 
@@ -74,9 +74,9 @@ class PipelineWorkerPool:
 
     Every :class:`AcquisitionPipeline` runs its converter/writer/
     uploader stages as :class:`_SerialLane` tasks on one of these.  A
-    node owns one pool for all its jobs, under either front end, so
-    thread count is bounded per node however many jobs or micro-batches
-    run.  Stage ordering is preserved per lane.  Idle threads are named
+    node owns one pool for all its jobs, so thread count is bounded
+    per node however many jobs or micro-batches run.  Stage ordering
+    is preserved per lane.  Idle threads are named
     ``<name>-pipeline-<i>``; while one drains a lane it carries the
     lane's job-attributed name instead.
     """

@@ -104,16 +104,16 @@ class TcpEndpoint:
 class TcpListener:
     """A listening TCP socket with the Listener interface.
 
-    ``backlog`` bounds the kernel's pending-accept queue.  The default
-    suits the threaded front end's poll-accept loop; the async front
-    end re-listens with a deeper backlog sized to its connection cap
-    (see :class:`repro.net_async.AsyncFrontend`) because a reconnect
-    storm of legacy feeds otherwise overflows the queue and stalls
-    clients in SYN retransmit for seconds.
+    ``backlog`` bounds the kernel's pending-accept queue (the kernel
+    caps it at ``net.core.somaxconn``).  The default is deep because
+    legacy schedulers open every feed of an ETL window at once: with a
+    shallow queue such a reconnect storm overflows it while the accept
+    thread works through the burst, and the dropped clients stall in
+    SYN retransmit for a second or more.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 backlog: int = 32):
+                 backlog: int = 1024):
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(
             socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -153,16 +153,6 @@ class TcpListener:
                 pass
             return None
         return TcpEndpoint(sock, name=f"server<-{peer}")
-
-    def socket(self) -> socket.socket:
-        """The bound listening socket (for ``asyncio`` adoption).
-
-        The async front end serves this exact socket object so the
-        host/port a caller observed before :meth:`~repro.core.gateway.
-        HyperQNode.start` keep working; the listener must not be
-        ``close()``d separately once adopted.
-        """
-        return self._server
 
     def close(self) -> None:
         """Close the listening socket (idempotent)."""

@@ -122,16 +122,12 @@ def _populate(connect) -> None:
 def backends():
     legacy = LegacyServer().start()
     _populate(legacy.connect)
-    stacks = {}
-    for mode in ("threaded", "async"):
-        stacks[mode] = build_stack(config=HyperQConfig(
-            converters=1, filewriters=1, credits=4,
-            async_frontend=mode == "async"))
-        _populate(stacks[mode].node.connect)
-    yield {"legacy": legacy, **stacks}
+    stack = build_stack(config=HyperQConfig(
+        converters=1, filewriters=1, credits=4))
+    _populate(stack.node.connect)
+    yield {"legacy": legacy, "threaded": stack}
     legacy.stop()
-    for stack in stacks.values():
-        stack.close()
+    stack.close()
 
 
 def _set_chunk_rows(backend, chunk_rows: int):
@@ -144,7 +140,7 @@ def _set_chunk_rows(backend, chunk_rows: int):
 
 @pytest.mark.parametrize("chunk_rows", [1, 1000])
 @pytest.mark.parametrize("sessions", [1, 3])
-@pytest.mark.parametrize("backend", ["legacy", "threaded", "async"])
+@pytest.mark.parametrize("backend", ["legacy", "threaded"])
 def test_export_matches_golden_file(backends, backend, sessions,
                                     chunk_rows):
     connect = _set_chunk_rows(backends[backend], chunk_rows)

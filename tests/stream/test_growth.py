@@ -45,15 +45,15 @@ def footprint(node, engine):
     }
 
 
-@pytest.mark.parametrize("async_frontend", [False, True],
-                         ids=["threaded", "async"])
+#: the id names the front end, which keeps the test id stable.
+@pytest.mark.parametrize("frontend", ["threaded"])
 def test_steady_state_batches_add_nothing(tmp_path, monkeypatch,
-                                          async_frontend):
+                                          frontend):
     monkeypatch.setattr(gateway, "_COMPLETED_JOBS_WINDOW", WINDOW)
     workload = stream_workload(batches=WARMUP + MEASURED,
                                rows_per_batch=5, drift=False,
                                feed="dayfeed", seed=41)
-    config = HyperQConfig(credits=8, async_frontend=async_frontend)
+    config = HyperQConfig(credits=8)
     with make_node(config=config) as stack:
         node, engine = stack.node, stack.engine
         engine.execute(workload.ddl)
@@ -79,11 +79,8 @@ def test_steady_state_batches_add_nothing(tmp_path, monkeypatch,
             assert sum(
                 count for name, count in engine.statement_counts.items()
                 if name in ("CreateTable", "DropTable")) == ddl_before
-            if not async_frontend:
-                # one per batch: the data session's connection handler
-                # (the async front end's bridge starts two per
-                # connection, a reader and a closer)
-                assert len(starts) == MEASURED, starts[:16]
+            # one per batch: the data session's connection handler
+            assert len(starts) == MEASURED, starts[:16]
 
             assert len(node.completed_jobs) == WINDOW
             stats = node.stats()

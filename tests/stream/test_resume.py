@@ -10,8 +10,8 @@ run that was never interrupted.
 
 Every batch of a feed stages into the feed's one staging table, so the
 sweep below kills at *every* server→client send of the feed, and at the
-COPY and the apply of every batch, under both front ends; the unit
-tests at the bottom pin the rule that makes the shared table safe.
+COPY and the apply of every batch; the unit tests at the bottom pin the
+rule that makes the shared table safe.
 """
 
 import functools
@@ -34,11 +34,9 @@ from tests.conftest import make_node
 #: ``test_sweep_covers_every_send``).
 SENDS = 39
 
-#: the ids also name the apply path (two-phase, the only one), which
-#: keeps the sweep's test ids stable.
-FRONTENDS = pytest.mark.parametrize(
-    "async_frontend", [False, True],
-    ids=["twophase-threaded", "twophase-async"])
+#: the id names the apply path (two-phase) and the front end (threaded),
+#: the only one of each, which keeps the sweep's test ids stable.
+ONE_PATH = pytest.mark.parametrize("path", ["twophase-threaded"])
 
 
 def _workload(date_error_rate=0.0):
@@ -47,10 +45,9 @@ def _workload(date_error_rate=0.0):
                            date_error_rate=date_error_rate)
 
 
-def _config(chaos=None, async_frontend=False):
+def _config(chaos=None):
     return HyperQConfig(
-        converters=1, filewriters=1, credits=8, chaos_profile=chaos,
-        async_frontend=async_frontend)
+        converters=1, filewriters=1, credits=8, chaos_profile=chaos)
 
 
 def _final_state(engine, table):
@@ -87,10 +84,10 @@ def reference_outcome():
 
 
 @functools.cache
-def clean_outcome(async_frontend):
+def clean_outcome():
     """``_outcome`` of the uninterrupted dirty-date feed."""
     workload = _workload(date_error_rate=0.1)
-    config = _config(async_frontend=async_frontend)
+    config = _config()
     with make_node(config=config) as stack:
         stack.engine.execute(workload.ddl)
         with StreamSession(stack.node.connect, feed=workload.feed,
@@ -101,11 +98,11 @@ def clean_outcome(async_frontend):
         return _outcome(stack.engine, workload)
 
 
-def kill_and_replay(tmp_path, rule, async_frontend):
+def kill_and_replay(tmp_path, rule):
     """Run the feed into one injected fault, replay it from batch 0 with
     a fresh client, and require the clean run's outcome."""
     workload = _workload(date_error_rate=0.1)
-    config = _config([dict(rule, max_fires=1)], async_frontend)
+    config = _config([dict(rule, max_fires=1)])
     with make_node(config=config) as stack:
         stack.engine.execute(workload.ddl)
         first = _session(stack, workload, tmp_path).open()
@@ -119,8 +116,7 @@ def kill_and_replay(tmp_path, rule, async_frontend):
         with _session(stack, workload, tmp_path) as second:
             report = StreamRunner(second, workload).run()
         assert report.skipped + report.committed == 6
-        assert _outcome(stack.engine, workload) == \
-            clean_outcome(async_frontend)
+        assert _outcome(stack.engine, workload) == clean_outcome()
 
 
 def test_sweep_covers_every_send():
@@ -171,33 +167,31 @@ def test_killed_client_replays_feed_exactly_once(tmp_path, at_call):
         assert final == expected
 
 
-@FRONTENDS
-def test_kill_at_every_send_converges(tmp_path, async_frontend):
-    """The sweep above on a feed with ET rows, per front end (one node
-    per kill point)."""
+@ONE_PATH
+def test_kill_at_every_send_converges(tmp_path, path):
+    """The sweep above on a feed with ET rows (one node per kill
+    point)."""
     for at_call in range(2, SENDS + 1):
         kill_dir = tmp_path / str(at_call)
         kill_dir.mkdir()
         try:
             kill_and_replay(kill_dir, {"point": "net.send",
-                                       "at_call": at_call},
-                            async_frontend)
+                                       "at_call": at_call})
         except BaseException:
             print(f"net.send kill at call {at_call}")
             raise
 
 
-@FRONTENDS
+@ONE_PATH
 @pytest.mark.parametrize("point", ["copy.into", "dml.apply"])
 @pytest.mark.parametrize("batch", range(1, 7))
 def test_kill_between_copy_and_commit_converges(
-        tmp_path, point, batch, async_frontend):
+        tmp_path, point, batch, path):
     """A permanent fault at batch ``batch``'s COPY (files durable,
     nothing landed) or apply (COPY landed in the feed's staging table,
     no commit record) fails the batch; the replay resumes it."""
     kill_and_replay(tmp_path, {"point": point, "at_call": batch,
-                               "error": "permanent"},
-                    async_frontend)
+                               "error": "permanent"})
 
 
 # -- the shared staging table's resume rule, one step at a time ------------

@@ -3,6 +3,8 @@
 import threading
 import time
 
+import pytest
+
 from repro.cli import main
 from tests.conftest import EXAMPLE_DATA, EXAMPLE_SCRIPT
 
@@ -49,6 +51,14 @@ def test_serve_and_connect(tmp_path, capsys):
     assert server_result.get("code") == 0
     final = capsys.readouterr().out
     assert "served 1 jobs, 2 rows" in final
+
+
+def test_serve_rejects_the_reactor_flag(capsys):
+    """``serve`` has one front end; the reactor's flag is gone."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--async-frontend", "--duration", "0"])
+    assert excinfo.value.code == 2
+    assert "--async-frontend" in capsys.readouterr().err
 
 
 def test_interpreter_set_chunk_and_retries(stack):

