@@ -40,11 +40,6 @@ class CloudStore:
         with self._lock:
             self._containers.setdefault(name, {})
 
-    def drop_container(self, name: str) -> None:
-        """Remove a container and all its blobs."""
-        with self._lock:
-            self._containers.pop(name, None)
-
     def containers(self) -> list[str]:
         """Sorted names of all containers."""
         with self._lock:
@@ -80,14 +75,6 @@ class CloudStore:
                 raise StorageError(
                     f"no such blob {name!r} in container {container!r}")
             return data
-
-    def delete_blob(self, container: str, name: str) -> None:
-        """Delete one blob (no error if absent)."""
-        with self._lock:
-            blobs = self._containers.get(container)
-            if blobs is None:
-                raise StorageError(f"no such container {container!r}")
-            blobs.pop(name, None)
 
     def list_blobs(self, container: str, prefix: str = "") -> list[str]:
         """Sorted blob names under a prefix."""

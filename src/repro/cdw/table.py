@@ -434,19 +434,6 @@ class CdwTable:
             coerced.append(spec.ctype.coerce(value, field=spec.name))
         return tuple(coerced)
 
-    def unique_key_values(self, row: tuple) -> list[tuple]:
-        """Key tuples of ``row`` for each declared unique key.
-
-        Keys containing a NULL do not participate in uniqueness (standard
-        SQL semantics).
-        """
-        out = []
-        for key in self.unique_keys:
-            key_value = tuple(row[i] for i in key)
-            out.append(None if any(v is None for v in key_value)
-                       else key_value)
-        return out
-
     def _uniqueness_error(self, key: tuple[int, ...], key_value: tuple,
                           field_hint: str | None) -> BulkExecutionError:
         columns = ", ".join(self.columns[i].name for i in key)

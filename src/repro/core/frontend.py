@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 
 from repro.errors import ConnectionLimited, ReproError
-from repro.legacy.protocol import Message, MessageChannel, MessageKind
+from repro.legacy.protocol import MessageChannel, error_reply
 from repro.obs import NULL_OBS, get_logger
 
 __all__ = ["ConnectionCap", "ThreadedFrontend", "refuse_connection"]
@@ -47,12 +47,7 @@ def refuse_connection(endpoint, limit: int, obs=NULL_OBS) -> None:
         f"connection limit of {limit} reached; retry later",
         limit=limit)
     try:
-        endpoint.send_bytes(Message(MessageKind.ERROR, {
-            "code": error.code,
-            "message": str(error),
-            "limit": limit,
-            "retry_after_s": error.retry_after_s,
-        }).to_bytes())
+        endpoint.send_bytes(error_reply(error).to_bytes())
     except ReproError:
         pass
     finally:

@@ -18,6 +18,7 @@ ETL jobs on the node."
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 import tempfile
@@ -41,8 +42,7 @@ from repro.core.tdfcursor import TdfCursor
 from repro.dq import DqPrechecker, DqProfile
 from repro.dq.compiler import et_insert, staging_delete
 from repro.errors import (
-    HYPERQ_SCHEMA_DRIFT, GatewayError, ProtocolError, ReproError,
-    StreamDriftError,
+    HYPERQ_SCHEMA_DRIFT, GatewayError, ProtocolError, StreamDriftError,
 )
 from repro.faults import FaultInjector, FaultyEndpoint
 from repro.obs import NULL_SPAN, Observability, configure_logging, get_logger
@@ -50,10 +50,11 @@ from repro.resilience import (
     CheckpointJournal, CircuitBreakerRegistry, RetryPolicy, guarded_call,
 )
 from repro.wlm import WorkloadManager
-from repro.legacy.client import layout_from_wire
 from repro.legacy.datafmt import FormatSpec, make_format
-from repro.legacy.infer import infer_result_layout
-from repro.legacy.protocol import Message, MessageChannel, MessageKind
+from repro.legacy.protocol import (
+    TRACEPARENT_KEY, Message, MessageChannel, MessageKind, layout_from_wire,
+    layout_to_wire, result_reply, serve_request,
+)
 from repro.legacy.types import Layout
 from repro.net import Listener
 from repro.sqlxc import nodes as n
@@ -84,7 +85,6 @@ class _LoadJob:
     et_table: str
     uv_table: str
     layout: Layout
-    format_spec: FormatSpec
     staging_table: str
     staging_dir: str
     pipeline: AcquisitionPipeline
@@ -103,14 +103,13 @@ class _LoadJob:
     ticket: object = None
     #: data-quality prechecker (None when no ruleset matched the job).
     dq: DqPrechecker | None = None
-    #: owning stream feed (None for one-shot loads), the micro-batch
-    #: sequence/cursor this job carries, the source event timestamp
-    #: (lag gauge), drift accepted at BEGIN (wire dicts), and whether
-    #: the whole batch routes to the error table (route-to-error).
+    #: owning stream feed (None for one-shot loads), the batch's
+    #: checked BEGIN_LOAD ``stream`` object (``batch_seq``, ``cursor``,
+    #: ``event_ts`` for the lag gauge), drift accepted at BEGIN (wire
+    #: dicts), and whether the whole batch routes to the error table
+    #: (route-to-error).
     stream: "_StreamFeed | None" = None
-    stream_seq: int = -1
-    stream_cursor: str | None = None
-    stream_event_ts: float | None = None
+    batch: dict = field(default_factory=dict)
     stream_drift: list = field(default_factory=list)
     stream_route_error: bool = False
 
@@ -140,8 +139,6 @@ class _StreamFeed:
     journal: CheckpointJournal
     #: the wire layout the feed last accepted (drift baseline).
     layout: Layout
-    #: source→target column mapping matrix (identity under ``evolve``).
-    mapping: dict = field(default_factory=dict)
     pool: str = ""
     ticket: object = None
     #: ``HQ_STG_FEED_<feed>``: created by the first batch, emptied at
@@ -492,36 +489,13 @@ class HyperQNode:
             return FaultyEndpoint(endpoint, self.faults)
         return endpoint
 
-    def handle_message(self, channel, message: Message,
-                       conn: dict) -> None:
-        """Dispatch one frame; typed failures become ERROR replies.
+    #: the session contract's per-frame entry point: the request path
+    #: both servers share (count, check, dispatch, ERROR reply).
+    handle_message = serve_request
 
-        ``channel`` is the connection's
-        :class:`~repro.legacy.protocol.MessageChannel`; only its
-        ``send(message)`` is used.  A dead transport
-        (``TransportClosed`` from the reply send) propagates to the
-        caller, which tears the connection down.
-        """
-        try:
-            self._dispatch(channel, message, conn)
-        except ReproError as exc:
-            error_meta = {
-                "code": getattr(exc, "code", 0),
-                "message": str(exc),
-            }
-            # Workload-management throttles carry structured
-            # backoff guidance the client-side retry honors.
-            for key in ("retry_after_s", "pool", "reason"):
-                value = getattr(exc, key, None)
-                if value:
-                    error_meta[key] = value
-            # Echo the request's trace context so even a shed
-            # request's reply stays correlated to the client's
-            # trace (throttle replies are part of the story).
-            traceparent = message.meta.get("traceparent")
-            if traceparent:
-                error_meta["traceparent"] = traceparent
-            channel.send(Message(MessageKind.ERROR, error_meta))
+    def count_request(self, kind: MessageKind) -> None:
+        """Count one served frame (``hyperq_messages_total{kind}``)."""
+        self.obs.messages_total.labels(kind=kind.name).inc()
 
     def connection_closed(self, conn: dict) -> None:
         """Reap whatever this connection was responsible for.
@@ -542,72 +516,42 @@ class HyperQNode:
         for job_id in conn["exports"]:
             self._drop_export(job_id)
 
-    def _dispatch(self, channel: MessageChannel, message: Message,
-                  conn: dict) -> None:
-        kind = message.kind
-        self.obs.messages_total.labels(kind=kind.name).inc()
-        if kind == MessageKind.LOGON:
-            self._handle_logon(channel, message, conn)
-        elif kind == MessageKind.LOGOFF:
-            channel.send(Message(MessageKind.LOGOFF_OK))
-        elif kind == MessageKind.SQL_REQUEST:
-            self._handle_sql(channel, message)
-        elif kind == MessageKind.BEGIN_LOAD:
-            self._handle_begin_load(channel, message, conn)
-        elif kind == MessageKind.DATA:
-            self._handle_data(channel, message)
-        elif kind == MessageKind.DATA_EOF:
-            self._handle_data_eof(channel, message)
-        elif kind == MessageKind.APPLY_DML:
-            self._handle_apply(channel, message)
-        elif kind == MessageKind.END_LOAD:
-            self._handle_end_load(channel, message, conn)
-        elif kind == MessageKind.BEGIN_EXPORT:
-            self._handle_begin_export(channel, message, conn)
-        elif kind == MessageKind.EXPORT_FETCH:
-            self._handle_export_fetch(channel, message)
-        else:
-            raise ProtocolError(f"unexpected message {kind.name}")
+    # Request handlers: serve_request passes each the checked request.
 
     def _handle_logon(self, channel: MessageChannel, message: Message,
-                      conn: dict) -> None:
+                      request: dict, conn: dict) -> None:
         """Record the session identity and name the handler thread.
 
         Data-session LOGONs carry the job they serve, so the handler
         thread is renamed ``<node>-job-<id>-s<n>`` — a hung or
         credit-starved load is then visible directly in a thread dump.
         """
-        conn["user"] = message.meta.get("user", "")
-        job_id = message.meta.get("job_id")
+        conn["user"] = request["user"]
+        job_id = request["job_id"]
         if job_id:
             # Remember which job/session this data connection serves so
             # its teardown can be attributed (export EOF accounting).
             conn["job_id"] = job_id
-            conn["session_no"] = message.meta.get("session_no", 0)
+            conn["session_no"] = request["session_no"]
             threading.current_thread().name = (
                 f"{self.name}-job-{job_id}"
                 f"-s{conn['session_no']}")
         channel.send(Message(MessageKind.LOGON_OK))
 
+    def _handle_logoff(self, channel: MessageChannel, message: Message,
+                       request: dict, conn: dict) -> None:
+        channel.send(Message(MessageKind.LOGOFF_OK))
+
     # -- ad-hoc SQL: cross compile and execute on the CDW ----------------------------
 
-    def _handle_sql(self, channel: MessageChannel,
-                    message: Message) -> None:
+    def _handle_sql_request(self, channel: MessageChannel,
+                            message: Message, request: dict,
+                            conn: dict) -> None:
         statement = to_cdw(
-            parse_statement(message.meta["sql"], dialect="legacy"))
-        result = self.engine.execute(statement)
-        if result.kind == "rows":
-            layout = infer_result_layout(result.columns, result.rows)
-            fmt = make_format(FormatSpec("binary"), layout)
-            channel.send(Message(
-                MessageKind.RESULT_SET,
-                {"columns": [[f.name, f.type.render()]
-                             for f in layout.fields]},
-                body=fmt.encode_records(result.rows)))
-        else:
-            channel.send(Message(
-                MessageKind.STMT_OK,
-                {"activity_count": result.activity_count}))
+            parse_statement(request["sql"], dialect="legacy"))
+        channel.send(result_reply(
+            self.engine.execute(statement),
+            functools.partial(make_format, FormatSpec("binary"))))
 
     # -- load jobs -----------------------------------------------------------------------
 
@@ -618,55 +562,43 @@ class HyperQNode:
             raise ProtocolError(f"unknown load job {job_id!r}")
         return job
 
-    def _classify(self, meta: dict, conn: dict, target: str = "") -> str:
+    def _classify(self, tenant: str, conn: dict, target: str = "") -> str:
         """Resource pool for one BEGIN_* request.
 
-        Tenancy is declared explicitly (``tenant`` in the request meta)
-        or falls back to the logon user — legacy scripts predate any
+        Tenancy is declared explicitly (the request's ``tenant``) or
+        falls back to the logon user — legacy scripts predate any
         notion of tenancy, so the common case is user-based pooling.
         """
         user = conn.get("user", "")
         return self.wlm.classify(
-            tenant=meta.get("tenant") or user, user=user, target=target)
+            tenant=tenant or user, user=user, target=target)
 
     def _handle_begin_load(self, channel: MessageChannel,
-                           message: Message, conn: dict) -> None:
-        meta = message.meta
-        job_id = meta["job_id"]
+                           message: Message, request: dict,
+                           conn: dict) -> None:
+        job_id, target = request["job_id"], request["target"]
         threading.current_thread().name = f"{self.name}-job-{job_id}-ctl"
-        layout = layout_from_wire(meta["layout"])
-        format_spec = FormatSpec.from_wire(meta["format"])
-        target = meta["target"]
-        resume = bool(meta.get("resume"))
         if not self.engine.catalog.exists(target):
             raise GatewayError(
                 f"target table {target!r} does not exist in the CDW")
-
-        # A trace-carrying client makes this whole job a subtree of its
-        # trace: the admission span and the job span both parent to the
-        # remote context, so the gateway side has no orphan roots.
-        remote_ctx = message.trace_context()
 
         # Streaming micro-batches branch off here: admission belongs to
         # the *feed* (one slot across all cycles), the feed's durable
         # watermark decides whether this batch already committed, and
         # schema drift is resolved before any job state exists.
-        if meta.get("stream"):
-            self._handle_begin_stream_batch(
-                channel, meta, conn, job_id, layout, format_spec,
-                target, resume, remote_ctx)
+        if request["stream"] is not None:
+            self._begin_stream_batch(channel, request, conn)
             return
 
         # Admission control happens before ANY job state is created, so
         # a shed request leaves nothing behind — the client just sees
-        # WLM_THROTTLED and retries the whole BEGIN_LOAD later.
-        pool = self._classify(meta, conn, target=target)
+        # WLM_THROTTLED and retries the whole BEGIN_LOAD later.  The
+        # admission and job spans parent to the client's trace, if any.
+        pool = self._classify(request["tenant"], conn, target=target)
         ticket = self.wlm.admit(pool, job_id, kind="load",
-                                parent_span=remote_ctx)
+                                parent_span=request[TRACEPARENT_KEY])
         try:
-            job = self._begin_load_admitted(channel, meta, job_id, layout,
-                                            format_spec, target, resume,
-                                            pool, ticket, remote_ctx)
+            job = self._begin_load_admitted(channel, request, pool, ticket)
         except BaseException:
             self.wlm.release(ticket)
             raise
@@ -674,13 +606,18 @@ class HyperQNode:
         # END_LOAD the job is abandoned and its slot freed.
         conn["loads"][job_id] = job
 
-    def _begin_load_admitted(self, channel: MessageChannel, meta: dict,
-                             job_id: str, layout: Layout,
-                             format_spec: FormatSpec, target: str,
-                             resume: bool, pool: str, ticket,
-                             remote_ctx=None,
-                             stream: dict | None = None) -> _LoadJob:
-        """Set up one admitted load job (the pre-wlm BEGIN_LOAD body)."""
+    def _begin_load_admitted(self, channel: MessageChannel, request: dict,
+                             pool: str, ticket,
+                             feed: "_StreamFeed | None" = None) -> _LoadJob:
+        """Set up one admitted load job (the pre-wlm BEGIN_LOAD body);
+        a feed batch passes its ``feed`` and has its drift resolved."""
+        job_id, target = request["job_id"], request["target"]
+        layout, format_spec = request["layout"], request["format"]
+        et_table, uv_table = request["et_table"], request["uv_table"]
+        resume = request["resume"]
+        route_error, drift = (False, []) if feed is None else \
+            self._stream_resolve_drift(
+                feed, request["stream"]["batch_seq"], layout)
         # A restarted job (same job_id, resume flag) replaces whatever
         # is left of its killed predecessor; the checkpoint journal in
         # the job's staging directory carries the durable progress over.
@@ -696,27 +633,25 @@ class HyperQNode:
                 self.obs.jobs_total.labels(event="restarted").inc()
                 self.obs.flight.record(job_id, "restarted")
 
+        self._ensure_error_tables(et_table, uv_table, target)
         staging_dir = os.path.join(self._base_dir, job_id)
         os.makedirs(staging_dir, exist_ok=True)
         journal = CheckpointJournal(
             os.path.join(staging_dir, "checkpoint.jsonl"),
             fresh=not resume)
-        if stream is None:
+        if feed is None:
             staging_table = f"HQ_STG_{job_id}"
             if not (resume and self.engine.catalog.exists(staging_table)):
                 self._create_staging_table(staging_table, layout)
         else:
-            staging_table = stream["feed"].staging_table
-            self._prepare_feed_staging(stream["feed"], job_id, layout,
-                                       journal)
-        self._ensure_error_tables(meta["et_table"], meta["uv_table"],
-                                  target)
+            staging_table = feed.staging_table
+            self._prepare_feed_staging(feed, job_id, layout, journal)
         # Per-pool/target rule resolution mirrors WLM classification:
         # first matching ruleset in declaration order wins.
         dq = None
         ruleset = self.dq_profile.resolve(target=target, pool=pool)
-        if ruleset is not None and stream is not None:
-            if stream["route_error"]:
+        if ruleset is not None and feed is not None:
+            if route_error:
                 # The whole batch is bound for the error table — the
                 # precheck would only route it twice.
                 ruleset = None
@@ -731,19 +666,19 @@ class HyperQNode:
                 dq = DqPrechecker(
                     ruleset=ruleset, engine=self.engine,
                     staging_table=staging_table,
-                    et_table=meta["et_table"], target_table=target,
+                    et_table=et_table, target_table=target,
                     layout=layout, seq_stride=self.config.seq_stride,
                     journal=journal, obs=self.obs, job_id=job_id)
             except ValueError as exc:
                 raise GatewayError(f"dq profile rejected: {exc}") from exc
 
-        metrics = JobMetrics(job_id=job_id,
-                             sessions=meta.get("sessions", 0),
+        metrics = JobMetrics(job_id=job_id, sessions=request["sessions"],
                              pool=pool)
         # With a remote context the job span continues the client's
         # trace; without one it is a locally-rooted trace as before.
         job_span = self.obs.tracer.span(
-            "job", parent=remote_ctx, job_id=job_id, target=target,
+            "job", parent=request[TRACEPARENT_KEY], job_id=job_id,
+            target=target,
             **({"pool": pool} if pool else {}))
         if job_span.trace_id:
             metrics.trace_id = f"{job_span.trace_id:032x}"
@@ -781,19 +716,16 @@ class HyperQNode:
         )
         job = _LoadJob(
             job_id=job_id, target=target,
-            et_table=meta["et_table"], uv_table=meta["uv_table"],
-            layout=layout, format_spec=format_spec,
+            et_table=et_table, uv_table=uv_table,
+            layout=layout,
             staging_table=staging_table, staging_dir=staging_dir,
             pipeline=pipeline, metrics=metrics,
             span=job_span, ticket=ticket, dq=dq,
         )
-        if stream is not None:
-            job.stream = stream["feed"]
-            job.stream_seq = stream["seq"]
-            job.stream_cursor = stream["cursor"]
-            job.stream_event_ts = stream["event_ts"]
-            job.stream_drift = stream["drift"]
-            job.stream_route_error = stream["route_error"]
+        if feed is not None:
+            job.stream, job.batch = feed, request["stream"]
+            job.stream_drift = drift
+            job.stream_route_error = route_error
         job.total_watch.start()
         self.obs.jobs_total.labels(event="started").inc()
         self.obs.flight.record(
@@ -801,7 +733,7 @@ class HyperQNode:
             resume=resume, trace_id=metrics.trace_id)
         log.info("load job started", extra={
             "job_id": job_id, "target": target, "pool": pool,
-            "sessions": meta.get("sessions", 0)})
+            "sessions": request["sessions"]})
         with self._registry_lock:
             self._jobs[job_id] = job
         ok_meta: dict = {"job_id": job_id}
@@ -810,21 +742,20 @@ class HyperQNode:
             # pipeline an ack is NOT durability, so the client must only
             # skip chunks the gateway confirms it still has.
             ok_meta["durable_seqs"] = sorted(pipeline.resumed_seqs)
+            if journal.applied is not None:     # straight to END_LOAD
+                ok_meta["committed"] = journal.applied
         channel.send(Message(MessageKind.BEGIN_LOAD_OK, ok_meta))
         return job
 
     # -- continuous ingestion (repro.stream) -------------------------------------
 
-    def _handle_begin_stream_batch(self, channel: MessageChannel,
-                                   meta: dict, conn: dict, job_id: str,
-                                   layout: Layout,
-                                   format_spec: FormatSpec, target: str,
-                                   resume: bool, remote_ctx) -> None:
+    def _begin_stream_batch(self, channel: MessageChannel, request: dict,
+                            conn: dict) -> None:
         """BEGIN_LOAD of one micro-batch on a streaming feed.
 
         Four outcomes: the batch sequence is at or below the feed's
-        durable watermark → a ``stream_committed`` fast-skip reply and
-        no job at all (replay after a client crash); the feed already
+        durable watermark → a ``committed`` fast-skip reply and no job
+        at all (replay after a client crash); the feed already
         has an uncommitted batch in flight under another job id → the
         typed protocol error (batches share the feed's staging table
         and DML template, and the watermark assumes in-order commits);
@@ -832,9 +763,9 @@ class HyperQNode:
         first; otherwise → a normal load job that rides the feed's
         admission ticket and staging table.
         """
-        stream_meta = meta["stream"]
-        feed = self._stream_feed(stream_meta, conn, target, layout)
-        seq = int(stream_meta.get("batch_seq", 0))
+        job_id, stream = request["job_id"], request["stream"]
+        feed = self._stream_feed(stream, request, conn)
+        seq = stream["batch_seq"]
         with feed.lock:
             skip = seq <= feed.committed_seq
             if skip:
@@ -857,39 +788,28 @@ class HyperQNode:
             self.obs.flight.record(
                 f"stream:{feed.name}", "batch_skipped", seq=seq)
             channel.send(Message(MessageKind.BEGIN_LOAD_OK, {
-                "job_id": job_id, "stream_committed": True,
-                "committed_seq": committed_seq, "cursor": cursor}))
+                "job_id": job_id, "committed": {"stream": {
+                    "committed_seq": committed_seq, "cursor": cursor}}}))
             return
         try:
-            route_error, drift = self._stream_resolve_drift(
-                feed, seq, layout, meta["layout"])
-            job = self._begin_load_admitted(
-                channel, meta, job_id, layout, format_spec, target,
-                resume, feed.pool, None, remote_ctx,
-                stream={
-                    "feed": feed,
-                    "seq": seq,
-                    "cursor": stream_meta.get("cursor"),
-                    "event_ts": stream_meta.get("event_ts"),
-                    "drift": drift,
-                    "route_error": route_error,
-                })
+            job = self._begin_load_admitted(channel, request, feed.pool,
+                                            None, feed=feed)
         except BaseException:
             self._release_live(feed, job_id)
             raise
         conn["loads"][job_id] = job
 
-    def _stream_feed(self, stream_meta: dict, conn: dict, target: str,
-                     layout: Layout) -> _StreamFeed:
+    def _stream_feed(self, stream: dict, request: dict,
+                     conn: dict) -> _StreamFeed:
         """Get or durably open the feed a stream batch belongs to.
 
         The watermark journal lives outside the node's staging tempdir
         (``config.stream_profile["watermark_dir"]``, then the client's
-        ``watermark_dir`` meta, then a staging-area fallback that only
+        ``watermark_dir``, then a staging-area fallback that only
         suits tests), so a feed reopened after a node restart resumes
         from its last committed batch, accepted layout included.
         """
-        name = str(stream_meta.get("feed") or "feed")
+        name, target = stream["feed"], request["target"]
         with self._registry_lock:
             feed = self._streams.get(name)
         if feed is not None:
@@ -899,14 +819,14 @@ class HyperQNode:
                     f"{feed.target!r}, not {target!r}")
             return feed
         profile = self.config.stream_profile or {}
-        policy = str(stream_meta.get("drift_policy")
-                     or profile.get("drift_policy") or "evolve")
+        policy = (stream["drift_policy"] or profile.get("drift_policy")
+                  or "evolve")
         if policy not in ("evolve", "route-to-error", "halt"):
             raise GatewayError(
                 f"unknown stream drift policy {policy!r} "
                 "(expected evolve, route-to-error, or halt)")
         watermark_dir = (profile.get("watermark_dir")
-                         or stream_meta.get("watermark_dir")
+                         or stream["watermark_dir"]
                          or os.path.join(self._base_dir, "streams"))
         os.makedirs(watermark_dir, exist_ok=True)
         safe = "".join(c if c.isalnum() or c in "-_." else "_"
@@ -919,10 +839,10 @@ class HyperQNode:
         journal = CheckpointJournal(
             os.path.join(watermark_dir, f"{safe}.feed.jsonl"),
             fsync=True)
-        accepted = layout
+        accepted = request["layout"]
         if journal.stream_layout is not None:
             accepted = layout_from_wire(journal.stream_layout)
-        pool = self._classify(stream_meta, conn, target=target)
+        pool = self._classify(request["tenant"], conn, target=target)
         # One admission per *feed*, held across every micro-batch
         # cycle: a streaming session is one long-running occupant of
         # its pool, fairly arbitrated against one-shot jobs.
@@ -930,16 +850,14 @@ class HyperQNode:
         feed = _StreamFeed(
             name=name, target=target, policy=policy, journal=journal,
             layout=accepted,
-            mapping={f.name: f.name for f in accepted.fields},
             pool=pool, ticket=ticket, staging_table=staging_table,
             committed_seq=(-1 if journal.stream_committed_seq is None
                            else journal.stream_committed_seq),
             cursor=journal.stream_cursor,
             rows_committed=journal.stream_rows)
         if journal.stream_drift:
-            # The accepted layout (and with it the identity mapping
-            # built above) already reflects the journaled history;
-            # only the counter needs restoring.
+            # The accepted layout already reflects the journaled
+            # history; only the counter needs restoring.
             feed.drift_events = len(journal.stream_drift)
         with self._registry_lock:
             winner = self._streams.get(name)
@@ -966,15 +884,15 @@ class HyperQNode:
         return feed
 
     def _stream_resolve_drift(self, feed: _StreamFeed, seq: int,
-                              layout: Layout, layout_wire: dict
+                              layout: Layout
                               ) -> "tuple[bool, list[dict]]":
         """Diff a batch layout against the feed; apply the policy.
 
         Returns ``(route_error, wire_events)``.  Under ``evolve`` the
         target is ALTERed (ADD IF NOT EXISTS / guarded RENAME — both
-        replay-safe across the ALTER→journal crash window), the
-        mapping matrix is updated, the feed's accepted layout advances,
-        and the drift is journaled *before* any batch data lands.
+        replay-safe across the ALTER→journal crash window), the feed's
+        accepted layout advances, and the drift is journaled *before*
+        any batch data lands.
         Under ``route-to-error`` nothing advances — the batch stages
         under its own layout and APPLY routes it wholesale.  ``halt``
         raises, leaving the watermark untouched for replay.
@@ -1014,11 +932,9 @@ class HyperQNode:
                     self.engine.execute(
                         f"ALTER TABLE {feed.target} RENAME COLUMN "
                         f"{event.old_name} TO {event.column}")
-            feed.mapping = SchemaDriftResolver.apply_to_mapping(
-                feed.mapping, events)
             feed.layout = layout
-            feed.journal.record_stream_drift(seq, wire,
-                                             layout=layout_wire)
+            feed.journal.record_stream_drift(
+                seq, wire, layout=layout_to_wire(layout))
             self.obs.flight.record(
                 f"stream:{feed.name}", "drift_evolved", seq=seq,
                 events=len(events))
@@ -1057,7 +973,7 @@ class HyperQNode:
             rows.append((
                 rownum, HYPERQ_SCHEMA_DRIFT, column,
                 (f"schema drift on feed {job.stream.name} routed "
-                 f"batch {job.stream_seq} to the error table: "
+                 f"batch {job.batch['batch_seq']} to the error table: "
                  f"{reason}, row number: {rownum}")[:512],
                 "schema_drift", reason))
         for i in range(0, len(rows), _INSERT_BATCH):
@@ -1087,14 +1003,14 @@ class HyperQNode:
         is compacted, keeping it O(feed state) instead of O(batch
         history) however long the feed runs.
         """
-        feed = job.stream
+        feed, batch = job.stream, job.batch
+        seq, cursor = batch["batch_seq"], batch["cursor"]
         rows = summary.rows_inserted + summary.rows_updated
         outcome = "routed" if job.stream_route_error else "committed"
         with feed.lock:
-            feed.journal.record_stream_commit(
-                job.stream_seq, cursor=job.stream_cursor, rows=rows)
-            feed.committed_seq = max(feed.committed_seq, job.stream_seq)
-            feed.cursor = job.stream_cursor
+            feed.journal.record_stream_commit(seq, cursor=cursor, rows=rows)
+            feed.committed_seq = max(feed.committed_seq, seq)
+            feed.cursor = cursor
             feed.batches_committed += 1
             if feed.batches_committed % _FEED_COMPACT_EVERY == 0:
                 feed.journal.compact()
@@ -1103,12 +1019,12 @@ class HyperQNode:
         self.obs.stream_batches.labels(
             feed=feed.name, outcome=outcome).inc()
         stream_result = {
-            "feed": feed.name, "seq": job.stream_seq,
+            "feed": feed.name, "seq": seq,
             "committed_seq": committed_seq,
             "routed": job.stream_route_error,
         }
-        if job.stream_event_ts is not None:
-            lag = max(0.0, time.time() - float(job.stream_event_ts))
+        if batch["event_ts"] is not None:
+            lag = max(0.0, time.time() - batch["event_ts"])
             self.obs.stream_lag_seconds.labels(feed=feed.name).set(lag)
             stream_result["lag_s"] = round(lag, 6)
         if job.stream_drift:
@@ -1116,7 +1032,7 @@ class HyperQNode:
         result_meta["stream"] = stream_result
         self.obs.flight.record(
             f"stream:{feed.name}", "batch_committed",
-            seq=job.stream_seq, rows=rows,
+            seq=seq, rows=rows,
             routed=job.stream_route_error)
 
     def _close_stream_feed(self, name: str) -> None:
@@ -1241,43 +1157,47 @@ class HyperQNode:
                 f"CREATE TABLE IF NOT EXISTS {uv_table} "
                 f"({uv_columns}, SEQNO INT, ERRCODE INT)")
 
-    def _handle_data(self, channel: MessageChannel,
-                     message: Message) -> None:
-        job = self._job(message.meta["job_id"])
+    def _handle_data(self, channel: MessageChannel, message: Message,
+                     request: dict, conn: dict) -> None:
+        job = self._job(request["job_id"])
+        seq, session_no, body = (request["seq"], request["session_no"],
+                                 message.body)
         with job.lock:
             # Stopwatch.start is a no-op while running, so the first
             # chunk starts the acquisition clock and the rest are free.
             job.acquisition_watch.start()
             job.metrics.chunks_received += 1
-            job.metrics.bytes_received += len(message.body)
-            job.sessions_seen.add(message.meta.get("session_no", 0))
+            job.metrics.bytes_received += len(body)
+            job.sessions_seen.add(session_no)
         self.obs.chunks_received.inc()
-        self.obs.bytes_received.inc(len(message.body))
+        self.obs.bytes_received.inc(len(body))
         receive_span = self.obs.tracer.span(
-            "receive", parent=job.span, chunk_seq=message.meta["seq"],
-            bytes=len(message.body),
-            session=message.meta.get("session_no", 0))
+            "receive", parent=job.span, chunk_seq=seq,
+            bytes=len(body), session=session_no)
         # Minimal processing, then the immediate acknowledgment: the only
         # thing that can delay the ack is credit back-pressure.
         try:
             with self.obs.stage_seconds.labels(stage="receive").time():
-                job.pipeline.submit_chunk(
-                    message.meta["seq"], message.body, span=receive_span)
+                job.pipeline.submit_chunk(seq, body, span=receive_span)
         except BaseException:
             receive_span.end("error")
             raise
         receive_span.end()
-        channel.send(Message(MessageKind.DATA_ACK,
-                             {"seq": message.meta["seq"]}))
+        channel.send(Message(MessageKind.DATA_ACK, {"seq": seq}))
 
-    def _handle_data_eof(self, channel: MessageChannel,
-                         message: Message) -> None:
-        self._job(message.meta["job_id"])  # validate
+    def _handle_data_eof(self, channel: MessageChannel, message: Message,
+                         request: dict, conn: dict) -> None:
+        self._job(request["job_id"])  # validate
         channel.send(Message(MessageKind.DATA_ACK, {"seq": -1}))
 
-    def _handle_apply(self, channel: MessageChannel,
-                      message: Message) -> None:
-        job = self._job(message.meta["job_id"])
+    def _handle_apply_dml(self, channel: MessageChannel, message: Message,
+                          request: dict, conn: dict) -> None:
+        job = self._job(request["job_id"])
+        applied = job.pipeline.journal.applied
+        if applied is not None:
+            # Committed before a resume: the DML never runs twice.
+            channel.send(Message(MessageKind.APPLY_RESULT, applied))
+            return
         # Acquisition ends once the pipeline has fully drained into the
         # staging table (upload + in-cloud COPY included).
         job.pipeline.drain()
@@ -1316,7 +1236,7 @@ class HyperQNode:
             # retries a partially applied statement sequence.
             self.faults.fire("dml.apply", job_id=job.job_id)
             return self.beta.apply_dml(
-                sql=message.meta["sql"],
+                sql=request["sql"],
                 layout=job.layout,
                 staging_table=job.staging_table,
                 target_table=job.target,
@@ -1324,8 +1244,8 @@ class HyperQNode:
                 uv_table=job.uv_table,
                 chunk_records=job.pipeline.chunk_records,
                 acquisition_errors=job.pipeline.acquisition_errors,
-                max_errors=message.meta.get("max_errors"),
-                max_retries=message.meta.get("max_retries"),
+                max_errors=request["max_errors"],
+                max_retries=request["max_retries"],
                 span=apply_span, job_id=job.job_id,
             )
 
@@ -1392,10 +1312,13 @@ class HyperQNode:
             result_meta["dq_violations"] = job.metrics.dq_violations
             result_meta["dq_routed_rows"] = job.metrics.dq_routed_rows
             self._note_dq_job(job)
+        # Exactly-once hinge: the commit record — the feed watermark, or
+        # the job journal's ``applied`` record a resume answers with as
+        # ``committed`` — is durable BEFORE the reply leaves the node.
         if job.stream is not None:
-            # Exactly-once hinge: the feed watermark commit is durable
-            # BEFORE the reply leaves the node.
             self._stream_commit(job, summary, result_meta)
+        else:
+            job.pipeline.journal.record_applied(result_meta)
         self.obs.flight.record(
             job.job_id, "apply_finished",
             rows_inserted=summary.rows_inserted,
@@ -1434,7 +1357,7 @@ class HyperQNode:
         if job.stream is not None:
             feed = job.stream
             with feed.lock:
-                committed = job.stream_seq <= feed.committed_seq
+                committed = job.batch["batch_seq"] <= feed.committed_seq
                 if not committed:
                     feed.parked = (job.job_id, job.staging_dir)
             if committed:
@@ -1473,26 +1396,29 @@ class HyperQNode:
         self.obs.flight.dump(job.job_id, spans=spans,
                              metrics=job.metrics.as_row(), reason=reason)
 
-    def _handle_end_load(self, channel: MessageChannel,
-                         message: Message, conn: dict) -> None:
-        if message.meta.get("stream_end"):
-            # Feed close rides END_LOAD but names no batch job — it
-            # must be handled before the job lookup.
-            self._close_stream_feed(
-                str(message.meta.get("feed")
-                    or message.meta.get("job_id") or ""))
-            channel.send(Message(MessageKind.END_LOAD_OK))
-            return
-        job_id = message.meta["job_id"]
-        job = self._job(job_id)
+    def _handle_end_load(self, channel: MessageChannel, message: Message,
+                         request: dict, conn: dict) -> None:
+        job_id = request["job_id"]
+        with self._registry_lock:
+            job = self._jobs.get(job_id)
         conn["loads"].pop(job_id, None)
-        if message.meta.get("abort"):
+        if request["stream_end"]:
+            # Feed close rides END_LOAD; its job_id names the feed.
+            self._close_stream_feed(job_id)
+        elif job is not None and request["abort"]:
             # The client gave up on the job (failed apply, exhausted
             # data-session retries, ...): release the admission slot
             # now, keep the checkpointed state for a restart.
             self._abort_load_job(job)
-            channel.send(Message(MessageKind.END_LOAD_OK))
-            return
+        elif job is not None:
+            self._complete_load_job(job)
+        # else nothing is left to end: a feed batch that fast-skipped as
+        # ``committed`` made no job, and an ended or aborted one is gone.
+        channel.send(Message(MessageKind.END_LOAD_OK))
+
+    def _complete_load_job(self, job: _LoadJob) -> None:
+        """END_LOAD proper: tear the job down and account for it."""
+        job_id = job.job_id
         job.pipeline.shutdown()
         if job.stream is None:
             self.engine.execute(
@@ -1535,39 +1461,36 @@ class HyperQNode:
         # The pool slot frees only after every trace of the job is gone,
         # so admission really does bound concurrent resource footprints.
         self.wlm.release(job.ticket)
-        channel.send(Message(MessageKind.END_LOAD_OK))
 
     # -- export jobs ------------------------------------------------------------------------
 
     def _handle_begin_export(self, channel: MessageChannel,
-                             message: Message, conn: dict) -> None:
-        job_id = message.meta["job_id"]
+                             message: Message, request: dict,
+                             conn: dict) -> None:
+        job_id, sessions = request["job_id"], request["sessions"]
         threading.current_thread().name = f"{self.name}-job-{job_id}-ctl"
-        # The job's output format is the EXPORT_DATA body encoding.
-        format_spec = FormatSpec.from_wire(
-            message.meta.get("format", "binary:")).validate()
-        pool = self._classify(message.meta, conn)
-        remote_ctx = message.trace_context()
+        pool = self._classify(request["tenant"], conn)
+        remote_ctx = request[TRACEPARENT_KEY]
         ticket = self.wlm.admit(pool, job_id, kind="export",
                                 parent_span=remote_ctx)
         export_span = self.obs.tracer.span(
             "export", parent=remote_ctx, job_id=job_id,
             **({"pool": pool} if pool else {}))
         try:
-            cdw_sql = transpile(message.meta["sql"], "legacy", "cdw")
+            cdw_sql = transpile(request["sql"], "legacy", "cdw")
+            # The job's output format is the EXPORT_DATA body encoding.
             cursor = TdfCursor(
                 self.engine, cdw_sql,
                 chunk_rows=self.config.export_chunk_rows,
-                prefetch=max(self.config.prefetch_packets,
-                             message.meta.get("sessions", 1)),
-                format_spec=format_spec)
+                prefetch=max(self.config.prefetch_packets, sessions),
+                format_spec=request["format"])
         except BaseException:
             export_span.end("error")
             self.wlm.release(ticket)
             raise
         job = _ExportJob(
             job_id=job_id, cursor=cursor, span=export_span, ticket=ticket,
-            eof_needed=max(1, message.meta.get("sessions", 1)))
+            eof_needed=sessions)
         with self._registry_lock:
             self._exports[job_id] = job
         # This control connection owns the export: if it closes before
@@ -1576,9 +1499,7 @@ class HyperQNode:
         # + materialized rows) must die when its last session drains.
         conn["exports"].add(job_id)
         channel.send(Message(MessageKind.BEGIN_EXPORT_OK, {
-            "columns": [[f.name, f.type.render()]
-                        for f in cursor.layout.fields],
-        }))
+            "columns": layout_to_wire(cursor.layout)["fields"]}))
 
     def _export_session_drained(self, job_id: str,
                                 session_no: int) -> None:
@@ -1613,22 +1534,17 @@ class HyperQNode:
             self.wlm.release(job.ticket)
 
     def _handle_export_fetch(self, channel: MessageChannel,
-                             message: Message) -> None:
+                             message: Message, request: dict,
+                             conn: dict) -> None:
         with self._registry_lock:
-            job = self._exports.get(message.meta["job_id"])
+            job = self._exports.get(request["job_id"])
         if job is None:
             raise ProtocolError(
-                f"unknown export job {message.meta.get('job_id')!r}")
-        cursor, chunk_no = job.cursor, message.meta["chunk_no"]
+                f"unknown export job {request['job_id']!r}")
+        cursor, chunk_no = job.cursor, request["chunk_no"]
         block = cursor.packet(chunk_no)
         if block is None:
-            # The fetching session identifies itself in the request;
-            # older clients that omit ``session_no`` fetch the stripe
-            # ``chunk_no ≡ session (mod sessions)``, so the past-the-end
-            # chunk_no still names the session that drained.
-            session_no = message.meta.get(
-                "session_no", chunk_no % job.eof_needed)
-            self._export_session_drained(job.job_id, session_no)
+            self._export_session_drained(job.job_id, request["session_no"])
             channel.send(Message(MessageKind.EXPORT_DATA,
                                  {"chunk_no": chunk_no, "eof": True}))
             return

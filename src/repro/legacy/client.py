@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError, TransportClosed, WlmThrottled
 from repro.legacy.datafmt import FormatSpec, make_format
-from repro.legacy.protocol import Message, MessageChannel, MessageKind
+from repro.legacy.protocol import (
+    Message, MessageChannel, MessageKind, layout_to_wire,
+)
 from repro.legacy.types import FieldDef, Layout, parse_type
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resilience import (
@@ -99,9 +101,8 @@ class ImportJobSpec:
     #: least ``feed`` and ``batch_seq``, optionally ``cursor``,
     #: ``event_ts``, ``drift_policy``, and ``watermark_dir``.  When set
     #: the job is one micro-batch of a streaming feed — the gateway may
-    #: answer BEGIN_LOAD with ``stream_committed`` (the batch is below
-    #: the feed's durable watermark) and the client then skips the
-    #: whole cycle (see :attr:`ImportJobResult.stream_committed`).
+    #: answer BEGIN_LOAD as ``committed`` (the batch is below the feed's
+    #: durable watermark; see :attr:`ImportJobResult.committed`).
     stream: dict | None = None
 
 
@@ -119,10 +120,10 @@ class ImportJobResult:
     dq_routed_rows: int = 0
     chunks_sent: int = 0
     bytes_sent: int = 0
-    #: True when the gateway fast-skipped this micro-batch because its
-    #: sequence was already below the feed's durable watermark — no
-    #: data was sent, no DML ran (streaming replay after a restart).
-    stream_committed: bool = False
+    #: True when BEGIN_LOAD answered ``committed`` (a replayed job whose
+    #: APPLY ran: the counters are its stored result; or a feed batch
+    #: below the watermark): no data was sent, no DML ran.
+    committed: bool = False
     #: stream info from the server (watermark, accepted drift, lag).
     stream: dict = field(default_factory=dict)
 
@@ -213,21 +214,6 @@ def _split_binary(data: bytes, chunk_bytes: int) -> list[bytes]:
     return chunks
 
 
-def _layout_to_wire(layout: Layout) -> dict:
-    return {
-        "name": layout.name,
-        "fields": [[f.name, f.type.render()] for f in layout.fields],
-    }
-
-
-def layout_from_wire(payload: dict) -> Layout:
-    """Inverse of the layout encoding used in BEGIN_LOAD messages."""
-    return Layout(payload["name"], [
-        FieldDef(name, parse_type(type_text))
-        for name, type_text in payload["fields"]
-    ])
-
-
 def _columns_layout(columns: list[tuple[str, str]]) -> Layout:
     return Layout("__resultset__", [
         FieldDef(name, parse_type(type_text)) for name, type_text in columns
@@ -263,11 +249,7 @@ class LegacyEtlClient:
         if self._control is not None:
             raise ProtocolError("already logged on")
         self._credentials = (host, user, password)
-        self._control = MessageChannel(self._connect(), timeout=self._timeout)
-        self._control.request(
-            Message(MessageKind.LOGON,
-                    {"host": host, "user": user, "password": password}),
-            MessageKind.LOGON_OK)
+        self._control = self._session()
 
     def logoff(self) -> None:
         """Close the control session (idempotent)."""
@@ -285,14 +267,15 @@ class LegacyEtlClient:
             raise ProtocolError("not logged on")
         return self._control
 
-    def _open_data_session(self, job_id: str,
-                           session_no: int) -> MessageChannel:
-        channel = MessageChannel(self._connect(), timeout=self._timeout)
+    def _session(self, **data_session) -> MessageChannel:
+        """A new connection logged on with this client's credentials;
+        a data session adds the ``job_id`` and ``session_no`` it serves."""
         host, user, password = self._credentials or ("", "", "")
+        channel = MessageChannel(self._connect(), timeout=self._timeout)
         channel.request(
-            Message(MessageKind.LOGON,
-                    {"host": host, "user": user, "password": password,
-                     "job_id": job_id, "session_no": session_no}),
+            Message(MessageKind.LOGON, {"host": host, "user": user,
+                                        "password": password,
+                                        **data_session}),
             MessageKind.LOGON_OK)
         return channel
 
@@ -352,20 +335,13 @@ class LegacyEtlClient:
             "target": spec.target_table,
             "et_table": spec.et_table,
             "uv_table": spec.uv_table,
-            "layout": _layout_to_wire(spec.layout),
+            "layout": layout_to_wire(spec.layout),
             "format": spec.format_spec.to_wire(),
             "sessions": spec.sessions,
+            "tenant": spec.tenant,
+            "resume": spec.resume,
+            "stream": spec.stream,      # null: a one-shot job
         }
-        if spec.max_errors is not None:
-            begin_meta["max_errors"] = spec.max_errors
-        if spec.max_retries is not None:
-            begin_meta["max_retries"] = spec.max_retries
-        if spec.tenant:
-            begin_meta["tenant"] = spec.tenant
-        if spec.resume:
-            begin_meta["resume"] = True
-        if spec.stream is not None:
-            begin_meta["stream"] = spec.stream
         job_span = self._tracer.span(
             "client.job", job_id=job_id, target=spec.target_table)
         try:
@@ -376,76 +352,25 @@ class LegacyEtlClient:
                 MessageKind.BEGIN_LOAD_OK,
                 spec.admission_retry_attempts, spec.admission_backoff_s)
 
-            if begun.meta.get("stream_committed"):
-                # The feed's durable watermark already covers this
-                # batch: the gateway created no job, so there is
-                # nothing to pump, apply, or end.
-                job_span.set_attribute("stream_committed", True)
-                job_span.end()
-                return ImportJobResult(
-                    stream_committed=True,
-                    stream={
-                        "committed_seq": begun.meta.get("committed_seq"),
-                        "cursor": begun.meta.get("cursor"),
-                    })
-
-            journal = None
-            if spec.journal_path is not None:
-                journal = CheckpointJournal(spec.journal_path,
-                                            fresh=not spec.resume)
-            # Chunks safe to skip on a restarted job: the gateway's
-            # reply lists the chunk seqs whose staged data survived (an
-            # ack alone is NOT durability under the immediate-ack
-            # pipeline).  The local journal narrows that to chunks this
-            # client actually saw acknowledged; anything resent
-            # unnecessarily is deduplicated server-side, so skipping
-            # conservatively is always safe.
-            skip_seqs: set[int] = set()
-            if spec.resume:
-                skip_seqs = set(begun.meta.get("durable_seqs", ()))
-                if journal is not None and journal.acked:
-                    skip_seqs &= journal.acked
-            chunks = split_into_chunks(
-                spec.data, spec.format_spec, spec.chunk_bytes)
-            result = ImportJobResult(
-                chunks_sent=len(chunks),
-                bytes_sent=sum(len(c) for c in chunks))
-            try:
-                try:
-                    self._pump_data(
-                        job_id, spec.sessions, chunks,
-                        retry_attempts=spec.retry_attempts,
-                        reconnect_backoff_s=spec.reconnect_backoff_s,
-                        journal=journal, skip_seqs=skip_seqs)
-                finally:
-                    if journal is not None:
-                        journal.close()
-
-                apply_meta = {"job_id": job_id, "sql": spec.apply_sql}
-                if spec.max_errors is not None:
-                    apply_meta["max_errors"] = spec.max_errors
-                if spec.max_retries is not None:
-                    apply_meta["max_retries"] = spec.max_retries
-                applied = control.request(
-                    Message(MessageKind.APPLY_DML, apply_meta)
-                    .set_trace_context(job_span),
-                    MessageKind.APPLY_RESULT)
-            except BaseException:
-                # The job is dead on this side: tell the server so it
-                # can free the admission slot *now* instead of holding
-                # it until the control connection closes.  Checkpointed
-                # server state survives the abort, so a resume restart
-                # still works.
-                self._abort_load(control, job_id)
-                raise
-            result.rows_inserted = applied.meta.get("rows_inserted", 0)
-            result.rows_updated = applied.meta.get("rows_updated", 0)
-            result.rows_deleted = applied.meta.get("rows_deleted", 0)
-            result.et_errors = applied.meta.get("et_errors", 0)
-            result.uv_errors = applied.meta.get("uv_errors", 0)
-            result.dq_routed_rows = applied.meta.get(
-                "dq_routed_rows", 0)
-            result.stream = applied.meta.get("stream", {})
+            # ``committed``: the job already committed — a replayed
+            # one-shot job whose APPLY ran, or a feed batch below the
+            # feed's watermark.  The reply carries the result; there is
+            # nothing to pump or apply, only the END_LOAD.
+            outcome = begun.meta.get("committed")
+            result = ImportJobResult(committed=outcome is not None)
+            if outcome is None:
+                outcome = self._acquire_and_apply(
+                    control, job_id, spec,
+                    begun.meta.get("durable_seqs", ()), job_span, result)
+            else:
+                job_span.set_attribute("committed", True)
+            result.rows_inserted = outcome.get("rows_inserted", 0)
+            result.rows_updated = outcome.get("rows_updated", 0)
+            result.rows_deleted = outcome.get("rows_deleted", 0)
+            result.et_errors = outcome.get("et_errors", 0)
+            result.uv_errors = outcome.get("uv_errors", 0)
+            result.dq_routed_rows = outcome.get("dq_routed_rows", 0)
+            result.stream = outcome.get("stream", {})
 
             control.request(
                 Message(MessageKind.END_LOAD, {"job_id": job_id}),
@@ -455,6 +380,64 @@ class LegacyEtlClient:
             raise
         job_span.end()
         return result
+
+    def _acquire_and_apply(self, control: MessageChannel, job_id: str,
+                           spec: ImportJobSpec, durable_seqs, job_span,
+                           result: ImportJobResult) -> dict:
+        """Pump the job's chunks, then APPLY; the APPLY_RESULT meta.
+
+        On any failure the job is aborted on the server first, so its
+        admission slot frees now; checkpointed server state survives
+        the abort, so a resume restart still works.  The abort is best
+        effort: the failure that got us here is the one the caller must
+        see, and a gone control connection releases the slot anyway.
+        """
+        journal = None
+        if spec.journal_path is not None:
+            journal = CheckpointJournal(spec.journal_path,
+                                        fresh=not spec.resume)
+        # Chunks safe to skip on a restarted job: the gateway's reply
+        # lists the chunk seqs whose staged data survived (an ack alone
+        # is NOT durability under the immediate-ack pipeline).  The
+        # local journal narrows that to chunks this client actually saw
+        # acknowledged; anything resent unnecessarily is deduplicated
+        # server-side, so skipping conservatively is always safe.
+        skip_seqs: set[int] = set()
+        if spec.resume:
+            skip_seqs = set(durable_seqs)
+            if journal is not None and journal.acked:
+                skip_seqs &= journal.acked
+        chunks = split_into_chunks(
+            spec.data, spec.format_spec, spec.chunk_bytes)
+        result.chunks_sent = len(chunks)
+        result.bytes_sent = sum(len(c) for c in chunks)
+        try:
+            try:
+                self._pump_data(
+                    job_id, spec.sessions, chunks,
+                    retry_attempts=spec.retry_attempts,
+                    reconnect_backoff_s=spec.reconnect_backoff_s,
+                    journal=journal, skip_seqs=skip_seqs)
+            finally:
+                if journal is not None:
+                    journal.close()
+            # A null limit takes the server's configured default.
+            apply_meta = {"job_id": job_id, "sql": spec.apply_sql,
+                          "max_errors": spec.max_errors,
+                          "max_retries": spec.max_retries}
+            return control.request(
+                Message(MessageKind.APPLY_DML, apply_meta)
+                .set_trace_context(job_span),
+                MessageKind.APPLY_RESULT).meta
+        except BaseException:
+            try:
+                control.request(
+                    Message(MessageKind.END_LOAD,
+                            {"job_id": job_id, "abort": True}),
+                    MessageKind.END_LOAD_OK)
+            except Exception:
+                pass
+            raise
 
     def end_stream(self, feed: str) -> None:
         """Close a streaming feed on the server.
@@ -467,25 +450,8 @@ class LegacyEtlClient:
         control = self._require_control()
         control.request(
             Message(MessageKind.END_LOAD,
-                    {"job_id": f"stream:{feed}", "stream_end": True,
-                     "feed": feed}),
+                    {"job_id": feed, "stream_end": True}),
             MessageKind.END_LOAD_OK)
-
-    @staticmethod
-    def _abort_load(control: MessageChannel, job_id: str) -> None:
-        """Best-effort END_LOAD(abort) for a job that just failed.
-
-        Never raises — the failure that got us here is the one the
-        caller must see, and the control connection may already be
-        gone (its closure releases the server-side slot anyway).
-        """
-        try:
-            control.request(
-                Message(MessageKind.END_LOAD,
-                        {"job_id": job_id, "abort": True}),
-                MessageKind.END_LOAD_OK)
-        except Exception:
-            pass
 
     def _pump_data(self, job_id: str, sessions: int,
                    chunks: list[bytes], retry_attempts: int = 0,
@@ -522,7 +488,8 @@ class LegacyEtlClient:
             while True:
                 channel = None
                 try:
-                    channel = self._open_data_session(job_id, session_no)
+                    channel = self._session(job_id=job_id,
+                                            session_no=session_no)
                     while position < len(pending):
                         seq = pending[position]
                         channel.request(
@@ -579,11 +546,12 @@ class LegacyEtlClient:
         """Execute an export job: SELECT on the server, fetch chunks."""
         control = self._require_control()
         job_id = uuid.uuid4().hex[:12]
+        session_count = max(1, spec.sessions)
         begin_meta = {
             "job_id": job_id,
             "sql": spec.select_sql,
             "format": spec.format_spec.to_wire(),
-            "sessions": spec.sessions,
+            "sessions": session_count,
         }
         if spec.tenant:
             begin_meta["tenant"] = spec.tenant
@@ -600,7 +568,6 @@ class LegacyEtlClient:
             raise
         columns = [tuple(c) for c in begun.meta["columns"]]
 
-        session_count = max(1, spec.sessions)
         # chunk_no -> (records, body in the job's output format).
         collected: dict[int, tuple[int, bytes]] = {}
         lock = threading.Lock()
@@ -608,7 +575,8 @@ class LegacyEtlClient:
 
         def run_session(session_no: int) -> None:
             try:
-                channel = self._open_data_session(job_id, session_no)
+                channel = self._session(job_id=job_id,
+                                        session_no=session_no)
                 try:
                     chunk_no = session_no
                     while True:

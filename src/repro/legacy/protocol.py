@@ -19,6 +19,11 @@ The :class:`Coalescer` reassembles complete frames from the arbitrary byte
 chunks a transport delivers — it is the component of the same name in
 Figure 2(a), and is used both by the reference legacy server and by
 Hyper-Q's Alpha listener.
+
+The protocol is also data: :data:`REQUESTS` has one row per request
+kind and :data:`REPLY_KEYS` the keys of each reply.  Both servers serve
+every frame through :func:`serve_request`, which checks it against its
+row once, before any job state exists, then calls ``_handle_<kind>``.
 """
 
 from __future__ import annotations
@@ -30,13 +35,22 @@ from enum import IntEnum
 from typing import Iterator
 
 from repro.errors import (
-    ConnectionLimited, ProtocolError, TransportClosed, WlmThrottled,
+    ConnectionLimited, ProtocolError, ReproError, TransportClosed,
+    WlmThrottled,
 )
+from repro.legacy.datafmt import BinaryFormat, FormatSpec
+from repro.legacy.infer import infer_result_layout
+from repro.legacy.types import FieldDef, Layout, parse_type
 from repro.net import Endpoint
+from repro.obs import get_logger
 from repro.obs.trace import SpanContext
 
 __all__ = ["MessageKind", "Message", "Coalescer", "MessageChannel",
-           "TRACEPARENT_KEY"]
+           "TRACEPARENT_KEY", "REQUESTS", "REPLY_KEYS", "STREAM", "Request",
+           "serve_request", "error_reply", "result_reply",
+           "layout_from_wire", "layout_to_wire"]
+
+log = get_logger("legacy.protocol")
 
 #: metadata key carrying the W3C-traceparent-style trace context on
 #: BEGIN_LOAD / APPLY_DML / BEGIN_EXPORT requests (and echoed on WLM
@@ -95,41 +109,25 @@ class Message:
     def expect(self, kind: MessageKind) -> "Message":
         """Assert this message has the given kind; raise the peer's error."""
         if self.kind == MessageKind.ERROR and kind != MessageKind.ERROR:
-            if self.meta.get("code") == WlmThrottled.code:
-                # Workload-management shedding is a *typed* peer error:
-                # the client's admission retry loop catches it and backs
-                # off using the server's retry-after hint.
+            # WLM shedding and the connection cap are *typed*, transient
+            # peer errors: the client's retry loops back off on the
+            # server's retry-after hint instead of failing the job.
+            meta = self.meta
+            code, text = meta.get("code"), str(meta.get("message"))
+            if code == WlmThrottled.code:
                 raise WlmThrottled(
-                    str(self.meta.get("message")),
-                    pool=self.meta.get("pool", ""),
-                    reason=self.meta.get("reason", "queue_full"),
-                    retry_after_s=float(
-                        self.meta.get("retry_after_s", 0.0)))
-            if self.meta.get("code") == ConnectionLimited.code:
-                # Front-door shedding: the gateway is at its connection
-                # cap.  Typed and transient so session schedulers back
-                # off instead of treating a full node as a dead one.
+                    text, pool=meta.get("pool", ""),
+                    reason=meta.get("reason", "queue_full"),
+                    retry_after_s=float(meta.get("retry_after_s", 0.0)))
+            if code == ConnectionLimited.code:
                 raise ConnectionLimited(
-                    str(self.meta.get("message")),
-                    limit=int(self.meta.get("limit", 0)),
-                    retry_after_s=float(
-                        self.meta.get("retry_after_s", 1.0)))
-            raise ProtocolError(
-                f"peer error {self.meta.get('code')}: "
-                f"{self.meta.get('message')}")
+                    text, limit=int(meta.get("limit", 0)),
+                    retry_after_s=float(meta.get("retry_after_s", 1.0)))
+            raise ProtocolError(f"peer error {code}: {text}")
         if self.kind != kind:
             raise ProtocolError(
                 f"expected {kind.name}, got {self.kind.name}")
         return self
-
-    def trace_context(self) -> SpanContext | None:
-        """The remote trace context carried in the metadata, if any.
-
-        Malformed or absent headers yield ``None`` — propagation never
-        fails the message it rode in on.
-        """
-        return SpanContext.from_traceparent(
-            self.meta.get(TRACEPARENT_KEY))
 
     def set_trace_context(self, span) -> "Message":
         """Stamp a span's context into the metadata (chainable).
@@ -218,12 +216,10 @@ class MessageChannel:
 
     def recv(self) -> Message:
         """Block until the next complete message arrives."""
-        while not self._ready:
-            chunk = self._endpoint.recv_bytes(timeout=self.timeout)
-            if chunk is None:
-                raise TransportClosed("connection closed mid-message")
-            self._ready.extend(self._coalescer.feed(chunk))
-        return self._ready.pop(0)
+        message = self.recv_or_eof()
+        if message is None:
+            raise TransportClosed("connection closed mid-message")
+        return message
 
     def recv_or_eof(self) -> Message | None:
         """Like :meth:`recv` but returns ``None`` on a clean EOF."""
@@ -244,3 +240,189 @@ class MessageChannel:
     def close(self) -> None:
         """Close the underlying endpoint."""
         self._endpoint.close()
+
+
+# -- the protocol as data ----------------------------------------------------
+
+def layout_to_wire(layout: Layout) -> dict:
+    """A layout as BEGIN_LOAD carries it: ``{name, fields: [[n, t]…]}``."""
+    return {"name": layout.name,
+            "fields": [[f.name, f.type.render()] for f in layout.fields]}
+
+
+def layout_from_wire(payload: dict) -> Layout:
+    """Inverse of :func:`layout_to_wire`."""
+    return Layout(payload["name"], [FieldDef(name, parse_type(type_text))
+                                    for name, type_text in payload["fields"]])
+
+
+def _check(test, expected: str):
+    """A per-key check: the value itself if ``test`` holds, else raise."""
+    def check(value):
+        if not test(value):
+            raise TypeError(f"expected {expected}")
+        return value
+    return check
+
+
+# ``type(v) is int`` keeps JSON true/false out of the integer keys.
+_text = _check(lambda v: type(v) is str, "a string")
+_name = _check(lambda v: type(v) is str and v, "a non-empty string")
+_count = _check(lambda v: type(v) is int and v >= 0, "an integer >= 0")
+_positive = _check(lambda v: type(v) is int and v > 0, "an integer >= 1")
+_flag = _check(lambda v: type(v) is bool, "true or false")
+_number = _check(lambda v: type(v) in (int, float), "a number")
+_trace = SpanContext.from_traceparent     # malformed → None, never fails
+
+
+def _format(value) -> FormatSpec:
+    return FormatSpec.from_wire(_text(value)).validate()
+
+
+class Request:
+    """One row of the table: a kind's keys, their checks, its body.
+
+    Each keyword names a key: a bare check makes it required, a
+    ``(check, default)`` pair optional.  :attr:`check` is the row
+    compiled once: given a frame's meta and body it returns the checked
+    request (every declared key, checked or defaulted, nothing else) or
+    raises a ``ProtocolError``.
+    """
+
+    def __init__(self, name: str, body: bool = False, **keys):
+        self.name = name
+        self.body = body
+        self.required = {k: c for k, c in keys.items()
+                         if not isinstance(c, tuple)}
+        self.optional = {k: c for k, c in keys.items()
+                         if isinstance(c, tuple)}
+        required = tuple(self.required.items())
+        optional = tuple((k, c, d) for k, (c, d) in self.optional.items())
+
+        def check(meta, frame_body=b"") -> dict:
+            if type(meta) is not dict:
+                raise ProtocolError(f"{name} metadata must be an object")
+            if frame_body and not body:
+                raise ProtocolError(f"{name} carries no body")
+            request, key = {}, None
+            try:
+                for key, convert in required:
+                    request[key] = convert(meta[key])
+                for key, convert, default in optional:
+                    value = meta.get(key)
+                    request[key] = default if value is None \
+                        else convert(value)
+            except Exception as exc:
+                if key not in meta:
+                    raise ProtocolError(
+                        f"{name} lacks required key {key!r}") from None
+                raise ProtocolError(f"{name} key {key!r}: {exc}") from exc
+            return request
+
+        self.check = check
+
+
+#: BEGIN_LOAD's nested ``stream`` object: one micro-batch of a feed.
+STREAM = Request("stream", feed=_name, batch_seq=_count,
+                 cursor=(_text, None), event_ts=(_number, None),
+                 drift_policy=(_text, None), watermark_dir=(_text, None))
+
+#: every request kind the servers serve, with its metadata schema
+#: (``traceparent`` is :data:`TRACEPARENT_KEY`).
+REQUESTS: dict[MessageKind, Request] = {
+    MessageKind[row.name]: row for row in (
+        Request("LOGON", host=(_text, ""), user=(_text, ""),
+                password=(_text, ""), job_id=(_name, None),
+                session_no=(_count, 0)),
+        Request("LOGOFF"),
+        Request("SQL_REQUEST", sql=_text),
+        Request("BEGIN_LOAD", job_id=_name, target=_name, et_table=_name,
+                uv_table=_name, layout=layout_from_wire, format=_format,
+                sessions=(_count, 0), tenant=(_text, ""),
+                resume=(_flag, False), stream=(STREAM.check, None),
+                traceparent=(_trace, None)),
+        Request("DATA", body=True, job_id=_name, seq=_count,
+                session_no=(_count, 0)),
+        Request("DATA_EOF", job_id=_name, session_no=(_count, 0)),
+        Request("APPLY_DML", job_id=_name, sql=_text,
+                max_errors=(_count, None), max_retries=(_count, None),
+                traceparent=(_trace, None)),
+        Request("END_LOAD", job_id=_name, abort=(_flag, False),
+                stream_end=(_flag, False)),
+        Request("BEGIN_EXPORT", job_id=_name, sql=_text,
+                format=(_format, FormatSpec("binary")),
+                sessions=(_positive, 1), tenant=(_text, ""),
+                traceparent=(_trace, None)),
+        Request("EXPORT_FETCH", job_id=_name, session_no=_count,
+                chunk_no=_count),
+    )}
+_HANDLERS = {kind: f"_handle_{kind.name.lower()}" for kind in REQUESTS}
+
+#: the keys each reply kind carries — declared, not checked at run time.
+#: BEGIN_LOAD_OK's ``committed`` is an APPLY_RESULT meta: the job or
+#: feed batch already committed, so the client sends no DATA and no
+#: APPLY and goes straight to END_LOAD.
+REPLY_KEYS: dict[MessageKind, tuple[str, ...]] = {
+    MessageKind[name]: keys for name, keys in dict(
+        LOGON_OK=(), LOGOFF_OK=(), END_LOAD_OK=(),
+        STMT_OK=("activity_count",), RESULT_SET=("columns",),
+        BEGIN_EXPORT_OK=("columns",), DATA_ACK=("seq",),
+        ERROR=("code", "message", "retry_after_s", "pool", "reason",
+               "limit", TRACEPARENT_KEY),
+        BEGIN_LOAD_OK=("job_id", "durable_seqs", "committed"),
+        APPLY_RESULT=("rows_inserted", "rows_updated", "rows_deleted",
+                      "et_errors", "uv_errors", "dq_violations",
+                      "dq_routed_rows", "stream"),
+        EXPORT_DATA=("chunk_no", "eof", "records"),
+    ).items()}
+
+
+def result_reply(result, binary=BinaryFormat) -> Message:
+    """The reply to an SQL_REQUEST: a RESULT_SET of the rows in the
+    BINARY record encoding (``binary(layout)`` is the codec), or a
+    STMT_OK with the activity count."""
+    if result.kind != "rows":
+        return Message(MessageKind.STMT_OK,
+                       {"activity_count": result.activity_count})
+    layout = infer_result_layout(result.columns, result.rows)
+    return Message(MessageKind.RESULT_SET,
+                   {"columns": layout_to_wire(layout)["fields"]},
+                   body=binary(layout).encode_records(result.rows))
+
+
+def error_reply(exc: ReproError, traceparent=None) -> Message:
+    """The one ERROR frame builder: the error's ``code`` (0 when
+    untyped) and text, a transient refusal's backoff guidance, and the
+    request's ``traceparent`` echoed so the reply stays in its trace."""
+    meta = {"code": getattr(exc, "code", 0), "message": str(exc)}
+    for key in ("retry_after_s", "pool", "reason", "limit"):
+        value = getattr(exc, key, None)
+        if value:
+            meta[key] = value
+    if traceparent and isinstance(traceparent, str):
+        meta[TRACEPARENT_KEY] = traceparent
+    return Message(MessageKind.ERROR, meta)
+
+
+def serve_request(server, channel, message: Message, conn) -> None:
+    """Serve one request frame, for ``HyperQNode`` and ``LegacyServer``.
+
+    Counts it (``server.count_request(kind)``), checks it against its
+    :data:`REQUESTS` row and calls ``server._handle_<kind>(channel,
+    message, request, conn)`` with the checked request.  Any typed
+    failure, the table's or the handler's, becomes one ERROR reply and
+    the connection goes on; a dead transport propagates.
+    """
+    kind = message.kind
+    server.count_request(kind)
+    try:
+        row = REQUESTS.get(kind)
+        if row is None:
+            raise ProtocolError(f"unexpected message {kind.name}")
+        request = row.check(message.meta, message.body)
+        getattr(server, _HANDLERS[kind])(channel, message, request, conn)
+    except ReproError as exc:
+        log.debug("request failed: %s", exc, extra={"kind": kind.name})
+        meta = message.meta
+        channel.send(error_reply(exc, meta.get(TRACEPARENT_KEY)
+                                 if type(meta) is dict else None))

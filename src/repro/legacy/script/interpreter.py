@@ -34,12 +34,6 @@ class ScriptResult:
             raise ScriptError("script ran no import job")
         return self.imports[-1]
 
-    @property
-    def last_export(self) -> ExportJobResult:
-        if not self.exports:
-            raise ScriptError("script ran no export job")
-        return self.exports[-1]
-
 
 @dataclass
 class _ImportState:

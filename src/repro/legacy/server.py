@@ -26,15 +26,16 @@ from dataclasses import dataclass, field
 from repro.cdw.engine import CdwEngine
 from repro.core.frontend import ThreadedFrontend
 from repro.errors import (
-    BulkExecutionError, CdwError, DataFormatError, ProtocolError,
-    ReproError, SqlError,
+    BulkExecutionError, CdwError, DataFormatError, ProtocolError, SqlError,
 )
-from repro.legacy.client import layout_from_wire
 from repro.legacy.datafmt import (
     BinaryFormat, FormatSpec, RecordFormat, VartextFormat, make_format,
 )
 from repro.legacy.infer import infer_result_layout
-from repro.legacy.protocol import Message, MessageChannel, MessageKind
+from repro.legacy.protocol import (
+    Message, MessageChannel, MessageKind, layout_to_wire, result_reply,
+    serve_request,
+)
 from repro.legacy.types import Layout
 from repro.net import Listener
 from repro.obs import get_logger
@@ -65,14 +66,12 @@ class _LoadJob:
     layout: Layout
     format_spec: FormatSpec
     chunks: dict[int, bytes] = field(default_factory=dict)
-    eof_sessions: set[int] = field(default_factory=set)
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 @dataclass
 class _ExportJob:
     job_id: str
-    columns: list[str]
     chunks: list[list[tuple]]
     #: the job's output format: encodes every EXPORT_DATA body.
     record_format: RecordFormat
@@ -157,87 +156,45 @@ class LegacyServer:
         reference node has no admission slots to reclaim)."""
         log.debug("legacy connection closed")
 
-    def handle_message(self, channel, message: Message,
-                       conn: dict) -> None:
-        """Dispatch one frame; typed failures become ERROR replies."""
-        try:
-            self._dispatch(channel, message)
-        except ReproError as exc:
-            log.warning("request failed: %s", exc, extra={
-                "kind": message.kind.name,
-                "code": getattr(exc, "code", 0)})
-            error_meta = {
-                "code": getattr(exc, "code", 0),
-                "message": str(exc),
-            }
-            # Echo the request's trace context (if any) so a
-            # traced client keeps error replies correlated —
-            # same contract as the Hyper-Q gateway.
-            traceparent = message.meta.get("traceparent")
-            if traceparent:
-                error_meta["traceparent"] = traceparent
-            channel.send(Message(MessageKind.ERROR, error_meta))
+    #: the session contract's per-frame entry point, the gateway's own.
+    handle_message = serve_request
 
-    def _dispatch(self, channel: MessageChannel, message: Message) -> None:
-        kind = message.kind
+    def count_request(self, kind: MessageKind) -> None:
+        """Count one served frame (``stats()["messages"]``)."""
         with self._jobs_lock:
             self._message_counts[kind.name] = \
                 self._message_counts.get(kind.name, 0) + 1
-        if kind == MessageKind.LOGON:
-            channel.send(Message(MessageKind.LOGON_OK))
-        elif kind == MessageKind.LOGOFF:
-            channel.send(Message(MessageKind.LOGOFF_OK))
-        elif kind == MessageKind.SQL_REQUEST:
-            self._handle_sql(channel, message)
-        elif kind == MessageKind.BEGIN_LOAD:
-            self._handle_begin_load(channel, message)
-        elif kind == MessageKind.DATA:
-            self._handle_data(channel, message)
-        elif kind == MessageKind.DATA_EOF:
-            self._handle_data_eof(channel, message)
-        elif kind == MessageKind.APPLY_DML:
-            self._handle_apply(channel, message)
-        elif kind == MessageKind.END_LOAD:
-            self._handle_end_load(channel, message)
-        elif kind == MessageKind.BEGIN_EXPORT:
-            self._handle_begin_export(channel, message)
-        elif kind == MessageKind.EXPORT_FETCH:
-            self._handle_export_fetch(channel, message)
-        else:
-            raise ProtocolError(f"unexpected message {kind.name}")
+
+    # Request handlers: serve_request passes each the checked request.
+
+    def _handle_logon(self, channel: MessageChannel, message: Message,
+                      request: dict, conn: dict) -> None:
+        channel.send(Message(MessageKind.LOGON_OK))
+
+    def _handle_logoff(self, channel: MessageChannel, message: Message,
+                       request: dict, conn: dict) -> None:
+        channel.send(Message(MessageKind.LOGOFF_OK))
 
     # -- ad-hoc SQL --------------------------------------------------------------------
 
-    def _handle_sql(self, channel: MessageChannel,
-                    message: Message) -> None:
-        statement = parse_statement(message.meta["sql"], dialect="legacy")
-        result = self.engine.execute(statement)
-        if result.kind == "rows":
-            layout = infer_result_layout(result.columns, result.rows)
-            fmt = BinaryFormat(layout)
-            channel.send(Message(
-                MessageKind.RESULT_SET,
-                {"columns": [[f.name, f.type.render()]
-                             for f in layout.fields]},
-                body=fmt.encode_records(result.rows)))
-        else:
-            channel.send(Message(
-                MessageKind.STMT_OK,
-                {"activity_count": result.activity_count}))
+    def _handle_sql_request(self, channel: MessageChannel,
+                            message: Message, request: dict,
+                            conn: dict) -> None:
+        channel.send(result_reply(self.engine.execute(
+            parse_statement(request["sql"], dialect="legacy"))))
 
     # -- load jobs -------------------------------------------------------------------------
 
     def _handle_begin_load(self, channel: MessageChannel,
-                           message: Message) -> None:
-        meta = message.meta
-        layout = layout_from_wire(meta["layout"])
+                           message: Message, request: dict,
+                           conn: dict) -> None:
         job = _LoadJob(
-            job_id=meta["job_id"],
-            target=meta["target"],
-            et_table=meta["et_table"],
-            uv_table=meta["uv_table"],
-            layout=layout,
-            format_spec=FormatSpec.from_wire(meta["format"]),
+            job_id=request["job_id"],
+            target=request["target"],
+            et_table=request["et_table"],
+            uv_table=request["uv_table"],
+            layout=request["layout"],
+            format_spec=request["format"],
         )
         self._create_error_tables(job)
         with self._jobs_lock:
@@ -265,27 +222,24 @@ class LegacyServer:
             raise ProtocolError(f"unknown load job {job_id!r}")
         return job
 
-    def _handle_data(self, channel: MessageChannel,
-                     message: Message) -> None:
-        job = self._job(message.meta["job_id"])
+    def _handle_data(self, channel: MessageChannel, message: Message,
+                     request: dict, conn: dict) -> None:
+        job = self._job(request["job_id"])
         with job.lock:
-            job.chunks[message.meta["seq"]] = message.body
-        channel.send(Message(MessageKind.DATA_ACK,
-                             {"seq": message.meta["seq"]}))
+            job.chunks[request["seq"]] = message.body
+        channel.send(Message(MessageKind.DATA_ACK, {"seq": request["seq"]}))
 
-    def _handle_data_eof(self, channel: MessageChannel,
-                         message: Message) -> None:
-        job = self._job(message.meta["job_id"])
-        with job.lock:
-            job.eof_sessions.add(message.meta["session_no"])
+    def _handle_data_eof(self, channel: MessageChannel, message: Message,
+                         request: dict, conn: dict) -> None:
+        self._job(request["job_id"])  # validate
         channel.send(Message(MessageKind.DATA_ACK, {"seq": -1}))
 
     # Tuple-at-a-time application: the defining legacy behaviour. ----------
 
-    def _handle_apply(self, channel: MessageChannel,
-                      message: Message) -> None:
-        job = self._job(message.meta["job_id"])
-        template = parse_statement(message.meta["sql"], dialect="legacy")
+    def _handle_apply_dml(self, channel: MessageChannel, message: Message,
+                          request: dict, conn: dict) -> None:
+        job = self._job(request["job_id"])
+        template = parse_statement(request["sql"], dialect="legacy")
         fmt = make_format(job.format_spec, job.layout)
         field_names = job.layout.field_names
 
@@ -364,23 +318,23 @@ class LegacyServer:
         table.append_rows([table.coerce_row(
             tuple_values + (rownum, _UV_CODE))])
 
-    def _handle_end_load(self, channel: MessageChannel,
-                         message: Message) -> None:
+    def _handle_end_load(self, channel: MessageChannel, message: Message,
+                         request: dict, conn: dict) -> None:
         with self._jobs_lock:
-            self._jobs.pop(message.meta["job_id"], None)
+            self._jobs.pop(request["job_id"], None)
             self._jobs_completed += 1
         log.info("legacy load job completed",
-                 extra={"job_id": message.meta["job_id"]})
+                 extra={"job_id": request["job_id"]})
         channel.send(Message(MessageKind.END_LOAD_OK))
 
     # -- export jobs ---------------------------------------------------------------------------
 
     def _handle_begin_export(self, channel: MessageChannel,
-                             message: Message) -> None:
+                             message: Message, request: dict,
+                             conn: dict) -> None:
         # The job's output format is the EXPORT_DATA body encoding.
-        spec = FormatSpec.from_wire(
-            message.meta.get("format", "binary:")).validate()
-        statement = parse_statement(message.meta["sql"], dialect="legacy")
+        spec = request["format"]
+        statement = parse_statement(request["sql"], dialect="legacy")
         if not isinstance(statement, Select):
             raise ProtocolError("export job needs a SELECT statement")
         result = self.engine.execute(statement)
@@ -392,25 +346,24 @@ class LegacyServer:
             for i in range(0, len(result.rows), self.chunk_rows)
         ] or [[]]
         job = _ExportJob(
-            job_id=message.meta["job_id"],
-            columns=result.columns,
+            job_id=request["job_id"],
             chunks=chunks,
             record_format=record_format,
         )
         with self._jobs_lock:
             self._exports[job.job_id] = job
         channel.send(Message(MessageKind.BEGIN_EXPORT_OK, {
-            "columns": [[f.name, f.type.render()] for f in layout.fields],
-        }))
+            "columns": layout_to_wire(layout)["fields"]}))
 
     def _handle_export_fetch(self, channel: MessageChannel,
-                             message: Message) -> None:
+                             message: Message, request: dict,
+                             conn: dict) -> None:
         with self._jobs_lock:
-            job = self._exports.get(message.meta["job_id"])
+            job = self._exports.get(request["job_id"])
         if job is None:
             raise ProtocolError(
-                f"unknown export job {message.meta.get('job_id')!r}")
-        chunk_no = message.meta["chunk_no"]
+                f"unknown export job {request['job_id']!r}")
+        chunk_no = request["chunk_no"]
         if chunk_no >= len(job.chunks) or (
                 chunk_no > 0 and not job.chunks[chunk_no]):
             channel.send(Message(MessageKind.EXPORT_DATA,

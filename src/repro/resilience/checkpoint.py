@@ -12,7 +12,8 @@ both ends of the wire with one append-only JSONL journal:
   the authoritative durable set);
 - **gateway side** — each finalized staging file is recorded with the
   chunk manifest it contains (``staged``), each durable upload
-  (``uploaded``), and the terminal ``COPY INTO`` (``copy``); a resumed
+  (``uploaded``), the terminal ``COPY INTO`` (``copy``), the APPLY
+  result of a one-shot job before it is sent (``applied``); a resumed
   :class:`~repro.core.pipeline.AcquisitionPipeline` re-uploads *zero*
   already-durable files, re-enqueues staged-but-unuploaded local files,
   and treats every chunk inside a durable file as already seen.
@@ -64,6 +65,8 @@ class CheckpointJournal:
         self.uploaded: set[str] = set()
         #: rows landed by a completed COPY INTO (None = not yet run).
         self.copy_rows: int | None = None
+        #: a one-shot job's committed APPLY_RESULT meta (None = not yet).
+        self.applied: dict | None = None
         #: staging ``__SEQ``\ s the dq precheck already routed to the
         #: error table — resume re-deletes but never re-records them.
         self.dq_routed: set[int] = set()
@@ -123,6 +126,8 @@ class CheckpointJournal:
             self.uploaded.add(record["file"])
         elif kind == "copy":
             self.copy_rows = record["rows"]
+        elif kind == "applied":
+            self.applied = record["result"]
         elif kind == "dq_route":
             self.dq_routed.update(record["seqs"])
         elif kind == "stream_commit":
@@ -175,6 +180,11 @@ class CheckpointJournal:
     def record_copy(self, rows: int) -> None:
         """Gateway side: COPY INTO the staging table completed."""
         self._append({"t": "copy", "rows": rows})
+
+    def record_applied(self, result: dict) -> None:
+        """Gateway side: a one-shot job's APPLY committed with this
+        result (journaled before the reply leaves: a resume gets it)."""
+        self._append({"t": "applied", "result": result})
 
     def record_dq_route(self, seqs) -> None:
         """Gateway side: the dq precheck routed these staging seqs to
@@ -233,6 +243,8 @@ class CheckpointJournal:
             if self.dq_routed:
                 records.append({"t": "dq_route",
                                 "seqs": sorted(self.dq_routed)})
+            if self.applied is not None:
+                records.append({"t": "applied", "result": self.applied})
             if self.stream_drift:
                 records.append({"t": "stream_drift", "seq": -1,
                                 "events": list(self.stream_drift),

@@ -16,7 +16,7 @@ Pieces:
   :class:`~repro.stream.runner.StreamReport` — batch loop + rollup;
 - :class:`~repro.stream.drift.SchemaDriftResolver` /
   :class:`~repro.stream.drift.DriftEvent` — mid-stream schema-change
-  detection and the ``evolve`` ALTER/mapping propagation (policies:
+  detection and the ``evolve`` ALTER propagation (policies:
   ``evolve`` / ``route-to-error`` / ``halt``).
 
 See docs/STREAMING.md for the protocol extension and recovery rules.

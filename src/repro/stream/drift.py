@@ -19,7 +19,7 @@ rows cannot be unloaded), so it raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import StreamDriftError
 from repro.legacy.types import Layout
@@ -64,9 +64,6 @@ class SchemaDriftResolver:
     """
 
     feed: str = ""
-    #: events from the last :meth:`resolve` call (convenience for
-    #: callers that diff and then branch on policy).
-    last_events: list[DriftEvent] = field(default_factory=list)
 
     def resolve(self, accepted: Layout,
                 observed: Layout) -> list[DriftEvent]:
@@ -119,23 +116,4 @@ class SchemaDriftResolver:
                     "retyped", column=obs.name,
                     old_type=acc.type.render(),
                     new_type=obs.type.render()))
-        self.last_events = events
         return events
-
-    @staticmethod
-    def apply_to_mapping(mapping: dict[str, str],
-                         events: list[DriftEvent]) -> dict[str, str]:
-        """New source→target mapping matrix after ``events``.
-
-        Under ``evolve`` the target tracks the source, so the matrix
-        stays a bijection: renames move the key, additions append an
-        identity entry, retypes leave the shape alone.
-        """
-        out = dict(mapping)
-        for event in events:
-            if event.kind == "renamed":
-                out.pop(event.old_name, None)
-                out[event.column] = event.column
-            elif event.kind == "added":
-                out[event.column] = event.column
-        return out

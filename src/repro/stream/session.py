@@ -10,9 +10,9 @@ drift policy).  Exactly-once across restarts falls out of two rules:
   job id ``<feed>_b<seq>`` — a redelivered chunk of a half-done batch
   dedups against the gateway's per-job checkpoint journal;
 - a restarted client replays from *any* earlier sequence — batches at
-  or below the feed's durable watermark come back ``stream_committed``
-  from BEGIN_LOAD and the whole cycle is skipped without sending a
-  byte.
+  or below the feed's durable watermark come back ``committed`` from
+  BEGIN_LOAD and the cycle goes straight to END_LOAD without sending a
+  byte of data.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class StreamSession:
         started = time.perf_counter()
         result = self.client.run_import(spec)
         latency = time.perf_counter() - started
-        if result.stream_committed:
+        if result.committed:
             self.batches_skipped += 1
             return StreamBatchResult(seq=seq, skipped=True,
                                      latency_s=latency)

@@ -188,14 +188,6 @@ class DirtyWorkload:
     #: statements creating/filling the REGION parent dimension.
     setup_sql: tuple[str, ...] = ()
 
-    @property
-    def violating_rownums(self) -> tuple[int, ...]:
-        """Distinct violating row numbers across every rule, sorted."""
-        dirty: set[int] = set()
-        for rownums in self.manifest.values():
-            dirty.update(rownums)
-        return tuple(sorted(dirty))
-
 
 def dirty_workload(rows: int, row_bytes: int = 160, seed: int = 23,
                    violation_rate: float = 0.01,

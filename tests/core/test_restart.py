@@ -7,13 +7,16 @@ sequence numbers, a chunk whose ack was lost can be resent without
 double-loading — the end state is exactly-once.
 """
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.errors import TransportClosed
 from repro.legacy.client import ImportJobSpec, LegacyEtlClient
+from repro.legacy.protocol import MessageChannel, MessageKind
 from repro.legacy.types import FieldDef, Layout, parse_type
+from repro.resilience import CheckpointJournal
 
 LAYOUT = Layout("L", [FieldDef("A", parse_type("varchar(12)"))])
 
@@ -138,6 +141,109 @@ class TestRestart:
                         MessageKind.END_LOAD_OK)
         data_channel.close()
         client.logoff()
+
+
+def lose_first_apply_result(monkeypatch):
+    """The client sends APPLY, the server commits and replies, and the
+    reply is lost on the way: the client's except-path aborts the job
+    (END_LOAD ``abort``) and raises, exactly as on a dropped link."""
+    original = MessageChannel.request
+    armed = [True]
+
+    def request(channel, message, expect):
+        reply = original(channel, message, expect)
+        if expect == MessageKind.APPLY_RESULT and armed[0]:
+            armed[0] = False
+            raise TransportClosed("APPLY_RESULT lost")
+        return reply
+
+    monkeypatch.setattr(MessageChannel, "request", request)
+
+
+def counts(engine, *tables):
+    return [engine.query(f"SELECT COUNT(*) FROM {t}")[0][0] for t in tables]
+
+
+class TestLostApplyResult:
+    """APPLY is a commit: a resume after a lost APPLY_RESULT gets the
+    stored result back and the DML never runs twice."""
+
+    def _resume(self, stack, monkeypatch, ddl, spec, tables):
+        client = LegacyEtlClient(stack.node.connect, timeout=5)
+        client.logon("h", "u", "p")
+        client.execute_sql(ddl)
+        lose_first_apply_result(monkeypatch)
+        with pytest.raises(TransportClosed):
+            client.run_import(spec)
+        applied = counts(stack.engine, *tables)
+        result = client.run_import(dataclasses.replace(spec, resume=True))
+        client.logoff()
+        # the resumed job changes nothing in the warehouse ...
+        assert counts(stack.engine, *tables) == applied
+        # ... and reports what the lost APPLY_RESULT said
+        assert result.committed and result.chunks_sent == 0
+        assert stack.node.stats()["active_jobs"] == 0
+        assert not stack.engine.catalog.exists(f"HQ_STG_{spec.job_id}")
+        return applied, result
+
+    def test_clean_load_applies_once(self, stack, monkeypatch):
+        data = "".join(f"row-{i:04d}\n" for i in range(40)).encode()
+        applied, result = self._resume(
+            stack, monkeypatch, "create table R (A varchar(12))",
+            ImportJobSpec(
+                target_table="R", et_table="R_ET", uv_table="R_UV",
+                layout=LAYOUT, apply_sql="insert into R values (:A)",
+                data=data, sessions=2, chunk_bytes=64, job_id="lost1"),
+            ["R"])
+        assert applied == [40]
+        assert result.rows_inserted == 40
+
+    def test_dirty_load_routes_errors_once(self, stack, monkeypatch):
+        layout = Layout("L", [FieldDef("ID", parse_type("varchar(5)")),
+                              FieldDef("D", parse_type("varchar(10)"))])
+        lines = []
+        for i in range(40):
+            key = f"{i - 10:05d}" if i in (22, 33) else f"{i:05d}"
+            day = "xxxx" if i in (5, 15, 25) else "2012-01-01"
+            lines.append(f"{key}|{day}\n")
+        applied, result = self._resume(
+            stack, monkeypatch,
+            "create table T (ID varchar(5) not null, D date, unique (ID))",
+            ImportJobSpec(
+                target_table="T", et_table="T_ET", uv_table="T_UV",
+                layout=layout, data="".join(lines).encode(),
+                apply_sql="insert into T values (trim(:ID), "
+                          "cast(:D as DATE format 'YYYY-MM-DD'))",
+                sessions=1, chunk_bytes=96, job_id="lost2"),
+            ["T", "T_ET", "T_UV"])
+        assert applied == [35, 3, 2]
+        assert (result.rows_inserted, result.et_errors,
+                result.uv_errors) == (35, 3, 2)
+
+    def test_feed_batch_commit_stays_the_feed_watermark(
+            self, stack, monkeypatch):
+        """A feed batch journals no ``applied`` record: its commit is
+        the feed's ``stream_commit``, and its replay is the same
+        ``committed`` reply."""
+        records = []
+        monkeypatch.setattr(CheckpointJournal, "record_applied",
+                            lambda journal, result: records.append(result))
+        client = LegacyEtlClient(stack.node.connect, timeout=5)
+        client.logon("h", "u", "p")
+        client.execute_sql("create table R (A varchar(12))")
+        spec = ImportJobSpec(
+            target_table="R", et_table="R_ET", uv_table="R_UV",
+            layout=LAYOUT, apply_sql="insert into R values (:A)",
+            data=b"a\nb\n", sessions=1, job_id="feed_b0", resume=True,
+            stream={"feed": "feed", "batch_seq": 0})
+        first = client.run_import(spec)
+        replay = client.run_import(spec)
+        client.end_stream("feed")
+        client.logoff()
+        assert not first.committed and first.rows_inserted == 2
+        assert replay.committed and replay.stream["committed_seq"] == 0
+        assert records == []
+        assert counts(stack.engine, "R") == [2]
 
 
 class TestNodeStats:

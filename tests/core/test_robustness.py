@@ -121,9 +121,9 @@ class TestBackPressureTimeout:
 
             original_begin = stack.node._handle_begin_load
 
-            def patched_begin(channel, message, conn):
-                original_begin(channel, message, conn)
-                job = stack.node._jobs[message.meta["job_id"]]
+            def patched_begin(channel, message, request, conn):
+                original_begin(channel, message, request, conn)
+                job = stack.node._jobs[request["job_id"]]
                 job_ids.append(job.job_id)
                 original_convert = job.pipeline.converter.convert
 

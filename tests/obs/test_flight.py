@@ -14,9 +14,9 @@ import pytest
 from repro.bench.harness import build_stack
 from repro.core.config import HyperQConfig
 from repro.legacy.client import (
-    ImportJobSpec, LegacyEtlClient, _layout_to_wire, split_into_chunks,
+    ImportJobSpec, LegacyEtlClient, split_into_chunks,
 )
-from repro.legacy.protocol import Message, MessageKind
+from repro.legacy.protocol import Message, MessageKind, layout_to_wire
 from repro.obs.flight import FlightRecorder
 from repro.workloads import make_workload
 
@@ -156,7 +156,7 @@ def test_killed_job_bundle_reconstructs_history(tmp_path):
                     "target": spec.target_table,
                     "et_table": spec.et_table,
                     "uv_table": spec.uv_table,
-                    "layout": _layout_to_wire(spec.layout),
+                    "layout": layout_to_wire(spec.layout),
                     "format": spec.format_spec.to_wire(),
                     "sessions": 2,
                     "tenant": "tenant-0",

@@ -1,10 +1,12 @@
-"""The docs' HyperQConfig listings must name exactly the real fields."""
+"""The docs name exactly what the code has: the HyperQConfig fields in
+the config listings, the protocol schema in PROTOCOL.md's tables."""
 
 import dataclasses
 import os
 import re
 
 from repro.core.config import HyperQConfig
+from repro.legacy.protocol import REPLY_KEYS, REQUESTS, STREAM
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
 FIELDS = {f.name for f in dataclasses.fields(HyperQConfig)}
@@ -29,3 +31,28 @@ def test_concurrency_md_table_lists_only_config_fields():
     knobs = set(re.findall(r"^\| `([a-z][a-z0-9_]*)` \|", table,
                            re.MULTILINE))
     assert knobs and knobs <= FIELDS
+
+
+def _protocol_tables():
+    """``{kind or object name: (required, optional)}`` from every
+    message table in PROTOCOL.md (a reply's keys are all "required")."""
+    section = read_doc("PROTOCOL.md").split("## Message kinds")[1]
+    rows = {}
+    for line in section.split("\n## ")[0].splitlines():
+        match = re.match(
+            r"\| `(\w+)`(?: \(\d+\))? \| [CS]→[CS] \| (.*?) \|", line)
+        if match:
+            cell = re.sub(r"= (`[^`]*`|\w+)", "", match.group(2))
+            required, _, optional = cell.partition("optional:")
+            rows[match.group(1)] = tuple(
+                set(re.findall(r"`([a-z_]+)`", part))
+                for part in (required, optional))
+    return rows
+
+
+def test_protocol_md_tables_match_the_schema():
+    schema = {row.name: (set(row.required), set(row.optional))
+              for row in [*REQUESTS.values(), STREAM]}
+    schema.update({kind.name: (set(keys), set())
+                   for kind, keys in REPLY_KEYS.items()})
+    assert _protocol_tables() == schema

@@ -12,11 +12,11 @@ import pytest
 
 from repro.core.config import HyperQConfig
 from repro.errors import ProtocolError
-from repro.legacy.client import (
-    ImportJobSpec, LegacyEtlClient, _layout_to_wire,
-)
+from repro.legacy.client import ImportJobSpec, LegacyEtlClient
 from repro.legacy.datafmt import FormatSpec
-from repro.legacy.protocol import Message, MessageChannel, MessageKind
+from repro.legacy.protocol import (
+    Message, MessageChannel, MessageKind, layout_to_wire,
+)
 from repro.workloads.generator import make_workload
 from tests.conftest import make_node
 
@@ -81,7 +81,7 @@ def begin_load(channel, workload, job_id: str) -> None:
             "target": workload.target_table,
             "et_table": workload.et_table,
             "uv_table": workload.uv_table,
-            "layout": _layout_to_wire(workload.layout),
+            "layout": layout_to_wire(workload.layout),
             "format": FormatSpec("vartext", "|").to_wire(),
             "sessions": 1,
         }),
