@@ -288,7 +288,8 @@ class Beta:
         run.apply_seq_range(None, None)
         return run.finish()
 
-    def _rownum_mapper(self, chunk_records: dict[int, int]):
+    def rownum_mapper(self, chunk_records: dict[int, int]):
+        """``seq`` → 1-based client row number (Figure 6 numbering)."""
         stride = self.config.seq_stride
         starts: dict[int, int] = {}
         acc = 0
@@ -351,7 +352,7 @@ class ApplyRun:
         self.outcome = ApplyOutcome()
         self._builder, self._kind = beta.prepare_dml(
             sql, layout, staging_table)
-        self._rownum = beta._rownum_mapper(chunk_records)
+        self._rownum = beta.rownum_mapper(chunk_records)
         self._handler = AdaptiveErrorHandler(
             execute_range=self._execute_range,
             record_tuple_error=self._record_tuple_error,

@@ -489,15 +489,8 @@ class AcquisitionPipeline:
         deadline = time.monotonic() + timeout_s
 
         def wait_for(predicate) -> None:
-            with self._state:
-                while not predicate():
-                    if self._failures:
-                        break
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise GatewayError(
-                            "acquisition pipeline drain timed out")
-                    self._state.wait(timeout=min(remaining, 1.0))
+            if not self._wait(predicate, deadline):
+                raise GatewayError("acquisition pipeline drain timed out")
 
         wait_for(lambda: self._written >= self._submitted)
         self._check_failures()
@@ -550,16 +543,6 @@ class AcquisitionPipeline:
 
     # -- teardown ----------------------------------------------------------------------
 
-    def quiesce(self, timeout_s: float = 30.0) -> None:
-        """Graceful teardown for an aborted/abandoned job.
-
-        :meth:`shutdown` with a deadline long enough for
-        already-submitted work to finish (still bounded, best-effort):
-        everything that stages/uploads before the stop is checkpointed
-        work a ``resume`` restart can skip.
-        """
-        self.shutdown(timeout_s)
-
     def shutdown(self, timeout_s: float = 10.0) -> None:
         """Stop the job's stage work (idempotent, never raises).
 
@@ -572,15 +555,19 @@ class AcquisitionPipeline:
         files and never COPYs; a pipeline that already failed is shut
         down immediately.
         """
-        deadline = time.monotonic() + timeout_s
-        with self._state:
-            while (self._written < self._submitted
-                   or self._uploaded_files < self._finalized_files):
-                if self._failures:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._state.wait(timeout=min(remaining, 1.0))
+        self._wait(lambda: self._written >= self._submitted
+                   and self._uploaded_files >= self._finalized_files,
+                   time.monotonic() + timeout_s)
         if self.journal is not None:
             self.journal.close()
+
+    def _wait(self, predicate, deadline: float) -> bool:
+        """Wait for ``predicate`` (or a stage failure) until
+        ``deadline``; False when the deadline passed first."""
+        with self._state:
+            while not (predicate() or self._failures):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._state.wait(timeout=min(remaining, 1.0))
+        return True

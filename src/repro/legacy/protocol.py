@@ -47,7 +47,7 @@ from repro.obs.trace import SpanContext
 
 __all__ = ["MessageKind", "Message", "Coalescer", "MessageChannel",
            "TRACEPARENT_KEY", "REQUESTS", "REPLY_KEYS", "STREAM", "Request",
-           "serve_request", "error_reply", "result_reply",
+           "serve_request", "error_reply", "result_reply", "expect_data",
            "layout_from_wire", "layout_to_wire"]
 
 log = get_logger("legacy.protocol")
@@ -402,6 +402,14 @@ def error_reply(exc: ReproError, traceparent=None) -> Message:
     if traceparent and isinstance(traceparent, str):
         meta[TRACEPARENT_KEY] = traceparent
     return Message(MessageKind.ERROR, meta)
+
+
+def expect_data(job) -> None:
+    """The sequence rule both servers keep: a load job takes DATA and
+    DATA_EOF only before its APPLY_DML (``job.phase`` ``acquiring``)."""
+    if job.phase != "acquiring":
+        raise ProtocolError(f"load job {job.job_id!r} is {job.phase}: "
+                            "DATA and DATA_EOF come before APPLY_DML")
 
 
 def serve_request(server, channel, message: Message, conn) -> None:

@@ -33,8 +33,8 @@ from repro.legacy.datafmt import (
 )
 from repro.legacy.infer import infer_result_layout
 from repro.legacy.protocol import (
-    Message, MessageChannel, MessageKind, layout_to_wire, result_reply,
-    serve_request,
+    Message, MessageChannel, MessageKind, expect_data, layout_to_wire,
+    result_reply, serve_request,
 )
 from repro.legacy.types import Layout
 from repro.net import Listener
@@ -66,6 +66,10 @@ class _LoadJob:
     layout: Layout
     format_spec: FormatSpec
     chunks: dict[int, bytes] = field(default_factory=dict)
+    #: ``acquiring`` takes DATA; ``applied`` once APPLY_DML arrived.
+    phase: str = "acquiring"
+    #: the APPLY_RESULT meta a repeat APPLY_DML answers.
+    result: dict | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -90,7 +94,6 @@ class LegacyServer:
         self._exports: dict[str, _ExportJob] = {}
         self._jobs_lock = threading.Lock()
         self.frontend: ThreadedFrontend | None = None
-        self._running = False
         #: dispatch counters by message kind (monitoring parity with
         #: ``HyperQNode.stats()``).
         self._message_counts: dict[str, int] = {}
@@ -101,7 +104,6 @@ class LegacyServer:
 
     def start(self) -> "LegacyServer":
         """Start the front end; returns self for chaining."""
-        self._running = True
         self.frontend = ThreadedFrontend(
             self, self.listener, name="legacy-server")
         self.frontend.start()
@@ -109,7 +111,6 @@ class LegacyServer:
 
     def stop(self) -> None:
         """Stop accepting connections."""
-        self._running = False
         if self.frontend is not None:
             self.frontend.stop()
         self.listener.close()
@@ -226,12 +227,13 @@ class LegacyServer:
                      request: dict, conn: dict) -> None:
         job = self._job(request["job_id"])
         with job.lock:
+            expect_data(job)
             job.chunks[request["seq"]] = message.body
         channel.send(Message(MessageKind.DATA_ACK, {"seq": request["seq"]}))
 
     def _handle_data_eof(self, channel: MessageChannel, message: Message,
                          request: dict, conn: dict) -> None:
-        self._job(request["job_id"])  # validate
+        expect_data(self._job(request["job_id"]))
         channel.send(Message(MessageKind.DATA_ACK, {"seq": -1}))
 
     # Tuple-at-a-time application: the defining legacy behaviour. ----------
@@ -239,6 +241,12 @@ class LegacyServer:
     def _handle_apply_dml(self, channel: MessageChannel, message: Message,
                           request: dict, conn: dict) -> None:
         job = self._job(request["job_id"])
+        with job.lock:
+            job.phase = "applied"
+            ordered = [job.chunks[k] for k in sorted(job.chunks)]
+        if job.result is not None:      # a repeat: the DML ran once
+            channel.send(Message(MessageKind.APPLY_RESULT, job.result))
+            return
         template = parse_statement(request["sql"], dialect="legacy")
         fmt = make_format(job.format_spec, job.layout)
         field_names = job.layout.field_names
@@ -246,8 +254,6 @@ class LegacyServer:
         inserted = updated = deleted = 0
         et_errors = uv_errors = 0
         rownum = 0
-        with job.lock:
-            ordered = [job.chunks[k] for k in sorted(job.chunks)]
         for chunk in ordered:
             for item in fmt.iter_decode(chunk):
                 rownum += 1
@@ -280,13 +286,14 @@ class LegacyServer:
         log.debug("legacy apply done", extra={
             "job_id": job.job_id, "rows_inserted": inserted,
             "et_errors": et_errors, "uv_errors": uv_errors})
-        channel.send(Message(MessageKind.APPLY_RESULT, {
+        job.result = {
             "rows_inserted": inserted,
             "rows_updated": updated,
             "rows_deleted": deleted,
             "et_errors": et_errors,
             "uv_errors": uv_errors,
-        }))
+        }
+        channel.send(Message(MessageKind.APPLY_RESULT, job.result))
 
     def _record_et(self, job: _LoadJob, rownum: int, code: int,
                    field_name: str | None, message: str) -> None:

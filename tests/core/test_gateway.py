@@ -6,6 +6,7 @@ a Hyper-Q node — the transparency property the paper claims.
 
 import datetime
 import gc
+import threading
 import time
 import weakref
 
@@ -15,7 +16,7 @@ from repro.core.config import HyperQConfig
 from repro.errors import ProtocolError
 from repro.legacy.client import ExportJobSpec, LegacyEtlClient
 from repro.legacy.datafmt import FormatSpec
-from repro.legacy.protocol import MessageKind
+from repro.legacy.protocol import Message, MessageKind
 from repro.legacy.script import ScriptInterpreter, parse_script
 from tests.conftest import EXAMPLE_DATA, EXAMPLE_SCRIPT, make_node
 from tests.resilience.test_chaos_e2e import wait_until
@@ -275,6 +276,64 @@ class TestExportThroughHyperQ:
         client._require_control().close()
         wait_until(lambda: not stack.node._exports, timeout_s=5.0)
         self._assert_collected(cursors[-1])
+
+    @staticmethod
+    def _cursor_threads():
+        return {t for t in threading.enumerate() if t.name == "tdf-cursor"}
+
+    def _begin_unfetched_export(self, stack, job_id):
+        """BEGIN_EXPORT of a 20-chunk result on a fresh control session;
+        the prefetch thread fills its buffer and waits."""
+        client = self._load_target(stack, rows=20)
+        control = client._require_control()
+        control.request(
+            Message(MessageKind.BEGIN_EXPORT, {
+                "job_id": job_id, "sessions": 1,
+                "sql": "sel A from E order by A"}),
+            MessageKind.BEGIN_EXPORT_OK)
+        return client
+
+    def test_data_session_dropped_before_eof_fails_the_export(self):
+        """A data session that closes after one chunk, before its EOF
+        and before the control session closes, ends the export with
+        ``error``: its prefetch thread stops and its slot frees."""
+        stack = make_node(config=HyperQConfig(
+            trace_enabled=True, export_chunk_rows=1, wlm_profile=[
+                {"name": "one", "max_concurrency": 1, "queue_limit": 0,
+                 "queue_timeout_s": 0.2, "match": {"user": "*"}}]))
+        before = self._cursor_threads()
+        try:
+            client = self._begin_unfetched_export(stack, "dropped")
+            data = client._session(job_id="dropped", session_no=0)
+            data.request(
+                Message(MessageKind.EXPORT_FETCH, {
+                    "job_id": "dropped", "session_no": 0, "chunk_no": 0}),
+                MessageKind.EXPORT_DATA)
+            data.close()
+            wait_until(lambda: not stack.node._exports, timeout_s=5.0)
+            wait_until(lambda: self._cursor_threads() <= before,
+                       timeout_s=5.0)
+            assert [r["status"] for r in
+                    stack.node.obs.tracer.spans("export")] == ["error"]
+            pool = stack.node.stats()["wlm"]["pools"]["one"]
+            assert pool["occupied_slots"] == 0
+            client.logoff()
+        finally:
+            stack.close()
+
+    def test_node_stop_ends_a_begun_export(self):
+        """``stop()`` with an export begun and never fetched leaves no
+        prefetch thread behind."""
+        stack = make_node(config=HyperQConfig(export_chunk_rows=1))
+        before = self._cursor_threads()
+        try:
+            client = self._begin_unfetched_export(stack, "unfetched")
+            assert set(stack.node._exports) == {"unfetched"}
+        finally:
+            stack.close()
+        assert stack.node._exports == {}
+        wait_until(lambda: self._cursor_threads() <= before, timeout_s=5.0)
+        client._require_control().close()
 
     def test_unknown_export_job_rejected(self, stack):
         from repro.legacy.protocol import (

@@ -1,13 +1,21 @@
-"""Node shutdown with live feeds: quiesce before observability close.
+"""Node shutdown with live feeds and jobs: end them before
+observability close.
 
 ``HyperQNode.stop()`` must quiesce abandoned stream feeds — journal
-closed, WLM admission released, flight event recorded — *before* it
-closes the observability stack, so the quiesce itself can still emit
-telemetry.  A stopped node must hold no feed state.
+closed, WLM admission released, flight event recorded — and end
+in-flight load jobs *before* it closes the observability stack, so the
+teardown itself can still emit telemetry.  A stopped node must hold no
+feed or job state.
 """
 
 from repro.core.config import HyperQConfig
+from repro.legacy.client import LegacyEtlClient, split_into_chunks
+from repro.legacy.datafmt import FormatSpec
+from repro.legacy.protocol import (
+    Message, MessageChannel, MessageKind, layout_to_wire,
+)
 from repro.stream import StreamRunner, StreamSession
+from repro.workloads.generator import make_workload
 from repro.workloads.streamgen import stream_workload
 
 from tests.conftest import make_node
@@ -65,3 +73,43 @@ def test_stop_is_clean_with_no_open_feeds():
     # the context manager ended the feed; stop has nothing to quiesce
     assert stack.node._streams == {}
     stack.close()
+
+
+def test_stop_ends_an_in_flight_one_shot_job():
+    """A one-shot load caught mid-acquisition by ``stop()`` ends like
+    any abandoned job: its span with ``error``, the ``abandoned``
+    flight event and ``hyperq_jobs_total`` event, one failed SLO
+    sample."""
+    workload = make_workload(rows=20, row_bytes=60, seed=35)
+    stack = make_node(config=HyperQConfig(
+        credits=8, trace_enabled=True,
+        slo_profile=[{"name": "errors", "objective": "error_rate",
+                      "pool": "*", "target": 0.99, "windows_s": [600]}]))
+    node = stack.node
+    control = MessageChannel(node.connect(), timeout=10)
+    try:
+        stack.engine.execute(workload.ddl)
+        control.request(Message(MessageKind.LOGON, {"user": "u"}),
+                        MessageKind.LOGON_OK)
+        control.request(
+            Message(MessageKind.BEGIN_LOAD, {
+                "job_id": "midjob", "target": workload.target_table,
+                "et_table": workload.et_table,
+                "uv_table": workload.uv_table,
+                "layout": layout_to_wire(workload.layout),
+                "format": FormatSpec("vartext", "|").to_wire()}),
+            MessageKind.BEGIN_LOAD_OK)
+        LegacyEtlClient(node.connect)._pump_data(
+            "midjob", 1, split_into_chunks(
+                workload.data, FormatSpec("vartext", "|"), 400))
+    finally:
+        stack.close()
+        control.close()
+
+    assert node._jobs == {}
+    assert [r["status"] for r in node.obs.tracer.spans("job")
+            if r["attrs"]["job_id"] == "midjob"] == ["error"]
+    assert node.obs.flight.events("midjob")[-1]["event"] == "abandoned"
+    assert node.obs.jobs_total.labels(event="abandoned").value == 1
+    errors = node.obs.slo.evaluate()["errors"]
+    assert (errors["good"], errors["bad"]) == (0, 1)
