@@ -3,7 +3,11 @@
 Paper: elapsed time vs. error percentage: Hyper-Q (bulk + adaptive
 splitting) vs a singleton-insert baseline.  Hyper-Q crushes the
 baseline at 0%, jumps 0%->1% when splitting first triggers, degrades
-smoothly, and still wins at 10%; the baseline is flat.  Series logic:
+smoothly, and still wins at 10%; the baseline is flat.  The paper's
+0%->1% jump is the cost of recursive halving: with located apply a
+failed range costs one locate pass plus one statement per bad row and
+one per clean segment between them, so the gate here is that statement
+count (at most ``2 x errors + 2``), not a jump.  Series logic:
 :mod:`repro.bench.figures` (which also asserts both systems load
 identical rows).
 
@@ -49,8 +53,9 @@ def test_fig11_error_handling(benchmark, results_dir):
     text = format_series(
         f"Figure 11: error handling performance ({ROWS} rows)",
         series,
-        note="expect: Hyper-Q much faster at 0%, steep 0%->1% jump, "
-             "baseline flat, Hyper-Q still ahead at 10%")
+        note="expect: Hyper-Q much faster at 0%, at most 2 DML "
+             "statements per error (+2), baseline flat, Hyper-Q still "
+             "ahead at 10%")
 
     low, high = range_scan_point(0.01), range_scan_point(0.10)
     range_growth = high["ranges"] / low["ranges"]
@@ -69,10 +74,13 @@ def test_fig11_error_handling(benchmark, results_dir):
         "Hyper-Q should crush the baseline with clean data"
     assert t["10%"]["hyperq_total_s"] < t["10%"]["baseline_total_s"], \
         "Hyper-Q should still win at 10% errors"
+    for row in series:
+        assert row["hyperq_dml_stmts"] <= \
+            2 * row["errors_recorded"] + 2, \
+            f"located apply should cost at most two statements per " \
+            f"error at {row['error_pct']} ({row['hyperq_dml_stmts']} " \
+            f"statements, {row['errors_recorded']} errors)"
     if ROWS >= 2_000:  # shape assertions need enough rows to be stable
-        assert t["1%"]["hyperq_total_s"] > \
-            t["0%"]["hyperq_total_s"] * 1.5, \
-            "triggering error handling should cost a visible jump"
         baseline_times = [row["baseline_total_s"] for row in series]
         assert max(baseline_times) < min(baseline_times) * 1.6, \
             "the baseline should be roughly flat in the error rate"

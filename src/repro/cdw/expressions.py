@@ -457,7 +457,8 @@ class _Evaluator:
         value = self.eval(expr.operand)
         ctype = cdw_type_from_node(expr.type)
         field = self._provenance(expr.operand)
-        return _cast_value(value, ctype, expr.format, expr.type.base, field)
+        cast = _try_cast_value if expr.safe else _cast_value
+        return cast(value, ctype, expr.format, expr.type.base, field)
 
     def _eval_CaseExpr(self, expr: n.CaseExpr):
         for when in expr.whens:
@@ -508,6 +509,15 @@ def _cast_value(value, ctype, fmt, type_base: str, field):
         if exc.field is None:
             exc.field = field
         raise
+
+
+def _try_cast_value(value, ctype, fmt, type_base: str, field):
+    """TRY_CAST semantics: :func:`_cast_value`, NULL where it raises
+    on the value."""
+    try:
+        return _cast_value(value, ctype, fmt, type_base, field)
+    except ExpressionError:
+        return None
 
 
 # -- scalar function library ---------------------------------------------------
@@ -576,6 +586,17 @@ def _fn_to_timestamp(args):
     if isinstance(args[0], values.Timestamp):
         return args[0]
     return values.parse_timestamp(str(args[0]))
+
+
+def _try(fn):
+    """The ``TRY_`` form of a function: NULL where ``fn`` raises on its
+    arguments."""
+    def wrapper(args):
+        try:
+            return fn(args)
+        except ExpressionError:
+            return None
+    return wrapper
 
 
 def _fn_mod(args):
@@ -651,6 +672,8 @@ _FUNCTIONS = {
         lambda a: int(math.ceil(_numeric(a[0], "CEILING")))),
     "TO_DATE": _fn_to_date,
     "TO_TIMESTAMP": _fn_to_timestamp,
+    "TRY_TO_DATE": _try(_fn_to_date),
+    "TRY_TO_TIMESTAMP": _try(_fn_to_timestamp),
     "EXTRACT": _fn_extract,
     # Legacy-dialect spellings (the reference server evaluates them raw).
     "ZEROIFNULL": lambda a: 0 if a[0] is None else a[0],
@@ -1227,13 +1250,18 @@ def _vcompile_cast(expr: n.Cast, layout, bu):
     fmt = expr.format
     type_base = expr.type.base
     field = _Evaluator._provenance(expr.operand)
+    cast = _try_cast_value if expr.safe else _cast_value
 
     def _cast(b):
         const, payload = operand(b)
         if const:
-            return (True, _cast_value(payload, ctype, fmt,
-                                      type_base, field))
-        return (False, [_cast_value(v, ctype, fmt, type_base, field)
+            return (True, cast(payload, ctype, fmt, type_base, field))
+        if expr.safe and fmt is None:
+            try:                # bulk coercion, when no value fails
+                return (False, ctype.coerce_many(payload, field=field))
+            except ExpressionError:
+                pass
+        return (False, [cast(v, ctype, fmt, type_base, field)
                         for v in payload])
     return _cast
 

@@ -22,10 +22,11 @@ from repro.cdw.engine import CdwEngine
 from repro.core.config import HyperQConfig
 from repro.core.converter import AcquisitionError
 from repro.core.errorhandling import AdaptiveErrorHandler, ApplyOutcome
+from repro.dq.compiler import ApplyLocatePass
 from repro.errors import (
     HYPERQ_CONVERSION_ERROR, HYPERQ_MAX_ERRORS_REACHED,
-    HYPERQ_UNIQUENESS_ERROR, BulkExecutionError, GatewayError,
-    SqlTranslationError,
+    HYPERQ_UNIQUENESS_ERROR, BulkExecutionError, CdwError, GatewayError,
+    SqlError, SqlTranslationError,
 )
 from repro.legacy.types import Layout
 from repro.obs import NULL_OBS, NULL_SPAN, Observability, get_logger
@@ -353,6 +354,10 @@ class ApplyRun:
         self._builder, self._kind = beta.prepare_dml(
             sql, layout, staging_table)
         self._rownum = beta.rownum_mapper(chunk_records)
+        #: compiled on the run's first failure; None after that means
+        #: the INSERT cannot be located (and is not compiled again).
+        self._locator: ApplyLocatePass | None = None
+        self._locator_compiled = False
         self._handler = AdaptiveErrorHandler(
             execute_range=self._execute_range,
             record_tuple_error=self._record_tuple_error,
@@ -360,6 +365,7 @@ class ApplyRun:
             max_errors=max_errors,
             max_retries=max_retries,
             observer=self._observe_split,
+            locate=self._locate if self._kind == "insert" else None,
         )
 
     # -- handler callbacks --------------------------------------------------
@@ -375,6 +381,37 @@ class ApplyRun:
             statement, self.target_table, self._kind)
         return (result.rows_inserted, result.rows_updated,
                 result.rows_deleted)
+
+    def _locate(self, lo: int, hi: int) -> list[int]:
+        """Seqs in ``[lo, hi]`` the INSERT is expected to fail on, from
+        :class:`~repro.dq.compiler.ApplyLocatePass` (compiled on the
+        first failure of the run).  An INSERT the pass cannot cover, or
+        a pass the engine cannot run, is no hint at all: the handler
+        then halves."""
+        if self._locator_compiled and self._locator is None:
+            return []
+        obs = self.beta.obs
+        engine = self.beta.engine
+        with obs.tracer.span("apply.locate", parent=self.span,
+                             target=self.target_table, lo=lo,
+                             hi=hi) as span:
+            try:
+                if not self._locator_compiled:
+                    self._locator_compiled = True
+                    self._locator = ApplyLocatePass.compile(
+                        self._builder(lo, hi),
+                        engine.table(self.target_table))
+                suspects = [] if self._locator is None \
+                    else self._locator.suspects(engine.query, lo, hi)
+            except (CdwError, SqlError) as exc:
+                log.debug("locate pass on %s failed: %s",
+                          self.target_table, exc)
+                suspects = []
+            span.set_attribute("suspects", len(suspects))
+        obs.flight.record(self.job_id, "apply_locate",
+                          target=self.target_table, lo=lo, hi=hi,
+                          suspects=len(suspects))
+        return suspects
 
     def _record_tuple_error(self, seq: int,
                             exc: BulkExecutionError) -> None:

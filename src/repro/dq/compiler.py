@@ -17,18 +17,28 @@ leak violations past ``SUM``.  The cross-row kinds (``unique``,
 ``referential``) compile to grouping / set-difference passes instead.
 
 All range-scoped statements carry a non-negated ``__SEQ BETWEEN``
-conjunct, so the engine's zone-map pruning (PR 5) turns each pass
-into a binary-searched slice scan rather than a full staging scan.
+conjunct, so the engine's zone-map pruning turns each pass into a
+binary-searched slice scan rather than a full staging scan.
+
+:class:`ApplyLocatePass` applies the same idea to the apply DML itself:
+from a prepared ``INSERT … SELECT`` and its target's schema it derives
+the rows the statement will fail on — failed conversions, values the
+target column cannot hold, NULLs into NOT NULL columns, lost unique
+keys within the range — as one flags pass plus one key pass per unique
+key, so the adaptive error handler can apply a failed range around them
+instead of halving it.
 """
 
 from __future__ import annotations
 
+from repro.cdw.types import cdw_type_from_node
 from repro.dq.rules import PER_ROW_KINDS, SET_KINDS, DqRule
 from repro.sqlxc import nodes as n
 from repro.sqlxc.parser import parse_statement
 
-__all__ = ["CompiledRuleSet", "violation_flag", "et_insert",
-           "staging_delete", "SEQ_COLUMN"]
+__all__ = ["CompiledRuleSet", "ApplyLocatePass", "violation_flag",
+           "et_insert", "staging_delete", "surviving_first_losers",
+           "SEQ_COLUMN"]
 
 #: Hyper-Q's synthetic staging order column.  Redeclared from
 #: :data:`repro.core.beta.SEQ_COLUMN` (the canonical definition) so
@@ -227,3 +237,174 @@ class CompiledRuleSet:
             [n.SelectItem(n.ColumnRef(rule.parent_column))],
             from_=n.TableRef(rule.parent_table),
             distinct=True)
+
+
+# -- unique keys: the surviving-first rule ------------------------------------
+
+def surviving_first_losers(members, lo: int, hi: int,
+                           doomed) -> "list[int]":
+    """Seqs in ``[lo, hi]`` whose key an earlier *surviving* row holds.
+
+    ``members`` are ``(key…, __SEQ)`` rows, walked in seq order.  A key
+    is held by every member below ``lo`` (rows that survived earlier
+    passes) and by the first member in range that is not ``doomed`` —
+    rows failing for another reason never reach the target, so they
+    claim no key and the next clean occurrence wins.  That is what the
+    target's unique constraint decides row by row.  Keys with a NULL
+    part never collide.
+    """
+    out: "list[int]" = []
+    held: set = set()
+    for row in sorted(members, key=lambda r: r[-1]):
+        key, seq = row[:-1], row[-1]
+        if seq > hi:
+            break
+        if any(v is None for v in key):
+            continue
+        if seq < lo:
+            held.add(key)
+        elif seq not in doomed:
+            if key in held:
+                out.append(seq)
+            else:
+                held.add(key)
+    return out
+
+
+# -- located apply -------------------------------------------------------------
+
+#: conversion function -> (its TRY form, NULL where it raises; the
+#: column base type it yields).
+_CONVERSIONS = {"TO_DATE": ("TRY_TO_DATE", "DATE"),
+                "TO_TIMESTAMP": ("TRY_TO_TIMESTAMP", "TIMESTAMP")}
+
+
+def _try_form(expr):
+    """``expr`` with every fallible conversion replaced by its TRY form."""
+    def rule(node):
+        if isinstance(node, n.FuncCall) and node.name in _CONVERSIONS:
+            return n.FuncCall(_CONVERSIONS[node.name][0], node.args)
+        if isinstance(node, n.Cast) and not node.safe:
+            return n.Cast(node.operand, node.type, node.format, safe=True)
+        return node
+    return n.transform(expr, rule)
+
+
+def _fails(arg, tried):
+    """Flag: the conversion's argument is non-NULL but its TRY form is."""
+    return _and(n.IsNull(arg, negated=True), n.IsNull(tried))
+
+
+def _conversion_flags(expr) -> list:
+    """One flag per conversion node inside ``expr``.
+
+    Arguments are evaluated in TRY form too: where a nested conversion
+    fails the outer flag reads 0, and the nested node's own flag fires.
+    """
+    flags = []
+    for node in n.walk(expr):
+        if isinstance(node, n.FuncCall) and node.name in _CONVERSIONS \
+                and node.args:
+            flags.append(_fails(_try_form(node.args[0]), _try_form(node)))
+        elif isinstance(node, n.Cast) and not node.safe:
+            flags.append(_fails(_try_form(node.operand), _try_form(node)))
+    return flags
+
+
+def _produces(expr, ctype) -> bool:
+    """True when ``expr`` is a conversion to ``ctype`` itself, so the
+    column's coercion of its values cannot fail."""
+    if isinstance(expr, n.Cast) and expr.format is None:
+        return cdw_type_from_node(expr.type) == ctype
+    return isinstance(expr, n.FuncCall) and expr.name in _CONVERSIONS \
+        and _CONVERSIONS[expr.name][1] == ctype.base
+
+
+def _type_node(ctype) -> n.TypeName:
+    return n.TypeName(ctype.base, ctype.length, ctype.scale, dialect="cdw")
+
+
+class ApplyLocatePass:
+    """The staged rows an apply ``INSERT … SELECT`` will fail on.
+
+    Built from the prepared statement and the target's schema: a flag
+    for every conversion in the select list, for every value its target
+    column cannot hold (``TRY_CAST(item AS coltype)``) and for every
+    NULL into a NOT NULL column, ORed into one ``SELECT __SEQ`` pass;
+    then one key pass per unique key over the range, walked with
+    :func:`surviving_first_losers`.  Every pass is a slice of the failed
+    range, so locating costs about one more pass over it.
+
+    The result is a hint: the error handler gets each row's verdict
+    from the engine itself.  Not flagged, so found by halving: other
+    fallible expressions (string functions on non-strings, arithmetic)
+    and keys the target already holds — finding those would scan the
+    whole target on every failed range, which for a small batch into a
+    large table costs more than the halving it saves.
+    """
+
+    def __init__(self, staging: n.TableRef, flag, keys: "list[list]"):
+        self.staging = staging
+        self.flag = flag
+        #: the coerced key items of each unique key.
+        self.keys = keys
+
+    @classmethod
+    def compile(cls, statement, target) -> "ApplyLocatePass | None":
+        """The pass for a prepared apply statement, or None when it is
+        not an ``INSERT … SELECT`` over one staging table (UPDATE,
+        DELETE and MERGE apply by halving alone).  ``target`` is the
+        target table's schema: ``columns`` (name, ctype, nullable),
+        ``unique_keys`` (column-index tuples) and ``column_index``."""
+        if not isinstance(statement, n.Insert) \
+                or not isinstance(statement.source, n.Select) \
+                or not isinstance(statement.source.from_, n.TableRef) \
+                or any(isinstance(item.expr, n.Star)
+                       for item in statement.source.items):
+            return None
+        exprs = [item.expr for item in statement.source.items]
+        names = statement.columns or [c.name for c in target.columns]
+        if len(names) != len(exprs):
+            return None
+        by_column = {target.column_index(name): expr
+                     for name, expr in zip(names, exprs)}
+        if any(not spec.nullable and i not in by_column
+               for i, spec in enumerate(target.columns)):
+            return None     # every row fails: nothing to locate
+        flags = []
+        coerced = {}
+        for i, expr in by_column.items():
+            spec = target.columns[i]
+            flags.extend(_conversion_flags(expr))
+            tried = _try_form(expr)
+            coerced[i] = n.Cast(tried, _type_node(spec.ctype), safe=True)
+            # NULL here, or a value the column cannot hold
+            fits = _produces(expr, spec.ctype)
+            if not spec.nullable:
+                flags.append(n.IsNull(tried if fits else coerced[i]))
+            elif not fits:
+                flags.append(_fails(tried, coerced[i]))
+        flag = None
+        for one in flags:
+            flag = one if flag is None else n.BinaryOp("OR", flag, one)
+        keys = [[coerced[i] for i in key] for key in target.unique_keys
+                if all(i in by_column for i in key)]
+        return cls(statement.source.from_, flag, keys)
+
+    def _select(self, items, where) -> n.Select:
+        return n.Select([n.SelectItem(e) for e in items],
+                        from_=self.staging, where=where)
+
+    def suspects(self, query, lo: int, hi: int) -> "list[int]":
+        """Sorted seqs in ``[lo, hi]`` expected to fail, running each
+        pass through ``query`` (``CdwEngine.query``)."""
+        seq = n.ColumnRef(SEQ_COLUMN)
+        doomed: "set[int]" = set()
+        if self.flag is not None:
+            doomed.update(row[0] for row in query(self._select(
+                [seq], _and(_seq_between(lo, hi), self.flag))))
+        for items in self.keys:
+            members = query(self._select(
+                items + [seq], _seq_between(lo, hi)))
+            doomed.update(surviving_first_losers(members, lo, hi, doomed))
+        return sorted(doomed)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 
 from repro.dq.compiler import (SEQ_COLUMN, CompiledRuleSet, et_insert,
-                               staging_delete)
+                               staging_delete, surviving_first_losers)
 from repro.dq.rules import DqRule
 from repro.errors import HYPERQ_DQ_VIOLATION, GatewayError
 from repro.obs import NULL_OBS, NULL_SPAN
@@ -160,34 +160,16 @@ class DqPrechecker:
                           doomed: "set[int]") -> "list[int]":
         """Range members losing to an earlier *surviving* occurrence.
 
-        A key is only "taken" by a row that actually reaches the
-        target: rows routed by another rule in this range (``doomed``)
-        and rows already deleted by earlier ranges do not claim their
-        key, so the next clean occurrence becomes the winner — exactly
-        what the target's uniqueness constraint would decide if the
-        doomed rows had failed during application instead.  One whole-
-        table keys scan; the cascade walk happens here in seq order
-        (rows below the range survived every earlier pass and claim
-        their key unconditionally).
+        Rows routed by another rule in this range (``doomed``) and rows
+        already deleted by earlier ranges do not claim their key —
+        exactly what the target's uniqueness constraint would decide if
+        the doomed rows had failed during application instead.  One
+        whole-table keys scan, so rows below the range (which survived
+        every earlier pass) claim their key unconditionally.
         """
         members = self.engine.query(
             self.compiled.unique_keys_select(rule))
-        out: "list[int]" = []
-        taken: "set[tuple]" = set()
-        for row in sorted(members, key=lambda r: r[-1]):
-            key, seq = tuple(row[:-1]), row[-1]
-            if seq < lo:
-                taken.add(key)
-            elif seq <= hi:
-                if seq in doomed:
-                    continue
-                if key in taken:
-                    out.append(seq)
-                else:
-                    taken.add(key)
-            else:
-                break
-        return out
+        return surviving_first_losers(members, lo, hi, doomed)
 
     def _referential_violators(self, rule: DqRule, lo: int,
                                hi: int) -> "list[int]":

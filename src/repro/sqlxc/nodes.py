@@ -127,11 +127,15 @@ class BinaryOp(Expr):
 
 @dataclass
 class Cast(Expr):
-    """``CAST(x AS type [FORMAT 'fmt'])`` — FORMAT is legacy-only."""
+    """``CAST(x AS type [FORMAT 'fmt'])`` — FORMAT is legacy-only.
+
+    ``safe`` is ``TRY_CAST(x AS type)``: NULL where CAST raises.
+    """
 
     operand: Expr
     type: TypeName
     format: str | None = None
+    safe: bool = False
 
 
 @dataclass

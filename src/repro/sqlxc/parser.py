@@ -706,6 +706,10 @@ class _Parser:
             self.expect_op(")")
             return expr
         if token.type is TokenType.IDENT:
+            if token.value.upper() == "TRY_CAST" \
+                    and self.peek().type is TokenType.OP \
+                    and self.peek().value == "(":
+                return self._cast()
             return self._ident_expr()
         raise SqlParseError(
             f"unexpected token {token.value!r} in expression", token)
@@ -735,13 +739,16 @@ class _Parser:
         return n.ColumnRef(parts[-1], table=".".join(parts[:-1]))
 
     def _cast(self) -> n.Cast:
-        self.expect_keyword("CAST")
+        """``CAST(x AS type [FORMAT 'fmt'])`` or ``TRY_CAST(x AS type)``."""
+        safe = self.advance().value.upper() == "TRY_CAST"
         self.expect_op("(")
         operand = self._expr()
         self.expect_keyword("AS")
         type_name = self._type_name()
         fmt = None
         if self.accept_keyword("FORMAT"):
+            if safe:
+                raise SqlParseError("TRY_CAST takes no FORMAT")
             if self.dialect != "legacy":
                 raise SqlParseError(
                     "CAST .. FORMAT is a legacy-only construct")
@@ -750,7 +757,7 @@ class _Parser:
                     "FORMAT expects a string literal", self.current)
             fmt = self.advance().value
         self.expect_op(")")
-        return n.Cast(operand, type_name, fmt)
+        return n.Cast(operand, type_name, fmt, safe)
 
     def _case(self) -> n.CaseExpr:
         self.expect_keyword("CASE")

@@ -114,7 +114,8 @@ class _Renderer:
         type_sql = node.type.render_sql()
         if node.format is not None:
             return f"CAST({inner} AS {type_sql} FORMAT {_string(node.format)})"
-        return f"CAST({inner} AS {type_sql})"
+        word = "TRY_CAST" if node.safe else "CAST"
+        return f"{word}({inner} AS {type_sql})"
 
     def _render_FuncCall(self, node: n.FuncCall) -> str:
         if node.name == "EXTRACT" and len(node.args) == 2 \

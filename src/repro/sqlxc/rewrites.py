@@ -73,7 +73,7 @@ def map_type(type_name: n.TypeName) -> n.TypeName:
 def _rewrite_cast(cast: n.Cast) -> n.Expr:
     mapped = map_type(cast.type)
     if cast.format is None:
-        return n.Cast(cast.operand, mapped)
+        return n.Cast(cast.operand, mapped, safe=cast.safe)
     if mapped.base == "DATE":
         return n.FuncCall("TO_DATE", [cast.operand, n.Literal(cast.format)])
     if mapped.base == "TIMESTAMP":

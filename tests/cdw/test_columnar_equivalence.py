@@ -14,6 +14,7 @@ closures must fail on exactly those, and every statement of a stream
 must run on vectors whenever its shape is in scope.
 """
 
+import datetime
 import random
 
 import pytest
@@ -255,3 +256,29 @@ def test_copy_into_agrees():
              for e in engines]
     assert state[0] == state[1]
     assert len(state[0]) == 400
+
+
+def test_try_forms_agree_and_stay_on_vectors():
+    """TRY_CAST / TRY_TO_DATE / TRY_TO_TIMESTAMP read NULL where the
+    strict form raises, on vectors as on rows — bulk coercion included,
+    both when every value fits and when one does not."""
+    sql = ("SELECT __SEQ, TRY_CAST(V AS INT), TRY_CAST(V AS NVARCHAR(2)), "
+           "TRY_TO_DATE(V, 'YYYY-MM-DD'), TRY_TO_TIMESTAMP(V) FROM S "
+           "WHERE TRY_CAST(V AS INT) IS NULL OR __SEQ < 3")
+    values = ["12", "1x2", None, "2020-01-02", "2020-13-45",
+              "2020-01-02 03:04:05", "abc"]
+    results = []
+    for columnar in (True, False):
+        engine = CdwEngine(store=CloudStore(), columnar=columnar)
+        engine.execute("CREATE TABLE S (V NVARCHAR, __SEQ BIGINT)")
+        engine.table("S").append_rows(
+            [(v, i) for i, v in enumerate(values)])
+        results.append(engine.query(sql))
+        if columnar:
+            assert engine.vector_fallbacks == {"out_of_scope": 0}
+        assert engine.query("SELECT TRY_CAST(V AS NVARCHAR(20)) FROM S "
+                            "WHERE __SEQ < 2") == [("12",), ("1x2",)]
+    assert results[0] == results[1]
+    assert results[0][0] == (0, 12, "12", None, None)
+    assert results[0][1] == (1, None, None, None, None)
+    assert results[0][3][3] == datetime.date(2020, 1, 2)

@@ -194,6 +194,23 @@ class TestConversions:
             ev("TO_DATE(d, 'YYYY-MM-DD')", d="junk")
         assert info.value.field == "d"
 
+    @pytest.mark.parametrize("strict,tried,bad,good,want", [
+        ("CAST(d AS INT)", "TRY_CAST(d AS INT)", "1x2", " 7", 7),
+        ("CAST(d AS VARCHAR(3))", "TRY_CAST(d AS VARCHAR(3))", "abcd",
+         "abc", "abc"),
+        ("TO_DATE(d, 'YYYY-MM-DD')", "TRY_TO_DATE(d, 'YYYY-MM-DD')",
+         "2020-13-45", "2020-01-02", datetime.date(2020, 1, 2)),
+        ("TO_TIMESTAMP(d)", "TRY_TO_TIMESTAMP(d)", "junk",
+         "2020-01-02 03:04:05", datetime.datetime(2020, 1, 2, 3, 4, 5)),
+    ])
+    def test_try_forms_are_null_where_the_strict_form_raises(
+            self, strict, tried, bad, good, want):
+        with pytest.raises(ExpressionError):
+            ev(strict, d=bad)
+        assert ev(tried, d=bad) is None
+        assert ev(tried, d=good) == ev(strict, d=good) == want
+        assert ev(tried, d=None) is None
+
 
 class TestCase:
     def test_searched(self):

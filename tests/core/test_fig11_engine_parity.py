@@ -51,9 +51,14 @@ def test_tables_are_identical_to_the_row_mode_engines(stacks, table):
 
 def test_no_failure_needed_the_row_interpreter(stacks):
     vector, _ = stacks
-    assert vector.node.completed_jobs[-1].chunk_retries > 0
+    job = vector.node.completed_jobs[-1]
+    # The job had failing statements (every ET/UV row here is one), and
+    # the located apply routed them all without halving a range.
+    assert job.et_errors > 0 and job.uv_errors > 0
+    assert job.chunk_retries == 0
     # The ET/UV ``INSERT .. VALUES`` records run on rows and were never
-    # vectorizable: they are not fallbacks, and nothing else fell back.
+    # vectorizable: they are not fallbacks, and nothing else fell back —
+    # the locate pass's SELECTs included.
     assert vector.engine.vector_fallbacks == {"out_of_scope": 0}
 
 

@@ -117,7 +117,8 @@ WLM_PROFILE = {
 
 
 def test_killed_job_bundle_reconstructs_history(tmp_path):
-    """Throttle + transient retry + splits + abort, all in one bundle."""
+    """Throttle + transient retry + located bad rows + abort, all in
+    one bundle."""
     workload = make_workload(rows=300, row_bytes=120, seed=77,
                              error_rate=0.08, table="F.T")
     config = HyperQConfig(
@@ -185,18 +186,23 @@ def test_killed_job_bundle_reconstructs_history(tmp_path):
 
     events = [e["event"] for e in bundle["events"]]
     # The whole story, in order: shed by WLM, admitted, started,
-    # transient apply fault retried, bad rows split around, killed.
+    # transient apply fault retried, bad rows located and recorded one
+    # by one, killed.
     assert "wlm_throttled" in events
     assert "wlm_admitted" in events
     assert "started" in events
     assert "retry" in events
     assert "apply_started" in events
-    assert "apply_split" in events
+    assert "apply_locate" in events
+    assert "apply_tuple_error" in events
     assert "apply_finished" in events
     assert events[-1] == "aborted"
     assert events.index("wlm_throttled") < events.index("wlm_admitted")
     assert events.index("wlm_admitted") < events.index("started")
-    assert events.index("apply_started") < events.index("apply_split")
+    assert events.index("apply_started") < events.index("apply_locate")
+    assert events.index("apply_locate") < events.index("apply_tuple_error")
+    [locate] = [e for e in bundle["events"] if e["event"] == "apply_locate"]
+    assert locate["suspects"] > 0 and locate["lo"] <= locate["hi"]
 
     [retry] = [e for e in bundle["events"] if e["event"] == "retry"]
     assert retry["target"] == "dml.apply"

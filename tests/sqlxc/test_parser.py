@@ -93,6 +93,14 @@ class TestExpressions:
             parse_expression(
                 "CAST(a AS DATE FORMAT 'YYYY-MM-DD')", dialect="cdw")
 
+    def test_try_cast(self):
+        expr = parse_expression("TRY_CAST(a AS INTEGER)")
+        assert isinstance(expr, n.Cast) and expr.safe
+        assert not parse_expression("CAST(a AS INTEGER)").safe
+        with pytest.raises(SqlParseError):
+            parse_expression(
+                "TRY_CAST(a AS DATE FORMAT 'YYYY-MM-DD')", dialect="legacy")
+
     def test_trim_variants(self):
         assert parse_expression("TRIM(a)").name == "TRIM"
         assert parse_expression("TRIM(LEADING FROM a)").name == "LTRIM"

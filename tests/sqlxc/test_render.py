@@ -32,6 +32,8 @@ FIXPOINT_STATEMENTS = [
      "CAST(:JOIN_DATE AS DATE FORMAT 'YYYY-MM-DD'))", "legacy"),
     ("UPDATE t SET a = :A WHERE k = :K ELSE INSERT INTO t VALUES "
      "(:K, :A)", "legacy"),
+    ("SELECT TRY_CAST(a AS INT), TRY_TO_DATE(b, 'YYYY-MM-DD') FROM t",
+     "cdw"),
 ]
 
 

@@ -7,7 +7,9 @@ leaves nothing behind: no thread, no catalog table, no table lock, no
 plan-cache entry, no unbounded per-job record.
 """
 
+import re
 import threading
+import time
 
 import pytest
 
@@ -35,9 +37,28 @@ def counting_thread_starts(monkeypatch):
         threading.Thread, "start", start)
 
 
+#: a data session's connection handler, as named once it logs on.
+DATA_HANDLER = re.compile(r"-job-.+-s\d+$")
+
+
+def settled_thread_count(timeout_s: float = 5.0) -> int:
+    """Live threads once every data-session handler has exited.
+
+    A batch returns when its data session is closed, but the session's
+    handler thread may still be unwinding; sampling it then counts a
+    thread that is about to go.  One that never goes (a leak) is still
+    alive at the timeout and counted.
+    """
+    deadline = time.monotonic() + timeout_s
+    while any(DATA_HANDLER.search(t.name) for t in threading.enumerate()) \
+            and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return threading.active_count()
+
+
 def footprint(node, engine):
     return {
-        "threads": threading.active_count(),
+        "threads": settled_thread_count(),
         "tables": len(engine.catalog.tables),
         "table_locks": len(engine.locks._tables),
         "dml_plans": (len(node.beta.plans), node.beta.plans.misses),
