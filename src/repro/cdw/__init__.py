@@ -13,8 +13,10 @@ A from-scratch, in-process stand-in for the Synapse-like target system:
   :class:`~repro.errors.BulkExecutionError` that does not identify the
   offending row — the property that motivates Section 7's adaptive error
   handling;
-- :mod:`repro.cdw.stagefile` — the CDW's CSV bulk-ingest file format
-  (distinguishes NULL from the empty string, unlike legacy VARTEXT);
+- :mod:`repro.cdw.stagefile` — the CDW's bulk-ingest file formats:
+  the staging blocks ``COPY … FORMAT block`` appends column by column,
+  and the CSV reader of ``COPY … FORMAT csv`` (both distinguish NULL
+  from the empty string, unlike legacy VARTEXT);
 - :mod:`repro.cdw.cloudstore` — the simulated cloud object store with an
   optional link-bandwidth model;
 - :mod:`repro.cdw.bulkloader` — the AzCopy/`aws s3 cp`-like utility that

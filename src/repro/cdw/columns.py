@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import islice
 
-__all__ = ["ColumnStore", "column_for_type"]
+__all__ = ["ColumnStore", "TextColumn", "column_for_type"]
 
 _INT_BASES = ("SMALLINT", "INT", "BIGINT")
 _CHAR_BASES = ("NVARCHAR", "VARCHAR", "CHAR")
@@ -67,6 +68,14 @@ class _IntColumn(_BaseColumn):
             self.valid.append(0)
         else:
             raise TypeError(value)
+
+    def append_many(self, values) -> None:
+        """Append values; an int64 ``array`` appends as one buffer."""
+        if type(values) is array and values.typecode == "q":
+            self.data += values
+            self.valid += b"\x01" * len(values)
+        else:
+            _BaseColumn.append_many(self, values)
 
     def __getitem__(self, i):
         return self.data[i] if self.valid[i] else None
@@ -177,25 +186,44 @@ class _BoolColumn(_BaseColumn):
         return len(self.data) + len(self.valid)
 
 
-class _TextColumn(_BaseColumn):
+class TextColumn(_BaseColumn):
     """Strings as one UTF-8 blob plus end offsets.
 
     This is where the memory multiple comes from: a Python ``str``
     costs ~49 bytes of header per value; the blob costs its UTF-8
-    bytes plus an 8-byte offset.
+    bytes plus an 8-byte offset.  It is also the text column of a
+    staging block (:mod:`repro.cdw.stagefile`), so a COPY can append a
+    block's buffers to a table without a ``str`` per value.
     """
 
     __slots__ = ("blob", "offsets")
 
-    def __init__(self):
-        self.blob = bytearray()
-        self.offsets = array("q", [0])   # offsets[i+1] ends value i
-        self.valid = bytearray()
+    def __init__(self, valid=None, offsets=None, blob=None):
+        self.blob = bytearray() if blob is None else blob
+        #: offsets[i+1] ends value i; a NULL spans no bytes.
+        self.offsets = array("q", [0]) if offsets is None else offsets
+        self.valid = bytearray() if valid is None else valid
+
+    @classmethod
+    def concat(cls, parts) -> "TextColumn":
+        """One column of the values of ``parts`` (TextColumns), in
+        order; each buffer is allocated once."""
+        offsets = array("q", [0])
+        base = 0
+        for part in parts:
+            ends = islice(part.offsets, 1, None)
+            offsets.extend(map(base.__add__, ends) if base else ends)
+            base += len(part.blob)
+        return cls(bytearray().join([part.valid for part in parts]),
+                   offsets,
+                   bytearray().join([part.blob for part in parts]))
 
     def __len__(self):
+        """Number of values (NULLs included)."""
         return len(self.valid)
 
     def append(self, value) -> None:
+        """Append one ``str`` or None; anything else is a TypeError."""
         if type(value) is str:
             self.blob += value.encode("utf-8")
             self.offsets.append(len(self.blob))
@@ -206,14 +234,33 @@ class _TextColumn(_BaseColumn):
         else:
             raise TypeError(value)
 
+    def append_many(self, values) -> None:
+        """Append values; another TextColumn appends buffer by buffer,
+        and an empty column takes its buffers over (the caller hands
+        them off)."""
+        if type(values) is not TextColumn:
+            _BaseColumn.append_many(self, values)
+            return
+        if not self.valid and type(values.blob) is bytearray \
+                and type(values.valid) is bytearray:
+            self.blob, self.offsets, self.valid = \
+                values.blob, values.offsets, values.valid
+            return
+        base = len(self.blob)
+        self.blob += values.blob
+        ends = islice(values.offsets, 1, None)
+        self.offsets.extend(map(base.__add__, ends) if base else ends)
+        self.valid += values.valid
+
     def __getitem__(self, i):
         if i < 0:
             i += len(self.valid)
         if not self.valid[i]:
             return None
-        return self.blob[self.offsets[i]:self.offsets[i + 1]].decode("utf-8")
+        return str(self.blob[self.offsets[i]:self.offsets[i + 1]], "utf-8")
 
     def to_list(self, lo: int, hi: int) -> list:
+        """Values ``[lo, hi)`` as ``str | None``."""
         offsets, valid = self.offsets, self.valid
         out = []
         append = out.append
@@ -230,12 +277,14 @@ class _TextColumn(_BaseColumn):
         return out
 
     def truncate(self, length: int) -> None:
+        """Drop every value past ``length``."""
         del self.blob[self.offsets[length]:]
         del self.offsets[length + 1:]
         del self.valid[length:]
 
-    def take(self, indices) -> "_TextColumn":
-        out = _TextColumn()
+    def take(self, indices) -> "TextColumn":
+        """A new column of the values at ``indices``, in that order."""
+        out = TextColumn()
         blob, offsets, valid = self.blob, self.offsets, self.valid
         for i in indices:
             if valid[i]:
@@ -247,6 +296,7 @@ class _TextColumn(_BaseColumn):
         return out
 
     def nbytes(self) -> int:
+        """Buffer footprint in bytes."""
         return (len(self.blob)
                 + self.offsets.itemsize * len(self.offsets)
                 + len(self.valid))
@@ -311,7 +361,7 @@ def column_for_type(base: str):
     if base == "BOOLEAN":
         return _BoolColumn()
     if base in _CHAR_BASES:
-        return _TextColumn()
+        return TextColumn()
     return _ObjectColumn()
 
 

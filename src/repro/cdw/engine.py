@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
 
 from repro import values
 from repro.cdw import stagefile
 from repro.cdw.cloudstore import CloudStore
+from repro.cdw.columns import TextColumn
 from repro.cdw.expressions import (VECTOR_ERRORS, _Evaluator, ColumnBatch,
                                    GatherBatch, RowContext, compile_vector,
                                    evaluate, first_failing_row, is_true,
@@ -49,6 +51,8 @@ from repro.sqlxc.parser import parse_statement
 __all__ = ["CdwEngine", "CdwResult"]
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+#: the file formats ``COPY INTO … FORMAT`` reads.
+_COPY_FORMATS = ("csv", stagefile.BLOCK_FORMAT)
 
 
 @dataclass
@@ -270,6 +274,10 @@ class CdwEngine:
     # -- COPY INTO ------------------------------------------------------------------
 
     def _exec_CopyInto(self, stmt: n.CopyInto) -> CdwResult:
+        if stmt.file_format not in _COPY_FORMATS:
+            raise CdwError(
+                f"COPY INTO: unsupported FORMAT {stmt.file_format!r} "
+                f"(expected one of {', '.join(_COPY_FORMATS)})")
         if self.store is None:
             raise CdwError("engine has no cloud store attached")
         table = self.catalog.get(stmt.table.name)
@@ -281,6 +289,8 @@ class CdwEngine:
                 data = stagefile.decompress(data)
             datas.append(data)
         try:
+            if stmt.file_format == stagefile.BLOCK_FORMAT:
+                return self._block_copy(table, datas)
             return self._vector_or_rows(
                 lambda: self._try_columnar_copy(table, datas,
                                                 stmt.delimiter),
@@ -289,6 +299,43 @@ class CdwEngine:
             raise BulkExecutionError(
                 f"COPY INTO {table.name} aborted: {exc}",
                 field=exc.field) from exc
+
+    def _block_copy(self, table: CdwTable,
+                    datas: list[bytes]) -> CdwResult:
+        """Staging blocks into ``table``: the last column takes each
+        block's ``__SEQ``, the others its text columns in order.
+
+        Every block is decoded before anything is appended, and blocks
+        append in the order of their first ``__SEQ`` (chunk ranges are
+        disjoint), so a staging table lands sorted.  A column that
+        stores any text unchecked (:meth:`CdwTable.raw_text_column`)
+        takes the blocks' buffers; every other column decodes its
+        texts and coerces as the CSV reader's fields do.
+        """
+        blocks = [block for data in datas
+                  for block in stagefile.decode_blocks(data)
+                  if len(block.seq)]
+        for block in blocks:
+            if len(block.columns) + 1 != table.arity:
+                raise BulkExecutionError(
+                    f"staging block has {len(block.columns) + 1} "
+                    f"columns, table {table.name!r} has {table.arity}")
+        blocks.sort(key=lambda block: block.seq[0])
+        seq = array("q")
+        for block in blocks:
+            seq += block.seq
+        cols: list = []
+        for i in range(table.arity - 1):
+            column = TextColumn.concat(
+                [block.columns[i] for block in blocks])
+            cols.append(column if table.raw_text_column(i)
+                        else column.to_list(0, len(column)))
+        cols.append(seq)
+        coerced = self._coerce_columns(table, cols)
+        if self.native_unique and table.unique_keys:
+            table.check_unique_append_columns(coerced)
+        table.append_columns(coerced)
+        return CdwResult(kind="count", rows_inserted=len(seq))
 
     def _row_copy(self, table: CdwTable, datas: list[bytes],
                   delimiter: str) -> CdwResult:
@@ -1112,7 +1159,8 @@ class CdwEngine:
     @staticmethod
     def _coerce_columns(table: CdwTable, cols: list[list]) -> list[list]:
         """Columnwise :meth:`CdwTable.coerce_row` over candidate column
-        lists: NOT NULL checks and bulk coercion per column.
+        lists: NOT NULL checks and bulk coercion per column.  A
+        :class:`TextColumn` passes through unchecked.
 
         The row path coerces row by row, so when a column raises, the
         first offending row is bisected out of slices of ``cols`` and
@@ -1121,6 +1169,11 @@ class CdwEngine:
         def attempt(lo: int, hi: "int | None") -> list[list]:
             out = []
             for spec, col in zip(table.columns, cols):
+                if type(col) is TextColumn:
+                    # A raw text column (CdwTable.raw_text_column):
+                    # nothing to coerce or check.
+                    out.append(col)
+                    continue
                 if hi is not None:
                     col = col[lo:hi]
                 if not spec.nullable and any(v is None for v in col):

@@ -1,10 +1,25 @@
-"""The CDW's CSV bulk-ingest file format.
+"""The CDW's bulk-ingest file formats.
 
-This is the serialization the DataConverter targets and ``COPY INTO``
-consumes.  Unlike legacy VARTEXT, it distinguishes SQL NULL (the unquoted
-marker ``\\N``) from the empty string (``""``) — exactly the discrepancy
-Section 4 says the conversion layer must bridge — and uses RFC-4180-style
-quoting for delimiters, quotes, and newlines inside values.
+**Blocks** are the staging format: the DataConverter emits one block
+per chunk, the FileWriter concatenates blocks into files, and the
+pipeline's ``COPY INTO … FORMAT block`` appends their buffers to the
+staging table without parsing text.  A block mirrors
+:class:`~repro.cdw.columns.TextColumn`; integers are little-endian::
+
+    header    magic ``HQB1``, u32 row count, u32 column count
+    __SEQ     one int64 per row (rejected records leave gaps)
+    columns   per column: one validity byte per row (1 = present),
+              row count + 1 int64 end offsets (the first is 0), one
+              UTF-8 blob
+
+Every column is text: typed values render by the CSV rules below
+(``str``, ``isoformat``, ``true``/``false``), so COPY coerces a block
+into a typed column exactly as it coerces the same CSV field.
+
+**CSV** is the user-facing ``COPY … FORMAT csv`` reader.  Unlike legacy
+VARTEXT, it distinguishes SQL NULL (the unquoted marker ``\\N``) from
+the empty string (``""``) and uses RFC-4180-style quoting for
+delimiters, quotes, and newlines inside values.
 """
 
 from __future__ import annotations
@@ -13,16 +28,24 @@ import datetime as _dt
 import gzip
 import io
 import re
+import struct
+import sys
+from array import array
+from dataclasses import dataclass
 from decimal import Decimal
+from itertools import accumulate, islice
+from operator import le
 from typing import Iterable, Iterator
 
 from repro import values
+from repro.cdw.columns import TextColumn
 from repro.errors import DataFormatError
 
 __all__ = [
     "encode_csv_row", "encode_csv_rows", "decode_csv_rows",
     "decode_csv_columns", "CsvKernel", "compress", "decompress",
-    "NULL_MARKER",
+    "NULL_MARKER", "BLOCK_FORMAT", "Block", "encode_block",
+    "decode_blocks", "fields_column", "values_column",
 ]
 
 NULL_MARKER = "\\N"
@@ -90,7 +113,9 @@ class CsvKernel:
     values that cannot collide with the delimiter.  Output is identical
     to :func:`encode_csv_row` for every input (the stagefile test suite
     holds the two equivalent); unusual types fall back to the reference
-    functions, errors included.
+    functions, errors included.  No load path renders CSV any more: the
+    kernel serves the benchmark's kernel drives and the block-staging
+    differential test's reference route.
     """
 
     def __init__(self, delimiter: str = ","):
@@ -165,7 +190,7 @@ class CsvKernel:
 
 def decode_csv_rows(data: bytes,
                     delimiter: str = ",") -> Iterator[tuple[str | None, ...]]:
-    """Decode a staging file back into rows of ``str | None`` fields.
+    """Decode a CSV file back into rows of ``str | None`` fields.
 
     Typing is the COPY target table's job; the file format itself only
     distinguishes NULL from text.
@@ -238,7 +263,7 @@ def decode_csv_columns(data: bytes, delimiter: str,
     """Columnwise :func:`decode_csv_rows`: one value list per column.
 
     Only handles the quote-free layout with exactly ``arity`` fields per
-    line — the shape every converter-produced staging file has.  Returns
+    line — the shape :class:`CsvKernel` renders.  Returns
     None for quoted, ragged, or exotic-delimiter data; the caller then
     uses the row decoder, whose error behaviour (wrong-arity rows reach
     ``coerce_row``) is the canonical one.
@@ -285,3 +310,110 @@ def decompress(data: bytes) -> bytes:
     except (OSError, EOFError) as exc:
         raise DataFormatError(f"corrupt compressed staging file: {exc}") \
             from exc
+
+
+# -- blocks ------------------------------------------------------------------
+
+#: the ``COPY INTO … FORMAT`` name of the staging block format.
+BLOCK_FORMAT = "block"
+_MAGIC = b"HQB1"
+_HEADER = struct.Struct("<4sII")
+_SWAP = sys.byteorder != "little"
+
+
+@dataclass(frozen=True)
+class Block:
+    """One decoded block: its ``__SEQ`` values and its text columns."""
+
+    seq: array
+    columns: list[TextColumn]
+
+
+def _column(valid: bytearray, fields: list[bytes]) -> TextColumn:
+    offsets = array("q", [0])
+    offsets.extend(accumulate(map(len, fields)))
+    return TextColumn(valid, offsets, b"".join(fields))
+
+
+def fields_column(fields: list[bytes]) -> TextColumn:
+    """A text column of raw UTF-8 fields; an empty field is NULL (the
+    legacy VARTEXT rule)."""
+    return _column(bytearray(map(bool, fields)), fields)
+
+
+def values_column(column_values) -> TextColumn:
+    """A text column of values rendered as CSV fields are, unquoted."""
+    return _column(
+        bytearray([value is not None for value in column_values]),
+        [b"" if value is None else _render_value(value).encode("utf-8")
+         for value in column_values])
+
+
+def _int64_bytes(numbers: array) -> bytes:
+    if _SWAP:
+        numbers = array("q", numbers)
+        numbers.byteswap()
+    return numbers.tobytes()
+
+
+def encode_block(seq: array, columns: list[TextColumn]) -> bytes:
+    """One block of ``len(seq)`` rows; every column holds as many."""
+    parts = [_HEADER.pack(_MAGIC, len(seq), len(columns)),
+             _int64_bytes(seq)]
+    for column in columns:
+        parts += (column.valid, _int64_bytes(column.offsets), column.blob)
+    return b"".join(parts)
+
+
+def _int64s(raw) -> array:
+    numbers = array("q")
+    numbers.frombytes(raw)
+    if _SWAP:
+        numbers.byteswap()
+    return numbers
+
+
+def decode_blocks(data: bytes) -> list[Block]:
+    """Every block of a staging file, in file order.
+
+    A truncated or corrupt block raises :class:`DataFormatError`.  The
+    columns' buffers are views into ``data`` (offsets excepted).
+    """
+    view = memoryview(data)
+    size = len(view)
+    pos = 0
+
+    def take(length: int, what: str):
+        nonlocal pos
+        end = pos + length
+        if end > size:
+            raise DataFormatError(f"truncated staging block: {what} "
+                                  f"needs {length} bytes, {size - pos} left")
+        part = view[pos:end]
+        pos = end
+        return part
+
+    blocks = []
+    while pos < size:
+        magic, rows, ncols = _HEADER.unpack(take(_HEADER.size, "header"))
+        if magic != _MAGIC:
+            raise DataFormatError(f"not a staging block: magic {magic!r}")
+        seq = _int64s(take(8 * rows, "__SEQ"))
+        columns = []
+        for _ in range(ncols):
+            valid = take(rows, "validity")
+            if bytes(valid).translate(None, b"\x00\x01"):
+                raise DataFormatError("corrupt staging block: validity")
+            offsets = _int64s(take(8 * (rows + 1), "offsets"))
+            if offsets[0] != 0 or not all(
+                    map(le, offsets, islice(offsets, 1, None))):
+                raise DataFormatError("corrupt staging block: offsets")
+            blob = take(offsets[-1], "blob")
+            try:
+                str(blob, "utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(
+                    f"corrupt staging block: {exc}") from exc
+            columns.append(TextColumn(valid, offsets, blob))
+        blocks.append(Block(seq, columns))
+    return blocks

@@ -376,9 +376,23 @@ class CdwTable:
         else:
             self._rows.extend(new_rows)
 
+    def raw_text_column(self, idx: int) -> bool:
+        """Whether column ``idx`` stores any text unchecked: a nullable,
+        unbounded NVARCHAR/VARCHAR of a columnar table in no unique key.
+
+        :meth:`append_columns` takes such a column's values as a
+        :class:`~repro.cdw.columns.TextColumn` and appends its buffers.
+        """
+        spec = self.columns[idx]
+        return (self._store is not None and spec.nullable
+                and spec.ctype.base in ("NVARCHAR", "VARCHAR")
+                and spec.ctype.length is None
+                and not any(idx in key for key in self.unique_keys))
+
     def append_columns(self, column_values: list[list]) -> None:
         """Columnwise :meth:`append_rows`: one value list per column,
-        all the same length, values already coerced.
+        all the same length, values already coerced.  A
+        :meth:`raw_text_column`'s values may come as a ``TextColumn``.
 
         The COPY/INSERT..SELECT hot path — rows never exist as tuples.
         """

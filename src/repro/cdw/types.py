@@ -8,6 +8,7 @@ statement, which is what forces Hyper-Q's adaptive error handling.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -92,6 +93,9 @@ class CdwType:
                        for v in column_values):
                     return list(column_values)
             elif base in _INT_RANGES:
+                if base == "BIGINT" and type(column_values) is array \
+                        and column_values.typecode == "q":
+                    return column_values      # int64s are BIGINTs
                 low, high = _INT_RANGES[base]
                 out: list = []
                 append = out.append

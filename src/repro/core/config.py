@@ -36,8 +36,6 @@ class HyperQConfig:
     compression: str | None = None
     #: cloud store container staging files are uploaded into.
     container: str = "hyperq-staging"
-    #: delimiter of the CSV staging files.
-    csv_delimiter: str = ","
     #: stride between per-chunk sequence-number blocks; must exceed the
     #: number of records any single client chunk can contain.
     seq_stride: int = 1 << 20

@@ -1,30 +1,36 @@
-"""DataConverter: legacy wire chunks → CDW staging-file chunks (Section 4).
+"""DataConverter: legacy wire chunks → CDW staging blocks (Section 4).
 
 One conversion turns a chunk of legacy-encoded records (VARTEXT or BINARY)
-into CSV bytes the CDW's ``COPY INTO`` understands, handling exactly the
-discrepancies the paper lists: binary value decoding, *null detection*
-(legacy empty VARTEXT field = NULL, CDW distinguishes ``\\N`` from ``""``),
-and escaping of special characters (the CSV quoting rules).
+into one staging block (:mod:`repro.cdw.stagefile`) the CDW's ``COPY
+INTO … FORMAT block`` appends column by column, handling exactly the
+discrepancies the paper lists: binary value decoding (typed values
+become the text the CSV rules render) and *null detection* (legacy
+empty VARTEXT field = NULL; the block's validity bytes distinguish NULL
+from ``""``).  A block needs no escaping: values are length-delimited.
 
 Each record receives a synthetic ``__SEQ`` value ``chunk_seq * stride +
 index`` so the staging table preserves the input-file order across
 out-of-order parallel conversion — the basis for the adaptive error
 handler's range splitting and row-number reporting.
 
-Records that cannot be decoded at all (wrong field count, truncated
-binary) are *acquisition errors*: they are excluded from the staging data
-and reported with their legacy error code so Beta can record them in the
-transformation error table.
+A clean VARTEXT chunk — no backslash, every non-empty line of the
+layout's arity — splits into columns with a handful of C-level bytes
+calls.  Any other chunk goes record by record through the compiled
+codec's decoder.  Records that cannot be decoded at all (wrong field
+count, truncated binary) are *acquisition errors*: they are excluded
+from the staging data and reported with their legacy error code so Beta
+can record them in the transformation error table.
 """
 
 from __future__ import annotations
 
-import threading
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.cdw import stagefile
 from repro.errors import DataFormatError
-from repro.legacy.datafmt import RecordFormat
+from repro.legacy.datafmt import RecordFormat, VartextFormat
 from repro.obs import NULL_OBS, Observability, get_logger
 
 __all__ = ["ConvertedChunk", "AcquisitionError", "DataConverter"]
@@ -47,9 +53,14 @@ class ConvertedChunk:
     """The output of one DataConverter invocation."""
 
     chunk_seq: int
-    csv_bytes: bytes
+    #: one staging block, or ``b""`` when every record was rejected.
+    block: bytes
     records: int
     errors: list[AcquisitionError] = field(default_factory=list)
+
+    # The frozen benchmark's convert hook (benchmarks/e2e/tracing.py)
+    # reads the staged size under this name.
+    csv_bytes = property(lambda self: self.block)
 
     @property
     def total_records(self) -> int:
@@ -65,22 +76,32 @@ class DataConverter:
     """
 
     def __init__(self, record_format: RecordFormat, seq_stride: int,
-                 csv_delimiter: str = ",",
                  obs: Observability = NULL_OBS,
                  staging_table: str | None = None):
         self.record_format = record_format
         self.seq_stride = seq_stride
-        self.csv_delimiter = csv_delimiter
         self.obs = obs
         self.staging_table = staging_table
-        self.kernel = stagefile.CsvKernel(csv_delimiter)
-        # Each pool thread running convert lanes reuses one scratch buffer
-        # instead of growing a fresh list per chunk.
-        self._scratch = threading.local()
+        self._arity = record_format.layout.arity
+        #: the VARTEXT delimiter as bytes (None for BINARY).  UTF-8 is
+        #: self-synchronising, so splitting the bytes on it splits the
+        #: text on it.
+        self._separator = (
+            record_format.delimiter.encode("utf-8")
+            if isinstance(record_format, VartextFormat) else None)
 
     def convert(self, chunk_seq: int, data: bytes) -> ConvertedChunk:
-        """Convert one legacy chunk into CSV staging bytes."""
-        total = self.record_format.count_records(data)
+        """Convert one legacy chunk into one staging block."""
+        lines = None
+        if self._separator is not None:
+            # The VARTEXT records: its non-empty lines (no UTF-8
+            # character holds the byte 0x0A).
+            lines = data.split(b"\n")
+            if b"" in lines:
+                lines = [line for line in lines if line]
+            total = len(lines)
+        else:
+            total = self.record_format.count_records(data)
         if total > self.seq_stride:
             where = (f" of staging table {self.staging_table}"
                      if self.staging_table else "")
@@ -89,27 +110,13 @@ class DataConverter:
                 f"than the configured seq_stride of {self.seq_stride}; "
                 f"raise seq_stride")
         base = chunk_seq * self.seq_stride
-        out = getattr(self._scratch, "lines", None)
-        if out is None:
-            out = self._scratch.lines = []
-        else:
-            out.clear()
         errors: list[AcquisitionError] = []
-        index = 0
-        render_row = self.kernel.render_row
-        append = out.append
-        for item in self.record_format.iter_decode(data):
-            seq = base + index
-            index += 1
-            if isinstance(item, DataFormatError):
-                errors.append(AcquisitionError(
-                    seq=seq, code=item.code, field=item.field,
-                    message=str(item)))
-                continue
-            append(render_row(item, seq))
-        records = index - len(errors)
-        csv_bytes = "".join(out).encode("utf-8")
-        out.clear()
+        converted = None
+        if lines is not None:
+            converted = self._split_clean(data, lines, base)
+        if converted is None:
+            converted = self._convert_records(data, base, errors)
+        block, records = converted
         self.obs.records_converted.inc(records)
         if errors:
             self.obs.acquisition_errors.inc(len(errors))
@@ -117,7 +124,48 @@ class DataConverter:
                       chunk_seq, len(errors))
         return ConvertedChunk(
             chunk_seq=chunk_seq,
-            csv_bytes=csv_bytes,
+            block=block,
             records=records,
             errors=errors,
         )
+
+    def _split_clean(self, data: bytes, lines: list[bytes],
+                     base: int) -> "tuple[bytes, int] | None":
+        """A clean VARTEXT chunk (its non-empty ``lines``) as ``(block,
+        records)``; None for a chunk with an escape or a line of the
+        wrong arity."""
+        data.decode("utf-8")      # the decoder's validation and error
+        if b"\\" in data:
+            return None
+        separator = self._separator
+        arity = self._arity
+        gaps = list(map(bytes.count, lines, repeat(separator)))
+        if gaps.count(arity - 1) != len(lines):
+            return None
+        if not lines:
+            return b"", 0
+        fields = separator.join(lines).split(separator)
+        columns = [stagefile.fields_column(fields[i::arity])
+                   for i in range(arity)]
+        seq = array("q", range(base, base + len(lines)))
+        return stagefile.encode_block(seq, columns), len(lines)
+
+    def _convert_records(self, data: bytes, base: int,
+                         errors: list) -> tuple[bytes, int]:
+        """Record-by-record conversion through the codec's decoder;
+        rejected records append to ``errors``."""
+        seq = array("q")
+        rows = []
+        for index, item in enumerate(self.record_format.iter_decode(data)):
+            if isinstance(item, DataFormatError):
+                errors.append(AcquisitionError(
+                    seq=base + index, code=item.code, field=item.field,
+                    message=str(item)))
+                continue
+            rows.append(item)
+            seq.append(base + index)
+        if not rows:
+            return b"", 0
+        columns = [stagefile.values_column(column)
+                   for column in zip(*rows)]
+        return stagefile.encode_block(seq, columns), len(rows)

@@ -1,7 +1,9 @@
 """FileWriter: serialize converted chunks into local staging files.
 
 Section 3/5: the FileWriter receives converted chunks from parallel
-sessions and serializes them into disk files; "the maximum size of the
+sessions and serializes them into disk files — here by concatenating
+each chunk's staging block (:mod:`repro.cdw.stagefile`) into
+``part-<writer>-<file>.blk``; "the maximum size of the
 serialized file is chosen to maximize the load performance into the CDW";
 finalized files are handed to the upload stage.  Several FileWriters can
 run concurrently, each building its own sequence of files.
@@ -46,7 +48,7 @@ class StagedFile:
 
 
 class FileWriter:
-    """Accumulates CSV bytes and cuts files at the size threshold.
+    """Concatenates staging blocks and cuts files at the size threshold.
 
     Not thread-safe by itself: the pipeline gives each FileWriter its own
     ordered lane, which also "prevents fluctuations in I/O performance
@@ -61,7 +63,9 @@ class FileWriter:
         self.writer_no = writer_no
         self.threshold_bytes = threshold_bytes
         self.obs = obs
-        self._buffer = bytearray()
+        #: the blocks of the file being built, and their total size.
+        self._blocks: list[bytes] = []
+        self._size = 0
         self._buffered_records = 0
         self._buffered_chunks: list[dict] = []
         #: resumed jobs continue numbering so new files never collide
@@ -70,19 +74,21 @@ class FileWriter:
         self.files_written = 0
         self.bytes_written = 0
 
-    def append(self, csv_bytes: bytes, records: int,
+    def append(self, block: bytes, records: int,
                chunk: dict | None = None) -> StagedFile | None:
-        """Buffer one converted chunk; returns a file when one fills up.
+        """Buffer one converted chunk's block; returns a file when one
+        fills up.
 
         ``chunk`` is the manifest entry describing the buffered chunk
         (seq, record count, acquisition errors) — carried onto the
         finalized :class:`StagedFile` for checkpoint journaling.
         """
-        self._buffer += csv_bytes
+        self._blocks.append(block)
+        self._size += len(block)
         self._buffered_records += records
         if chunk is not None:
             self._buffered_chunks.append(chunk)
-        if len(self._buffer) >= self.threshold_bytes:
+        if self._size >= self.threshold_bytes:
             return self._finalize()
         return None
 
@@ -91,30 +97,31 @@ class FileWriter:
 
         A buffer of zero bytes still finalizes when chunk manifests are
         pending: a chunk whose records were all rejected contributes no
-        CSV, but its manifest entry must reach the checkpoint journal
+        block, but its manifest entry must reach the checkpoint journal
         all the same.
         """
-        if not self._buffer and not self._buffered_chunks:
+        if not self._size and not self._buffered_chunks:
             return None
         return self._finalize()
 
     def _finalize(self) -> StagedFile:
-        name = f"part-{self.writer_no:02d}-{self._file_no:05d}.csv"
+        name = f"part-{self.writer_no:02d}-{self._file_no:05d}.blk"
         path = os.path.join(self.directory, name)
         with open(path, "wb") as handle:
-            handle.write(self._buffer)
+            handle.writelines(self._blocks)
         staged = StagedFile(
-            path=path, size=len(self._buffer),
+            path=path, size=self._size,
             records=self._buffered_records,
             chunks=tuple(self._buffered_chunks))
         self.files_written += 1
-        self.bytes_written += len(self._buffer)
+        self.bytes_written += self._size
         self.obs.files_written.inc()
         self.obs.staged_file_bytes.observe(staged.size)
         log.debug("finalized staging file %s (%d bytes, %d records)",
                   name, staged.size, staged.records)
         self._file_no += 1
-        self._buffer = bytearray()
+        self._blocks = []
+        self._size = 0
         self._buffered_records = 0
         self._buffered_chunks = []
         return staged

@@ -556,7 +556,6 @@ class HyperQNode:
         converter = DataConverter(
             record_format,
             seq_stride=self.config.seq_stride,
-            csv_delimiter=self.config.csv_delimiter,
             obs=self.obs,
             staging_table=staging_table)
         pipeline = AcquisitionPipeline(

@@ -5,13 +5,14 @@ Stage wiring for one load job::
     session handler ──credit──> convert lane ``seq % converters``
          (ack sent immediately after enqueueing; credits provide the only
           back-pressure, exactly as in Section 5)
-    DataConverter ──(credit, converted chunk)──> writer lane
+    DataConverter ──(credit, one staging block)──> writer lane
          ``seq % filewriters``
     FileWriter: returns the credit *just before* writing to disk (Fig. 4),
-         cuts staging files at the size threshold
+         concatenates blocks and cuts staging files at the size threshold
     finalized file ──> upload lane ──> cloud bulk loader ──> store
-    drain(): flush writers, wait for uploads, then one in-cloud COPY INTO
-         the staging table
+    drain(): flush writers, wait for uploads, then one in-cloud
+         ``COPY INTO … FORMAT block`` into the staging table, which
+         appends the blocks' column buffers in ``__SEQ`` order
 
 Every stage is a :class:`_SerialLane` — an ordered task stream — on the
 :class:`PipelineWorkerPool` the pipeline is handed: the node's one
@@ -42,6 +43,7 @@ import time
 from dataclasses import asdict
 from functools import partial
 
+from repro.cdw import stagefile
 from repro.cdw.bulkloader import CloudBulkLoader
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
@@ -66,7 +68,8 @@ log = get_logger("pipeline")
 _STOP = object()
 _FLUSH = object()
 
-_PART_NAME = re.compile(r"part-(\d+)-(\d+)\.csv$")
+#: a FileWriter's staging file name (``FileWriter._finalize``).
+_PART_NAME = re.compile(r"part-(\d+)-(\d+)\.blk$")
 
 
 class PipelineWorkerPool:
@@ -414,12 +417,12 @@ class AcquisitionPipeline:
         write_span = self.obs.tracer.span(
             "write", parent=convert_span,
             chunk_seq=converted.chunk_seq,
-            bytes=len(converted.csv_bytes))
+            bytes=len(converted.block))
         try:
             with self.obs.stage_seconds.labels(
                     stage="write").time():
                 staged = writer.append(
-                    converted.csv_bytes, converted.records,
+                    converted.block, converted.records,
                     chunk=self._manifest_entry(converted))
         except BaseException as exc:
             write_span.end("error")
@@ -433,10 +436,10 @@ class AcquisitionPipeline:
                 converted.total_records
             self.acquisition_errors.extend(converted.errors)
             self.metrics.records_converted += converted.records
-            self.metrics.bytes_staged += len(converted.csv_bytes)
+            self.metrics.bytes_staged += len(converted.block)
             self._written += 1
             self._state.notify_all()
-        self.obs.bytes_staged.inc(len(converted.csv_bytes))
+        self.obs.bytes_staged.inc(len(converted.block))
 
     def _enqueue_upload(self, staged: StagedFile,
                         journaled: bool = False) -> None:
@@ -514,7 +517,7 @@ class AcquisitionPipeline:
         statement = n.CopyInto(
             n.TableRef(self.staging_table),
             CloudStore.make_url(self.container, self.prefix),
-            delimiter=self.config.csv_delimiter)
+            file_format=stagefile.BLOCK_FORMAT)
 
         def attempt():
             # Safe to retry: the engine's set-oriented execution is

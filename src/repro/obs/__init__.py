@@ -123,13 +123,13 @@ class Observability:
             "Raw legacy-encoded bytes accepted")
         self.records_converted = reg.counter(
             "hyperq_records_converted_total",
-            "Records successfully converted to staging CSV")
+            "Records successfully converted to staging blocks")
         self.acquisition_errors = reg.counter(
             "hyperq_acquisition_errors_total",
             "Records rejected during conversion")
         self.bytes_staged = reg.counter(
             "hyperq_bytes_staged_total",
-            "CSV bytes handed to the FileWriters")
+            "Staging block bytes handed to the FileWriters")
         self.files_written = reg.counter(
             "hyperq_files_written_total",
             "Staging files finalized on local disk")

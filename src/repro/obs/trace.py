@@ -12,7 +12,7 @@ one load job yields a tree like::
     │   ├── credit.acquire
     │   └── convert                [convert lane]
     │       └── write              [writer lane]
-    ├── upload (part-00-00000.csv) [upload lane]
+    ├── upload (part-00-00000.blk) [upload lane]
     ├── copy
     └── apply
         ├── apply.locate           (located apply: the locate pass)

@@ -1,12 +1,14 @@
 """Tests for the cloud store, bulk loader, and COPY INTO."""
 
+from array import array
+
 import pytest
 
 from repro.cdw import stagefile
 from repro.cdw.bulkloader import CloudBulkLoader
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
-from repro.errors import BulkExecutionError, StorageError
+from repro.errors import BulkExecutionError, CdwError, StorageError
 
 
 class TestCloudStore:
@@ -143,3 +145,38 @@ class TestCopyInto:
         from repro.errors import CdwError
         with pytest.raises(CdwError):
             engine.execute("COPY INTO t FROM 'store://stage/j/'")
+
+    def test_copy_unknown_format_raises_before_reading_a_blob(self):
+        engine = self._engine_with_blobs({"j/p0.csv": [("1", "a")]})
+        reads = []
+        get_blob = engine.store.get_blob
+        engine.store.get_blob = lambda *args: reads.append(args) or \
+            get_blob(*args)
+        with pytest.raises(CdwError, match="parquet"):
+            engine.execute(
+                "COPY INTO t FROM 'store://stage/j/' FORMAT parquet")
+        assert reads == []
+        assert engine.query("SELECT COUNT(*) FROM t") == [(0,)]
+
+    def test_copy_format_block_appends_in_seq_order(self):
+        store = CloudStore()
+        store.create_container("stage")
+        late = stagefile.encode_block(
+            array("q", [7]), [stagefile.values_column(["late"])])
+        early = stagefile.encode_block(
+            array("q", [2, 5]), [stagefile.values_column(["a", None])])
+        store.put_blob("stage", "j/p0.blk", late)
+        store.put_blob("stage", "j/p1.blk", early)
+        engine = CdwEngine(store=store)
+        engine.execute("CREATE TABLE s (V NVARCHAR, __SEQ BIGINT)")
+        result = engine.execute(
+            "COPY INTO s FROM 'store://stage/j/' FORMAT block")
+        assert result.rows_inserted == 3
+        assert list(engine.catalog.get("s").rows) == \
+            [("a", 2), (None, 5), ("late", 7)]
+        # A second COPY appends behind the rows already stored.
+        store.put_blob("stage", "k/p0.blk", stagefile.encode_block(
+            array("q", [9]), [stagefile.values_column(["é"])]))
+        engine.execute("COPY INTO s FROM 'store://stage/k/' FORMAT block")
+        assert engine.query("SELECT V FROM s WHERE __SEQ > 5") == \
+            [("late",), ("é",)]

@@ -1,4 +1,4 @@
-"""DataConverter tests: legacy chunk -> CSV staging bytes."""
+"""DataConverter tests: legacy chunk -> one staging block."""
 
 import datetime
 
@@ -16,6 +16,16 @@ LAYOUT = Layout("L", [
 ])
 
 
+def staged_rows(block):
+    """The ``(field..., __SEQ)`` tuples of a converted chunk's block."""
+    rows = []
+    for decoded in stagefile.decode_blocks(block):
+        columns = [column.to_list(0, len(column))
+                   for column in decoded.columns]
+        rows.extend(zip(*columns, decoded.seq.tolist()))
+    return rows
+
+
 def make_converter(record_format=None, stride=1000):
     fmt = record_format or VartextFormat(LAYOUT)
     return DataConverter(fmt, seq_stride=stride)
@@ -26,30 +36,28 @@ class TestConvert:
         converter = make_converter()
         converted = converter.convert(0, b"x|y\na|b\n")
         assert converted.records == 2
-        rows = list(stagefile.decode_csv_rows(converted.csv_bytes))
-        assert rows == [("x", "y", "0"), ("a", "b", "1")]
+        rows = staged_rows(converted.block)
+        assert rows == [("x", "y", 0), ("a", "b", 1)]
 
     def test_seq_uses_stride(self):
         converter = make_converter(stride=100)
         converted = converter.convert(3, b"x|y\n")
-        rows = list(stagefile.decode_csv_rows(converted.csv_bytes))
-        assert rows[0][-1] == "300"
+        assert staged_rows(converted.block) == [("x", "y", 300)]
 
     def test_null_becomes_marker_not_empty(self):
         """The null-detection discrepancy of Section 4: legacy empty
-        vartext field -> CDW NULL marker."""
+        vartext field -> CDW NULL (a validity byte of 0)."""
         converter = make_converter()
         converted = converter.convert(0, b"x|\n")
-        assert b"\\N" in converted.csv_bytes
-        rows = list(stagefile.decode_csv_rows(converted.csv_bytes))
-        assert rows[0][1] is None
+        (block,) = stagefile.decode_blocks(converted.block)
+        assert list(block.columns[1].valid) == [0]
+        assert staged_rows(converted.block) == [("x", None, 0)]
 
     def test_special_characters_escaped(self):
         converter = make_converter()
         data = VartextFormat(LAYOUT).encode_record(('a,"b', "c\nd"))
         converted = converter.convert(0, data)
-        rows = list(stagefile.decode_csv_rows(converted.csv_bytes))
-        assert rows[0][:2] == ('a,"b', "c\nd")
+        assert staged_rows(converted.block) == [('a,"b', "c\nd", 0)]
 
     def test_bad_records_become_acquisition_errors(self):
         converter = make_converter()
@@ -58,6 +66,7 @@ class TestConvert:
         assert len(converted.errors) == 1
         assert converted.errors[0].seq == 1  # second record of chunk 0
         assert converted.total_records == 3
+        assert staged_rows(converted.block) == [("a", "b", 0), ("c", "d", 2)]
 
     def test_binary_input_types_serialized(self):
         layout = Layout("B", [
@@ -68,8 +77,7 @@ class TestConvert:
         converter = DataConverter(fmt, seq_stride=100)
         data = fmt.encode_record((7, datetime.date(2020, 1, 2)))
         converted = converter.convert(0, data)
-        rows = list(stagefile.decode_csv_rows(converted.csv_bytes))
-        assert rows == [("7", "2020-01-02", "0")]
+        assert staged_rows(converted.block) == [("7", "2020-01-02", 0)]
 
     def test_stride_overflow_raises(self):
         converter = make_converter(stride=2)
@@ -79,16 +87,14 @@ class TestConvert:
     def test_empty_chunk(self):
         converted = make_converter().convert(0, b"")
         assert converted.records == 0
-        assert converted.csv_bytes == b""
+        assert converted.block == converted.csv_bytes == b""
 
     def test_scratch_buffer_does_not_leak_between_chunks(self):
         converter = make_converter()
         first = converter.convert(0, b"x|y\n")
         second = converter.convert(1, b"a|b\n")
-        assert list(stagefile.decode_csv_rows(first.csv_bytes)) == \
-            [("x", "y", "0")]
-        assert list(stagefile.decode_csv_rows(second.csv_bytes)) == \
-            [("a", "b", "1000")]
+        assert staged_rows(first.block) == [("x", "y", 0)]
+        assert staged_rows(second.block) == [("a", "b", 1000)]
 
 
 class TestOversizeChunk:

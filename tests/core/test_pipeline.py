@@ -45,8 +45,10 @@ def build_rig(staging_dir, worker_pool, *, converters=2, cloud=None,
             "CREATE TABLE STG (A NVARCHAR, B NVARCHAR, __SEQ BIGINT)")
     else:
         store, engine = cloud
+    # Two one-row blocks fill a file, so an unflushed writer holds a
+    # partial one (test_resume_skips_durable_chunks).
     config = HyperQConfig(converters=converters, filewriters=2, credits=4,
-                          file_threshold_bytes=64)
+                          file_threshold_bytes=160)
     credits = CreditManager(config.credits, timeout_s=10)
     metrics = JobMetrics(job_id="j1")
     pipeline = AcquisitionPipeline(

@@ -8,15 +8,19 @@ double-loading — the end state is exactly-once.
 """
 
 import dataclasses
+import os
 import threading
+import time
 
 import pytest
 
+from repro.core.config import HyperQConfig
 from repro.errors import TransportClosed
 from repro.legacy.client import ImportJobSpec, LegacyEtlClient
 from repro.legacy.protocol import MessageChannel, MessageKind
 from repro.legacy.types import FieldDef, Layout, parse_type
 from repro.resilience import CheckpointJournal
+from tests.conftest import make_node
 
 LAYOUT = Layout("L", [FieldDef("A", parse_type("varchar(12)"))])
 
@@ -141,6 +145,80 @@ class TestRestart:
                         MessageKind.END_LOAD_OK)
         data_channel.close()
         client.logoff()
+
+
+class TestResumeFromBlockFiles:
+    """A resumed load whose journal holds durable staging block files
+    and one pending file lands exactly what an uninterrupted load
+    lands."""
+
+    DATA = "".join(f"row-{i:04d}-{'x' * 24}\n" for i in range(24)).encode()
+
+    def _spec(self, tmp_path, **extra):
+        return ImportJobSpec(
+            target_table="R", et_table="R_ET", uv_table="R_UV",
+            layout=Layout("L", [FieldDef("A", parse_type("varchar(40)"))]),
+            apply_sql="insert into R values (:A)", data=self.DATA,
+            sessions=1, chunk_bytes=16, job_id="blockresume",
+            journal_path=str(tmp_path / "client.jsonl"), **extra)
+
+    def _target(self, config, spec, interrupt=None):
+        with make_node(config=config) as stack:
+            client = LegacyEtlClient(stack.node.connect, timeout=15)
+            client.logon("h", "u", "p")
+            client.execute_sql(
+                "create table R (A varchar(40) not null, unique (A))")
+            if interrupt is not None:
+                interrupt(client, stack)
+                spec = dataclasses.replace(spec, resume=True)
+            result = client.run_import(spec)
+            client.logoff()
+            rows = stack.engine.query("SELECT A FROM R ORDER BY A")
+            return rows, (result.rows_inserted, result.et_errors,
+                          result.uv_errors)
+
+    def test_durable_blocks_and_a_requeued_file(self, tmp_path):
+        # One chunk per staging file.  Run 1's connection drops after
+        # 8 chunks and the 8th file's upload fails for good, so the
+        # journal holds 7 uploaded block files and one pending one.
+        config = HyperQConfig(
+            converters=1, filewriters=1, credits=8,
+            file_threshold_bytes=16,
+            chaos_profile=[
+                {"point": "net.send", "at_call": 12, "max_fires": 1},
+                {"point": "store.upload", "at_call": 8, "max_fires": 1,
+                 "error": "permanent"}])
+        state = {}
+
+        def interrupt(client, stack):
+            with pytest.raises(TransportClosed):
+                client.run_import(self._spec(tmp_path))
+            job_dir = os.path.join(stack.node._base_dir, "blockresume")
+            journal_path = os.path.join(job_dir, "checkpoint.jsonl")
+            deadline = time.monotonic() + 10
+            while stack.store.upload_count < 7 \
+                    or stack.node.stats()["active_jobs"]:
+                assert time.monotonic() < deadline, "run 1 never settled"
+                time.sleep(0.01)
+            journal = CheckpointJournal(journal_path)
+            state["uploaded"] = sorted(journal.uploaded)
+            state["pending"] = [rec["path"]
+                                for rec in journal.pending_files()]
+            journal.close()
+            state["on_disk"] = all(os.path.exists(path)
+                                   for path in state["pending"])
+
+        resumed = self._target(config, self._spec(tmp_path), interrupt)
+        assert len(state["uploaded"]) == 7
+        assert all(name.endswith(".blk") for name in state["uploaded"])
+        assert len(state["pending"]) == 1 and state["on_disk"]
+        (tmp_path / "clean").mkdir()
+        clean = self._target(
+            HyperQConfig(converters=1, filewriters=1, credits=8,
+                         file_threshold_bytes=16),
+            self._spec(tmp_path / "clean"))
+        assert resumed == clean
+        assert clean[1] == (24, 0, 0)
 
 
 def lose_first_apply_result(monkeypatch):
