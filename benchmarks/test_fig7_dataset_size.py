@@ -5,14 +5,15 @@ the data-acquisition phase, then the application phase, and "other"
 (startup/teardown) is small and size-independent.  At 4x rows the
 acquisition phase grew 340% and the application phase 270%.
 
-Since PR 3 the compiled row codecs cut per-row conversion several-fold,
-so in this reproduction the acquisition phase no longer *dominates* the
-application phase the way the paper's Figure 7 shows — the optimization
-moved the bottleneck, and a ~0.25s acquisition phase is too noisy for
-growth-ratio gates at this scale.  This test asserts the stable shape
-(time grows with size, startup/teardown stays small); the strict
-sub-linearity claim is cross-checked deterministically at the paper's
-true scale in ``test_fig7_paper_scale_sim.py``.
+The compiled row codecs cut per-row conversion several-fold, which for
+a while left the application phase the larger one; since the apply's
+INSERT … SELECT runs on column buffers, acquisition is again most of
+the job, as in the paper's Figure 7.  Phases of a few tenths of a
+second are too noisy for growth-ratio gates at this scale.  This test
+asserts the stable shape (time grows with size, startup/teardown stays
+small); the strict sub-linearity claim is cross-checked
+deterministically at the paper's true scale in
+``test_fig7_paper_scale_sim.py``.
 
 The series logic lives in :mod:`repro.bench.figures` (also reachable via
 ``python -m repro figures``); this benchmark adds the expected-shape
@@ -37,8 +38,8 @@ def test_fig7_dataset_size(benchmark, results_dir):
         f"Figure 7: performance with dataset size "
         f"(base {series[0]['rows']} rows ~= paper's 25M)",
         series,
-        note=("expect: total grows with rows; 'other' flat and small "
-              "(compiled codecs moved the bottleneck to apply)"))
+        note=("expect: total grows with rows; 'other' flat and small; "
+              "acquisition the larger phase"))
     emit(results_dir, "fig7_dataset_size", text)
     bench_json("fig7", {"scale": SCALE, "series": series})
 

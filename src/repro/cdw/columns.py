@@ -18,16 +18,18 @@ column store must accept anything a Python list would.
 
 The store is an *internal* representation: :class:`CdwTable` presents
 the same tuple-level API as before through a view shim, and the engine
-opts into columnar reads via ``column_list``.
+opts into columnar reads via ``column_list`` and ``column_vector``.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import islice
+from itertools import accumulate, islice
+from operator import sub
 
-__all__ = ["ColumnStore", "TextColumn", "column_for_type"]
+__all__ = ["ColumnStore", "TextColumn", "TextSlice", "column_for_type",
+           "decoded"]
 
 _INT_BASES = ("SMALLINT", "INT", "BIGINT")
 _CHAR_BASES = ("NVARCHAR", "VARCHAR", "CHAR")
@@ -46,7 +48,7 @@ class _BaseColumn:
             self.append(v)
 
     def null_count(self) -> int:
-        return len(self.valid) - sum(self.valid)
+        return self.valid.count(0)
 
 
 class _IntColumn(_BaseColumn):
@@ -82,7 +84,7 @@ class _IntColumn(_BaseColumn):
 
     def to_list(self, lo: int, hi: int) -> list:
         data, valid = self.data, self.valid
-        if len(valid) == sum(valid):          # no NULLs: bulk convert
+        if valid.find(0, lo, hi) == -1:     # no NULL in range: bulk convert
             return data[lo:hi].tolist()
         return [data[i] if valid[i] else None for i in range(lo, hi)]
 
@@ -126,7 +128,7 @@ class _FloatColumn(_BaseColumn):
 
     def to_list(self, lo: int, hi: int) -> list:
         data, valid = self.data, self.valid
-        if len(valid) == sum(valid):
+        if valid.find(0, lo, hi) == -1:
             return data[lo:hi].tolist()
         return [data[i] if valid[i] else None for i in range(lo, hi)]
 
@@ -236,8 +238,15 @@ class TextColumn(_BaseColumn):
 
     def append_many(self, values) -> None:
         """Append values; another TextColumn appends buffer by buffer,
-        and an empty column takes its buffers over (the caller hands
-        them off)."""
+        and an empty column takes its buffers over.
+
+        Handing a TextColumn in hands its buffers off: only a caller
+        that owns them exclusively may pass one — a column it built
+        (:meth:`concat`, :meth:`TextSlice.copy`, a decoded staging
+        block) and keeps no other reference to.  A table's own column
+        is never passed, so no two columns share a ``bytearray`` and a
+        :meth:`truncate` of one never reaches another.
+        """
         if type(values) is not TextColumn:
             _BaseColumn.append_many(self, values)
             return
@@ -262,18 +271,23 @@ class TextColumn(_BaseColumn):
     def to_list(self, lo: int, hi: int) -> list:
         """Values ``[lo, hi)`` as ``str | None``."""
         offsets, valid = self.offsets, self.valid
-        out = []
-        append = out.append
         start = offsets[lo]
-        # One immutable copy: bytes slices decode without further copies
-        # of the mutable blob.
-        buf = bytes(self.blob[start:offsets[hi]])
-        for i in range(lo, hi):
-            if valid[i]:
-                append(buf[offsets[i] - start:offsets[i + 1] - start]
-                       .decode("utf-8"))
-            else:
-                append(None)
+        # One immutable copy of the range; ASCII bytes decode once and
+        # slice at the byte offsets, which are then character offsets.
+        buf = bytes(memoryview(self.blob)[start:offsets[hi]])
+        starts, ends = offsets[lo:hi], offsets[lo + 1:hi + 1]
+        if start:
+            starts = map((-start).__add__, starts)
+            ends = map((-start).__add__, ends)
+        if buf.isascii():
+            out = list(map(buf.decode("ascii").__getitem__,
+                           map(slice, starts, ends)))
+        else:
+            out = list(map(bytes.decode,
+                           map(buf.__getitem__, map(slice, starts, ends))))
+        present = valid[lo:hi]
+        if 0 in present:
+            out = [v if p else None for v, p in zip(out, present)]
         return out
 
     def truncate(self, length: int) -> None:
@@ -302,6 +316,94 @@ class TextColumn(_BaseColumn):
                 + len(self.valid))
 
 
+#: the bytes ``str.strip()`` removes that are ASCII: ``\t\n\v\f\r``,
+#: ``\x1c``-``\x1f`` and space.
+_ASCII_WHITESPACE = (*range(0x09, 0x0E), *range(0x1C, 0x21))
+
+
+class TextSlice:
+    """Values ``[lo, hi)`` of a :class:`TextColumn`, read in place.
+
+    The vector path's form of a text column (:mod:`repro.cdw.expressions`):
+    its kernels decide a whole slice with a few C-level calls over the
+    column's buffers, and :meth:`to_list` is where it becomes ``str``
+    values.  A slice never lends its buffers out: :meth:`copy` is the
+    only way its values reach another column.
+    """
+
+    __slots__ = ("column", "lo", "hi")
+
+    def __init__(self, column: TextColumn, lo: int, hi: int):
+        self.column = column
+        self.lo = lo
+        self.hi = hi
+
+    def __len__(self):
+        """Number of values (NULLs included)."""
+        return self.hi - self.lo
+
+    def sub(self, start: int, stop: int) -> "TextSlice":
+        """Values ``[start, stop)`` of this slice."""
+        return TextSlice(self.column, self.lo + start, self.lo + stop)
+
+    def to_list(self) -> list:
+        """The values as ``str | None``."""
+        return self.column.to_list(self.lo, self.hi)
+
+    def valid(self) -> bytes:
+        """The validity bytes (1 = present)."""
+        return bytes(self.column.valid[self.lo:self.hi])
+
+    def null_count(self) -> int:
+        """Number of NULLs."""
+        return self.column.valid.count(0, self.lo, self.hi)
+
+    def data(self) -> bytes:
+        """The values' UTF-8 bytes, end to end (NULLs span none)."""
+        offsets = self.column.offsets
+        return bytes(memoryview(self.column.blob)[
+            offsets[self.lo]:offsets[self.hi]])
+
+    def max_width(self) -> int:
+        """Byte width of the widest value (0 when there is none)."""
+        offsets = self.column.offsets
+        lo, hi = self.lo, self.hi
+        if hi == lo:
+            return 0
+        return max(map(sub, offsets[lo + 1:hi + 1], offsets[lo:hi]))
+
+    def has_width(self, width: int) -> bool:
+        """Whether every value is ``width`` bytes wide."""
+        offsets = self.column.offsets[self.lo:self.hi + 1]
+        base = offsets[0]
+        if not self.null_count():
+            return offsets == array(
+                "q", range(base, base + width * len(self) + 1, width))
+        ends = accumulate(self.valid(), initial=0)     # values so far
+        return offsets == array(
+            "q", map(base.__add__, map(width.__mul__, ends)))
+
+    def trim_safe(self) -> bool:
+        """Whether no value holds a character ``str.strip()`` removes,
+        so TRIM, LTRIM and RTRIM are the identity: the bytes are ASCII
+        and none is ASCII whitespace."""
+        data = self.data()
+        return data.isascii() and not any(
+            map(data.__contains__, _ASCII_WHITESPACE))
+
+    def copy(self) -> TextColumn:
+        """A new column of these values, with buffers of its own."""
+        column = self.column
+        lo, hi = self.lo, self.hi
+        offsets = column.offsets[lo:hi + 1]
+        base = offsets[0]
+        if base:
+            offsets = array("q", map((-base).__add__, offsets))
+        return TextColumn(bytearray(memoryview(column.valid)[lo:hi]), offsets,
+                          bytearray(memoryview(column.blob)[
+                              base:column.offsets[hi]]))
+
+
 class _ObjectColumn(_BaseColumn):
     """Fallback: a plain Python list (DECIMAL/DATE/TIMESTAMP, and any
     column a typed buffer rejected)."""
@@ -319,7 +421,7 @@ class _ObjectColumn(_BaseColumn):
         self.data.append(value)
 
     def append_many(self, values) -> None:
-        self.data.extend(values)
+        self.data.extend(decoded(values))
 
     def __getitem__(self, i):
         return self.data[i]
@@ -350,6 +452,17 @@ class _ObjectColumn(_BaseColumn):
         out = cls()
         out.data = column.to_list(0, len(column))
         return out
+
+
+def decoded(column):
+    """Candidate column values as a list: the values of a
+    :class:`TextColumn` or :class:`TextSlice` decoded, any other
+    sequence as it is."""
+    if type(column) is TextColumn:
+        return column.to_list(0, len(column))
+    if type(column) is TextSlice:
+        return column.to_list()
+    return column
 
 
 def column_for_type(base: str):
@@ -444,6 +557,14 @@ class ColumnStore:
         """One column's Python values over row range ``[lo, hi)``."""
         return self.cols[idx].to_list(
             lo, self._length if hi is None else hi)
+
+    def column_vector(self, idx: int, lo: int, hi: int):
+        """One column over ``[lo, hi)`` as the vector path reads it: a
+        :class:`TextSlice` of a text column, else a list of values."""
+        col = self.cols[idx]
+        if type(col) is TextColumn:
+            return TextSlice(col, lo, hi)
+        return col.to_list(lo, hi)
 
     # -- mutation ------------------------------------------------------------
 

@@ -32,10 +32,11 @@ from decimal import Decimal
 from repro import values
 from repro.cdw import stagefile
 from repro.cdw.cloudstore import CloudStore
-from repro.cdw.columns import TextColumn
-from repro.cdw.expressions import (VECTOR_ERRORS, _Evaluator, ColumnBatch,
-                                   GatherBatch, RowContext, compile_vector,
-                                   evaluate, first_failing_row, is_true,
+from repro.cdw.columns import TextColumn, TextSlice, decoded
+from repro.cdw.expressions import (KERNELS, VECTOR_ERRORS, _Evaluator,
+                                   ColumnBatch, GatherBatch, RowContext,
+                                   compile_vector, evaluate,
+                                   first_failing_row, is_true,
                                    prepare_layout, vec_values)
 from repro.cdw.locks import LockManager
 from repro.cdw.table import Catalog, CdwTable, ColumnSpec
@@ -135,6 +136,14 @@ class CdwEngine:
         #: optional observability hook ``(reason,)``, one call per
         #: :attr:`vector_fallbacks` increment.
         self.on_vector_fallback: "callable | None" = None
+        #: columns a buffer kernel could not decide, by kernel: the
+        #: statement stayed on vectors, and that one expression ran its
+        #: per-value closure over that column (counted once per
+        #: expression and statement; see repro.cdw.expressions).
+        self.kernel_declines = dict.fromkeys(KERNELS, 0)
+        #: optional observability hook ``(kernel,)``, one call per
+        #: :attr:`kernel_declines` increment.
+        self.on_kernel_decline: "callable | None" = None
 
     # -- locking -------------------------------------------------------------
 
@@ -307,10 +316,9 @@ class CdwEngine:
 
         Every block is decoded before anything is appended, and blocks
         append in the order of their first ``__SEQ`` (chunk ranges are
-        disjoint), so a staging table lands sorted.  A column that
-        stores any text unchecked (:meth:`CdwTable.raw_text_column`)
-        takes the blocks' buffers; every other column decodes its
-        texts and coerces as the CSV reader's fields do.
+        disjoint), so a staging table lands sorted.  Each text column
+        goes to :meth:`_coerce_columns` as one ``TextColumn``, as an
+        INSERT..SELECT's does.
         """
         blocks = [block for data in datas
                   for block in stagefile.decode_blocks(data)
@@ -324,18 +332,20 @@ class CdwEngine:
         seq = array("q")
         for block in blocks:
             seq += block.seq
-        cols: list = []
-        for i in range(table.arity - 1):
-            column = TextColumn.concat(
-                [block.columns[i] for block in blocks])
-            cols.append(column if table.raw_text_column(i)
-                        else column.to_list(0, len(column)))
+        cols: list = [TextColumn.concat([block.columns[i]
+                                         for block in blocks])
+                      for i in range(table.arity - 1)]
         cols.append(seq)
-        coerced = self._coerce_columns(table, cols)
-        if self.native_unique and table.unique_keys:
-            table.check_unique_append_columns(coerced)
-        table.append_columns(coerced)
+        self._append_checked(table, self._coerce_columns(table, cols))
         return CdwResult(kind="count", rows_inserted=len(seq))
+
+    def _append_checked(self, table: CdwTable, coerced: list) -> None:
+        """Append coerced columns after the unique check, which hands
+        the key sets it built to the append."""
+        new_keys = None
+        if self.native_unique and table.unique_keys:
+            new_keys = table.check_unique_append_columns(coerced)
+        table.append_columns(coerced, new_keys)
 
     def _row_copy(self, table: CdwTable, datas: list[bytes],
                   delimiter: str) -> CdwResult:
@@ -372,10 +382,7 @@ class CdwEngine:
                     bucket.extend(col)
         if cols is None:
             cols = [[] for _ in range(table.arity)]
-        coerced = self._coerce_columns(table, cols)
-        if self.native_unique and table.unique_keys:
-            table.check_unique_append_columns(coerced)
-        table.append_columns(coerced)
+        self._append_checked(table, self._coerce_columns(table, cols))
         return CdwResult(kind="count",
                          rows_inserted=len(cols[0]) if cols else 0)
 
@@ -763,11 +770,22 @@ class CdwEngine:
             self.on_vector_fallback("out_of_scope")
         return rows()
 
+    def _note_decline(self, kernel: str) -> None:
+        """Count one column a buffer kernel left to its per-value
+        closure (:attr:`kernel_declines`)."""
+        with self._counts_lock:
+            self.kernel_declines[kernel] += 1
+        if self.on_kernel_decline is not None:
+            self.on_kernel_decline(kernel)
+
     def _vector_eval(self, exprs: list[n.Expr], data, layout,
-                     binding_upper) -> "list[list] | None":
+                     binding_upper, buffers: bool = False
+                     ) -> "list[list] | None":
         """One phase of a vector statement: each expression's values
         over ``data``, one list per expression — or None when one is
-        outside the vector compiler's scope.
+        outside the vector compiler's scope.  With ``buffers``, an
+        expression whose values are a text column's buffers (a
+        ``TextSlice``) keeps them, for :meth:`_coerce_columns`.
 
         The row path evaluates a phase row by row, so its error is that
         of the first row any expression raises on.  When a closure
@@ -787,7 +805,10 @@ class CdwEngine:
         out = []
         try:
             for fn in fns:
-                out.append(vec_values(fn(data), nrows))
+                result = fn(data)
+                out.append(result[1] if buffers
+                           and type(result[1]) is TextSlice
+                           else vec_values(result, nrows))
             return out
         except VECTOR_ERRORS as exc:
             eager = repr(exc)           # (not exc: its traceback pins data)
@@ -840,7 +861,7 @@ class CdwEngine:
                         continue
                     residual = conjunct if residual is None \
                         else n.BinaryOp("AND", residual, conjunct)
-        batch = ColumnBatch(table, lo, max(hi, lo))
+        batch = ColumnBatch(table, lo, max(hi, lo), self._note_decline)
         if residual is None:
             return batch, layout, binding_upper
         masks = self._vector_eval([residual], batch, layout,
@@ -1157,34 +1178,40 @@ class CdwEngine:
         return tuple(full)
 
     @staticmethod
-    def _coerce_columns(table: CdwTable, cols: list[list]) -> list[list]:
-        """Columnwise :meth:`CdwTable.coerce_row` over candidate column
-        lists: NOT NULL checks and bulk coercion per column.  A
-        :class:`TextColumn` passes through unchecked.
+    def _coerce_columns(table: CdwTable, cols: list) -> list:
+        """Columnwise :meth:`CdwTable.coerce_row` over candidate columns:
+        NOT NULL checks and bulk coercion per column.
+
+        A text column may come as buffers: a ``TextColumn`` its caller
+        hands off, or a ``TextSlice`` of another table.  Into a VARCHAR
+        or NVARCHAR column such buffers are proven where they lie
+        (:func:`_proven_text`) and stay buffers — a slice is copied, so
+        the target owns what it appends.  Into any other type they are
+        decoded and coerced like a list.
 
         The row path coerces row by row, so when a column raises, the
-        first offending row is bisected out of slices of ``cols`` and
+        first offending row is bisected out of the decoded columns and
         :meth:`CdwTable.coerce_row` raises that row's error.
         """
-        def attempt(lo: int, hi: "int | None") -> list[list]:
-            out = []
-            for spec, col in zip(table.columns, cols):
-                if type(col) is TextColumn:
-                    # A raw text column (CdwTable.raw_text_column):
-                    # nothing to coerce or check.
-                    out.append(col)
-                    continue
-                if hi is not None:
-                    col = col[lo:hi]
-                if not spec.nullable and any(v is None for v in col):
-                    raise ExpressionError(f"NULL in {spec.name}")
-                out.append(spec.ctype.coerce_many(col, field=spec.name))
-            return out
+        def coerce(spec, col):
+            if not spec.nullable and None in col:
+                raise ExpressionError(f"NULL in {spec.name}")
+            return spec.ctype.coerce_many(col, field=spec.name)
 
         try:
-            return attempt(0, None)
+            return [_proven_text(spec, col)
+                    if type(col) in (TextColumn, TextSlice)
+                    and spec.ctype.base in ("NVARCHAR", "VARCHAR")
+                    else coerce(spec, decoded(col))
+                    for spec, col in zip(table.columns, cols)]
         except VECTOR_ERRORS:
             pass
+        cols = [decoded(col) for col in cols]
+
+        def attempt(lo: int, hi: int) -> None:
+            for spec, col in zip(table.columns, cols):
+                coerce(spec, col[lo:hi])
+
         bad = first_failing_row(len(cols[0]), attempt)
         table.coerce_row(tuple(col[bad] for col in cols))
         raise CdwError(f"bulk coercion into {table.name} rejected a row "
@@ -1210,7 +1237,7 @@ class CdwEngine:
         data, layout, binding_upper = scan
         source_cols = self._vector_eval(
             [item.expr for item in self._expand_items(src, [])], data,
-            layout, binding_upper)
+            layout, binding_upper, buffers=True)
         if source_cols is None:
             return None
         nrows = data.length
@@ -1224,10 +1251,7 @@ class CdwEngine:
             if len(source_cols) != table.arity:
                 return None           # row path raises the arity error
             full = source_cols
-        coerced = self._coerce_columns(table, full)
-        if self.native_unique and table.unique_keys:
-            table.check_unique_append_columns(coerced)
-        table.append_columns(coerced)
+        self._append_checked(table, self._coerce_columns(table, full))
         return CdwResult(kind="count", rows_inserted=nrows)
 
     def _row_insert(self, stmt: n.Insert, table: CdwTable) -> CdwResult:
@@ -1370,7 +1394,7 @@ class CdwEngine:
         if (stmt.using is not None or stmt.where is None
                 or not table.columnar):
             return None
-        batch = ColumnBatch(table, lo, hi)
+        batch = ColumnBatch(table, lo, hi, self._note_decline)
         masks = self._vector_eval(
             [stmt.where], batch, prepare_layout(table.column_names),
             stmt.table.binding.upper())
@@ -1551,6 +1575,26 @@ class CdwEngine:
             table.sorted_by = None     # appends/updates may break order
         return CdwResult(kind="count", rows_inserted=inserted,
                          rows_updated=updated, rows_deleted=deleted)
+
+
+def _proven_text(spec: ColumnSpec, text: "TextColumn | TextSlice"):
+    """Text buffers proven to fit a VARCHAR/NVARCHAR column, as a
+    ``TextColumn`` the target may take over; raises (for the bisect)
+    when some value does not fit.
+
+    NOT NULL is a count of zero validity bytes.  Every character is at
+    least one UTF-8 byte, so a widest value of at most ``n`` bytes
+    proves ``VARCHAR(n)``; past that, this one column is decoded and
+    its characters counted.
+    """
+    whole = text if type(text) is TextSlice else TextSlice(text, 0, len(text))
+    if not spec.nullable and whole.null_count():
+        raise ExpressionError(f"NULL in {spec.name}")
+    length = spec.ctype.length
+    if length is not None and whole.max_width() > length and max(
+            map(len, filter(None, whole.to_list())), default=0) > length:
+        raise ExpressionError(f"value too long for {spec.name}")
+    return text if type(text) is TextColumn else text.copy()
 
 
 def _infer_cdw_type(column_values: list) -> "CdwType":

@@ -20,6 +20,7 @@ from decimal import Decimal
 from typing import Callable
 
 from repro import values
+from repro.cdw.columns import TextSlice
 from repro.cdw.types import cdw_type_from_node
 from repro.errors import ExpressionError, SqlTranslationError
 from repro.sqlxc import nodes as n
@@ -714,9 +715,26 @@ _FUNCTIONS = {
 # file and the engine says so loudly.  ``compile_vector`` returns None
 # for any node kind it does not understand; the engine then runs the
 # whole statement on the interpreter.
+#
+# A text column of a columnar table reaches the closures as a
+# ``TextSlice`` (its blob, offsets and validity, read in place), and
+# ``vec_values`` / ``_value_getter`` are the one place it becomes a
+# list of ``str``: every closure that iterates a payload goes through
+# them.  Before that, a few *kernels* try to decide a whole slice with
+# C-level calls over its buffers — TRIM/LTRIM/RTRIM (the identity when
+# no value holds a character ``str.strip()`` removes) and TO_DATE /
+# TRY_TO_DATE / CAST .. AS DATE FORMAT with a YYYY/MM/DD format
+# (``_date_kernel``).  A kernel never raises: one that cannot decide
+# *declines*, the batch counts it (``ColumnBatch.decline``), and that
+# one expression runs its per-value closure, whose errors are the
+# interpreter's.  An INSERT..SELECT hands the slices that reach its
+# select list to the engine's coercion as buffers.
 
 #: what eager vector evaluation (and bulk coercion) raises for a bad row.
 VECTOR_ERRORS = (ExpressionError, SqlTranslationError)
+
+#: the buffer kernels, by the name their declines are counted under.
+KERNELS = ("trim", "to_date")
 
 #: evaluator instance backing the vector closures' _compare calls
 #: (carries no state the closures use).
@@ -738,30 +756,45 @@ class ColumnBatch:
     """Lazy column slices of one table over a row range ``[lo, hi)``.
 
     Vector closures pull whole columns out of the table's column store
-    on first touch; untouched columns are never materialized.
+    on first touch (a text column as a ``TextSlice``); untouched
+    columns are never materialized.  ``note(kernel)`` is called once
+    per expression a kernel declines (:meth:`decline`).
     """
 
-    __slots__ = ("table", "lo", "hi", "length", "_cols")
+    __slots__ = ("table", "lo", "hi", "length", "_cols", "_declined",
+                 "_note")
 
-    def __init__(self, table, lo: int, hi: int):
+    def __init__(self, table, lo: int, hi: int, note=None):
         self.table = table
         self.lo = lo
         self.hi = hi
         self.length = hi - lo
-        self._cols: dict[int, list] = {}
+        self._cols: dict = {}
+        self._declined: set = set()
+        self._note = note
 
-    def col(self, idx: int) -> list:
-        """Column ``idx``'s values over the batch range, materialized
-        once per batch."""
+    def col(self, idx: int):
+        """Column ``idx`` over the batch range — a list, or a
+        ``TextSlice`` of a text column — made once per batch."""
         c = self._cols.get(idx)
         if c is None:
-            c = self._cols[idx] = self.table.column_values_at(
+            c = self._cols[idx] = self.table.column_vector(
                 idx, self.lo, self.hi)
         return c
 
     def row(self, i: int) -> tuple:
         """Batch row ``i`` as a table tuple (error localisation only)."""
         return self.table.rows[self.lo + i]
+
+    def decline(self, kernel: str, expr: n.Expr) -> None:
+        """Record that ``kernel`` left ``expr``'s column to its
+        per-value closure: noted once per expression, however often
+        sub-batches re-run it (bisects, short-circuit re-evaluation)."""
+        key = (kernel, id(expr))
+        if key not in self._declined:
+            self._declined.add(key)
+            if self._note is not None:
+                self._note(kernel)
 
 
 class GatherBatch:
@@ -778,28 +811,44 @@ class GatherBatch:
         self.parent = parent
         self.sel = sel
         self.length = len(sel)
-        self._cols: dict[int, list] = {}
+        self._cols: dict = {}
 
-    def col(self, idx: int) -> list:
-        """Selected values of column ``idx``, gathered once per batch."""
+    def col(self, idx: int):
+        """Selected values of column ``idx``, gathered once per batch (a
+        text column's stay buffers)."""
         c = self._cols.get(idx)
         if c is None:
             pc = self.parent.col(idx)
             sel = self.sel
-            c = self._cols[idx] = pc[sel.start:sel.stop] \
-                if type(sel) is range and sel.step == 1 \
-                else [pc[i] for i in sel]
+            contiguous = type(sel) is range and sel.step == 1
+            if type(pc) is TextSlice:
+                c = pc.sub(sel.start, sel.stop) if contiguous else \
+                    TextSlice(pc.column.take(map(pc.lo.__add__, sel)),
+                              0, len(sel))
+            else:
+                c = pc[sel.start:sel.stop] if contiguous \
+                    else [pc[i] for i in sel]
+            self._cols[idx] = c
         return c
 
     def row(self, i: int) -> tuple:
         """Selected row ``i`` as a table tuple (error localisation only)."""
         return self.parent.row(self.sel[i])
 
+    def decline(self, kernel: str, expr: n.Expr) -> None:
+        """:meth:`ColumnBatch.decline`, noted on the parent."""
+        self.parent.decline(kernel, expr)
+
 
 def vec_values(result, nrows: int) -> list:
-    """Expand a vector-closure result into a per-row value list."""
+    """Expand a vector-closure result into a per-row value list — the
+    one place (with :func:`_value_getter`) a ``TextSlice`` is decoded."""
     const, payload = result
-    return [payload] * nrows if const else payload
+    if const:
+        return [payload] * nrows
+    if type(payload) is TextSlice:
+        return payload.to_list()
+    return payload
 
 
 def first_failing_row(nrows: int, attempt) -> int:
@@ -828,6 +877,8 @@ def _value_getter(result):
     const, payload = result
     if const:
         return lambda i: payload
+    if type(payload) is TextSlice:
+        return payload.to_list().__getitem__
     return payload.__getitem__
 
 
@@ -900,10 +951,11 @@ def _vcompile_isnull(expr: n.IsNull, layout, bu):
     negated = expr.negated
 
     def _isnull(b):
-        const, payload = operand(b)
-        if const:
-            result = payload is None
+        res = operand(b)
+        if res[0]:
+            result = res[1] is None
             return (True, not result if negated else result)
+        payload = vec_values(res, b.length)
         if negated:
             return (False, [v is not None for v in payload])
         return (False, [v is None for v in payload])
@@ -926,10 +978,10 @@ def _vcompile_unary(expr: n.UnaryOp, layout, bu):
         return +_numeric(v, "unary plus")
 
     def _unary(b):
-        const, payload = operand(b)
-        if const:
-            return (True, _scalar(payload))
-        return (False, [_scalar(v) for v in payload])
+        res = operand(b)
+        if res[0]:
+            return (True, _scalar(res[1]))
+        return (False, [_scalar(v) for v in vec_values(res, b.length)])
     return _unary
 
 
@@ -988,14 +1040,17 @@ def _vcompile_binary(expr: n.BinaryOp, layout, bu):
         decided = op == "OR"        # the left value that skips the right
 
         def _logic(b):
-            lconst, lv = left(b)
-            if lconst:
+            lres = left(b)
+            lv = lres[1]
+            if lres[0]:
                 if lv is decided:
                     return (True, decided)
-                rconst, rv = right(b)
-                if rconst:
-                    return (True, pair(lv, rv))
-                return (False, [pair(lv, c) for c in rv])
+                rres = right(b)
+                if rres[0]:
+                    return (True, pair(lv, rres[1]))
+                return (False, [pair(lv, c)
+                                for c in vec_values(rres, b.length)])
+            lv = vec_values(lres, b.length)
             rv = _reached_values(right, b, lambda: [
                 i for i, a in enumerate(lv) if a is not decided])
             return (False, [pair(a, c) for a, c in zip(lv, rv)])
@@ -1024,6 +1079,10 @@ def _vcompile_compare(op: str, left, right):
         rc, rv = rres
         if lc and rc:
             return (True, compare(op, lv, rv))
+        if not lc:
+            lv = vec_values(lres, b.length)
+        if not rc:
+            rv = vec_values(rres, b.length)
         if lc:                                   # const <op> vector
             if lv is None:
                 return (True, None)
@@ -1083,16 +1142,17 @@ def _vcompile_between(expr: n.Between, layout, bu):
         if not vres[0] and lres[0] and hres[0] \
                 and type(lres[1]) is int and type(hres[1]) is int:
             lo, hi = lres[1], hres[1]
+            vv = vec_values(vres, nrows)
             if negated:
                 return (False, [
                     None if v is None else
                     (not lo <= v <= hi if type(v) is int
                      else _pair(v, lo, hi))
-                    for v in vres[1]])
+                    for v in vv])
             return (False, [
                 None if v is None else
                 (lo <= v <= hi if type(v) is int else _pair(v, lo, hi))
-                for v in vres[1]])
+                for v in vv])
         value_at = _value_getter(vres)
         lo_at = _value_getter(lres)
         hi_at = _value_getter(hres)
@@ -1178,7 +1238,7 @@ def _vcompile_in(expr: n.InExpr, layout, bu):
         nrows = b.length
         if fast is not None:
             members, saw_null, ctype = fast
-            vv = [vres[1]] if vres[0] else vres[1]
+            vv = [vres[1]] if vres[0] else vec_values(vres, nrows)
             out = []
             append = out.append
             candidates = None
@@ -1251,11 +1311,18 @@ def _vcompile_cast(expr: n.Cast, layout, bu):
     type_base = expr.type.base
     field = _Evaluator._provenance(expr.operand)
     cast = _try_cast_value if expr.safe else _cast_value
+    dates = fmt is not None and ctype.base == "DATE"
 
     def _cast(b):
-        const, payload = operand(b)
-        if const:
-            return (True, cast(payload, ctype, fmt, type_base, field))
+        res = operand(b)
+        if res[0]:
+            return (True, cast(res[1], ctype, fmt, type_base, field))
+        if dates and type(res[1]) is TextSlice:
+            out = _date_kernel(res[1], fmt)
+            if out is not None:
+                return (False, out)
+            b.decline("to_date", expr)
+        payload = vec_values(res, b.length)
         if expr.safe and fmt is None:
             try:                # bulk coercion, when no value fails
                 return (False, ctype.coerce_many(payload, field=field))
@@ -1266,6 +1333,106 @@ def _vcompile_cast(expr: n.Cast, layout, bu):
     return _cast
 
 
+def _trim_kernel(text: TextSlice, args: list):
+    """TRIM, LTRIM, RTRIM: the slice itself when stripping changes no
+    value, else None."""
+    return text if text.trim_safe() else None
+
+
+def _to_date_kernel(text: TextSlice, args: list):
+    """TO_DATE, TRY_TO_DATE: :func:`_date_kernel` with the constant
+    format (the default when absent or NULL), else None."""
+    fmt = args[0] if args and args[0] is not None \
+        else values.DEFAULT_DATE_FORMAT
+    return _date_kernel(text, fmt) if type(fmt) is str else None
+
+
+#: function name -> (kernel name, kernel): the first argument a
+#: ``TextSlice``, the others constant.
+_FUNC_KERNELS = {
+    "TRIM": ("trim", _trim_kernel),
+    "LTRIM": ("trim", _trim_kernel),
+    "RTRIM": ("trim", _trim_kernel),
+    "TO_DATE": ("to_date", _to_date_kernel),
+    "TRY_TO_DATE": ("to_date", _to_date_kernel),
+}
+
+_DIGITS = b"0123456789"
+#: maps every ASCII digit to ``0`` and leaves every other byte alone.
+_DIGITS_AS_ZERO = bytes.maketrans(_DIGITS, b"0" * len(_DIGITS))
+_DATE_ATOMS = ("YYYY", "MM", "DD")
+
+
+@functools.lru_cache(maxsize=64)
+def _date_shape(fmt: str):
+    """``(template, parse)`` of a format made of YYYY, MM and DD once
+    each and single-character separators that are ASCII, not
+    alphanumeric and not whitespace — or None.
+
+    ``template`` is the format's shape with ``0`` for every digit
+    (``b"0000-00-00"``); ``parse`` turns one such value into a date.
+    """
+    tokens = values.date_format_tokens(fmt)
+    template, at = "", {}
+    for token in tokens:
+        if token in _DATE_ATOMS and token not in at:
+            at[token] = len(template)
+            template += "0" * len(token)
+        elif len(token) == 1 and token.isascii() \
+                and not token.isalnum() and not token.isspace():
+            template += token
+        else:
+            return None
+    if len(at) != len(_DATE_ATOMS):
+        return None
+    if tokens == ("YYYY", "-", "MM", "-", "DD"):
+        parse = values.Date.fromisoformat
+    else:
+        y, m, d = at["YYYY"], at["MM"], at["DD"]
+
+        def parse(text):
+            return values.Date(int(text[y:y + 4]), int(text[m:m + 2]),
+                               int(text[d:d + 2]))
+    return template.encode("ascii"), parse
+
+
+def _date_kernel(text: TextSlice, fmt: str):
+    """``parse_date(v, fmt)`` of every value of the slice, or None
+    when this cannot decide it for every value.
+
+    It decides when every present value has the format's width and,
+    digit for digit, its exact shape (one compare of the slice's bytes,
+    digits mapped to ``0``, with the repeated template — the whole-blob
+    form of a ``fullmatch`` of ``(?:\\d{4}-\\d{2}-\\d{2})*``): such a value
+    is ASCII, has no whitespace to strip, and ``parse_date`` reads it
+    as ``parse`` does.  ``parse`` may be ``date.fromisoformat`` only
+    behind that check: on its own it also accepts ``20140309`` and
+    ``2014-W10-1``.  Values ``parse_date`` takes in another shape
+    (``2014-3-9``, padded) and impossible dates (``2014-02-30``, year
+    0) decline, and the per-value path returns or raises as before.
+    """
+    shape = _date_shape(fmt)
+    if shape is None:
+        return None
+    template, parse = shape
+    width = len(template)
+    if not text.has_width(width):
+        return None
+    data = text.data()
+    if data.translate(_DIGITS_AS_ZERO) != template * (len(data) // width):
+        return None
+    flat = data.decode("ascii")
+    try:
+        dates = list(map(parse, [flat[i:i + width]
+                                 for i in range(0, len(flat), width)]))
+    except ValueError:
+        return None
+    if not text.null_count():
+        return dates
+    present = iter(dates)
+    return [next(present) if v else None for v in text.valid()]
+
+
 def _vcompile_func(expr: n.FuncCall, handler, layout, bu):
     arg_fns = []
     for arg in expr.args:
@@ -1273,6 +1440,7 @@ def _vcompile_func(expr: n.FuncCall, handler, layout, bu):
         if fn is None:
             return None
         arg_fns.append(fn)
+    name, kernel = _FUNC_KERNELS.get(expr.name.upper(), (None, None))
 
     def _call(b):
         results = [fn(b) for fn in arg_fns]
@@ -1280,6 +1448,13 @@ def _vcompile_func(expr: n.FuncCall, handler, layout, bu):
             if all(const for const, _ in results):
                 return (True, handler([payload for _, payload in results]))
             nrows = b.length
+            if kernel is not None and type(results[0][1]) is TextSlice \
+                    and all(const for const, _ in results[1:]):
+                out = kernel(results[0][1],
+                             [payload for _, payload in results[1:]])
+                if out is not None:
+                    return (False, out)
+                b.decline(name, expr)
             if len(results) == 1:
                 vec = vec_values(results[0], nrows)
                 return (False, [handler([v]) for v in vec])

@@ -26,7 +26,7 @@ import bisect
 import sys
 from dataclasses import dataclass, field, replace
 
-from repro.cdw.columns import ColumnStore
+from repro.cdw.columns import ColumnStore, decoded
 from repro.cdw.types import CdwType
 from repro.errors import BulkExecutionError, CatalogError, ExpressionError
 
@@ -287,6 +287,14 @@ class CdwTable:
             rows = rows[lo:]
         return [row[idx] for row in rows]
 
+    def column_vector(self, idx: int, lo: int, hi: int):
+        """Column ``idx`` over ``[lo, hi)`` as the vector path reads it:
+        a :class:`~repro.cdw.columns.TextSlice` of a columnar text
+        column (no ``str`` per value), else a list of values."""
+        if self._store is not None:
+            return self._store.column_vector(idx, lo, hi)
+        return self.column_values_at(idx, lo, hi)
+
     # -- zone map -----------------------------------------------------------
 
     def set_sorted(self, column: str) -> None:
@@ -376,39 +384,36 @@ class CdwTable:
         else:
             self._rows.extend(new_rows)
 
-    def raw_text_column(self, idx: int) -> bool:
-        """Whether column ``idx`` stores any text unchecked: a nullable,
-        unbounded NVARCHAR/VARCHAR of a columnar table in no unique key.
-
-        :meth:`append_columns` takes such a column's values as a
-        :class:`~repro.cdw.columns.TextColumn` and appends its buffers.
-        """
-        spec = self.columns[idx]
-        return (self._store is not None and spec.nullable
-                and spec.ctype.base in ("NVARCHAR", "VARCHAR")
-                and spec.ctype.length is None
-                and not any(idx in key for key in self.unique_keys))
-
-    def append_columns(self, column_values: list[list]) -> None:
+    def append_columns(self, column_values: list,
+                       new_keys: "list[set] | None" = None) -> None:
         """Columnwise :meth:`append_rows`: one value list per column,
-        all the same length, values already coerced.  A
-        :meth:`raw_text_column`'s values may come as a ``TextColumn``.
+        all the same length, values already coerced.  A text column's
+        values may come as a :class:`~repro.cdw.columns.TextColumn`,
+        whose buffers the call takes over
+        (:meth:`~repro.cdw.columns.TextColumn.append_many`).
+        ``new_keys`` are the rows' key sets that
+        :meth:`check_unique_append_columns` returned; they fold into the
+        unique-key index without another walk of the keys.
 
         The COPY/INSERT..SELECT hot path — rows never exist as tuples.
         """
-        if not column_values or not column_values[0]:
+        if not column_values or not len(column_values[0]):
             return
         n = len(column_values[0])
         if self._unique_index is not None:
             for key_no, key in enumerate(self.unique_keys):
                 bucket = self._unique_index[key_no]
-                for key_value in zip(*(column_values[i] for i in key)):
+                if new_keys is not None:
+                    bucket.update(new_keys[key_no])
+                    continue
+                for key_value in zip(*(decoded(column_values[i])
+                                       for i in key)):
                     if not any(v is None for v in key_value):
                         bucket.add(key_value)
         sort_needed = False
         if self.sorted_by is not None:
             col = self.column_index(self.sorted_by)
-            new_col = column_values[col]
+            new_col = decoded(column_values[col])
             last = None
             if self.row_count:
                 last = self._store.cols[col][self.row_count - 1] \
@@ -418,7 +423,7 @@ class CdwTable:
         if self._store is not None:
             self._store.extend_columns(column_values)
         else:
-            self._rows.extend(zip(*column_values))
+            self._rows.extend(zip(*map(decoded, column_values)))
         if sort_needed:
             col = self.column_index(self.sorted_by)
             if self._store is not None:
@@ -521,21 +526,40 @@ class CdwTable:
                     raise self._uniqueness_error(key, key_value, field_hint)
                 local.add(key_value)
 
-    def check_unique_append_columns(self, column_values: list[list],
-                                    field_hint: str | None = None) -> None:
-        """Columnwise :meth:`check_unique_append` over candidate column
-        lists (same order semantics: first duplicate in row order)."""
+    def check_unique_append_columns(self, column_values: list,
+                                    field_hint: str | None = None
+                                    ) -> "list[set]":
+        """Columnwise :meth:`check_unique_append` over candidate columns
+        (same order semantics: first duplicate in row order); a text
+        column may come as a ``TextColumn``.  Returns each unique key's
+        set of new key values, for :meth:`append_columns`.
+
+        Each key's values are decoded once into one set: when it holds
+        one entry per row and none of the index's, the rows pass
+        without a walk in row order.
+        """
         if not self.unique_keys:
-            return
+            return []
         index = self._ensure_unique_index()
+        n = len(column_values[0]) if column_values else 0
+        new_keys = []
         for key_no, key in enumerate(self.unique_keys):
-            seen, local = index[key_no], set()
-            for key_value in zip(*(column_values[i] for i in key)):
+            seen = index[key_no]
+            cols = [decoded(column_values[i]) for i in key]
+            if not any(None in col for col in cols):
+                local = set(zip(*cols))
+                if len(local) == n and seen.isdisjoint(local):
+                    new_keys.append(local)
+                    continue
+            local = set()
+            for key_value in zip(*cols):
                 if any(v is None for v in key_value):
                     continue
                 if key_value in seen or key_value in local:
                     raise self._uniqueness_error(key, key_value, field_hint)
                 local.add(key_value)
+            new_keys.append(local)
+        return new_keys
 
     # -- storage stats -------------------------------------------------------
 

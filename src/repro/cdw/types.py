@@ -31,6 +31,10 @@ _INT_RANGES = {
     "BIGINT": (-2 ** 63, 2 ** 63 - 1),
 }
 
+#: the value types a DATE / TIMESTAMP column takes as they are.
+_DATE_TYPES = {values.Date, type(None)}
+_TIMESTAMP_TYPES = {values.Timestamp, type(None)}
+
 
 @dataclass(frozen=True)
 class CdwType:
@@ -127,12 +131,10 @@ class CdwType:
             elif base == "DATE":
                 # exact type: datetime is a date subclass but must go
                 # through the per-value path (it truncates to a date)
-                if all(v is None or type(v) is values.Date
-                       for v in column_values):
+                if set(map(type, column_values)) <= _DATE_TYPES:
                     return list(column_values)
             elif base == "TIMESTAMP":
-                if all(v is None or type(v) is values.Timestamp
-                       for v in column_values):
+                if set(map(type, column_values)) <= _TIMESTAMP_TYPES:
                     return list(column_values)
         except ValueError:
             pass

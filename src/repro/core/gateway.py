@@ -95,6 +95,12 @@ class HyperQNode:
                 .labels(reason=reason).inc())
             for reason in engine.vector_fallbacks:      # exposed at zero
                 self.obs.engine_vector_fallbacks.labels(reason=reason)
+        if engine.on_kernel_decline is None:
+            engine.on_kernel_decline = (
+                lambda kernel: self.obs.engine_kernel_declines
+                .labels(kernel=kernel).inc())
+            for kernel in engine.kernel_declines:       # exposed at zero
+                self.obs.engine_kernel_declines.labels(kernel=kernel)
         self.credits = CreditManager(
             self.config.credits, self.config.credit_timeout_s,
             obs=self.obs)
@@ -232,6 +238,7 @@ class HyperQNode:
             },
             "engine_statements": dict(self.engine.statement_counts),
             "engine_vector_fallbacks": dict(self.engine.vector_fallbacks),
+            "engine_kernel_declines": dict(self.engine.kernel_declines),
             "storage": self._storage_snapshot(),
             "plan_cache": {
                 "dml": self.beta.plans.stats(),

@@ -177,6 +177,10 @@ class Observability:
             "hyperq_engine_vector_fallbacks_total",
             "Vectorizable statement kinds the engine ran on the row "
             "interpreter instead", ("reason",))
+        self.engine_kernel_declines = reg.counter(
+            "hyperq_engine_kernel_declines_total",
+            "Columns a buffer kernel left to its per-value closure",
+            ("kernel",))
 
         # -- data-quality precheck (repro.dq) --
         self.dq_checked = reg.counter(

@@ -158,6 +158,41 @@ class TestCopyInto:
         assert reads == []
         assert engine.query("SELECT COUNT(*) FROM t") == [(0,)]
 
+    @pytest.mark.parametrize("keys, lands", [
+        (["ab", "é€", "😀😀😀"], True),    # long in bytes, short in chars
+        (["ab", "abcd", "c"], False),       # one key too long
+        (["ab", None, "c"], False),         # NULL into NOT NULL
+        (["ab", "c", "ab", "d"], False),    # a duplicate key
+    ], ids=["fits", "too-long", "null", "duplicate"])
+    def test_block_copy_checks_like_csv(self, keys, lands):
+        """A block COPY into a ``VARCHAR(n) NOT NULL UNIQUE`` column
+        lands the rows, or raises the error, that ``FORMAT csv`` does."""
+        rows = [(key, f"v{i}", i) for i, key in enumerate(keys)]
+        outcomes = []
+        for file_format in ("csv", "block"):
+            store = CloudStore()
+            store.create_container("stage")
+            data = stagefile.encode_csv_rows(rows) \
+                if file_format == "csv" else stagefile.encode_block(
+                    array("q", [row[2] for row in rows]),
+                    [stagefile.values_column([row[i] for row in rows])
+                     for i in range(2)])
+            store.put_blob("stage", "j/p0", data)
+            engine = CdwEngine(store=store)
+            engine.execute("CREATE TABLE t (K VARCHAR(3) NOT NULL, "
+                           "V NVARCHAR, __SEQ BIGINT, UNIQUE (K))")
+            try:
+                engine.execute(
+                    f"COPY INTO t FROM 'store://stage/j/' FORMAT "
+                    f"{file_format}")
+            except BulkExecutionError as exc:
+                outcome = ("raise", str(exc), exc.kind, exc.field)
+            else:
+                outcome = ("ok",)
+            outcomes.append(outcome + (list(engine.table("t").rows),))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] == "ok") == lands
+
     def test_copy_format_block_appends_in_seq_order(self):
         store = CloudStore()
         store.create_container("stage")

@@ -46,6 +46,20 @@ class TestRoundTrip:
         assert store.column_list(3, 1, 3) == [None, ""]
         assert store.column_list(0) == [1, None, -7, 2 ** 40]
 
+    @pytest.mark.parametrize("base", ["INT", "DOUBLE"])
+    def test_to_list_checks_only_its_own_range_for_nulls(self, base):
+        col = column_for_type(base)
+        cast = int if base == "INT" else float
+        values = [cast(i) for i in range(10)]
+        values[7] = None
+        col.append_many(values)
+        # NULL-free range of a column with a NULL elsewhere ...
+        assert col.to_list(1, 4) == values[1:4]
+        # ... and the reverse: a range holding the column's NULL.
+        assert col.to_list(6, 9) == values[6:9]
+        assert col.to_list(7, 8) == [None]
+        assert col.to_list(0, 10) == values
+
     def test_columnwise_append_equals_rowwise(self):
         rowwise = make_store()
         colwise = ColumnStore(list(SPECS))

@@ -6,6 +6,7 @@ a Hyper-Q node — the transparency property the paper claims.
 
 import datetime
 import gc
+import re
 import threading
 import time
 import weakref
@@ -82,6 +83,27 @@ class TestExampleThroughHyperQ:
         assert metrics.application_s > 0
         assert metrics.total_s >= \
             metrics.acquisition_s + metrics.application_s
+
+    def test_kernel_declines_exposed_at_zero_then_counted(self, stack):
+        def exposed():
+            text = stack.node.render_prometheus()
+            return {
+                match.group(1): float(match.group(2))
+                for match in re.finditer(
+                    r'hyperq_engine_kernel_declines_total\{kernel="([^"]+)"'
+                    r'\} (\S+)', text)}
+
+        assert exposed() == {"trim": 0.0, "to_date": 0.0}
+        interp = ScriptInterpreter(
+            stack.node.connect, files={"input.txt": EXAMPLE_DATA})
+        interp.run(parse_script(EXAMPLE_SCRIPT))
+        # The bad dates (xxxx, yyyyy) leave TO_DATE to its per-value
+        # closure; the keys and names hold nothing for TRIM to remove.
+        declines = stack.node.stats()["engine_kernel_declines"]
+        assert declines == stack.engine.kernel_declines
+        assert declines["trim"] == 0 and declines["to_date"] > 0
+        assert exposed() == {kernel: float(count)
+                             for kernel, count in declines.items()}
 
     def test_staging_cleanup_after_end_load(self, stack):
         interp = ScriptInterpreter(
