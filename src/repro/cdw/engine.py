@@ -96,8 +96,7 @@ class CdwEngine:
 
     def __init__(self, store: CloudStore | None = None,
                  native_unique: bool = True,
-                 parse_cache_size: int = 256,
-                 columnar: bool = True):
+                 parse_cache_size: int = 256):
         self.catalog = Catalog()
         self.store = store
         self.native_unique = native_unique
@@ -107,11 +106,6 @@ class CdwEngine:
         #: concurrent jobs' COPY and DML run side by side.
         self.locks = LockManager()
         self._counts_lock = threading.Lock()
-        #: storage mode of the tables this engine creates: typed column
-        #: vectors executed over column batches, or (False) row-of-tuples
-        #: storage under the per-row interpreter everywhere — the
-        #: behavioural oracle for differential tests.
-        self.columnar = columnar
         #: parsed-statement cache for SQL text handed to execute():
         #: repeated statement texts (staging DDL probes, prepared error
         #: INSERT shapes, bench workloads) skip the parser entirely.
@@ -130,7 +124,7 @@ class CdwEngine:
         #: (SELECT incl. sub-selects, INSERT..SELECT, plain DELETE,
         #: COPY) that ran on the row interpreter instead, by reason —
         #: there is one: ``out_of_scope``, a shape or expression the
-        #: vector compiler does not cover (or row-mode storage).
+        #: vector compiler does not cover.
         #: ``INSERT .. VALUES`` was never vectorizable and is not counted.
         self.vector_fallbacks = {"out_of_scope": 0}
         #: optional observability hook ``(reason,)``, one call per
@@ -229,7 +223,7 @@ class CdwEngine:
         return self.catalog.get(name)
 
     def storage_snapshot(self) -> dict:
-        """Per-table physical storage: ``{name: {rows, bytes, mode}}``."""
+        """Per-table physical storage: ``{name: {rows, bytes}}``."""
         return {table.name: table.storage_info()
                 for table in self.catalog.tables.values()}
 
@@ -241,8 +235,7 @@ class CdwEngine:
             for c in stmt.columns
         ]
         table = CdwTable(stmt.table.name, columns,
-                         [tuple(k) for k in stmt.unique],
-                         columnar=self.columnar)
+                         [tuple(k) for k in stmt.unique])
         self.catalog.create(table, if_not_exists=stmt.if_not_exists)
         return CdwResult(kind="ddl")
 
@@ -252,7 +245,7 @@ class CdwEngine:
             ColumnSpec(name, _infer_cdw_type([row[i] for row in rows]))
             for i, name in enumerate(columns)
         ]
-        table = CdwTable(stmt.table.name, specs, columnar=self.columnar)
+        table = CdwTable(stmt.table.name, specs)
         created = self.catalog.create(
             table, if_not_exists=stmt.if_not_exists)
         if created:
@@ -301,8 +294,8 @@ class CdwEngine:
             if stmt.file_format == stagefile.BLOCK_FORMAT:
                 return self._block_copy(table, datas)
             return self._vector_or_rows(
-                lambda: self._try_columnar_copy(table, datas,
-                                                stmt.delimiter),
+                lambda: self._try_vector_copy(table, datas,
+                                              stmt.delimiter),
                 lambda: self._row_copy(table, datas, stmt.delimiter))
         except ExpressionError as exc:
             raise BulkExecutionError(
@@ -357,18 +350,16 @@ class CdwEngine:
         table.append_rows(new_rows)
         return CdwResult(kind="count", rows_inserted=len(new_rows))
 
-    def _try_columnar_copy(self, table: CdwTable, datas: list[bytes],
-                           delimiter: str) -> "CdwResult | None":
+    def _try_vector_copy(self, table: CdwTable, datas: list[bytes],
+                         delimiter: str) -> "CdwResult | None":
         """Staged bytes straight into column vectors.
 
         CSV fields decode columnwise (:func:`stagefile.decode_csv_columns`),
         coerce in bulk per column (:meth:`_coerce_columns`, which raises
         the row path's error for the first bad row), and append without
-        intermediate row tuples.  Returns None for row-mode tables and
-        quoted/ragged data the columnwise decoder leaves to the row path.
+        intermediate row tuples.  Returns None for quoted/ragged data the
+        columnwise decoder leaves to the row path.
         """
-        if not table.columnar:
-            return None
         cols: "list[list] | None" = None
         for data in datas:
             decoded = stagefile.decode_csv_columns(data, delimiter,
@@ -572,13 +563,15 @@ class CdwEngine:
 
     @staticmethod
     def _where_conjuncts(where: n.Expr) -> list[n.Expr]:
-        """Flatten top-level AND structure into its conjuncts."""
+        """Flatten top-level AND structure into its conjuncts, in
+        source order: a residual rebuilt from them evaluates its
+        operands as the original WHERE would."""
         conjuncts: list[n.Expr] = []
         stack = [where]
         while stack:
             node = stack.pop()
             if isinstance(node, n.BinaryOp) and node.op == "AND":
-                stack.extend([node.left, node.right])
+                stack.extend([node.right, node.left])
             else:
                 conjuncts.append(node)
         return conjuncts
@@ -829,7 +822,7 @@ class CdwEngine:
                        f"interpreter accepts")
 
     def _vector_scan(self, stmt: n.Select):
-        """FROM-one-columnar-table scan for the vector paths.
+        """FROM-one-table scan for the vector paths.
 
         Zone-map-slices the batch exactly like :meth:`_try_sorted_slice`
         (same pruning telemetry), applies the residual WHERE as a
@@ -840,8 +833,6 @@ class CdwEngine:
         if not isinstance(stmt.from_, n.TableRef):
             return None
         table = self.catalog.get(stmt.from_.name)
-        if not table.columnar:
-            return None
         binding = stmt.from_.binding
         binding_upper = binding.upper()
         layout = prepare_layout(table.column_names)
@@ -1225,7 +1216,7 @@ class CdwEngine:
         out of scope; a bad row raises the row path's own error from
         here (:meth:`_vector_eval`, :meth:`_coerce_columns`)."""
         src = stmt.source
-        if (not table.columnar or not isinstance(src, n.Select)
+        if (not isinstance(src, n.Select)
                 or src.group_by or src.order_by or src.distinct
                 or src.limit is not None or src.having is not None):
             return None
@@ -1391,8 +1382,7 @@ class CdwEngine:
         mask is a :meth:`_vector_eval` phase, so a bad row raises the
         row path's error.
         """
-        if (stmt.using is not None or stmt.where is None
-                or not table.columnar):
+        if stmt.using is not None or stmt.where is None:
             return None
         batch = ColumnBatch(table, lo, hi, self._note_decline)
         masks = self._vector_eval(

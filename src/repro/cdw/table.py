@@ -1,17 +1,18 @@
-"""Catalog and row storage for the CDW engine (and the legacy server).
+"""Catalog and table storage for the CDW engine (and the legacy server).
 
-Tables store their data in one of two layouts:
+A table stores its data in typed column vectors from
+:mod:`repro.cdw.columns` — flat buffers per column with a validity byte
+per value.  The ``rows`` property returns a :class:`RowsView` shim that
+materializes tuples on demand, so tuple-level call sites (the row
+interpreter, MERGE, the legacy server) keep working; the engine's
+vectorized paths read whole columns via :meth:`CdwTable.column_values`
+and :meth:`CdwTable.column_vector` instead.
 
-- **columnar** (the default): typed column vectors from
-  :mod:`repro.cdw.columns` — flat buffers per column with a validity
-  byte per value.  The ``rows`` property then returns a
-  :class:`RowsView` shim that materializes tuples on demand, so every
-  pre-existing tuple-level call site keeps working; the engine's
-  vectorized paths read whole columns via :meth:`CdwTable.column_values`
-  instead.
-- **row** (``columnar=False``, reached only through
-  ``CdwEngine(columnar=False)``): the original list of plain tuples, kept
-  as the behavioural oracle of the differential suites.
+There is one storage layout.  Its references live in the tests:
+``tests/cdw/test_column_store_model.py`` drives a table and a plain list
+of tuples through the same operations, ``tests/cdw/oracles.py`` forces
+the row interpreter (the reference for error identity) and mirrors
+tables into stdlib ``sqlite3`` (the reference for statement semantics).
 
 Uniqueness enforcement is *declared* here but *checked* by the engine at
 statement commit, so that violation semantics stay set-oriented.
@@ -23,7 +24,6 @@ modelling CDWs without native uniqueness support, for which Hyper-Q
 from __future__ import annotations
 
 import bisect
-import sys
 from dataclasses import dataclass, field, replace
 
 from repro.cdw.columns import ColumnStore, decoded
@@ -103,8 +103,7 @@ class CdwTable:
     """One table: schema, rows, and declared unique keys."""
 
     def __init__(self, name: str, columns: list[ColumnSpec],
-                 unique_keys: list[tuple[str, ...]] | None = None,
-                 columnar: bool = True):
+                 unique_keys: list[tuple[str, ...]] | None = None):
         if not columns:
             raise CatalogError(f"table {name!r} needs at least one column")
         self.name = name
@@ -116,14 +115,11 @@ class CdwTable:
         for key in unique_keys or []:
             self.unique_keys.append(
                 tuple(self.column_index(col) for col in key))
-        self.columnar = columnar
         #: cached per-key sets of the current rows' unique-key values;
         #: None when stale.  Maintained by :meth:`append_rows`, dropped
         #: by any wholesale ``rows`` reassignment or :meth:`truncate_rows`.
         self._unique_index: list[set] | None = None
-        self._store: ColumnStore | None = \
-            ColumnStore(self.columns) if self.columnar else None
-        self._rows: list[tuple] = []
+        self._store = ColumnStore(self.columns)
         #: name of a column the rows are known to be sorted by (set by
         #: Hyper-Q's Beta after sorting the staging table); lets the
         #: engine slice BETWEEN-range scans with binary search instead of
@@ -133,36 +129,26 @@ class CdwTable:
     # -- row storage ---------------------------------------------------------
 
     @property
-    def rows(self) -> "list[tuple] | RowsView":
-        """The table's rows (tuples in storage order; a live view when
-        the table is columnar)."""
-        if self._store is not None:
-            return RowsView(self._store)
-        return self._rows
+    def rows(self) -> RowsView:
+        """The table's rows: a live view of tuples in storage order."""
+        return RowsView(self._store)
 
     @rows.setter
     def rows(self, value: list[tuple]) -> None:
-        """Replace the row list wholesale; drops the unique-key index
+        """Replace the rows wholesale; drops the unique-key index
         (UPDATE/DELETE/MERGE/rollback may have freed arbitrary keys)."""
-        if self._store is not None:
-            if isinstance(value, RowsView):
-                value = list(value)
-            self._store = ColumnStore.from_rows(self.columns, value)
-        else:
-            self._rows = value
+        if isinstance(value, RowsView):
+            value = list(value)
+        self._store = ColumnStore.from_rows(self.columns, value)
         self._unique_index = None
 
     @property
     def row_count(self) -> int:
-        return len(self._store) if self._store is not None \
-            else len(self._rows)
+        return len(self._store)
 
     def materialized_rows(self) -> list[tuple]:
-        """The rows as a plain list (no copy in row mode).  Callers must
-        treat the result as read-only."""
-        if self._store is not None:
-            return self._store.tuples(0, len(self._store))
-        return self._rows
+        """The rows as a new list of tuples."""
+        return self._store.tuples(0, len(self._store))
 
     def take_rows(self, indices: list[int]) -> None:
         """Replace contents with the rows at ``indices``, in that order.
@@ -172,11 +158,7 @@ class CdwTable:
         unique-key index; ``sorted_by`` is the *caller's* contract (a
         subsequence of sorted rows stays sorted, so DELETE keeps it).
         """
-        if self._store is not None:
-            self._store = self._store.take(indices)
-        else:
-            rows = self._rows
-            self._rows = [rows[i] for i in indices]
+        self._store = self._store.take(indices)
         self._unique_index = None
 
     def truncate_rows(self, length: int) -> None:
@@ -188,10 +170,7 @@ class CdwTable:
         order of what remains, so zone-map slices stay valid for the
         ranges the error handler applies after a rollback.
         """
-        if self._store is not None:
-            self._store.truncate(length)
-        else:
-            del self._rows[length:]
+        self._store.truncate(length)
         self._unique_index = None
 
     # -- schema -------------------------------------------------------------
@@ -243,12 +222,9 @@ class CdwTable:
                 f"table {self.name!r}")
         self.columns.append(spec)
         self._index[spec.name.upper()] = len(self.columns) - 1
-        if self._store is not None:
-            # ``self._store.specs`` aliases ``self.columns`` (the spec
-            # is already appended above); this just adds the vector.
-            self._store.add_column(spec)
-        else:
-            self._rows = [row + (None,) for row in self._rows]
+        # ``self._store.specs`` aliases ``self.columns`` (the spec is
+        # already appended above); this just adds the vector.
+        self._store.add_column(spec)
         return True
 
     def rename_column(self, old: str, new: str) -> None:
@@ -271,8 +247,8 @@ class CdwTable:
                       hi: "int | None" = None) -> list:
         """One column's values over row range ``[lo, hi)`` as a list.
 
-        O(range) without materializing row tuples in columnar mode —
-        the read primitive of the vectorized engine paths and of Beta's
+        O(range) without materializing row tuples — the read primitive
+        of the vectorized engine paths and of Beta's
         ``ApplyRun.apply_seq_range``.
         """
         return self.column_values_at(self.column_index(name), lo, hi)
@@ -280,20 +256,13 @@ class CdwTable:
     def column_values_at(self, idx: int, lo: int = 0,
                          hi: "int | None" = None) -> list:
         """Like :meth:`column_values` but by column position."""
-        if self._store is not None:
-            return self._store.column_list(idx, lo, hi)
-        rows = self._rows if hi is None else self._rows[lo:hi]
-        if hi is None and lo:
-            rows = rows[lo:]
-        return [row[idx] for row in rows]
+        return self._store.column_list(idx, lo, hi)
 
     def column_vector(self, idx: int, lo: int, hi: int):
         """Column ``idx`` over ``[lo, hi)`` as the vector path reads it:
-        a :class:`~repro.cdw.columns.TextSlice` of a columnar text
-        column (no ``str`` per value), else a list of values."""
-        if self._store is not None:
-            return self._store.column_vector(idx, lo, hi)
-        return self.column_values_at(idx, lo, hi)
+        a :class:`~repro.cdw.columns.TextSlice` of a text column (no
+        ``str`` per value), else a list of values."""
+        return self._store.column_vector(idx, lo, hi)
 
     # -- zone map -----------------------------------------------------------
 
@@ -305,11 +274,7 @@ class CdwTable:
         (Hyper-Q's Beta arms the staging table once per apply run, and
         the adaptive error handler's range-pruned DML scans slice it).
         """
-        col = self.column_index(column)
-        if self._store is not None:
-            self._sort_store(col)
-        else:
-            self._rows.sort(key=lambda r: r[col])
+        self._sort_store(self.column_index(column))
         self.sorted_by = column
 
     def _sort_store(self, col: int) -> None:
@@ -331,15 +296,9 @@ class CdwTable:
         if self.sorted_by is None:
             raise CatalogError(
                 f"table {self.name!r} has no sorted column")
-        col = self.column_index(self.sorted_by)
-        if self._store is not None:
-            column = self._store.cols[col]
-            lo = bisect.bisect_left(column, low)
-            hi = bisect.bisect_right(column, high)
-            return lo, hi
-        lo = bisect.bisect_left(self._rows, low, key=lambda r: r[col])
-        hi = bisect.bisect_right(self._rows, high, key=lambda r: r[col])
-        return lo, hi
+        column = self._store.cols[self.column_index(self.sorted_by)]
+        return (bisect.bisect_left(column, low),
+                bisect.bisect_right(column, high))
 
     def append_rows(self, new_rows: list[tuple]) -> None:
         """Append rows, preserving the zone-map order when armed.
@@ -361,28 +320,22 @@ class CdwTable:
                     if not any(v is None for v in key_value):
                         bucket.add(key_value)
         if self.sorted_by is None:
-            self._extend(new_rows)
+            self._store.extend_rows(new_rows)
             return
         col = self.column_index(self.sorted_by)
-        last = None
-        if self.row_count:
-            last = self._store.cols[col][self.row_count - 1] \
-                if self._store is not None else self._rows[-1][col]
+        last = self._last_value(col)
         in_order = last is None or last <= new_rows[0][col]
-        self._extend(new_rows)
+        self._store.extend_rows(new_rows)
         if not in_order or any(
                 new_rows[i][col] > new_rows[i + 1][col]
                 for i in range(len(new_rows) - 1)):
-            if self._store is not None:
-                self._sort_store(col)
-            else:
-                self._rows.sort(key=lambda r: r[col])
+            self._sort_store(col)
 
-    def _extend(self, new_rows: list[tuple]) -> None:
-        if self._store is not None:
-            self._store.extend_rows(new_rows)
-        else:
-            self._rows.extend(new_rows)
+    def _last_value(self, col: int):
+        """Column ``col`` of the last row (None for an empty table)."""
+        if not self.row_count:
+            return None
+        return self._store.cols[col][self.row_count - 1]
 
     def append_columns(self, column_values: list,
                        new_keys: "list[set] | None" = None) -> None:
@@ -414,22 +367,12 @@ class CdwTable:
         if self.sorted_by is not None:
             col = self.column_index(self.sorted_by)
             new_col = decoded(column_values[col])
-            last = None
-            if self.row_count:
-                last = self._store.cols[col][self.row_count - 1] \
-                    if self._store is not None else self._rows[-1][col]
+            last = self._last_value(col)
             sort_needed = (last is not None and last > new_col[0]) or any(
                 new_col[i] > new_col[i + 1] for i in range(n - 1))
-        if self._store is not None:
-            self._store.extend_columns(column_values)
-        else:
-            self._rows.extend(zip(*map(decoded, column_values)))
+        self._store.extend_columns(column_values)
         if sort_needed:
-            col = self.column_index(self.sorted_by)
-            if self._store is not None:
-                self._sort_store(col)
-            else:
-                self._rows.sort(key=lambda r: r[col])
+            self._sort_store(self.column_index(self.sorted_by))
 
     # -- row validation -----------------------------------------------------
 
@@ -466,8 +409,7 @@ class CdwTable:
         """Iterate key tuples of ``candidate_rows`` — columnwise when the
         candidate is this table's own live view (no tuple building)."""
         if isinstance(candidate_rows, RowsView) \
-                and candidate_rows._store is self._store \
-                and self._store is not None:
+                and candidate_rows._store is self._store:
             return zip(*(self._store.column_list(i) for i in key))
         return (tuple(row[i] for i in key) for row in candidate_rows)
 
@@ -564,22 +506,10 @@ class CdwTable:
     # -- storage stats -------------------------------------------------------
 
     def storage_info(self) -> dict:
-        """Snapshot of this table's physical footprint.
-
-        ``bytes`` is the column-buffer footprint in columnar mode and a
-        per-object estimate in row mode — comparable enough to make the
-        layout win observable in ``stats()`` and the gauge.
-        """
-        if self._store is not None:
-            nbytes = self._store.nbytes()
-        else:
-            nbytes = sys.getsizeof(self._rows) + sum(
-                sys.getsizeof(row) + sum(
-                    sys.getsizeof(v) for v in row if v is not None)
-                for row in self._rows)
-        return {"rows": self.row_count,
-                "bytes": nbytes,
-                "mode": "columnar" if self._store is not None else "rows"}
+        """Snapshot of this table's physical footprint: ``rows`` and
+        ``bytes``, the column buffers' size (typed buffers and validity
+        bytes exactly, object columns by a per-object estimate)."""
+        return {"rows": self.row_count, "bytes": self._store.nbytes()}
 
 
 @dataclass

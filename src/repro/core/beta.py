@@ -312,9 +312,8 @@ class Beta:
         """Record the converted violating tuple (Figure 5c-style)."""
         tuple_values: tuple = ()
         if kind in ("insert", "merge"):
-            statement = builder(seq, seq)
-            select = (statement.source if kind == "insert"
-                      else statement.source)
+            # n.Insert and n.Merge both carry their SELECT as .source
+            select = builder(seq, seq).source
             if isinstance(select, n.Select):
                 rows = self.engine.query(select)
                 if rows:
@@ -472,8 +471,7 @@ class ApplyRun:
         engine = self.beta.engine
         staging = engine.table(self.staging_table)
         with engine.locks.table_lock(self.staging_table).read():
-            # Read the __SEQ column directly — no tuple materialization
-            # when the staging table is columnar.
+            # Read the __SEQ column directly: no row tuple is built.
             if lo_seq is None and hi_seq is None:
                 seqs = sorted(staging.column_values(
                     SEQ_COLUMN, 0, staging.row_count))

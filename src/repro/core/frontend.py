@@ -173,6 +173,6 @@ class ThreadedFrontend:
         except ReproError:
             pass  # connection torn down mid-message
         finally:
-            channel.close()
+            channel.close_both()
             self.connections.release()
             self.node.connection_closed(conn)

@@ -292,7 +292,7 @@ class HyperQNode:
         }
 
     def _storage_snapshot(self) -> dict:
-        """stats()["storage"]: per-table rows / bytes / storage mode.
+        """stats()["storage"]: per-table rows and column-buffer bytes.
 
         Refreshes the ``hyperq_table_bytes`` gauge as a side effect so
         scrapes and :meth:`stats` always agree.

@@ -259,7 +259,7 @@ class LegacyEtlClient:
             self._control.request(
                 Message(MessageKind.LOGOFF), MessageKind.LOGOFF_OK)
         finally:
-            self._control.close()
+            self._control.close_both()
             self._control = None
 
     def _require_control(self) -> MessageChannel:
@@ -272,11 +272,15 @@ class LegacyEtlClient:
         a data session adds the ``job_id`` and ``session_no`` it serves."""
         host, user, password = self._credentials or ("", "", "")
         channel = MessageChannel(self._connect(), timeout=self._timeout)
-        channel.request(
-            Message(MessageKind.LOGON, {"host": host, "user": user,
-                                        "password": password,
-                                        **data_session}),
-            MessageKind.LOGON_OK)
+        try:
+            channel.request(
+                Message(MessageKind.LOGON, {"host": host, "user": user,
+                                            "password": password,
+                                            **data_session}),
+                MessageKind.LOGON_OK)
+        except BaseException:
+            channel.close_both()
+            raise
         return channel
 
     # -- ad-hoc SQL ------------------------------------------------------------
@@ -524,7 +528,7 @@ class LegacyEtlClient:
                     return
                 finally:
                     if channel is not None:
-                        channel.close()
+                        channel.close_both()
 
         # Session 0 runs on the calling thread (same failure capture):
         # a single-session micro-batch pays for no thread start and join.
@@ -593,7 +597,7 @@ class LegacyEtlClient:
                                                    response.body)
                         chunk_no += session_count
                 finally:
-                    channel.close()
+                    channel.close_both()
             except BaseException as exc:
                 failures.append(exc)
 

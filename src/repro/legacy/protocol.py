@@ -238,8 +238,14 @@ class MessageChannel:
         return self.recv().expect(expect)
 
     def close(self) -> None:
-        """Close the underlying endpoint."""
+        """Half-close the underlying endpoint: the peer sees EOF, and
+        this side can still read."""
         self._endpoint.close()
+
+    def close_both(self) -> None:
+        """Close the underlying endpoint entirely, releasing its socket:
+        the connection's end of life, after its last read."""
+        self._endpoint.close_both()
 
 
 # -- the protocol as data ----------------------------------------------------

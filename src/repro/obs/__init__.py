@@ -282,7 +282,7 @@ class Observability:
             "CDW engine statement latency", ("statement",))
         self.table_bytes = reg.gauge(
             "hyperq_table_bytes",
-            "Estimated bytes of column/row data held per CDW table",
+            "Bytes of column buffers held per CDW table",
             ("table",))
 
     def _on_span_drop(self) -> None:

@@ -1,15 +1,19 @@
-"""ALTER TABLE execution on the CDW engine (row and columnar modes)."""
+"""ALTER TABLE execution on the CDW engine, read back by the vector
+path ("columnar") and by the row interpreter ("rows"), which serves
+UPDATE and MERGE over an altered table."""
 
 import pytest
 
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
 from repro.errors import CatalogError
+from tests.cdw.oracles import row_interpreter
 
 
-@pytest.fixture(params=[True, False], ids=["columnar", "rows"])
+@pytest.fixture(params=[False, True], ids=["columnar", "rows"])
 def any_engine(request):
-    return CdwEngine(store=CloudStore(), columnar=request.param)
+    engine = CdwEngine(store=CloudStore())
+    return row_interpreter(engine) if request.param else engine
 
 
 def _seed(engine):

@@ -1,13 +1,16 @@
 """Differential test: the apply's buffer route against the row oracle.
 
-The *buffer route* is a columnar engine: the staging table's text
+The *buffer route* is the vector engine: the staging table's text
 columns reach the vector compiler as ``TextSlice`` buffers, the TRIM
 and TO_DATE kernels decide whole slices, and the target's VARCHAR(n),
 NOT NULL and unique checks run on the buffers.  The *oracle* is the
-same statement on ``CdwEngine(columnar=False)``, row by row.  For the
-same staging rows both must leave the same target rows, or raise the
-same error (type, message and ``field``) and leave the target as it
-was.
+same statement on an engine forced onto its row interpreter
+(``tests/cdw/oracles.py``), row by row.  For the same staging rows both
+must leave the same target rows, or raise the same error (type, message
+and ``field``) and leave the target as it was.  The one apply without a
+date (the last of :data:`APPLIES`) is also held to stdlib ``sqlite3``:
+TRIM over Unicode whitespace, ``VARCHAR(n)`` in characters, NOT NULL
+and the unique key.
 
 Residual WHERE clauses come from ``test_columnar_equivalence``'s
 predicate generator, so gathered slices are covered too.  On clean
@@ -26,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cdw.engine import CdwEngine
 from repro.sqlxc.parser import parse_statement
+from tests.cdw.oracles import SqliteOracle, row_interpreter, run
 from tests.cdw.test_columnar_equivalence import _predicate, _random_rows
 
 STAGING = ("CREATE TABLE S (ID INT, GRP INT, AMT DOUBLE, NAME NVARCHAR(20), "
@@ -43,6 +47,8 @@ APPLIES = [
     "INSERT INTO T SELECT A, B, TO_DATE(E, 'DD/MM/YYYY'), D FROM S "
     "WHERE {where}",
     "INSERT INTO T (K, J) SELECT TRIM(A), TO_DATE(D) FROM S WHERE {where}",
+    "INSERT INTO T (K, NM, P) SELECT TRIM(A), RTRIM(B), LTRIM(A) FROM S "
+    "WHERE {where}",
 ]
 
 #: whitespace ``str.strip()`` removes, ASCII and not.
@@ -121,9 +127,12 @@ def apply_case(draw):
 
 
 def _engines(case):
+    """(vector engine, forced row interpreter) holding the case."""
     engines = []
-    for columnar in (True, False):
-        engine = CdwEngine(columnar=columnar)
+    for interpreter in (False, True):
+        engine = CdwEngine()
+        if interpreter:
+            row_interpreter(engine)
         engine.execute(STAGING)
         engine.execute(TARGET)
         numeric = _random_rows(random.Random(case["seed"]),
@@ -138,12 +147,15 @@ def _engines(case):
     return engines
 
 
-def _outcome(engine, sql):
-    try:
-        result = engine.execute(sql)
-    except Exception as exc:  # noqa: BLE001 - diffing error identity
+def _described(ran):
+    if ran[0] == "error":
+        exc = ran[1]
         return type(exc).__name__, str(exc), getattr(exc, "field", None)
-    return "count", result.rows_inserted
+    return "count", ran[1].rows_inserted
+
+
+def _outcome(engine, sql):
+    return _described(run(engine, sql))
 
 
 def _statements(case):
@@ -191,9 +203,12 @@ def test_pinned_flaws_match_the_row_oracle(case):
 
 def _assert_routes_agree(case):
     engines = _engines(case)
+    sqlite = SqliteOracle(engines[0])
     for sql in _statements(case):
-        outcomes = [_outcome(engine, sql) for engine in engines]
+        ran = [run(engine, sql) for engine in engines]
+        outcomes = [_described(r) for r in ran]
         assert outcomes[0] == outcomes[1], sql
+        sqlite.check(sql, ran[0])
         targets = [list(engine.table("T").rows) for engine in engines]
         assert targets[0] == targets[1], sql
     staged = [list(engine.table("S").rows) for engine in engines]
@@ -269,8 +284,10 @@ def test_bulk_load_shape_declines_nothing():
            "TO_DATE(s.D, 'YYYY-MM-DD'), s.E FROM S AS s "
            "WHERE (s.__SEQ BETWEEN 0 AND 1999)")
     results = []
-    for columnar in (True, False):
-        engine = CdwEngine(columnar=columnar)
+    for interpreter in (False, True):
+        engine = CdwEngine()
+        if interpreter:
+            row_interpreter(engine)
         engine.execute("CREATE TABLE S (A NVARCHAR, B NVARCHAR, "
                        "D NVARCHAR, E NVARCHAR, __SEQ BIGINT)")
         engine.execute("CREATE TABLE PROD.FACT (REC_ID VARCHAR(12) NOT "
@@ -280,7 +297,7 @@ def test_bulk_load_shape_declines_nothing():
         engine.table("S").set_sorted("__SEQ")
         assert engine.execute(sql).rows_inserted == 2000
         results.append(list(engine.table("PROD.FACT").rows))
-        if columnar:
+        if not interpreter:
             assert engine.kernel_declines == {"trim": 0, "to_date": 0}
             assert engine.vector_fallbacks == {"out_of_scope": 0}
     assert results[0] == results[1]

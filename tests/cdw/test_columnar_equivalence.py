@@ -1,11 +1,12 @@
-"""Columnar engine vs row-fallback engine: observational equivalence.
+"""Vector execution vs the row interpreter: observational equivalence.
 
-PR 8's contract is that columnar storage + vectorized execution is a
-pure performance change: for every statement the columnar engine must
-produce exactly the rows, counts, table states, *and errors* the
-row-of-tuples interpreter produces.  These tests drive randomized
+Vectorized execution is a pure performance change: for every statement
+the vector engine must produce exactly the rows, counts, table states,
+*and errors* the row interpreter produces.  These tests drive randomized
 statement streams (NULL-heavy data, zone map armed and disarmed)
-through one engine of each kind and diff everything observable.
+through a vector engine and one forced onto its row interpreter
+(``tests/cdw/oracles.py``), diff everything observable, and hold every
+statement of a covered family to stdlib ``sqlite3`` as well.
 
 The streams include guarded casts — ``CAST(AMT AS INT)`` behind an
 ``OR``/``AND``/``CASE`` guard, or beside an aggregate — where the
@@ -21,6 +22,7 @@ import pytest
 
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
+from tests.cdw.oracles import SqliteOracle, row_interpreter, run
 
 DDL = (
     "CREATE TABLE T (ID INT, GRP INT, AMT DOUBLE, "
@@ -49,10 +51,13 @@ def _random_rows(rng, count, seq_base=0):
 
 
 def make_pair(seed, rows=250, arm_zone_map=False):
-    """One columnar and one row-mode engine with identical contents."""
+    """A vector engine and a forced row interpreter with identical
+    contents."""
     engines = []
-    for columnar in (True, False):
-        engine = CdwEngine(store=CloudStore(), columnar=columnar)
+    for interpreter in (False, True):
+        engine = CdwEngine(store=CloudStore())
+        if interpreter:
+            row_interpreter(engine)
         for ddl in DDL:
             engine.execute(ddl)
         rng = random.Random(seed)
@@ -179,26 +184,32 @@ def _dml(rng):
             f"{900_000 + rng.randrange(0, 100_000)})")
 
 
-def _outcome(engine, sql):
-    """(tag, payload) for one execution — errors are part of the
-    observable behaviour and must match across engines."""
-    try:
-        result = engine.execute(sql)
-    except Exception as exc:  # noqa: BLE001 - diffing error identity
-        return type(exc).__name__, str(exc)
+def _outcome(ran):
+    """(tag, payload) of one :func:`~tests.cdw.oracles.run` — errors
+    are part of the observable behaviour and must match across
+    engines."""
+    if ran[0] == "error":
+        return type(ran[1]).__name__, str(ran[1])
+    result = ran[1]
     if result.kind == "rows":
         return "rows", result.rows
     return "count", (result.rows_inserted, result.rows_updated,
                      result.rows_deleted)
 
 
-def _assert_equivalent(engines, sql):
-    columnar, rowwise = (_outcome(e, sql) for e in engines)
-    assert columnar == rowwise, f"divergence on: {sql}"
+def _assert_equivalent(engines, sql, oracle=None):
+    """Both engines agree on ``sql`` (and ``oracle``, a
+    :class:`SqliteOracle` over the vector engine, on whatever it
+    covers); returns the vector engine's outcome."""
+    ran = [run(e, sql) for e in engines]
+    vector, interpreted = map(_outcome, ran)
+    assert vector == interpreted, f"divergence on: {sql}"
     state = [sorted(e.query("SELECT * FROM T"), key=repr)
              for e in engines]
     assert state[0] == state[1], f"table state diverged after: {sql}"
-    return columnar
+    if oracle is not None:
+        oracle.check(sql, ran[0])
+    return vector
 
 
 @pytest.mark.parametrize("seed", [11, 23, 37])
@@ -206,12 +217,13 @@ def _assert_equivalent(engines, sql):
                          ids=["zone-map-off", "zone-map-armed"])
 def test_random_statement_streams_agree(seed, armed):
     engines = make_pair(seed, arm_zone_map=armed)
+    oracle = SqliteOracle(engines[0])
     rng = random.Random(seed * 7 + int(armed))
     fallbacks = engines[0].vector_fallbacks
     for step in range(120):
         sql = _select(rng) if rng.random() < 0.6 else _dml(rng)
         before = fallbacks["out_of_scope"]
-        outcome = _assert_equivalent(engines, sql)
+        outcome = _assert_equivalent(engines, sql, oracle)
         if fallbacks["out_of_scope"] != before:
             # The one generated shape left to the interpreter: a plain
             # item beside an aggregate over no rows, which it resolves
@@ -219,11 +231,13 @@ def test_random_statement_streams_agree(seed, armed):
             # (UPDATE, MERGE and VALUES were never on them).
             assert outcome == ("ExpressionError",
                                "unknown column 'AMT'"), sql
+    assert oracle.verdicts["compared"] > 0
 
 
 def test_seq_range_scans_agree_while_zone_map_armed():
     """The ranged-apply shape: __SEQ BETWEEN conjunct + residual."""
     engines = make_pair(99, arm_zone_map=True)
+    oracle = SqliteOracle(engines[0])
     rng = random.Random(99)
     for _ in range(60):
         lo = rng.randrange(0, 260)
@@ -235,7 +249,7 @@ def test_seq_range_scans_agree_while_zone_map_armed():
                 f"DELETE FROM T WHERE __SEQ BETWEEN {lo} AND {hi} "
                 f"AND {residual}",
         ):
-            _assert_equivalent(engines, sql)
+            _assert_equivalent(engines, sql, oracle)
     assert engines[0].vector_fallbacks == {"out_of_scope": 0}
 
 
@@ -268,13 +282,15 @@ def test_try_forms_agree_and_stay_on_vectors():
     values = ["12", "1x2", None, "2020-01-02", "2020-13-45",
               "2020-01-02 03:04:05", "abc"]
     results = []
-    for columnar in (True, False):
-        engine = CdwEngine(store=CloudStore(), columnar=columnar)
+    for interpreter in (False, True):
+        engine = CdwEngine(store=CloudStore())
+        if interpreter:
+            row_interpreter(engine)
         engine.execute("CREATE TABLE S (V NVARCHAR, __SEQ BIGINT)")
         engine.table("S").append_rows(
             [(v, i) for i, v in enumerate(values)])
         results.append(engine.query(sql))
-        if columnar:
+        if not interpreter:
             assert engine.vector_fallbacks == {"out_of_scope": 0}
         assert engine.query("SELECT TRY_CAST(V AS NVARCHAR(20)) FROM S "
                             "WHERE __SEQ < 2") == [("12",), ("1x2",)]

@@ -7,9 +7,11 @@ coercion / NOT NULL), ``BulkExecutionError`` message, ``kind`` and
 ``field`` included — without re-running the range on rows, and it must
 fail *only* where the interpreter does: the vector closures
 short-circuit ``AND``/``OR``/``CASE`` like it, so no statement needs a
-second run.  Every case runs on a vector engine and on
-``CdwEngine(columnar=False)`` (the oracle) and diffs the outcome and the
-table state; the work-bound test counts what a failing range costs.
+second run.  Every case runs on a vector engine and on one forced onto
+its row interpreter (the oracle, ``tests/cdw/oracles.py``) and diffs
+the outcome and the table state; a case in the sqlite oracle's families
+is also held to stdlib ``sqlite3``.  The work-bound test counts what a
+failing range costs.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from repro.cdw import stagefile
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
 from repro.errors import CdwError
+from tests.cdw.oracles import SqliteOracle, row_interpreter, run
 
 #: ``vector_fallbacks`` of an engine whose every statement ran on vectors
 NO_FALLBACKS = {"out_of_scope": 0}
@@ -41,10 +44,13 @@ def staged(count=10, **cells):
 
 
 def make_pair(rows, armed):
-    """(vector engine, row-mode oracle) holding the same staging rows."""
+    """(vector engine, row-interpreter oracle) holding the same staging
+    rows."""
     engines = []
-    for columnar in (True, False):
-        engine = CdwEngine(store=CloudStore(), columnar=columnar)
+    for interpreter in (False, True):
+        engine = CdwEngine(store=CloudStore())
+        if interpreter:
+            row_interpreter(engine)
         for ddl in DDL:
             engine.execute(ddl)
         engine.table("S").append_rows(rows)
@@ -63,20 +69,29 @@ def forbid_row_paths(monkeypatch, engine):
         monkeypatch.setattr(engine, name, entered)
 
 
-def outcome(engine, sql):
-    """Everything observable about one execution."""
-    try:
-        result = engine.execute(sql)
-    except Exception as exc:  # noqa: BLE001 - diffing error identity
+def described(ran):
+    """Everything observable about one :func:`~tests.cdw.oracles.run`."""
+    if ran[0] == "error":
+        exc = ran[1]
         return (type(exc).__name__, str(exc),
                 getattr(exc, "kind", None), getattr(exc, "field", None))
+    result = ran[1]
     return ("ok", result.rows, result.rows_inserted, result.rows_deleted)
 
 
+def outcome(engine, sql):
+    """Everything observable about one execution."""
+    return described(run(engine, sql))
+
+
 def assert_same(engines, sql):
-    """Both engines agree on ``sql``; returns the shared outcome."""
-    vector, oracle = (outcome(engine, sql) for engine in engines)
+    """Both engines agree on ``sql``, and sqlite on whatever its oracle
+    covers; returns the shared outcome."""
+    sqlite = SqliteOracle(engines[0])
+    ran = [run(engine, sql) for engine in engines]
+    vector, oracle = map(described, ran)
     assert vector == oracle, f"divergence on: {sql}"
+    sqlite.check(sql, ran[0])
     for table in ("S", "T"):
         state = [list(engine.table(table).rows) for engine in engines]
         assert state[0] == state[1], f"{table} diverged after: {sql}"
@@ -191,9 +206,12 @@ def test_empty_range_delete(armed, monkeypatch):
 @ARMED
 @pytest.mark.parametrize("sql", [
     "SELECT A FROM S WHERE A <> 'x' AND CAST(A AS INTEGER) > 0",
-    # (one conjunct: the zone-map rewrite reorders top-level ANDs)
     "INSERT INTO T SELECT __SEQ, 1, NULL FROM S WHERE __SEQ BETWEEN 0 "
     "AND 9 AND (A = 'x' OR CAST(A AS INTEGER) > 0)",
+    # The zone-map rewrite drops the BETWEEN and keeps the other
+    # conjuncts in their order, so the guard still runs first.
+    "SELECT A FROM S WHERE A <> 'x' AND __SEQ BETWEEN 0 AND 9 "
+    "AND CAST(A AS INTEGER) > 0",
     "DELETE FROM S WHERE A <> 'x' AND CAST(A AS INTEGER) > 4",
     "SELECT CASE WHEN A = 'x' THEN 0 ELSE CAST(A AS INT) END FROM S",
     # The inner AND reaches every row and raises; the outer OR must
@@ -211,10 +229,10 @@ def test_empty_range_delete(armed, monkeypatch):
     # never evaluated.
     "SELECT A FROM S WHERE __SEQ >= 0 OR CAST('q' AS INT) > 0",
     "SELECT CASE WHEN __SEQ >= 0 THEN 1 ELSE CAST('q' AS INT) END FROM S",
-], ids=["select", "insert", "delete", "case-arm", "and-inside-or",
-        "guard-on-each-side", "case-condition", "case-else-unreached",
-        "constant-left-or", "constant-left-and", "constant-operand-no-rows",
-        "constant-else-unreached"])
+], ids=["select", "insert", "zone-map-keeps-conjunct-order", "delete",
+        "case-arm", "and-inside-or", "guard-on-each-side", "case-condition",
+        "case-else-unreached", "constant-left-or", "constant-left-and",
+        "constant-operand-no-rows", "constant-else-unreached"])
 def test_spurious_eager_error_succeeds_and_is_counted(
         sql, armed, monkeypatch):
     """Eager evaluation would cast the ``'x'`` the interpreter
@@ -332,11 +350,11 @@ def test_failing_range_binds_one_row_context(monkeypatch):
     """The Fig 11 cost model: a failing ranged INSERT..SELECT over 4 096
     staged rows is one vector pass plus one interpreted row."""
     rows = staged(4096, c3000="badC3000")
-    vector, oracle = make_pair(rows, armed=True)
+    vector, interpreter = make_pair(rows, armed=True)
     sql = ("INSERT INTO T SELECT CAST(A AS INT), CAST(B AS INT), "
            "TO_DATE(C, 'YYYY-MM-DD') FROM S "
            "WHERE __SEQ BETWEEN 0 AND 4095")
-    expected = outcome(oracle, sql)
+    expected = outcome(interpreter, sql)
     assert expected[0] == "BulkExecutionError" and "badC3000" in expected[1]
 
     contexts = []

@@ -73,7 +73,7 @@ def block_stage(record_format, chunks, order, files):
     return [b"".join(blocks[:cut]), b"".join(blocks[cut:])], errors
 
 
-def copy_outcome(ddl, columnar, blobs, file_format, gzip):
+def copy_outcome(ddl, blobs, file_format, gzip):
     """COPY ``blobs`` into a fresh STG: ``("ok", rows)`` in storage
     order, or ``("raise", type, message)`` with the table left empty."""
     store = CloudStore()
@@ -83,7 +83,7 @@ def copy_outcome(ddl, columnar, blobs, file_format, gzip):
         if gzip:
             data, name = stagefile.compress(data), name + ".gz"
         store.put_blob("stage", name, data)
-    engine = CdwEngine(store=store, columnar=columnar)
+    engine = CdwEngine(store=store)
     engine.execute(ddl)
     try:
         engine.execute(
@@ -94,21 +94,21 @@ def copy_outcome(ddl, columnar, blobs, file_format, gzip):
     return ("ok", list(engine.catalog.get("STG").rows))
 
 
-def outcomes(record_format, chunks, ddl, columnar, gzip, order, files):
+def outcomes(record_format, chunks, ddl, gzip, order, files):
     """The reference and block outcomes of staging ``chunks``."""
     try:
         csv, ref_errors = reference_stage(record_format, chunks)
     except Exception as exc:
         reference = ("convert raise", type(exc).__name__)
     else:
-        reference = (copy_outcome(ddl, columnar, [csv], "csv", gzip),
+        reference = (copy_outcome(ddl, [csv], "csv", gzip),
                      ref_errors)
     try:
         blobs, errors = block_stage(record_format, chunks, order, files)
     except Exception as exc:
         block = ("convert raise", type(exc).__name__)
     else:
-        block = (copy_outcome(ddl, columnar, blobs, "block", gzip), errors)
+        block = (copy_outcome(ddl, blobs, "block", gzip), errors)
     return reference, block
 
 
@@ -223,7 +223,6 @@ def test_vartext_block_route_matches_csv_route(data):
     record_format, chunks, ddl = data.draw(vartext_case())
     order, files = placement(data.draw, chunks)
     assert_same(*outcomes(record_format, chunks, ddl,
-                          columnar=data.draw(st.booleans()),
                           gzip=data.draw(st.booleans()),
                           order=order, files=files))
 
@@ -234,7 +233,6 @@ def test_binary_block_route_matches_csv_route(data):
     record_format, chunks, ddl = data.draw(binary_case())
     order, files = placement(data.draw, chunks)
     assert_same(*outcomes(record_format, chunks, ddl,
-                          columnar=data.draw(st.booleans()),
                           gzip=data.draw(st.booleans()),
                           order=order, files=files))
 
@@ -283,8 +281,7 @@ def test_truncated_block_is_a_typed_error_and_lands_nothing(data):
     block = _one_block_file()
     cut = data.draw(st.integers(1, len(block) - 1))
     intact = _one_block_file()
-    outcome = copy_outcome(_DDL, data.draw(st.booleans()),
-                           [intact, block[:cut]], "block", False)
+    outcome = copy_outcome(_DDL, [intact, block[:cut]], "block", False)
     assert outcome[:2] == ("raise", "DataFormatError")
 
 
@@ -299,13 +296,13 @@ def test_corrupt_block_is_a_typed_error(where, junk):
     at, payload = junk
     block = bytearray(_one_block_file())
     block[at:at + len(payload)] = payload
-    outcome = copy_outcome(_DDL, True, [bytes(block)], "block", False)
+    outcome = copy_outcome(_DDL, [bytes(block)], "block", False)
     assert outcome[:2] == ("raise", "DataFormatError")
     assert where in outcome[2]
 
 
 def test_block_of_the_wrong_width_is_refused():
     outcome = copy_outcome(
-        "CREATE TABLE STG (A NVARCHAR, __SEQ BIGINT)", True,
+        "CREATE TABLE STG (A NVARCHAR, __SEQ BIGINT)",
         [_one_block_file()], "block", False)
     assert outcome[:2] == ("raise", "BulkExecutionError")

@@ -1,12 +1,13 @@
-"""A seeded Fig 11 job on the vector engine vs the row-mode oracle.
+"""A seeded Fig 11 job on the vector engine vs the row-interpreter oracle.
 
 The adaptive error handler (paper §7) turns statement-level failures
 into per-tuple ET/UV records, so whatever error text, field and failing
 range the engine reports ends up in those tables.  The vector engine
 raises each failure itself instead of re-running the range on the row
-interpreter; the tables it leaves behind must be the ones the row-mode
-engine leaves, and no statement of the job that the vector path serves
-may have run on the interpreter instead.
+interpreter; the tables it leaves behind must be the ones an engine
+forced onto its row interpreter (``tests/cdw/oracles.py``) leaves, and
+no statement of the job that the vector path serves may have run on the
+interpreter instead.
 """
 
 import re
@@ -17,14 +18,17 @@ from repro.bench.harness import Stack, run_workload_through_hyperq
 from repro.cdw import CdwEngine, CloudStore
 from repro.core.gateway import HyperQNode
 from repro.workloads import make_workload
+from tests.cdw.oracles import row_interpreter
 
 
-def _loaded_stack(columnar: bool) -> Stack:
+def _loaded_stack(interpreter: bool) -> Stack:
     workload = make_workload(rows=1_500, row_bytes=120, seed=1311,
                              error_rate=0.03, dup_rate=0.01)
     assert workload.expected_date_errors and workload.expected_dup_errors
     store = CloudStore()
-    engine = CdwEngine(store=store, columnar=columnar)
+    engine = CdwEngine(store=store)
+    if interpreter:
+        row_interpreter(engine)
     stack = Stack(engine=engine, store=store,
                   node=HyperQNode(engine, store).start())
     run_workload_through_hyperq(stack, workload, max_errors=10**9)
@@ -33,8 +37,9 @@ def _loaded_stack(columnar: bool) -> Stack:
 
 @pytest.fixture(scope="module")
 def stacks():
-    """The same dirty job loaded through a vector and a row-mode engine."""
-    vector, oracle = _loaded_stack(True), _loaded_stack(False)
+    """The same dirty job loaded through a vector engine and a forced
+    row interpreter."""
+    vector, oracle = _loaded_stack(False), _loaded_stack(True)
     yield vector, oracle
     vector.close()
     oracle.close()

@@ -5,9 +5,10 @@ A failed apply statement's bad rows are listed by one set-oriented pass
 around them.  The oracle is the same job with no ``locate``: the
 recursive halving of paper Section 7.  Target, ET, UV and every
 :class:`ApplySummary` counter but ``statements``/``splits`` must match,
-whatever the faults, the ``max_errors``/``max_retries`` bounds — and
-whatever the locate pass says: a lying hint may cost statements, never
-a different table.
+whatever the faults, the ``max_errors``/``max_retries`` bounds, the
+evaluator (the vector engine or one forced onto its row interpreter) —
+and whatever the locate pass says: a lying hint may cost statements,
+never a different table.
 """
 
 import random
@@ -23,6 +24,7 @@ from repro.core.jobs import create_staging_table
 from repro.dq.compiler import ApplyLocatePass
 from repro.legacy.types import FieldDef, Layout, parse_type
 
+from tests.cdw.oracles import row_interpreter
 from tests.core.test_errorhandling import Oracle
 
 LAYOUT = Layout("L", [
@@ -74,9 +76,10 @@ def seq_of(i: int) -> int:
     return (i // CHUNK) * STRIDE + i % CHUNK
 
 
-def build(rows, *, columnar, native_unique, two_keys):
-    engine = CdwEngine(store=CloudStore(), columnar=columnar,
-                       native_unique=native_unique)
+def build(rows, *, interpreter, native_unique, two_keys):
+    engine = CdwEngine(store=CloudStore(), native_unique=native_unique)
+    if interpreter:
+        row_interpreter(engine)
     engine.execute(
         "CREATE TABLE TGT (K NVARCHAR(6), N NVARCHAR(8) NOT NULL, "
         "D DATE, A INT, UNIQUE (K)"
@@ -96,11 +99,11 @@ def build(rows, *, columnar, native_unique, two_keys):
 
 
 def run_job(rows, *, locate="real", max_errors=10**9, max_retries=64,
-            columnar=True, native_unique=True, two_keys=False):
+            interpreter=False, native_unique=True, two_keys=False):
     """Apply the staged rows; ``locate`` is ``"real"`` (the compiled
     pass), None (halving only) or ``fn(real_suspects) -> hint``."""
-    engine = build(rows, columnar=columnar, native_unique=native_unique,
-                   two_keys=two_keys)
+    engine = build(rows, interpreter=interpreter,
+                   native_unique=native_unique, two_keys=two_keys)
     beta = Beta(engine, HyperQConfig())
     engine.table("STG").set_sorted(SEQ_COLUMN)
     chunks = {c: min(CHUNK, len(rows) - c * CHUNK)
@@ -147,7 +150,7 @@ def jobs(draw):
         "max_errors": draw(st.one_of(
             st.just(10**9), st.integers(1, bad + 2))),
         "max_retries": draw(st.one_of(st.just(64), st.integers(0, 6))),
-        "columnar": draw(st.booleans()),
+        "interpreter": draw(st.booleans()),
         "native_unique": draw(st.booleans()),
         "two_keys": draw(st.booleans()),
         "lie_seed": draw(st.integers(0, 10**6)),
@@ -159,7 +162,7 @@ def jobs(draw):
 @given(jobs())
 def test_located_apply_matches_halving(job):
     options = {k: job[k] for k in ("max_errors", "max_retries",
-                                   "columnar", "native_unique",
+                                   "interpreter", "native_unique",
                                    "two_keys")}
     rows = job["rows"]
     want, want_summary, want_outcome, _ = run_job(
@@ -248,7 +251,7 @@ def test_an_insert_the_pass_cannot_cover_compiles_once(monkeypatch):
     faults = ["clean"] * 21
     faults[2] = faults[16] = "bad_date"
     rows = make_rows(faults, [0] * 21)
-    engine = build(rows, columnar=True, native_unique=True,
+    engine = build(rows, interpreter=False, native_unique=True,
                    two_keys=False)
     engine.table("STG").set_sorted(SEQ_COLUMN)
     run = ApplyRun(Beta(engine, HyperQConfig()), sql=INSERT_SQL,
@@ -271,7 +274,7 @@ def test_an_insert_the_pass_cannot_cover_compiles_once(monkeypatch):
     "else insert into TGT values (:K, :N, NULL, NULL)",
 ])
 def test_other_dml_kinds_only_halve(sql):
-    engine = build(make_rows(["clean"], [0]), columnar=True,
+    engine = build(make_rows(["clean"], [0]), interpreter=False,
                    native_unique=True, two_keys=False)
     run = ApplyRun(Beta(engine, HyperQConfig()), sql=sql, layout=LAYOUT,
                    staging_table="STG", target_table="TGT",

@@ -1,16 +1,20 @@
 """The docs name exactly what the code has: the HyperQConfig fields in
 the config listings, the protocol schema in PROTOCOL.md's tables, the
-``hyperq_jobs_total`` events in OBSERVABILITY.md."""
+metric families and the ``hyperq_jobs_total`` events in
+OBSERVABILITY.md."""
 
 import dataclasses
+import json
 import os
 import re
 
 from repro.core.config import HyperQConfig
 from repro.core.jobs import ENDINGS
 from repro.legacy.protocol import REPLY_KEYS, REQUESTS, STREAM
+from repro.obs import Observability
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 FIELDS = {f.name for f in dataclasses.fields(HyperQConfig)}
 
@@ -86,3 +90,29 @@ def test_observability_md_lists_every_jobs_total_event():
                     read_doc("OBSERVABILITY.md"), re.MULTILINE).group(0)
     meaning = row.split("|")[4]
     assert set(re.findall(r"`([a-z]+)`", meaning)) == _emitted_job_events()
+
+
+def _documented_metric_families():
+    """``{family: (type, labels)}`` from OBSERVABILITY.md's catalog."""
+    section = read_doc("OBSERVABILITY.md").split("## Metric catalog")[1]
+    families = {}
+    for match in re.finditer(r"^\| `([a-z0-9_]+)` \| (\w+) \| ([^|]*) \|",
+                             section.split("\n## ")[0], re.MULTILINE):
+        labels = frozenset(re.findall(r"`(\w+)`", match.group(3)))
+        families[match.group(1)] = (match.group(2), labels)
+    return families
+
+
+def test_observability_md_catalogs_every_metric_family():
+    """Both ways: every family a node registers (the SLO gauges under
+    an SLO profile) has a catalog row with its type and labels, and
+    every row names a registered family."""
+    with open(os.path.join(EXAMPLES, "slo_profile.json"),
+              encoding="utf-8") as handle:
+        profile = json.load(handle)
+    registered = {}
+    for config in (HyperQConfig(), HyperQConfig(slo_profile=profile)):
+        registry = Observability.from_config(config).registry
+        for name, family in registry._families.items():
+            registered[name] = (family.kind, frozenset(family.labelnames))
+    assert _documented_metric_families() == registered

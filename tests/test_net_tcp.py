@@ -14,7 +14,7 @@ from repro.errors import TransportClosed
 from repro.legacy.protocol import Message, MessageChannel, MessageKind
 from repro.legacy.script import ScriptInterpreter, parse_script
 from repro.legacy.server import LegacyServer
-from repro.net_tcp import TcpListener, connect_tcp
+from repro.net_tcp import TcpEndpoint, TcpListener, connect_tcp
 from tests.conftest import EXAMPLE_DATA, EXAMPLE_SCRIPT
 
 
@@ -187,3 +187,33 @@ class TestStackOverTcp:
             assert result.last_import.rows_inserted == 2
         finally:
             server.stop()
+
+    def test_every_socket_is_closed_by_its_owner(self, monkeypatch):
+        """The control session after LOGOFF_OK, each data and export
+        session when it ends, and each server handler after its EOF
+        close their sockets; none is left for the garbage collector."""
+        endpoints = []
+        init = TcpEndpoint.__init__
+
+        def recording(self, sock, name=""):
+            init(self, sock, name)
+            endpoints.append(self)
+
+        monkeypatch.setattr(TcpEndpoint, "__init__", recording)
+        store = CloudStore()
+        engine = CdwEngine(store=store)
+        node = HyperQNode(engine, store, HyperQConfig(),
+                          listener=TcpListener()).start()
+        try:
+            interp = ScriptInterpreter(node.listener.connect,
+                                       files={"input.txt": EXAMPLE_DATA})
+            interp.run(parse_script(EXAMPLE_SCRIPT))
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and any(
+                    e._sock.fileno() != -1 for e in endpoints):
+                time.sleep(0.01)    # server handlers close after EOF
+        finally:
+            node.stop()
+        assert {e.name.split("<")[0].split("-")[0] for e in endpoints} == \
+            {"client", "server"}
+        assert [e.name for e in endpoints if e._sock.fileno() != -1] == []
