@@ -4,27 +4,37 @@ Paper: elapsed time vs. error percentage: Hyper-Q (bulk + adaptive
 splitting) vs a singleton-insert baseline.  Hyper-Q crushes the
 baseline at 0%, jumps 0%->1% when splitting first triggers, degrades
 smoothly, and still wins at 10%; the baseline is flat.  The paper's
-0%->1% jump is the cost of recursive halving: with located apply a
-failed range costs one locate pass plus one statement per bad row and
-one per clean segment between them, so the gate here is that statement
-count (at most ``2 x errors + 2``), not a jump.  Series logic:
+0%->1% jump is the cost of recursive halving.  Hyper-Q's series runs
+the default apply: a failed range costs one verdict pass, one INSERT of
+its clean rows and one write per error table, so its DML statement
+count is the same small constant at every error rate (gated), and
+never more than ``2 x errors + 2``.  Series logic:
 :mod:`repro.bench.figures` (which also asserts both systems load
 identical rows).
 
-The range-scan leg gates why the splitter's cost stays bounded: total
-apply time is sub-linear in the number of ranged DML statements, because
-each ``__SEQ BETWEEN`` range is a binary-searched slice of the sorted
-staging table, so the split cascade costs O(rows touched), not
-O(ranges x staging rows).
+Two legs gate the paper's splitter itself, on the halving reference
+this file builds (:func:`halving_reference`: every apply's handler is
+``AdaptiveErrorHandler(locate=None)``; no configuration selects it):
+
+- the range-scan leg: total apply time is sub-linear in the number of
+  ranged DML statements, because each ``__SEQ BETWEEN`` range is a
+  binary-searched slice of the sorted staging table, so the split
+  cascade costs O(rows touched), not O(ranges x staging rows);
+- the plan-cache leg: the splitter issues the same-shaped DML over and
+  over with only the ``__SEQ`` range changed, so it runs almost
+  entirely out of the prepared-plan cache.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from conftest import bench_json, bench_scale, emit, scaled
 
 from repro.bench import format_series
 from repro.bench.figures import fig11_series
 from repro.bench.harness import build_stack, run_workload_through_hyperq
+from repro.core import beta
 from repro.core.config import HyperQConfig
 from repro.workloads import make_workload
 
@@ -32,14 +42,33 @@ SCALE = bench_scale()
 ROWS = scaled(4_000)
 
 
+@contextmanager
+def halving_reference():
+    """Apply by the paper's recursive halving alone: while active, every
+    apply run's error handler is built as
+    ``AdaptiveErrorHandler(locate=None)`` (with no clean-rows executor
+    either), so no locate pass or verdict route runs."""
+    real = beta.AdaptiveErrorHandler
+
+    def halving(**kwargs):
+        return real(**{**kwargs, "locate": None, "execute_clean": None})
+
+    beta.AdaptiveErrorHandler = halving
+    try:
+        yield
+    finally:
+        beta.AdaptiveErrorHandler = real
+
+
 def range_scan_point(error_rate: float) -> dict:
-    """Best-of-5 apply time and DML statement count at one error rate."""
+    """Best-of-5 apply time and DML statement count at one error rate,
+    on the halving reference."""
     config = HyperQConfig(converters=2, filewriters=2, credits=8)
     workload = make_workload(rows=ROWS, row_bytes=500, seed=42,
                              error_rate=error_rate)
     point = None
     for _ in range(5):
-        with build_stack(config) as stack:
+        with halving_reference(), build_stack(config) as stack:
             metrics = run_workload_through_hyperq(
                 stack, workload, sessions=2, max_errors=10**9)
         if point is None or metrics.application_s < point["apply_s"]:
@@ -53,14 +82,15 @@ def test_fig11_error_handling(benchmark, results_dir):
     text = format_series(
         f"Figure 11: error handling performance ({ROWS} rows)",
         series,
-        note="expect: Hyper-Q much faster at 0%, at most 2 DML "
-             "statements per error (+2), baseline flat, Hyper-Q still "
-             "ahead at 10%")
+        note="expect: Hyper-Q much faster at 0%, the same few DML "
+             "statements at every error rate (at most 2 per error + 2), "
+             "baseline flat, Hyper-Q still ahead at 10%")
 
     low, high = range_scan_point(0.01), range_scan_point(0.10)
     range_growth = high["ranges"] / low["ranges"]
     apply_growth = high["apply_s"] / low["apply_s"]
-    text += (f"range scans (1% -> 10% errors, best of 5): ranges "
+    text += (f"halving reference, range scans (1% -> 10% errors, best of "
+             f"5): ranges "
              f"{low['ranges']} -> {high['ranges']} ({range_growth:.2f}x), "
              f"apply {low['apply_s']:.3f}s -> {high['apply_s']:.3f}s "
              f"({apply_growth:.2f}x)\n")
@@ -77,9 +107,15 @@ def test_fig11_error_handling(benchmark, results_dir):
     for row in series:
         assert row["hyperq_dml_stmts"] <= \
             2 * row["errors_recorded"] + 2, \
-            f"located apply should cost at most two statements per " \
+            f"the apply should cost at most two statements per " \
             f"error at {row['error_pct']} ({row['hyperq_dml_stmts']} " \
             f"statements, {row['errors_recorded']} errors)"
+    dirty = {row["error_pct"]: row["hyperq_dml_stmts"] for row in series
+             if row["error_pct"] in ("1%", "5%", "10%")}
+    assert len(dirty) == 3 and len(set(dirty.values())) == 1 \
+        and max(dirty.values()) <= 4, \
+        f"a dirty load's apply should be the same few statements at " \
+        f"every error rate (the verdict route): {dirty}"
     if ROWS >= 2_000:  # shape assertions need enough rows to be stable
         baseline_times = [row["baseline_total_s"] for row in series]
         assert max(baseline_times) < min(baseline_times) * 1.6, \
@@ -90,7 +126,7 @@ def test_fig11_error_handling(benchmark, results_dir):
     # almost entirely out of the prepared-plan cache (PR 3).
     workload = make_workload(rows=ROWS, row_bytes=500, seed=115,
                              error_rate=0.05)
-    with build_stack() as stack:
+    with halving_reference(), build_stack() as stack:
         run_workload_through_hyperq(
             stack, workload, sessions=2, max_errors=10**9)
         hits = stack.node.obs.plan_cache_hits.labels().value
@@ -102,7 +138,8 @@ def test_fig11_error_handling(benchmark, results_dir):
 
     bench_json("fig11", {
         "scale": SCALE, "series": series,
-        "plan_cache": {"error_rate": 0.05, "rows": ROWS,
+        "plan_cache": {"reference": "halving",
+                       "error_rate": 0.05, "rows": ROWS,
                        "hits": hits, "misses": misses,
                        "hit_rate": round(hit_rate, 4)},
     })

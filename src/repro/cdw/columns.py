@@ -25,17 +25,38 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from operator import sub
 
 __all__ = ["ColumnStore", "TextColumn", "TextSlice", "column_for_type",
-           "decoded"]
+           "decoded", "runs"]
 
 _INT_BASES = ("SMALLINT", "INT", "BIGINT")
 _CHAR_BASES = ("NVARCHAR", "VARCHAR", "CHAR")
 
 #: array('q') bounds; Python ints outside degrade the column to objects.
 _Q_MIN, _Q_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def runs(indices) -> "list[tuple[int, int]]":
+    """``indices`` as maximal runs of consecutive ascending values:
+    ``(start, stop)`` pairs, in order, each ``[start, stop)``.
+
+    A ``take`` copies each run with a few slice operations, so a
+    selection of a sorted range (a ``NOT IN`` that drops a few hundred
+    rows, a DELETE of a few) costs its run count in Python steps, not
+    its row count.  The boundaries are found at C level.
+    """
+    idx = indices if type(indices) in (list, range) else list(indices)
+    n = len(idx)
+    if not n:
+        return []
+    if type(idx) is range and idx.step == 1:
+        return [(idx.start, idx.stop)]
+    cuts = list(compress(range(1, n), map(
+        (1).__ne__, map(sub, islice(idx, 1, None), idx))))
+    return [(idx[first], idx[last - 1] + 1) for first, last in
+            zip([0, *cuts], [*cuts, n])]
 
 
 class _BaseColumn:
@@ -49,6 +70,10 @@ class _BaseColumn:
 
     def null_count(self) -> int:
         return self.valid.count(0)
+
+    def take(self, indices):
+        """A new column of the values at ``indices``, in that order."""
+        return self.take_runs(runs(indices))
 
 
 class _IntColumn(_BaseColumn):
@@ -92,11 +117,12 @@ class _IntColumn(_BaseColumn):
         del self.data[length:]
         del self.valid[length:]
 
-    def take(self, indices) -> "_IntColumn":
+    def take_runs(self, spans) -> "_IntColumn":
+        """A new column of the rows of ``spans`` (:func:`runs`)."""
         out = _IntColumn()
-        data, valid = self.data, self.valid
-        out.data = array("q", (data[i] for i in indices))
-        out.valid = bytearray(valid[i] for i in indices)
+        for start, stop in spans:
+            out.data += self.data[start:stop]
+            out.valid += self.valid[start:stop]
         return out
 
     def nbytes(self) -> int:
@@ -136,10 +162,12 @@ class _FloatColumn(_BaseColumn):
         del self.data[length:]
         del self.valid[length:]
 
-    def take(self, indices) -> "_FloatColumn":
+    def take_runs(self, spans) -> "_FloatColumn":
+        """A new column of the rows of ``spans`` (:func:`runs`)."""
         out = _FloatColumn()
-        out.data = array("d", (self.data[i] for i in indices))
-        out.valid = bytearray(self.valid[i] for i in indices)
+        for start, stop in spans:
+            out.data += self.data[start:stop]
+            out.valid += self.valid[start:stop]
         return out
 
     def nbytes(self) -> int:
@@ -178,10 +206,12 @@ class _BoolColumn(_BaseColumn):
         del self.data[length:]
         del self.valid[length:]
 
-    def take(self, indices) -> "_BoolColumn":
+    def take_runs(self, spans) -> "_BoolColumn":
+        """A new column of the rows of ``spans`` (:func:`runs`)."""
         out = _BoolColumn()
-        out.data = bytearray(self.data[i] for i in indices)
-        out.valid = bytearray(self.valid[i] for i in indices)
+        for start, stop in spans:
+            out.data += self.data[start:stop]
+            out.valid += self.valid[start:stop]
         return out
 
     def nbytes(self) -> int:
@@ -296,17 +326,21 @@ class TextColumn(_BaseColumn):
         del self.offsets[length + 1:]
         del self.valid[length:]
 
-    def take(self, indices) -> "TextColumn":
-        """A new column of the values at ``indices``, in that order."""
+    def take_runs(self, spans) -> "TextColumn":
+        """A new column of the rows of ``spans`` (:func:`runs`): each
+        run is one copy of its blob bytes, its shifted end offsets and
+        its validity bytes."""
         out = TextColumn()
         blob, offsets, valid = self.blob, self.offsets, self.valid
-        for i in indices:
-            if valid[i]:
-                out.blob += blob[offsets[i]:offsets[i + 1]]
-                out.valid.append(1)
-            else:
-                out.valid.append(0)
-            out.offsets.append(len(out.blob))
+        with memoryview(blob) as view:
+            for start, stop in spans:
+                first = offsets[start]
+                shift = len(out.blob) - first
+                out.blob += view[first:offsets[stop]]
+                ends = offsets[start + 1:stop + 1]
+                out.offsets.extend(map(shift.__add__, ends) if shift
+                                   else ends)
+                out.valid += valid[start:stop]
         return out
 
     def nbytes(self) -> int:
@@ -327,16 +361,20 @@ class TextSlice:
     The vector path's form of a text column (:mod:`repro.cdw.expressions`):
     its kernels decide a whole slice with a few C-level calls over the
     column's buffers, and :meth:`to_list` is where it becomes ``str``
-    values.  A slice never lends its buffers out: :meth:`copy` is the
-    only way its values reach another column.
+    values.  A slice lends its buffers out only when it is *fresh* —
+    the whole of a column made for it, which no table holds (a gathered
+    selection) — and then once: :meth:`own` hands that column over, and
+    copies in every other case.
     """
 
-    __slots__ = ("column", "lo", "hi")
+    __slots__ = ("column", "lo", "hi", "fresh")
 
-    def __init__(self, column: TextColumn, lo: int, hi: int):
+    def __init__(self, column: TextColumn, lo: int, hi: int,
+                 fresh: bool = False):
         self.column = column
         self.lo = lo
         self.hi = hi
+        self.fresh = fresh
 
     def __len__(self):
         """Number of values (NULLs included)."""
@@ -391,6 +429,15 @@ class TextSlice:
         return data.isascii() and not any(
             map(data.__contains__, _ASCII_WHITESPACE))
 
+    def own(self) -> TextColumn:
+        """A column of these values the caller may keep: a fresh slice's
+        own column the first time (it is not fresh after that), else a
+        :meth:`copy`."""
+        if self.fresh:
+            self.fresh = False
+            return self.column
+        return self.copy()
+
     def copy(self) -> TextColumn:
         """A new column of these values, with buffers of its own."""
         column = self.column
@@ -432,10 +479,11 @@ class _ObjectColumn(_BaseColumn):
     def truncate(self, length: int) -> None:
         del self.data[length:]
 
-    def take(self, indices) -> "_ObjectColumn":
+    def take_runs(self, spans) -> "_ObjectColumn":
+        """A new column of the rows of ``spans`` (:func:`runs`)."""
         out = _ObjectColumn()
-        data = self.data
-        out.data = [data[i] for i in indices]
+        for start, stop in spans:
+            out.data += self.data[start:stop]
         return out
 
     def null_count(self) -> int:
@@ -594,7 +642,8 @@ class ColumnStore:
         """A new store holding the given rows, in the given order."""
         out = ColumnStore.__new__(ColumnStore)
         out.specs = self.specs
-        out.cols = [col.take(indices) for col in self.cols]
+        spans = runs(indices)
+        out.cols = [col.take_runs(spans) for col in self.cols]
         out._length = len(indices)
         return out
 

@@ -49,7 +49,7 @@ from repro.plancache import PlanCache
 from repro.sqlxc import nodes as n
 from repro.sqlxc.parser import parse_statement
 
-__all__ = ["CdwEngine", "CdwResult"]
+__all__ = ["CdwEngine", "CdwResult", "statement_error"]
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 #: the file formats ``COPY INTO … FORMAT`` reads.
@@ -72,6 +72,14 @@ class CdwResult:
         if self.kind == "rows":
             return len(self.rows)
         return self.rows_inserted + self.rows_updated + self.rows_deleted
+
+
+def statement_error(exc: ExpressionError, what: str) -> BulkExecutionError:
+    """The statement-level error a row's expression error aborts
+    ``what`` (``INSERT INTO T``) with: the one form every DML statement
+    raises, and the one the apply's error tables quote."""
+    return BulkExecutionError(
+        f"{what} aborted: {exc}", kind="conversion", field=exc.field)
 
 
 def _sort_key(value):
@@ -936,8 +944,7 @@ class CdwEngine:
             key = []
             for vals, ascending in key_cols:
                 rank = _sort_key(vals[i])
-                key.append(rank if ascending
-                           else (-rank[0], _negate(rank[1])))
+                key.append(rank if ascending else _Descending(rank))
             return tuple(key)
 
         order = sorted(range(len(rows)), key=order_key)
@@ -1064,8 +1071,7 @@ class CdwEngine:
                         "ORDER BY over aggregates must use output "
                         "positions or aliases")
                 rank = _sort_key(value)
-                key.append(rank if ascending
-                           else (-rank[0], _negate(rank[1])))
+                key.append(rank if ascending else _Descending(rank))
             return tuple(key)
 
         paired = list(zip(rows, contexts)) if contexts and \
@@ -1135,11 +1141,6 @@ class CdwEngine:
 
     # -- DML --------------------------------------------------------------------------
 
-    def _wrap_row_error(self, exc: ExpressionError,
-                        what: str) -> BulkExecutionError:
-        return BulkExecutionError(
-            f"{what} aborted: {exc}", kind="conversion", field=exc.field)
-
     def _insert_rows_from_source(self, stmt: n.Insert) -> list[tuple]:
         """Source rows of an INSERT on the row interpreter."""
         if isinstance(stmt.source, n.Values):
@@ -1176,8 +1177,9 @@ class CdwEngine:
         A text column may come as buffers: a ``TextColumn`` its caller
         hands off, or a ``TextSlice`` of another table.  Into a VARCHAR
         or NVARCHAR column such buffers are proven where they lie
-        (:func:`_proven_text`) and stay buffers — a slice is copied, so
-        the target owns what it appends.  Into any other type they are
+        (:func:`_proven_text`) and stay buffers — a slice is copied
+        (or, fresh from a gather, handed over once), so the target owns
+        what it appends.  Into any other type they are
         decoded and coerced like a list.
 
         The row path coerces row by row, so when a column raises, the
@@ -1266,7 +1268,7 @@ class CdwEngine:
                 lambda: self._try_vector_insert(stmt, table),
                 lambda: self._row_insert(stmt, table))
         except ExpressionError as exc:
-            raise self._wrap_row_error(
+            raise statement_error(
                 exc, f"INSERT INTO {table.name}") from exc
 
     def _exec_Update(self, stmt: n.Update) -> CdwResult:
@@ -1298,7 +1300,7 @@ class CdwEngine:
                             assignment.value, ctx, self._subquery_runner)
                     updated[index] = table.coerce_row(tuple(new_row))
         except ExpressionError as exc:
-            raise self._wrap_row_error(
+            raise statement_error(
                 exc, f"UPDATE {table.name}") from exc
         for index, row in updated.items():
             working[index] = row
@@ -1342,7 +1344,7 @@ class CdwEngine:
                 lambda: self._try_vector_delete(stmt, table, lo, hi),
                 lambda: self._row_delete(stmt, table, lo, hi))
         except ExpressionError as exc:
-            raise self._wrap_row_error(
+            raise statement_error(
                 exc, f"DELETE FROM {table.name}") from exc
 
     def _row_delete(self, stmt: n.Delete, table: CdwTable,
@@ -1554,7 +1556,7 @@ class CdwEngine:
                     index.setdefault(key, len(working) - 1)
                 inserted += 1
         except ExpressionError as exc:
-            raise self._wrap_row_error(
+            raise statement_error(
                 exc, f"MERGE INTO {table.name}") from exc
 
         final = [row for row in working if row is not None]
@@ -1584,7 +1586,7 @@ def _proven_text(spec: ColumnSpec, text: "TextColumn | TextSlice"):
     if length is not None and whole.max_width() > length and max(
             map(len, filter(None, whole.to_list())), default=0) > length:
         raise ExpressionError(f"value too long for {spec.name}")
-    return text if type(text) is TextColumn else text.copy()
+    return text if type(text) is TextColumn else text.own()
 
 
 def _infer_cdw_type(column_values: list) -> "CdwType":
@@ -1648,10 +1650,18 @@ def _sum(items: list):
     return total
 
 
-def _negate(value):
-    """Invert a sort-key payload for descending order."""
-    if isinstance(value, (int, float)):
-        return -value
-    if isinstance(value, str):
-        return tuple(-ord(c) for c in value)
-    return value
+class _Descending:
+    """A sort key that orders its ``_sort_key`` rank the other way round
+    (an ``ORDER BY … DESC`` entry): NULLs last, and text descending
+    with every prefix after its extensions, as SQL orders it."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank):
+        self.rank = rank
+
+    def __eq__(self, other):
+        return self.rank == other.rank
+
+    def __lt__(self, other):
+        return other.rank < self.rank

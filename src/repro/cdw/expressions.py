@@ -16,16 +16,20 @@ from __future__ import annotations
 import functools
 import math
 import re
-from decimal import Decimal
+from array import array
+from bisect import bisect_left
+from decimal import ROUND_HALF_UP, Decimal
+from itertools import chain, compress, islice, repeat
+from operator import and_, eq, ge, gt, le, lt, ne, not_, or_, sub
 from typing import Callable
 
 from repro import values
-from repro.cdw.columns import TextSlice
+from repro.cdw.columns import TextSlice, runs
 from repro.cdw.types import cdw_type_from_node
 from repro.errors import ExpressionError, SqlTranslationError
 from repro.sqlxc import nodes as n
 
-__all__ = ["RowContext", "evaluate", "is_true"]
+__all__ = ["RowContext", "evaluate", "is_true", "cast_node", "call_node"]
 
 #: signature of the hook the engine provides for subquery evaluation.
 SubqueryRunner = Callable[[n.Select, "RowContext"], list[tuple]]
@@ -455,11 +459,7 @@ class _Evaluator:
     # -- conversions ---------------------------------------------------------------
 
     def _eval_Cast(self, expr: n.Cast):
-        value = self.eval(expr.operand)
-        ctype = cdw_type_from_node(expr.type)
-        field = self._provenance(expr.operand)
-        cast = _try_cast_value if expr.safe else _cast_value
-        return cast(value, ctype, expr.format, expr.type.base, field)
+        return cast_node(expr, self.eval(expr.operand))
 
     def _eval_CaseExpr(self, expr: n.CaseExpr):
         for when in expr.whens:
@@ -473,19 +473,32 @@ class _Evaluator:
 
     def _eval_FuncCall(self, expr: n.FuncCall):
         name = expr.name.upper()
-        handler = _FUNCTIONS.get(name)
-        if handler is None:
+        if name not in _FUNCTIONS:
             raise ExpressionError(f"unknown function {name}")
-        args = [self.eval(a) for a in expr.args]
-        try:
-            return handler(args)
-        except ExpressionError as exc:
-            if exc.field is None and expr.args:
-                exc.field = self._provenance(expr.args[0])
-            raise
+        return call_node(expr, [self.eval(a) for a in expr.args])
 
     def _eval_Star(self, expr: n.Star):
         raise ExpressionError("'*' is only valid in a select list")
+
+
+def cast_node(expr: n.Cast, value):
+    """``expr`` applied to its operand's value, as the interpreter
+    applies it: the value, or the error it raises on that value."""
+    cast = _try_cast_value if expr.safe else _cast_value
+    return cast(value, cdw_type_from_node(expr.type), expr.format,
+                expr.type.base, _Evaluator._provenance(expr.operand))
+
+
+def call_node(expr: n.FuncCall, args: list):
+    """Function call ``expr`` applied to its arguments' values, as the
+    interpreter applies it: the value, or the error it raises (its
+    field, when the function names none, is the first argument's)."""
+    try:
+        return _FUNCTIONS[expr.name.upper()](args)
+    except ExpressionError as exc:
+        if exc.field is None and expr.args:
+            exc.field = _Evaluator._provenance(expr.args[0])
+        raise
 
 
 def _cast_value(value, ctype, fmt, type_base: str, field):
@@ -636,14 +649,24 @@ def _fn_extract(args):
 
 
 def _fn_round(args):
+    """ROUND(x [, digits]): half away from zero, as SQL rounds."""
     if args[0] is None:
         return None
     digits = int(args[1]) if len(args) > 1 else 0
     value = _numeric(args[0], "ROUND")
     if isinstance(value, Decimal):
         quantum = Decimal(1).scaleb(-digits)
-        return value.quantize(quantum)
-    return round(float(value), digits)
+        return value.quantize(quantum, rounding=ROUND_HALF_UP)
+    value = float(value)
+    if not math.isfinite(value):
+        return value
+    # The double's shortest decimal form is what it rounds, as SQLite
+    # does: ROUND(2.675, 2) is 2.68.
+    shown = Decimal(repr(value))
+    if shown.as_tuple().exponent >= -digits:
+        return value                # no digit past the rounding place
+    return float(shown.quantize(Decimal(1).scaleb(-digits),
+                                rounding=ROUND_HALF_UP))
 
 
 _FUNCTIONS = {
@@ -742,14 +765,8 @@ _VEC_EV = _Evaluator(None, None)
 
 _CMP_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
-_PY_CMP = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_PY_CMP = {"=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+_NUMBERS = (int, float)
 
 
 class ColumnBatch:
@@ -805,29 +822,38 @@ class GatherBatch:
     would touch), so errors stay symmetric between the two paths.
     """
 
-    __slots__ = ("parent", "sel", "length", "_cols")
+    __slots__ = ("parent", "sel", "length", "_cols", "_runs")
 
     def __init__(self, parent, sel: "list | range"):
         self.parent = parent
         self.sel = sel
         self.length = len(sel)
         self._cols: dict = {}
+        self._runs = None
 
     def col(self, idx: int):
         """Selected values of column ``idx``, gathered once per batch (a
-        text column's stay buffers)."""
+        text column's stay buffers), a run of consecutive rows at a
+        time."""
         c = self._cols.get(idx)
         if c is None:
             pc = self.parent.col(idx)
             sel = self.sel
-            contiguous = type(sel) is range and sel.step == 1
-            if type(pc) is TextSlice:
-                c = pc.sub(sel.start, sel.stop) if contiguous else \
-                    TextSlice(pc.column.take(map(pc.lo.__add__, sel)),
-                              0, len(sel))
+            if type(sel) is range and sel.step == 1:
+                c = pc.sub(sel.start, sel.stop) if type(pc) is TextSlice \
+                    else pc[sel.start:sel.stop]
             else:
-                c = pc[sel.start:sel.stop] if contiguous \
-                    else [pc[i] for i in sel]
+                if self._runs is None:
+                    self._runs = runs(sel)
+                if type(pc) is TextSlice:
+                    lo = pc.lo
+                    c = TextSlice(pc.column.take_runs([
+                        (start + lo, stop + lo)
+                        for start, stop in self._runs]), 0, len(sel),
+                        fresh=True)
+                else:
+                    c = list(chain.from_iterable(
+                        pc[start:stop] for start, stop in self._runs))
             self._cols[idx] = c
         return c
 
@@ -955,6 +981,10 @@ def _vcompile_isnull(expr: n.IsNull, layout, bu):
         if res[0]:
             result = res[1] is None
             return (True, not result if negated else result)
+        if type(res[1]) is TextSlice:       # the validity bytes say it
+            valid = res[1].valid()
+            return (False, list(map(bool, valid)) if negated
+                    else list(map((0).__eq__, valid)))
         payload = vec_values(res, b.length)
         if negated:
             return (False, [v is not None for v in payload])
@@ -1003,6 +1033,18 @@ def _v_or(lv, rv):
     return bool(lv) or bool(rv)
 
 
+def _all_numbers(values_: list) -> bool:
+    """Whether every value is an int or a float (none NULL, no bool or
+    Decimal): Python compares those as the interpreter does."""
+    return not set(map(type, values_)).difference(_NUMBERS)
+
+
+def _all_bool(values_: list) -> bool:
+    """Whether every value is True or False (none NULL, none another
+    truthy value): ``&``/``|`` then compute AND/OR."""
+    return not set(map(type, values_)).difference((bool,))
+
+
 def _reached_values(fn, b, reached) -> list:
     """``fn``'s per-row values over batch ``b`` for an operand the
     interpreter evaluates on some rows only: ``reached()`` lists them.
@@ -1037,6 +1079,7 @@ def _vcompile_binary(expr: n.BinaryOp, layout, bu):
         return None
     if op in ("AND", "OR"):
         pair = _v_and if op == "AND" else _v_or
+        bitwise = and_ if op == "AND" else or_
         decided = op == "OR"        # the left value that skips the right
 
         def _logic(b):
@@ -1053,6 +1096,8 @@ def _vcompile_binary(expr: n.BinaryOp, layout, bu):
             lv = vec_values(lres, b.length)
             rv = _reached_values(right, b, lambda: [
                 i for i, a in enumerate(lv) if a is not decided])
+            if _all_bool(lv) and _all_bool(rv):   # two-valued: C level
+                return (False, list(map(bitwise, lv, rv)))
             return (False, [pair(a, c) for a, c in zip(lv, rv)])
         return _logic
     if op in _CMP_OPS:
@@ -1086,6 +1131,8 @@ def _vcompile_compare(op: str, left, right):
         if lc:                                   # const <op> vector
             if lv is None:
                 return (True, None)
+            if type(lv) in _NUMBERS and _all_numbers(rv):
+                return (False, list(map(pyop, repeat(lv), rv)))
             if type(lv) is int:
                 return (False, [
                     None if v is None else
@@ -1096,6 +1143,8 @@ def _vcompile_compare(op: str, left, right):
         if rc:                                   # vector <op> const
             if rv is None:
                 return (True, None)
+            if type(rv) in _NUMBERS and _all_numbers(lv):
+                return (False, list(map(pyop, lv, repeat(rv))))
             if type(rv) is int:
                 return (False, [
                     None if v is None else
@@ -1103,6 +1152,9 @@ def _vcompile_compare(op: str, left, right):
                     for v in lv])
             if type(rv) is str:
                 cr = rv.rstrip()
+                if not set(map(type, lv)).difference((str,)):
+                    return (False, list(map(pyop, map(str.rstrip, lv),
+                                            repeat(cr))))
                 return (False, [
                     None if v is None else
                     (pyop(v.rstrip(), cr) if type(v) is str
@@ -1239,6 +1291,11 @@ def _vcompile_in(expr: n.InExpr, layout, bu):
         if fast is not None:
             members, saw_null, ctype = fast
             vv = [vres[1]] if vres[0] else vec_values(vres, nrows)
+            if ctype is int and not saw_null and vv \
+                    and not set(map(type, vv)).difference((int,)):
+                hits = map(members.__contains__, vv)
+                out = list(map(not_, hits) if negated else hits)
+                return (True, out[0]) if vres[0] else (False, out)
             out = []
             append = out.append
             candidates = None
@@ -1312,16 +1369,24 @@ def _vcompile_cast(expr: n.Cast, layout, bu):
     field = _Evaluator._provenance(expr.operand)
     cast = _try_cast_value if expr.safe else _cast_value
     dates = fmt is not None and ctype.base == "DATE"
+    text = fmt is None and ctype.base in ("NVARCHAR", "VARCHAR")
 
     def _cast(b):
         res = operand(b)
         if res[0]:
             return (True, cast(res[1], ctype, fmt, type_base, field))
-        if dates and type(res[1]) is TextSlice:
-            out = _date_kernel(res[1], fmt)
-            if out is not None:
-                return (False, out)
-            b.decline("to_date", expr)
+        if type(res[1]) is TextSlice:
+            if text and (ctype.length is None
+                         or res[1].max_width() <= ctype.length):
+                return (False, res[1])      # every value fits as it is
+            if dates:
+                got = _date_kernel(res[1], fmt)
+                if got is not None and not got[1]:
+                    return (False, got[0])
+                b.decline("to_date", expr)
+                if got is not None:
+                    return (False, _per_value(got, res[1], lambda v: cast(
+                        v, ctype, fmt, type_base, field)))
         payload = vec_values(res, b.length)
         if expr.safe and fmt is None:
             try:                # bulk coercion, when no value fails
@@ -1333,10 +1398,22 @@ def _vcompile_cast(expr: n.Cast, layout, bu):
     return _cast
 
 
+def _per_value(got, text: TextSlice, fn) -> list:
+    """A kernel's partial result ``(out, undecided)`` completed by the
+    per-value closure ``fn`` on each undecided value, in row order — a
+    decided value never raises, so the first error is the first bad
+    row's."""
+    out, undecided = got
+    column, lo = text.column, text.lo
+    for i in undecided:
+        out[i] = fn(column[lo + i])
+    return out
+
+
 def _trim_kernel(text: TextSlice, args: list):
     """TRIM, LTRIM, RTRIM: the slice itself when stripping changes no
     value, else None."""
-    return text if text.trim_safe() else None
+    return (text, ()) if text.trim_safe() else None
 
 
 def _to_date_kernel(text: TextSlice, args: list):
@@ -1348,7 +1425,9 @@ def _to_date_kernel(text: TextSlice, args: list):
 
 
 #: function name -> (kernel name, kernel): the first argument a
-#: ``TextSlice``, the others constant.
+#: ``TextSlice``, the others constant.  A kernel returns ``(out,
+#: undecided)`` — the values, and the rows it left for the per-value
+#: closure — or None when it decides nothing.
 _FUNC_KERNELS = {
     "TRIM": ("trim", _trim_kernel),
     "LTRIM": ("trim", _trim_kernel),
@@ -1361,16 +1440,19 @@ _DIGITS = b"0123456789"
 #: maps every ASCII digit to ``0`` and leaves every other byte alone.
 _DIGITS_AS_ZERO = bytes.maketrans(_DIGITS, b"0" * len(_DIGITS))
 _DATE_ATOMS = ("YYYY", "MM", "DD")
+_ZERO = re.compile(b"\x00")
 
 
 @functools.lru_cache(maxsize=64)
 def _date_shape(fmt: str):
-    """``(template, parse)`` of a format made of YYYY, MM and DD once
-    each and single-character separators that are ASCII, not
-    alphanumeric and not whitespace — or None.
+    """``(template, parse, stretches, values)`` of a format made of
+    YYYY, MM and DD once each and single-character separators that are
+    ASCII, not alphanumeric and not whitespace — or None.
 
     ``template`` is the format's shape with ``0`` for every digit
-    (``b"0000-00-00"``); ``parse`` turns one such value into a date.
+    (``b"0000-00-00"``); ``parse`` turns one such value into a date;
+    ``stretches`` matches a run of back-to-back templates, and
+    ``values`` cuts text into values of the template's width.
     """
     tokens = values.date_format_tokens(fmt)
     template, at = "", {}
@@ -1393,44 +1475,115 @@ def _date_shape(fmt: str):
         def parse(text):
             return values.Date(int(text[y:y + 4]), int(text[m:m + 2]),
                                int(text[d:d + 2]))
-    return template.encode("ascii"), parse
+    return (template.encode("ascii"), parse,
+            re.compile(b"(?:%s)+" % re.escape(template.encode("ascii"))),
+            re.compile(".{%d}" % len(template), re.DOTALL))
 
 
 def _date_kernel(text: TextSlice, fmt: str):
-    """``parse_date(v, fmt)`` of every value of the slice, or None
-    when this cannot decide it for every value.
+    """``(out, undecided)``: ``parse_date(v, fmt)`` of every value of
+    the slice it can prove, and the rows it leaves to the per-value
+    path — or None when the format is not one it reads.
 
-    It decides when every present value has the format's width and,
-    digit for digit, its exact shape (one compare of the slice's bytes,
-    digits mapped to ``0``, with the repeated template — the whole-blob
-    form of a ``fullmatch`` of ``(?:\\d{4}-\\d{2}-\\d{2})*``): such a value
-    is ASCII, has no whitespace to strip, and ``parse_date`` reads it
-    as ``parse`` does.  ``parse`` may be ``date.fromisoformat`` only
-    behind that check: on its own it also accepts ``20140309`` and
-    ``2014-W10-1``.  Values ``parse_date`` takes in another shape
-    (``2014-3-9``, padded) and impossible dates (``2014-02-30``, year
-    0) decline, and the per-value path returns or raises as before.
+    A value is decided when it has, digit for digit, the format's exact
+    shape (its bytes, digits mapped to ``0``, equal the template): such
+    a value is ASCII, has no whitespace to strip, and ``parse_date``
+    reads it as ``parse`` does.  ``parse`` may be ``date.fromisoformat``
+    only behind that check: on its own it also accepts ``20140309`` and
+    ``2014-W10-1``.  When every present value has the format's width,
+    one compare of the slice's bytes with the repeated template proves
+    them all (the whole-blob form of a ``fullmatch`` of
+    ``(?:\\d{4}-\\d{2}-\\d{2})*``).  Otherwise a regex finds the
+    stretches of back-to-back templates, and the values that tile a
+    stretch exactly (their end offsets step by the width from its
+    start) are proven, a stretch at a time.  Values ``parse_date``
+    takes in another shape (``2014-3-9``, padded), impossible dates
+    (``2014-02-30``, year 0), values that are no date at all and any
+    value a stretch does not line up with are undecided: the per-value
+    path returns or raises on them as before.  NULLs are decided.
     """
     shape = _date_shape(fmt)
     if shape is None:
         return None
-    template, parse = shape
+    template, parse, stretches, cut = shape
     width = len(template)
-    if not text.has_width(width):
-        return None
     data = text.data()
-    if data.translate(_DIGITS_AS_ZERO) != template * (len(data) // width):
-        return None
-    flat = data.decode("ascii")
+    shaped = data.translate(_DIGITS_AS_ZERO)
+    valid = text.valid()
+    if shaped == template * (len(data) // width) \
+            and text.has_width(width):
+        try:
+            dates = list(map(parse, cut.findall(data.decode("ascii"))))
+        except ValueError:          # an impossible date among them
+            pass
+        else:
+            if len(dates) == len(valid):
+                return dates, ()
+            present = iter(dates)
+            return [next(present) if v else None for v in valid], ()
+    spans = [match.span() for match in stretches.finditer(shaped)]
+    if not spans:                   # not one value has the shape
+        return [None] * len(valid), list(compress(range(len(valid)), valid))
+    # ends[j] ends present value j: NULLs take no bytes, so the present
+    # values lie back to back from the slice's first byte.
+    ends = text.column.offsets[text.lo:text.hi + 1]
+    base = ends[0]
+    if 0 in valid:
+        ends = array("q", [base]) + array(
+            "q", compress(islice(ends, 1, None), valid))
+    count = len(ends) - 1
+    widths = list(map(sub, islice(ends, 1, None), ends))
+    runs = []               # (first present value, values, first byte)
+    for a, e in spans:
+        j, k = bisect_left(ends, base + a), (e - a) // width
+        if j < count and ends[j] == base + a \
+                and widths[j:j + k].count(width) == k:
+            runs.append((j, k, a))
+    out = [None] * count
+    decided = bytearray(count)
+    flat = data.decode("latin-1")   # byte offsets stay char offsets
+    shown = cut.findall("".join([flat[a:a + k * width]
+                                 for _, k, a in runs]))
     try:
-        dates = list(map(parse, [flat[i:i + width]
-                                 for i in range(0, len(flat), width)]))
-    except ValueError:
-        return None
-    if not text.null_count():
-        return dates
-    present = iter(dates)
-    return [next(present) if v else None for v in text.valid()]
+        dates = list(map(parse, shown))
+    except ValueError:              # an impossible date among them
+        dates = None
+    at = 0
+    for j, k, _ in runs:
+        if dates is not None:
+            out[j:j + k] = dates[at:at + k]
+            decided[j:j + k] = b"\x01" * k
+        else:
+            for i, value in enumerate(shown[at:at + k], j):
+                try:
+                    out[i] = parse(value)
+                    decided[i] = 1
+                except ValueError:
+                    pass
+        at += k
+    undecided = [match.start() for match in _ZERO.finditer(decided)]
+    if count < len(valid):          # back from present values to rows
+        present = iter(out)
+        out = [next(present) if v else None for v in valid]
+        rows = list(compress(range(len(valid)), valid))
+        undecided = [rows[i] for i in undecided]
+    return out, undecided
+
+
+def _regexp_like_column(texts: list, pattern) -> list:
+    """REGEXP_LIKE of every value against one constant pattern: the
+    scalar function's results, with the pattern compiled once."""
+    if type(pattern) is not str or all(v is None for v in texts):
+        return [_FUNCTIONS["REGEXP_LIKE"]([v, pattern]) for v in texts]
+    search = re.compile(pattern).search
+    to_text = _Evaluator._to_text
+    return [None if v is None else search(to_text(v)) is not None
+            for v in texts]
+
+
+#: function name -> its column form ``fn(values, constant) -> values``,
+#: for a vector first argument and one constant argument after it.
+_COLUMN_FORMS = {"REGEXP_LIKE": _regexp_like_column}
 
 
 def _vcompile_func(expr: n.FuncCall, handler, layout, bu):
@@ -1441,6 +1594,7 @@ def _vcompile_func(expr: n.FuncCall, handler, layout, bu):
             return None
         arg_fns.append(fn)
     name, kernel = _FUNC_KERNELS.get(expr.name.upper(), (None, None))
+    column_form = _COLUMN_FORMS.get(expr.name.upper())
 
     def _call(b):
         results = [fn(b) for fn in arg_fns]
@@ -1450,11 +1604,19 @@ def _vcompile_func(expr: n.FuncCall, handler, layout, bu):
             nrows = b.length
             if kernel is not None and type(results[0][1]) is TextSlice \
                     and all(const for const, _ in results[1:]):
-                out = kernel(results[0][1],
-                             [payload for _, payload in results[1:]])
-                if out is not None:
-                    return (False, out)
+                rest = [payload for _, payload in results[1:]]
+                got = kernel(results[0][1], rest)
+                if got is not None and not got[1]:
+                    return (False, got[0])
                 b.decline(name, expr)
+                if got is not None:
+                    return (False, _per_value(
+                        got, results[0][1],
+                        lambda v: handler([v, *rest])))
+            if column_form is not None and len(results) == 2 \
+                    and results[1][0]:
+                return (False, column_form(vec_values(results[0], nrows),
+                                           results[1][1]))
             if len(results) == 1:
                 vec = vec_values(results[0], nrows)
                 return (False, [handler([v]) for v in vec])

@@ -387,14 +387,17 @@ class CdwTable:
             raise BulkExecutionError(
                 f"row has {len(row)} values, table {self.name!r} has "
                 f"{self.arity} columns")
-        coerced = []
-        for value, spec in zip(row, self.columns):
-            if value is None and not spec.nullable:
-                raise BulkExecutionError(
-                    f"NULL in NOT NULL column {spec.name} of {self.name}",
-                    field=spec.name)
-            coerced.append(spec.ctype.coerce(value, field=spec.name))
-        return tuple(coerced)
+        return tuple(map(self.coerce_value, range(self.arity), row))
+
+    def coerce_value(self, idx: int, value):
+        """Column ``idx``'s check of one candidate value, as
+        :meth:`coerce_row` runs it: NOT NULL, then the type's coercion."""
+        spec = self.columns[idx]
+        if value is None and not spec.nullable:
+            raise BulkExecutionError(
+                f"NULL in NOT NULL column {spec.name} of {self.name}",
+                field=spec.name)
+        return spec.ctype.coerce(value, field=spec.name)
 
     def _uniqueness_error(self, key: tuple[int, ...], key_value: tuple,
                           field_hint: str | None) -> BulkExecutionError:

@@ -12,6 +12,15 @@ Error tables written here follow Figure 6: transformation errors carry
 code 3103 and messages like ``DATE conversion failed during DML on
 PROD.CUSTOMER, row number: 2``; an exhausted error budget is recorded as
 code 9057 with a row-number range.
+
+An :class:`ApplyRun` buffers its error-table rows — acquisition rejects,
+ET rows, the seqs of UV rows — and writes them when a range is done: one
+multi-row ``INSERT`` per table (:func:`repro.dq.compiler.et_insert`),
+with the UV rows' converted tuples fetched by one ``SELECT … WHERE
+__SEQ IN (…)``.  A dirty range the locate pass decides
+(:class:`~repro.dq.compiler.ApplyLocatePass`, the handler's verdict
+route) thus costs the failed statement, the clean rows' ``INSERT …
+SELECT … __SEQ NOT IN (…)`` and those writes, however many rows failed.
 """
 
 from __future__ import annotations
@@ -21,8 +30,9 @@ from dataclasses import dataclass
 from repro.cdw.engine import CdwEngine
 from repro.core.config import HyperQConfig
 from repro.core.converter import AcquisitionError
-from repro.core.errorhandling import AdaptiveErrorHandler, ApplyOutcome
-from repro.dq.compiler import ApplyLocatePass
+from repro.core.errorhandling import (AdaptiveErrorHandler, ApplyOutcome,
+                                     Verdicts)
+from repro.dq.compiler import ApplyLocatePass, et_insert
 from repro.errors import (
     HYPERQ_CONVERSION_ERROR, HYPERQ_MAX_ERRORS_REACHED,
     HYPERQ_UNIQUENESS_ERROR, BulkExecutionError, CdwError, GatewayError,
@@ -235,25 +245,6 @@ class Beta:
                 raise
             return result
 
-    # -- error-table writes -----------------------------------------------------------
-
-    def _insert_row(self, table_name: str, row: tuple) -> None:
-        values = n.Values([[n.Literal(v) for v in row]])
-        self.engine.execute(
-            n.Insert(n.TableRef(table_name), [], values))
-
-    def _record_et(self, et_table: str, rownum: int | None, code: int,
-                   field: str | None, message: str,
-                   rule_id: str | None = None,
-                   reason: str | None = None) -> None:
-        """One error-table row; ``rule_id``/``reason`` fill the shared
-        ``__RULE_ID``/``__REASON`` provenance columns so split-routed
-        and dq-routed rows land in one queryable schema."""
-        self._insert_row(
-            et_table,
-            (rownum, code, field, message[:512], rule_id,
-             reason[:256] if reason else None))
-
     # -- the application phase ------------------------------------------------------------
 
     def apply_dml(self, *, sql: str, layout: Layout, staging_table: str,
@@ -307,23 +298,6 @@ class Beta:
 
         return rownum
 
-    def _record_uv(self, uv_table: str, staging_table: str, builder,
-                   kind: str, seq: int, rownum: int) -> None:
-        """Record the converted violating tuple (Figure 5c-style)."""
-        tuple_values: tuple = ()
-        if kind in ("insert", "merge"):
-            # n.Insert and n.Merge both carry their SELECT as .source
-            select = builder(seq, seq).source
-            if isinstance(select, n.Select):
-                rows = self.engine.query(select)
-                if rows:
-                    tuple_values = rows[0]
-        uv = self.engine.table(uv_table)
-        padded = list(tuple_values)[:uv.arity - 2]
-        padded += [None] * (uv.arity - 2 - len(padded))
-        self._insert_row(
-            uv_table, tuple(padded) + (rownum, HYPERQ_UNIQUENESS_ERROR))
-
 
 class ApplyRun:
     """Application state for one load job.
@@ -357,6 +331,10 @@ class ApplyRun:
         #: the INSERT cannot be located (and is not compiled again).
         self._locator: ApplyLocatePass | None = None
         self._locator_compiled = False
+        #: ET rows and UV seqs not written yet (:meth:`_flush`).
+        self._et_rows: list[tuple] = []
+        self._uv_seqs: list[int] = []
+        inserts = self._kind == "insert"
         self._handler = AdaptiveErrorHandler(
             execute_range=self._execute_range,
             record_tuple_error=self._record_tuple_error,
@@ -364,7 +342,8 @@ class ApplyRun:
             max_errors=max_errors,
             max_retries=max_retries,
             observer=self._observe_split,
-            locate=self._locate if self._kind == "insert" else None,
+            locate=self._locate if inserts else None,
+            execute_clean=self._execute_clean if inserts else None,
         )
 
     # -- handler callbacks --------------------------------------------------
@@ -375,18 +354,36 @@ class ApplyRun:
         # rate mirrors how many parse+bind cycles were avoided.
         bind, _ = self.beta.prepare_dml(
             self.sql, self.layout, self.staging_table)
-        statement = bind(lo, hi)
+        return self._run(bind(lo, hi))
+
+    def _run(self, statement: n.Statement) -> tuple[int, int, int]:
         result = self.beta._execute_with_emulation(
             statement, self.target_table, self._kind)
         return (result.rows_inserted, result.rows_updated,
                 result.rows_deleted)
 
+    def _execute_clean(self, lo: int, hi: int,
+                       skip: list[int]) -> tuple[int, int, int]:
+        """The INSERT over the rows of ``[lo, hi]`` but ``skip``: the
+        prepared statement with ``AND __SEQ NOT IN (skip…)``."""
+        bind, _ = self.beta.prepare_dml(
+            self.sql, self.layout, self.staging_table)
+        template = bind(lo, hi)
+        select = template.source
+        seq = n.ColumnRef(SEQ_COLUMN, table=STAGING_ALIAS)
+        return self._run(n.Insert(template.table, template.columns, n.Select(
+            select.items, from_=select.from_, where=n.BinaryOp(
+                "AND", select.where,
+                n.InExpr(seq, [n.Literal(s) for s in skip],
+                         negated=True)))))
+
     def _locate(self, lo: int, hi: int) -> list[int]:
-        """Seqs in ``[lo, hi]`` the INSERT is expected to fail on, from
+        """The rows in ``[lo, hi]`` the INSERT fails on, from
         :class:`~repro.dq.compiler.ApplyLocatePass` (compiled on the
-        first failure of the run).  An INSERT the pass cannot cover, or
-        a pass the engine cannot run, is no hint at all: the handler
-        then halves."""
+        first failure of the run): :class:`Verdicts` when the pass
+        decides every row's error, else a plain list, a hint.  An
+        INSERT the pass cannot cover at all, or a pass the engine cannot
+        run, is no hint: the handler then halves."""
         if self._locator_compiled and self._locator is None:
             return []
         obs = self.beta.obs
@@ -399,45 +396,95 @@ class ApplyRun:
                     self._locator_compiled = True
                     self._locator = ApplyLocatePass.compile(
                         self._builder(lo, hi),
-                        engine.table(self.target_table))
-                suspects = [] if self._locator is None \
-                    else self._locator.suspects(engine.query, lo, hi)
+                        engine.table(self.target_table),
+                        engine.table(self.staging_table))
+                suspects = []
+                if self._locator is not None:
+                    failing, losers = self._locator.locate(
+                        engine.query, lo, hi)
+                    errors = self._locator.errors(failing, losers)
+                    suspects = sorted({*failing, *losers}) \
+                        if errors is None else Verdicts(errors)
             except (CdwError, SqlError) as exc:
                 log.debug("locate pass on %s failed: %s",
                           self.target_table, exc)
                 suspects = []
             span.set_attribute("suspects", len(suspects))
+            span.set_attribute("decided", isinstance(suspects, Verdicts))
         obs.flight.record(self.job_id, "apply_locate",
                           target=self.target_table, lo=lo, hi=hi,
                           suspects=len(suspects))
         return suspects
 
+    # -- error-table rows ---------------------------------------------------
+
+    def _record_et(self, rownum: int | None, code: int, field: str | None,
+                   message: str, rule_id: str, reason: str) -> None:
+        """Buffer one error-table row; ``rule_id``/``reason`` fill the
+        shared ``__RULE_ID``/``__REASON`` provenance columns so
+        engine-routed and dq-routed rows land in one queryable schema."""
+        self._et_rows.append((rownum, code, field, message[:512], rule_id,
+                              reason[:256] if reason else None))
+        self.summary.et_errors += 1
+
     def _record_tuple_error(self, seq: int,
                             exc: BulkExecutionError) -> None:
-        rownum = self._rownum(seq)
         if exc.kind == "uniqueness":
-            self.beta._record_uv(
-                self.uv_table, self.staging_table, self._builder,
-                self._kind, seq, rownum)
+            self._uv_seqs.append(seq)
             self.summary.uv_errors += 1
             return
-        self.beta._record_et(
-            self.et_table, rownum, HYPERQ_CONVERSION_ERROR, exc.field,
+        rownum = self._rownum(seq)
+        self._record_et(
+            rownum, HYPERQ_CONVERSION_ERROR, exc.field,
             f"{_first_clause(exc)} during DML on {self.target_table}, "
             f"row number: {rownum}",
-            rule_id="engine:conversion", reason=_first_clause(exc))
-        self.summary.et_errors += 1
+            "engine:conversion", _first_clause(exc))
 
     def _record_range_error(self, lo: int, hi: int,
                             exc: BulkExecutionError, reason: str) -> None:
         what = ("Max number of errors reached" if reason == "max_errors"
                 else "Max number of retries reached")
-        self.beta._record_et(
-            self.et_table, None, HYPERQ_MAX_ERRORS_REACHED, None,
+        self._record_et(
+            None, HYPERQ_MAX_ERRORS_REACHED, None,
             f"{what} during DML on {self.target_table}, row numbers: "
             f"({self._rownum(lo)}, {self._rownum(hi)})",
-            rule_id=f"engine:{reason}", reason=what)
-        self.summary.et_errors += 1
+            f"engine:{reason}", what)
+
+    def _uv_rows(self, seqs: list[int]) -> list[tuple]:
+        """The UV rows of ``seqs`` (Figure 5c-style): each row's
+        converted tuple, read for all of them by one ``SELECT`` of the
+        DML's source items, then its row number and code."""
+        engine = self.beta.engine
+        tuples: dict = {}
+        # n.Insert and n.Merge both carry their SELECT as .source
+        select = self._builder(seqs[0], seqs[-1]).source \
+            if self._kind in ("insert", "merge") else None
+        if isinstance(select, n.Select):
+            seq = n.ColumnRef(SEQ_COLUMN, table=STAGING_ALIAS)
+            fetch = n.Select(
+                [*select.items, n.SelectItem(seq)], from_=select.from_,
+                where=n.BinaryOp("AND", n.Between(
+                    seq, n.Literal(min(seqs)), n.Literal(max(seqs))),
+                    n.InExpr(seq, [n.Literal(s) for s in seqs])))
+            tuples = {row[-1]: row[:-1] for row in engine.query(fetch)}
+        width = engine.table(self.uv_table).arity - 2
+        rows = []
+        for s in seqs:
+            values = list(tuples.get(s, ()))[:width]
+            values += [None] * (width - len(values))
+            rows.append((*values, self._rownum(s), HYPERQ_UNIQUENESS_ERROR))
+        return rows
+
+    def _flush(self) -> None:
+        """Write the buffered error-table rows: one multi-row INSERT per
+        table, rows in the order they were recorded."""
+        engine = self.beta.engine
+        if self._et_rows:
+            rows, self._et_rows = self._et_rows, []
+            engine.execute(et_insert(self.et_table, rows))
+        if self._uv_seqs:
+            seqs, self._uv_seqs = self._uv_seqs, []
+            engine.execute(et_insert(self.uv_table, self._uv_rows(seqs)))
 
     def _observe_split(self, event: str, details: dict) -> None:
         obs = self.beta.obs
@@ -454,20 +501,21 @@ class ApplyRun:
 
     def record_acquisition_errors(
             self, acquisition_errors: list[AcquisitionError]) -> None:
-        """Write acquisition-time rejects to the error table."""
+        """Record acquisition-time rejects for the error table (written
+        with the next range's rows)."""
         for error in sorted(acquisition_errors, key=lambda e: e.seq):
             rownum = self._rownum(error.seq)
-            self.beta._record_et(
-                self.et_table, rownum, error.code, error.field,
+            self._record_et(
+                rownum, error.code, error.field,
                 f"{error.message} during acquisition for "
                 f"{self.target_table}, row number: {rownum}",
-                rule_id="acquisition", reason=error.message)
-            self.summary.et_errors += 1
+                "acquisition", error.message)
 
     def apply_seq_range(self, lo_seq: int | None,
                         hi_seq: int | None) -> None:
         """Apply the DML to staged rows with ``__SEQ`` in the bound
-        (None = open end), accumulating into the run's outcome."""
+        (None = open end), accumulating into the run's outcome, and
+        write the error-table rows recorded so far."""
         engine = self.beta.engine
         staging = engine.table(self.staging_table)
         with engine.locks.table_lock(self.staging_table).read():
@@ -480,11 +528,16 @@ class ApplyRun:
                     lo_seq if lo_seq is not None else 0,
                     hi_seq if hi_seq is not None else (1 << 62))
                 seqs = staging.column_values(SEQ_COLUMN, lo, hi)
-        self._handler.apply(seqs, outcome=self.outcome)
+        try:
+            self._handler.apply(seqs, outcome=self.outcome)
+        finally:
+            self._flush()
 
     def finish(self) -> ApplySummary:
-        """Close the run: fold the outcome into the summary, flush the
-        observability counters, and return the summary."""
+        """Close the run: write what is left of the error-table rows,
+        fold the outcome into the summary, flush the observability
+        counters, and return the summary."""
+        self._flush()
         summary = self.summary
         outcome = self.outcome
         summary.rows_inserted = outcome.rows_inserted

@@ -3,22 +3,29 @@
 Modern CDW DML is set-oriented: one bad tuple aborts the whole statement
 and the error is only observable at chunk granularity.  The legacy
 per-tuple semantics are: a row lands in the error tables iff its own
-single-row statement fails at its turn, in input order.  Two ways to
-reach them share this handler:
+single-row statement fails at its turn, in input order.  Three ways to
+reach them share this handler, tried in this order:
 
-- *Located apply* (the default path).  When the first statement over a
-  whole range fails, the optional ``locate`` callback lists the rows it
-  expects to fail on (Beta derives them from the DML's own IR, in one
-  set-oriented pass inside the warehouse).  The range is then applied
-  in order: each clean segment between suspects as one ranged statement,
-  each suspect as its own single-row statement.  The list is only a
-  hint — each error still comes from the engine's own exception, a
-  wrong suspect costs one extra statement, and a missed one fails its
-  segment, which is halved as below.
-- *Recursive halving* (the paper's algorithm, now the fallback): a
-  failing chunk is split in two and each half retried, down to
-  individual tuples, which are then recorded in the appropriate error
-  table.
+- *Verdict route* (the default path).  When the first statement over a
+  whole range fails, the optional ``locate`` callback runs one
+  set-oriented pass inside the warehouse (Beta derives it from the
+  DML's own IR).  When it can decide the range it returns
+  :class:`Verdicts`: every row that fails, each with the error its own
+  single-row statement raises.  The range is then one statement over
+  its clean rows (``execute_clean``) and each verdict is recorded in
+  seq order — a handful of statements, whatever the error count.
+- *Located apply* (the fallback when the verdicts are not usable: they
+  would exhaust ``max_errors``, or the clean statement fails after all,
+  say on a key the target already holds; and the path for a locator
+  that returns a plain list, a hint).  The range is applied in order:
+  each clean segment between suspects as one ranged statement, each
+  suspect as its own single-row statement.  Each error comes from the
+  engine's own exception, a wrong suspect costs one extra statement,
+  and a missed one fails its segment, which is halved as below.
+- *Recursive halving* (the paper's algorithm, the last resort and the
+  reference): a failing chunk is split in two and each half retried,
+  down to individual tuples, which are then recorded in the
+  appropriate error table.
 
 Two control parameters bound the work:
 
@@ -29,12 +36,14 @@ Two control parameters bound the work:
 - ``max_retries`` — the maximum number of times any input chunk is split;
   a chunk failing at that depth is likewise recorded as a range.
 
-Located apply runs only where it provably ends as halving would: when
-the range is small enough (``<= 2**max_retries`` rows) that halving
-never hits ``max_retries``.  Whichever recorded error exhausts the
-``max_errors`` budget — a suspect or a missed one — the handler resumes
-exactly the ranges halving would still hold at that row, so
-``max_errors`` outcomes (9057 ranges) stay those of Figure 6.
+The verdict route and located apply run only where they provably end
+as halving would: when the range is small enough (``<= 2**max_retries``
+rows) that halving never hits ``max_retries``.  The verdict route runs
+only when its errors leave the ``max_errors`` budget unexhausted; in
+located apply, whichever recorded error exhausts it — a suspect or a
+missed one — the handler resumes exactly the ranges halving would
+still hold at that row, so ``max_errors`` outcomes (9057 ranges) stay
+those of Figure 6.
 
 The handler is deliberately independent of SQL: it works on a sorted list
 of staging sequence numbers and calls back into Beta to execute ranges,
@@ -50,7 +59,7 @@ from typing import Callable
 from repro.errors import BulkExecutionError
 from repro.obs import get_logger
 
-__all__ = ["ApplyOutcome", "AdaptiveErrorHandler"]
+__all__ = ["ApplyOutcome", "AdaptiveErrorHandler", "Verdicts"]
 
 log = get_logger("errorhandler")
 
@@ -86,9 +95,24 @@ RangeErrorSink = Callable[[int, int, BulkExecutionError, str], None]
 #: ``"tuple_error"``, and ``"range_skip"`` — keeps the handler free of
 #: any tracing dependency while letting Beta emit structured events.
 SplitObserver = Callable[[str, dict], None]
-#: lists the seqs in [lo, hi] the DML is expected to fail on (a hint:
-#: sorted or not, members of the range or not, right or wrong).
+#: lists the seqs in [lo, hi] the DML is expected to fail on: a hint
+#: (sorted or not, members of the range or not, right or wrong), or
+#: :class:`Verdicts` that decide the range.
 Locator = Callable[[int, int], list[int]]
+#: executes the DML over the rows of [lo, hi] whose seqs are not in the
+#: sorted list; returns and raises like :data:`RangeExecutor`.
+CleanExecutor = Callable[[int, int, list[int]], tuple[int, int, int]]
+
+
+class Verdicts(list):
+    """A locator's answer that decides its range: the sorted seqs of
+    every row that fails (the list itself, so it is also a hint) and
+    ``errors``, each one's own error as its single-row statement raises
+    it.  The seqs must be members of the range."""
+
+    def __init__(self, errors: "dict[int, BulkExecutionError]"):
+        super().__init__(sorted(errors))
+        self.errors = errors
 
 #: one pending range of the halving cascade: (lo index, hi index, depth).
 _Pending = tuple[int, int, int]
@@ -103,6 +127,7 @@ class AdaptiveErrorHandler:
     max_retries: int = 64
     observer: SplitObserver | None = None
     locate: Locator | None = None
+    execute_clean: CleanExecutor | None = None
 
     def _observe(self, event: str, **details) -> None:
         if self.observer is not None:
@@ -134,7 +159,10 @@ class AdaptiveErrorHandler:
         # Past the except block, the failure's traceback — which pins
         # the failed statement's column data — is freed before the rest
         # of the range runs.
-        suspects = self._suspects(seqs) if locating else None
+        hint = self.locate(seqs[0], seqs[-1]) if locating else []
+        if isinstance(hint, Verdicts) and self._route(outcome, seqs, hint):
+            return outcome
+        suspects = self._indexes(seqs, hint)
         if suspects:
             self._halve(outcome, seqs,
                         self._located_plan(len(seqs), suspects),
@@ -146,10 +174,13 @@ class AdaptiveErrorHandler:
         return outcome
 
     def _execute(self, outcome: ApplyOutcome, seqs: list[int],
-                 lo: int, hi: int) -> None:
-        """One DML statement over ``seqs[lo..hi]``; raises on failure."""
+                 lo: int, hi: int, skip: "list[int] | None" = None) -> None:
+        """One DML statement over ``seqs[lo..hi]`` (but the rows of
+        ``skip``, when given); raises on failure."""
         outcome.statements += 1
-        inserted, updated, deleted = self.execute_range(seqs[lo], seqs[hi])
+        inserted, updated, deleted = \
+            self.execute_range(seqs[lo], seqs[hi]) if skip is None \
+            else self.execute_clean(seqs[lo], seqs[hi], skip)
         outcome.rows_inserted += inserted
         outcome.rows_updated += updated
         outcome.rows_deleted += deleted
@@ -219,6 +250,28 @@ class AdaptiveErrorHandler:
         stack.append((mid + 1, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
 
+    # -- the verdict route -------------------------------------------------
+
+    def _route(self, outcome: ApplyOutcome, seqs: list[int],
+               verdicts: Verdicts) -> bool:
+        """Apply a failed range its verdicts decide: one statement over
+        its clean rows, then each verdict's error in seq order.  False,
+        with nothing applied or recorded, when there is no verdict (the
+        range failed on rows the pass does not see), when the verdicts
+        would exhaust the ``max_errors`` budget (halving then records a
+        9057 range the route cannot know), or when the clean statement
+        fails."""
+        if not verdicts or self.execute_clean is None \
+                or outcome.tuple_errors + len(verdicts) >= self.max_errors:
+            return False
+        try:
+            self._execute(outcome, seqs, 0, len(seqs) - 1, list(verdicts))
+        except BulkExecutionError:
+            return False
+        for seq in verdicts:
+            self._record_tuple(outcome, seq, verdicts.errors[seq])
+        return True
+
     # -- located apply -----------------------------------------------------
 
     def _may_locate(self, outcome: ApplyOutcome, n: int) -> bool:
@@ -230,9 +283,10 @@ class AdaptiveErrorHandler:
                 and not outcome.budget_exhausted
                 and n <= 2 ** self.max_retries)
 
-    def _suspects(self, seqs: list[int]) -> list[int]:
-        """Indexes into ``seqs`` of the located suspects, in order."""
-        wanted = set(self.locate(seqs[0], seqs[-1]))
+    @staticmethod
+    def _indexes(seqs: list[int], hint: list[int]) -> list[int]:
+        """Indexes into ``seqs`` of the hinted suspects, in order."""
+        wanted = set(hint)
         return [i for i, seq in enumerate(seqs) if seq in wanted]
 
     @staticmethod

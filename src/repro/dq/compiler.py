@@ -1,20 +1,20 @@
 """Compile a ruleset into set-oriented SQL over the staging table.
 
 The per-row kinds (``not_null``, ``range``, ``regex``, ``in_set``,
-``sql``) all reduce to one aggregated pass in the style of Kontra's
+``sql``) all reduce to one pass in the style of Kontra's
 ``SqlExecutor.compile``::
 
-    SELECT COUNT(*) AS TOTAL,
-           SUM(CASE WHEN … THEN 1 ELSE 0 END) AS C0,
-           SUM(CASE WHEN … THEN 1 ELSE 0 END) AS C1, …
+    SELECT __SEQ,
+           CASE WHEN … THEN 1 ELSE 0 END AS F0,
+           CASE WHEN … THEN 1 ELSE 0 END AS F1, …
       FROM HQ_STG_j1
-     WHERE __SEQ BETWEEN :lo AND :hi
+     WHERE __SEQ BETWEEN :lo AND :hi AND (F0 = 1 OR F1 = 1 …)
 
-returning ``{rule_id: failed_count}`` in a single row, plus one
-routing ``SELECT __SEQ`` per *violated* rule.  Every CASE yields a
-0/1 *violation flag* — never NULL — so SQL three-valued logic cannot
-leak violations past ``SUM``.  The cross-row kinds (``unique``,
-``referential``) compile to grouping / set-difference passes instead.
+whose rows are the range's violators and whose flag sums are the
+``{rule_id: failed_count}`` counts.  Every CASE yields a 0/1 *violation
+flag* — never NULL — so SQL three-valued logic cannot leak a violation
+past the WHERE.  The cross-row kinds (``unique``, ``referential``)
+compile to grouping / set-difference passes instead.
 
 All range-scoped statements carry a non-negated ``__SEQ BETWEEN``
 conjunct, so the engine's zone-map pruning turns each pass into a
@@ -24,15 +24,24 @@ binary-searched slice scan rather than a full staging scan.
 from a prepared ``INSERT … SELECT`` and its target's schema it derives
 the rows the statement will fail on — failed conversions, values the
 target column cannot hold, NULLs into NOT NULL columns, lost unique
-keys within the range — as one flags pass plus one key pass per unique
-key, so the adaptive error handler can apply a failed range around them
-instead of halving it.
+keys within the range — as one verdict pass (each failing row's first
+failing check and that check's input value) plus one key pass, so the
+adaptive error handler can route a failed range set-wise instead of
+halving it.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
+from itertools import chain, compress
+from operator import itemgetter
+
+from repro.cdw.engine import statement_error
+from repro.cdw.expressions import call_node, cast_node
 from repro.cdw.types import cdw_type_from_node
 from repro.dq.rules import PER_ROW_KINDS, SET_KINDS, DqRule
+from repro.errors import BulkExecutionError, ExpressionError
 from repro.sqlxc import nodes as n
 from repro.sqlxc.parser import parse_statement
 
@@ -167,24 +176,13 @@ class CompiledRuleSet:
 
     # -- per-row pass ------------------------------------------------------
 
-    def counts_select(self, lo: int, hi: int) -> n.Select:
-        """The single aggregated violation-count pass for the range."""
-        items = [n.SelectItem(n.FuncCall("COUNT", [n.Star()]),
-                              alias="TOTAL")]
-        for i, rule in enumerate(self.per_row_rules):
-            items.append(n.SelectItem(
-                n.FuncCall("SUM", [self._flags[rule.rule_id]]),
-                alias=f"C{i}"))
-        return n.Select(items, from_=n.TableRef(self.staging_table),
-                        where=_seq_between(lo, hi))
-
     def routing_flags_select(self, rules: "tuple[DqRule, ...]",
                              lo: int, hi: int) -> n.Select:
         """``(__SEQ, flag…)`` of rows violating any given per-row rule.
 
-        One scan routes every violated per-row rule in the range — the
-        WHERE keeps clean rows out of the result, the flag columns say
-        which of the rules each surviving row broke.
+        One scan finds and counts every per-row rule's violators in the
+        range — the WHERE keeps clean rows out of the result, the flag
+        columns say which of the rules each surviving row broke.
         """
         items = [n.SelectItem(n.ColumnRef(SEQ_COLUMN))]
         any_hit = None
@@ -200,12 +198,9 @@ class CompiledRuleSet:
 
     # -- unique ------------------------------------------------------------
 
-    def _key_not_null(self, rule: DqRule):
-        return [n.IsNull(n.ColumnRef(c), negated=True)
-                for c in rule.key_columns]
-
     def unique_keys_select(self, rule: DqRule) -> n.Select:
-        """(key…, __SEQ) of every keyed row in the staging table.
+        """(key…, __SEQ) of every row in the staging table (the walk
+        skips keys with a NULL part, so no WHERE filters them first).
 
         Scans the whole table on purpose: the surviving-first-
         occurrence cascade must hold *globally*, so a duplicate always
@@ -214,9 +209,7 @@ class CompiledRuleSet:
         items = [n.SelectItem(n.ColumnRef(c))
                  for c in rule.key_columns]
         items.append(n.SelectItem(n.ColumnRef(SEQ_COLUMN)))
-        return n.Select(
-            items, from_=n.TableRef(self.staging_table),
-            where=_and(*self._key_not_null(rule)))
+        return n.Select(items, from_=n.TableRef(self.staging_table))
 
     # -- referential -------------------------------------------------------
 
@@ -241,33 +234,44 @@ class CompiledRuleSet:
 
 # -- unique keys: the surviving-first rule ------------------------------------
 
-def surviving_first_losers(members, lo: int, hi: int,
-                           doomed) -> "list[int]":
+def surviving_first_losers(members, lo: int, hi: int, doomed,
+                           spans=(slice(0, -1),)) -> "list[int]":
     """Seqs in ``[lo, hi]`` whose key an earlier *surviving* row holds.
 
-    ``members`` are ``(key…, __SEQ)`` rows, walked in seq order.  A key
-    is held by every member below ``lo`` (rows that survived earlier
-    passes) and by the first member in range that is not ``doomed`` —
-    rows failing for another reason never reach the target, so they
-    claim no key and the next clean occurrence wins.  That is what the
-    target's unique constraint decides row by row.  Keys with a NULL
-    part never collide.
+    ``members`` are rows ``(key…, __SEQ)``, walked in seq order;
+    ``spans`` cut a row into its unique keys (by default one key: every
+    column before ``__SEQ``).  A key is held by every member below
+    ``lo`` (rows that survived earlier passes) and by each member in
+    range that is not ``doomed`` and loses on none of its keys — rows
+    failing for another reason never reach the target, so they claim
+    no key and the next clean occurrence wins.  That is what the
+    target's unique constraints decide row by row.  Keys with a NULL
+    part never collide.  Only rows sharing a key value with another row
+    are walked: the others can neither lose nor make a row lose.
     """
+    getters = [itemgetter(span) for span in spans]
+    shared = []
+    for get in getters:
+        counts = Counter(map(get, members))
+        shared.append({key for key, count in counts.items() if count > 1})
+    contested = compress(members, map(any, zip(*(
+        map(keys.__contains__, map(get, members))
+        for get, keys in zip(getters, shared)))))
     out: "list[int]" = []
     held: set = set()
-    for row in sorted(members, key=lambda r: r[-1]):
-        key, seq = row[:-1], row[-1]
+    for row in sorted(contested, key=itemgetter(-1)):
+        seq = row[-1]
         if seq > hi:
             break
-        if any(v is None for v in key):
-            continue
+        keys = [(k, key) for k, key in enumerate(get(row) for get in getters)
+                if not any(v is None for v in key)]
         if seq < lo:
-            held.add(key)
+            held.update(keys)
         elif seq not in doomed:
-            if key in held:
-                out.append(seq)
+            if held.isdisjoint(keys):
+                held.update(keys)
             else:
-                held.add(key)
+                out.append(seq)
     return out
 
 
@@ -277,13 +281,30 @@ def surviving_first_losers(members, lo: int, hi: int,
 #: column base type it yields).
 _CONVERSIONS = {"TO_DATE": ("TRY_TO_DATE", "DATE"),
                 "TO_TIMESTAMP": ("TRY_TO_TIMESTAMP", "TIMESTAMP")}
+#: functions that raise on no text value (nor on NULL).
+_TEXT_FUNCTIONS = ("TRIM", "LTRIM", "RTRIM", "UPPER", "LOWER")
+_TEXT_BASES = ("NVARCHAR", "VARCHAR", "CHAR")
+
+
+def _is_conversion(node) -> bool:
+    if isinstance(node, n.FuncCall):
+        return node.name.upper() in _CONVERSIONS and bool(node.args)
+    return isinstance(node, n.Cast) and not node.safe
+
+
+def _operand(conversion):
+    if isinstance(conversion, n.FuncCall):
+        return conversion.args[0]
+    return conversion.operand
 
 
 def _try_form(expr):
     """``expr`` with every fallible conversion replaced by its TRY form."""
     def rule(node):
-        if isinstance(node, n.FuncCall) and node.name in _CONVERSIONS:
-            return n.FuncCall(_CONVERSIONS[node.name][0], node.args)
+        if isinstance(node, n.FuncCall) \
+                and node.name.upper() in _CONVERSIONS:
+            return n.FuncCall(_CONVERSIONS[node.name.upper()][0],
+                              node.args)
         if isinstance(node, n.Cast) and not node.safe:
             return n.Cast(node.operand, node.type, node.format, safe=True)
         return node
@@ -295,20 +316,48 @@ def _fails(arg, tried):
     return _and(n.IsNull(arg, negated=True), n.IsNull(tried))
 
 
-def _conversion_flags(expr) -> list:
-    """One flag per conversion node inside ``expr``.
+def _evaluation_order(expr):
+    """The nodes of ``expr`` in the interpreter's evaluation order:
+    operands before the node that uses them, left to right."""
+    for child in expr.children():
+        yield from _evaluation_order(child)
+    yield expr
 
-    Arguments are evaluated in TRY form too: where a nested conversion
-    fails the outer flag reads 0, and the nested node's own flag fires.
-    """
-    flags = []
-    for node in n.walk(expr):
-        if isinstance(node, n.FuncCall) and node.name in _CONVERSIONS \
-                and node.args:
-            flags.append(_fails(_try_form(node.args[0]), _try_form(node)))
-        elif isinstance(node, n.Cast) and not node.safe:
-            flags.append(_fails(_try_form(node.operand), _try_form(node)))
-    return flags
+
+def _text_valued(expr, text: "set[str]") -> bool:
+    """Whether ``expr`` is text or NULL on every row, raising on none:
+    a staging text column, a string literal, or a text function of
+    one."""
+    if isinstance(expr, n.ColumnRef):
+        return expr.name.upper() in text
+    if isinstance(expr, n.Literal):
+        return expr.value is None or isinstance(expr.value, str)
+    return isinstance(expr, n.FuncCall) and not expr.distinct \
+        and expr.name.upper() in _TEXT_FUNCTIONS and len(expr.args) == 1 \
+        and _text_valued(expr.args[0], text)
+
+
+def _covered(expr, text: "set[str]") -> bool:
+    """Whether ``expr`` raises, if at all, only in its conversions, each
+    with constant arguments past its first: then a row's first failing
+    conversion flag names the interpreter's error."""
+    if isinstance(expr, (n.ColumnRef, n.Literal)):
+        return True
+    if _is_conversion(expr):
+        rest = expr.args[1:] if isinstance(expr, n.FuncCall) else ()
+        return all(isinstance(arg, n.Literal) for arg in rest) \
+            and _covered(_operand(expr), text)
+    return _text_valued(expr, text)
+
+
+def _strict(conversion):
+    """The conversion's own function of its first argument's value: it
+    returns or raises as the interpreter does on that row."""
+    if isinstance(conversion, n.Cast):
+        return functools.partial(cast_node, conversion)
+    rest = [arg.value if isinstance(arg, n.Literal) else None
+            for arg in conversion.args[1:]]
+    return lambda value: call_node(conversion, [value, *rest])
 
 
 def _produces(expr, ctype) -> bool:
@@ -316,8 +365,9 @@ def _produces(expr, ctype) -> bool:
     column's coercion of its values cannot fail."""
     if isinstance(expr, n.Cast) and expr.format is None:
         return cdw_type_from_node(expr.type) == ctype
-    return isinstance(expr, n.FuncCall) and expr.name in _CONVERSIONS \
-        and _CONVERSIONS[expr.name][1] == ctype.base
+    return isinstance(expr, n.FuncCall) \
+        and expr.name.upper() in _CONVERSIONS \
+        and _CONVERSIONS[expr.name.upper()][1] == ctype.base
 
 
 def _type_node(ctype) -> n.TypeName:
@@ -325,37 +375,73 @@ def _type_node(ctype) -> n.TypeName:
 
 
 class ApplyLocatePass:
-    """The staged rows an apply ``INSERT … SELECT`` will fail on.
+    """The staged rows an apply ``INSERT … SELECT`` will fail on, and
+    why.
 
-    Built from the prepared statement and the target's schema: a flag
-    for every conversion in the select list, for every value its target
-    column cannot hold (``TRY_CAST(item AS coltype)``) and for every
-    NULL into a NOT NULL column, ORed into one ``SELECT __SEQ`` pass;
-    then one key pass per unique key over the range, walked with
-    :func:`surviving_first_losers`.  Every pass is a slice of the failed
-    range, so locating costs about one more pass over it.
+    Built from the prepared statement and the schemas of its target and
+    staging tables as a list of *checks* in the engine's one-row
+    evaluation order: every select-list conversion, in item order and
+    operands first (flag: its argument is not NULL, its TRY form is),
+    then each target column's NOT NULL or fit check in column order
+    (flag: ``TRY_CAST(item AS coltype)`` is NULL where the item is not,
+    or is NULL at all into a NOT NULL column).  The *verdict pass* is
+    one ``SELECT`` over the range of ``__SEQ``, the index of the row's
+    first failing check (a ``CASE`` over the flags) and that check's
+    input value, for the rows where any flag fires; the *key pass*
+    reads every unique key of the range and walks it with
+    :func:`surviving_first_losers`.  Every pass is a slice of the range,
+    so locating costs about one more pass over it.
 
-    The result is a hint: the error handler gets each row's verdict
-    from the engine itself.  Not flagged, so found by halving: other
-    fallible expressions (string functions on non-strings, arithmetic)
-    and keys the target already holds — finding those would scan the
-    whole target on every failed range, which for a small batch into a
-    large table costs more than the halving it saves.
+    Each failing row's error is its check's own strict function applied
+    to the value — :func:`~repro.cdw.expressions.cast_node`,
+    :func:`~repro.cdw.expressions.call_node`,
+    :meth:`~repro.cdw.table.CdwTable.coerce_value` — so code, field and
+    message are the engine's by construction (:meth:`errors`).  That
+    holds when the statement is *covered*: its items raise nowhere but
+    in their conversions (column references, literals, text functions
+    of text, conversions with constant extra arguments).  Otherwise the
+    rows it locates are a hint and the error handler gets each row's
+    verdict from the engine itself.  Never located: keys the
+    target already holds — finding those would scan the whole target on
+    every failed range, which for a small batch into a large table
+    costs more than the statement that fails on them.
     """
 
-    def __init__(self, staging: n.TableRef, flag, keys: "list[list]"):
+    def __init__(self, staging: n.TableRef, target, checks: list,
+                 keys: "list[list]", covered: bool):
         self.staging = staging
-        self.flag = flag
+        self.target = target
+        #: ``(flag, input value, strict function)`` in evaluation order.
+        self.checks = checks
         #: the coerced key items of each unique key.
         self.keys = keys
+        self.covered = covered
+        flags = [flag for flag, _, _ in checks]
+        self.flag = None
+        for one in flags:
+            self.flag = one if self.flag is None \
+                else n.BinaryOp("OR", self.flag, one)
+        seq = n.ColumnRef(SEQ_COLUMN)
+        self._verdict_items = [seq, n.CaseExpr([
+            n.WhenClause(flag, n.Literal(k)) for k, flag in enumerate(flags)
+        ]), n.CaseExpr([n.WhenClause(flag, value)
+                        for flag, value, _ in checks])]
+        self._key_items = [*chain.from_iterable(keys), seq]
+        self._spans = []
+        start = 0
+        for key in keys:
+            self._spans.append(slice(start, start + len(key)))
+            start += len(key)
 
     @classmethod
-    def compile(cls, statement, target) -> "ApplyLocatePass | None":
+    def compile(cls, statement, target, staging) -> "ApplyLocatePass | None":
         """The pass for a prepared apply statement, or None when it is
         not an ``INSERT … SELECT`` over one staging table (UPDATE,
         DELETE and MERGE apply by halving alone).  ``target`` is the
-        target table's schema: ``columns`` (name, ctype, nullable),
-        ``unique_keys`` (column-index tuples) and ``column_index``."""
+        target table: ``name``, ``columns`` (name, ctype, nullable),
+        ``unique_keys`` (column-index tuples), ``column_index`` and
+        ``coerce_value``; ``staging`` is the staging table's schema
+        (``columns``)."""
         if not isinstance(statement, n.Insert) \
                 or not isinstance(statement.source, n.Select) \
                 or not isinstance(statement.source.from_, n.TableRef) \
@@ -371,40 +457,82 @@ class ApplyLocatePass:
         if any(not spec.nullable and i not in by_column
                for i, spec in enumerate(target.columns)):
             return None     # every row fails: nothing to locate
-        flags = []
+        text = {c.name.upper() for c in staging.columns
+                if c.ctype.base in _TEXT_BASES}
+        checks = []
+        for expr in exprs:
+            for node in _evaluation_order(expr):
+                if _is_conversion(node):
+                    tried = _try_form(_operand(node))
+                    checks.append((_fails(tried, _try_form(node)), tried,
+                                   _strict(node)))
         coerced = {}
-        for i, expr in by_column.items():
-            spec = target.columns[i]
-            flags.extend(_conversion_flags(expr))
+        for i, spec in enumerate(target.columns):
+            if i not in by_column:
+                continue
+            expr = by_column[i]
             tried = _try_form(expr)
             coerced[i] = n.Cast(tried, _type_node(spec.ctype), safe=True)
             # NULL here, or a value the column cannot hold
             fits = _produces(expr, spec.ctype)
             if not spec.nullable:
-                flags.append(n.IsNull(tried if fits else coerced[i]))
+                flag = n.IsNull(tried if fits else coerced[i])
             elif not fits:
-                flags.append(_fails(tried, coerced[i]))
-        flag = None
-        for one in flags:
-            flag = one if flag is None else n.BinaryOp("OR", flag, one)
+                flag = _fails(tried, coerced[i])
+            else:
+                continue
+            checks.append((flag, tried,
+                           functools.partial(target.coerce_value, i)))
         keys = [[coerced[i] for i in key] for key in target.unique_keys
                 if all(i in by_column for i in key)]
-        return cls(statement.source.from_, flag, keys)
+        return cls(statement.source.from_, target, checks, keys,
+                   all(_covered(expr, text) for expr in exprs))
 
     def _select(self, items, where) -> n.Select:
         return n.Select([n.SelectItem(e) for e in items],
                         from_=self.staging, where=where)
 
-    def suspects(self, query, lo: int, hi: int) -> "list[int]":
-        """Sorted seqs in ``[lo, hi]`` expected to fail, running each
-        pass through ``query`` (``CdwEngine.query``)."""
-        seq = n.ColumnRef(SEQ_COLUMN)
-        doomed: "set[int]" = set()
+    def locate(self, query, lo: int, hi: int) -> "tuple[dict, list[int]]":
+        """``(failing, losers)`` over ``[lo, hi]``, running the verdict
+        and key passes through ``query`` (``CdwEngine.query``):
+        ``failing`` maps each row failing a check to ``(check index,
+        input value)``, and ``losers`` are the other rows that lose a
+        unique key to an earlier surviving row, in seq order."""
+        failing: dict = {}
         if self.flag is not None:
-            doomed.update(row[0] for row in query(self._select(
-                [seq], _and(_seq_between(lo, hi), self.flag))))
-        for items in self.keys:
-            members = query(self._select(
-                items + [seq], _seq_between(lo, hi)))
-            doomed.update(surviving_first_losers(members, lo, hi, doomed))
-        return sorted(doomed)
+            failing = {row[0]: (row[1], row[2]) for row in query(
+                self._select(self._verdict_items,
+                             _and(_seq_between(lo, hi), self.flag)))}
+        losers: "list[int]" = []
+        if self.keys:
+            members = query(self._select(self._key_items,
+                                         _seq_between(lo, hi)))
+            losers = surviving_first_losers(members, lo, hi, failing,
+                                            self._spans)
+        return failing, losers
+
+    def errors(self, failing: dict, losers: "list[int]"
+               ) -> "dict[int, BulkExecutionError] | None":
+        """Each located row's own error, as the engine raises it for
+        that row alone — or None when the pass cannot decide the range:
+        the statement is not covered, or a check's function accepts the
+        value the pass flagged.  A loser's error is a uniqueness error
+        (UV rows quote no message)."""
+        if not self.covered:
+            return None
+        what = f"INSERT INTO {self.target.name}"
+        out: "dict[int, BulkExecutionError]" = {}
+        for seq, (check, value) in failing.items():
+            try:
+                self.checks[check][2](value)
+            except ExpressionError as exc:
+                out[seq] = statement_error(exc, what)
+            except BulkExecutionError as exc:
+                out[seq] = exc
+            else:
+                return None
+        for seq in losers:
+            out[seq] = BulkExecutionError(
+                f"uniqueness violation on {self.target.name}",
+                kind="uniqueness")
+        return out

@@ -4,10 +4,10 @@
 over the whole staging table.  Each :meth:`check_range` is a handful of
 set-oriented SQL passes:
 
-1. the single aggregated counts pass (``{rule_id: failed_count}``);
-2. one flag-columns routing pass shared by every *violated* per-row
-   rule, plus the keys / set-difference passes for
-   ``unique``/``referential``;
+1. one flag-columns pass over every per-row rule: its rows are the
+   range's violators, its flags say which rules each broke, and their
+   sums are the ``{rule_id: failed_count}`` counts;
+2. the keys / set-difference passes for ``unique``/``referential``;
 3. a batched multi-row INSERT of the violators into the job's error
    table (tagged ``__RULE_ID``/``__REASON``, Figure 6 style);
 4. a zone-map-pruned DELETE removing them from staging — Beta never
@@ -15,8 +15,8 @@ set-oriented SQL passes:
    genuinely unexpected errors.
 
 A row violating several rules is *routed* once, by the first violating
-rule in profile order; the counts pass still reports it under every
-per-row rule it breaks (Kontra semantics).  ``unique`` counts follow
+rule in profile order; the counts still report it under every per-row
+rule it breaks (Kontra semantics).  ``unique`` counts follow
 the routing cascade instead: a duplicate only violates when an earlier
 *surviving* row holds its key — rows routed by another rule (or deleted
 by an earlier range) never claim a key, which keeps rules-on runs
@@ -52,7 +52,7 @@ class DqRangeResult:
 
     def __init__(self, checked: int, counts: "dict[str, int]",
                  routed: "list[int]", rerouted: int):
-        #: staging rows scanned by the counts pass.
+        #: staging rows in the checked range.
         self.checked = checked
         #: per-rule failed counts (every rule a row breaks).
         self.counts = counts
@@ -131,21 +131,17 @@ class DqPrechecker:
 
     # -- rule evaluation ---------------------------------------------------
 
-    def _per_row_counts(self, lo: int, hi: int
-                        ) -> "tuple[int, dict[str, int]]":
-        """(rows scanned, {rule_id: failed_count}) in one SQL pass."""
-        rows = self.engine.query(self.compiled.counts_select(lo, hi))
-        row = rows[0]
-        total = int(row[0] or 0)
-        counts = {
-            rule.rule_id: int(row[i + 1] or 0)
-            for i, rule in enumerate(self.compiled.per_row_rules)}
-        return total, counts
+    def _rows_in(self, lo: int, hi: int) -> int:
+        """Staging rows with ``__SEQ`` in ``[lo, hi]`` (the zone map)."""
+        table = self.engine.table(self.staging_table)
+        with self.engine.locks.table_lock(self.staging_table).read():
+            start, stop = table.seq_slice(lo, hi)
+        return stop - start
 
     def _per_row_violators(self, rules: "tuple[DqRule, ...]", lo: int,
                            hi: int) -> "dict[str, list[int]]":
-        """{rule_id: violating seqs} for the violated per-row rules —
-        one flag-columns scan, however many rules were violated."""
+        """{rule_id: violating seqs} for the per-row rules — one
+        flag-columns scan, however many rules there are."""
         if not rules:
             return {}
         hits: "dict[str, list[int]]" = {r.rule_id: [] for r in rules}
@@ -205,16 +201,16 @@ class DqPrechecker:
                 "dq.precheck", parent=parent_span,
                 job_id=self.job_id, ruleset=self.ruleset.name,
                 lo=lo, hi=hi) as span:
-            checked, counts = self._per_row_counts(lo, hi)
+            checked = self._rows_in(lo, hi)
             # Evaluation order: every non-unique rule first (their
             # verdicts don't depend on other rows' fates), then unique
             # rules — which must know who is already doomed so routed
             # rows don't claim their key (see _unique_violators).
-            violators: dict[str, list[int]] = {}
+            violators = self._per_row_violators(
+                self.compiled.per_row_rules, lo, hi)
+            counts = {rule_id: len(seqs)
+                      for rule_id, seqs in violators.items()}
             doomed: set[int] = set()
-            violated = tuple(r for r in self.compiled.per_row_rules
-                             if counts[r.rule_id])
-            violators.update(self._per_row_violators(violated, lo, hi))
             for rule in self.ruleset.rules:
                 if rule.kind == "unique":
                     continue

@@ -27,8 +27,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cdw.columns import TextSlice
 from repro.cdw.engine import CdwEngine
-from repro.sqlxc.parser import parse_statement
+from repro.cdw.expressions import ColumnBatch, compile_vector, prepare_layout
+from repro.errors import ExpressionError
+from repro.sqlxc.parser import parse_expression, parse_statement
 from tests.cdw.oracles import SqliteOracle, row_interpreter, run
 from tests.cdw.test_columnar_equivalence import _predicate, _random_rows
 
@@ -47,6 +50,9 @@ APPLIES = [
     "INSERT INTO T SELECT A, B, TO_DATE(E, 'DD/MM/YYYY'), D FROM S "
     "WHERE {where}",
     "INSERT INTO T (K, J) SELECT TRIM(A), TO_DATE(D) FROM S WHERE {where}",
+    "INSERT INTO T SELECT CAST(TRIM(A) AS VARCHAR(4)), TRY_CAST(B AS "
+    "VARCHAR(3)), TRY_TO_DATE(E, 'DD/MM/YYYY'), TRY_CAST(D AS NVARCHAR) "
+    "FROM S WHERE {where}",
     "INSERT INTO T (K, NM, P) SELECT TRIM(A), RTRIM(B), LTRIM(A) FROM S "
     "WHERE {where}",
 ]
@@ -336,3 +342,80 @@ def test_a_staging_delete_leaves_the_target_intact():
     engine.table("S").truncate_rows(0)
     assert engine.query("SELECT A, Q FROM T") == [
         ("v0", "v0"), ("v1", "v1"), ("v2", "v2")]
+
+
+def test_a_partly_decided_date_column_keeps_row_order():
+    """One value the date kernel cannot prove does not send the column
+    back to the per-value path: the kernel proves the rest, the closure
+    runs on the undecided values in row order — so TO_DATE raises the
+    first bad row's error and TRY_TO_DATE reads NULL there — and the
+    column counts one decline."""
+    days = ["2014-03-09", "1999-12-31", None, "bad-1", "2014-03-10",
+            "2014-02-30", "bad-2", "2014-3-9", "2000-01-01"]
+    case = {"texts": [(f"k{i}", None, day, None)
+                      for i, day in enumerate(days)],
+            "existing": [], "seed": 3}
+    vector, oracle = _engines(case)
+    table = vector.table("S")
+    layout = prepare_layout(table.column_names)
+    strict = compile_vector(parse_expression("TO_DATE(D, 'YYYY-MM-DD')"),
+                            layout, "S")
+    with pytest.raises(ExpressionError, match="bad-1"):
+        strict(ColumnBatch(table, 0, len(days)))
+    with pytest.raises(ExpressionError, match="2014-02-30"):
+        strict(ColumnBatch(table, 4, len(days)))
+    sql = ("INSERT INTO T (K, J) SELECT A, TRY_TO_DATE(D, 'YYYY-MM-DD') "
+           "FROM S")
+    assert _outcome(vector, sql) == _outcome(oracle, sql)
+    assert list(vector.table("T").rows) == list(oracle.table("T").rows)
+    assert [row[2] for row in vector.table("T").rows] == [
+        datetime.date(2014, 3, 9), datetime.date(1999, 12, 31), None, None,
+        datetime.date(2014, 3, 10), None, None, datetime.date(2014, 3, 9),
+        datetime.date(2000, 1, 1)]
+    assert vector.kernel_declines["to_date"] == 1
+
+
+def test_try_cast_to_varchar_is_the_slice_when_every_value_fits():
+    """``TRY_CAST(text AS VARCHAR(n))`` reads its operand's buffers when
+    the widest value fits ``n`` bytes, and its ``IS NULL`` reads their
+    validity; past the bound it casts value by value."""
+    case = {"texts": [("ab", "é", None, None), ("cd", None, None, None),
+                      ("ef", "xyz", None, None)], "existing": [], "seed": 4}
+    table = _engines(case)[0].table("S")
+    layout = prepare_layout(table.column_names)
+    batch = ColumnBatch(table, 0, 3)
+    fits = compile_vector(parse_expression("TRY_CAST(B AS VARCHAR(3))"),
+                          layout, "S")(batch)
+    assert type(fits[1]) is TextSlice and fits[1].to_list() == [
+        "é", None, "xyz"]
+    assert compile_vector(parse_expression(
+        "TRY_CAST(B AS VARCHAR(3)) IS NULL"), layout, "S")(batch) == (
+            False, [False, True, False])
+    short = compile_vector(parse_expression("TRY_CAST(B AS VARCHAR(2))"),
+                           layout, "S")(batch)
+    assert short == (False, ["é", None, None])
+
+
+def test_a_gathered_column_is_handed_over_once():
+    """A residual WHERE gathers the kept rows into a fresh column, which
+    the target takes over instead of copying — once: a second item
+    reading the same column gets a copy, so no two target columns (and
+    no target column and staging) share a buffer."""
+    engine = CdwEngine()
+    engine.execute("CREATE TABLE S (A NVARCHAR, __SEQ BIGINT)")
+    engine.execute("CREATE TABLE T (A NVARCHAR, Q NVARCHAR(9))")
+    engine.table("S").append_rows([(f"v{i}", i) for i in range(8)])
+    engine.table("S").set_sorted("__SEQ")
+    engine.execute("INSERT INTO T SELECT TRIM(A), A FROM S WHERE __SEQ "
+                   "BETWEEN 0 AND 7 AND __SEQ NOT IN (2, 5)")
+    staging = engine.table("S")._store.cols[0]
+    first, second = engine.table("T")._store.cols
+    for one, other in ((first, second), (first, staging),
+                       (second, staging)):
+        assert one.blob is not other.blob
+        assert one.offsets is not other.offsets
+        assert one.valid is not other.valid
+    engine.table("T").truncate_rows(3)              # a Beta rollback
+    assert engine.query("SELECT A, Q FROM T") == [
+        ("v0", "v0"), ("v1", "v1"), ("v3", "v3")]
+    assert engine.query("SELECT A FROM S") == [(f"v{i}",) for i in range(8)]

@@ -19,11 +19,11 @@ import datetime
 from array import array
 
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from repro.cdw.columns import TextColumn, TextSlice, decoded
+from repro.cdw.columns import TextColumn, TextSlice, decoded, runs
 from repro.cdw.table import CdwTable, ColumnSpec
 from repro.cdw.types import CdwType
 from repro.errors import BulkExecutionError, CatalogError
@@ -267,3 +267,55 @@ TestStorageModel = StorageModel.TestCase
 TestStorageModel.settings = settings(
     max_examples=150, stateful_step_count=25, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
+
+
+#: a text column's values: multi-byte characters, empty strings, NULLs.
+TEXTS = st.lists(st.text(max_size=3) | st.none(), max_size=12)
+
+
+def _selection(draw, n):
+    """Indices into ``n`` values: sorted runs with gaps, reversed,
+    repeated, or arbitrary."""
+    index = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["runs", "reversed", "repeated", "any"]))
+    if kind == "runs":
+        return sorted(draw(st.sets(index)))
+    if kind == "reversed":
+        return sorted(draw(st.sets(index)), reverse=True)
+    if kind == "repeated":
+        return [i for i in draw(st.lists(index, max_size=5))
+                for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.lists(index, max_size=n + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS, st.data())
+def test_text_take_copies_runs(values, data):
+    """``TextColumn.take`` copies each run of consecutive indices as one
+    slice of blob, offsets and validity: its values are the list's,
+    from a whole column and from one whose buffers start mid-blob."""
+    column = TextColumn()
+    for v in ["lead", None, *values]:
+        column.append(v)
+    base = 2                                # two values ahead of ours
+    indices = _selection(data.draw, len(values)) if values else []
+    taken = column.take([base + i for i in indices])
+    assert taken.to_list(0, len(taken)) == [values[i] for i in indices]
+    assert len(taken.offsets) == len(indices) + 1
+    assert taken.offsets[-1] == len(taken.blob)
+    assert taken.valid == bytearray(v is not None for v in
+                                    (values[i] for i in indices))
+    assert runs(indices) == [
+        (first, last + 1) for first, last in _model_runs(indices)]
+
+
+def _model_runs(indices):
+    """Maximal runs ``(first, last)`` of consecutive ascending indices,
+    one index at a time."""
+    out = []
+    for i in indices:
+        if out and i == out[-1][1] + 1:
+            out[-1] = (out[-1][0], i)
+        else:
+            out.append((i, i))
+    return out

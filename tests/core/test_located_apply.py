@@ -1,14 +1,17 @@
-"""Located apply is halving's outcome, reached with fewer statements.
+"""The verdict route and located apply are halving's outcome, reached
+with fewer statements.
 
-A failed apply statement's bad rows are listed by one set-oriented pass
-(:class:`repro.dq.compiler.ApplyLocatePass`) and the range is applied
-around them.  The oracle is the same job with no ``locate``: the
-recursive halving of paper Section 7.  Target, ET, UV and every
-:class:`ApplySummary` counter but ``statements``/``splits`` must match,
-whatever the faults, the ``max_errors``/``max_retries`` bounds, the
-evaluator (the vector engine or one forced onto its row interpreter) —
-and whatever the locate pass says: a lying hint may cost statements,
-never a different table.
+A failed apply statement's bad rows are decided by one set-oriented
+pass (:class:`repro.dq.compiler.ApplyLocatePass`): the range is then one
+INSERT over its clean rows plus one write per error table (the verdict
+route), or — when the verdicts are not usable, or the locator only
+hints — applied around the suspects (located apply).  The oracle is the
+same job with no ``locate``: the recursive halving of paper Section 7.
+Target, ET, UV and every :class:`ApplySummary` counter but
+``statements``/``splits`` must match, whatever the faults, the
+``max_errors``/``max_retries`` bounds, the evaluator (the vector engine
+or one forced onto its row interpreter) — and whatever the locate pass
+says: a lying hint may cost statements, never a different table.
 """
 
 import random
@@ -20,8 +23,10 @@ from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
 from repro.core.beta import SEQ_COLUMN, ApplyRun, Beta
 from repro.core.config import HyperQConfig
+from repro.core.errorhandling import Verdicts
 from repro.core.jobs import create_staging_table
 from repro.dq.compiler import ApplyLocatePass
+from repro.errors import HYPERQ_UNIQUENESS_ERROR
 from repro.legacy.types import FieldDef, Layout, parse_type
 
 from tests.cdw.oracles import row_interpreter
@@ -42,7 +47,15 @@ CHUNK = 7
 TARGET_KEYS = ("T1", "T2")
 
 FAULTS = ("clean", "clean", "clean", "bad_date", "bad_int", "null_name",
-          "long_name", "dup", "dup_target", "null_key", "padded_dup")
+          "long_name", "dup", "dup_target", "null_key", "padded_dup",
+          # messages the ET quotes: a ':' inside the value, which
+          # ``_first_clause`` cuts at, and the '...' form past 24 chars
+          "colon_name", "colon_date", "longer_name",
+          # two flaws: the first in evaluation order wins
+          "dup_bad_date", "null_name_long_key", "bad_date_bad_int",
+          # the second unique key (``two_keys``): a row that loses on
+          # one key claims neither
+          "dup_amount")
 
 
 def make_rows(faults: list, picks: list) -> list:
@@ -68,6 +81,20 @@ def make_rows(faults: list, picks: list) -> list:
             key = TARGET_KEYS[pick % len(TARGET_KEYS)]
         elif fault == "null_key":
             key = None
+        elif fault == "colon_name":
+            name = "ab:cd:efghij"
+        elif fault == "colon_date":
+            date = "2020:01:02"
+        elif fault == "longer_name":
+            name = "y" * 30
+        elif fault == "dup_bad_date" and i:
+            key, date = rows[pick % i][0], "2020-13-45"
+        elif fault == "null_name_long_key":
+            key, name = f"LONG{i:04d}", None
+        elif fault == "bad_date_bad_int":
+            date, amount = "2020-13-45", "1x2"
+        elif fault == "dup_amount" and i:
+            amount = rows[pick % i][3]
         rows.append((key, name, date, amount))
     return rows
 
@@ -203,6 +230,15 @@ def test_located_apply_matches_halving(job):
     assert counters(lied_summary, lied_outcome) == \
         counters(want_summary, want_outcome)
 
+    # Where no fallback condition holds — no key the target holds, a
+    # range halving would not cut at ``max_retries``, verdicts within the
+    # error budget — the verdict route ran: the failed statement and the
+    # clean rows' INSERT, whatever the number of bad rows.
+    if not in_target and n <= 2 ** options["max_retries"] \
+            and (not hints or len(hints[0]) < options["max_errors"]):
+        assert summary.statements == (2 if hints else 1)
+        assert not hints or isinstance(hints[0], Verdicts)
+
 
 def test_clean_job_never_locates():
     rows = make_rows(["clean"] * 20, [0] * 20)
@@ -211,20 +247,75 @@ def test_clean_job_never_locates():
     assert len(tables["TGT"]) == 20 + len(TARGET_KEYS)
 
 
-def test_dirty_job_runs_one_statement_per_segment_and_suspect():
+def _dirty_rows(dups=(10,), picks=None):
     faults = ["clean"] * 30
     for i in (3, 4, 17, 29):
         faults[i] = "bad_date"
-    faults[10] = "dup"
-    rows = make_rows(faults, [0] * 30)
-    tables, summary, _, hints = run_job(rows)
-    assert [len(h) for h in hints] == [5]
+    for i in dups:
+        faults[i] = "dup"
+    return make_rows(faults, picks or [0] * 30)
+
+
+def test_dirty_job_runs_one_statement_per_segment_and_suspect():
+    """Located apply, the path of a locator that only hints: a plain
+    list of the pass's suspects."""
+    rows = _dirty_rows()
+    tables, summary, _, hints = run_job(rows, locate=list)
     # the failed whole range, then segments [0-2] [5-9] [11-16] [18-28]
     # and one statement per suspect; ET/UV record inserts are not DML
     # statements of the handler
     assert summary.statements == 1 + 4 + 5
     assert summary.splits == 0
     assert (summary.et_errors, summary.uv_errors) == (4, 1)
+    assert tables == run_job(rows)[0]
+
+
+def test_dirty_job_takes_the_verdict_route():
+    """The pass decides the range: the failed INSERT, one INSERT of the
+    clean rows, one write per error table and three SELECTs (verdicts,
+    keys, the UV tuples) — whatever the number of bad rows."""
+    picks = [0] * 30
+    picks[21], picks[25] = 5, 14
+    rows = _dirty_rows(dups=(10, 21, 25), picks=picks)
+    engine = build(rows, interpreter=False, native_unique=True,
+                   two_keys=False)
+    engine.table("STG").set_sorted(SEQ_COLUMN)
+    run = ApplyRun(Beta(engine, HyperQConfig()), sql=INSERT_SQL,
+                   layout=LAYOUT, staging_table="STG", target_table="TGT",
+                   et_table="ET", uv_table="UV",
+                   chunk_records={c: CHUNK for c in range(5)},
+                   max_errors=10, max_retries=8)
+    before = dict(engine.statement_counts)
+    run.apply_seq_range(None, None)
+    summary = run.finish()
+    ran = {kind: count - before.get(kind, 0)
+           for kind, count in engine.statement_counts.items()
+           if count > before.get(kind, 0)}
+    assert (summary.statements, summary.splits) == (2, 0)
+    assert ran == {"Insert": 2 + 2, "Select": 3}
+    assert (summary.et_errors, summary.uv_errors) == (4, 3)
+    assert [row[0] for row in engine.table("ET").rows] == [4, 5, 18, 30]
+    # UV rows in seq order, each with its own row's converted tuple
+    assert [row[-2:] for row in engine.table("UV").rows] == [
+        (11, HYPERQ_UNIQUENESS_ERROR), (22, HYPERQ_UNIQUENESS_ERROR),
+        (26, HYPERQ_UNIQUENESS_ERROR)]
+    assert [row[0] for row in engine.table("UV").rows] == \
+        [rows[i][0] for i in (10, 21, 25)] == ["K0", "K5", "K14"]
+    assert [row[3] for row in engine.table("UV").rows] == [10, 21, 25]
+
+
+def test_a_row_that_loses_one_key_claims_no_other():
+    """With two unique keys, a row losing on K is not inserted, so a
+    later row holding its A wins A — and the verdicts say so."""
+    faults = ["clean"] * 8
+    faults[3], faults[6] = "dup", "dup_amount"
+    rows = make_rows(faults, [0, 0, 0, 1, 0, 0, 3, 0])
+    assert rows[3][0] == rows[1][0] and rows[6][3] == rows[3][3]
+    tables, summary, _, hints = run_job(rows, two_keys=True)
+    assert [list(h) for h in hints] == [[seq_of(3)]]
+    assert isinstance(hints[0], Verdicts) and summary.statements == 2
+    assert [row[-2] for row in tables["UV"]] == [4]
+    assert tables == run_job(rows, locate=None, two_keys=True)[0]
 
 
 def test_a_key_the_target_holds_is_left_to_halving():
@@ -242,7 +333,7 @@ def test_a_key_the_target_holds_is_left_to_halving():
 def test_an_insert_the_pass_cannot_cover_compiles_once(monkeypatch):
     compiled = []
 
-    def uncoverable(statement, target):
+    def uncoverable(statement, target, staging):
         compiled.append(statement)
         return None
 
