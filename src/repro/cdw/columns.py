@@ -361,20 +361,16 @@ class TextSlice:
     The vector path's form of a text column (:mod:`repro.cdw.expressions`):
     its kernels decide a whole slice with a few C-level calls over the
     column's buffers, and :meth:`to_list` is where it becomes ``str``
-    values.  A slice lends its buffers out only when it is *fresh* —
-    the whole of a column made for it, which no table holds (a gathered
-    selection) — and then once: :meth:`own` hands that column over, and
-    copies in every other case.
+    values.  A slice never lends its buffers out: :meth:`copy` is the
+    only way its values reach another column.
     """
 
-    __slots__ = ("column", "lo", "hi", "fresh")
+    __slots__ = ("column", "lo", "hi")
 
-    def __init__(self, column: TextColumn, lo: int, hi: int,
-                 fresh: bool = False):
+    def __init__(self, column: TextColumn, lo: int, hi: int):
         self.column = column
         self.lo = lo
         self.hi = hi
-        self.fresh = fresh
 
     def __len__(self):
         """Number of values (NULLs included)."""
@@ -428,15 +424,6 @@ class TextSlice:
         data = self.data()
         return data.isascii() and not any(
             map(data.__contains__, _ASCII_WHITESPACE))
-
-    def own(self) -> TextColumn:
-        """A column of these values the caller may keep: a fresh slice's
-        own column the first time (it is not fresh after that), else a
-        :meth:`copy`."""
-        if self.fresh:
-            self.fresh = False
-            return self.column
-        return self.copy()
 
     def copy(self) -> TextColumn:
         """A new column of these values, with buffers of its own."""

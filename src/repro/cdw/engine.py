@@ -1177,9 +1177,8 @@ class CdwEngine:
         A text column may come as buffers: a ``TextColumn`` its caller
         hands off, or a ``TextSlice`` of another table.  Into a VARCHAR
         or NVARCHAR column such buffers are proven where they lie
-        (:func:`_proven_text`) and stay buffers — a slice is copied
-        (or, fresh from a gather, handed over once), so the target owns
-        what it appends.  Into any other type they are
+        (:func:`_proven_text`) and stay buffers — a slice is copied, so
+        the target owns what it appends.  Into any other type they are
         decoded and coerced like a list.
 
         The row path coerces row by row, so when a column raises, the
@@ -1586,7 +1585,7 @@ def _proven_text(spec: ColumnSpec, text: "TextColumn | TextSlice"):
     if length is not None and whole.max_width() > length and max(
             map(len, filter(None, whole.to_list())), default=0) > length:
         raise ExpressionError(f"value too long for {spec.name}")
-    return text if type(text) is TextColumn else text.own()
+    return text if type(text) is TextColumn else text.copy()
 
 
 def _infer_cdw_type(column_values: list) -> "CdwType":

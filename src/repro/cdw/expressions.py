@@ -19,8 +19,8 @@ import re
 from array import array
 from bisect import bisect_left
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import chain, compress, islice, repeat
-from operator import and_, eq, ge, gt, le, lt, ne, not_, or_, sub
+from itertools import chain, compress, islice
+from operator import eq, ge, gt, le, lt, ne, sub
 from typing import Callable
 
 from repro import values
@@ -766,7 +766,6 @@ _VEC_EV = _Evaluator(None, None)
 _CMP_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 _PY_CMP = {"=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
-_NUMBERS = (int, float)
 
 
 class ColumnBatch:
@@ -849,8 +848,7 @@ class GatherBatch:
                     lo = pc.lo
                     c = TextSlice(pc.column.take_runs([
                         (start + lo, stop + lo)
-                        for start, stop in self._runs]), 0, len(sel),
-                        fresh=True)
+                        for start, stop in self._runs]), 0, len(sel))
                 else:
                     c = list(chain.from_iterable(
                         pc[start:stop] for start, stop in self._runs))
@@ -1033,18 +1031,6 @@ def _v_or(lv, rv):
     return bool(lv) or bool(rv)
 
 
-def _all_numbers(values_: list) -> bool:
-    """Whether every value is an int or a float (none NULL, no bool or
-    Decimal): Python compares those as the interpreter does."""
-    return not set(map(type, values_)).difference(_NUMBERS)
-
-
-def _all_bool(values_: list) -> bool:
-    """Whether every value is True or False (none NULL, none another
-    truthy value): ``&``/``|`` then compute AND/OR."""
-    return not set(map(type, values_)).difference((bool,))
-
-
 def _reached_values(fn, b, reached) -> list:
     """``fn``'s per-row values over batch ``b`` for an operand the
     interpreter evaluates on some rows only: ``reached()`` lists them.
@@ -1079,7 +1065,6 @@ def _vcompile_binary(expr: n.BinaryOp, layout, bu):
         return None
     if op in ("AND", "OR"):
         pair = _v_and if op == "AND" else _v_or
-        bitwise = and_ if op == "AND" else or_
         decided = op == "OR"        # the left value that skips the right
 
         def _logic(b):
@@ -1096,8 +1081,6 @@ def _vcompile_binary(expr: n.BinaryOp, layout, bu):
             lv = vec_values(lres, b.length)
             rv = _reached_values(right, b, lambda: [
                 i for i, a in enumerate(lv) if a is not decided])
-            if _all_bool(lv) and _all_bool(rv):   # two-valued: C level
-                return (False, list(map(bitwise, lv, rv)))
             return (False, [pair(a, c) for a, c in zip(lv, rv)])
         return _logic
     if op in _CMP_OPS:
@@ -1131,8 +1114,6 @@ def _vcompile_compare(op: str, left, right):
         if lc:                                   # const <op> vector
             if lv is None:
                 return (True, None)
-            if type(lv) in _NUMBERS and _all_numbers(rv):
-                return (False, list(map(pyop, repeat(lv), rv)))
             if type(lv) is int:
                 return (False, [
                     None if v is None else
@@ -1143,8 +1124,6 @@ def _vcompile_compare(op: str, left, right):
         if rc:                                   # vector <op> const
             if rv is None:
                 return (True, None)
-            if type(rv) in _NUMBERS and _all_numbers(lv):
-                return (False, list(map(pyop, lv, repeat(rv))))
             if type(rv) is int:
                 return (False, [
                     None if v is None else
@@ -1152,9 +1131,6 @@ def _vcompile_compare(op: str, left, right):
                     for v in lv])
             if type(rv) is str:
                 cr = rv.rstrip()
-                if not set(map(type, lv)).difference((str,)):
-                    return (False, list(map(pyop, map(str.rstrip, lv),
-                                            repeat(cr))))
                 return (False, [
                     None if v is None else
                     (pyop(v.rstrip(), cr) if type(v) is str
@@ -1291,11 +1267,6 @@ def _vcompile_in(expr: n.InExpr, layout, bu):
         if fast is not None:
             members, saw_null, ctype = fast
             vv = [vres[1]] if vres[0] else vec_values(vres, nrows)
-            if ctype is int and not saw_null and vv \
-                    and not set(map(type, vv)).difference((int,)):
-                hits = map(members.__contains__, vv)
-                out = list(map(not_, hits) if negated else hits)
-                return (True, out[0]) if vres[0] else (False, out)
             out = []
             append = out.append
             candidates = None
@@ -1570,22 +1541,6 @@ def _date_kernel(text: TextSlice, fmt: str):
     return out, undecided
 
 
-def _regexp_like_column(texts: list, pattern) -> list:
-    """REGEXP_LIKE of every value against one constant pattern: the
-    scalar function's results, with the pattern compiled once."""
-    if type(pattern) is not str or all(v is None for v in texts):
-        return [_FUNCTIONS["REGEXP_LIKE"]([v, pattern]) for v in texts]
-    search = re.compile(pattern).search
-    to_text = _Evaluator._to_text
-    return [None if v is None else search(to_text(v)) is not None
-            for v in texts]
-
-
-#: function name -> its column form ``fn(values, constant) -> values``,
-#: for a vector first argument and one constant argument after it.
-_COLUMN_FORMS = {"REGEXP_LIKE": _regexp_like_column}
-
-
 def _vcompile_func(expr: n.FuncCall, handler, layout, bu):
     arg_fns = []
     for arg in expr.args:
@@ -1594,7 +1549,6 @@ def _vcompile_func(expr: n.FuncCall, handler, layout, bu):
             return None
         arg_fns.append(fn)
     name, kernel = _FUNC_KERNELS.get(expr.name.upper(), (None, None))
-    column_form = _COLUMN_FORMS.get(expr.name.upper())
 
     def _call(b):
         results = [fn(b) for fn in arg_fns]
@@ -1613,10 +1567,6 @@ def _vcompile_func(expr: n.FuncCall, handler, layout, bu):
                     return (False, _per_value(
                         got, results[0][1],
                         lambda v: handler([v, *rest])))
-            if column_form is not None and len(results) == 2 \
-                    and results[1][0]:
-                return (False, column_form(vec_values(results[0], nrows),
-                                           results[1][1]))
             if len(results) == 1:
                 vec = vec_values(results[0], nrows)
                 return (False, [handler([v]) for v in vec])

@@ -21,6 +21,9 @@ __SEQ IN (…)``.  A dirty range the locate pass decides
 (:class:`~repro.dq.compiler.ApplyLocatePass`, the handler's verdict
 route) thus costs the failed statement, the clean rows' ``INSERT …
 SELECT … __SEQ NOT IN (…)`` and those writes, however many rows failed.
+A range that ends in a fault (an engine or lock error, not a row's data
+error) still writes the rows recorded before it; the fault, not a
+failing write, is what propagates.
 """
 
 from __future__ import annotations
@@ -530,8 +533,16 @@ class ApplyRun:
                 seqs = staging.column_values(SEQ_COLUMN, lo, hi)
         try:
             self._handler.apply(seqs, outcome=self.outcome)
-        finally:
-            self._flush()
+        except Exception as fault:
+            # The errors found before the fault are still written, but a
+            # failing write never takes the fault's place.
+            try:
+                self._flush()
+            except Exception as write_error:
+                fault.add_note(f"error-table write also failed: "
+                               f"{write_error!r}")
+            raise
+        self._flush()
 
     def finish(self) -> ApplySummary:
         """Close the run: write what is left of the error-table rows,

@@ -396,11 +396,10 @@ def test_try_cast_to_varchar_is_the_slice_when_every_value_fits():
     assert short == (False, ["é", None, None])
 
 
-def test_a_gathered_column_is_handed_over_once():
-    """A residual WHERE gathers the kept rows into a fresh column, which
-    the target takes over instead of copying — once: a second item
-    reading the same column gets a copy, so no two target columns (and
-    no target column and staging) share a buffer."""
+def test_items_reading_one_gathered_column_get_independent_buffers():
+    """A residual WHERE gathers the kept rows into one column that every
+    item reading it shares; each target column is a copy, so no two
+    target columns (and no target column and staging) share a buffer."""
     engine = CdwEngine()
     engine.execute("CREATE TABLE S (A NVARCHAR, __SEQ BIGINT)")
     engine.execute("CREATE TABLE T (A NVARCHAR, Q NVARCHAR(9))")

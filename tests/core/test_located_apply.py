@@ -26,7 +26,7 @@ from repro.core.config import HyperQConfig
 from repro.core.errorhandling import Verdicts
 from repro.core.jobs import create_staging_table
 from repro.dq.compiler import ApplyLocatePass
-from repro.errors import HYPERQ_UNIQUENESS_ERROR
+from repro.errors import HYPERQ_UNIQUENESS_ERROR, CdwError
 from repro.legacy.types import FieldDef, Layout, parse_type
 
 from tests.cdw.oracles import row_interpreter
@@ -302,6 +302,40 @@ def test_dirty_job_takes_the_verdict_route():
     assert [row[0] for row in engine.table("UV").rows] == \
         [rows[i][0] for i in (10, 21, 25)] == ["K0", "K5", "K14"]
     assert [row[3] for row in engine.table("UV").rows] == [10, 21, 25]
+
+
+@pytest.mark.parametrize("write_fails", [False, True])
+def test_an_apply_fault_is_not_masked(write_fails):
+    """A fault that ends a range (an engine or lock error, not a row's
+    data error) propagates as itself: the error rows found before it
+    are written, and when that write fails too, its error is a note on
+    the fault, never the exception raised."""
+    engine = build(_dirty_rows(), interpreter=False, native_unique=True,
+                   two_keys=False)
+    engine.table("STG").set_sorted(SEQ_COLUMN)
+    run = ApplyRun(Beta(engine, HyperQConfig()), sql=INSERT_SQL,
+                   layout=LAYOUT, staging_table="STG", target_table="TGT",
+                   et_table="ET", uv_table="UV",
+                   chunk_records={c: CHUNK for c in range(5)},
+                   max_errors=10**9, max_retries=8)
+    run._handler.locate = None      # halving records errors as it goes
+    execute = run._handler.execute_range
+
+    def faulty(lo, hi):
+        if run.outcome.tuple_errors:
+            raise CdwError("staging lock lost")
+        return execute(lo, hi)
+
+    run._handler.execute_range = faulty
+    if write_fails:
+        engine.execute("DROP TABLE ET")
+    with pytest.raises(CdwError, match="staging lock lost") as info:
+        run.apply_seq_range(None, None)
+    if write_fails:
+        assert any("error-table write also failed" in note
+                   for note in info.value.__notes__)
+    else:
+        assert [row[0] for row in engine.table("ET").rows] == [4]
 
 
 def test_a_row_that_loses_one_key_claims_no_other():
