@@ -475,6 +475,14 @@ class _Evaluator:
         name = expr.name.upper()
         if name not in _FUNCTIONS:
             raise ExpressionError(f"unknown function {name}")
+        if name == "COALESCE":
+            # A CASE in SQL: an argument is reached only while every
+            # earlier one is NULL.
+            for arg in expr.args:
+                value = self.eval(arg)
+                if value is not None:
+                    return value
+            return None
         return call_node(expr, [self.eval(a) for a in expr.args])
 
     def _eval_Star(self, expr: n.Star):
@@ -962,6 +970,8 @@ def _vcompile(expr: n.Expr, layout: dict[str, int], bu: str):
     if t is n.Cast:
         return _vcompile_cast(expr, layout, bu)
     if t is n.FuncCall and not expr.distinct:
+        if expr.name.upper() == "COALESCE":
+            return _vcompile_coalesce(expr, layout, bu)
         handler = _FUNCTIONS.get(expr.name.upper())
         if handler is not None:
             return _vcompile_func(expr, handler, layout, bu)
@@ -1222,6 +1232,28 @@ def _vcompile_case(expr: n.CaseExpr, layout, bu):
                 out[i] = ev[i]
         return (False, out)
     return _case
+
+
+def _vcompile_coalesce(expr: n.FuncCall, layout, bu):
+    arg_fns = []
+    for arg in expr.args:
+        fn = compile_vector(arg, layout, bu)
+        if fn is None:
+            return None
+        arg_fns.append(fn)
+
+    def _coalesce(b):
+        out = [None] * b.length
+        rest = range(b.length)      # rows every earlier argument left NULL
+        for fn in arg_fns:
+            if not rest:
+                break
+            values_ = _reached_values(fn, b, lambda: rest)
+            for i in rest:
+                out[i] = values_[i]
+            rest = [i for i in rest if values_[i] is None]
+        return (False, out)
+    return _coalesce
 
 
 def _vcompile_in(expr: n.InExpr, layout, bu):

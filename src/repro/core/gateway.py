@@ -148,6 +148,8 @@ class HyperQNode:
         self._exports: dict[str, ExportJob] = {}
         #: continuous-ingestion feeds by name (repro.stream).
         self._streams: dict[str, StreamFeed] = {}
+        #: a closed feed's parked batch, until the feed reopens.
+        self._parked_batches: dict[str, LoadJob] = {}
         self._registry_lock = threading.Lock()
         #: metrics of the most recently finished jobs, in completion
         #: order (bench harness) — a window, so a feed of micro-batches
@@ -367,10 +369,11 @@ class HyperQNode:
 
         Data-session LOGONs carry the job they serve, so the handler
         thread is renamed ``<node>-job-<id>-s<n>`` — a hung or
-        credit-starved load is then visible directly in a thread dump.
+        credit-starved load is then visible directly in a thread dump;
+        a feed's kept data session is ``<node>-feed-<name>-s<n>``.
         """
         conn["user"] = request["user"]
-        job_id = request["job_id"]
+        job_id, feed = request["job_id"], request["feed"]
         if job_id:
             # Remember which job/session this data connection serves so
             # its teardown can be attributed (export EOF accounting).
@@ -379,6 +382,10 @@ class HyperQNode:
             threading.current_thread().name = (
                 f"{self.name}-job-{job_id}"
                 f"-s{conn['session_no']}")
+        elif feed:
+            # A feed's data session serves each of its batches in turn.
+            threading.current_thread().name = (
+                f"{self.name}-feed-{feed}-s{request['session_no']}")
         channel.send(Message(MessageKind.LOGON_OK))
 
     def _handle_logoff(self, channel: MessageChannel, message: Message,
@@ -501,26 +508,31 @@ class HyperQNode:
             batch.feed.resolve_drift(batch, layout)
         # A restarted job (same job_id, resume flag) replaces whatever
         # is left of its killed predecessor, whose end waits for its
-        # pipeline to go idle: the checkpoint journal in the job's
-        # staging directory carries the durable progress over.
+        # pipeline to go idle: the checkpoint journal carries the
+        # durable progress over.
+        stale = None
         if resume:
             stale = self._registered(self._jobs, job_id)
             if stale is not None:
                 stale.end("restarted")
 
         self._ensure_error_tables(et_table, uv_table, target)
-        staging_dir = os.path.join(self._base_dir, job_id)
-        os.makedirs(staging_dir, exist_ok=True)
-        journal = CheckpointJournal(
-            os.path.join(staging_dir, "checkpoint.jsonl"),
-            fresh=not resume)
         if batch is None:
+            staging_dir = os.path.join(self._base_dir, job_id)
+            os.makedirs(staging_dir, exist_ok=True)
+            journal = CheckpointJournal(
+                os.path.join(staging_dir, "checkpoint.jsonl"),
+                fresh=not resume)
             staging_table = f"HQ_STG_{job_id}"
             if not (resume and self.engine.catalog.exists(staging_table)):
                 create_staging_table(self.engine, staging_table, layout)
         else:
+            # A feed batch stages into the feed's table and writes no
+            # file: no staging directory, an in-memory journal.
+            staging_dir = None
             staging_table = batch.feed.staging_table
-            batch.feed.prepare_staging(job_id, layout, journal)
+            journal = batch.feed.prepare_staging(job_id, layout, resume,
+                                                 stale)
         # Per-pool/target rule resolution mirrors WLM classification:
         # first matching ruleset in declaration order wins.
         dq = None

@@ -83,7 +83,8 @@ class LoadJob:
     uv_table: str
     layout: Layout
     staging_table: str
-    staging_dir: str
+    #: the job's local state directory (None for a feed batch).
+    staging_dir: str | None
     pipeline: AcquisitionPipeline
     metrics: JobMetrics
     #: the job's root trace span (parent of every stage span).
@@ -186,10 +187,12 @@ class LoadJob:
 
     def discard_state(self) -> None:
         """Delete what a resume of the job would start from: its
-        uploaded blobs and its staging directory (journal included)."""
+        uploaded blobs and its staging directory (journal included; a
+        feed batch has neither directory nor journal file)."""
         self.node.store.delete_prefix(self.node.config.container,
                                       f"{self.job_id}/")
-        shutil.rmtree(self.staging_dir, ignore_errors=True)
+        if self.staging_dir is not None:
+            shutil.rmtree(self.staging_dir, ignore_errors=True)
 
     def _dump_flight(self, reason: str) -> None:
         """Best-effort post-mortem bundle: the job's flight events, the

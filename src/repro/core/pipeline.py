@@ -14,6 +14,12 @@ Stage wiring for one load job::
          ``COPY INTO … FORMAT block`` into the staging table, which
          appends the blocks' column buffers in ``__SEQ`` order
 
+A pipeline without a staging directory (a feed's micro-batch) writes
+no local file: each chunk is one convert-lane item that converts it,
+returns its credit and uploads its block from memory as its own blob,
+so a one-chunk batch takes one lane hop, and drain() only waits for
+those items before the COPY.
+
 Every stage is a :class:`_SerialLane` — an ordered task stream — on the
 :class:`PipelineWorkerPool` the pipeline is handed: the node's one
 pool.  A pipeline starts no threads of its own;
@@ -171,7 +177,7 @@ class AcquisitionPipeline:
     def __init__(self, *, converter: DataConverter, credits,
                  loader: CloudBulkLoader, engine: CdwEngine,
                  staging_table: str, container: str, prefix: str,
-                 staging_dir: str, config: HyperQConfig,
+                 staging_dir: str | None, config: HyperQConfig,
                  metrics: JobMetrics, worker_pool: PipelineWorkerPool,
                  obs: Observability = NULL_OBS,
                  job_span=NULL_SPAN,
@@ -236,7 +242,7 @@ class AcquisitionPipeline:
             FileWriter(staging_dir, i, config.file_threshold_bytes,
                        obs=obs,
                        start_file_no=self._next_file_no(i, resume))
-            for i in range(config.filewriters)
+            for i in range(config.filewriters if staging_dir else 0)
         ]
 
         self._convert_lanes = [
@@ -246,7 +252,7 @@ class AcquisitionPipeline:
         self._writer_lanes = [
             _SerialLane(worker_pool, partial(self._write_item, i),
                         self._fail, f"{label}-write-{i}")
-            for i in range(config.filewriters)]
+            for i in range(len(self._writers))]
         self._upload_lane = _SerialLane(
             worker_pool, self._upload_item, self._fail, f"{label}-upload")
         # staged-but-unuploaded survivors go back through the upload lane.
@@ -367,7 +373,8 @@ class AcquisitionPipeline:
     # -- stage handlers (run on pool threads, one item at a time per lane) ---
 
     def _convert_item(self, item) -> None:
-        """Convert one raw chunk and route it to its FileWriter."""
+        """Convert one raw chunk and route it to its FileWriter, or
+        without one, upload its block."""
         credit, chunk_seq, data, rx_span = item
         convert_span = self.obs.tracer.span(
             "convert", parent=rx_span, chunk_seq=chunk_seq,
@@ -383,8 +390,11 @@ class AcquisitionPipeline:
             return
         convert_span.set_attribute("records", converted.records)
         convert_span.end()
-        self._writer_lanes[chunk_seq % len(self._writer_lanes)].submit(
-            (credit, converted, convert_span))
+        if self._writer_lanes:
+            self._writer_lanes[chunk_seq % len(self._writer_lanes)] \
+                .submit((credit, converted, convert_span))
+        else:
+            self._upload_block(credit, converted, convert_span)
 
     @staticmethod
     def _manifest_entry(converted: ConvertedChunk) -> dict:
@@ -431,6 +441,35 @@ class AcquisitionPipeline:
         write_span.end()
         if staged is not None:
             self._enqueue_upload(staged)
+        self._note_staged(converted)
+
+    def _upload_block(self, credit, converted: ConvertedChunk,
+                      convert_span) -> None:
+        """No staging directory: the converted chunk's block goes to the
+        store as its own blob, named by its chunk seq, so a redone
+        chunk overwrites it; the credit returns first, as before a
+        FileWriter's write."""
+        self.credits.release(credit)
+        upload_span = self.obs.tracer.span(
+            "upload", parent=convert_span,
+            chunk_seq=converted.chunk_seq, bytes=len(converted.block))
+        try:
+            with self.obs.stage_seconds.labels(stage="upload").time():
+                report = self.loader.upload_bytes(
+                    converted.block, self.container, self.prefix,
+                    f"chunk-{converted.chunk_seq:06d}.blk",
+                    span=upload_span)
+        except BaseException as exc:
+            upload_span.end("error")
+            self._fail(exc)
+            return
+        upload_span.end()
+        with self._state:
+            self.metrics.bytes_uploaded += report.uploaded_bytes
+        self._note_staged(converted)
+
+    def _note_staged(self, converted: ConvertedChunk) -> None:
+        """Count one converted chunk as staged (drain waits for all)."""
         with self._state:
             self.chunk_records[converted.chunk_seq] = \
                 converted.total_records

@@ -241,6 +241,11 @@ class LegacyEtlClient:
         self._tracer = tracer
         self._control: MessageChannel | None = None
         self._credentials: tuple[str, str, str] | None = None
+        #: a feed's data sessions, logged on at its first batch and kept
+        #: for the next: ``(feed, session_no)`` -> channel.
+        self._feed_sessions: dict[tuple[str, int], MessageChannel] = {}
+        #: jitter source for data-session reconnect backoff.
+        self._backoff_rng = random.Random()
 
     # -- session management --------------------------------------------------
 
@@ -252,7 +257,9 @@ class LegacyEtlClient:
         self._control = self._session()
 
     def logoff(self) -> None:
-        """Close the control session (idempotent)."""
+        """Close every kept feed data session, then the control session
+        (idempotent)."""
+        self._close_feed_sessions(None)
         if self._control is None:
             return
         try:
@@ -262,6 +269,12 @@ class LegacyEtlClient:
             self._control.close_both()
             self._control = None
 
+    def _close_feed_sessions(self, feed: str | None) -> None:
+        """Close the kept data sessions of ``feed`` (None: of all)."""
+        for key in [k for k in self._feed_sessions
+                    if feed is None or k[0] == feed]:
+            self._feed_sessions.pop(key).close_both()
+
     def _require_control(self) -> MessageChannel:
         if self._control is None:
             raise ProtocolError("not logged on")
@@ -269,7 +282,8 @@ class LegacyEtlClient:
 
     def _session(self, **data_session) -> MessageChannel:
         """A new connection logged on with this client's credentials;
-        a data session adds the ``job_id`` and ``session_no`` it serves."""
+        a data session adds the ``job_id`` (or ``feed``) and
+        ``session_no`` it serves."""
         host, user, password = self._credentials or ("", "", "")
         channel = MessageChannel(self._connect(), timeout=self._timeout)
         try:
@@ -381,6 +395,9 @@ class LegacyEtlClient:
                 MessageKind.END_LOAD_OK)
         except BaseException:
             job_span.end("error")
+            if spec.stream:
+                # A failed batch keeps nothing: the next one logs on anew.
+                self._close_feed_sessions(spec.stream["feed"])
             raise
         job_span.end()
         return result
@@ -421,7 +438,8 @@ class LegacyEtlClient:
                     job_id, spec.sessions, chunks,
                     retry_attempts=spec.retry_attempts,
                     reconnect_backoff_s=spec.reconnect_backoff_s,
-                    journal=journal, skip_seqs=skip_seqs)
+                    journal=journal, skip_seqs=skip_seqs,
+                    feed=spec.stream["feed"] if spec.stream else None)
             finally:
                 if journal is not None:
                     journal.close()
@@ -449,9 +467,11 @@ class LegacyEtlClient:
         Rides END_LOAD with ``stream_end`` — the server releases the
         feed's admission slot and closes its watermark journal.  The
         journal itself is durable: reopening the feed later resumes
-        from the committed watermark.
+        from the committed watermark.  The feed's kept data sessions
+        close first.
         """
         control = self._require_control()
+        self._close_feed_sessions(feed)
         control.request(
             Message(MessageKind.END_LOAD,
                     {"job_id": feed, "stream_end": True}),
@@ -461,7 +481,8 @@ class LegacyEtlClient:
                    chunks: list[bytes], retry_attempts: int = 0,
                    reconnect_backoff_s: float = 0.0,
                    journal: CheckpointJournal | None = None,
-                   skip_seqs: set[int] | None = None) -> None:
+                   skip_seqs: set[int] | None = None,
+                   feed: str | None = None) -> None:
         """Send chunks through parallel sessions, one thread per session
         (the first on the calling thread).
 
@@ -475,10 +496,15 @@ class LegacyEtlClient:
         they arrive, extending the checkpoint across whole-process
         restarts; ``skip_seqs`` (the server-confirmed durable chunks of
         a resumed job) are not sent at all.
+
+        A ``feed``'s batch sends its chunks on the feed's kept sessions
+        (logged on at its first batch) and no DATA_EOF: APPLY_DML is the
+        barrier.  A session that fails is closed, not kept, and a
+        ``TransportClosed`` on a kept one reconnects under the same
+        ``retry_attempts``.
         """
         session_count = max(1, min(sessions, len(chunks)) or 1)
         failures: list[BaseException] = []
-        backoff_rng = random.Random()
         skip = skip_seqs or set()
 
         def run_session(session_no: int) -> None:
@@ -492,8 +518,13 @@ class LegacyEtlClient:
             while True:
                 channel = None
                 try:
-                    channel = self._session(job_id=job_id,
-                                            session_no=session_no)
+                    if feed is not None:
+                        channel = self._feed_sessions.pop(
+                            (feed, session_no), None) or self._session(
+                                feed=feed, session_no=session_no)
+                    else:
+                        channel = self._session(job_id=job_id,
+                                                session_no=session_no)
                     while position < len(pending):
                         seq = pending[position]
                         channel.request(
@@ -506,6 +537,11 @@ class LegacyEtlClient:
                         position += 1  # checkpoint: this chunk is acked
                         if journal is not None:
                             journal.record_ack(seq)
+                    if feed is not None:
+                        # Kept for the feed's next batch.
+                        self._feed_sessions[feed, session_no] = channel
+                        channel = None
+                        return
                     channel.request(
                         Message(MessageKind.DATA_EOF,
                                 {"job_id": job_id,
@@ -521,7 +557,7 @@ class LegacyEtlClient:
                     if reconnect_backoff_s > 0:
                         time.sleep(full_jitter_delay(
                             attempt_no, reconnect_backoff_s,
-                            reconnect_backoff_s * 32, backoff_rng))
+                            reconnect_backoff_s * 32, self._backoff_rng))
                     # reconnect and resend from the unacked chunk
                 except BaseException as exc:
                     failures.append(exc)

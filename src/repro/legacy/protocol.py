@@ -339,7 +339,7 @@ REQUESTS: dict[MessageKind, Request] = {
     MessageKind[row.name]: row for row in (
         Request("LOGON", host=(_text, ""), user=(_text, ""),
                 password=(_text, ""), job_id=(_name, None),
-                session_no=(_count, 0)),
+                feed=(_name, None), session_no=(_count, 0)),
         Request("LOGOFF"),
         Request("SQL_REQUEST", sql=_text),
         Request("BEGIN_LOAD", job_id=_name, target=_name, et_table=_name,

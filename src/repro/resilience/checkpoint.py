@@ -28,7 +28,9 @@ Crash model (docs/RESILIENCE.md): every append is flushed, so any
 journal survives a process kill.  Only a journal opened ``fsync=True``
 — the feed watermark journal — survives power loss: it fsyncs each
 append, and its directory after creating the file and after each
-compaction's rename.
+compaction's rename.  A journal without a path keeps its records in
+memory only: a feed batch's, which a resume on the same node picks up
+and a node restart simply redoes.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _fsync_dir(path: str) -> None:
 class CheckpointJournal:
     """Append-only JSONL journal of load-job progress (thread-safe)."""
 
-    def __init__(self, path: str, fresh: bool = False,
+    def __init__(self, path: str | None, fresh: bool = False,
                  fsync: bool = False):
         self.path = path
         self.fsync = fsync
@@ -82,6 +84,9 @@ class CheckpointJournal:
         self.stream_drift: list[dict] = []
         #: how many records were replayed from an existing journal.
         self.replayed = 0
+        self._handle = None
+        if path is None:
+            return
         if fresh and os.path.exists(path):
             os.unlink(path)
         elif os.path.exists(path):
@@ -149,10 +154,12 @@ class CheckpointJournal:
     # -- appends ----------------------------------------------------------------
 
     def _append(self, record: dict) -> None:
-        line = json.dumps(record, separators=(",", ":"))
         with self._lock:
             self._apply(record)
-            self._handle.write(line + "\n")
+            if self._handle is None:        # in memory only
+                return
+            self._handle.write(
+                json.dumps(record, separators=(",", ":")) + "\n")
             self._handle.flush()
             if self.fsync:
                 os.fsync(self._handle.fileno())
@@ -321,7 +328,7 @@ class CheckpointJournal:
     def close(self) -> None:
         """Close the journal file (idempotent)."""
         with self._lock:
-            if not self._handle.closed:
+            if self._handle is not None and not self._handle.closed:
                 self._handle.close()
 
     def __enter__(self) -> "CheckpointJournal":

@@ -102,9 +102,10 @@ class StreamFeed:
     staging_table: str = ""
     live: FeedBatch | None = None
     #: the last batch job that ended before its commit, while its
-    #: resumable state (journal, uploaded blobs, rows landed in
-    #: ``staging_table``) is still around; a resume of the same job id
-    #: picks it up, a BEGIN of any other batch discards it.
+    #: resumable state (in-memory journal, uploaded blobs, rows landed
+    #: in ``staging_table``) is still around; a resume of the same job
+    #: id picks it up, a BEGIN of any other batch discards it.  It
+    #: outlives a feed close (the node holds it until the feed reopens).
     parked: object = None
     committed_seq: int = -1
     cursor: str | None = None
@@ -156,6 +157,7 @@ class StreamFeed:
                     f.staging_table.upper() == staging_table.upper()
                     for f in node._streams.values()):
                 winner = node._streams[name] = feed
+                feed.parked = node._parked_batches.pop(name, None)
         if winner is not feed:
             journal.close()
             node.wlm.release(ticket)
@@ -261,31 +263,42 @@ class StreamFeed:
             log.info("stream drift evolved", extra={
                 "feed": self.name, "seq": seq, "events": wire})
 
-    def prepare_staging(self, job_id: str, layout: Layout,
-                        journal: CheckpointJournal) -> None:
-        """Make the staging table ready for batch ``job_id``: emptied,
-        unless this batch's own journal replays rows that landed in it
-        (a COPY or dq routing), and recreated for a batch laid out
-        differently.  Any other parked batch is superseded."""
+    def prepare_staging(self, job_id: str, layout: Layout, resume: bool,
+                        stale=None) -> CheckpointJournal:
+        """Make the staging table ready for batch ``job_id`` and return
+        the batch's in-memory checkpoint journal.
+
+        A resume carries its predecessor's journal over: ``stale`` (the
+        job it just took over), else the parked job of the same id.
+        The table is emptied unless that journal replays rows that
+        landed in it (a COPY or dq routing), and recreated for a batch
+        laid out differently.  Any other parked batch is superseded."""
         with self.lock:
             parked, self.parked = self.parked, None
-        if parked is not None and parked.job_id != job_id:
-            # Its landed rows are about to go; nothing may resume from
-            # the journal that still claims them.
-            parked.discard_state()
+        prior = stale
+        if parked is not None:
+            if prior is None and resume and parked.job_id == job_id:
+                prior = parked
+            else:
+                # Its landed rows are about to go; nothing may resume
+                # from the journal that still claims them.
+                parked.discard_state()
+        journal = (prior.pipeline.journal if prior is not None
+                   else CheckpointJournal(None))
         engine, name = self.node.engine, self.staging_table
         if engine.catalog.exists(name):
             if journal.copy_rows is not None or journal.dq_routed:
-                return
+                return journal
             table = engine.table(name)
             have = [f"{c.name} {c.ctype.render()}".upper()
                     for c in table.columns]
             if have == [c.upper() for c in staging_columns(layout)]:
                 if table.row_count:
                     engine.execute(n.Delete(n.TableRef(name)))
-                return
+                return journal
             engine.execute(f"DROP TABLE {name}")
         create_staging_table(engine, name, layout)
+        return journal
 
     def route(self, job) -> ApplySummary:
         """route-to-error APPLY: the whole staged batch → error table,
@@ -373,15 +386,20 @@ class StreamFeed:
         """Close the feed (idempotent): ``feed_closed`` (END_LOAD
         ``stream_end``) or ``feed_quiesced`` (node stop).  Compacts and
         closes the journal, drops the staging table unless a batch is
-        parked in it (for its resume), gives the WLM slot back last."""
+        parked in it (the node keeps the batch for the feed's reopen),
+        gives the WLM slot back last."""
         node = self.node
         with node._registry_lock:
             if node._streams.get(self.name) is not self:
                 return
             del node._streams[self.name]
+            with self.lock:
+                parked = self.parked
+            if parked is not None:
+                node._parked_batches[self.name] = parked
         self.journal.compact()
         self.journal.close()
-        if self.parked is None:
+        if parked is None:
             node.engine.execute(
                 f"DROP TABLE IF EXISTS {self.staging_table}")
         node.obs.flight.record(

@@ -281,23 +281,6 @@ def test_verdicts(sql, verdict):
 #: engine faults the oracle shows outside the generated domain, which
 #: keeps clear of them so the pinned streams stay green.  Each must
 #: fail here until the engine is mended (then drop its entry).
-KNOWN_FAULTS = {
-    "coalesce-evaluates-every-argument":
-        "SELECT COALESCE(G, CAST(AMT AS INT)) FROM X WHERE G IS NOT NULL",
-}
-
-
-@pytest.mark.xfail(strict=True, reason="known engine fault")
-@pytest.mark.parametrize("sql", KNOWN_FAULTS.values(), ids=KNOWN_FAULTS)
-def test_known_engine_faults(sql):
-    engine = CdwEngine()
-    engine.execute("CREATE TABLE X (NAME NVARCHAR, G INT, AMT DOUBLE, "
-                   "__SEQ BIGINT)")
-    engine.table("X").append_rows([("n1", 1, 2.5, 0), ("n10", None, 0.5, 1),
-                                   ("n2", 2, -1.5, 2)])
-    SqliteOracle(engine).check(sql, run(engine, sql))
-
-
 def _mended_stack(interpreter: bool):
     engine = CdwEngine()
     if interpreter:
@@ -326,6 +309,26 @@ def test_text_order_by_desc(sql, interpreter):
     evaluators."""
     engine = _mended_stack(interpreter)
     assert SqliteOracle(engine).check(sql, run(engine, sql)) == "compared"
+
+
+@pytest.mark.parametrize("interpreter", [False, True],
+                         ids=["vector", "interpreter"])
+@pytest.mark.parametrize("sql,verdict", [
+    ("SELECT COALESCE(G, CAST(AMT AS INT)) FROM X WHERE G IS NOT NULL",
+     "compared"),
+    ("SELECT COALESCE(G, CAST(AMT AS INT), 7) FROM X "
+     "WHERE G IS NOT NULL OR AMT IS NULL", "compared"),
+    # both sides fail: (n10, NULL, 0.5) reaches the CAST
+    ("SELECT COALESCE(G, CAST(AMT AS INT)) FROM X",
+     "first_error_identity"),
+])
+def test_coalesce_reaches_an_argument_past_nulls_only(sql, verdict,
+                                                      interpreter):
+    """COALESCE is a CASE: ``CAST(AMT AS INT)`` raises on a fractional
+    AMT, but only a row whose G is NULL evaluates it, on both
+    evaluators."""
+    engine = _mended_stack(interpreter)
+    assert SqliteOracle(engine).check(sql, run(engine, sql)) == verdict
 
 
 @pytest.mark.parametrize("interpreter", [False, True],

@@ -1,15 +1,13 @@
 """A feed that runs for a day must not grow the node.
 
 A feed keeps its job context warm — one node-wide pipeline pool, one
-staging table, one open journal — so a steady-state micro-batch costs
-the node one thread start (the data session's connection handler) and
-leaves nothing behind: no thread, no catalog table, no table lock, no
-plan-cache entry, no unbounded per-job record.
+staging table, one open journal, one data session that stays logged on
+— so a steady-state micro-batch starts no thread and leaves nothing
+behind: no thread, no catalog table, no table lock, no plan-cache
+entry, no unbounded per-job record.
 """
 
-import re
 import threading
-import time
 
 import pytest
 
@@ -37,28 +35,9 @@ def counting_thread_starts(monkeypatch):
         threading.Thread, "start", start)
 
 
-#: a data session's connection handler, as named once it logs on.
-DATA_HANDLER = re.compile(r"-job-.+-s\d+$")
-
-
-def settled_thread_count(timeout_s: float = 5.0) -> int:
-    """Live threads once every data-session handler has exited.
-
-    A batch returns when its data session is closed, but the session's
-    handler thread may still be unwinding; sampling it then counts a
-    thread that is about to go.  One that never goes (a leak) is still
-    alive at the timeout and counted.
-    """
-    deadline = time.monotonic() + timeout_s
-    while any(DATA_HANDLER.search(t.name) for t in threading.enumerate()) \
-            and time.monotonic() < deadline:
-        time.sleep(0.005)
-    return threading.active_count()
-
-
 def footprint(node, engine):
     return {
-        "threads": settled_thread_count(),
+        "threads": threading.active_count(),
         "tables": len(engine.catalog.tables),
         "table_locks": len(engine.locks._tables),
         "dml_plans": (len(node.beta.plans), node.beta.plans.misses),
@@ -100,8 +79,8 @@ def test_steady_state_batches_add_nothing(tmp_path, monkeypatch,
             assert sum(
                 count for name, count in engine.statement_counts.items()
                 if name in ("CreateTable", "DropTable")) == ddl_before
-            # one per batch: the data session's connection handler
-            assert len(starts) == MEASURED, starts[:16]
+            # none: the feed's data session (and its handler) is kept
+            assert starts == []
 
             assert len(node.completed_jobs) == WINDOW
             stats = node.stats()

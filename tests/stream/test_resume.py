@@ -21,18 +21,26 @@ import os
 import pytest
 
 from repro.core.config import HyperQConfig
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError, ReproError, TransportClosed
 from repro.legacy.client import ImportJobSpec, LegacyEtlClient
-from repro.legacy.protocol import Message, MessageChannel, MessageKind
+from repro.legacy.protocol import (
+    Message, MessageChannel, MessageKind, layout_to_wire,
+)
 from repro.stream import StreamRunner, StreamSession
 from repro.workloads.streamgen import stream_workload
 
 from tests.conftest import make_node
 
-#: server→client sends of one clean run of the 6-batch feed over one
-#: data session, feed close and LOGOFF included (pinned by
-#: ``test_sweep_covers_every_send``).
-SENDS = 39
+#: micro-batches in the swept feed.
+BATCHES = 9
+
+#: server→client sends of one clean run of the feed over one data
+#: session (pinned by ``test_sweep_covers_every_send``): 4 per batch —
+#: BEGIN_LOAD_OK, DATA_ACK, APPLY_RESULT, END_LOAD_OK; the data session
+#: logs on once for the whole feed and a batch sends no DATA_EOF — plus
+#: the control and data sessions' LOGON_OKs, the feed close's
+#: END_LOAD_OK and LOGOFF_OK: 4 * 9 + 4.
+SENDS = 4 * BATCHES + 4
 
 #: the id names the apply path (two-phase) and the front end (threaded),
 #: the only one of each, which keeps the sweep's test ids stable.
@@ -40,7 +48,7 @@ ONE_PATH = pytest.mark.parametrize("path", ["twophase-threaded"])
 
 
 def _workload(date_error_rate=0.0):
-    return stream_workload(batches=6, rows_per_batch=12, drift=True,
+    return stream_workload(batches=BATCHES, rows_per_batch=12, drift=True,
                            add_at=2, rename_at=4, seed=21,
                            date_error_rate=date_error_rate)
 
@@ -79,7 +87,7 @@ def reference_outcome():
         with StreamSession(stack.node.connect, feed=workload.feed,
                            target_table=workload.target_table) as session:
             report = StreamRunner(session, workload).run()
-        assert report.committed == 6
+        assert report.committed == BATCHES
         return _final_state(stack.engine, workload.target_table)
 
 
@@ -94,7 +102,7 @@ def clean_outcome():
                            target_table=workload.target_table,
                            sessions=1) as session:
             report = StreamRunner(session, workload).run()
-        assert report.committed == 6 and report.et_errors > 0
+        assert report.committed == BATCHES and report.et_errors > 0
         return _outcome(stack.engine, workload)
 
 
@@ -115,7 +123,7 @@ def kill_and_replay(tmp_path, rule):
 
         with _session(stack, workload, tmp_path) as second:
             report = StreamRunner(second, workload).run()
-        assert report.skipped + report.committed == 6
+        assert report.skipped + report.committed == BATCHES
         assert _outcome(stack.engine, workload) == clean_outcome()
 
 
@@ -151,15 +159,17 @@ def test_killed_client_replays_feed_exactly_once(tmp_path, at_call):
             StreamRunner(first, workload).run()
             first.close()   # the last two sends: feed close, LOGOFF
         assert stack.node.stats()["resilience"]["faults_injected"] == 1
+        # the failed batch closed the feed's kept data session
+        assert first.client._feed_sessions == {}
 
         # a fresh client replays from batch zero: committed batches
-        # fast-skip, the half-done one resumes through its job journal
+        # fast-skip, the half-done one resumes through its batch journal
         second = StreamSession(stack.node.connect, feed=workload.feed,
                                target_table=workload.target_table,
                                watermark_dir=str(tmp_path), sessions=1)
         with second:
             report = StreamRunner(second, workload).run()
-        assert report.skipped + report.committed == 6
+        assert report.skipped + report.committed == BATCHES
         assert report.et_errors == report.uv_errors == 0
 
         final = _final_state(stack.engine, workload.target_table)
@@ -192,6 +202,42 @@ def test_kill_between_copy_and_commit_converges(
     no commit record) fails the batch; the replay resumes it."""
     kill_and_replay(tmp_path, {"point": point, "at_call": batch,
                                "error": "permanent"})
+
+
+@pytest.mark.parametrize("retries", [0, 1])
+def test_kept_data_session_killed_between_batches(tmp_path, retries):
+    """The feed's data session dies while it idles between batches 2
+    and 3.  Allowed a reconnect, batch 3 logs a new one on and the feed
+    goes on; without one, batch 3 fails and the replay converges."""
+    workload = _workload(date_error_rate=0.1)
+    endpoints = []
+    with make_node(config=_config()) as stack:
+        def connect():
+            endpoints.append(stack.node.connect())
+            return endpoints[-1]
+
+        stack.engine.execute(workload.ddl)
+        session = StreamSession(connect, feed=workload.feed,
+                                target_table=workload.target_table,
+                                watermark_dir=str(tmp_path), sessions=1,
+                                retry_attempts=retries)
+        with session:
+            for batch in workload.batches[:3]:
+                assert session.run_batch(batch).committed
+            control, data = endpoints
+            data.close_both()
+            if retries:
+                for batch in workload.batches[3:]:
+                    assert session.run_batch(batch).committed
+            else:
+                with pytest.raises(TransportClosed):
+                    session.run_batch(workload.batches[3])
+                report = StreamRunner(session, workload).run()
+                assert (report.skipped, report.committed) == \
+                    (3, BATCHES - 3)
+        # one new data session, logged on by the batch after the kill
+        assert len(endpoints) == 3
+        assert _outcome(stack.engine, workload) == clean_outcome()
 
 
 # -- the shared staging table's resume rule, one step at a time ------------
@@ -355,3 +401,48 @@ def test_feed_close_keeps_a_parked_batch_resumable(tmp_path):
         client.end_stream("unit")
         client.logoff()
         assert not stack.engine.catalog.exists("HQ_STG_FEED_unit")
+
+
+def test_takeover_resume_keeps_the_landed_rows(tmp_path):
+    """A batch whose apply failed after its COPY, still held by a live
+    control session, is taken over by a resume of the same job id: the
+    successor inherits its journal, so the landed rows stay and no
+    second COPY runs."""
+    workload = stream_workload(batches=1, rows_per_batch=9, drift=False,
+                               feed="unit", seed=53)
+    (batch,) = workload.batches
+    chaos = [{"point": "dml.apply", "at_call": 1, "max_fires": 1,
+              "error": "permanent"}]
+    with make_node(config=_config(chaos)) as stack:
+        stack.engine.execute(workload.ddl)
+        spec = _spec(workload, batch, watermark_dir=str(tmp_path))
+        channel = MessageChannel(stack.node.connect(), timeout=5)
+        channel.request(Message(MessageKind.LOGON, {"user": "stream"}),
+                        MessageKind.LOGON_OK)
+        channel.request(Message(MessageKind.BEGIN_LOAD, {
+            "job_id": spec.job_id, "resume": True,
+            "target": spec.target_table, "et_table": spec.et_table,
+            "uv_table": spec.uv_table, "layout": layout_to_wire(spec.layout),
+            "format": spec.format_spec.to_wire(), "sessions": 1,
+            "stream": spec.stream}), MessageKind.BEGIN_LOAD_OK)
+        channel.request(Message(MessageKind.DATA, {
+            "job_id": spec.job_id, "seq": 0}, body=batch.data),
+            MessageKind.DATA_ACK)
+        with pytest.raises(ReproError, match="injected"):
+            channel.request(Message(MessageKind.APPLY_DML, {
+                "job_id": spec.job_id, "sql": spec.apply_sql}),
+                MessageKind.APPLY_RESULT)
+        assert _staged(stack) == batch.rows
+        copies = stack.engine.statement_counts["CopyInto"]
+
+        client = LegacyEtlClient(stack.node.connect)
+        client.logon("h", "stream", "")
+        result = client.run_import(spec)
+        assert result.rows_inserted == batch.rows
+        assert stack.engine.statement_counts["CopyInto"] == copies
+        assert stack.engine.query(
+            f"SELECT COUNT(*) FROM {workload.target_table}") == \
+            [(batch.rows,)]
+        client.end_stream("unit")
+        client.logoff()
+        channel.close()

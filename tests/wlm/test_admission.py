@@ -108,15 +108,20 @@ class TestAdmission:
             "name": "p", "max_concurrency": 1, "queue_limit": 1,
             "queue_timeout_s": 5.0, "retry_after_s": 0.2,
         }])
-        manager.admit("p", "j1")
-        threading.Thread(
+        first = manager.admit("p", "j1")
+        queued = threading.Thread(
             target=lambda: manager.release(manager.admit("p", "j2")),
-            daemon=True).start()
+            daemon=True)
+        queued.start()
         time.sleep(0.05)  # j2 now queued
         with pytest.raises(WlmThrottled) as info:
             manager.admit("p", "j3")
         # hint = retry_after_s * (queued + 1) with one job queued.
         assert info.value.retry_after_s == pytest.approx(0.4)
+        # j2 is admitted and released on its own thread, inside this test
+        manager.release(first)
+        queued.join(timeout=2)
+        assert not queued.is_alive()
 
     def test_pools_are_isolated(self):
         manager = make_manager([
