@@ -28,8 +28,8 @@ from array import array
 from itertools import accumulate, compress, islice
 from operator import sub
 
-__all__ = ["ColumnStore", "TextColumn", "TextSlice", "column_for_type",
-           "decoded", "runs"]
+__all__ = ["ColumnBlock", "ColumnStore", "TextColumn", "TextSlice",
+           "column_for_type", "decoded", "runs"]
 
 _INT_BASES = ("SMALLINT", "INT", "BIGINT")
 _CHAR_BASES = ("NVARCHAR", "VARCHAR", "CHAR")
@@ -398,6 +398,23 @@ class TextSlice:
         return bytes(memoryview(self.column.blob)[
             offsets[self.lo]:offsets[self.hi]])
 
+    def pieces(self) -> list:
+        """Each value's UTF-8 bytes, sliced out of the blob (a NULL's
+        are empty): the values without a ``str`` per value."""
+        offsets, lo, hi = self.column.offsets, self.lo, self.hi
+        return list(map(self.column.blob.__getitem__, map(
+            slice, offsets[lo:hi], offsets[lo + 1:hi + 1])))
+
+    def max_chars(self) -> int:
+        """Length in characters of the longest value (0 when there is
+        none): the byte width when the values are ASCII, else counted
+        over the decoded values."""
+        column = self.column
+        whole = self.lo == 0 and self.hi == len(column)
+        if (column.blob if whole else self.data()).isascii():
+            return self.max_width()
+        return max(map(len, filter(None, self.to_list())), default=0)
+
     def max_width(self) -> int:
         """Byte width of the widest value (0 when there is none)."""
         offsets = self.column.offsets
@@ -498,6 +515,52 @@ def decoded(column):
     if type(column) is TextSlice:
         return column.to_list()
     return column
+
+
+class ColumnBlock:
+    """Rows held as columns: each column a :class:`TextSlice` or a list
+    of values, all ``length`` long.
+
+    A query result's form for export: :class:`~repro.core.tdfcursor.TdfCursor`
+    hands its chunks to the record codecs as blocks, and the compiled
+    codecs (:mod:`repro.legacy.codec`) encode a block column by column.
+    A block iterates as row tuples, so any record format encodes it.
+    """
+
+    __slots__ = ("columns", "length")
+
+    def __init__(self, columns: list, length: int):
+        self.columns = columns
+        self.length = length
+
+    @classmethod
+    def from_rows(cls, rows: "list[tuple]", arity: int) -> "ColumnBlock":
+        """The block of ``rows`` (tuples of ``arity`` values), one value
+        list per column."""
+        columns = [list(col) for col in zip(*rows)] if rows \
+            else [[] for _ in range(arity)]
+        return cls(columns, len(rows))
+
+    def __len__(self):
+        """Number of rows."""
+        return self.length
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def rows(self) -> "list[tuple]":
+        """The rows as tuples."""
+        if not self.columns:
+            return [()] * self.length
+        return list(zip(*map(decoded, self.columns)))
+
+    def sub(self, lo: int, hi: int) -> "ColumnBlock":
+        """Rows ``[lo, hi)`` of this block (``hi`` clipped to its end)."""
+        hi = min(hi, self.length)
+        lo = min(lo, hi)
+        return ColumnBlock([col.sub(lo, hi) if type(col) is TextSlice
+                            else col[lo:hi] for col in self.columns],
+                           hi - lo)
 
 
 def column_for_type(base: str):
@@ -637,6 +700,24 @@ class ColumnStore:
     def nbytes(self) -> int:
         """Total buffer footprint of every column, in bytes."""
         return sum(col.nbytes() for col in self.cols)
+
+    @classmethod
+    def of_vectors(cls, vectors: list, length: int) -> "ColumnStore":
+        """A read-only store over columns of ``length`` values, each a
+        :class:`TextColumn` or a list (taken over, not copied): a
+        query result's snapshot, read through a
+        :class:`~repro.cdw.table.RowsView`."""
+        out = cls.__new__(cls)
+        out.specs = None
+        out.cols = []
+        for vector in vectors:
+            if type(vector) is not TextColumn:
+                col = _ObjectColumn()
+                col.data = vector
+                vector = col
+            out.cols.append(vector)
+        out._length = length
+        return out
 
     @classmethod
     def from_rows(cls, specs, rows) -> "ColumnStore":

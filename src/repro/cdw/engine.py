@@ -32,14 +32,15 @@ from decimal import Decimal
 from repro import values
 from repro.cdw import stagefile
 from repro.cdw.cloudstore import CloudStore
-from repro.cdw.columns import TextColumn, TextSlice, decoded
+from repro.cdw.columns import (ColumnBlock, ColumnStore, TextColumn,
+                               TextSlice, decoded)
 from repro.cdw.expressions import (KERNELS, VECTOR_ERRORS, _Evaluator,
                                    ColumnBatch, GatherBatch, RowContext,
                                    compile_vector, evaluate,
                                    first_failing_row, is_true,
                                    prepare_layout, vec_values)
 from repro.cdw.locks import LockManager
-from repro.cdw.table import Catalog, CdwTable, ColumnSpec
+from repro.cdw.table import Catalog, CdwTable, ColumnSpec, RowsView
 from repro.cdw.types import cdw_type_from_node
 from repro.errors import (
     BulkExecutionError, CatalogError, CdwError, ExpressionError,
@@ -58,11 +59,18 @@ _COPY_FORMATS = ("csv", stagefile.BLOCK_FORMAT)
 
 @dataclass
 class CdwResult:
-    """Outcome of one statement."""
+    """Outcome of one statement.
+
+    A SELECT's ``rows`` is a sequence of tuples.  On the vector path it
+    is a :class:`~repro.cdw.table.RowsView` over a snapshot of the
+    projected columns, copied under the statement's read lock: its
+    ``len()`` builds no tuple, and indexing, iteration and equality
+    build them on demand.  The row interpreter's is a list.
+    """
 
     kind: str                       # 'rows' | 'count' | 'ddl'
     columns: list[str] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
+    rows: "list[tuple] | RowsView" = field(default_factory=list)
     rows_inserted: int = 0
     rows_updated: int = 0
     rows_deleted: int = 0
@@ -72,6 +80,13 @@ class CdwResult:
         if self.kind == "rows":
             return len(self.rows)
         return self.rows_inserted + self.rows_updated + self.rows_deleted
+
+    def block(self) -> ColumnBlock:
+        """A SELECT's rows as columns: the snapshot's own columns on
+        the vector path; a row interpreter's tuples are transposed."""
+        if isinstance(self.rows, RowsView):
+            return self.rows.block()
+        return ColumnBlock.from_rows(self.rows, len(self.columns))
 
 
 def statement_error(exc: ExpressionError, what: str) -> BulkExecutionError:
@@ -220,11 +235,12 @@ class CdwEngine:
                 hook(name, time.perf_counter() - started)
 
     def query(self, sql: "str | n.Select") -> list[tuple]:
-        """Convenience: run a SELECT and return its rows."""
+        """Convenience: run a SELECT and return its rows as a list of
+        tuples."""
         result = self.execute(sql)
         if result.kind != "rows":
             raise CdwError("query() expects a SELECT")
-        return result.rows
+        return list(result.rows)
 
     def table(self, name: str) -> CdwTable:
         """Look up a table object in the catalog."""
@@ -388,7 +404,9 @@ class CdwEngine:
     # -- SELECT ------------------------------------------------------------------------
 
     def _exec_Select(self, stmt: n.Select) -> CdwResult:
-        rows, columns = self._run_select(stmt, outer=None)
+        rows, columns = self._vector_or_rows(
+            lambda: self._try_vector_select(stmt, snapshot=True),
+            lambda: self._select_rows(stmt, None))
         return CdwResult(kind="rows", columns=columns, rows=rows)
 
     def _exec_SetOp(self, stmt: n.SetOp) -> CdwResult:
@@ -870,12 +888,18 @@ class CdwEngine:
         sel = [i for i, v in enumerate(masks[0]) if v is True]
         return GatherBatch(batch, sel), layout, binding_upper
 
-    def _try_vector_select(self, stmt: n.Select
-                           ) -> "tuple[list[tuple], list[str]] | None":
+    def _try_vector_select(self, stmt: n.Select, snapshot: bool = False
+                           ) -> "tuple[list | RowsView, list[str]] | None":
         """Columnar SELECT: WHERE, projection, and aggregation over
         column batches instead of per-row contexts.  Returns the usual
         ``(rows, columns)`` pair or None when out of scope; raises the
-        row path's error."""
+        row path's error.
+
+        With ``snapshot`` (a statement's own SELECT, whose result
+        outlives its read lock) a projection's rows are a
+        :class:`RowsView` over a copy of its columns (:meth:`_snapshot`);
+        a sub-select, a DISTINCT or a GROUP BY gives tuples.
+        """
         scan = self._vector_scan(stmt)
         if scan is None:
             return None
@@ -888,33 +912,53 @@ class CdwEngine:
         if grouped:
             rows = self._vector_grouped(stmt, items, data, layout,
                                         binding_upper)
-        else:
-            rows = self._vector_project(stmt, items, data, layout,
-                                        binding_upper)
-        if rows is None:
-            return None
-        return self._finish_select(stmt, rows), columns
-
-    def _vector_project(self, stmt: n.Select, items: list[n.SelectItem],
-                        data, layout, binding_upper
-                        ) -> "list[tuple] | None":
-        """Evaluate the select list columnwise and zip into rows."""
-        out_cols = self._vector_eval([item.expr for item in items], data,
-                                     layout, binding_upper)
+            if rows is None:
+                return None
+            return self._finish_select(stmt, rows), columns
+        out_cols = self._vector_project(stmt, items, data, layout,
+                                        binding_upper, buffers=snapshot)
         if out_cols is None:
             return None
-        rows = list(zip(*out_cols)) if out_cols else []
-        return self._vector_order(stmt, rows, items, data, layout,
+        if snapshot and out_cols and not stmt.distinct:
+            return self._snapshot(stmt, out_cols), columns
+        rows = list(zip(*map(decoded, out_cols))) if out_cols else []
+        return self._finish_select(stmt, rows), columns
+
+    @staticmethod
+    def _snapshot(stmt: n.Select, out_cols: list) -> RowsView:
+        """The rows of projected columns (``LIMIT`` applied) as a view
+        over copies of them: a text column's buffers are copied, and a
+        value list is the projection's own.  Taken under the
+        statement's read lock, so the result holds the rows as they were
+        however the table changes after."""
+        length = len(out_cols[0])
+        _, stop, _ = slice(None, stmt.limit).indices(length)
+        vectors = [col.sub(0, stop).copy() if type(col) is TextSlice
+                   else col[:stop] if stop < length else col
+                   for col in out_cols]
+        return RowsView(ColumnStore.of_vectors(vectors, stop))
+
+    def _vector_project(self, stmt: n.Select, items: list[n.SelectItem],
+                        data, layout, binding_upper, buffers: bool = False
+                        ) -> "list | None":
+        """Evaluate the select list columnwise and order it: one column
+        per item (a text column's buffers stay a ``TextSlice`` with
+        ``buffers``, unless ORDER BY reorders them)."""
+        out_cols = self._vector_eval([item.expr for item in items], data,
+                                     layout, binding_upper, buffers)
+        if out_cols is None:
+            return None
+        return self._vector_order(stmt, out_cols, items, data, layout,
                                   binding_upper)
 
-    def _vector_order(self, stmt: n.Select, rows: list[tuple],
+    def _vector_order(self, stmt: n.Select, out_cols: list,
                       items: list[n.SelectItem], data, layout,
-                      binding_upper) -> "list[tuple] | None":
-        """ORDER BY over vector-projected rows (mirrors _order_rows:
+                      binding_upper) -> "list | None":
+        """ORDER BY over vector-projected columns (mirrors _order_rows:
         positions and aliases address the output row, anything else is
         an expression over the source row)."""
         if not stmt.order_by:
-            return rows
+            return out_cols
         aliases = self._output_aliases(items)
         # Per ORDER BY entry: an output position, or None for a source
         # expression (evaluated together as one phase, like the row
@@ -933,11 +977,13 @@ class CdwEngine:
              if pos is None], data, layout, binding_upper)
         if computed is None:
             return None
+        if not data.length:
+            return out_cols
+        out_cols = [decoded(col) for col in out_cols]
         computed_cols = iter(computed)
         key_cols = []
         for (_, ascending), pos in zip(stmt.order_by, positions):
-            vals = next(computed_cols) if pos is None \
-                else [row[pos] for row in rows]
+            vals = next(computed_cols) if pos is None else out_cols[pos]
             key_cols.append((vals, ascending))
 
         def order_key(i: int):
@@ -947,8 +993,8 @@ class CdwEngine:
                 key.append(rank if ascending else _Descending(rank))
             return tuple(key)
 
-        order = sorted(range(len(rows)), key=order_key)
-        return [rows[i] for i in order]
+        order = sorted(range(data.length), key=order_key)
+        return [list(map(col.__getitem__, order)) for col in out_cols]
 
     def _vector_grouped(self, stmt: n.Select, items: list[n.SelectItem],
                         data, layout, binding_upper

@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field, replace
 
-from repro.cdw.columns import ColumnStore, decoded
+from repro.cdw.columns import ColumnBlock, ColumnStore, decoded
 from repro.cdw.types import CdwType
 from repro.errors import BulkExecutionError, CatalogError, ExpressionError
 
@@ -56,7 +56,9 @@ class RowsView:
 
     Supports the read-only list operations existing call sites use
     (len, indexing, slicing, iteration, equality, concatenation).
-    Mutation goes through the table's own methods.
+    Mutation goes through the table's own methods.  A table's view is
+    live; a vector SELECT's ``CdwResult.rows`` is a view over a
+    snapshot of its projected columns (:meth:`ColumnStore.of_vectors`).
     """
 
     __slots__ = ("_store",)
@@ -94,6 +96,14 @@ class RowsView:
 
     def __bool__(self) -> bool:
         return len(self._store) > 0
+
+    def block(self) -> ColumnBlock:
+        """The rows as a :class:`ColumnBlock` of the store's columns, as
+        the vector path reads them (a text column's buffers in place)."""
+        store = self._store
+        n = len(store)
+        return ColumnBlock([store.column_vector(i, 0, n)
+                            for i in range(len(store.cols))], n)
 
     def __repr__(self) -> str:
         return f"RowsView({list(self)!r})"

@@ -6,21 +6,27 @@ Hyper-Q buffers chunks received by the TDFCursor process in advance and
 associates each chunk with its order to serve client sessions requesting
 different chunks."
 
-A background thread encodes each chunk once, as the block of legacy
-records in the job's output format (VARTEXT or BINARY), into a bounded
-buffer ahead of the parallel export sessions, which each request their
-own chunks and block until ready.  The client writes the blocks to its
-file in chunk order; no record is decoded or re-encoded after this.
+The cursor holds the result as columns
+(:meth:`~repro.cdw.engine.CdwResult.block`): a vector SELECT's
+snapshot, copied under the statement's read lock, or a row-path
+result transposed once.  The layout is inferred from those columns, and
+a background thread encodes each chunk once, column by column, as the
+block of legacy records in the job's output format (VARTEXT or BINARY),
+into a bounded buffer ahead of the parallel export sessions, which each
+request their own chunks and block until ready.  The client writes the
+blocks to its file in chunk order; no record is decoded or re-encoded
+after this.
 """
 
 from __future__ import annotations
 
 import threading
 
+from repro.cdw.columns import ColumnBlock
 from repro.cdw.engine import CdwEngine
 from repro.errors import GatewayError
 from repro.legacy.datafmt import FormatSpec, make_format
-from repro.legacy.infer import infer_result_layout
+from repro.legacy.infer import infer_column_layout
 from repro.sqlxc import nodes as n
 
 __all__ = ["TdfCursor"]
@@ -42,11 +48,12 @@ class TdfCursor:
         if result.kind != "rows":
             raise GatewayError("TDFCursor needs a SELECT statement")
         self.columns: list[str] = result.columns
-        self.total_rows = len(result.rows)
+        block = result.block()
+        self.total_rows = len(block)
         # Inferred from the whole result so every chunk is encoded alike.
-        self.layout = infer_result_layout(result.columns, result.rows)
+        self.layout = infer_column_layout(result.columns, block.columns)
         self._format = make_format(format_spec, self.layout)
-        self._rows: list[tuple] | None = result.rows
+        self._block: ColumnBlock | None = block
         self.chunk_rows = chunk_rows
         self.num_chunks = (self.total_rows + chunk_rows - 1) // chunk_rows
         self.prefetch = max(prefetch, 1)
@@ -72,10 +79,10 @@ class TdfCursor:
                     if self._stopped:
                         return
                 start = chunk_no * self.chunk_rows
-                block = self._format.encode_records(
-                    self._rows[start:start + self.chunk_rows])
+                body = self._format.encode_records(
+                    self._block.sub(start, start + self.chunk_rows))
                 with self._ready:
-                    self._buffer[chunk_no] = block
+                    self._buffer[chunk_no] = body
                     self._next_to_encode = chunk_no + 1
                     self._ready.notify_all()
         except Exception as exc:
@@ -84,7 +91,7 @@ class TdfCursor:
                                  f"could not be encoded: {exc}")
                 self._ready.notify_all()
         finally:
-            self._rows = None
+            self._block = None
 
     # -- serving ------------------------------------------------------------------
 

@@ -32,9 +32,12 @@ import datetime as _dt
 import functools
 import struct
 from decimal import Decimal
+from itertools import repeat
+from operator import add, mul, or_
 from typing import Iterable, Iterator
 
 from repro import values
+from repro.cdw.columns import ColumnBlock, TextSlice, decoded
 from repro.errors import DataFormatError
 from repro.legacy.datafmt import (
     _DATE_EPOCH_BASE,
@@ -64,6 +67,9 @@ def _struct(fmt: str) -> struct.Struct:
 
 
 _S_H = _struct("<H")
+
+#: validity bytes (1 = present) to null flags.
+_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 #: fixed-width struct code and size per binary base type.
 _FIXED_CODES = {
@@ -117,6 +123,22 @@ _RENDER_SRC = {
 }
 
 
+def _field_src(fld, name: str) -> "list[str]":
+    """The lines rendering field ``fld``'s value, held in ``name``, as
+    its type carries it (:data:`_RENDER_SRC`)."""
+    ftype = fld.type
+    family = ("character" if ftype.is_character
+              else "integer" if ftype.is_integer else ftype.base)
+    lo, hi = INT_RANGES.get(ftype.base, (0, 0))
+    return ["    " + line.format(v=name, lo=lo, hi=hi)
+            for line in _RENDER_SRC[family]]
+
+
+def _render_env(**extra) -> dict:
+    return {"_Slow": _Slow, "_Decimal": Decimal, "_date": _dt.date,
+            "_datetime": _dt.datetime, **extra}
+
+
 def _gen_render(layout: Layout, delimiter: str, escape=None):
     """exec-compile a straight-line ``row -> line`` VARTEXT renderer.
 
@@ -126,18 +148,12 @@ def _gen_render(layout: Layout, delimiter: str, escape=None):
     checks that no field needed escaping.  A wrong-arity row fails the
     unpacking; the caller falls back to the reference for it.
     """
-    env = {"_Slow": _Slow, "_Decimal": Decimal, "_date": _dt.date,
-           "_datetime": _dt.datetime, "_esc": escape, "_d": delimiter}
+    env = _render_env(_esc=escape, _d=delimiter)
     names = [f"v{i}" for i in range(layout.arity)]
     fields = f"[{', '.join(names)}]"
     src = ["def _render(row):", f"    {fields} = row"]
     for name, fld in zip(names, layout.fields):
-        ftype = fld.type
-        family = ("character" if ftype.is_character
-                  else "integer" if ftype.is_integer else ftype.base)
-        lo, hi = INT_RANGES.get(ftype.base, (0, 0))
-        src += ["    " + line.format(v=name, lo=lo, hi=hi)
-                for line in _RENDER_SRC[family]]
+        src += _field_src(fld, name)
         if escape is not None:
             src.append(f"    {name} = _esc({name})")
     src.append(f"    return _d.join({fields}) + '\\n'")
@@ -145,21 +161,51 @@ def _gen_render(layout: Layout, delimiter: str, escape=None):
     return env["_render"]
 
 
+def _gen_column_render(fld):
+    """``column -> list of bytes``: field ``fld``'s unescaped VARTEXT
+    text of every value of a block column (:class:`ColumnBlock`).
+
+    A text column's values are its buffer's bytes, and a column of
+    dates renders with one C-level ``isoformat`` per value; any other
+    column renders value by value through the field's template, which
+    raises ``_Slow`` on a value it does not render.
+    """
+    env = _render_env()
+    exec("\n".join(["def _value(v):", *_field_src(fld, "v"),
+                     "    return v"]), env)
+    value, encode = env["_value"], str.encode
+    text = fld.type.is_character
+    dates = {_dt.date} if fld.type.base == "DATE" else None
+
+    def render(column) -> list:
+        if text and type(column) is TextSlice:
+            return column.pieces()
+        column = decoded(column)
+        if dates is not None and set(map(type, column)) == dates:
+            return list(map(encode, map(_dt.date.isoformat, column)))
+        return list(map(encode, map(value, column)))
+
+    return render
+
+
 class CompiledVartextFormat(VartextFormat):
     """VartextFormat with a generated renderer and a split fast path.
 
     A chunk renders unescaped through one straight-line function per
-    layout; three C-level counts over the chunk's text (no backslash,
+    layout; three C-level counts over the chunk's bytes (no backslash,
     one delimiter per field gap, one newline per record) prove that no
     field needed escaping.  Otherwise each record renders again with
     per-field escapes, and a record the generated code does not render
-    (wrong arity, an unusual value) goes to the reference.
+    (wrong arity, an unusual value) goes to the reference.  A
+    :class:`ColumnBlock` renders column by column instead of row by
+    row, under the same proof.
     """
 
     def __init__(self, layout: Layout, delimiter: str = "|"):
         super().__init__(layout, delimiter)
         self._arity = layout.arity
         self._gaps = max(layout.arity - 1, 0)
+        self._delimiter_bytes = delimiter.encode("utf-8")
 
     # -- encoding ----------------------------------------------------------
 
@@ -182,17 +228,59 @@ class CompiledVartextFormat(VartextFormat):
     def encode_record(self, row: tuple) -> bytes:
         return self._line(row).encode("utf-8")
 
-    def encode_records(self, rows: Iterable[tuple]) -> bytes:
+    @functools.cached_property
+    def _column_renders(self):
+        return [_gen_column_render(fld) for fld in self.layout.fields]
+
+    def encode_records(self, rows: "Iterable[tuple] | ColumnBlock"
+                       ) -> bytes:
+        """Encode many rows back to back; a :class:`ColumnBlock` column
+        by column when :meth:`_encode_block` can, else row by row."""
+        if type(rows) is ColumnBlock:
+            data = self._encode_block(rows)
+            if data is not None:
+                return data
+            rows = rows.rows()
         rows = list(rows)
         try:
-            text = "".join([self._render(row) for row in rows])
+            data = "".join([self._render(row) for row in rows]).encode()
         except Exception:
-            text = None
-        if (text is None or "\\" in text
-                or text.count("\n") != len(rows)
-                or text.count(self.delimiter) != len(rows) * self._gaps):
-            text = "".join([self._line(row) for row in rows])
-        return text.encode("utf-8")
+            data = None
+        if data is None or not self._unescaped(data, len(rows)):
+            data = "".join([self._line(row) for row in rows]).encode()
+        return data
+
+    def _unescaped(self, data: bytes, lines: int) -> bool:
+        """Whether ``lines`` records rendered without escapes into
+        ``data`` needed none: no backslash, one delimiter per field gap
+        and one newline per record (a field holding either adds one)."""
+        return (b"\\" not in data and data.count(b"\n") == lines
+                and data.count(self._delimiter_bytes) == lines * self._gaps)
+
+    def _encode_block(self, block: ColumnBlock) -> "bytes | None":
+        """A block's records with no ``str`` per line: each column
+        renders to a list of bytes (:func:`_gen_column_render`), one
+        C-level join interleaves them with the delimiters and newlines,
+        and :meth:`_unescaped` proves that no field needed escaping.
+        None when it does not, or when a column holds a value its
+        renderer does not take."""
+        count = len(block)
+        arity = self._arity
+        if len(block.columns) != arity or not arity:
+            return None
+        try:
+            fields = [render(column) for render, column
+                      in zip(self._column_renders, block.columns)]
+        except Exception:
+            return None
+        step = 2 * arity
+        parts: list = [None] * (step * count)
+        for j, field in enumerate(fields):
+            parts[2 * j::step] = field
+        # What follows each field: the delimiter, or the line's end.
+        parts[1::2] = ([self._delimiter_bytes] * self._gaps + [b"\n"]) * count
+        data = b"".join(parts)
+        return data if self._unescaped(data, count) else None
 
     # -- decoding ----------------------------------------------------------
 
@@ -397,6 +485,14 @@ class CompiledBinaryFormat(BinaryFormat):
 
         self._dsegments = tuple(dsegments)
         self._esegments = tuple(esegments)
+        #: per field, its value encoder (None: no binary codec).
+        self._field_encoders = [None] * self._arity
+        for seg in esegments:
+            if seg[0] == 0:
+                for i, encode in seg[4]:
+                    self._field_encoders[i] = encode
+            elif seg[0] == 1:
+                self._field_encoders[seg[1]] = seg[2]
         self._decode_zero = self._gen_decode_zero(dsegments)
 
         # Whole-record fast path: a single fused run covering every field.
@@ -619,7 +715,15 @@ class CompiledBinaryFormat(BinaryFormat):
                 + bitmap.to_bytes(self._bitmap_len, "little")
                 + b"".join(parts))
 
-    def encode_records(self, rows: Iterable[tuple]) -> bytes:
+    def encode_records(self, rows: "Iterable[tuple] | ColumnBlock"
+                       ) -> bytes:
+        """Encode many rows back to back; a :class:`ColumnBlock` column
+        by column when :meth:`_encode_block` can, else row by row."""
+        if type(rows) is ColumnBlock:
+            data = self._encode_block(rows)
+            if data is not None:
+                return data
+            rows = rows.rows()
         out: list[bytes] = []
         append = out.append
         fast = self._encode_fast
@@ -629,3 +733,59 @@ class CompiledBinaryFormat(BinaryFormat):
             except Exception:
                 append(BinaryFormat.encode_record(self, row))
         return b"".join(out)
+
+    def _encode_block(self, block: ColumnBlock) -> "bytes | None":
+        """A block's records built column by column: each column's
+        payloads (a text column's straight from its buffer, others by
+        the field's value encoder), its nulls' bits, and the running
+        body lengths; one join interleaves header, bitmap and payloads
+        per record.  None when a value does not encode here (the
+        caller encodes that block row by row, errors included)."""
+        count = len(block)
+        arity = self._arity
+        if len(block.columns) != arity or None in self._field_encoders:
+            return None
+        bitmap_len = self._bitmap_len
+        lengths = [bitmap_len] * count
+        bits = None
+        payloads = []
+        try:
+            for i, (fld, encode, column) in enumerate(zip(
+                    self.layout.fields, self._field_encoders,
+                    block.columns)):
+                if type(column) is TextSlice and fld.type.is_character:
+                    pieces = column.pieces()
+                    payload = list(map(add, map(_S_H.pack, map(len, pieces)),
+                                       pieces))
+                    nulls = None
+                    if column.null_count():
+                        nulls = column.valid().translate(_NOT)
+                        payload = [b"" if null else piece
+                                   for piece, null in zip(payload, nulls)]
+                else:
+                    column = decoded(column)
+                    nulls = None
+                    if None in column:
+                        nulls = [v is None for v in column]
+                        payload = [b"" if v is None else encode(v)
+                                   for v in column]
+                    else:
+                        payload = list(map(encode, column))
+                if nulls is not None:
+                    flags = map(mul, nulls, repeat(1 << i))
+                    bits = list(flags if bits is None
+                                else map(or_, bits, flags))
+                lengths = list(map(add, lengths, map(len, payload)))
+                payloads.append(payload)
+            headers = list(map(_S_H.pack, lengths))
+        except Exception:
+            return None
+        bitmaps = [bytes(bitmap_len)] * count if bits is None else list(
+            map(int.to_bytes, bits, repeat(bitmap_len), repeat("little")))
+        step = arity + 2
+        parts: list = [None] * (step * count)
+        parts[0::step] = headers
+        parts[1::step] = bitmaps
+        for j, payload in enumerate(payloads):
+            parts[j + 2::step] = payload
+        return b"".join(parts)

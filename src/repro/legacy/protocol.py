@@ -39,7 +39,7 @@ from repro.errors import (
     WlmThrottled,
 )
 from repro.legacy.datafmt import BinaryFormat, FormatSpec
-from repro.legacy.infer import infer_result_layout
+from repro.legacy.infer import infer_column_layout
 from repro.legacy.types import FieldDef, Layout, parse_type
 from repro.net import Endpoint
 from repro.obs import get_logger
@@ -390,10 +390,11 @@ def result_reply(result, binary=BinaryFormat) -> Message:
     if result.kind != "rows":
         return Message(MessageKind.STMT_OK,
                        {"activity_count": result.activity_count})
-    layout = infer_result_layout(result.columns, result.rows)
+    block = result.block()
+    layout = infer_column_layout(result.columns, block.columns)
     return Message(MessageKind.RESULT_SET,
                    {"columns": layout_to_wire(layout)["fields"]},
-                   body=binary(layout).encode_records(result.rows))
+                   body=binary(layout).encode_records(block))
 
 
 def error_reply(exc: ReproError, traceparent=None) -> Message:

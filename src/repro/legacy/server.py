@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.cdw.columns import ColumnBlock
 from repro.cdw.engine import CdwEngine
 from repro.core.frontend import ThreadedFrontend
 from repro.errors import (
@@ -31,7 +32,7 @@ from repro.errors import (
 from repro.legacy.datafmt import (
     BinaryFormat, FormatSpec, RecordFormat, VartextFormat, make_format,
 )
-from repro.legacy.infer import infer_result_layout
+from repro.legacy.infer import infer_column_layout
 from repro.legacy.protocol import (
     Message, MessageChannel, MessageKind, expect_data, layout_to_wire,
     result_reply, serve_request,
@@ -76,7 +77,8 @@ class _LoadJob:
 @dataclass
 class _ExportJob:
     job_id: str
-    chunks: list[list[tuple]]
+    #: the result's rows, a block per EXPORT_DATA body.
+    chunks: list[ColumnBlock]
     #: the job's output format: encodes every EXPORT_DATA body.
     record_format: RecordFormat
 
@@ -345,13 +347,14 @@ class LegacyServer:
         if not isinstance(statement, Select):
             raise ProtocolError("export job needs a SELECT statement")
         result = self.engine.execute(statement)
-        layout = infer_result_layout(result.columns, result.rows)
+        block = result.block()
+        layout = infer_column_layout(result.columns, block.columns)
         record_format = (VartextFormat(layout, spec.delimiter)
                          if spec.kind == "vartext" else BinaryFormat(layout))
         chunks = [
-            result.rows[i:i + self.chunk_rows]
-            for i in range(0, len(result.rows), self.chunk_rows)
-        ] or [[]]
+            block.sub(i, i + self.chunk_rows)
+            for i in range(0, len(block), self.chunk_rows)
+        ] or [block]
         job = _ExportJob(
             job_id=request["job_id"],
             chunks=chunks,

@@ -12,11 +12,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bench.harness import build_stack
+from repro.cdw.columns import ColumnBlock
 from repro.core.config import HyperQConfig
 from repro.errors import ProtocolError
 from repro.legacy.client import ExportJobSpec, LegacyEtlClient
 from repro.legacy.datafmt import BinaryFormat, FormatSpec, RecordFormat
-from repro.legacy.infer import infer_result_layout
+from repro.legacy.infer import infer_column_layout
 from repro.legacy.protocol import Message, MessageChannel, MessageKind
 from repro.legacy.server import LegacyServer
 
@@ -77,8 +78,9 @@ def _export(connect, spec: ExportJobSpec):
 
 def _binary_file() -> bytes:
     columns = ["K", "V", "F"]
-    return BinaryFormat(infer_result_layout(columns, ROWS)) \
-        .encode_records(ROWS)
+    layout = infer_column_layout(
+        columns, ColumnBlock.from_rows(ROWS, len(columns)).columns)
+    return BinaryFormat(layout).encode_records(ROWS)
 
 
 @pytest.mark.parametrize("fmt", ["vartext", "binary"])

@@ -143,7 +143,7 @@ class TestAdHocSql:
         """The RESULT_SET body comes from the compiled binary codec;
         the reference ``BinaryFormat`` is the oracle, byte for byte."""
         from repro.legacy.datafmt import BinaryFormat
-        from repro.legacy.infer import infer_result_layout
+        from repro.legacy.infer import infer_column_layout
         from repro.legacy.protocol import Message, MessageChannel, \
             MessageKind
         stack.engine.execute(
@@ -162,9 +162,10 @@ class TestAdHocSql:
             MessageKind.RESULT_SET)
         channel.close()
         result = stack.engine.execute("SELECT * FROM RS ORDER BY K")
-        layout = infer_result_layout(result.columns, result.rows)
+        layout = infer_column_layout(result.columns,
+                                     result.block().columns)
         assert reply.body == \
-            BinaryFormat(layout).encode_records(result.rows)
+            BinaryFormat(layout).encode_records(list(result.rows))
         assert len(result.rows) == 3
 
     def test_error_surfaces_as_protocol_error(self, stack):

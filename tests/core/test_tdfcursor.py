@@ -6,11 +6,14 @@ import time
 
 import pytest
 
+from repro.cdw.columns import ColumnBlock, ColumnStore
 from repro.cdw.engine import CdwEngine
+from repro.cdw.table import RowsView
 from repro.core.tdfcursor import TdfCursor
 from repro.errors import GatewayError
-from repro.legacy.datafmt import BinaryFormat, FormatSpec, make_format
-from repro.legacy.infer import infer_result_layout
+from repro.legacy.datafmt import (BinaryFormat, FormatSpec, VartextFormat,
+                                  make_format)
+from repro.legacy.infer import infer_column_layout
 
 
 @pytest.fixture
@@ -104,16 +107,20 @@ class TestCursor:
     def test_layout_is_inferred_from_the_result(self, engine):
         cursor = TdfCursor(engine, "SELECT A, B FROM t ORDER BY A")
         rows = engine.query("SELECT A, B FROM t ORDER BY A")
-        assert cursor.layout == infer_result_layout(cursor.columns, rows)
+        assert cursor.layout == infer_column_layout(
+            cursor.columns, ColumnBlock.from_rows(rows, 2).columns)
         cursor.close()
 
     def test_rows_dropped_after_last_chunk_encoded(self, engine):
+        """Once the last chunk is encoded the cursor drops its
+        columns: only the undelivered blocks stay."""
         cursor = TdfCursor(engine, "SELECT A FROM t ORDER BY A",
                            chunk_rows=10, prefetch=1)
+        assert cursor._block is not None
         cursor.packet(0)
         cursor.packet(1)
         cursor._encoder.join(timeout=5.0)
-        assert cursor._rows is None
+        assert cursor._block is None
         # The last block is still buffered for its session.
         assert cursor.packet(2) is not None
         cursor.close()
@@ -137,7 +144,7 @@ class TestCursorErrors:
                 cursor.packet(chunk_no, timeout_s=30.0)
             assert "64000000000000000000000000000" in str(caught.value)
         assert time.monotonic() - started < 2.0
-        assert cursor._rows is None
+        assert cursor._block is None
         cursor.close()
 
     def test_served_and_negative_chunks_raise_at_once(self, engine):
@@ -185,3 +192,89 @@ def test_striped_sessions_stress(engine):
     assert failures == []
     assert sorted(seen) == list(range(25))
     cursor.close()
+
+
+# -- the export reads a snapshot ---------------------------------------------
+
+def _rows(count: int, tag: str) -> list[tuple]:
+    return [(i, f"{tag}{i:03d}", f"{tag}-text-{i:03d}") for i in range(count)]
+
+
+def _append(engine, rows) -> None:
+    values = ", ".join(f"({k}, '{a}', '{b}')" for k, a, b in rows)
+    engine.execute(f"INSERT INTO s VALUES {values}")
+
+
+def _truncate_and_rerun(engine) -> None:
+    """An apply rolled back by truncating the target in place (as the
+    uniqueness emulation does), then run again with other rows: the
+    table's text buffers are cut and refilled where the exported rows
+    were."""
+    with engine.locks.table_lock("s").write():
+        engine.table("s").truncate_rows(3)
+    _append(engine, [(k, f"z{k:03d}", f"z-text-{k:03d}")
+                     for k in range(3, 12)])
+
+
+#: what changes the table while its export is open.
+CHANGES = {
+    "insert": lambda engine: _append(engine, _rows(5, "new")),
+    "delete": lambda engine: engine.execute("DELETE FROM s WHERE K < 6"),
+    "update": lambda engine: engine.execute(
+        "UPDATE s SET A = 'changed', B = NULL WHERE K >= 2"),
+    "truncate": _truncate_and_rerun,
+}
+
+QUERIES = ["SELECT * FROM s", "SELECT K, B FROM s WHERE K >= 2",
+           "SELECT B, A FROM s ORDER BY K DESC"]
+
+
+@pytest.mark.parametrize("fmt", ["vartext", "binary"])
+@pytest.mark.parametrize("sql", QUERIES)
+@pytest.mark.parametrize("change", sorted(CHANGES))
+def test_export_reads_the_rows_at_begin_export(change, sql, fmt):
+    """A change to the table after BEGIN_EXPORT (the cursor's SELECT)
+    never reaches the export: every block encodes the rows the SELECT
+    saw, however far the prefetch thread had got."""
+    engine = CdwEngine()
+    engine.execute("CREATE TABLE s (K INT, A VARCHAR(20), B VARCHAR(20))")
+    _append(engine, _rows(12, "old"))
+    before = engine.query(sql)
+    spec = FormatSpec("vartext") if fmt == "vartext" \
+        else FormatSpec("binary")
+    cursor = TdfCursor(engine, sql, chunk_rows=2, prefetch=1,
+                       format_spec=spec)
+    CHANGES[change](engine)
+    assert engine.query(sql) != before
+    blocks = [cursor.packet(chunk_no)
+              for chunk_no in range(cursor.num_chunks)]
+    cursor.close()
+    reference = (VartextFormat(cursor.layout) if fmt == "vartext"
+                 else BinaryFormat(cursor.layout))
+    assert b"".join(blocks) == reference.encode_records(before)
+    assert cursor.total_rows == len(before)
+
+
+class TestRowCount:
+    def test_vector_select_counts_rows_without_tuples(self, engine,
+                                                      monkeypatch):
+        """``len(result.rows)`` and ``activity_count`` of a vector SELECT
+        read the snapshot's length: no tuple is built."""
+        built = []
+        original = ColumnStore.tuples
+        monkeypatch.setattr(
+            ColumnStore, "tuples",
+            lambda self, lo, hi: built.append((lo, hi))
+            or original(self, lo, hi))
+        result = engine.execute("SELECT A, B FROM t WHERE A >= 5")
+        assert isinstance(result.rows, RowsView)
+        assert len(result.rows) == 20
+        assert result.activity_count == 20
+        assert built == []
+        assert result.rows[0] == (5, "v5")
+        assert engine.vector_fallbacks == {"out_of_scope": 0}
+
+    def test_query_returns_a_list(self, engine):
+        rows = engine.query("SELECT A FROM t WHERE A < 3")
+        assert type(rows) is list
+        assert rows == [(0,), (1,), (2,)]

@@ -21,6 +21,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cdw.columns import ColumnBlock
 from repro.errors import DataFormatError
 from repro.legacy.codec import (
     CompiledBinaryFormat, CompiledVartextFormat, compile_format,
@@ -28,7 +29,7 @@ from repro.legacy.codec import (
 from repro.legacy.datafmt import (
     BinaryFormat, FormatSpec, VartextFormat, make_format,
 )
-from repro.legacy.infer import infer_result_layout
+from repro.legacy.infer import infer_column_layout
 from repro.legacy.types import FieldDef, Layout, parse_type
 
 TYPE_POOL = [
@@ -332,8 +333,9 @@ def _bytes_or_format_error(encode):
 @settings(max_examples=300, deadline=None)
 @given(rows=_result_rows(), delimiter=st.sampled_from(["|", ",", "\t"]))
 def test_typed_vartext_equals_binary_round_trip(rows, delimiter):
-    layout = infer_result_layout(
-        [f"C{i}" for i in range(len(rows[0]))], rows)
+    layout = infer_column_layout(
+        [f"C{i}" for i in range(len(rows[0]))],
+        ColumnBlock.from_rows(rows, len(rows[0])).columns)
     codecs = [
         (VartextFormat(layout, delimiter), BinaryFormat(layout)),
         (compile_format(FormatSpec("vartext", delimiter), layout),

@@ -3,7 +3,8 @@
 import datetime
 from decimal import Decimal
 
-from repro.legacy.infer import infer_legacy_type, infer_result_layout
+from repro.cdw.columns import TextColumn, TextSlice
+from repro.legacy.infer import infer_column_layout, infer_legacy_type
 
 
 class TestInferLegacyType:
@@ -38,16 +39,36 @@ class TestInferLegacyType:
         assert (inferred.base, inferred.length) == ("VARCHAR", 4)
 
 
+def _text(values) -> TextSlice:
+    column = TextColumn()
+    column.append_many(values)
+    return TextSlice(column, 0, len(values))
+
+
 class TestInferResultLayout:
     def test_per_column_types(self):
-        layout = infer_result_layout(
+        layout = infer_column_layout(
             ["N", "S", "D"],
-            [(1, "x", datetime.date(2020, 1, 1)),
-             (2, "yy", None)])
+            [[1, 2], ["x", "yy"], [datetime.date(2020, 1, 1), None]])
         assert [f.type.base for f in layout.fields] == \
             ["BIGINT", "VARCHAR", "DATE"]
         assert layout.field_names == ["N", "S", "D"]
 
     def test_empty_result(self):
-        layout = infer_result_layout(["A"], [])
+        layout = infer_column_layout(["A"], [[]])
         assert layout.fields[0].type.base == "VARCHAR"
+
+    def test_text_column_width_from_offsets(self):
+        layout = infer_column_layout(["S"], [_text(["ab", None, "abcd"])])
+        assert layout.fields[0].type.render() == "VARCHAR(4)"
+
+    def test_text_column_width_counts_characters(self):
+        layout = infer_column_layout(["S"], [_text(["ünï", "ab"])])
+        assert layout.fields[0].type.render() == "VARCHAR(3)"
+
+    def test_all_null_and_empty_text_columns_are_one_wide(self):
+        layout = infer_column_layout(
+            ["N", "E", "Z"], [_text([None, None]), _text(["", None]),
+                              _text([])])
+        assert [f.type.render() for f in layout.fields] == \
+            ["VARCHAR(1)"] * 3
