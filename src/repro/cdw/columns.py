@@ -23,13 +23,15 @@ opts into columnar reads via ``column_list`` and ``column_vector``.
 
 from __future__ import annotations
 
+import functools
+import struct
 import sys
 from array import array
 from itertools import accumulate, compress, islice
 from operator import sub
 
-__all__ = ["ColumnBlock", "ColumnStore", "TextColumn", "TextSlice",
-           "column_for_type", "decoded", "runs"]
+__all__ = ["ColumnBlock", "ColumnStore", "TextColumn", "TextFacts",
+           "TextSlice", "column_for_type", "decoded", "runs"]
 
 _INT_BASES = ("SMALLINT", "INT", "BIGINT")
 _CHAR_BASES = ("NVARCHAR", "VARCHAR", "CHAR")
@@ -355,6 +357,81 @@ class TextColumn(_BaseColumn):
 _ASCII_WHITESPACE = (*range(0x09, 0x0E), *range(0x1C, 0x21))
 
 
+#: a fact not found yet.
+_UNKNOWN = object()
+
+
+@functools.lru_cache(maxsize=8)
+def _uniform_cut(width: int, count: int) -> struct.Struct:
+    """The struct cutting ``count`` values of ``width`` bytes each.
+
+    Kept because an export cuts chunk after chunk of one width and
+    count (parsing the format is ~40 % of a cut); a struct holds ~40
+    bytes per value, so the few kept cost little at export chunk sizes.
+    """
+    return struct.Struct(f"{width}s" * count)
+
+
+class TextFacts:
+    """What holds for every value of a slice (``text``) of a text
+    column that no longer changes (a query result's snapshot), found
+    on first use and shared by every :meth:`TextSlice.sub` of a slice
+    that carries it.
+
+    ``width`` is the width every value spans in bytes when the offsets
+    are an arithmetic progression (a NULL spans 0, so a column with
+    NULLs has one only when no value has a byte), else None;
+    ``ascii`` whether every byte is ASCII; :meth:`free_of` whether no
+    value holds any of some byte strings.  A fact of the range holds
+    for every part of it (a byte string of one character that no value
+    holds is in no part).
+    """
+
+    __slots__ = ("text", "_width", "_ascii", "_free")
+
+    def __init__(self, text: "TextSlice"):
+        #: the values proven (a slice carrying no facts).
+        self.text = text
+        self._width = self._ascii = _UNKNOWN
+        self._free: dict = {}
+
+    @property
+    def width(self) -> "int | None":
+        """The width in bytes of every value, or None."""
+        if self._width is _UNKNOWN:
+            text = self.text
+            offsets, lo, hi = text.column.offsets, text.lo, text.hi
+            base, total = offsets[lo], offsets[hi] - offsets[lo]
+            width, uneven = divmod(total, max(hi - lo, 1))
+            if uneven:
+                self._width = None
+            elif not width:     # every value empty or NULL
+                self._width = 0
+            else:
+                self._width = width if offsets[lo:hi + 1] == array(
+                    "q", range(base, base + total + 1, width)) else None
+        return self._width
+
+    @property
+    def ascii(self) -> bool:
+        """Whether every value is ASCII."""
+        if self._ascii is _UNKNOWN:
+            self._ascii = self.text.isascii()
+        return self._ascii
+
+    def free_of(self, needles: tuple) -> bool:
+        """Whether no value holds any of ``needles`` (byte strings of
+        one character each)."""
+        free = self._free.get(needles)
+        if free is None:
+            text = self.text
+            offsets, blob = text.column.offsets, text.column.blob
+            start, end = offsets[text.lo], offsets[text.hi]
+            free = self._free[needles] = all(
+                blob.find(needle, start, end) < 0 for needle in needles)
+        return free
+
+
 class TextSlice:
     """Values ``[lo, hi)`` of a :class:`TextColumn`, read in place.
 
@@ -362,15 +439,19 @@ class TextSlice:
     its kernels decide a whole slice with a few C-level calls over the
     column's buffers, and :meth:`to_list` is where it becomes ``str``
     values.  A slice never lends its buffers out: :meth:`copy` is the
-    only way its values reach another column.
+    only way its values reach another column.  A slice of a column that
+    no longer changes may carry its :class:`TextFacts` (``facts``),
+    which every :meth:`sub` inherits.
     """
 
-    __slots__ = ("column", "lo", "hi")
+    __slots__ = ("column", "lo", "hi", "facts")
 
-    def __init__(self, column: TextColumn, lo: int, hi: int):
+    def __init__(self, column: TextColumn, lo: int, hi: int,
+                 facts: "TextFacts | None" = None):
         self.column = column
         self.lo = lo
         self.hi = hi
+        self.facts = facts
 
     def __len__(self):
         """Number of values (NULLs included)."""
@@ -378,7 +459,14 @@ class TextSlice:
 
     def sub(self, start: int, stop: int) -> "TextSlice":
         """Values ``[start, stop)`` of this slice."""
-        return TextSlice(self.column, self.lo + start, self.lo + stop)
+        return TextSlice(self.column, self.lo + start, self.lo + stop,
+                         self.facts)
+
+    def with_facts(self) -> "TextSlice":
+        """This slice carrying :class:`TextFacts` of its values, found
+        on first use: only for a column nothing changes any more."""
+        plain = TextSlice(self.column, self.lo, self.hi)
+        return TextSlice(self.column, self.lo, self.hi, TextFacts(plain))
 
     def to_list(self) -> list:
         """The values as ``str | None``."""
@@ -399,34 +487,55 @@ class TextSlice:
             offsets[self.lo]:offsets[self.hi]])
 
     def pieces(self) -> list:
-        """Each value's UTF-8 bytes, sliced out of the blob (a NULL's
-        are empty): the values without a ``str`` per value."""
-        offsets, lo, hi = self.column.offsets, self.lo, self.hi
-        return list(map(self.column.blob.__getitem__, map(
-            slice, offsets[lo:hi], offsets[lo + 1:hi + 1])))
+        """Each value's UTF-8 bytes (a NULL's are empty): the values
+        without a ``str`` per value, cut from the blob by one struct
+        unpack, of one width when the facts give one, else of the
+        values' lengths."""
+        column, lo, hi = self.column, self.lo, self.hi
+        if hi == lo:
+            return []
+        offsets = column.offsets
+        width = None if self.facts is None else self.facts.width
+        if width is not None:
+            cut = _uniform_cut(width, hi - lo)
+        else:
+            cut = struct.Struct("%ds" * (hi - lo) % tuple(
+                map(sub, offsets[lo + 1:hi + 1], offsets[lo:hi])))
+        return list(cut.unpack_from(column.blob, offsets[lo]))
 
     def max_chars(self) -> int:
         """Length in characters of the longest value (0 when there is
         none): the byte width when the values are ASCII, else counted
         over the decoded values."""
-        column = self.column
-        whole = self.lo == 0 and self.hi == len(column)
-        if (column.blob if whole else self.data()).isascii():
+        if self.facts.ascii if self.facts is not None else self.isascii():
             return self.max_width()
         return max(map(len, filter(None, self.to_list())), default=0)
 
+    def isascii(self) -> bool:
+        """Whether every value is ASCII."""
+        column = self.column
+        if self.lo == 0 and self.hi == len(column):
+            return column.blob.isascii()
+        return self.data().isascii()
+
     def max_width(self) -> int:
-        """Byte width of the widest value (0 when there is none)."""
-        offsets = self.column.offsets
+        """Byte width of the widest value (0 when there is none): the
+        facts' uniform width when they give one, else one max over the
+        offsets."""
         lo, hi = self.lo, self.hi
         if hi == lo:
             return 0
+        if self.facts is not None and self.facts.width is not None:
+            return self.facts.width
+        offsets = self.column.offsets
         return max(map(sub, offsets[lo + 1:hi + 1], offsets[lo:hi]))
 
     def has_width(self, width: int) -> bool:
-        """Whether every value is ``width`` bytes wide."""
+        """Whether every value is ``width`` bytes wide (NULLs aside)."""
         offsets = self.column.offsets[self.lo:self.hi + 1]
         base = offsets[0]
+        if not width:           # no value spans a byte
+            return offsets[-1] == base
         if not self.null_count():
             return offsets == array(
                 "q", range(base, base + width * len(self) + 1, width))
@@ -553,6 +662,14 @@ class ColumnBlock:
         if not self.columns:
             return [()] * self.length
         return list(zip(*map(decoded, self.columns)))
+
+    def with_facts(self) -> "ColumnBlock":
+        """This block with each text column carrying its
+        :class:`TextFacts` (found on first use, inherited by every
+        :meth:`sub`): only for a block whose buffers nothing changes
+        any more, such as a query result's snapshot."""
+        return ColumnBlock([col.with_facts() if type(col) is TextSlice
+                            else col for col in self.columns], self.length)
 
     def sub(self, lo: int, hi: int) -> "ColumnBlock":
         """Rows ``[lo, hi)`` of this block (``hi`` clipped to its end)."""

@@ -15,7 +15,9 @@ closures, the way push-down translators cache per-shape plans:
   ``str.split`` instead of the character-at-a-time escape scanner; the
   encoder is one generated straight-line function per layout that
   renders each field by its type, and a chunk pays for escaping only
-  when counting its delimiters and newlines says a field needs it.
+  when counting its delimiters and newlines says a field needs it.  A
+  block of columns (:class:`ColumnBlock`) skips the count when each
+  column is proven free of escapes once, for the whole result.
 
 Error semantics are byte-identical to the reference implementations by
 construction: the fast paths handle the well-formed cases, and *any*
@@ -67,6 +69,9 @@ def _struct(fmt: str) -> struct.Struct:
 
 
 _S_H = _struct("<H")
+
+#: the characters a DATE renders to.
+_DATE_CHARS = frozenset("0123456789-")
 
 #: validity bytes (1 = present) to null flags.
 _NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -161,28 +166,37 @@ def _gen_render(layout: Layout, delimiter: str, escape=None):
     return env["_render"]
 
 
+#: the types a column of dates holds.
+_DATE_KINDS = frozenset({_dt.date, type(None)})
+
+
 def _gen_column_render(fld):
     """``column -> list of bytes``: field ``fld``'s unescaped VARTEXT
     text of every value of a block column (:class:`ColumnBlock`).
 
     A text column's values are its buffer's bytes, and a column of
-    dates renders with one C-level ``isoformat`` per value; any other
-    column renders value by value through the field's template, which
-    raises ``_Slow`` on a value it does not render.
+    dates renders each distinct date once per renderer (the ISO text of
+    every date seen so far is kept, so a chunk is one lookup per value);
+    any other column renders value by value through the field's
+    template, which raises ``_Slow`` on a value it does not render.
     """
     env = _render_env()
     exec("\n".join(["def _value(v):", *_field_src(fld, "v"),
                      "    return v"]), env)
     value, encode = env["_value"], str.encode
     text = fld.type.is_character
-    dates = {_dt.date} if fld.type.base == "DATE" else None
+    iso = {None: b""} if fld.type.base == "DATE" else None
 
     def render(column) -> list:
         if text and type(column) is TextSlice:
             return column.pieces()
         column = decoded(column)
-        if dates is not None and set(map(type, column)) == dates:
-            return list(map(encode, map(_dt.date.isoformat, column)))
+        if iso is not None and _DATE_KINDS.issuperset(map(type, column)):
+            new = set(column).difference(iso)
+            if new:
+                iso.update(zip(new, map(encode, map(_dt.date.isoformat,
+                                                    new))))
+            return list(map(iso.__getitem__, column))
         return list(map(encode, map(value, column)))
 
     return render
@@ -198,7 +212,8 @@ class CompiledVartextFormat(VartextFormat):
     per-field escapes, and a record the generated code does not render
     (wrong arity, an unusual value) goes to the reference.  A
     :class:`ColumnBlock` renders column by column instead of row by
-    row, under the same proof.
+    row; its proof is per column when every column has one
+    (:meth:`_escape_free`), else the same counts over its bytes.
     """
 
     def __init__(self, layout: Layout, delimiter: str = "|"):
@@ -206,6 +221,15 @@ class CompiledVartextFormat(VartextFormat):
         self._arity = layout.arity
         self._gaps = max(layout.arity - 1, 0)
         self._delimiter_bytes = delimiter.encode("utf-8")
+        #: what no value of a text column may hold to need no escape.
+        self._needles = (self._delimiter_bytes, b"\n", b"\\")
+        # Per field: True when its text never needs an escape (a DATE
+        # renders only digits and ``-``), None when a text column's
+        # facts decide, else False.
+        plain = delimiter not in _DATE_CHARS
+        self._proofs = [None if fld.type.is_character
+                        else plain and fld.type.base == "DATE"
+                        for fld in layout.fields]
 
     # -- encoding ----------------------------------------------------------
 
@@ -261,9 +285,9 @@ class CompiledVartextFormat(VartextFormat):
         """A block's records with no ``str`` per line: each column
         renders to a list of bytes (:func:`_gen_column_render`), one
         C-level join interleaves them with the delimiters and newlines,
-        and :meth:`_unescaped` proves that no field needed escaping.
-        None when it does not, or when a column holds a value its
-        renderer does not take."""
+        and :meth:`_escape_free` or else :meth:`_unescaped` proves that
+        no field needed escaping.  None when neither does, or when a
+        column holds a value its renderer does not take."""
         count = len(block)
         arity = self._arity
         if len(block.columns) != arity or not arity:
@@ -280,7 +304,23 @@ class CompiledVartextFormat(VartextFormat):
         # What follows each field: the delimiter, or the line's end.
         parts[1::2] = ([self._delimiter_bytes] * self._gaps + [b"\n"]) * count
         data = b"".join(parts)
-        return data if self._unescaped(data, count) else None
+        if self._escape_free(block.columns) or self._unescaped(data, count):
+            return data
+        return None
+
+    def _escape_free(self, columns: list) -> bool:
+        """Whether every column is proven to need no escape: as a DATE
+        column (when the delimiter is no digit and no ``-``), or as a
+        text column whose facts
+        (:class:`~repro.cdw.columns.TextFacts`) say no value holds the
+        delimiter, a newline or a backslash."""
+        for proof, column in zip(self._proofs, columns):
+            if proof is None and type(column) is TextSlice \
+                    and column.facts is not None:
+                proof = column.facts.free_of(self._needles)
+            if not proof:
+                return False
+        return True
 
     # -- decoding ----------------------------------------------------------
 
@@ -755,8 +795,11 @@ class CompiledBinaryFormat(BinaryFormat):
                     block.columns)):
                 if type(column) is TextSlice and fld.type.is_character:
                     pieces = column.pieces()
-                    payload = list(map(add, map(_S_H.pack, map(len, pieces)),
-                                       pieces))
+                    width = (None if column.facts is None
+                             else column.facts.width)
+                    heads = (repeat(_S_H.pack(width)) if width is not None
+                             else map(_S_H.pack, map(len, pieces)))
+                    payload = list(map(add, heads, pieces))
                     nulls = None
                     if column.null_count():
                         nulls = column.valid().translate(_NOT)

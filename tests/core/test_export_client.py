@@ -5,8 +5,12 @@ Both servers encode every EXPORT_DATA body in the job's output format
 order and sums their ``records`` counts: it never decodes or encodes a
 record.  A BEGIN_EXPORT without ``format`` gets BINARY bodies, and one
 whose ``format`` names no record format is refused at BEGIN_EXPORT.
+What a Hyper-Q export proves about its text columns (a fixed width, no
+value needing an escape) holds for that export's snapshot only: after
+the table changes, the next exports equal the reference server's.
 """
 
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -174,3 +178,82 @@ class TestBeginExportFormat:
             _export(server.connect, ExportJobSpec(
                 SELECT, format_spec=FormatSpec("vartext", "\n")))
         assert set(server.exports()) == registered
+
+
+# -- an export's column facts are its own ------------------------------------
+
+FACTS_DDL = "create table FT (K integer, ID varchar(12), V varchar(12), D date)"
+FACTS_SELECT = "sel * from FT"
+
+#: rounds of changes after the first export: values of the proven width
+#: holding the delimiter, a newline or a backslash (same rows, same
+#: buffer sizes); then widths the first export never saw, and new rows.
+FACTS_ROUNDS = [
+    ["update FT set V = 'a|b|c' where K = 3",
+     "update FT set V = 'ne\nwl' where K = 5",
+     "update FT set V = 'ba\\ck' where K = 6"],
+    ["update FT set ID = 'R\\0000007' where K = 7",
+     "update FT set V = 'vv' where K = 8",
+     "insert into FT values (40, 'R000004000', 'x', DATE '2024-02-29')",
+     "insert into FT values (41, NULL, '', NULL)"],
+]
+
+
+def _facts_statements() -> list[str]:
+    return [FACTS_DDL] + [
+        f"insert into FT values ({k}, 'R{k:07d}', 'vvvvv', "
+        f"DATE '2020-{k % 12 + 1:02d}-{k % 28 + 1:02d}')"
+        for k in range(30)]
+
+
+def _run_sql(connect, statements) -> None:
+    client = LegacyEtlClient(connect)
+    client.logon("h", "u", "p")
+    for statement in statements:
+        client.execute_sql(statement)
+    client.logoff()
+
+
+def _export_file(connect, fmt: str) -> tuple:
+    result = _export(connect, ExportJobSpec(
+        FACTS_SELECT, format_spec=FormatSpec(fmt), sessions=2))
+    return result.data, result.rows_exported, result.columns
+
+
+@pytest.mark.parametrize("fmt", ["vartext", "binary"])
+def test_facts_of_one_export_never_reach_the_next(fmt):
+    """On one node, an export proves its text columns fixed-width and
+    free of escapes; after values that break both, the next exports —
+    two at once among them — equal the reference server's bytes and
+    BEGIN_EXPORT_OK columns."""
+    legacy = LegacyServer(chunk_rows=7).start()
+    stack = build_stack(config=HyperQConfig(
+        converters=1, filewriters=1, credits=4, export_chunk_rows=7))
+    try:
+        for connect in (legacy.connect, stack.node.connect):
+            _run_sql(connect, _facts_statements())
+        reference = _export_file(legacy.connect, fmt)
+        assert _export_file(stack.node.connect, fmt) == reference
+        for statements in FACTS_ROUNDS:
+            for connect in (legacy.connect, stack.node.connect):
+                _run_sql(connect, statements)
+            previous, reference = reference, _export_file(legacy.connect,
+                                                          fmt)
+            assert reference != previous
+            assert _export_file(stack.node.connect, fmt) == reference
+        assert reference[1] == 32
+        results = [None, None]
+
+        def export_into(slot: int) -> None:
+            results[slot] = _export_file(stack.node.connect, fmt)
+
+        threads = [threading.Thread(target=export_into, args=(slot,))
+                   for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [reference, reference]
+    finally:
+        stack.close()
+        legacy.stop()

@@ -14,7 +14,11 @@ to objects by un-coerced values — both must equal the row route:
 The delimiters include characters that renderings hold (``-`` and ``:``
 in dates and timestamps, ``.`` in numbers, a space, a digit), so the
 compiled encoder's whole-block escape check fails and falls back as
-often as it passes.
+often as it passes.  A cursor's block carries each text column's facts
+(:class:`~repro.cdw.columns.TextFacts`: a uniform width, no value
+needing an escape), which every chunk — a ``sub()`` of a ``sub()`` too
+— inherits; the fixed-width families give those facts something to
+prove, and every route is run with them and without.
 """
 
 from __future__ import annotations
@@ -40,6 +44,15 @@ _TEXT = st.text(st.one_of(
 #: per family: the table column type, and its values (before NULLs).
 FAMILIES = {
     "text": (CdwType("VARCHAR", 20), _TEXT),
+    # fixed widths: ASCII 0, 1 and 8 bytes (delimiters among the
+    # characters), and equal characters in unequal bytes.
+    "fixed0": (CdwType("VARCHAR", 20), st.just("")),
+    "fixed1": (CdwType("VARCHAR", 20), st.text(
+        st.sampled_from("|-5\\\nab"), min_size=1, max_size=1)),
+    "fixed8": (CdwType("VARCHAR", 20), st.text(
+        st.sampled_from("ab-5"), min_size=8, max_size=8)),
+    "chars3": (CdwType("VARCHAR", 20), st.text(
+        st.sampled_from("aé\N{SNOWMAN}"), min_size=3, max_size=3)),
     "int": (CdwType("BIGINT"), st.integers(-2 ** 64, 2 ** 64)),
     "bool": (CdwType("BOOLEAN"), st.booleans()),
     "float": (CdwType("DOUBLE"), st.floats()),
@@ -100,6 +113,8 @@ def _snapshot_block(table: CdwTable) -> ColumnBlock:
 
 def _assert_column_route(names, block: ColumnBlock, delimiter: str,
                          chunk_rows: int) -> None:
+    """Layout and every chunk's bytes equal the row route's; each chunk
+    is a ``sub()`` of a two-chunk ``sub()``."""
     rows = block.rows()
     layout = infer_column_layout(names, block.columns)
     assert layout == _row_layout(names, rows)
@@ -108,12 +123,15 @@ def _assert_column_route(names, block: ColumnBlock, delimiter: str,
          VartextFormat(layout, delimiter)),
         (compile_format(FormatSpec("binary"), layout), BinaryFormat(layout)),
     ]
-    for lo in range(0, max(len(rows), 1), chunk_rows):
-        chunk = block.sub(lo, lo + chunk_rows)
-        for compiled, reference in formats:
-            assert _outcome(lambda: compiled.encode_records(chunk)) == \
-                _outcome(lambda: reference.encode_records(
-                    rows[lo:lo + chunk_rows]))
+    step = 2 * chunk_rows
+    for base in range(0, max(len(rows), 1), step):
+        pair = block.sub(base, base + step)
+        for lo in (base, base + chunk_rows):
+            chunk = pair.sub(lo - base, lo - base + chunk_rows)
+            for compiled, reference in formats:
+                assert _outcome(lambda: compiled.encode_records(chunk)) \
+                    == _outcome(lambda: reference.encode_records(
+                        rows[lo:lo + chunk_rows]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,6 +142,8 @@ def test_column_route_equals_the_row_route(table, delimiter, chunk_rows):
     _assert_column_route(names, table.rows.block(), delimiter, chunk_rows)
     _assert_column_route(names, _snapshot_block(table), delimiter,
                          chunk_rows)
+    _assert_column_route(names, _snapshot_block(table).with_facts(),
+                         delimiter, chunk_rows)
 
 
 def test_text_columns_reach_the_codecs_as_buffers():
@@ -171,3 +191,65 @@ def test_degraded_column_is_a_value_list():
     vartext = compile_format(FormatSpec("vartext"), layout)
     assert vartext.encode_records(block) == \
         b"ab\n12345\n2020-01-02\n1.50\n"
+
+
+def _wide_table(count: int) -> CdwTable:
+    """Fixed-width ASCII, fixed characters in unequal bytes, variable
+    text with escapes now and then, dates and integers."""
+    table = CdwTable("T", [ColumnSpec("ID", CdwType("VARCHAR", 8)),
+                           ColumnSpec("U", CdwType("VARCHAR", 3)),
+                           ColumnSpec("V", CdwType("VARCHAR", 20)),
+                           ColumnSpec("D", CdwType("DATE")),
+                           ColumnSpec("N", CdwType("BIGINT"))])
+    table.append_rows([
+        (f"R{i:07d}", "aé\N{SNOWMAN}"[i % 3] * 3,
+         "x|y" if i == count - 7 else "p\\q" if i == count // 2
+         else "v" * (i % 11),
+         datetime.date(2000 + i % 25, 1 + i % 12, 1 + i % 28), i - count)
+        for i in range(count)])
+    return table
+
+
+def test_chunks_past_a_thousand_rows():
+    """Chunks of more than 1 000 rows, the last one short, with and
+    without facts; only some chunks hold a value needing an escape."""
+    table = _wide_table(2345)
+    for chunk_rows in (1001, 1500, 4096):
+        for block in (_snapshot_block(table),
+                      _snapshot_block(table).with_facts()):
+            _assert_column_route(table.column_names, block, "|",
+                                 chunk_rows)
+
+
+def test_delimiters_inside_the_date_alphabet():
+    """A delimiter a date renders (``-``, ``5``) leaves the DATE column
+    unproven, even when every text column is proven free of it; the
+    whole-block check decides, and the row route escapes the dates."""
+    wide = _wide_table(60)
+    narrow = CdwTable("T", [ColumnSpec("ID", CdwType("VARCHAR", 8)),
+                            ColumnSpec("D", CdwType("DATE"))])
+    narrow.append_rows([("abcdefgh"[i % 8] * 8,
+                         datetime.date(2005, 1 + i % 12, 1 + i % 28))
+                        for i in range(40)])
+    for table in (wide, narrow):
+        block = _snapshot_block(table).with_facts()
+        for delimiter in ("-", "5", "|"):
+            _assert_column_route(table.column_names, block, delimiter, 25)
+    layout = infer_column_layout(narrow.column_names, block.columns)
+    for delimiter, line in (("-", "aaaaaaaa-2005\\-01\\-01\n"),
+                            ("5", "aaaaaaaa5200\\5-01-01\n")):
+        encoder = compile_format(FormatSpec("vartext", delimiter), layout)
+        assert encoder.encode_records(block.sub(0, 1)) == line.encode()
+
+
+def test_fixed_width_facts_reach_every_chunk():
+    """The ID column's width is found once, on the whole block, and a
+    chunk of a chunk cuts its values by that width."""
+    table = _wide_table(30)
+    block = _snapshot_block(table).with_facts()
+    ident = block.columns[0]
+    assert ident.facts.width == 8
+    assert block.columns[1].facts.width is None   # 3 chars, 3-9 bytes
+    inner = block.sub(10, 30).sub(5, 9).columns[0]
+    assert inner.facts is ident.facts
+    assert inner.pieces() == [f"R{i:07d}".encode() for i in range(15, 19)]
