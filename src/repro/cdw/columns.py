@@ -30,8 +30,8 @@ from array import array
 from itertools import accumulate, compress, islice
 from operator import sub
 
-__all__ = ["ColumnBlock", "ColumnStore", "TextColumn", "TextFacts",
-           "TextSlice", "column_for_type", "decoded", "runs"]
+__all__ = ["ColumnBlock", "ColumnStore", "TextColumn", "TextSlice",
+           "column_for_type", "decoded", "runs"]
 
 _INT_BASES = ("SMALLINT", "INT", "BIGINT")
 _CHAR_BASES = ("NVARCHAR", "VARCHAR", "CHAR")
@@ -357,10 +357,6 @@ class TextColumn(_BaseColumn):
 _ASCII_WHITESPACE = (*range(0x09, 0x0E), *range(0x1C, 0x21))
 
 
-#: a fact not found yet.
-_UNKNOWN = object()
-
-
 @functools.lru_cache(maxsize=8)
 def _uniform_cut(width: int, count: int) -> struct.Struct:
     """The struct cutting ``count`` values of ``width`` bytes each.
@@ -372,66 +368,6 @@ def _uniform_cut(width: int, count: int) -> struct.Struct:
     return struct.Struct(f"{width}s" * count)
 
 
-class TextFacts:
-    """What holds for every value of a slice (``text``) of a text
-    column that no longer changes (a query result's snapshot), found
-    on first use and shared by every :meth:`TextSlice.sub` of a slice
-    that carries it.
-
-    ``width`` is the width every value spans in bytes when the offsets
-    are an arithmetic progression (a NULL spans 0, so a column with
-    NULLs has one only when no value has a byte), else None;
-    ``ascii`` whether every byte is ASCII; :meth:`free_of` whether no
-    value holds any of some byte strings.  A fact of the range holds
-    for every part of it (a byte string of one character that no value
-    holds is in no part).
-    """
-
-    __slots__ = ("text", "_width", "_ascii", "_free")
-
-    def __init__(self, text: "TextSlice"):
-        #: the values proven (a slice carrying no facts).
-        self.text = text
-        self._width = self._ascii = _UNKNOWN
-        self._free: dict = {}
-
-    @property
-    def width(self) -> "int | None":
-        """The width in bytes of every value, or None."""
-        if self._width is _UNKNOWN:
-            text = self.text
-            offsets, lo, hi = text.column.offsets, text.lo, text.hi
-            base, total = offsets[lo], offsets[hi] - offsets[lo]
-            width, uneven = divmod(total, max(hi - lo, 1))
-            if uneven:
-                self._width = None
-            elif not width:     # every value empty or NULL
-                self._width = 0
-            else:
-                self._width = width if offsets[lo:hi + 1] == array(
-                    "q", range(base, base + total + 1, width)) else None
-        return self._width
-
-    @property
-    def ascii(self) -> bool:
-        """Whether every value is ASCII."""
-        if self._ascii is _UNKNOWN:
-            self._ascii = self.text.isascii()
-        return self._ascii
-
-    def free_of(self, needles: tuple) -> bool:
-        """Whether no value holds any of ``needles`` (byte strings of
-        one character each)."""
-        free = self._free.get(needles)
-        if free is None:
-            text = self.text
-            offsets, blob = text.column.offsets, text.column.blob
-            start, end = offsets[text.lo], offsets[text.hi]
-            free = self._free[needles] = all(
-                blob.find(needle, start, end) < 0 for needle in needles)
-        return free
-
-
 class TextSlice:
     """Values ``[lo, hi)`` of a :class:`TextColumn`, read in place.
 
@@ -439,19 +375,15 @@ class TextSlice:
     its kernels decide a whole slice with a few C-level calls over the
     column's buffers, and :meth:`to_list` is where it becomes ``str``
     values.  A slice never lends its buffers out: :meth:`copy` is the
-    only way its values reach another column.  A slice of a column that
-    no longer changes may carry its :class:`TextFacts` (``facts``),
-    which every :meth:`sub` inherits.
+    only way its values reach another column.
     """
 
-    __slots__ = ("column", "lo", "hi", "facts")
+    __slots__ = ("column", "lo", "hi")
 
-    def __init__(self, column: TextColumn, lo: int, hi: int,
-                 facts: "TextFacts | None" = None):
+    def __init__(self, column: TextColumn, lo: int, hi: int):
         self.column = column
         self.lo = lo
         self.hi = hi
-        self.facts = facts
 
     def __len__(self):
         """Number of values (NULLs included)."""
@@ -459,14 +391,7 @@ class TextSlice:
 
     def sub(self, start: int, stop: int) -> "TextSlice":
         """Values ``[start, stop)`` of this slice."""
-        return TextSlice(self.column, self.lo + start, self.lo + stop,
-                         self.facts)
-
-    def with_facts(self) -> "TextSlice":
-        """This slice carrying :class:`TextFacts` of its values, found
-        on first use: only for a column nothing changes any more."""
-        plain = TextSlice(self.column, self.lo, self.hi)
-        return TextSlice(self.column, self.lo, self.hi, TextFacts(plain))
+        return TextSlice(self.column, self.lo + start, self.lo + stop)
 
     def to_list(self) -> list:
         """The values as ``str | None``."""
@@ -489,13 +414,13 @@ class TextSlice:
     def pieces(self) -> list:
         """Each value's UTF-8 bytes (a NULL's are empty): the values
         without a ``str`` per value, cut from the blob by one struct
-        unpack, of one width when the facts give one, else of the
-        values' lengths."""
+        unpack, of one width when every value has it
+        (:meth:`uniform_width`), else of the values' lengths."""
         column, lo, hi = self.column, self.lo, self.hi
         if hi == lo:
             return []
         offsets = column.offsets
-        width = None if self.facts is None else self.facts.width
+        width = self.uniform_width()
         if width is not None:
             cut = _uniform_cut(width, hi - lo)
         else:
@@ -507,28 +432,41 @@ class TextSlice:
         """Length in characters of the longest value (0 when there is
         none): the byte width when the values are ASCII, else counted
         over the decoded values."""
-        if self.facts.ascii if self.facts is not None else self.isascii():
+        column = self.column
+        whole = self.lo == 0 and self.hi == len(column)
+        if (column.blob if whole else self.data()).isascii():
             return self.max_width()
         return max(map(len, filter(None, self.to_list())), default=0)
 
-    def isascii(self) -> bool:
-        """Whether every value is ASCII."""
-        column = self.column
-        if self.lo == 0 and self.hi == len(column):
-            return column.blob.isascii()
-        return self.data().isascii()
-
     def max_width(self) -> int:
-        """Byte width of the widest value (0 when there is none): the
-        facts' uniform width when they give one, else one max over the
-        offsets."""
+        """Byte width of the widest value (0 when there is none)."""
+        offsets = self.column.offsets
         lo, hi = self.lo, self.hi
         if hi == lo:
             return 0
-        if self.facts is not None and self.facts.width is not None:
-            return self.facts.width
-        offsets = self.column.offsets
         return max(map(sub, offsets[lo + 1:hi + 1], offsets[lo:hi]))
+
+    def uniform_width(self) -> "int | None":
+        """The width in bytes every value spans when their offsets are
+        an arithmetic progression, else None: one compare of the
+        offsets' bytes with the progression's, packed.  A NULL spans
+        none, so a slice holding NULLs has one (0) only when no value
+        has a byte."""
+        offsets, lo, hi = self.column.offsets, self.lo, self.hi
+        base, end = offsets[lo], offsets[hi]
+        width, uneven = divmod(end - base, max(hi - lo, 1))
+        if uneven or (width and offsets[lo:hi + 1].tobytes() != struct.pack(
+                "%dq" % (hi - lo + 1), *range(base, end + 1, width))):
+            return None
+        return width
+
+    def free_of(self, needles: tuple) -> bool:
+        """Whether no value holds any of ``needles`` (byte strings of
+        one character each): one ``find`` per needle over the values'
+        bytes."""
+        offsets, blob = self.column.offsets, self.column.blob
+        start, end = offsets[self.lo], offsets[self.hi]
+        return all(blob.find(needle, start, end) < 0 for needle in needles)
 
     def has_width(self, width: int) -> bool:
         """Whether every value is ``width`` bytes wide (NULLs aside)."""
@@ -662,14 +600,6 @@ class ColumnBlock:
         if not self.columns:
             return [()] * self.length
         return list(zip(*map(decoded, self.columns)))
-
-    def with_facts(self) -> "ColumnBlock":
-        """This block with each text column carrying its
-        :class:`TextFacts` (found on first use, inherited by every
-        :meth:`sub`): only for a block whose buffers nothing changes
-        any more, such as a query result's snapshot."""
-        return ColumnBlock([col.with_facts() if type(col) is TextSlice
-                            else col for col in self.columns], self.length)
 
     def sub(self, lo: int, hi: int) -> "ColumnBlock":
         """Rows ``[lo, hi)`` of this block (``hi`` clipped to its end)."""

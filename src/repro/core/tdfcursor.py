@@ -9,10 +9,7 @@ different chunks."
 The cursor holds the result as columns
 (:meth:`~repro.cdw.engine.CdwResult.block`): a vector SELECT's
 snapshot, copied under the statement's read lock, or a row-path
-result transposed once.  Nothing changes those columns any more, so
-what holds for all of a text column's values
-(:class:`~repro.cdw.columns.TextFacts`) is found once and holds for
-every chunk.  The layout is inferred from those columns, and
+result transposed once.  The layout is inferred from those columns, and
 a background thread encodes each chunk once, column by column, as the
 block of legacy records in the job's output format (VARTEXT or BINARY),
 into a bounded buffer ahead of the parallel export sessions, which each
@@ -51,10 +48,7 @@ class TdfCursor:
         if result.kind != "rows":
             raise GatewayError("TDFCursor needs a SELECT statement")
         self.columns: list[str] = result.columns
-        # The result's columns are the cursor's own: their facts (a text
-        # column's width, ASCII, no value needing an escape) are found
-        # once, by the layout and the first chunk, for every chunk.
-        block = result.block().with_facts()
+        block = result.block()
         self.total_rows = len(block)
         # Inferred from the whole result so every chunk is encoded alike.
         self.layout = infer_column_layout(result.columns, block.columns)

@@ -17,7 +17,7 @@ closures, the way push-down translators cache per-shape plans:
   renders each field by its type, and a chunk pays for escaping only
   when counting its delimiters and newlines says a field needs it.  A
   block of columns (:class:`ColumnBlock`) skips the count when each
-  column is proven free of escapes once, for the whole result.
+  column is proven free of escapes on its own.
 
 Error semantics are byte-identical to the reference implementations by
 construction: the fast paths handle the well-formed cases, and *any*
@@ -225,7 +225,7 @@ class CompiledVartextFormat(VartextFormat):
         self._needles = (self._delimiter_bytes, b"\n", b"\\")
         # Per field: True when its text never needs an escape (a DATE
         # renders only digits and ``-``), None when a text column's
-        # facts decide, else False.
+        # bytes decide, else False.
         plain = delimiter not in _DATE_CHARS
         self._proofs = [None if fld.type.is_character
                         else plain and fld.type.base == "DATE"
@@ -311,13 +311,12 @@ class CompiledVartextFormat(VartextFormat):
     def _escape_free(self, columns: list) -> bool:
         """Whether every column is proven to need no escape: as a DATE
         column (when the delimiter is no digit and no ``-``), or as a
-        text column whose facts
-        (:class:`~repro.cdw.columns.TextFacts`) say no value holds the
-        delimiter, a newline or a backslash."""
+        text column whose bytes hold no delimiter, newline or backslash
+        (:meth:`~repro.cdw.columns.TextSlice.free_of`: a ``find`` per
+        needle over the chunk's values, not a count over its output)."""
         for proof, column in zip(self._proofs, columns):
-            if proof is None and type(column) is TextSlice \
-                    and column.facts is not None:
-                proof = column.facts.free_of(self._needles)
+            if proof is None and type(column) is TextSlice:
+                proof = column.free_of(self._needles)
             if not proof:
                 return False
         return True
@@ -795,11 +794,8 @@ class CompiledBinaryFormat(BinaryFormat):
                     block.columns)):
                 if type(column) is TextSlice and fld.type.is_character:
                     pieces = column.pieces()
-                    width = (None if column.facts is None
-                             else column.facts.width)
-                    heads = (repeat(_S_H.pack(width)) if width is not None
-                             else map(_S_H.pack, map(len, pieces)))
-                    payload = list(map(add, heads, pieces))
+                    payload = list(map(add, map(_S_H.pack, map(len, pieces)),
+                                       pieces))
                     nulls = None
                     if column.null_count():
                         nulls = column.valid().translate(_NOT)

@@ -5,7 +5,7 @@ which need a :class:`~repro.legacy.types.Layout`.  The engines do not
 track result types, so both the reference server and Hyper-Q's export path
 derive a layout from the result's columns themselves
 (:meth:`~repro.cdw.engine.CdwResult.block`): a text column's width from
-its facts or offsets, any other column from its values' types.
+its offsets, any other column from its values' types.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ def infer_column_layout(names: list[str], columns: list) -> Layout:
     """A layout for a result set from its column names and columns.
 
     A column is a :class:`~repro.cdw.columns.TextSlice` (a VARCHAR as
-    wide as its longest value when the values are ASCII: the width its
-    facts prove every value has, else one max over its offsets) or a
-    list of values (:func:`infer_legacy_type`).
+    wide as its longest value, from the offsets when the values are
+    ASCII) or a list of values (:func:`infer_legacy_type`).
     """
     fields = []
     for name, column in zip(names, columns):

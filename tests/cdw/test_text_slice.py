@@ -1,9 +1,9 @@
-"""TextSlice widths, pieces and facts against the decoded values.
+"""TextSlice widths and pieces against the decoded values.
 
-A text column's slice answers width questions from its offsets, cuts its
-values out of the blob with one struct unpack (:meth:`TextSlice.pieces`),
-and — on a column nothing changes any more — carries
-:class:`~repro.cdw.columns.TextFacts` that every ``sub()`` inherits.
+A text column's slice answers width questions from its offsets
+(:meth:`TextSlice.uniform_width` when they are evenly spaced), cuts its
+values out of the blob with one struct unpack (:meth:`TextSlice.pieces`)
+and finds whether any value holds some bytes (:meth:`TextSlice.free_of`).
 Each answer must equal the one computed from the UTF-8 bytes of the
 values, on every range and every sub-range, NULLs and empty values
 included.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cdw.columns import ColumnBlock, TextColumn, TextFacts, TextSlice
+from repro.cdw.columns import TextColumn, TextSlice
 
 NEEDLES = (b"|", b"\n", b"\\")
 
@@ -56,7 +56,7 @@ class TestHasWidth:
         assert not _slice(["ab", "cde"]).has_width(2)
 
 
-class TestFacts:
+class TestUniformWidth:
     def test_uniform_width_families(self):
         cases = {
             0: ["", "", ""],
@@ -66,32 +66,21 @@ class TestFacts:
             None: ["aé", "ab", "☃x"],
         }
         for width, values in cases.items():
-            assert _slice(values).with_facts().facts.width == width
+            assert _slice(values).uniform_width() == width
 
     def test_nulls_break_a_width_unless_no_value_has_a_byte(self):
-        assert _slice(["ab", None]).with_facts().facts.width is None
-        assert _slice(["", None]).with_facts().facts.width == 0
-        assert _slice([None, None]).with_facts().facts.width == 0
-        assert _slice([]).with_facts().facts.width == 0
+        assert _slice(["ab", None]).uniform_width() is None
+        assert _slice(["", None]).uniform_width() == 0
+        assert _slice([None, None]).uniform_width() == 0
+        assert _slice([]).uniform_width() == 0
 
-    def test_subs_share_the_facts(self):
-        text = _slice(["ab", "cd", "ef", "gh"]).with_facts()
-        inner = text.sub(1, 4).sub(1, 3)
-        assert inner.facts is text.facts
-        assert inner.pieces() == [b"ef", b"gh"]
+    def test_a_sub_of_a_sub_has_its_own_width(self):
+        text = _slice(["abc", "de", "fg", "hi", "j"])
+        inner = text.sub(0, 4).sub(1, 3)
+        assert text.uniform_width() is None
+        assert inner.uniform_width() == 2
+        assert inner.pieces() == [b"de", b"fg"]
         assert inner.max_width() == 2
-
-    def test_block_gives_facts_to_text_columns_only(self):
-        block = ColumnBlock([_slice(["a", "b"]), [1, 2]], 2).with_facts()
-        assert type(block.columns[0].facts) is TextFacts
-        assert block.columns[1] == [1, 2]
-        assert block.sub(1, 2).columns[0].facts is block.columns[0].facts
-
-    def test_copy_carries_no_facts(self):
-        text = _slice(["ab", "cd"]).with_facts()
-        copied = text.copy()
-        assert type(copied) is TextColumn
-        assert TextSlice(copied, 0, 2).facts is None
 
 
 _VALUES = st.lists(st.one_of(
@@ -103,34 +92,31 @@ _VALUES = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(values=_VALUES, data=st.data())
 def test_slices_agree_with_the_values(values, data):
-    """Every range and sub-range, with and without facts: the pieces,
-    widths and facts equal the ones read off the values' bytes."""
+    """Every range and a sub-range of it: the pieces, widths and needle
+    checks equal the ones read off the values' bytes."""
     n = len(values)
     lo = data.draw(st.integers(0, n))
     hi = data.draw(st.integers(lo, n))
     column = TextColumn()
     column.append_many(values)
-    plain = TextSlice(column, lo, hi)
-    proven = plain.with_facts()
+    text = TextSlice(column, lo, hi)
     start = data.draw(st.integers(0, hi - lo))
     stop = data.draw(st.integers(start, hi - lo))
-    for text, want in ((plain, values[lo:hi]), (proven, values[lo:hi]),
-                       (proven.sub(start, stop), values[lo + start:
-                                                        lo + stop])):
+    for part, want in ((text, values[lo:hi]),
+                       (text.sub(start, stop), values[lo + start:
+                                                      lo + stop])):
         pieces = _encoded(want)
-        assert text.pieces() == pieces
-        assert text.max_width() == max(map(len, pieces), default=0)
-        assert text.max_chars() == max(
+        assert part.pieces() == pieces
+        assert part.max_width() == max(map(len, pieces), default=0)
+        assert part.max_chars() == max(
             [len(v) for v in want if v is not None], default=0)
         for width in {0, 1, 2, *map(len, pieces)}:
-            assert text.has_width(width) == all(
+            assert part.has_width(width) == all(
                 len(p) == width for p, v in zip(pieces, want)
                 if v is not None)
-    facts = proven.facts
-    pieces = _encoded(values[lo:hi])
-    widths = set(map(len, pieces))
-    assert facts.width == (widths.pop() if len(widths) == 1
-                           else 0 if not widths else None)
-    assert facts.ascii == b"".join(pieces).isascii()
-    assert facts.free_of(NEEDLES) == (not any(
-        needle in piece for needle in NEEDLES for piece in pieces))
+        widths = set(map(len, pieces))
+        assert part.uniform_width() == (widths.pop() if len(widths) == 1
+                                        else 0 if not widths else None)
+        for needles in (NEEDLES, NEEDLES[:1]):
+            assert part.free_of(needles) == (not any(
+                needle in piece for needle in needles for piece in pieces))

@@ -180,15 +180,16 @@ class TestBeginExportFormat:
         assert set(server.exports()) == registered
 
 
-# -- an export's column facts are its own ------------------------------------
+# -- each export reads the table as it is now ---------------------------------
 
-FACTS_DDL = "create table FT (K integer, ID varchar(12), V varchar(12), D date)"
-FACTS_SELECT = "sel * from FT"
+CHANGES_DDL = "create table FT (K integer, ID varchar(12), V varchar(12), D date)"
+CHANGES_SELECT = "sel * from FT"
 
-#: rounds of changes after the first export: values of the proven width
-#: holding the delimiter, a newline or a backslash (same rows, same
-#: buffer sizes); then widths the first export never saw, and new rows.
-FACTS_ROUNDS = [
+#: rounds of changes after the first export, whose text columns are
+#: each of one width and free of escapes: values of that width holding
+#: the delimiter, a newline or a backslash (same rows, same buffer
+#: sizes); then widths the first export never saw, and new rows.
+CHANGE_ROUNDS = [
     ["update FT set V = 'a|b|c' where K = 3",
      "update FT set V = 'ne\nwl' where K = 5",
      "update FT set V = 'ba\\ck' where K = 6"],
@@ -199,8 +200,8 @@ FACTS_ROUNDS = [
 ]
 
 
-def _facts_statements() -> list[str]:
-    return [FACTS_DDL] + [
+def _first_statements() -> list[str]:
+    return [CHANGES_DDL] + [
         f"insert into FT values ({k}, 'R{k:07d}', 'vvvvv', "
         f"DATE '2020-{k % 12 + 1:02d}-{k % 28 + 1:02d}')"
         for k in range(30)]
@@ -216,25 +217,25 @@ def _run_sql(connect, statements) -> None:
 
 def _export_file(connect, fmt: str) -> tuple:
     result = _export(connect, ExportJobSpec(
-        FACTS_SELECT, format_spec=FormatSpec(fmt), sessions=2))
+        CHANGES_SELECT, format_spec=FormatSpec(fmt), sessions=2))
     return result.data, result.rows_exported, result.columns
 
 
 @pytest.mark.parametrize("fmt", ["vartext", "binary"])
-def test_facts_of_one_export_never_reach_the_next(fmt):
-    """On one node, an export proves its text columns fixed-width and
-    free of escapes; after values that break both, the next exports —
-    two at once among them — equal the reference server's bytes and
-    BEGIN_EXPORT_OK columns."""
+def test_exports_after_changes_equal_the_reference(fmt):
+    """On one node, an export of text columns that are fixed-width and
+    free of escapes, then — after values that break both — the next
+    exports, two at once among them: each equals the reference server's
+    bytes and BEGIN_EXPORT_OK columns."""
     legacy = LegacyServer(chunk_rows=7).start()
     stack = build_stack(config=HyperQConfig(
         converters=1, filewriters=1, credits=4, export_chunk_rows=7))
     try:
         for connect in (legacy.connect, stack.node.connect):
-            _run_sql(connect, _facts_statements())
+            _run_sql(connect, _first_statements())
         reference = _export_file(legacy.connect, fmt)
         assert _export_file(stack.node.connect, fmt) == reference
-        for statements in FACTS_ROUNDS:
+        for statements in CHANGE_ROUNDS:
             for connect in (legacy.connect, stack.node.connect):
                 _run_sql(connect, statements)
             previous, reference = reference, _export_file(legacy.connect,

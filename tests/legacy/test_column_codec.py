@@ -14,11 +14,10 @@ to objects by un-coerced values — both must equal the row route:
 The delimiters include characters that renderings hold (``-`` and ``:``
 in dates and timestamps, ``.`` in numbers, a space, a digit), so the
 compiled encoder's whole-block escape check fails and falls back as
-often as it passes.  A cursor's block carries each text column's facts
-(:class:`~repro.cdw.columns.TextFacts`: a uniform width, no value
-needing an escape), which every chunk — a ``sub()`` of a ``sub()`` too
-— inherits; the fixed-width families give those facts something to
-prove, and every route is run with them and without.
+often as it passes.  A chunk cuts a text column by one width when
+every value has it and skips the whole-block check when each column is
+proven free of escapes on its own; the fixed-width families give those
+checks something to prove, and each chunk is a ``sub()`` of a ``sub()``.
 """
 
 from __future__ import annotations
@@ -142,8 +141,6 @@ def test_column_route_equals_the_row_route(table, delimiter, chunk_rows):
     _assert_column_route(names, table.rows.block(), delimiter, chunk_rows)
     _assert_column_route(names, _snapshot_block(table), delimiter,
                          chunk_rows)
-    _assert_column_route(names, _snapshot_block(table).with_facts(),
-                         delimiter, chunk_rows)
 
 
 def test_text_columns_reach_the_codecs_as_buffers():
@@ -211,14 +208,12 @@ def _wide_table(count: int) -> CdwTable:
 
 
 def test_chunks_past_a_thousand_rows():
-    """Chunks of more than 1 000 rows, the last one short, with and
-    without facts; only some chunks hold a value needing an escape."""
+    """Chunks of more than 1 000 rows, the last one short; only some
+    chunks hold a value needing an escape."""
     table = _wide_table(2345)
     for chunk_rows in (1001, 1500, 4096):
-        for block in (_snapshot_block(table),
-                      _snapshot_block(table).with_facts()):
-            _assert_column_route(table.column_names, block, "|",
-                                 chunk_rows)
+        _assert_column_route(table.column_names, _snapshot_block(table),
+                             "|", chunk_rows)
 
 
 def test_delimiters_inside_the_date_alphabet():
@@ -232,7 +227,7 @@ def test_delimiters_inside_the_date_alphabet():
                          datetime.date(2005, 1 + i % 12, 1 + i % 28))
                         for i in range(40)])
     for table in (wide, narrow):
-        block = _snapshot_block(table).with_facts()
+        block = _snapshot_block(table)
         for delimiter in ("-", "5", "|"):
             _assert_column_route(table.column_names, block, delimiter, 25)
     layout = infer_column_layout(narrow.column_names, block.columns)
@@ -242,14 +237,16 @@ def test_delimiters_inside_the_date_alphabet():
         assert encoder.encode_records(block.sub(0, 1)) == line.encode()
 
 
-def test_fixed_width_facts_reach_every_chunk():
-    """The ID column's width is found once, on the whole block, and a
-    chunk of a chunk cuts its values by that width."""
+def test_fixed_width_chunk_of_a_chunk():
+    """A chunk of a chunk of the fixed-width ID column cuts its values
+    by that width; a column of equal characters in unequal bytes has
+    none, but a chunk of one kind of character does."""
     table = _wide_table(30)
-    block = _snapshot_block(table).with_facts()
-    ident = block.columns[0]
-    assert ident.facts.width == 8
-    assert block.columns[1].facts.width is None   # 3 chars, 3-9 bytes
-    inner = block.sub(10, 30).sub(5, 9).columns[0]
-    assert inner.facts is ident.facts
-    assert inner.pieces() == [f"R{i:07d}".encode() for i in range(15, 19)]
+    block = _snapshot_block(table)
+    assert block.columns[0].uniform_width() == 8
+    assert block.columns[1].uniform_width() is None   # 3-9 bytes
+    inner = block.sub(10, 30).sub(5, 9)
+    assert inner.columns[0].uniform_width() == 8
+    assert inner.columns[0].pieces() == \
+        [f"R{i:07d}".encode() for i in range(15, 19)]
+    assert inner.columns[1].sub(0, 1).uniform_width() == 3   # "aaa"

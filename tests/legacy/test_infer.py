@@ -72,18 +72,3 @@ class TestInferResultLayout:
                               _text([])])
         assert [f.type.render() for f in layout.fields] == \
             ["VARCHAR(1)"] * 3
-
-    def test_text_column_width_from_its_facts(self):
-        text = _text(["abcd", "efgh"]).with_facts()
-        layout = infer_column_layout(["S"], [text])
-        assert layout.fields[0].type.render() == "VARCHAR(4)"
-        assert text.facts.width == 4
-
-    def test_uniform_bytes_of_non_ascii_count_characters(self):
-        """Every value 4 bytes wide, none more than 2 characters."""
-        text = _text(["éé", "\N{SNOWMAN}a", None]).with_facts()
-        assert text.facts.width is None     # the NULL spans no byte
-        layout = infer_column_layout(
-            ["S", "T"], [text, _text(["éé", "\N{SNOWMAN}a"]).with_facts()])
-        assert [f.type.render() for f in layout.fields] == \
-            ["VARCHAR(2)"] * 2
