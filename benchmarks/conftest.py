@@ -13,6 +13,7 @@ output capture.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -48,3 +49,23 @@ def bench_json(name: str, payload: dict) -> str:
 
     return write_bench_json(
         os.path.join(REPO_ROOT, f"BENCH_{name}.json"), payload)
+
+
+@contextmanager
+def halving_reference():
+    """Apply by the paper's recursive halving alone: while active, every
+    apply run's error handler is built as
+    ``AdaptiveErrorHandler(locate=None)`` (with no clean-rows executor
+    either), so no locate pass or verdict route runs."""
+    from repro.core import beta
+
+    real = beta.AdaptiveErrorHandler
+
+    def halving(**kwargs):
+        return real(**{**kwargs, "locate": None, "execute_clean": None})
+
+    beta.AdaptiveErrorHandler = halving
+    try:
+        yield
+    finally:
+        beta.AdaptiveErrorHandler = real

@@ -6,11 +6,17 @@ each error.  Instead, it reports ranges of tuples that cannot be
 transformed correctly."  We load an error-heavy dataset under different
 max_errors budgets and watch time-to-complete fall as the budget
 tightens (at the cost of coarser error reporting).
+
+The paper's series runs on the halving reference
+(``conftest.halving_reference``): its splitter is what the budget cuts.
+The production series runs the default apply, whose verdict route takes
+any budget in the failed statement plus one clean INSERT, and must
+report exactly what the reference reports at each budget.
 """
 
 from __future__ import annotations
 
-from conftest import emit, scaled
+from conftest import emit, halving_reference, scaled
 
 from repro.bench import format_series, run_import_workload
 from repro.core import HyperQConfig
@@ -30,28 +36,51 @@ def _run_point(max_errors: int):
         max_errors=max_errors)
 
 
+def _point(budget: int, metrics) -> dict:
+    return {
+        "max_errors": budget,
+        "application_s": metrics.application_s,
+        "dml_statements": metrics.dml_statements,
+        "et_errors": metrics.et_errors,
+        "uv_errors": metrics.uv_errors,
+        "individual+range_errors": metrics.et_errors + metrics.uv_errors,
+        "rows_loaded": metrics.rows_inserted,
+    }
+
+
 def test_ablation_max_errors(benchmark, results_dir):
     series = []
     for budget in BUDGETS:
-        metrics = _run_point(budget)
-        series.append({
-            "max_errors": budget,
-            "application_s": metrics.application_s,
-            "dml_statements": metrics.dml_statements,
-            "individual+range_errors":
-                metrics.et_errors + metrics.uv_errors,
-            "rows_loaded": metrics.rows_inserted,
-        })
+        with halving_reference():
+            series.append(_point(budget, _run_point(budget)))
+    production = [_point(budget, _run_point(budget)) for budget in BUDGETS]
     text = format_series(
-        f"Ablation: max_errors budget on an 8%-error load ({ROWS} rows)",
+        f"Ablation: max_errors budget on an 8%-error load ({ROWS} rows), "
+        f"halving reference",
         series,
         note="expect: tighter budgets => fewer DML statements and lower "
              "application time, coarser error reports")
+    text += format_series(
+        f"Ablation: max_errors budget on an 8%-error load ({ROWS} rows), "
+        f"verdict route (default apply)",
+        production,
+        note="expect: at most 2 DML statements at every budget, the "
+             "reference's error reports and rows loaded")
     emit(results_dir, "ablation_max_errors", text)
 
     assert series[-1]["dml_statements"] < series[0]["dml_statements"], \
         "a tight budget must cut the number of chunk retries"
     assert series[-1]["application_s"] <= series[0]["application_s"], \
         "a tight budget must not be slower than exhaustive splitting"
+
+    for reference, point in zip(series, production):
+        assert point["dml_statements"] <= 2, \
+            f"the verdict route should take any budget in 2 statements " \
+            f"({point['dml_statements']} at {point['max_errors']})"
+        outcome = ("et_errors", "uv_errors", "rows_loaded")
+        assert [point[k] for k in outcome] == \
+            [reference[k] for k in outcome], \
+            f"the verdict route must report what halving reports at " \
+            f"budget {point['max_errors']}"
 
     benchmark.pedantic(_run_point, args=(50,), rounds=1, iterations=1)

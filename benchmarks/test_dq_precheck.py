@@ -1,7 +1,7 @@
 """DQ precheck vs adaptive apply-time error handling.
 
 One set-oriented precheck pass routes a dirty workload's violators
-before APPLY ever runs.  With rules off, Beta's located apply finds the
+before APPLY ever runs.  With rules off, Beta's verdict route finds the
 same rows from the DML's own IR, so neither run halves a range (zero
 split retries rules-off); rules-on must still apply no slower than
 rules-off — while ending in exactly the same final state (same target
@@ -85,7 +85,7 @@ def test_dq_precheck_beats_adaptive_splitting(benchmark, results_dir):
         f"DQ precheck vs Fig-11 splitting ({ROWS} rows, "
         f"{RATE:.0%} dirty)",
         series,
-        note="expect: no split retries rules-off (located apply), "
+        note="expect: no split retries rules-off (verdict route), "
              "rules-on apply no slower than rules-off, identical final "
              "state")
     emit(results_dir, "dq_precheck", text)
@@ -98,7 +98,7 @@ def test_dq_precheck_beats_adaptive_splitting(benchmark, results_dir):
 
     # -- the perf gates --
     assert off["chunk_retries"] == 0, \
-        f"located apply should route rules-off violators without " \
+        f"the verdict route should apply rules-off violators without " \
         f"splitting ({off['chunk_retries']} split retries)"
     speedup = off["apply_s"] / max(on["apply_s"], 1e-9)
     assert on["apply_s"] <= off["apply_s"], \

@@ -13,7 +13,7 @@ never more than ``2 x errors + 2``.  Series logic:
 identical rows).
 
 Two legs gate the paper's splitter itself, on the halving reference
-this file builds (:func:`halving_reference`: every apply's handler is
+(``conftest.halving_reference``: every apply's handler is
 ``AdaptiveErrorHandler(locate=None)``; no configuration selects it):
 
 - the range-scan leg: total apply time is sub-linear in the number of
@@ -27,37 +27,16 @@ this file builds (:func:`halving_reference`: every apply's handler is
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-from conftest import bench_json, bench_scale, emit, scaled
+from conftest import bench_json, bench_scale, emit, halving_reference, scaled
 
 from repro.bench import format_series
 from repro.bench.figures import fig11_series
 from repro.bench.harness import build_stack, run_workload_through_hyperq
-from repro.core import beta
 from repro.core.config import HyperQConfig
 from repro.workloads import make_workload
 
 SCALE = bench_scale()
 ROWS = scaled(4_000)
-
-
-@contextmanager
-def halving_reference():
-    """Apply by the paper's recursive halving alone: while active, every
-    apply run's error handler is built as
-    ``AdaptiveErrorHandler(locate=None)`` (with no clean-rows executor
-    either), so no locate pass or verdict route runs."""
-    real = beta.AdaptiveErrorHandler
-
-    def halving(**kwargs):
-        return real(**{**kwargs, "locate": None, "execute_clean": None})
-
-    beta.AdaptiveErrorHandler = halving
-    try:
-        yield
-    finally:
-        beta.AdaptiveErrorHandler = real
 
 
 def range_scan_point(error_rate: float) -> dict:

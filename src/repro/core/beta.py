@@ -20,7 +20,8 @@ with the UV rows' converted tuples fetched by one ``SELECT … WHERE
 __SEQ IN (…)``.  A dirty range the locate pass decides
 (:class:`~repro.dq.compiler.ApplyLocatePass`, the handler's verdict
 route) thus costs the failed statement, the clean rows' ``INSERT …
-SELECT … __SEQ NOT IN (…)`` and those writes, however many rows failed.
+SELECT … __SEQ NOT IN (…)`` and those writes, however many rows failed
+and whatever the ``max_errors`` budget.
 A range that ends in a fault (an engine or lock error, not a row's data
 error) still writes the rows recorded before it; the fault, not a
 failing write, is what propagates.
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 from repro.cdw.engine import CdwEngine
 from repro.core.config import HyperQConfig
 from repro.core.converter import AcquisitionError
-from repro.core.errorhandling import (AdaptiveErrorHandler, ApplyOutcome,
-                                     Verdicts)
+from repro.core.errorhandling import AdaptiveErrorHandler, ApplyOutcome
 from repro.dq.compiler import ApplyLocatePass, et_insert
 from repro.errors import (
     HYPERQ_CONVERSION_ERROR, HYPERQ_MAX_ERRORS_REACHED,
@@ -331,7 +331,7 @@ class ApplyRun:
             sql, layout, staging_table)
         self._rownum = beta.rownum_mapper(chunk_records)
         #: compiled on the run's first failure; None after that means
-        #: the INSERT cannot be located (and is not compiled again).
+        #: the pass cannot decide the INSERT (and is not compiled again).
         self._locator: ApplyLocatePass | None = None
         self._locator_compiled = False
         #: ET rows and UV seqs not written yet (:meth:`_flush`).
@@ -380,20 +380,21 @@ class ApplyRun:
                 n.InExpr(seq, [n.Literal(s) for s in skip],
                          negated=True)))))
 
-    def _locate(self, lo: int, hi: int) -> list[int]:
-        """The rows in ``[lo, hi]`` the INSERT fails on, from
-        :class:`~repro.dq.compiler.ApplyLocatePass` (compiled on the
-        first failure of the run): :class:`Verdicts` when the pass
-        decides every row's error, else a plain list, a hint.  An
-        INSERT the pass cannot cover at all, or a pass the engine cannot
-        run, is no hint: the handler then halves."""
+    def _locate(self, lo: int, hi: int
+                ) -> "dict[int, BulkExecutionError] | None":
+        """The rows in ``[lo, hi]`` the INSERT fails on, each with its
+        own error, from :class:`~repro.dq.compiler.ApplyLocatePass`
+        (compiled on the first failure of the run) — or None when the
+        pass cannot decide them: an INSERT it does not cover, or a pass
+        the engine cannot run.  The handler then halves."""
         if self._locator_compiled and self._locator is None:
-            return []
+            return None
         obs = self.beta.obs
         engine = self.beta.engine
         with obs.tracer.span("apply.locate", parent=self.span,
                              target=self.target_table, lo=lo,
                              hi=hi) as span:
+            verdicts = None
             try:
                 if not self._locator_compiled:
                     self._locator_compiled = True
@@ -401,23 +402,19 @@ class ApplyRun:
                         self._builder(lo, hi),
                         engine.table(self.target_table),
                         engine.table(self.staging_table))
-                suspects = []
                 if self._locator is not None:
-                    failing, losers = self._locator.locate(
-                        engine.query, lo, hi)
-                    errors = self._locator.errors(failing, losers)
-                    suspects = sorted({*failing, *losers}) \
-                        if errors is None else Verdicts(errors)
+                    verdicts = self._locator.errors(
+                        *self._locator.locate(engine.query, lo, hi))
             except (CdwError, SqlError) as exc:
                 log.debug("locate pass on %s failed: %s",
                           self.target_table, exc)
-                suspects = []
-            span.set_attribute("suspects", len(suspects))
-            span.set_attribute("decided", isinstance(suspects, Verdicts))
+            suspects = len(verdicts) if verdicts is not None else 0
+            span.set_attribute("suspects", suspects)
+            span.set_attribute("decided", verdicts is not None)
         obs.flight.record(self.job_id, "apply_locate",
                           target=self.target_table, lo=lo, hi=hi,
-                          suspects=len(suspects))
-        return suspects
+                          suspects=suspects)
+        return verdicts
 
     # -- error-table rows ---------------------------------------------------
 

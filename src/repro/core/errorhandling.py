@@ -3,29 +3,25 @@
 Modern CDW DML is set-oriented: one bad tuple aborts the whole statement
 and the error is only observable at chunk granularity.  The legacy
 per-tuple semantics are: a row lands in the error tables iff its own
-single-row statement fails at its turn, in input order.  Three ways to
-reach them share this handler, tried in this order:
+single-row statement fails at its turn, in input order.  Two algorithms
+reach them in this handler:
 
 - *Verdict route* (the default path).  When the first statement over a
   whole range fails, the optional ``locate`` callback runs one
   set-oriented pass inside the warehouse (Beta derives it from the
-  DML's own IR).  When it can decide the range it returns
-  :class:`Verdicts`: every row that fails, each with the error its own
-  single-row statement raises.  The range is then one statement over
-  its clean rows (``execute_clean``) and each verdict is recorded in
-  seq order — a handful of statements, whatever the error count.
-- *Located apply* (the fallback when the verdicts are not usable: they
-  would exhaust ``max_errors``, or the clean statement fails after all,
-  say on a key the target already holds; and the path for a locator
-  that returns a plain list, a hint).  The range is applied in order:
-  each clean segment between suspects as one ranged statement, each
-  suspect as its own single-row statement.  Each error comes from the
-  engine's own exception, a wrong suspect costs one extra statement,
-  and a missed one fails its segment, which is halved as below.
-- *Recursive halving* (the paper's algorithm, the last resort and the
-  reference): a failing chunk is split in two and each half retried,
-  down to individual tuples, which are then recorded in the
-  appropriate error table.
+  DML's own IR).  When it can decide the range it returns every row
+  that fails, each with the error its own single-row statement raises.
+  The route replays halving on those verdicts: each verdict is
+  recorded in seq order until one exhausts ``max_errors``; past it, the
+  ranges halving would still hold are taken left to right — one with no
+  verdict is clean, a one-row one records its verdict, any other is one
+  9057 range.  The range is then one statement over its clean rows
+  (``execute_clean``) and the errors are recorded in that order: a
+  handful of statements, whatever the error count or budget.
+- *Recursive halving* (the paper's algorithm and the reference, for
+  everything the verdicts do not decide): a failing chunk is split in
+  two and each half retried, down to individual tuples, which are then
+  recorded in the appropriate error table.
 
 Two control parameters bound the work:
 
@@ -36,30 +32,30 @@ Two control parameters bound the work:
 - ``max_retries`` — the maximum number of times any input chunk is split;
   a chunk failing at that depth is likewise recorded as a range.
 
-The verdict route and located apply run only where they provably end
-as halving would: when the range is small enough (``<= 2**max_retries``
-rows) that halving never hits ``max_retries``.  The verdict route runs
-only when its errors leave the ``max_errors`` budget unexhausted; in
-located apply, whichever recorded error exhausts it — a suspect or a
-missed one — the handler resumes exactly the ranges halving would
-still hold at that row, so ``max_errors`` outcomes (9057 ranges) stay
-those of Figure 6.
+The verdict route runs only where it provably ends as halving would:
+the budget is not exhausted yet, the range is small enough (``<=
+2**max_retries`` rows) that halving never hits ``max_retries``, no
+uniqueness loser's winner falls in a skipped range the loser is not in
+(halving would find the loser clean), and the clean statement succeeds
+(it fails, say, on a key the target already holds).  Anything else
+halves.
 
 The handler is deliberately independent of SQL: it works on a sorted list
 of staging sequence numbers and calls back into Beta to execute ranges,
-locate suspects and record errors — which keeps it unit-testable with a
-scripted fake executor.
+locate failing rows and record errors — which keeps it unit-testable
+with a scripted fake executor.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import BulkExecutionError
 from repro.obs import get_logger
 
-__all__ = ["ApplyOutcome", "AdaptiveErrorHandler", "Verdicts"]
+__all__ = ["ApplyOutcome", "AdaptiveErrorHandler"]
 
 log = get_logger("errorhandler")
 
@@ -95,24 +91,14 @@ RangeErrorSink = Callable[[int, int, BulkExecutionError, str], None]
 #: ``"tuple_error"``, and ``"range_skip"`` — keeps the handler free of
 #: any tracing dependency while letting Beta emit structured events.
 SplitObserver = Callable[[str, dict], None]
-#: lists the seqs in [lo, hi] the DML is expected to fail on: a hint
-#: (sorted or not, members of the range or not, right or wrong), or
-#: :class:`Verdicts` that decide the range.
-Locator = Callable[[int, int], list[int]]
+#: the verdicts on the rows of [lo, hi]: each failing row's seq mapped
+#: to the error its own single-row statement raises — a uniqueness
+#: loser's error names in ``winner`` the seq of the earlier row holding
+#: its key — or None when the rows cannot be decided.
+Locator = Callable[[int, int], "dict[int, BulkExecutionError] | None"]
 #: executes the DML over the rows of [lo, hi] whose seqs are not in the
 #: sorted list; returns and raises like :data:`RangeExecutor`.
 CleanExecutor = Callable[[int, int, list[int]], tuple[int, int, int]]
-
-
-class Verdicts(list):
-    """A locator's answer that decides its range: the sorted seqs of
-    every row that fails (the list itself, so it is also a hint) and
-    ``errors``, each one's own error as its single-row statement raises
-    it.  The seqs must be members of the range."""
-
-    def __init__(self, errors: "dict[int, BulkExecutionError]"):
-        super().__init__(sorted(errors))
-        self.errors = errors
 
 #: one pending range of the halving cascade: (lo index, hi index, depth).
 _Pending = tuple[int, int, int]
@@ -136,7 +122,7 @@ class AdaptiveErrorHandler:
     def apply(self, seqs: list[int],
               outcome: ApplyOutcome | None = None) -> ApplyOutcome:
         """Apply the DML over all of ``seqs`` (sorted staging sequence
-        numbers), locating or splitting adaptively on failure.
+        numbers), routing or splitting adaptively on failure.
 
         Pass ``outcome`` to continue accumulating into a prior call's
         result: an :class:`~repro.core.beta.ApplyRun` passes its own, so
@@ -153,22 +139,16 @@ class AdaptiveErrorHandler:
             self._execute(outcome, seqs, 0, last)
             return outcome
         except BulkExecutionError as exc:
-            locating = self._may_locate(outcome, len(seqs))
-            if not locating:
+            routing = self._may_route(outcome, len(seqs))
+            if not routing:
                 self._handle_failure(outcome, stack, seqs, 0, last, 0, exc)
         # Past the except block, the failure's traceback — which pins
         # the failed statement's column data — is freed before the rest
         # of the range runs.
-        hint = self.locate(seqs[0], seqs[-1]) if locating else []
-        if isinstance(hint, Verdicts) and self._route(outcome, seqs, hint):
-            return outcome
-        suspects = self._indexes(seqs, hint)
-        if suspects:
-            self._halve(outcome, seqs,
-                        self._located_plan(len(seqs), suspects),
-                        located=True)
-            return outcome
-        if locating:
+        if routing:
+            verdicts = self.locate(seqs[0], seqs[-1])
+            if verdicts and self._route(outcome, seqs, verdicts):
+                return outcome
             self._split(outcome, stack, seqs, 0, last, 0)
         self._halve(outcome, seqs, stack)
         return outcome
@@ -188,16 +168,12 @@ class AdaptiveErrorHandler:
     # -- recursive halving -------------------------------------------------
 
     def _halve(self, outcome: ApplyOutcome, seqs: list[int],
-               stack: list[_Pending], located: bool = False) -> None:
+               stack: list[_Pending]) -> None:
         """Run the pending ranges, splitting each failure in two.
 
         The stack is popped left half first, so processing stays in
         input-file order — required so that, e.g., the first occurrence
-        of a duplicate key wins exactly as on the legacy system.  A
-        ``located`` stack is a plan of the whole range: once a recorded
-        error exhausts the budget, the rest of the range is run as
-        halving the whole range would have run it
-        (:meth:`_halving_after`), so 9057 ranges stay Figure 6's.
+        of a duplicate key wins exactly as on the legacy system.
         """
         while stack:
             lo, hi, depth = stack.pop()
@@ -206,9 +182,6 @@ class AdaptiveErrorHandler:
             except BulkExecutionError as exc:
                 self._handle_failure(outcome, stack, seqs, lo, hi,
                                      depth, exc)
-                if located and outcome.budget_exhausted:
-                    stack = self._halving_after(len(seqs), lo)
-                    located = False
 
     def _record_tuple(self, outcome: ApplyOutcome, seq: int,
                       exc: BulkExecutionError) -> None:
@@ -221,26 +194,26 @@ class AdaptiveErrorHandler:
             log.debug("error budget exhausted after %d tuple errors",
                       outcome.tuple_errors)
 
+    def _record_range(self, outcome: ApplyOutcome, lo: int, hi: int,
+                      exc: BulkExecutionError, reason: str) -> None:
+        self.record_range_error(lo, hi, exc, reason)
+        outcome.range_errors += 1
+        self._observe("range_skip", lo=lo, hi=hi, reason=reason)
+
     def _handle_failure(self, outcome: ApplyOutcome,
                         stack: list[_Pending],
                         seqs: list[int], lo: int, hi: int, depth: int,
                         exc: BulkExecutionError) -> None:
         if lo == hi:
             self._record_tuple(outcome, seqs[lo], exc)
-            return
-        if outcome.budget_exhausted:
-            self.record_range_error(seqs[lo], seqs[hi], exc, "max_errors")
-            outcome.range_errors += 1
-            self._observe("range_skip", lo=seqs[lo], hi=seqs[hi],
-                          reason="max_errors")
-            return
-        if depth >= self.max_retries:
-            self.record_range_error(seqs[lo], seqs[hi], exc, "max_retries")
-            outcome.range_errors += 1
-            self._observe("range_skip", lo=seqs[lo], hi=seqs[hi],
-                          reason="max_retries")
-            return
-        self._split(outcome, stack, seqs, lo, hi, depth)
+        elif outcome.budget_exhausted:
+            self._record_range(outcome, seqs[lo], seqs[hi], exc,
+                               "max_errors")
+        elif depth >= self.max_retries:
+            self._record_range(outcome, seqs[lo], seqs[hi], exc,
+                               "max_retries")
+        else:
+            self._split(outcome, stack, seqs, lo, hi, depth)
 
     def _split(self, outcome: ApplyOutcome, stack: list[_Pending],
                seqs: list[int], lo: int, hi: int, depth: int) -> None:
@@ -252,61 +225,57 @@ class AdaptiveErrorHandler:
 
     # -- the verdict route -------------------------------------------------
 
-    def _route(self, outcome: ApplyOutcome, seqs: list[int],
-               verdicts: Verdicts) -> bool:
-        """Apply a failed range its verdicts decide: one statement over
-        its clean rows, then each verdict's error in seq order.  False,
-        with nothing applied or recorded, when there is no verdict (the
-        range failed on rows the pass does not see), when the verdicts
-        would exhaust the ``max_errors`` budget (halving then records a
-        9057 range the route cannot know), or when the clean statement
-        fails."""
-        if not verdicts or self.execute_clean is None \
-                or outcome.tuple_errors + len(verdicts) >= self.max_errors:
-            return False
-        try:
-            self._execute(outcome, seqs, 0, len(seqs) - 1, list(verdicts))
-        except BulkExecutionError:
-            return False
-        for seq in verdicts:
-            self._record_tuple(outcome, seq, verdicts.errors[seq])
-        return True
-
-    # -- located apply -----------------------------------------------------
-
-    def _may_locate(self, outcome: ApplyOutcome, n: int) -> bool:
-        """Whether a failed ``n``-row range may run in located order:
+    def _may_route(self, outcome: ApplyOutcome, n: int) -> bool:
+        """Whether a failed ``n``-row range may take the verdict route:
         there is a locator, halving's first step would be a split (more
         than one row, budget not yet exhausted), and halving would not
         hit ``max_retries`` before reaching each row."""
-        return (self.locate is not None and n >= 2
-                and not outcome.budget_exhausted
+        return (self.locate is not None and self.execute_clean is not None
+                and n >= 2 and not outcome.budget_exhausted
                 and n <= 2 ** self.max_retries)
 
-    @staticmethod
-    def _indexes(seqs: list[int], hint: list[int]) -> list[int]:
-        """Indexes into ``seqs`` of the hinted suspects, in order."""
-        wanted = set(hint)
-        return [i for i, seq in enumerate(seqs) if seq in wanted]
-
-    @staticmethod
-    def _located_plan(n: int, suspects: list[int]) -> list[_Pending]:
-        """The located order of a failed ``[0, n)`` range as a stack:
-        each clean segment between suspects as one range, each suspect
-        as its own, first on top.  A segment that fails after all is
-        halved; it never reaches ``max_retries``, as ``n <=
-        2**max_retries``."""
-        plan: list[_Pending] = []
-        start = 0
-        for i in suspects:
-            if start < i:
-                plan.append((start, i - 1, 0))
-            plan.append((i, i, 0))
-            start = i + 1
-        if start < n:
-            plan.append((start, n - 1, 0))
-        plan.reverse()
-        return plan
+    def _route(self, outcome: ApplyOutcome, seqs: list[int],
+               verdicts: "dict[int, BulkExecutionError]") -> bool:
+        """Apply a failed range its verdicts decide as halving would:
+        one statement over the rows halving loads, then the errors it
+        records, in its order.  False, with nothing recorded, when a
+        uniqueness loser's winner falls in a skipped range the loser is
+        not in (halving would find the loser clean), or when the clean
+        statement fails."""
+        order = sorted(verdicts)
+        room = self.max_errors - outcome.tuple_errors
+        # (lo index, hi index, its first verdict's seq) per record
+        records = []
+        for seq in order[:room]:
+            i = bisect_left(seqs, seq)
+            records.append((i, i, seq))
+        skipped: dict = {}      # seq -> the start of its skipped range
+        if len(order) >= room:
+            rest = order[room:]
+            for lo, hi, _ in reversed(
+                    self._halving_after(len(seqs), records[-1][0])):
+                first = bisect_left(rest, seqs[lo])
+                if first < len(rest) and rest[first] <= seqs[hi]:
+                    records.append((lo, hi, rest[first]))
+                    if lo < hi:
+                        skipped.update(dict.fromkeys(seqs[lo:hi + 1], lo))
+        for seq, error in verdicts.items():
+            # a loser whose winner is skipped wins unless skipped with it
+            winner = getattr(error, "winner", None)
+            if winner in skipped and skipped.get(seq) != skipped[winner]:
+                return False
+        skip = [s for lo, hi, _ in records for s in seqs[lo:hi + 1]]
+        try:
+            self._execute(outcome, seqs, 0, len(seqs) - 1, skip)
+        except BulkExecutionError:
+            return False
+        for lo, hi, seq in records:
+            if lo == hi:
+                self._record_tuple(outcome, seq, verdicts[seq])
+            else:
+                self._record_range(outcome, seqs[lo], seqs[hi],
+                                   verdicts[seq], "max_errors")
+        return True
 
     @staticmethod
     def _halving_after(n: int, i: int) -> list[_Pending]:

@@ -235,8 +235,10 @@ class CompiledRuleSet:
 # -- unique keys: the surviving-first rule ------------------------------------
 
 def surviving_first_losers(members, lo: int, hi: int, doomed,
-                           spans=(slice(0, -1),)) -> "list[int]":
-    """Seqs in ``[lo, hi]`` whose key an earlier *surviving* row holds.
+                           spans=(slice(0, -1),)) -> "dict[int, int]":
+    """Seqs in ``[lo, hi]`` whose key an earlier *surviving* row holds,
+    in seq order, each mapped to the seq of the row holding the first
+    key it loses.
 
     ``members`` are rows ``(key…, __SEQ)``, walked in seq order;
     ``spans`` cut a row into its unique keys (by default one key: every
@@ -257,8 +259,8 @@ def surviving_first_losers(members, lo: int, hi: int, doomed,
     contested = compress(members, map(any, zip(*(
         map(keys.__contains__, map(get, members))
         for get, keys in zip(getters, shared)))))
-    out: "list[int]" = []
-    held: set = set()
+    out: "dict[int, int]" = {}
+    held: dict = {}     # key -> the seq holding it
     for row in sorted(contested, key=itemgetter(-1)):
         seq = row[-1]
         if seq > hi:
@@ -266,16 +268,17 @@ def surviving_first_losers(members, lo: int, hi: int, doomed,
         keys = [(k, key) for k, key in enumerate(get(row) for get in getters)
                 if not any(v is None for v in key)]
         if seq < lo:
-            held.update(keys)
+            held.update(dict.fromkeys(keys, seq))
         elif seq not in doomed:
-            if held.isdisjoint(keys):
-                held.update(keys)
+            winner = next((held[key] for key in keys if key in held), None)
+            if winner is None:
+                held.update(dict.fromkeys(keys, seq))
             else:
-                out.append(seq)
+                out[seq] = winner
     return out
 
 
-# -- located apply -------------------------------------------------------------
+# -- the verdict pass of a failed apply INSERT --------------------------------
 
 #: conversion function -> (its TRY form, NULL where it raises; the
 #: column base type it yields).
@@ -397,25 +400,24 @@ class ApplyLocatePass:
     :func:`~repro.cdw.expressions.call_node`,
     :meth:`~repro.cdw.table.CdwTable.coerce_value` — so code, field and
     message are the engine's by construction (:meth:`errors`).  That
-    holds when the statement is *covered*: its items raise nowhere but
-    in their conversions (column references, literals, text functions
-    of text, conversions with constant extra arguments).  Otherwise the
-    rows it locates are a hint and the error handler gets each row's
-    verdict from the engine itself.  Never located: keys the
-    target already holds — finding those would scan the whole target on
-    every failed range, which for a small batch into a large table
-    costs more than the statement that fails on them.
+    holds because the statement is *covered*: its items raise nowhere
+    but in their conversions (column references, literals, text
+    functions of text, conversions with constant extra arguments); a
+    statement that is not gets no pass, and the error handler halves.
+    Never located: keys the target already holds — finding those would
+    scan the whole target on every failed range, which for a small
+    batch into a large table costs more than the statement that fails
+    on them.
     """
 
     def __init__(self, staging: n.TableRef, target, checks: list,
-                 keys: "list[list]", covered: bool):
+                 keys: "list[list]"):
         self.staging = staging
         self.target = target
         #: ``(flag, input value, strict function)`` in evaluation order.
         self.checks = checks
         #: the coerced key items of each unique key.
         self.keys = keys
-        self.covered = covered
         flags = [flag for flag, _, _ in checks]
         self.flag = None
         for one in flags:
@@ -436,12 +438,12 @@ class ApplyLocatePass:
     @classmethod
     def compile(cls, statement, target, staging) -> "ApplyLocatePass | None":
         """The pass for a prepared apply statement, or None when it is
-        not an ``INSERT … SELECT`` over one staging table (UPDATE,
-        DELETE and MERGE apply by halving alone).  ``target`` is the
-        target table: ``name``, ``columns`` (name, ctype, nullable),
-        ``unique_keys`` (column-index tuples), ``column_index`` and
-        ``coerce_value``; ``staging`` is the staging table's schema
-        (``columns``)."""
+        not a covered ``INSERT … SELECT`` over one staging table
+        (UPDATE, DELETE and MERGE apply by halving alone).  ``target``
+        is the target table: ``name``, ``columns`` (name, ctype,
+        nullable), ``unique_keys`` (column-index tuples),
+        ``column_index`` and ``coerce_value``; ``staging`` is the
+        staging table's schema (``columns``)."""
         if not isinstance(statement, n.Insert) \
                 or not isinstance(statement.source, n.Select) \
                 or not isinstance(statement.source.from_, n.TableRef) \
@@ -450,15 +452,16 @@ class ApplyLocatePass:
             return None
         exprs = [item.expr for item in statement.source.items]
         names = statement.columns or [c.name for c in target.columns]
-        if len(names) != len(exprs):
+        text = {c.name.upper() for c in staging.columns
+                if c.ctype.base in _TEXT_BASES}
+        if len(names) != len(exprs) \
+                or not all(_covered(expr, text) for expr in exprs):
             return None
         by_column = {target.column_index(name): expr
                      for name, expr in zip(names, exprs)}
         if any(not spec.nullable and i not in by_column
                for i, spec in enumerate(target.columns)):
             return None     # every row fails: nothing to locate
-        text = {c.name.upper() for c in staging.columns
-                if c.ctype.base in _TEXT_BASES}
         checks = []
         for expr in exprs:
             for node in _evaluation_order(expr):
@@ -485,25 +488,25 @@ class ApplyLocatePass:
                            functools.partial(target.coerce_value, i)))
         keys = [[coerced[i] for i in key] for key in target.unique_keys
                 if all(i in by_column for i in key)]
-        return cls(statement.source.from_, target, checks, keys,
-                   all(_covered(expr, text) for expr in exprs))
+        return cls(statement.source.from_, target, checks, keys)
 
     def _select(self, items, where) -> n.Select:
         return n.Select([n.SelectItem(e) for e in items],
                         from_=self.staging, where=where)
 
-    def locate(self, query, lo: int, hi: int) -> "tuple[dict, list[int]]":
+    def locate(self, query, lo: int, hi: int) -> "tuple[dict, dict]":
         """``(failing, losers)`` over ``[lo, hi]``, running the verdict
         and key passes through ``query`` (``CdwEngine.query``):
         ``failing`` maps each row failing a check to ``(check index,
-        input value)``, and ``losers`` are the other rows that lose a
-        unique key to an earlier surviving row, in seq order."""
+        input value)``, and ``losers`` map the other rows that lose a
+        unique key to an earlier surviving row to that row's seq, in
+        seq order."""
         failing: dict = {}
         if self.flag is not None:
             failing = {row[0]: (row[1], row[2]) for row in query(
                 self._select(self._verdict_items,
                              _and(_seq_between(lo, hi), self.flag)))}
-        losers: "list[int]" = []
+        losers: dict = {}
         if self.keys:
             members = query(self._select(self._key_items,
                                          _seq_between(lo, hi)))
@@ -511,15 +514,13 @@ class ApplyLocatePass:
                                             self._spans)
         return failing, losers
 
-    def errors(self, failing: dict, losers: "list[int]"
+    def errors(self, failing: dict, losers: dict
                ) -> "dict[int, BulkExecutionError] | None":
         """Each located row's own error, as the engine raises it for
         that row alone — or None when the pass cannot decide the range:
-        the statement is not covered, or a check's function accepts the
-        value the pass flagged.  A loser's error is a uniqueness error
-        (UV rows quote no message)."""
-        if not self.covered:
-            return None
+        a check's function accepts the value the pass flagged.  A
+        loser's error is a uniqueness error (UV rows quote no message)
+        naming in ``winner`` the seq of the row it loses to."""
         what = f"INSERT INTO {self.target.name}"
         out: "dict[int, BulkExecutionError]" = {}
         for seq, (check, value) in failing.items():
@@ -531,8 +532,9 @@ class ApplyLocatePass:
                 out[seq] = exc
             else:
                 return None
-        for seq in losers:
-            out[seq] = BulkExecutionError(
+        for seq, winner in losers.items():
+            out[seq] = error = BulkExecutionError(
                 f"uniqueness violation on {self.target.name}",
                 kind="uniqueness")
+            error.winner = winner
         return out

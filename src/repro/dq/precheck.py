@@ -165,7 +165,7 @@ class DqPrechecker:
         """
         members = self.engine.query(
             self.compiled.unique_keys_select(rule))
-        return surviving_first_losers(members, lo, hi, doomed)
+        return list(surviving_first_losers(members, lo, hi, doomed))
 
     def _referential_violators(self, rule: DqRule, lo: int,
                                hi: int) -> "list[int]":

@@ -15,7 +15,7 @@ one load job yields a tree like::
     ├── upload (part-00-00000.blk) [upload lane]
     ├── copy
     └── apply
-        ├── apply.locate           (located apply: the locate pass)
+        ├── apply.locate           (the verdict pass of a failed range)
         └── apply.split …          (adaptive error handler events)
 
 Traces also cross *process* boundaries: a span's :class:`SpanContext`

@@ -23,16 +23,27 @@ class Oracle:
         self.range_errors: list[tuple[int, int, str]] = []
         self.executions = 0
 
+    def _error(self, seq):
+        kind = "uniqueness" if seq in self.uniqueness else "conversion"
+        return BulkExecutionError("bad seq in chunk", kind=kind)
+
     def execute_range(self, lo, hi):
+        return self.execute_clean(lo, hi, [])
+
+    def execute_clean(self, lo, hi, skip):
         self.executions += 1
-        covered = [s for s in self.seqs if lo <= s <= hi]
+        skip = set(skip)
+        covered = [s for s in self.seqs if lo <= s <= hi and s not in skip]
         for seq in covered:
             if seq in self.bad:
-                kind = ("uniqueness" if seq in self.uniqueness
-                        else "conversion")
-                raise BulkExecutionError(f"bad seq in chunk", kind=kind)
+                raise self._error(seq)
         self.loaded.extend(covered)
         return (len(covered), 0, 0)
+
+    def verdicts(self, lo, hi):
+        """The exact verdicts on ``[lo, hi]``: each bad seq's error."""
+        return {seq: self._error(seq) for seq in self.seqs
+                if lo <= seq <= hi and seq in self.bad}
 
     def record_tuple_error(self, seq, exc):
         self.tuple_errors.append((seq, exc.kind))

@@ -58,7 +58,7 @@ def test_no_failure_needed_the_row_interpreter(stacks):
     vector, _ = stacks
     job = vector.node.completed_jobs[-1]
     # The job had failing statements (every ET/UV row here is one), and
-    # the located apply routed them all without halving a range.
+    # the verdict route applied them all without halving a range.
     assert job.et_errors > 0 and job.uv_errors > 0
     assert job.chunk_retries == 0
     # The ET/UV ``INSERT .. VALUES`` records run on rows and were never

@@ -71,6 +71,10 @@ class TestExampleThroughHyperQ:
         # Row 5 was skipped (range not split), so only row 1 loaded.
         assert stack.engine.query(
             "SELECT COUNT(*) FROM PROD.CUSTOMER") == [(1,)]
+        # The verdict route took the budget: the failed INSERT, then one
+        # INSERT of row 1.
+        (metrics,) = stack.node.completed_jobs
+        assert (metrics.dml_statements, metrics.chunk_retries) == (2, 0)
 
     def test_metrics_recorded(self, stack):
         interp = ScriptInterpreter(

@@ -1,20 +1,19 @@
-"""The verdict route and located apply are halving's outcome, reached
-with fewer statements.
+"""The verdict route is halving's outcome, reached with fewer
+statements.
 
 A failed apply statement's bad rows are decided by one set-oriented
 pass (:class:`repro.dq.compiler.ApplyLocatePass`): the range is then one
-INSERT over its clean rows plus one write per error table (the verdict
-route), or — when the verdicts are not usable, or the locator only
-hints — applied around the suspects (located apply).  The oracle is the
-same job with no ``locate``: the recursive halving of paper Section 7.
-Target, ET, UV and every :class:`ApplySummary` counter but
-``statements``/``splits`` must match, whatever the faults, the
-``max_errors``/``max_retries`` bounds, the evaluator (the vector engine
-or one forced onto its row interpreter) — and whatever the locate pass
-says: a lying hint may cost statements, never a different table.
+INSERT over the rows halving would load plus one write per error table
+(the verdict route), under any ``max_errors`` budget.  The oracle is the
+same job with no ``locate``: the recursive halving of paper Section 7,
+which also runs whatever the verdicts do not decide.  Target, ET, UV
+and every :class:`ApplySummary` counter but ``statements``/``splits``
+must match, whatever the faults, the ``max_errors``/``max_retries``
+bounds, the uniqueness mode or the evaluator (the vector engine or one
+forced onto its row interpreter).
 """
 
-import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,10 +22,10 @@ from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
 from repro.core.beta import SEQ_COLUMN, ApplyRun, Beta
 from repro.core.config import HyperQConfig
-from repro.core.errorhandling import Verdicts
 from repro.core.jobs import create_staging_table
 from repro.dq.compiler import ApplyLocatePass
-from repro.errors import HYPERQ_UNIQUENESS_ERROR, CdwError
+from repro.errors import (HYPERQ_MAX_ERRORS_REACHED, HYPERQ_UNIQUENESS_ERROR,
+                          CdwError)
 from repro.legacy.types import FieldDef, Layout, parse_type
 
 from tests.cdw.oracles import row_interpreter
@@ -125,10 +124,11 @@ def build(rows, *, interpreter, native_unique, two_keys):
     return engine
 
 
-def run_job(rows, *, locate="real", max_errors=10**9, max_retries=64,
+def run_job(rows, *, locate=True, max_errors=10**9, max_retries=64,
             interpreter=False, native_unique=True, two_keys=False):
-    """Apply the staged rows; ``locate`` is ``"real"`` (the compiled
-    pass), None (halving only) or ``fn(real_suspects) -> hint``."""
+    """Apply the staged rows with the compiled pass (its verdicts are
+    returned as ``hints``), or by halving alone when ``locate`` is
+    false."""
     engine = build(rows, interpreter=interpreter,
                    native_unique=native_unique, two_keys=two_keys)
     beta = Beta(engine, HyperQConfig())
@@ -140,15 +140,9 @@ def run_job(rows, *, locate="real", max_errors=10**9, max_retries=64,
                    et_table="ET", uv_table="UV", chunk_records=chunks,
                    max_errors=max_errors, max_retries=max_retries)
     hints = []
-    if locate is None:
-        run._handler.locate = None
-    elif locate != "real":
-        real = run._handler.locate
-        run._handler.locate = lambda lo, hi: locate(real(lo, hi))
-    else:
-        real = run._handler.locate
-        run._handler.locate = lambda lo, hi: hints.append(
-            real(lo, hi)) or hints[-1]
+    real = run._handler.locate
+    run._handler.locate = (lambda lo, hi: hints.append(
+        real(lo, hi)) or hints[-1]) if locate else None
     run.apply_seq_range(None, None)
     summary = run.finish()
     tables = {name: list(engine.table(name).rows)
@@ -165,6 +159,30 @@ def counters(summary, outcome) -> dict:
     return keep
 
 
+def skipped_ranges(et_rows) -> "list[range]":
+    """The row numbers of each 9057 range in the ET rows."""
+    return [range(int(lo), int(hi) + 1) for row in et_rows
+            if row[1] == HYPERQ_MAX_ERRORS_REACHED
+            for lo, hi in re.findall(r"\((\d+), (\d+)\)", row[3])]
+
+
+def winner_skipped(verdicts, et_rows) -> bool:
+    """Whether a uniqueness loser's winner lies in a 9057 range of the
+    halving outcome that the loser is not in: halving finds the loser
+    clean then, and the verdict route falls back to it."""
+    ranges = skipped_ranges(et_rows)
+
+    def holder(seq):
+        rownum = seq // STRIDE * CHUNK + seq % STRIDE + 1
+        return next((r for r in ranges if rownum in r), None)
+
+    for seq, error in verdicts.items():
+        winner = getattr(error, "winner", None)
+        if winner is not None and holder(winner) not in (None, holder(seq)):
+            return True
+    return False
+
+
 @st.composite
 def jobs(draw):
     n = draw(st.integers(1, 40))
@@ -175,69 +193,51 @@ def jobs(draw):
     return {
         "rows": make_rows(faults, picks),
         "max_errors": draw(st.one_of(
-            st.just(10**9), st.integers(1, bad + 2))),
+            st.sampled_from((1, 2, 3, 10**9)), st.integers(1, bad + 2))),
         "max_retries": draw(st.one_of(st.just(64), st.integers(0, 6))),
         "interpreter": draw(st.booleans()),
         "native_unique": draw(st.booleans()),
         "two_keys": draw(st.booleans()),
-        "lie_seed": draw(st.integers(0, 10**6)),
     }
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(jobs())
-def test_located_apply_matches_halving(job):
+def test_verdict_route_matches_halving(job):
     options = {k: job[k] for k in ("max_errors", "max_retries",
                                    "interpreter", "native_unique",
                                    "two_keys")}
     rows = job["rows"]
     want, want_summary, want_outcome, _ = run_job(
-        rows, locate=None, **options)
+        rows, locate=False, **options)
     got, summary, outcome, hints = run_job(rows, **options)
     assert got == want
     assert counters(summary, outcome) == \
         counters(want_summary, want_outcome)
 
-    # With one unique key and no key the target already holds (those
-    # are left to halving), the pass is exact: when the located order
-    # ran it split nothing, even past the error budget, and when every
-    # suspect fit in the budget it named exactly the rows halving
-    # records.
+    # A range is located only when its first statement fails and
+    # halving would not cut it at ``max_retries``.  Where no fallback
+    # condition holds — no key the target holds (those are left to
+    # halving), no loser whose winner halving skips — the verdict route
+    # ran: the failed statement and the clean rows' INSERT, whatever the
+    # number of bad rows or the budget.  Within the budget, the verdicts
+    # name exactly the rows halving records.
     n = len(rows)
+    routable = 2 <= n <= 2 ** options["max_retries"]
     in_target = any(r[0] is not None and r[0].strip() in TARGET_KEYS
                     for r in rows)
-    if hints and not options["two_keys"] and not in_target \
-            and n <= 2 ** options["max_retries"]:
-        assert summary.splits == 0
-        if len(hints[0]) < options["max_errors"]:
-            failed = {r[0] for r in want["ET"]} | \
-                {r[-2] for r in want["UV"]}
-            rownum = {seq_of(i): i + 1 for i in range(n)}
-            assert {rownum[s] for s in hints[0]} == failed
-
-    # A lying hint: drop some true suspects, add some clean rows.
-    rng = random.Random(job["lie_seed"])
-    seqs = [seq_of(i) for i in range(n)]
-
-    def lie(real):
-        kept = [s for s in real if rng.random() < 0.6]
-        return kept + rng.sample(seqs, rng.randint(0, min(3, n)))
-
-    lied, lied_summary, lied_outcome, _ = run_job(
-        rows, locate=lie, **options)
-    assert lied == want
-    assert counters(lied_summary, lied_outcome) == \
-        counters(want_summary, want_outcome)
-
-    # Where no fallback condition holds — no key the target holds, a
-    # range halving would not cut at ``max_retries``, verdicts within the
-    # error budget — the verdict route ran: the failed statement and the
-    # clean rows' INSERT, whatever the number of bad rows.
-    if not in_target and n <= 2 ** options["max_retries"] \
-            and (not hints or len(hints[0]) < options["max_errors"]):
-        assert summary.statements == (2 if hints else 1)
-        assert not hints or isinstance(hints[0], Verdicts)
+    if not hints:
+        assert not routable or summary.statements == 1
+        return
+    assert routable and len(hints) == 1
+    if in_target or winner_skipped(hints[0], want["ET"]):
+        return
+    assert (summary.statements, summary.splits) == (2, 0)
+    if len(hints[0]) < options["max_errors"]:
+        failed = {r[0] for r in want["ET"]} | {r[-2] for r in want["UV"]}
+        rownum = {seq_of(i): i + 1 for i in range(n)}
+        assert {rownum[s] for s in hints[0]} == failed
 
 
 def test_clean_job_never_locates():
@@ -254,20 +254,6 @@ def _dirty_rows(dups=(10,), picks=None):
     for i in dups:
         faults[i] = "dup"
     return make_rows(faults, picks or [0] * 30)
-
-
-def test_dirty_job_runs_one_statement_per_segment_and_suspect():
-    """Located apply, the path of a locator that only hints: a plain
-    list of the pass's suspects."""
-    rows = _dirty_rows()
-    tables, summary, _, hints = run_job(rows, locate=list)
-    # the failed whole range, then segments [0-2] [5-9] [11-16] [18-28]
-    # and one statement per suspect; ET/UV record inserts are not DML
-    # statements of the handler
-    assert summary.statements == 1 + 4 + 5
-    assert summary.splits == 0
-    assert (summary.et_errors, summary.uv_errors) == (4, 1)
-    assert tables == run_job(rows)[0]
 
 
 def test_dirty_job_takes_the_verdict_route():
@@ -347,9 +333,10 @@ def test_a_row_that_loses_one_key_claims_no_other():
     assert rows[3][0] == rows[1][0] and rows[6][3] == rows[3][3]
     tables, summary, _, hints = run_job(rows, two_keys=True)
     assert [list(h) for h in hints] == [[seq_of(3)]]
-    assert isinstance(hints[0], Verdicts) and summary.statements == 2
+    assert hints[0][seq_of(3)].winner == seq_of(1)
+    assert summary.statements == 2
     assert [row[-2] for row in tables["UV"]] == [4]
-    assert tables == run_job(rows, locate=None, two_keys=True)[0]
+    assert tables == run_job(rows, locate=False, two_keys=True)[0]
 
 
 def test_a_key_the_target_holds_is_left_to_halving():
@@ -361,7 +348,7 @@ def test_a_key_the_target_holds_is_left_to_halving():
     assert [len(h) for h in hints] == [1]
     assert summary.splits > 0
     assert (summary.et_errors, summary.uv_errors) == (1, 1)
-    assert tables == run_job(rows, locate=None)[0]
+    assert tables == run_job(rows, locate=False)[0]
 
 
 def test_an_insert_the_pass_cannot_cover_compiles_once(monkeypatch):
@@ -408,47 +395,90 @@ def test_other_dml_kinds_only_halve(sql):
     assert run._handler.locate is None
 
 
+def _handler_run(n, bad, max_errors, max_retries, route):
+    """The handler alone on a scripted executor: halving, or the verdict
+    route with the oracle's exact verdicts."""
+    oracle = Oracle(range(n), bad=bad)
+    handler = oracle.handler(max_errors=max_errors, max_retries=max_retries)
+    if route:
+        handler.locate = oracle.verdicts
+        handler.execute_clean = oracle.execute_clean
+    outcome = handler.apply(list(range(n)))
+    return oracle, outcome
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 80), st.data())
-def test_handler_matches_halving_under_any_hint(n, data):
-    """The handler alone, on a scripted executor: any hint, any bounds,
-    the same loads and the same tuple and range errors as halving."""
+def test_handler_matches_halving_under_any_budget(n, data):
+    """Any bad rows, any bounds: the same loads and the same tuple and
+    range errors, in the same order, as halving — in two statements
+    whenever halving would split the whole range without reaching
+    ``max_retries``."""
     bad = data.draw(st.sets(st.integers(0, n - 1)))
-    max_errors = data.draw(st.integers(1, len(bad) + 3))
+    max_errors = data.draw(st.one_of(st.sampled_from((1, 2, 3, 10**9)),
+                                     st.integers(1, len(bad) + 3)))
     max_retries = data.draw(st.integers(0, 8))
-    hint = sorted(data.draw(st.sets(st.integers(0, n - 1))))
 
-    def run(locate):
-        oracle = Oracle(range(n), bad=bad)
-        handler = oracle.handler(max_errors=max_errors,
-                                 max_retries=max_retries)
-        handler.locate = locate
-        outcome = handler.apply(list(range(n)))
-        return (oracle.loaded, oracle.tuple_errors, oracle.range_errors,
-                outcome.rows_inserted, outcome.tuple_errors,
-                outcome.range_errors, outcome.budget_exhausted)
+    def run(route):
+        oracle, outcome = _handler_run(n, bad, max_errors, max_retries,
+                                       route)
+        return oracle, outcome, (
+            oracle.loaded, oracle.tuple_errors, oracle.range_errors,
+            outcome.rows_inserted, outcome.tuple_errors,
+            outcome.range_errors, outcome.budget_exhausted)
 
-    want = run(None)
-    assert run(lambda lo, hi: hint) == want
-    assert run(lambda lo, hi: sorted(bad)) == want
+    _, _, want = run(False)
+    _, outcome, got = run(True)
+    assert got == want
+    if bad and 2 <= n <= 2 ** max_retries:
+        assert (outcome.statements, outcome.splits) == (2, 0)
 
 
-def test_suspects_past_the_budget_still_run_located():
-    """More suspects than ``max_errors`` allows: the located order runs
-    up to the suspect that exhausts the budget and then skips the ranges
-    halving would still hold, with no split and halving's outcome."""
+def test_verdicts_past_the_budget_take_the_route():
+    """More verdicts than ``max_errors`` allows: the route records them
+    up to the one that exhausts the budget, then a 9057 range for each
+    range halving would still hold that holds a verdict, with no split
+    and halving's outcome."""
     bad = {3, 9, 20, 21, 40, 55}
-
-    def run(locate):
-        oracle = Oracle(range(64), bad=bad)
-        handler = oracle.handler(max_errors=3, max_retries=8)
-        handler.locate = locate
-        outcome = handler.apply(list(range(64)))
-        return oracle, outcome
-
-    want, halved = run(None)
-    got, located = run(lambda lo, hi: sorted(bad))
+    want, halved = _handler_run(64, bad, 3, 8, route=False)
+    got, routed = _handler_run(64, bad, 3, 8, route=True)
     assert (got.loaded, got.tuple_errors, got.range_errors) == \
         (want.loaded, want.tuple_errors, want.range_errors)
-    assert located.budget_exhausted and located.splits == 0
-    assert located.statements < halved.statements
+    assert routed.budget_exhausted
+    assert (routed.statements, routed.splits) == (2, 0)
+    assert halved.statements > 2
+
+
+def test_a_one_row_range_past_the_budget_records_its_verdict():
+    """Halving checks ``lo == hi`` before the budget: a one-row range
+    it still holds records its row's error, not a 9057 range — Figure
+    6's shape, where the route keeps the same record order."""
+    faults = ["bad_date", "bad_int", "clean", "bad_date"]
+    rows = make_rows(faults, [0] * 4)
+    tables, summary, _, _ = run_job(rows, max_errors=1)
+    assert (summary.statements, summary.splits) == (2, 0)
+    assert [(row[0], row[1]) for row in tables["ET"]] == [
+        (1, 3103), (2, 3103), (None, HYPERQ_MAX_ERRORS_REACHED)]
+    assert "row numbers: (3, 4)" in tables["ET"][2][3]
+    assert tables == run_job(rows, locate=False, max_errors=1)[0]
+
+
+def test_a_loser_whose_winner_is_skipped_is_left_to_halving():
+    """Past the budget, halving skips the range holding row 2 (index 2),
+    so row 6, its duplicate, is no loser: halving inserts it with the
+    rest of its range.  The verdicts call it a loser, so a cut on them
+    would skip rows 5-8; the route falls back to halving instead."""
+    faults = ["clean"] * 8
+    faults[1] = faults[3] = "bad_date"
+    faults[5] = "dup"
+    rows = make_rows(faults, [0, 0, 0, 0, 0, 2, 0, 0])
+    assert rows[5][0] == rows[2][0] == "K2"
+    tables, summary, _, hints = run_job(rows, max_errors=1)
+    assert hints[0][seq_of(5)].winner == seq_of(2)
+    want = run_job(rows, locate=False, max_errors=1)[0]
+    assert tables == want
+    assert [(row[0], row[1]) for row in want["ET"]] == [
+        (2, 3103), (None, HYPERQ_MAX_ERRORS_REACHED)]
+    assert "row numbers: (3, 4)" in want["ET"][1][3]
+    assert ("K2", "n", 5) in [(r[0], r[1], r[3]) for r in want["TGT"]]
+    assert summary.splits > 0

@@ -63,8 +63,8 @@ class TestEquivalence:
         off = run_job(dirty, rules=False)
         on = run_job(dirty, rules=True)
         assert_equivalent(off, on)
-        # something was actually rejected; with rules off the located
-        # apply found every bad row (NOT NULL, DATE cast, INT cast,
+        # something was actually rejected; with rules off the verdict
+        # route found every bad row (NOT NULL, DATE cast, INT cast,
         # unique) without a split, and with rules on the precheck
         # caught all of it first
         assert off["rejected"]
