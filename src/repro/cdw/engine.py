@@ -15,14 +15,16 @@ catalog.  Two properties matter for the paper:
    that do not enforce declared unique constraints; Hyper-Q then emulates
    the check (Section 7, citing [26]).
 
-MERGE applies source rows *in order* against the working target (later
-source rows see earlier ones' effects).  That is intentionally the legacy
-tuple-at-a-time upsert semantics the virtualization layer must preserve,
-not strict SQL:2003 MERGE.
+UPDATE … FROM, DELETE … USING and MERGE share one keyed executor
+(:class:`_KeyedDml`): source rows apply *in order* (later ones see earlier
+ones' effects), the legacy tuple-at-a-time semantics rather than strict
+SQL:2003 MERGE.  An index picks candidate rows and the whole predicate
+decides each, so its key (:func:`_match_key`) is coarser than ``=``.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from array import array
@@ -43,8 +45,7 @@ from repro.cdw.locks import LockManager
 from repro.cdw.table import Catalog, CdwTable, ColumnSpec, RowsView
 from repro.cdw.types import cdw_type_from_node
 from repro.errors import (
-    BulkExecutionError, CatalogError, CdwError, ExpressionError,
-    SqlTranslationError,
+    BulkExecutionError, CdwError, ExpressionError, SqlTranslationError,
 )
 from repro.plancache import PlanCache
 from repro.sqlxc import nodes as n
@@ -666,17 +667,10 @@ class CdwEngine:
     def _pruned_source_contexts(self, source: "n.TableRef | n.Join | None",
                                 where: "n.Expr | None"
                                 ) -> list[RowContext]:
-        """Source contexts for UPDATE/DELETE, zone-map sliced if possible.
-
-        When the FROM/USING clause is a single zone-mapped table and the
-        statement WHERE carries a top-level BETWEEN conjunct on its sort
-        column, bind only the sliced rows.  The full WHERE is still
-        evaluated per (target row × source row) pair afterwards — the
-        BETWEEN re-check over the slice is redundant but cheap, and
-        keeping it avoids rewriting the predicate.  This is the fix for
-        the Fig 11 cascade: each re-executed ``__SEQ`` range now binds
-        O(rows in range) source contexts instead of O(staging_rows).
-        """
+        """Source contexts for UPDATE/DELETE (one empty context without a
+        source), sliced by the source's zone map when the WHERE has a
+        top-level BETWEEN on its sort column: an apply's ``__SEQ`` range
+        binds only its own rows.  The WHERE still decides each pair."""
         if isinstance(source, n.TableRef) and where is not None:
             table = self.catalog.get(source.name)
             conjuncts = self._where_conjuncts(where)
@@ -1318,44 +1312,22 @@ class CdwEngine:
 
     def _exec_Update(self, stmt: n.Update) -> CdwResult:
         table = self.catalog.get(stmt.table.name)
-        binding = stmt.table.binding
-        source_contexts = (
-            self._pruned_source_contexts(stmt.from_, stmt.where)
-            if stmt.from_ is not None else [None])
-        working = list(table.rows)
-        updated: dict[int, tuple] = {}
+        keyed = _KeyedDml(self, table, stmt.table.binding, stmt.where)
+        updated: set[int] = set()
         try:
-            for index, row in enumerate(working):
-                # Source rows apply in order; with several matches the
-                # later row's assignment wins — the tuple-at-a-time
-                # semantics of the legacy system this engine must let
-                # Hyper-Q preserve.
-                for source_ctx in source_contexts:
-                    current = updated.get(index, row)
-                    ctx = RowContext(parent=source_ctx)
-                    ctx.bind(binding, table.column_names, current)
-                    if stmt.where is not None and not is_true(
-                            evaluate(stmt.where, ctx,
-                                     self._subquery_runner)):
-                        continue
-                    new_row = list(current)
-                    for assignment in stmt.assignments:
-                        col = table.column_index(assignment.column)
-                        new_row[col] = evaluate(
-                            assignment.value, ctx, self._subquery_runner)
-                    updated[index] = table.coerce_row(tuple(new_row))
+            # Source rows apply in order: with several matches the later
+            # row's assignment wins, the legacy tuple-at-a-time semantics.
+            for source_ctx in self._pruned_source_contexts(
+                    stmt.from_, stmt.where):
+                for position, ctx in keyed.matching(source_ctx):
+                    keyed.assign(position, stmt.assignments, ctx)
+                    updated.add(position)
         except ExpressionError as exc:
             raise statement_error(
                 exc, f"UPDATE {table.name}") from exc
-        for index, row in updated.items():
-            working[index] = row
-        if self.native_unique and table.unique_keys:
-            table.check_unique(working)
-        table.rows = working
-        if updated and table.sorted_by is not None and any(
-                a.column.upper() == table.sorted_by.upper()
-                for a in stmt.assignments):
-            table.sorted_by = None     # order no longer guaranteed
+        keyed.commit(self.native_unique, unsorted=any(
+            updated and a.column.upper() == (table.sorted_by or "").upper()
+            for a in stmt.assignments))
         return CdwResult(kind="count", rows_updated=len(updated))
 
     def _exec_Delete(self, stmt: n.Delete) -> CdwResult:
@@ -1369,14 +1341,21 @@ class CdwEngine:
             deleted = table.row_count
             table.truncate_rows(0)
             return CdwResult(kind="count", rows_deleted=deleted)
-        # Plain DELETEs (no USING) zone-map-slice the *target* scan:
-        # rows outside a top-level ``sorted_by BETWEEN`` conjunct cannot
-        # match, so only the slice is evaluated and everything around it
-        # is kept untouched (order preserved — the zone map stays armed).
-        # This is what keeps the dq precheck's violation-routing DELETE
-        # sub-linear in staging size.
-        lo, hi = 0, table.row_count
-        if stmt.using is None and stmt.where is not None:
+        try:
+            if stmt.using is not None:
+                keyed = _KeyedDml(self, table, binding, stmt.where)
+                for source_ctx in self._pruned_source_contexts(
+                        stmt.using, stmt.where):
+                    for position, _ in keyed.matching(source_ctx):
+                        keyed.working[position] = None
+                deleted = keyed.working.count(None)
+                # Survivors keep their order: ``sorted_by`` stays armed.
+                keyed.commit(check=False, unsorted=False)
+                return CdwResult(kind="count", rows_deleted=deleted)
+            # A plain DELETE evaluates only the target's zone-map slice
+            # (rows outside a ``sorted_by BETWEEN`` conjunct cannot
+            # match): the dq precheck's routing DELETE stays sub-linear.
+            lo, hi = 0, table.row_count
             conjuncts = self._where_conjuncts(stmt.where)
             chosen = self._zone_map_conjunct(conjuncts, table, binding)
             if chosen is not None:
@@ -1384,7 +1363,6 @@ class CdwEngine:
                 lo, hi = table.seq_slice(
                     between.low.value, between.high.value)
                 self._note_pruned(table, lo, hi)
-        try:
             return self._vector_or_rows(
                 lambda: self._try_vector_delete(stmt, table, lo, hi),
                 lambda: self._row_delete(stmt, table, lo, hi))
@@ -1394,43 +1372,26 @@ class CdwEngine:
 
     def _row_delete(self, stmt: n.Delete, table: CdwTable,
                     lo: int, hi: int) -> CdwResult:
-        """DELETE on the row interpreter over target rows ``[lo, hi)``."""
-        binding = stmt.table.binding
-        source_contexts = (
-            self._pruned_source_contexts(stmt.using, stmt.where)
-            if stmt.using is not None else [None])
+        """Plain DELETE on the row interpreter over target rows
+        ``[lo, hi)``."""
         rows = table.rows
         keep: list[tuple] = []
-        deleted = 0
-        ev = _Evaluator(None, self._subquery_runner)
+        ev = _Evaluator(RowContext(), self._subquery_runner)
         for row in rows[lo:hi]:
-            doomed = False
-            for source_ctx in source_contexts:
-                ctx = RowContext(parent=source_ctx)
-                ctx.bind(binding, table.column_names, row)
-                ev.ctx = ctx
-                if stmt.where is None or ev.eval(stmt.where) is True:
-                    doomed = True
-                    break
-            if doomed:
-                deleted += 1
-            else:
+            ev.ctx.bind(stmt.table.binding, table.column_names, row)
+            if ev.eval(stmt.where) is not True:
                 keep.append(row)
         table.rows = rows[:lo] + keep + rows[hi:]
-        return CdwResult(kind="count", rows_deleted=deleted)
+        return CdwResult(kind="count",
+                         rows_deleted=(hi - lo) - len(keep))
 
     def _try_vector_delete(self, stmt: n.Delete, table: CdwTable,
                            lo: int, hi: int) -> "CdwResult | None":
-        """Vectorized plain DELETE: mask the (possibly zone-map-sliced)
-        candidate range, drop matching rows via a columnwise take.
-
-        Order of survivors is preserved, so ``sorted_by`` stays armed —
-        exactly like the row path.  Returns None when out of scope; the
-        mask is a :meth:`_vector_eval` phase, so a bad row raises the
-        row path's error.
-        """
-        if stmt.using is not None or stmt.where is None:
-            return None
+        """Vectorized plain DELETE: mask rows ``[lo, hi)`` and drop the
+        matches by a columnwise take (survivors keep their order, as on
+        the row path).  Returns None when out of scope; the mask is a
+        :meth:`_vector_eval` phase, so a bad row raises the row path's
+        error."""
         batch = ColumnBatch(table, lo, hi, self._note_decline)
         masks = self._vector_eval(
             [stmt.where], batch, prepare_layout(table.column_names),
@@ -1461,157 +1422,189 @@ class CdwEngine:
     def _merge_source(self, stmt: n.Merge
                       ) -> tuple[str, list[str], list[tuple]]:
         if isinstance(stmt.source, n.TableRef):
-            source_table = self.catalog.get(stmt.source.name)
-            binding = stmt.source_alias or stmt.source.binding
-            return binding, source_table.column_names, list(
-                source_table.rows)
+            binding, columns, rows = self._table_rows(stmt.source)
+            return (stmt.source_alias or binding).upper(), columns, rows
         rows, columns = self._run_query(stmt.source, outer=None)
-        binding = stmt.source_alias or "src"
-        return binding, columns, rows
-
-    @staticmethod
-    def _equi_keys(on: n.Expr, target_binding: str, target_table: CdwTable,
-                   source_binding: str, source_columns: list[str]
-                   ) -> "list[tuple[int, int]] | None":
-        """Extract ``target.col = source.col`` pairs from a conjunction.
-
-        Returns (target column index, source column index) pairs, or None
-        when the ON clause is not a pure equi-join — the caller then falls
-        back to a nested loop.
-        """
-        pairs: list[tuple[int, int]] = []
-        stack = [on]
-        source_upper = [c.upper() for c in source_columns]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, n.BinaryOp) and node.op == "AND":
-                stack.extend([node.left, node.right])
-                continue
-            if not (isinstance(node, n.BinaryOp) and node.op == "="
-                    and isinstance(node.left, n.ColumnRef)
-                    and isinstance(node.right, n.ColumnRef)):
-                return None
-            left, right = node.left, node.right
-            sides = {}
-            for ref in (left, right):
-                if ref.table and ref.table.upper() == target_binding.upper():
-                    sides["target"] = ref
-                elif ref.table and ref.table.upper() == \
-                        source_binding.upper():
-                    sides["source"] = ref
-                else:
-                    return None
-            if "target" not in sides or "source" not in sides:
-                return None
-            try:
-                t_index = target_table.column_index(sides["target"].name)
-            except CatalogError:
-                return None
-            s_name = sides["source"].name.upper()
-            if s_name not in source_upper:
-                return None
-            pairs.append((t_index, source_upper.index(s_name)))
-        return pairs or None
+        return (stmt.source_alias or "src").upper(), columns, rows
 
     def _exec_Merge(self, stmt: n.Merge) -> CdwResult:
         table = self.catalog.get(stmt.target.name)
-        target_binding = stmt.target.binding
+        binding = stmt.target.binding
         source_binding, source_columns, source_rows = \
             self._merge_source(stmt)
         if stmt.on is None:
             raise CdwError("MERGE needs an ON clause")
-
-        working = list(table.rows)
+        source_layout = prepare_layout(source_columns)
+        # ON binds both rows in one scope, where a source binding named
+        # like the target shadows it: then there is no target key.
+        keyed = _KeyedDml(self, table, binding, stmt.on,
+                          keys=source_binding != binding.upper())
+        matched, not_matched = stmt.matched, stmt.not_matched
         inserted = updated = deleted = 0
-        equi = self._equi_keys(stmt.on, target_binding, table,
-                               source_binding, source_columns)
-        index: dict[tuple, int] | None = None
-        if equi is not None:
-            index = {}
-            for position, row in enumerate(working):
-                key = tuple(_sort_key(row[t]) for t, _ in equi)
-                index.setdefault(key, position)
-
-        def find_match(source_row: tuple) -> int | None:
-            if equi is not None and index is not None:
-                key = tuple(_sort_key(source_row[s]) for _, s in equi)
-                position = index.get(key)
-                if position is not None and working[position] is not None:
-                    return position
-                return None
-            for position, target_row in enumerate(working):
-                if target_row is None:
-                    continue
-                ctx = RowContext()
-                ctx.bind(target_binding, table.column_names, target_row)
-                ctx.bind(source_binding, source_columns, source_row)
-                if is_true(evaluate(stmt.on, ctx, self._subquery_runner)):
-                    return position
-            return None
-
         try:
             for source_row in source_rows:
+                source = (source_binding, source_layout, source_row)
                 source_ctx = RowContext()
-                source_ctx.bind(source_binding, source_columns, source_row)
-                position = find_match(source_row)
-                if position is not None:
-                    matched = stmt.matched
-                    if matched is None:
-                        continue
-                    ctx = RowContext()
-                    ctx.bind(target_binding, table.column_names,
-                             working[position])
-                    ctx.bind(source_binding, source_columns, source_row)
-                    if matched.condition is not None and not is_true(
-                            evaluate(matched.condition, ctx,
-                                     self._subquery_runner)):
-                        continue
+                source_ctx.bind_prepared(*source)
+                position, ctx = next(keyed.matching(source_ctx, source),
+                                     (None, source_ctx))
+                if position is None:
+                    if not_matched is not None and keyed.holds(
+                            not_matched.condition, ctx):
+                        raw = tuple(evaluate(v, ctx, self._subquery_runner)
+                                    for v in not_matched.values)
+                        keyed.working.append(table.coerce_row(
+                            self._shape_insert_row(
+                                table, not_matched.columns, raw)))
+                        keyed.file(len(keyed.working) - 1)
+                        inserted += 1
+                elif matched is not None and keyed.holds(
+                        matched.condition, ctx):
                     if matched.delete:
-                        working[position] = None
+                        keyed.working[position] = None
                         deleted += 1
-                        continue
-                    new_row = list(working[position])
-                    for assignment in matched.assignments:
-                        col = table.column_index(assignment.column)
-                        new_row[col] = evaluate(
-                            assignment.value, ctx, self._subquery_runner)
-                    working[position] = table.coerce_row(tuple(new_row))
-                    if equi is not None and index is not None:
-                        key = tuple(_sort_key(working[position][t])
-                                    for t, _ in equi)
-                        index.setdefault(key, position)
-                    updated += 1
-                    continue
-                not_matched = stmt.not_matched
-                if not_matched is None:
-                    continue
-                if not_matched.condition is not None and not is_true(
-                        evaluate(not_matched.condition, source_ctx,
-                                 self._subquery_runner)):
-                    continue
-                raw = tuple(
-                    evaluate(value, source_ctx, self._subquery_runner)
-                    for value in not_matched.values)
-                shaped = self._shape_insert_row(
-                    table, not_matched.columns, raw)
-                new_row = table.coerce_row(shaped)
-                working.append(new_row)
-                if equi is not None and index is not None:
-                    key = tuple(_sort_key(new_row[t]) for t, _ in equi)
-                    index.setdefault(key, len(working) - 1)
-                inserted += 1
+                    else:
+                        keyed.assign(position, matched.assignments, ctx)
+                        updated += 1
         except ExpressionError as exc:
             raise statement_error(
                 exc, f"MERGE INTO {table.name}") from exc
-
-        final = [row for row in working if row is not None]
-        if self.native_unique and table.unique_keys:
-            table.check_unique(final)
-        table.rows = final
-        if (inserted or updated) and table.sorted_by is not None:
-            table.sorted_by = None     # appends/updates may break order
+        keyed.commit(self.native_unique,
+                     unsorted=bool(inserted or updated))
         return CdwResult(kind="count", rows_inserted=inserted,
                          rows_updated=updated, rows_deleted=deleted)
+
+
+def _match_key(value):
+    """``value``'s key in :class:`_KeyedDml`'s index, coarser than ``=``
+    (``_Evaluator._compare``): text without trailing blanks, one float
+    per number, a DATE as its midnight TIMESTAMP; None for NULL."""
+    if isinstance(value, str):
+        return value.rstrip()
+    if isinstance(value, (int, float, Decimal)):    # bool is an int
+        try:
+            return float(value)
+        except OverflowError:
+            return float("inf") if value > 0 else float("-inf")
+    if type(value) is values.Date:
+        return values.Timestamp(value.year, value.month, value.day)
+    return value
+
+
+class _KeyedDml:
+    """The one matcher behind UPDATE … FROM, DELETE … USING and MERGE.
+
+    ``working`` copies the target rows (None marks a deleted one).  Key
+    parts are the predicate's top-level conjuncts ``target.col = expr``
+    whose ``expr`` reads no target column and no subquery (a source
+    column, ``TRIM(STG.K)``, a literal).  Per source row ``expr`` is
+    evaluated once, an index over the key columns picks the candidate
+    rows, and the whole predicate decides each: the index only prunes.
+    """
+
+    def __init__(self, engine: CdwEngine, table: CdwTable, binding: str,
+                 predicate: "n.Expr | None", keys: bool = True):
+        self.table, self.predicate = table, predicate
+        self.binding = binding.upper()
+        self.layout = prepare_layout(table.column_names)
+        self.runner = engine._subquery_runner
+        self.working: list = list(table.rows)
+        parts = self._key_parts() if keys and predicate else []
+        self.columns, self.exprs = zip(*parts) if parts else ((), ())
+        self.index: dict[tuple, list[int]] = {}
+        for position in range(len(self.working) if parts else 0):
+            self.file(position)
+
+    def _key_parts(self) -> list[tuple[int, n.Expr]]:
+        """``(target column index, expr)`` per key part: the column is
+        qualified by the target's binding (beside a source an unqualified
+        name may be ambiguous), and ``expr`` names no column the target
+        may resolve."""
+        def target(ref: n.ColumnRef) -> bool:
+            return ref.table.upper() == self.binding if ref.table \
+                else ref.name.upper() in self.layout
+
+        parts = []
+        for conjunct in CdwEngine._where_conjuncts(self.predicate):
+            if not (isinstance(conjunct, n.BinaryOp) and conjunct.op == "="):
+                continue
+            for side, expr in ((conjunct.left, conjunct.right),
+                               (conjunct.right, conjunct.left)):
+                if isinstance(side, n.ColumnRef) and side.table \
+                        and target(side) and side.name.upper() in self.layout \
+                        and not any(isinstance(node, n.Statement)
+                                    or isinstance(node, n.ColumnRef)
+                                    and target(node) for node in n.walk(expr)):
+                    parts.append((self.layout[side.name.upper()], expr))
+                    break
+        return parts
+
+    def file(self, position: int) -> None:
+        """File ``working[position]`` under its current key, in position
+        order (a MERGE insert, a re-keyed row); an entry left under an
+        old key is harmless, as the predicate rules it out."""
+        key = tuple(_match_key(self.working[position][column])
+                    for column in self.columns)
+        if key and None not in key:
+            filed = self.index.setdefault(key, [])
+            at = bisect.bisect_left(filed, position)
+            if filed[at:at + 1] != [position]:
+                filed.insert(at, position)
+
+    def _candidates(self, source_ctx: RowContext) -> "list[int] | range":
+        if self.columns:
+            try:
+                key = tuple(_match_key(evaluate(expr, source_ctx))
+                            for expr in self.exprs)
+                return [] if None in key else list(self.index.get(key, ()))
+            except ExpressionError:
+                pass    # the predicate raises on the rows it reaches
+        return range(len(self.working))
+
+    def holds(self, condition: "n.Expr | None", ctx: RowContext) -> bool:
+        """WHERE semantics: no condition, or one that is TRUE."""
+        return condition is None \
+            or evaluate(condition, ctx, self.runner) is True
+
+    def matching(self, source_ctx: RowContext, source=None):
+        """``(position, ctx)`` per live working row the predicate holds
+        for, in position order, ``ctx`` binding the pair.  The target
+        row's scope nests in ``source_ctx`` (an unqualified name is the
+        target's first) or, given ``source`` = ``(binding, layout,
+        row)``, shares one scope with it (MERGE's ON)."""
+        for position in self._candidates(source_ctx):
+            row = self.working[position]
+            if row is None:
+                continue
+            ctx = RowContext(parent=source_ctx if source is None else None)
+            ctx.bind_prepared(self.binding, self.layout, row)
+            if source is not None:
+                ctx.bind_prepared(*source)
+            if self.holds(self.predicate, ctx):
+                yield position, ctx
+
+    def assign(self, position: int, assignments: list[n.Assignment],
+               ctx: RowContext) -> None:
+        """Apply ``assignments`` to a matched row (each value reads the
+        row as it was) and re-file it if a key value changed."""
+        old = self.working[position]
+        new_row = list(old)
+        for assignment in assignments:
+            new_row[self.table.column_index(assignment.column)] = \
+                evaluate(assignment.value, ctx, self.runner)
+        new = self.working[position] = self.table.coerce_row(tuple(new_row))
+        if any(new[column] != old[column] for column in self.columns):
+            self.file(position)
+
+    def commit(self, check: bool, unsorted: bool) -> None:
+        """Store the live rows (unique-checked if ``check``); ``unsorted``
+        disarms ``sorted_by``."""
+        final = [row for row in self.working if row is not None]
+        if check and self.table.unique_keys:
+            self.table.check_unique(final)
+        self.table.rows = final
+        if unsorted:
+            self.table.sorted_by = None
 
 
 def _proven_text(spec: ColumnSpec, text: "TextColumn | TextSlice"):

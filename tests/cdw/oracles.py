@@ -16,6 +16,10 @@ in the tests:
   *statement semantics*: which statements succeed, what they return and
   what they leave behind.  It never asks which error a failing
   statement raised.
+- :func:`nested_loop_dml` runs UPDATE, DELETE … USING and MERGE as
+  nested loops over target × source rows.  It is the reference for the
+  engine's keyed DML executor: which rows a statement updates, deletes
+  or inserts, in what order, and whether it succeeds.
 
 The oracle follows a ``supports / compile / execute`` seam:
 :meth:`SqliteOracle.verdict` says whether a statement is compared,
@@ -32,7 +36,9 @@ import sys
 from collections import Counter
 from decimal import Decimal
 
-from repro.cdw.engine import CdwEngine
+from repro.cdw.engine import CdwEngine, CdwResult, statement_error
+from repro.cdw.expressions import RowContext, evaluate, is_true
+from repro.errors import CdwError, ExpressionError
 from repro.sqlxc import nodes as n
 from repro.sqlxc.parser import parse_statement
 
@@ -84,6 +90,158 @@ def row_interpreter(engine: CdwEngine) -> CdwEngine:
     vector paths are never tried (the converse of
     ``test_vector_error_order.forbid_row_paths``).  Returns ``engine``."""
     engine._vector_or_rows = lambda vector, rows: rows()
+    return engine
+
+
+def nested_loop_dml(engine: CdwEngine, ruled_out=None) -> CdwEngine:
+    """Run ``engine``'s UPDATE, DELETE … USING and MERGE as nested
+    loops: every target row is tested against every source row, and a
+    MERGE source row against every live working row in position order
+    until the first match.  Everything else about the statements (the
+    source rows, the assignments, the commit) is the engine's.  Returns
+    ``engine``.
+
+    The keyed executor tests only the rows its key picks, so it skips a
+    predicate that would raise on a row the key rules out.
+    ``ruled_out(ctx)``, when given, says whether the (target, source)
+    pair bound in ``ctx`` is such a row; a predicate that raises on it
+    then counts as no match instead of failing the statement.
+    """
+    runner = engine._subquery_runner
+    plain_delete = engine._exec_Delete
+
+    def true(condition, ctx) -> bool:
+        return condition is None or is_true(
+            evaluate(condition, ctx, runner))
+
+    def holds(predicate, ctx) -> bool:
+        try:
+            return true(predicate, ctx)
+        except ExpressionError:
+            if ruled_out is not None and ruled_out(ctx):
+                return False
+            raise
+
+    def nested(source_ctx, binding, table, row) -> RowContext:
+        ctx = RowContext(parent=source_ctx)
+        ctx.bind(binding, table.column_names, row)
+        return ctx
+
+    def assigned(table, row, assignments, ctx) -> tuple:
+        new_row = list(row)
+        for assignment in assignments:
+            new_row[table.column_index(assignment.column)] = evaluate(
+                assignment.value, ctx, runner)
+        return table.coerce_row(tuple(new_row))
+
+    def update(stmt: n.Update) -> CdwResult:
+        table = engine.catalog.get(stmt.table.name)
+        sources = (engine._pruned_source_contexts(stmt.from_, stmt.where)
+                   if stmt.from_ is not None else [None])
+        working = list(table.rows)
+        updated: dict[int, tuple] = {}
+        try:
+            for index, row in enumerate(working):
+                for source_ctx in sources:
+                    current = updated.get(index, row)
+                    ctx = nested(source_ctx, stmt.table.binding, table,
+                                 current)
+                    if holds(stmt.where, ctx):
+                        updated[index] = assigned(
+                            table, current, stmt.assignments, ctx)
+        except ExpressionError as exc:
+            raise statement_error(exc, f"UPDATE {table.name}") from exc
+        for index, row in updated.items():
+            working[index] = row
+        if engine.native_unique and table.unique_keys:
+            table.check_unique(working)
+        table.rows = working
+        if updated and table.sorted_by is not None and any(
+                a.column.upper() == table.sorted_by.upper()
+                for a in stmt.assignments):
+            table.sorted_by = None
+        return CdwResult(kind="count", rows_updated=len(updated))
+
+    def delete(stmt: n.Delete) -> CdwResult:
+        if stmt.using is None:
+            return plain_delete(stmt)
+        table = engine.catalog.get(stmt.table.name)
+        sources = engine._pruned_source_contexts(stmt.using, stmt.where)
+        keep: list[tuple] = []
+        try:
+            for row in table.rows:
+                if not any(holds(stmt.where, nested(
+                        source_ctx, stmt.table.binding, table, row))
+                        for source_ctx in sources):
+                    keep.append(row)
+        except ExpressionError as exc:
+            raise statement_error(
+                exc, f"DELETE FROM {table.name}") from exc
+        deleted = table.row_count - len(keep)
+        table.rows = keep
+        return CdwResult(kind="count", rows_deleted=deleted)
+
+    def merge(stmt: n.Merge) -> CdwResult:
+        table = engine.catalog.get(stmt.target.name)
+        target_binding = stmt.target.binding
+        source_binding, source_columns, source_rows = \
+            engine._merge_source(stmt)
+        if stmt.on is None:
+            raise CdwError("MERGE needs an ON clause")
+        working: list = list(table.rows)
+        inserted = updated = deleted = 0
+
+        def both(target_row, source_row) -> RowContext:
+            ctx = RowContext()
+            ctx.bind(target_binding, table.column_names, target_row)
+            ctx.bind(source_binding, source_columns, source_row)
+            return ctx
+
+        try:
+            for source_row in source_rows:
+                source_ctx = RowContext()
+                source_ctx.bind(source_binding, source_columns, source_row)
+                position = next(
+                    (p for p, row in enumerate(working) if row is not None
+                     and holds(stmt.on, both(row, source_row))), None)
+                if position is None:
+                    not_matched = stmt.not_matched
+                    if not_matched is None or not true(
+                            not_matched.condition, source_ctx):
+                        continue
+                    raw = tuple(evaluate(value, source_ctx, runner)
+                                for value in not_matched.values)
+                    working.append(table.coerce_row(
+                        engine._shape_insert_row(
+                            table, not_matched.columns, raw)))
+                    inserted += 1
+                    continue
+                matched = stmt.matched
+                ctx = both(working[position], source_row)
+                if matched is None or not true(matched.condition, ctx):
+                    continue
+                if matched.delete:
+                    working[position] = None
+                    deleted += 1
+                else:
+                    working[position] = assigned(
+                        table, working[position], matched.assignments, ctx)
+                    updated += 1
+        except ExpressionError as exc:
+            raise statement_error(
+                exc, f"MERGE INTO {table.name}") from exc
+        final = [row for row in working if row is not None]
+        if engine.native_unique and table.unique_keys:
+            table.check_unique(final)
+        table.rows = final
+        if (inserted or updated) and table.sorted_by is not None:
+            table.sorted_by = None
+        return CdwResult(kind="count", rows_inserted=inserted,
+                         rows_updated=updated, rows_deleted=deleted)
+
+    engine._exec_Update = update
+    engine._exec_Delete = delete
+    engine._exec_Merge = merge
     return engine
 
 

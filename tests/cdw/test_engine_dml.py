@@ -201,6 +201,106 @@ class TestMerge:
                 "WHEN MATCHED THEN UPDATE SET D = 'garbage'")
         assert db.query("SELECT V FROM t WHERE K = 2") == [("b",)]
 
+    # The keyed executor's key must never disagree with ``=``: each
+    # case runs as MERGE and as its UPDATE … FROM / DELETE … USING twin.
+    MERGE_KT = ("MERGE INTO kt USING ks ON kt.K = ks.K "
+                "WHEN MATCHED THEN UPDATE SET V = ks.V "
+                "WHEN NOT MATCHED THEN INSERT VALUES (ks.K, ks.V)")
+    UPDATE_KT = "UPDATE kt SET V = ks.V FROM ks WHERE kt.K = ks.K"
+    DELETE_KT = "DELETE FROM kt USING ks WHERE kt.K = ks.K"
+
+    @staticmethod
+    def _keyed(key_type, target, source):
+        db = CdwEngine()
+        db.execute(f"CREATE TABLE kt (K {key_type}, V INT)")
+        db.execute(f"CREATE TABLE ks (K {key_type}, V INT)")
+        for table, rows in (("kt", target), ("ks", source)):
+            for row in rows:
+                db.execute(f"INSERT INTO {table} VALUES ({row[0]!r}, "
+                           f"{row[1]})")
+        return db
+
+    @pytest.mark.parametrize("sql, counts, rows", [
+        (MERGE_KT, (0, 1, 0), [("A", 2)]),
+        (UPDATE_KT, (0, 1, 0), [("A", 2)]),
+        (DELETE_KT, (0, 0, 1), []),
+    ], ids=["merge", "update", "delete"])
+    def test_trailing_blanks_match_as_equals_does(self, sql, counts, rows):
+        """``'A' = 'A '`` is TRUE (CHAR semantics), so the source row
+        matches instead of inserting ``'A '`` beside ``'A'``."""
+        db = self._keyed("VARCHAR(4)", [("A", 1)], [("A ", 2)])
+        result = db.execute(sql)
+        assert (result.rows_inserted, result.rows_updated,
+                result.rows_deleted) == counts
+        assert db.query("SELECT K, V FROM kt") == rows
+
+    @pytest.mark.parametrize("sql, counts, rows", [
+        (MERGE_KT, (1, 0, 0), [(2**53, 1), (2**53 + 1, 2)]),
+        (UPDATE_KT, (0, 0, 0), [(2**53, 1)]),
+        (DELETE_KT, (0, 0, 0), [(2**53, 1)]),
+    ], ids=["merge", "update", "delete"])
+    def test_bigints_past_2_53_are_not_equal(self, sql, counts, rows):
+        """2**53 and 2**53 + 1 are one float but two BIGINTs: they may
+        share a key, and the predicate tells them apart."""
+        db = self._keyed("BIGINT", [(2**53, 1)], [(2**53 + 1, 2)])
+        result = db.execute(sql)
+        assert (result.rows_inserted, result.rows_updated,
+                result.rows_deleted) == counts
+        assert db.query("SELECT K, V FROM kt") == rows
+
+    @pytest.mark.parametrize("source, rows", [
+        ([(1, 5), (1, 6)], [(5, 0), (1, 9)]),
+        ([(1, 5), (5, 7)], [(7, 0)]),
+    ], ids=["old-key-misses", "new-key-hits"])
+    def test_a_key_update_moves_the_row_to_its_new_key(self, source, rows):
+        """After ``SET K = ks.V`` the row no longer matches its old key
+        (the second source row inserts) and matches its new one at
+        once (the second source row updates it again)."""
+        db = self._keyed("INT", [(1, 0)], source)
+        db.execute("MERGE INTO kt USING ks ON kt.K = ks.K "
+                   "WHEN MATCHED THEN UPDATE SET K = ks.V "
+                   "WHEN NOT MATCHED THEN INSERT VALUES (ks.K, 9)")
+        assert db.query("SELECT K, V FROM kt") == rows
+
+    def test_the_first_match_is_first_in_position_order(self):
+        """Row 0 re-keyed to 2 now shares its key with row 1, and the
+        next source row with key 2 takes row 0, the first in order."""
+        db = self._keyed("INT", [(1, 0), (2, 0)], [(1, 2), (2, 9)])
+        db.execute("MERGE INTO kt USING ks ON kt.K = ks.K "
+                   "WHEN MATCHED THEN UPDATE SET K = ks.V")
+        assert db.query("SELECT K, V FROM kt") == [(9, 0), (2, 0)]
+
+    @pytest.mark.parametrize("source, rows", [
+        ([(1, 5), (1, 6)], [(5, 0)]),
+        ([(1, 5), (5, 7)], [(7, 0)]),
+    ], ids=["old-key-misses", "new-key-hits"])
+    def test_a_key_update_moves_the_row_twin(self, source, rows):
+        db = self._keyed("INT", [(1, 0)], source)
+        result = db.execute(
+            "UPDATE kt SET K = ks.V FROM ks WHERE kt.K = ks.K")
+        assert result.rows_updated == 1
+        assert db.query("SELECT K, V FROM kt") == rows
+
+    @pytest.mark.parametrize("sql", [
+        "UPDATE kt SET V = 0 FROM ks WHERE CAST(kt.W AS INT) > 0 "
+        "AND kt.K = ks.K",
+        "DELETE FROM kt USING ks WHERE CAST(kt.W AS INT) > 0 "
+        "AND kt.K = ks.K",
+        "MERGE INTO kt USING ks ON CAST(kt.W AS INT) > 0 AND kt.K = ks.K "
+        "WHEN MATCHED THEN UPDATE SET V = 0",
+    ], ids=["update", "delete", "merge"])
+    def test_rows_the_key_rules_out_are_never_evaluated(self, sql):
+        """Row 2's ``W`` does not cast, but no source row has its key:
+        the statement succeeds, as a warehouse hash join does (a nested
+        loop over every target row would raise)."""
+        db = CdwEngine()
+        db.execute("CREATE TABLE kt (K INT, V INT, W VARCHAR(4))")
+        db.execute("CREATE TABLE ks (K INT)")
+        db.execute("INSERT INTO kt VALUES (1, 1, '5'), (2, 2, 'x')")
+        db.execute("INSERT INTO ks VALUES (1)")
+        result = db.execute(sql)
+        assert result.activity_count == 1
+
 
 class TestDdlAndCatalog:
     def test_drop_and_recreate(self, db):

@@ -108,6 +108,15 @@ class TestUpsertParity:
         assert (lr.rows_inserted, lr.rows_updated) == \
             (hr.rows_inserted, hr.rows_updated) == (1, 1)
 
+    def test_trailing_blanks_update_the_equal_key(self):
+        """``'a  ' = 'a'`` under CHAR semantics: the legacy server
+        updates row ``a``, and so must the MERGE the upsert becomes."""
+        lr, lt, hr, ht = both(self.UPSERT, b"a  |updated-a\n")
+        assert (lr.rows_updated, lr.rows_inserted) == \
+            (hr.rows_updated, hr.rows_inserted) == (1, 0)
+        assert lt == ht
+        assert [k for k, _ in ht] == ["a", "b", "c"]
+
     @pytest.mark.parametrize("chunk_bytes", [8, 64, 4096])
     def test_chunking_invariance(self, chunk_bytes):
         data = (b"a|u1\nq|c1\na|u2\nq|u-after-c\nr|c2\n")
