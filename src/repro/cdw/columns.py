@@ -225,9 +225,9 @@ class TextColumn(_BaseColumn):
 
     This is where the memory multiple comes from: a Python ``str``
     costs ~49 bytes of header per value; the blob costs its UTF-8
-    bytes plus an 8-byte offset.  It is also the text column of a
-    staging block (:mod:`repro.cdw.stagefile`), so a COPY can append a
-    block's buffers to a table without a ``str`` per value.
+    bytes plus an 8-byte offset.  A COPY joins staging blocks
+    (:mod:`repro.cdw.stagefile`) into one and appends its buffers to a
+    table without a ``str`` per value.
     """
 
     __slots__ = ("blob", "offsets")
@@ -237,20 +237,6 @@ class TextColumn(_BaseColumn):
         #: offsets[i+1] ends value i; a NULL spans no bytes.
         self.offsets = array("q", [0]) if offsets is None else offsets
         self.valid = bytearray() if valid is None else valid
-
-    @classmethod
-    def concat(cls, parts) -> "TextColumn":
-        """One column of the values of ``parts`` (TextColumns), in
-        order; each buffer is allocated once."""
-        offsets = array("q", [0])
-        base = 0
-        for part in parts:
-            ends = islice(part.offsets, 1, None)
-            offsets.extend(map(base.__add__, ends) if base else ends)
-            base += len(part.blob)
-        return cls(bytearray().join([part.valid for part in parts]),
-                   offsets,
-                   bytearray().join([part.blob for part in parts]))
 
     def __len__(self):
         """Number of values (NULLs included)."""
@@ -274,8 +260,8 @@ class TextColumn(_BaseColumn):
 
         Handing a TextColumn in hands its buffers off: only a caller
         that owns them exclusively may pass one — a column it built
-        (:meth:`concat`, :meth:`TextSlice.copy`, a decoded staging
-        block) and keeps no other reference to.  A table's own column
+        (:meth:`TextSlice.copy`, joined staging blocks) and keeps no
+        other reference to.  A table's own column
         is never passed, so no two columns share a ``bytearray`` and a
         :meth:`truncate` of one never reaches another.
         """

@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -332,30 +331,31 @@ class CdwEngine:
         """Staging blocks into ``table``: the last column takes each
         block's ``__SEQ``, the others its text columns in order.
 
-        Every block is decoded before anything is appended, and blocks
-        append in the order of their first ``__SEQ`` (chunk ranges are
-        disjoint), so a staging table lands sorted.  Each text column
-        goes to :meth:`_coerce_columns` as one ``TextColumn``, as an
-        INSERT..SELECT's does.
+        Every block is decoded and joined (:func:`stagefile.join_blocks`)
+        before anything is appended, and blocks append in the order of
+        their first ``__SEQ`` (chunk ranges are disjoint).  Each text
+        column goes to :meth:`_coerce_columns` as one ``TextColumn``,
+        as an INSERT..SELECT's does.  When an empty table receives rows
+        whose ``__SEQ`` runs ascend, its zone map is armed on that
+        column: the table is already in order.
         """
         blocks = [block for data in datas
                   for block in stagefile.decode_blocks(data)
-                  if len(block.seq)]
+                  if block.rows]
         for block in blocks:
             if len(block.columns) + 1 != table.arity:
                 raise BulkExecutionError(
                     f"staging block has {len(block.columns) + 1} "
                     f"columns, table {table.name!r} has {table.arity}")
-        blocks.sort(key=lambda block: block.seq[0])
-        seq = array("q")
-        for block in blocks:
-            seq += block.seq
-        cols: list = [TextColumn.concat([block.columns[i]
-                                         for block in blocks])
-                      for i in range(table.arity - 1)]
-        cols.append(seq)
+        if not blocks:
+            return CdwResult(kind="count", rows_inserted=0)
+        blocks.sort(key=lambda block: block.runs[0][0])
+        cols, ascending = stagefile.join_blocks(blocks)
+        arm = ascending and not table.row_count and table.sorted_by is None
         self._append_checked(table, self._coerce_columns(table, cols))
-        return CdwResult(kind="count", rows_inserted=len(seq))
+        if arm:
+            table.sorted_by = table.columns[-1].name
+        return CdwResult(kind="count", rows_inserted=len(cols[-1]))
 
     def _append_checked(self, table: CdwTable, coerced: list) -> None:
         """Append coerced columns after the unique check, which hands

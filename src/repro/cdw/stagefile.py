@@ -3,14 +3,25 @@
 **Blocks** are the staging format: the DataConverter emits one block
 per chunk, the FileWriter concatenates blocks into files, and the
 pipeline's ``COPY INTO … FORMAT block`` appends their buffers to the
-staging table without parsing text.  A block mirrors
-:class:`~repro.cdw.columns.TextColumn`; integers are little-endian::
+staging table without parsing text.  A text column is framed the way
+a columnar file keeps a string column, as a data stream plus a length
+stream; integers are little-endian::
 
-    header    magic ``HQB1``, u32 row count, u32 column count
-    __SEQ     one int64 per row (rejected records leave gaps)
-    columns   per column: one validity byte per row (1 = present),
-              row count + 1 int64 end offsets (the first is 0), one
-              UTF-8 blob
+    header    magic ``HQB2``, u32 row count, u32 column count,
+              u32 run count
+    __SEQ     per run: int64 first, int64 stop; the runs hold the rows'
+              ``__SEQ`` values ``first, first + 1, …, stop - 1`` in row
+              order (rejected records split a chunk's run)
+    columns   per column: u64 blob size, one validity byte per row
+              (1 = present), one u64 UTF-8 byte length per row (a
+              NULL's is 0), the blob
+
+A reader takes a block in O(columns + runs) steps: lengths are unsigned,
+so no value can end before it starts, and COPY proves once per block
+and column, where it turns the lengths into a
+:class:`~repro.cdw.columns.TextColumn`'s end offsets by one running sum
+(:func:`join_blocks`), that they add up to the stated blob size.  The
+runs tell COPY for free whether the staged rows ascend in ``__SEQ``.
 
 Every column is text: typed values render by the CSV rules below
 (``str``, ``isoformat``, ``true``/``false``), so COPY coerces a block
@@ -31,21 +42,21 @@ import re
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
-from itertools import accumulate, islice
-from operator import le
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from repro import values
-from repro.cdw.columns import TextColumn
+from repro.cdw.columns import TextColumn, runs
 from repro.errors import DataFormatError
 
 __all__ = [
     "encode_csv_row", "encode_csv_rows", "decode_csv_rows",
     "decode_csv_columns", "CsvKernel", "compress", "decompress",
-    "NULL_MARKER", "BLOCK_FORMAT", "Block", "encode_block",
-    "decode_blocks", "fields_column", "values_column",
+    "NULL_MARKER", "BLOCK_FORMAT", "Block", "BlockColumn",
+    "encode_block", "decode_blocks", "join_blocks", "fields_column",
+    "values_column",
 ]
 
 NULL_MARKER = "\\N"
@@ -316,68 +327,74 @@ def decompress(data: bytes) -> bytes:
 
 #: the ``COPY INTO … FORMAT`` name of the staging block format.
 BLOCK_FORMAT = "block"
-_MAGIC = b"HQB1"
-_HEADER = struct.Struct("<4sII")
+_MAGIC = b"HQB2"
+_HEADER = struct.Struct("<4sIII")
+_SIZE = struct.Struct("<Q")
 _SWAP = sys.byteorder != "little"
 
 
-@dataclass(frozen=True)
-class Block:
-    """One decoded block: its ``__SEQ`` values and its text columns."""
-
-    seq: array
-    columns: list[TextColumn]
-
-
-def _column(valid: bytearray, fields: list[bytes]) -> TextColumn:
-    offsets = array("q", [0])
-    offsets.extend(accumulate(map(len, fields)))
-    return TextColumn(valid, offsets, b"".join(fields))
+#: one text column of a block: a validity byte per value (1 = present),
+#: each value's UTF-8 byte length (``array('Q')``) and the values' bytes.
+BlockColumn = namedtuple("BlockColumn", "valid lengths blob")
+#: one decoded block: ``rows`` rows whose ``__SEQ`` values are the
+#: ``[first, stop)`` ``runs`` in order, and its ``BlockColumn`` list.
+Block = namedtuple("Block", "runs rows columns")
 
 
-def fields_column(fields: list[bytes]) -> TextColumn:
-    """A text column of raw UTF-8 fields; an empty field is NULL (the
+def fields_column(fields: list[bytes]) -> BlockColumn:
+    """A block column of raw UTF-8 fields; an empty field is NULL (the
     legacy VARTEXT rule)."""
-    return _column(bytearray(map(bool, fields)), fields)
+    valid = bytearray(map(bool, fields)) if b"" in fields \
+        else bytearray(b"\x01") * len(fields)
+    return BlockColumn(valid, array("Q", map(len, fields)),
+                       b"".join(fields))
 
 
-def values_column(column_values) -> TextColumn:
-    """A text column of values rendered as CSV fields are, unquoted."""
-    return _column(
-        bytearray([value is not None for value in column_values]),
-        [b"" if value is None else _render_value(value).encode("utf-8")
-         for value in column_values])
+def values_column(column_values) -> BlockColumn:
+    """A block column of values rendered as CSV fields are, unquoted."""
+    fields = [b"" if value is None else _render_value(value).encode("utf-8")
+              for value in column_values]
+    return BlockColumn(bytearray([value is not None
+                                  for value in column_values]),
+                       array("Q", map(len, fields)), b"".join(fields))
 
 
-def _int64_bytes(numbers: array) -> bytes:
+def _little(numbers: array) -> bytes:
     if _SWAP:
-        numbers = array("q", numbers)
+        numbers = array(numbers.typecode, numbers)
         numbers.byteswap()
     return numbers.tobytes()
 
 
-def encode_block(seq: array, columns: list[TextColumn]) -> bytes:
-    """One block of ``len(seq)`` rows; every column holds as many."""
-    parts = [_HEADER.pack(_MAGIC, len(seq), len(columns)),
-             _int64_bytes(seq)]
-    for column in columns:
-        parts += (column.valid, _int64_bytes(column.offsets), column.blob)
-    return b"".join(parts)
-
-
-def _int64s(raw) -> array:
-    numbers = array("q")
+def _numbers(typecode: str, raw) -> array:
+    numbers = array(typecode)
     numbers.frombytes(raw)
     if _SWAP:
         numbers.byteswap()
     return numbers
 
 
+def encode_block(seq, columns: list[BlockColumn]) -> bytes:
+    """One block of ``len(seq)`` rows whose ``__SEQ`` values are
+    ``seq`` (a ``range`` or a sequence of ints); every column holds as
+    many values."""
+    spans = runs(seq)
+    parts = [_HEADER.pack(_MAGIC, len(seq), len(columns), len(spans)),
+             _little(array("q", chain.from_iterable(spans)))]
+    for column in columns:
+        parts += (_SIZE.pack(len(column.blob)), column.valid,
+                  _little(column.lengths), column.blob)
+    return b"".join(parts)
+
+
 def decode_blocks(data: bytes) -> list[Block]:
     """Every block of a staging file, in file order.
 
-    A truncated or corrupt block raises :class:`DataFormatError`.  The
-    columns' buffers are views into ``data`` (offsets excepted).
+    A truncated block, a bad magic, empty ``__SEQ`` runs or runs that
+    do not hold the row count, a validity byte outside {0, 1} or a
+    non-UTF-8 blob raises :class:`DataFormatError`; :func:`join_blocks`
+    proves the lengths.  Validity bytes and blobs are views into
+    ``data``.
     """
     view = memoryview(data)
     size = len(view)
@@ -395,25 +412,68 @@ def decode_blocks(data: bytes) -> list[Block]:
 
     blocks = []
     while pos < size:
-        magic, rows, ncols = _HEADER.unpack(take(_HEADER.size, "header"))
+        magic, rows, ncols, nruns = _HEADER.unpack(
+            take(_HEADER.size, "header"))
         if magic != _MAGIC:
             raise DataFormatError(f"not a staging block: magic {magic!r}")
-        seq = _int64s(take(8 * rows, "__SEQ"))
+        bounds = _numbers("q", take(16 * nruns, "__SEQ runs"))
+        spans = list(zip(bounds[::2], bounds[1::2]))
+        if any(stop <= first for first, stop in spans) or sum(
+                stop - first for first, stop in spans) != rows:
+            raise DataFormatError("corrupt staging block: __SEQ runs")
         columns = []
         for _ in range(ncols):
+            (blob_size,) = _SIZE.unpack(take(_SIZE.size, "blob size"))
             valid = take(rows, "validity")
             if bytes(valid).translate(None, b"\x00\x01"):
                 raise DataFormatError("corrupt staging block: validity")
-            offsets = _int64s(take(8 * (rows + 1), "offsets"))
-            if offsets[0] != 0 or not all(
-                    map(le, offsets, islice(offsets, 1, None))):
-                raise DataFormatError("corrupt staging block: offsets")
-            blob = take(offsets[-1], "blob")
+            lengths = _numbers("Q", take(8 * rows, "lengths"))
+            blob = take(blob_size, "blob")
             try:
                 str(blob, "utf-8")
             except UnicodeDecodeError as exc:
                 raise DataFormatError(
                     f"corrupt staging block: {exc}") from exc
-            columns.append(TextColumn(valid, offsets, blob))
-        blocks.append(Block(seq, columns))
+            columns.append(BlockColumn(valid, lengths, blob))
+        blocks.append(Block(spans, rows, columns))
     return blocks
+
+
+def join_blocks(blocks: list[Block]) -> "tuple[list, bool]":
+    """The rows of ``blocks`` (at least one, in order, each with the
+    same column count) as one :class:`TextColumn` per text column plus the
+    ``__SEQ`` values last (``array('q')``), and whether those ascend.
+
+    Each column's end offsets are one running sum over every block's
+    lengths; where each block ends, the sum must have grown by that
+    block's blob size, or :class:`DataFormatError` is raised.
+    """
+    spans = [span for block in blocks for span in block.runs]
+    seq = array("q")
+    for first, stop in spans:
+        seq.extend(range(first, stop))
+    out: list = []
+    for i in range(len(blocks[0].columns)):
+        parts = [block.columns[i] for block in blocks]
+        lengths = array("Q")
+        for part in parts:
+            lengths += part.lengths
+        offsets = array("q", [0])
+        try:
+            offsets.extend(accumulate(lengths))
+        except OverflowError:
+            raise DataFormatError(
+                "corrupt staging block: lengths overflow") from None
+        row = end = 0
+        for part in parts:
+            row += len(part.lengths)
+            end += len(part.blob)
+            if offsets[row] != end:
+                raise DataFormatError("corrupt staging block: lengths "
+                                      "do not sum to the blob size")
+        out.append(TextColumn(bytearray().join([p.valid for p in parts]),
+                              offsets,
+                              bytearray().join([p.blob for p in parts])))
+    out.append(seq)
+    return out, all(stop <= first for (_, stop), (first, _)
+                    in zip(spans, spans[1:]))

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field, replace
+from itertools import islice
+from operator import itemgetter, le
 
 from repro.cdw.columns import ColumnBlock, ColumnStore, decoded
 from repro.cdw.types import CdwType
@@ -49,6 +51,17 @@ def _key_repr(key_value: tuple) -> str:
     if len(body) > 64:
         body = body[:61] + "..."
     return body
+
+
+def _ascending(values) -> bool:
+    """Whether ``values`` never descend (one C-level walk)."""
+    return all(map(le, values, islice(values, 1, None)))
+
+
+def _key_values(key: tuple[int, ...], cols: list):
+    """A key's values from its columns' values: a one-column key's
+    values bare (no 1-tuple per row), a wider key's as tuples."""
+    return cols[0] if len(key) == 1 else zip(*cols)
 
 
 class RowsView:
@@ -125,8 +138,10 @@ class CdwTable:
         for key in unique_keys or []:
             self.unique_keys.append(
                 tuple(self.column_index(col) for col in key))
-        #: cached per-key sets of the current rows' unique-key values;
-        #: None when stale.  Maintained by :meth:`append_rows`, dropped
+        #: cached per-key sets of the current rows' unique-key values (a
+        #: one-column key's values bare, a wider key's as tuples; a value
+        #: holding NULL may sit there, as no check looks one up); None
+        #: when stale.  Maintained by :meth:`append_rows`, dropped
         #: by any wholesale ``rows`` reassignment or :meth:`truncate_rows`.
         self._unique_index: list[set] | None = None
         self._store = ColumnStore(self.columns)
@@ -284,6 +299,9 @@ class CdwTable:
         (Hyper-Q's Beta arms the staging table once per apply run, and
         the adaptive error handler's range-pruned DML scans slice it).
         """
+        if self.sorted_by is not None \
+                and self.sorted_by.upper() == column.upper():
+            return                      # armed: the order holds
         self._sort_store(self.column_index(column))
         self.sorted_by = column
 
@@ -291,10 +309,9 @@ class CdwTable:
         """Stable-sort the column store by one column (argsort + take)."""
         store = self._store
         keys = store.column_list(col)
-        n = len(keys)
-        if all(keys[i] <= keys[i + 1] for i in range(n - 1)):
+        if _ascending(keys):
             return                      # already in order: no rebuild
-        order = sorted(range(n), key=keys.__getitem__)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
         self._store = store.take(order)
 
     def seq_slice(self, low, high) -> tuple[int, int]:
@@ -324,11 +341,8 @@ class CdwTable:
             # An append never *removes* keys, so the index stays live:
             # fold the new rows in rather than rebuilding O(table) later.
             for key_no, key in enumerate(self.unique_keys):
-                bucket = self._unique_index[key_no]
-                for row in new_rows:
-                    key_value = tuple(row[i] for i in key)
-                    if not any(v is None for v in key_value):
-                        bucket.add(key_value)
+                self._unique_index[key_no].update(
+                    map(itemgetter(*key), new_rows))
         if self.sorted_by is None:
             self._store.extend_rows(new_rows)
             return
@@ -336,9 +350,7 @@ class CdwTable:
         last = self._last_value(col)
         in_order = last is None or last <= new_rows[0][col]
         self._store.extend_rows(new_rows)
-        if not in_order or any(
-                new_rows[i][col] > new_rows[i + 1][col]
-                for i in range(len(new_rows) - 1)):
+        if not in_order or not _ascending([row[col] for row in new_rows]):
             self._sort_store(col)
 
     def _last_value(self, col: int):
@@ -369,17 +381,15 @@ class CdwTable:
                 if new_keys is not None:
                     bucket.update(new_keys[key_no])
                     continue
-                for key_value in zip(*(decoded(column_values[i])
-                                       for i in key)):
-                    if not any(v is None for v in key_value):
-                        bucket.add(key_value)
+                bucket.update(_key_values(
+                    key, [decoded(column_values[i]) for i in key]))
         sort_needed = False
         if self.sorted_by is not None:
             col = self.column_index(self.sorted_by)
             new_col = decoded(column_values[col])
             last = self._last_value(col)
-            sort_needed = (last is not None and last > new_col[0]) or any(
-                new_col[i] > new_col[i + 1] for i in range(n - 1))
+            sort_needed = (last is not None and last > new_col[0]) \
+                or not _ascending(new_col)
         self._store.extend_columns(column_values)
         if sort_needed:
             self._sort_store(self.column_index(self.sorted_by))
@@ -409,8 +419,10 @@ class CdwTable:
                 field=spec.name)
         return spec.ctype.coerce(value, field=spec.name)
 
-    def _uniqueness_error(self, key: tuple[int, ...], key_value: tuple,
+    def _uniqueness_error(self, key: tuple[int, ...], key_value,
                           field_hint: str | None) -> BulkExecutionError:
+        if len(key) == 1:
+            key_value = (key_value,)
         columns = ", ".join(self.columns[i].name for i in key)
         return BulkExecutionError(
             f"uniqueness violation on {self.name}({columns}): "
@@ -418,13 +430,30 @@ class CdwTable:
             kind="uniqueness",
             field=field_hint or self.columns[key[0]].name)
 
-    def _key_tuples(self, key: tuple[int, ...], candidate_rows):
-        """Iterate key tuples of ``candidate_rows`` — columnwise when the
-        candidate is this table's own live view (no tuple building)."""
+    def _row_keys(self, key: tuple[int, ...], candidate_rows):
+        """Iterate the key values of ``candidate_rows`` (bare for a
+        one-column key) — columnwise when the candidate is this table's
+        own live view (no tuple building)."""
         if isinstance(candidate_rows, RowsView) \
                 and candidate_rows._store is self._store:
-            return zip(*(self._store.column_list(i) for i in key))
-        return (tuple(row[i] for i in key) for row in candidate_rows)
+            return _key_values(
+                key, [self._store.column_list(i) for i in key])
+        return map(itemgetter(*key), candidate_rows)
+
+    def _first_duplicate(self, key: tuple[int, ...], key_values, seen,
+                         field_hint: str | None) -> set:
+        """The non-NULL ``key_values``, as a set, when none repeats and
+        none is in ``seen``; else raise the uniqueness error of the
+        first, in order, that does."""
+        local: set = set()
+        single = len(key) == 1
+        for key_value in key_values:
+            if (key_value is None) if single else (None in key_value):
+                continue
+            if key_value in seen or key_value in local:
+                raise self._uniqueness_error(key, key_value, field_hint)
+            local.add(key_value)
+        return local
 
     def check_unique(self, candidate_rows: list[tuple],
                      field_hint: str | None = None) -> None:
@@ -433,24 +462,15 @@ class CdwTable:
         BulkExecutionError naming the first violating key otherwise
         (without identifying the row)."""
         for key in self.unique_keys:
-            seen: set[tuple] = set()
-            for key_value in self._key_tuples(key, candidate_rows):
-                if any(v is None for v in key_value):
-                    continue
-                if key_value in seen:
-                    raise self._uniqueness_error(key, key_value, field_hint)
-                seen.add(key_value)
+            self._first_duplicate(key, self._row_keys(key, candidate_rows),
+                                  (), field_hint)
 
     def _ensure_unique_index(self) -> list[set]:
         """Build (once) the per-key sets of current rows' key values."""
         if self._unique_index is None:
             index: list[set] = []
             for key in self.unique_keys:
-                bucket: set = set()
-                for key_value in self._key_tuples(key, self.rows):
-                    if not any(v is None for v in key_value):
-                        bucket.add(key_value)
-                index.append(bucket)
+                index.append(set(self._row_keys(key, self.rows)))
             self._unique_index = index
         return self._unique_index
 
@@ -472,14 +492,8 @@ class CdwTable:
             return
         index = self._ensure_unique_index()
         for key_no, key in enumerate(self.unique_keys):
-            seen, local = index[key_no], set()
-            for row in new_rows:
-                key_value = tuple(row[i] for i in key)
-                if any(v is None for v in key_value):
-                    continue
-                if key_value in seen or key_value in local:
-                    raise self._uniqueness_error(key, key_value, field_hint)
-                local.add(key_value)
+            self._first_duplicate(key, map(itemgetter(*key), new_rows),
+                                  index[key_no], field_hint)
 
     def check_unique_append_columns(self, column_values: list,
                                     field_hint: str | None = None
@@ -489,9 +503,9 @@ class CdwTable:
         column may come as a ``TextColumn``.  Returns each unique key's
         set of new key values, for :meth:`append_columns`.
 
-        Each key's values are decoded once into one set: when it holds
-        one entry per row and none of the index's, the rows pass
-        without a walk in row order.
+        Each key's values are decoded once into one set (a one-column
+        key's values bare): when it holds one entry per row and none of
+        the index's, the rows pass without a walk in row order.
         """
         if not self.unique_keys:
             return []
@@ -502,18 +516,12 @@ class CdwTable:
             seen = index[key_no]
             cols = [decoded(column_values[i]) for i in key]
             if not any(None in col for col in cols):
-                local = set(zip(*cols))
+                local = set(_key_values(key, cols))
                 if len(local) == n and seen.isdisjoint(local):
                     new_keys.append(local)
                     continue
-            local = set()
-            for key_value in zip(*cols):
-                if any(v is None for v in key_value):
-                    continue
-                if key_value in seen or key_value in local:
-                    raise self._uniqueness_error(key, key_value, field_hint)
-                local.add(key_value)
-            new_keys.append(local)
+            new_keys.append(self._first_duplicate(
+                key, _key_values(key, cols), seen, field_hint))
         return new_keys
 
     # -- storage stats -------------------------------------------------------

@@ -733,12 +733,13 @@ def _cmd_serve(args) -> int:
 
 def _cmd_transpile(args) -> int:
     from repro.sqlxc import (
-        bind_params_to_columns, parse_statement, render, to_cdw,
+        bind_params_to_columns, fresh_name, parse_statement, render, to_cdw,
     )
     statement = parse_statement(args.sql, dialect="legacy")
     if args.bind:
         fields = [f.strip() for f in args.bind.split(",") if f.strip()]
-        statement = bind_params_to_columns(statement, fields, "s")
+        statement = bind_params_to_columns(
+            statement, fields, fresh_name("s", statement, fields))
     print(render(to_cdw(statement), "cdw"))
     return 0
 

@@ -46,17 +46,15 @@ from repro.obs import NULL_OBS, NULL_SPAN, Observability, get_logger
 from repro.plancache import PlanCache
 from repro.sqlxc import nodes as n
 from repro.sqlxc.parser import parse_statement
-from repro.sqlxc.rewrites import bind_params_to_columns, to_cdw
+from repro.sqlxc.rewrites import bind_params_to_columns, fresh_name, to_cdw
 
 __all__ = ["Beta", "ApplyRun", "ApplySummary", "PreparedDml",
-           "SEQ_COLUMN", "STAGING_ALIAS"]
+           "SEQ_COLUMN"]
 
 log = get_logger("beta")
 
 #: the synthetic order column Hyper-Q adds to every staging table.
 SEQ_COLUMN = "__SEQ"
-#: alias the staging table is bound under in rewritten DML.
-STAGING_ALIAS = "s"
 
 
 @dataclass
@@ -132,6 +130,9 @@ class Beta:
 
     @staticmethod
     def _plan_key(sql: str, layout: Layout, staging_table: str) -> tuple:
+        """What a compiled plan depends on: the statement, the staging
+        table, and the layout (its field names and the statement's
+        names choose the staging alias, :func:`fresh_name`)."""
         signature = tuple(
             (f.name, f.type.base, f.type.length, f.type.scale)
             for f in layout.fields)
@@ -156,14 +157,16 @@ class Beta:
     def _compile_dml(self, sql: str, layout: Layout,
                      staging_table: str) -> PreparedDml:
         statement = parse_statement(sql, dialect="legacy")
+        # The staging binding never shares a name with the job's.
+        alias = fresh_name("s", statement, layout.field_names)
         statement = bind_params_to_columns(
-            statement, layout.field_names, STAGING_ALIAS)
+            statement, layout.field_names, alias)
         statement = to_cdw(statement)
+        staging = n.TableRef(staging_table, alias)
 
         lo = n.Literal(0)
         hi = n.Literal(0)
-        pred = n.Between(
-            n.ColumnRef(SEQ_COLUMN, table=STAGING_ALIAS), lo, hi)
+        pred = n.Between(n.ColumnRef(SEQ_COLUMN, table=alias), lo, hi)
 
         if isinstance(statement, n.Insert):
             if not isinstance(statement.source, n.Values) \
@@ -173,7 +176,7 @@ class Beta:
                     "host-variable expressions")
             select = n.Select(
                 items=[n.SelectItem(e) for e in statement.source.rows[0]],
-                from_=n.TableRef(staging_table, STAGING_ALIAS),
+                from_=staging,
                 where=pred)
             template = n.Insert(
                 statement.table, list(statement.columns), select)
@@ -187,7 +190,7 @@ class Beta:
                 else n.BinaryOp("AND", statement.where, pred)
             template = n.Update(
                 statement.table, statement.assignments,
-                n.TableRef(staging_table, STAGING_ALIAS), where)
+                staging, where)
             return PreparedDml("update", template, lo, hi)
 
         if isinstance(statement, n.Delete):
@@ -198,19 +201,19 @@ class Beta:
                 else n.BinaryOp("AND", statement.where, pred)
             template = n.Delete(
                 statement.table,
-                n.TableRef(staging_table, STAGING_ALIAS), where)
+                staging, where)
             return PreparedDml("delete", template, lo, hi)
 
         if isinstance(statement, n.Merge):
             source = n.Select(
                 items=[
-                    n.SelectItem(n.ColumnRef(f, table=STAGING_ALIAS), f)
+                    n.SelectItem(n.ColumnRef(f, table=alias), f)
                     for f in layout.field_names
                 ],
-                from_=n.TableRef(staging_table, STAGING_ALIAS),
+                from_=staging,
                 where=pred)
             template = n.Merge(
-                statement.target, source, STAGING_ALIAS, statement.on,
+                statement.target, source, alias, statement.on,
                 statement.matched, statement.not_matched)
             return PreparedDml("merge", template, lo, hi)
 
@@ -373,7 +376,7 @@ class ApplyRun:
             self.sql, self.layout, self.staging_table)
         template = bind(lo, hi)
         select = template.source
-        seq = n.ColumnRef(SEQ_COLUMN, table=STAGING_ALIAS)
+        seq = n.ColumnRef(SEQ_COLUMN, table=select.from_.binding)
         return self._run(n.Insert(template.table, template.columns, n.Select(
             select.items, from_=select.from_, where=n.BinaryOp(
                 "AND", select.where,
@@ -460,7 +463,7 @@ class ApplyRun:
         select = self._builder(seqs[0], seqs[-1]).source \
             if self._kind in ("insert", "merge") else None
         if isinstance(select, n.Select):
-            seq = n.ColumnRef(SEQ_COLUMN, table=STAGING_ALIAS)
+            seq = n.ColumnRef(SEQ_COLUMN, table=select.from_.binding)
             fetch = n.Select(
                 [*select.items, n.SelectItem(seq)], from_=select.from_,
                 where=n.BinaryOp("AND", n.Between(

@@ -15,8 +15,10 @@ handler's range splitting and row-number reporting.
 
 A clean VARTEXT chunk — no backslash, every non-empty line of the
 layout's arity — splits into columns with a handful of C-level bytes
-calls.  Any other chunk goes record by record through the compiled
-codec's decoder.  Records that cannot be decoded at all (wrong field
+calls: arity is proven by comparing the chunk's skeleton (its delimiter
+and newline bytes) with one line's repeated, and each column is framed
+by its values' byte lengths (:mod:`repro.cdw.stagefile`).  Any other
+chunk goes record by record through the compiled codec's decoder.  Records that cannot be decoded at all (wrong field
 count, truncated binary) are *acquisition errors*: they are excluded
 from the staging data and reported with their legacy error code so Beta
 can record them in the transformation error table.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from repro.cdw import stagefile
 from repro.errors import DataFormatError
@@ -89,17 +90,28 @@ class DataConverter:
         self._separator = (
             record_format.delimiter.encode("utf-8")
             if isinstance(record_format, VartextFormat) else None)
+        if self._separator is not None:
+            #: one line's delimiter and newline bytes, and every byte
+            #: but those (deleted to leave a chunk's skeleton).
+            self._row_skeleton = self._separator * (self._arity - 1) \
+                + b"\n"
+            self._noise = bytes(set(range(256)).difference(
+                self._row_skeleton))
 
     def convert(self, chunk_seq: int, data: bytes) -> ConvertedChunk:
         """Convert one legacy chunk into one staging block."""
-        lines = None
+        raw = data
         if self._separator is not None:
-            # The VARTEXT records: its non-empty lines (no UTF-8
-            # character holds the byte 0x0A).
-            lines = data.split(b"\n")
-            if b"" in lines:
-                lines = [line for line in lines if line]
-            total = len(lines)
+            # The VARTEXT records are its non-empty lines (no UTF-8
+            # character holds the byte 0x0A): blank lines go, the last
+            # line gets its newline, and the skeleton (every byte but
+            # the delimiter's and the newline deleted) counts them.
+            if b"\n\n" in data or data[:1] == b"\n":
+                data = b"\n".join(filter(None, data.split(b"\n")))
+            if data[-1:] not in (b"", b"\n"):
+                data += b"\n"
+            skeleton = data.translate(None, self._noise)
+            total = skeleton.count(b"\n")
         else:
             total = self.record_format.count_records(data)
         if total > self.seq_stride:
@@ -112,8 +124,10 @@ class DataConverter:
         base = chunk_seq * self.seq_stride
         errors: list[AcquisitionError] = []
         converted = None
-        if lines is not None:
-            converted = self._split_clean(data, lines, base)
+        if self._separator is not None:
+            if not raw.isascii():
+                raw.decode("utf-8")   # the decoder's validation and error
+            converted = self._split_clean(data, skeleton, total, base)
         if converted is None:
             converted = self._convert_records(data, base, errors)
         block, records = converted
@@ -129,26 +143,31 @@ class DataConverter:
             errors=errors,
         )
 
-    def _split_clean(self, data: bytes, lines: list[bytes],
+    def _split_clean(self, data: bytes, skeleton: bytes, rows: int,
                      base: int) -> "tuple[bytes, int] | None":
-        """A clean VARTEXT chunk (its non-empty ``lines``) as ``(block,
-        records)``; None for a chunk with an escape or a line of the
-        wrong arity."""
-        data.decode("utf-8")      # the decoder's validation and error
-        if b"\\" in data:
+        """A clean VARTEXT chunk of ``rows`` lines (UTF-8, none blank)
+        as ``(block, records)``; None for a chunk with an escape or a
+        line of the wrong arity.
+
+        Arity is one compare: the chunk's ``skeleton`` must read one
+        line's delimiters and newline once per line.  A multi-byte
+        delimiter's bytes may also occur inside other characters, so the
+        split must then yield ``arity`` fields per line as well.
+        """
+        if b"\\" in data or skeleton != self._row_skeleton * rows:
             return None
+        if not rows:
+            return b"", 0
         separator = self._separator
         arity = self._arity
-        gaps = list(map(bytes.count, lines, repeat(separator)))
-        if gaps.count(arity - 1) != len(lines):
+        fields = data.replace(b"\n", separator).split(separator)
+        fields.pop()                    # after the last newline
+        if len(fields) != arity * rows:
             return None
-        if not lines:
-            return b"", 0
-        fields = separator.join(lines).split(separator)
         columns = [stagefile.fields_column(fields[i::arity])
                    for i in range(arity)]
-        seq = array("q", range(base, base + len(lines)))
-        return stagefile.encode_block(seq, columns), len(lines)
+        return stagefile.encode_block(range(base, base + rows),
+                                      columns), rows
 
     def _convert_records(self, data: bytes, base: int,
                          errors: list) -> tuple[bytes, int]:

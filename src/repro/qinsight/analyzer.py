@@ -143,8 +143,10 @@ class WorkloadAnalyzer:
         if params:
             # Host params are expected in DML bodies: analyze the bound
             # form (the shape Hyper-Q actually executes).
-            from repro.sqlxc.rewrites import bind_params_to_columns
-            statement = bind_params_to_columns(statement, params, "s")
+            from repro.sqlxc.rewrites import (bind_params_to_columns,
+                                              fresh_name)
+            statement = bind_params_to_columns(
+                statement, params, fresh_name("s", statement, params))
         try:
             translated = render(to_cdw(statement), "cdw")
         except SqlTranslationError as exc:

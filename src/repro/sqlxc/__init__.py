@@ -22,14 +22,15 @@ from repro.sqlxc.lexer import tokenize
 from repro.sqlxc.parser import parse_statement, parse_expression
 from repro.sqlxc.render import render
 from repro.sqlxc.rewrites import (
-    to_cdw, bind_params_to_columns, bind_params_to_values, map_type,
+    to_cdw, bind_params_to_columns, bind_params_to_values, fresh_name,
+    map_type,
 )
 from repro.sqlxc import nodes
 
 __all__ = [
     "tokenize", "parse_statement", "parse_expression", "render",
     "to_cdw", "bind_params_to_columns", "bind_params_to_values",
-    "map_type", "transpile", "nodes",
+    "fresh_name", "map_type", "transpile", "nodes",
 ]
 
 

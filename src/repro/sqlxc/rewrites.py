@@ -14,7 +14,10 @@ make legacy SQL executable on the CDW:
   into the set-oriented form Hyper-Q executes over the staging table;
 - :func:`bind_params_to_values` — replaces host variables with literals
   (how the reference legacy server and the Figure 11 baseline apply the
-  DML to one input record at a time).
+  DML to one input record at a time);
+- :func:`fresh_name` — every name the translation introduces (the
+  staging alias, a constant upsert's source alias), spelled unlike any
+  table, alias or column of the statement, so it never captures one.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.sqlxc import nodes as n
 
 __all__ = [
     "map_type", "to_cdw", "bind_params_to_columns", "bind_params_to_values",
-    "collect_host_params", "upsert_to_merge", "TYPE_MAP",
+    "collect_host_params", "upsert_to_merge", "fresh_name", "TYPE_MAP",
 ]
 
 #: legacy base type -> CDW base type (Section 6's type mapping).
@@ -57,6 +60,34 @@ _FUNCTION_MAP = {
     "POSITION": lambda args: n.FuncCall("STRPOS", [args[1], args[0]]),
     "SUBSTR": lambda args: n.FuncCall("SUBSTR", list(args)),
 }
+
+
+#: node fields that hold a table, alias or column name (or a list).
+_NAME_FIELDS = ("name", "alias", "table", "column", "columns",
+                "source_alias")
+
+
+def fresh_name(base: str, statement: n.Node, avoid=()) -> str:
+    """``base``, or ``base`` with the smallest number appended, spelled
+    unlike (case-insensitively) every table, alias and column name in
+    ``statement``, every part of a dotted one, and every name in
+    ``avoid``.  A name the translation binds this way cannot capture a
+    reference the job wrote."""
+    names = list(avoid)
+    for node in n.walk(statement):
+        for attr in _NAME_FIELDS:
+            value = getattr(node, attr, None)
+            if isinstance(value, str):
+                names.append(value)
+            elif isinstance(value, list):
+                names += [item for item in value if isinstance(item, str)]
+    taken = {part.upper() for name in names
+             for part in (name, *name.split("."))}
+    candidate, number = base, 0
+    while candidate.upper() in taken:
+        number += 1
+        candidate = f"{base}{number}"
+    return candidate
 
 
 def map_type(type_name: n.TypeName) -> n.TypeName:
@@ -122,7 +153,7 @@ def upsert_to_merge(upsert: n.Upsert) -> n.Merge:
     else:
         # Constant upsert: synthesise SELECT <nothing> ... a one-row dual.
         source = n.Select(items=[n.SelectItem(n.Literal(1), "dummy")])
-        source_alias = "src"
+        source_alias = fresh_name("src", upsert)
     if not isinstance(insert.source, n.Values) or len(insert.source.rows) != 1:
         raise SqlTranslationError(
             "upsert INSERT must carry exactly one VALUES row")

@@ -16,6 +16,10 @@ in the tests:
   *statement semantics*: which statements succeed, what they return and
   what they leave behind.  It never asks which error a failing
   statement raised.
+- :func:`tuple_keyed_violation` is the unique-key check with every key
+  value a tuple, one-column keys included.  It is the reference for the
+  table's unique-key index (``tests/cdw/test_unique_differential.py``):
+  which key an append duplicates first, and the error's text.
 - :func:`nested_loop_dml` runs UPDATE, DELETE … USING and MERGE as
   nested loops over target × source rows.  It is the reference for the
   engine's keyed DML executor: which rows a statement updates, deletes
@@ -91,6 +95,36 @@ def row_interpreter(engine: CdwEngine) -> CdwEngine:
     ``test_vector_error_order.forbid_row_paths``).  Returns ``engine``."""
     engine._vector_or_rows = lambda vector, rows: rows()
     return engine
+
+
+def tuple_keyed_violation(name: str, columns: "list[str]",
+                          unique_keys: "list[tuple[int, ...]]",
+                          existing: "list[tuple]",
+                          new_rows: "list[tuple]") -> "str | None":
+    """The text of the uniqueness error appending ``new_rows`` to a
+    table ``name`` holding ``existing`` (whose keys are unique) raises,
+    or None.  Keys are checked in declaration order; within a key the
+    first new row whose tuple repeats an existing or an earlier new
+    row's is the one named, and a key tuple holding a NULL never
+    participates."""
+    for key in unique_keys:
+        def tuples(rows):
+            return [tuple(row[i] for i in key) for row in rows]
+
+        seen = {value for value in tuples(existing) if None not in value}
+        for value in tuples(new_rows):
+            if None in value:
+                continue
+            if value in seen:
+                body = repr(value[0]) if len(value) == 1 else \
+                    "(" + ", ".join(map(repr, value)) + ")"
+                if len(body) > 64:
+                    body = body[:61] + "..."
+                names = ", ".join(columns[i] for i in key)
+                return (f"uniqueness violation on {name}({names}): "
+                        f"key {body}")
+            seen.add(value)
+    return None
 
 
 def nested_loop_dml(engine: CdwEngine, ruled_out=None) -> CdwEngine:

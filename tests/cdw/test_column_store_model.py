@@ -118,10 +118,8 @@ class StorageModel(RuleBasedStateMachine):
                 parts = [TextColumn(), TextColumn()]
                 for j, v in enumerate(col):
                     parts[j >= cut].append(v)
-                cols[i] = TextColumn.concat(parts) \
-                    if data.draw(st.booleans()) else parts[0]
-                if cols[i] is parts[0]:
-                    parts[0].append_many(parts[1])
+                parts[0].append_many(parts[1])
+                cols[i] = parts[0]
             elif kinds <= {int} and all(-2 ** 63 <= v < 2 ** 63
                                         for v in col) \
                     and data.draw(st.booleans()):

@@ -246,9 +246,10 @@ def test_clean_vartext_takes_the_split_path():
     converted = DataConverter(record_format, seq_stride=STRIDE).convert(
         2, "x|\n\né|y\n".encode("utf-8"))
     (block,) = stagefile.decode_blocks(converted.block)
-    assert block.seq.tolist() == [2000, 2001]
-    assert [c.to_list(0, 2) for c in block.columns] == \
-        [["x", "é"], [None, "y"]]
+    assert block.runs == [(2000, 2002)]
+    *columns, seq = stagefile.join_blocks([block])[0]
+    assert seq.tolist() == [2000, 2001]
+    assert [c.to_list(0, 2) for c in columns] == [["x", "é"], [None, "y"]]
 
 
 def test_invalid_utf8_raises_what_the_decoder_raises():
@@ -285,18 +286,35 @@ def test_truncated_block_is_a_typed_error_and_lands_nothing(data):
     assert outcome[:2] == ("raise", "DataFormatError")
 
 
+#: where column A of :func:`_one_block_file` (rows ``a|b``, ``|é``,
+#: ``c|``) lies: a 16-byte header and one 16-byte ``__SEQ`` run, then
+#: its u64 blob size, three validity bytes, three u64 lengths (1, 0, 1)
+#: and its blob ``ac``.
+_VALID_A = 16 + 16 + 8
+_LENGTHS_A = _VALID_A + 3
+_BLOB_A = _LENGTHS_A + 3 * 8
+
+
 @pytest.mark.parametrize("where, junk", [
     ("magic", (0, b"XXXX")),
-    # a 12-byte header, three __SEQ values, then column A's validity
-    # bytes and its offsets.
-    ("validity", (12 + 3 * 8, b"\x07")),
-    ("offsets", (12 + 3 * 8 + 3 + 8, (99).to_bytes(8, "little"))),
-])
+    ("validity", (_VALID_A, b"\x07")),
+    ("lengths", (_LENGTHS_A, (99).to_bytes(8, "little"))),  # sum past
+    ("lengths", (_LENGTHS_A, (0).to_bytes(8, "little"))),   # sum short
+    ("utf-8", (_BLOB_A, b"\xff")),
+    ("magic", (0, b"HQB1")),            # the end-offsets format's magic
+    ("__SEQ runs", (16 + 8, (0).to_bytes(8, "little"))),    # empty run
+], ids=["magic-junk0", "validity-junk1", "lengths-past", "lengths-short",
+        "utf8", "hqb1-magic", "empty-run"])
 def test_corrupt_block_is_a_typed_error(where, junk):
+    """Each corrupt block raises ``DataFormatError`` naming what is
+    wrong, and the COPY lands nothing, an intact file beside it
+    included."""
     at, payload = junk
     block = bytearray(_one_block_file())
+    assert block[:4] == b"HQB2"
     block[at:at + len(payload)] = payload
-    outcome = copy_outcome(_DDL, [bytes(block)], "block", False)
+    outcome = copy_outcome(_DDL, [_one_block_file(), bytes(block)],
+                           "block", False)
     assert outcome[:2] == ("raise", "DataFormatError")
     assert where in outcome[2]
 

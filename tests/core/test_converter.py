@@ -18,12 +18,12 @@ LAYOUT = Layout("L", [
 
 def staged_rows(block):
     """The ``(field..., __SEQ)`` tuples of a converted chunk's block."""
-    rows = []
-    for decoded in stagefile.decode_blocks(block):
-        columns = [column.to_list(0, len(column))
-                   for column in decoded.columns]
-        rows.extend(zip(*columns, decoded.seq.tolist()))
-    return rows
+    blocks = stagefile.decode_blocks(block)
+    if not blocks:
+        return []
+    *columns, seq = stagefile.join_blocks(blocks)[0]
+    return list(zip(*[column.to_list(0, len(column))
+                      for column in columns], seq.tolist()))
 
 
 def make_converter(record_format=None, stride=1000):

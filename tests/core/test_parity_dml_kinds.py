@@ -27,34 +27,43 @@ SEED_SQL = [
 ]
 
 
-def run_job(connect, apply_sql: str, data: bytes, chunk_bytes: int = 24):
+def seeded(client, table: str) -> None:
+    """Create and fill the target, named ``table``."""
+    for sql in SEED_SQL:
+        client.execute_sql(sql.replace(" T ", f" {table} "))
+
+
+def run_job(connect, apply_sql: str, data: bytes, chunk_bytes: int = 24,
+            table: str = "T"):
     client = LegacyEtlClient(connect)
     client.logon("h", "u", "p")
-    for sql in SEED_SQL:
-        client.execute_sql(sql)
+    seeded(client, table)
     result = client.run_import(ImportJobSpec(
-        target_table="T", et_table="T_ET", uv_table="T_UV",
+        target_table=table, et_table=f"{table}_ET", uv_table=f"{table}_UV",
         layout=LAYOUT, apply_sql=apply_sql, data=data,
         sessions=2, chunk_bytes=chunk_bytes))
     client.logoff()
     return result
 
 
-def both(apply_sql: str, data: bytes, chunk_bytes: int = 24):
+def both(apply_sql: str, data: bytes, chunk_bytes: int = 24,
+         table: str = "T", job=run_job):
+    """``job``'s result and the target's rows on the legacy server, then
+    through Hyper-Q."""
     server = LegacyServer().start()
     try:
-        legacy_result = run_job(server.connect, apply_sql, data,
-                                chunk_bytes)
+        legacy_result = job(server.connect, apply_sql, data, chunk_bytes,
+                            table)
         legacy_table = server.engine.query(
-            "SELECT K, V FROM T ORDER BY K")
+            f"SELECT K, V FROM {table} ORDER BY K")
     finally:
         server.stop()
     stack = build_stack(config=HyperQConfig(credits=8))
     try:
-        hyperq_result = run_job(stack.node.connect, apply_sql, data,
-                                chunk_bytes)
+        hyperq_result = job(stack.node.connect, apply_sql, data,
+                            chunk_bytes, table)
         hyperq_table = stack.engine.query(
-            "SELECT K, V FROM T ORDER BY K")
+            f"SELECT K, V FROM {table} ORDER BY K")
     finally:
         stack.close()
     return legacy_result, legacy_table, hyperq_result, hyperq_table
@@ -122,3 +131,44 @@ class TestUpsertParity:
         data = (b"a|u1\nq|c1\na|u2\nq|u-after-c\nr|c2\n")
         lr, lt, hr, ht = both(self.UPSERT, data, chunk_bytes)
         assert lt == ht
+
+
+def counts(result) -> tuple:
+    return (result.rows_inserted, result.rows_updated, result.rows_deleted,
+            result.et_errors, result.uv_errors)
+
+
+class TestGeneratedNames:
+    """Names the translation introduces never capture the job's: the
+    staging binding and a constant upsert's MERGE source are drawn
+    unlike any table, alias or column of the statement."""
+
+    DATA = b"a|new-a\nzz|new-z\n"
+
+    @pytest.mark.parametrize("apply_sql", [
+        "update S set V = :V where S.K = :K else insert into S values "
+        "(:K, :V)",
+        "update S set V = :V where S.K = trim(:K)",
+        "delete from S where S.K = trim(:K)",
+    ], ids=["upsert", "update", "delete"])
+    def test_a_target_named_like_the_staging_alias(self, apply_sql):
+        lr, lt, hr, ht = both(apply_sql, self.DATA, table="S")
+        assert counts(lr) == counts(hr)
+        assert lt == ht
+
+    def test_a_constant_upsert_into_a_table_named_like_its_source(self):
+        def upsert(connect, sql, data, chunk_bytes, table):
+            client = LegacyEtlClient(connect)
+            client.logon("h", "u", "p")
+            seeded(client, table)
+            result = [client.execute_sql(sql).activity_count
+                      for _ in range(2)]
+            client.logoff()
+            return result
+
+        sql = ("update SRC set V = 'const' where K = 'zz' "
+               "else insert into SRC values ('zz', 'const')")
+        lr, lt, hr, ht = both(sql, b"", table="SRC", job=upsert)
+        assert lr == hr == [1, 1]
+        assert lt == ht
+        assert ("zz", "const") in ht
