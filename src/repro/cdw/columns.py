@@ -343,6 +343,13 @@ class TextColumn(_BaseColumn):
 _ASCII_WHITESPACE = (*range(0x09, 0x0E), *range(0x1C, 0x21))
 
 
+#: offsets per compare in :meth:`TextSlice.uniform_width`: the packed
+#: progression is built this many at a time, so the check of a 50k-value
+#: column holds some 100 KB at once, not a tuple and an int of every
+#: offset (≈ 2 MB).
+_PROGRESSION_STEP = 2048
+
+
 @functools.lru_cache(maxsize=8)
 def _uniform_cut(width: int, count: int) -> struct.Struct:
     """The struct cutting ``count`` values of ``width`` bytes each.
@@ -364,20 +371,25 @@ class TextSlice:
     only way its values reach another column.
     """
 
-    __slots__ = ("column", "lo", "hi")
+    __slots__ = ("column", "lo", "hi", "_width")
 
-    def __init__(self, column: TextColumn, lo: int, hi: int):
+    def __init__(self, column: TextColumn, lo: int, hi: int,
+                 width: "int | None" = None):
         self.column = column
         self.lo = lo
         self.hi = hi
+        #: the :meth:`uniform_width`, once known (None: not known).
+        self._width = width
 
     def __len__(self):
         """Number of values (NULLs included)."""
         return self.hi - self.lo
 
     def sub(self, start: int, stop: int) -> "TextSlice":
-        """Values ``[start, stop)`` of this slice."""
-        return TextSlice(self.column, self.lo + start, self.lo + stop)
+        """Values ``[start, stop)`` of this slice; every value of a
+        slice of one width has it, so a known width is handed down."""
+        return TextSlice(self.column, self.lo + start, self.lo + stop,
+                         self._width)
 
     def to_list(self) -> list:
         """The values as ``str | None``."""
@@ -416,34 +428,49 @@ class TextSlice:
 
     def max_chars(self) -> int:
         """Length in characters of the longest value (0 when there is
-        none): the byte width when the values are ASCII, else counted
-        over the decoded values."""
-        column = self.column
-        whole = self.lo == 0 and self.hi == len(column)
-        if (column.blob if whole else self.data()).isascii():
+        none): the byte width when the column's blob is ASCII (tested in
+        place, so a sub-slice is not copied), else counted over the
+        decoded values."""
+        if self.column.blob.isascii():
             return self.max_width()
         return max(map(len, filter(None, self.to_list())), default=0)
 
     def max_width(self) -> int:
-        """Byte width of the widest value (0 when there is none)."""
-        offsets = self.column.offsets
-        lo, hi = self.lo, self.hi
-        if hi == lo:
-            return 0
+        """Byte width of the widest value (0 when there is none): the
+        :meth:`uniform_width` when the values have one, else a max over
+        the offsets' differences."""
+        width = self.uniform_width()
+        if width is not None:
+            return width
+        offsets, lo, hi = self.column.offsets, self.lo, self.hi
         return max(map(sub, offsets[lo + 1:hi + 1], offsets[lo:hi]))
 
     def uniform_width(self) -> "int | None":
         """The width in bytes every value spans when their offsets are
-        an arithmetic progression, else None: one compare of the
-        offsets' bytes with the progression's, packed.  A NULL spans
-        none, so a slice holding NULLs has one (0) only when no value
-        has a byte."""
+        an arithmetic progression, else None: the offsets' bytes
+        compared with the progression's, packed
+        :data:`_PROGRESSION_STEP` offsets at a time (a bounded
+        transient; an uneven slice stops at its first uneven step).  A
+        NULL spans none, so a slice holding NULLs has one (0) only when
+        no value has a byte.  A width found is kept with the slice (its
+        values do not change while it is read) and its :meth:`sub`
+        slices, so an export's chunks do not check it again."""
+        if self._width is not None:
+            return self._width
         offsets, lo, hi = self.column.offsets, self.lo, self.hi
         base, end = offsets[lo], offsets[hi]
         width, uneven = divmod(end - base, max(hi - lo, 1))
-        if uneven or (width and offsets[lo:hi + 1].tobytes() != struct.pack(
-                "%dq" % (hi - lo + 1), *range(base, end + 1, width))):
+        if uneven:
             return None
+        step = _PROGRESSION_STEP
+        for first in range(lo, hi + 1, step) if width else ():
+            last = min(first + step, hi + 1)
+            start = base + (first - lo) * width
+            if offsets[first:last].tobytes() != struct.pack(
+                    f"{last - first}q",
+                    *range(start, start + (last - first) * width, width)):
+                return None
+        self._width = width
         return width
 
     def free_of(self, needles: tuple) -> bool:
@@ -474,6 +501,18 @@ class TextSlice:
         data = self.data()
         return data.isascii() and not any(
             map(data.__contains__, _ASCII_WHITESPACE))
+
+    def gather(self, order) -> TextColumn:
+        """A new column of the values at positions ``order`` of this
+        slice, in that order: the :meth:`pieces` joined once, the
+        offsets their lengths' running sum, with no ``str`` per value."""
+        pieces = list(map(self.pieces().__getitem__, order))
+        valid = self.valid()
+        return TextColumn(bytearray(map(valid.__getitem__, order))
+                          if 0 in valid else bytearray(b"\x01") * len(order),
+                          array("q", accumulate(map(len, pieces),
+                                                initial=0)),
+                          bytearray().join(pieces))
 
     def copy(self) -> TextColumn:
         """A new column of these values, with buffers of its own."""

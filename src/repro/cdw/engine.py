@@ -950,7 +950,9 @@ class CdwEngine:
                       binding_upper) -> "list | None":
         """ORDER BY over vector-projected columns (mirrors _order_rows:
         positions and aliases address the output row, anything else is
-        an expression over the source row)."""
+        an expression over the source row).  Only the sort keys are
+        decoded; a ``TextSlice`` column is gathered by the order
+        (:meth:`~repro.cdw.columns.TextSlice.gather`)."""
         if not stmt.order_by:
             return out_cols
         aliases = self._output_aliases(items)
@@ -973,22 +975,23 @@ class CdwEngine:
             return None
         if not data.length:
             return out_cols
-        out_cols = [decoded(col) for col in out_cols]
         computed_cols = iter(computed)
         key_cols = []
         for (_, ascending), pos in zip(stmt.order_by, positions):
-            vals = next(computed_cols) if pos is None else out_cols[pos]
+            vals = next(computed_cols) if pos is None \
+                else decoded(out_cols[pos])
             key_cols.append((vals, ascending))
-
-        def order_key(i: int):
-            key = []
-            for vals, ascending in key_cols:
-                rank = _sort_key(vals[i])
-                key.append(rank if ascending else _Descending(rank))
-            return tuple(key)
-
-        order = sorted(range(data.length), key=order_key)
-        return [list(map(col.__getitem__, order)) for col in out_cols]
+        # One stable sort per key, the last first: the order of the
+        # row path's key tuples, with each value ranked once.
+        order = list(range(data.length))
+        for vals, ascending in reversed(key_cols):
+            order.sort(key=list(map(_sort_key, vals)).__getitem__,
+                       reverse=not ascending)
+        # Only the sort keys were decoded: a text column is gathered
+        # buffer to buffer, so it stays a TextSlice for the snapshot.
+        return [TextSlice(col.gather(order), 0, len(order))
+                if type(col) is TextSlice
+                else list(map(col.__getitem__, order)) for col in out_cols]
 
     def _vector_grouped(self, stmt: n.Select, items: list[n.SelectItem],
                         data, layout, binding_upper

@@ -33,6 +33,7 @@ from __future__ import annotations
 import datetime as _dt
 import functools
 import struct
+import threading
 from decimal import Decimal
 from itertools import repeat
 from operator import add, mul, or_
@@ -128,10 +129,9 @@ _RENDER_SRC = {
 }
 
 
-def _field_src(fld, name: str) -> "list[str]":
-    """The lines rendering field ``fld``'s value, held in ``name``, as
-    its type carries it (:data:`_RENDER_SRC`)."""
-    ftype = fld.type
+def _field_src(ftype, name: str) -> "list[str]":
+    """The lines rendering a value of type ``ftype``, held in ``name``,
+    as that type carries it (:data:`_RENDER_SRC`)."""
     family = ("character" if ftype.is_character
               else "integer" if ftype.is_integer else ftype.base)
     lo, hi = INT_RANGES.get(ftype.base, (0, 0))
@@ -158,7 +158,7 @@ def _gen_render(layout: Layout, delimiter: str, escape=None):
     fields = f"[{', '.join(names)}]"
     src = ["def _render(row):", f"    {fields} = row"]
     for name, fld in zip(names, layout.fields):
-        src += _field_src(fld, name)
+        src += _field_src(fld.type, name)
         if escape is not None:
             src.append(f"    {name} = _esc({name})")
     src.append(f"    return _d.join({fields}) + '\\n'")
@@ -169,34 +169,79 @@ def _gen_render(layout: Layout, delimiter: str, escape=None):
 #: the types a column of dates holds.
 _DATE_KINDS = frozenset({_dt.date, type(None)})
 
+#: most dates :data:`_DATE_TEXT` keeps; a fill past it starts it over.
+_DATE_TEXT_MAX = 16384
 
-def _gen_column_render(fld):
-    """``column -> list of bytes``: field ``fld``'s unescaped VARTEXT
-    text of every value of a block column (:class:`ColumnBlock`).
+#: each date's VARTEXT bytes (its ISO text), kept across chunks and
+#: exports: an export's dates repeat (a 50k-row table holds ≈ 8 400
+#: distinct ones) and the next export of the table renders the same
+#: ones.  Bounded by :data:`_DATE_TEXT_MAX` (≈ 100 bytes an entry) so a
+#: long-lived gateway does not keep every date it ever exported.
+#: Reads take no lock; :data:`_DATE_TEXT_LOCK` orders fills.
+_DATE_TEXT: "dict[_dt.date | None, bytes]" = {None: b""}
+_DATE_TEXT_LOCK = threading.Lock()
 
-    A text column's values are its buffer's bytes, and a column of
-    dates renders each distinct date once per renderer (the ISO text of
-    every date seen so far is kept, so a chunk is one lookup per value);
-    any other column renders value by value through the field's
-    template, which raises ``_Slow`` on a value it does not render.
+
+def _iso_texts(dates: set) -> dict:
+    """Each of ``dates`` (and NULL) to its VARTEXT bytes."""
+    dates.discard(None)
+    texts = dict(zip(dates, map(str.encode, map(_dt.date.isoformat,
+                                                dates))))
+    texts[None] = b""
+    return texts
+
+
+def _date_texts(column: list) -> list:
+    """The VARTEXT bytes of a column of dates and NULLs: one lookup per
+    value in :data:`_DATE_TEXT`, which a chunk holding a date it lacks
+    fills first (a fill that would pass the bound starts the memo
+    over).  A chunk another export's fill raced, or with more dates
+    than the memo keeps, takes its own texts."""
+    memo = _DATE_TEXT
+    try:
+        return list(map(memo.__getitem__, column))
+    except KeyError:
+        pass
+    fresh = _iso_texts(set(column).difference(memo))
+    with _DATE_TEXT_LOCK:
+        if len(memo) + len(fresh) > _DATE_TEXT_MAX:
+            memo.clear()
+        if len(fresh) <= _DATE_TEXT_MAX:
+            memo.update(fresh)
+    try:
+        return list(map(memo.__getitem__, column))
+    except KeyError:
+        return list(map(_iso_texts(set(column)).__getitem__, column))
+
+
+@functools.lru_cache(maxsize=256)
+def _gen_column_render(ftype):
+    """``column -> list of bytes``: the unescaped VARTEXT text of every
+    value of a block column (:class:`ColumnBlock`) in a field of type
+    ``ftype``.
+
+    Kept across exports (one compile per field type, not per export:
+    its ``exec`` is ≈ 1 ms of an export's first chunk), bounded because
+    a gateway meets as many types as its jobs declare.  A text column's
+    values are its buffer's bytes; a column of dates and NULLs renders
+    through the shared memo of :func:`_date_texts`, checked chunk by
+    chunk so a ``Timestamp`` never takes a date's text; any other
+    column renders value by value through the type's template, which
+    raises ``_Slow`` on a value it does not render.
     """
     env = _render_env()
-    exec("\n".join(["def _value(v):", *_field_src(fld, "v"),
+    exec("\n".join(["def _value(v):", *_field_src(ftype, "v"),
                      "    return v"]), env)
     value, encode = env["_value"], str.encode
-    text = fld.type.is_character
-    iso = {None: b""} if fld.type.base == "DATE" else None
+    text = ftype.is_character
+    dates = ftype.base == "DATE"
 
     def render(column) -> list:
         if text and type(column) is TextSlice:
             return column.pieces()
         column = decoded(column)
-        if iso is not None and _DATE_KINDS.issuperset(map(type, column)):
-            new = set(column).difference(iso)
-            if new:
-                iso.update(zip(new, map(encode, map(_dt.date.isoformat,
-                                                    new))))
-            return list(map(iso.__getitem__, column))
+        if dates and _DATE_KINDS.issuperset(map(type, column)):
+            return _date_texts(column)
         return list(map(encode, map(value, column)))
 
     return render
@@ -254,7 +299,8 @@ class CompiledVartextFormat(VartextFormat):
 
     @functools.cached_property
     def _column_renders(self):
-        return [_gen_column_render(fld) for fld in self.layout.fields]
+        return [_gen_column_render(fld.type)
+                for fld in self.layout.fields]
 
     def encode_records(self, rows: "Iterable[tuple] | ColumnBlock"
                        ) -> bytes:

@@ -150,7 +150,10 @@ class Coalescer:
     """Reassembles complete frames from raw byte chunks.
 
     Feed it whatever the transport delivers; it buffers partial frames and
-    yields :class:`Message` objects as soon as they are complete.
+    yields :class:`Message` objects as soon as they are complete.  A
+    chunk that is exactly one frame, fed with nothing buffered (how the
+    in-memory transport delivers every send), is cut in place: its body
+    is one slice of the chunk, with no pass through the buffer.
     """
 
     def __init__(self):
@@ -160,8 +163,17 @@ class Coalescer:
 
     def feed(self, data: bytes) -> Iterator[Message]:
         """Consume raw bytes; yield every completed message."""
-        self._buffer += data
         self.bytes_seen += len(data)
+        if not self._buffer and type(data) is bytes \
+                and len(data) >= _HEADER.size:
+            magic, kind, meta_len, body_len = _HEADER.unpack_from(data)
+            if magic == _MAGIC \
+                    and _HEADER.size + meta_len + body_len == len(data):
+                start = _HEADER.size + meta_len
+                yield _message(kind, data[_HEADER.size:start],
+                               data[start:])
+                return
+        self._buffer += data
         while True:
             message = self._try_extract()
             if message is None:
@@ -169,30 +181,40 @@ class Coalescer:
             yield message
 
     def _try_extract(self) -> Message | None:
-        if len(self._buffer) < _HEADER.size:
+        buffer = self._buffer
+        if len(buffer) < _HEADER.size:
             return None
-        magic, kind, meta_len, body_len = _HEADER.unpack_from(self._buffer)
+        magic, kind, meta_len, body_len = _HEADER.unpack_from(buffer)
         if magic != _MAGIC:
             raise ProtocolError(f"bad frame magic 0x{magic:04x}")
-        total = _HEADER.size + meta_len + body_len
-        if len(self._buffer) < total:
+        start = _HEADER.size + meta_len
+        total = start + body_len
+        if len(buffer) < total:
             return None
-        meta_raw = bytes(self._buffer[_HEADER.size:_HEADER.size + meta_len])
-        body = bytes(self._buffer[_HEADER.size + meta_len:total])
-        del self._buffer[:total]
-        try:
-            meta = json.loads(meta_raw) if meta_raw else {}
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"bad frame metadata: {exc}") from exc
-        try:
-            message_kind = MessageKind(kind)
-        except ValueError as exc:
-            raise ProtocolError(f"unknown message kind {kind}") from exc
-        return Message(message_kind, meta, body)
+        with memoryview(buffer) as view:
+            meta_raw = bytes(view[_HEADER.size:start])
+            body = bytes(view[start:total])
+        del buffer[:total]
+        return _message(kind, meta_raw, body)
 
     @property
     def pending_bytes(self) -> int:
+        """Bytes fed but not yet part of a complete frame."""
         return len(self._buffer)
+
+
+def _message(kind: int, meta_raw: bytes, body: bytes) -> Message:
+    """The message of one frame's parts; a ProtocolError when its
+    metadata is no JSON or its kind is unknown."""
+    try:
+        meta = json.loads(meta_raw) if meta_raw else {}
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(f"bad frame metadata: {exc}") from exc
+    try:
+        message_kind = MessageKind(kind)
+    except ValueError as exc:
+        raise ProtocolError(f"unknown message kind {kind}") from exc
+    return Message(message_kind, meta, body)
 
 
 class MessageChannel:

@@ -157,16 +157,39 @@ def upsert_to_merge(upsert: n.Upsert) -> n.Merge:
     if not isinstance(insert.source, n.Values) or len(insert.source.rows) != 1:
         raise SqlTranslationError(
             "upsert INSERT must carry exactly one VALUES row")
+    target = update.table.binding
     return n.Merge(
         target=update.table,
         source=source,
         source_alias=source_alias,
-        on=update.where,
-        matched=n.MergeMatched(assignments=update.assignments),
+        on=_target_qualified(update.where, target),
+        matched=n.MergeMatched(assignments=[
+            n.Assignment(a.column, _target_qualified(a.value, target))
+            for a in update.assignments]),
         not_matched=n.MergeNotMatched(
             columns=list(insert.columns),
             values=list(insert.source.rows[0])),
     )
+
+
+def _target_qualified(expr: n.Expr, binding: str) -> n.Expr:
+    """``expr`` with each unqualified column qualified by ``binding``.
+
+    A legacy UPDATE names only its target, so its bare columns are the
+    target's; a MERGE also binds its source, whose columns (a bound
+    upsert's staging fields) would make them ambiguous.  A subquery's
+    columns keep their own scope."""
+    nested = {id(node) for sub in n.walk(expr)
+              if isinstance(sub, (n.Select, n.SetOp))
+              for node in n.walk(sub)}
+
+    def rule(node: n.Node) -> n.Node:
+        if isinstance(node, n.ColumnRef) and node.table is None \
+                and id(node) not in nested:
+            return n.ColumnRef(node.name, table=binding)
+        return node
+
+    return n.transform(expr, rule)
 
 
 def to_cdw(statement: n.Statement) -> n.Statement:

@@ -11,9 +11,10 @@ included.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cdw.columns import TextColumn, TextSlice
+from repro.cdw.columns import _PROGRESSION_STEP, TextColumn, TextSlice
 
 NEEDLES = (b"|", b"\n", b"\\")
 
@@ -83,6 +84,41 @@ class TestUniformWidth:
         assert inner.max_width() == 2
 
 
+class TestLongSlices:
+    """Slices longer than one packed compare of the offsets
+    (``_PROGRESSION_STEP``): a width is a property of the whole slice,
+    whichever step an uneven value falls in."""
+
+    COUNT = 3 * _PROGRESSION_STEP + 5
+
+    def test_an_even_long_slice_has_its_width(self):
+        text = _slice(["abc"] * self.COUNT)
+        assert text.uniform_width() == text.max_width() == 3
+        assert text.sub(7, self.COUNT - 2).uniform_width() == 3
+
+    @pytest.mark.parametrize("at", [0, _PROGRESSION_STEP - 1,
+                                    _PROGRESSION_STEP,
+                                    2 * _PROGRESSION_STEP + 1,
+                                    COUNT - 1])
+    def test_one_uneven_pair_anywhere_breaks_it(self, at):
+        """A value one byte short and another one byte long keep the
+        total of an even slice, so only the compare can tell."""
+        values = ["abc"] * self.COUNT
+        values[at] = "ab"
+        values[(at + 1) % self.COUNT] = "abcd"
+        text = _slice(values)
+        assert text.uniform_width() is None
+        assert text.max_width() == text.max_chars() == 4
+        assert text.pieces() == _encoded(values)
+        assert text.sub(1, self.COUNT).uniform_width() is None
+
+    def test_max_chars_of_a_sub_slice_of_a_non_ascii_column(self):
+        values = ["ab"] * self.COUNT + ["☃☃☃"]
+        text = _slice(values)
+        assert text.max_chars() == 3 and text.max_width() == 9
+        assert text.sub(0, self.COUNT).max_chars() == 2
+
+
 _VALUES = st.lists(st.one_of(
     st.none(),
     st.text(st.sampled_from("ab|\n\\é☃"), max_size=4),
@@ -93,7 +129,8 @@ _VALUES = st.lists(st.one_of(
 @given(values=_VALUES, data=st.data())
 def test_slices_agree_with_the_values(values, data):
     """Every range and a sub-range of it: the pieces, widths and needle
-    checks equal the ones read off the values' bytes."""
+    checks equal the ones read off the values' bytes, and a gather by
+    any order (repeats and omissions included) holds those values."""
     n = len(values)
     lo = data.draw(st.integers(0, n))
     hi = data.draw(st.integers(lo, n))
@@ -120,3 +157,10 @@ def test_slices_agree_with_the_values(values, data):
         for needles in (NEEDLES, NEEDLES[:1]):
             assert part.free_of(needles) == (not any(
                 needle in piece for needle in needles for piece in pieces))
+        order = data.draw(st.lists(st.integers(0, max(len(want) - 1, 0)),
+                                   max_size=len(want) + 2)
+                          if want else st.just([]))
+        gathered = part.gather(order)
+        assert gathered.to_list(0, len(order)) == [want[i] for i in order]
+        assert TextSlice(gathered, 0, len(order)).pieces() == \
+            [pieces[i] for i in order]

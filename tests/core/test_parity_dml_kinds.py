@@ -172,3 +172,34 @@ class TestGeneratedNames:
         assert lr == hr == [1, 1]
         assert lt == ht
         assert ("zz", "const") in ht
+
+
+class TestUnqualifiedTargetColumns:
+    """Legacy DML names only its target, so a bare column is the
+    target's even when the layout has a field of the same name (``K``,
+    ``V``): the staging binding beside the target must not make it
+    ambiguous, in an upsert's MERGE (its ON and its SET right-hand
+    sides) or in UPDATE … FROM and DELETE … USING."""
+
+    DATA = b"a|x\nd|y\nc|z\n"
+
+    @pytest.mark.parametrize("apply_sql", [
+        "update T set V = V || :V where K = trim(:K) "
+        "else insert into T values (:K, :V)",
+        "update T set V = V || '-' || :V where K = trim(:K)",
+        "delete from T where K = trim(:K) and V <> :V",
+    ], ids=["upsert", "update", "delete"])
+    def test_bare_columns_are_the_targets(self, apply_sql):
+        lr, lt, hr, ht = both(apply_sql, self.DATA)
+        assert counts(lr) == counts(hr)
+        assert counts(hr)[3:] == (0, 0)
+        assert lt == ht
+
+    def test_a_constant_key_upsert_over_a_layout_field(self):
+        """Each record updates row ``a`` (no record names a field)."""
+        lr, lt, hr, ht = both(
+            "update T set V = 'const' where K = 'a' "
+            "else insert into T values ('a', 'const')", b"a|x\nb|y\n")
+        assert counts(lr) == counts(hr) == (0, 2, 0, 0, 0)
+        assert lt == ht
+        assert ("a", "const") in ht

@@ -3,6 +3,8 @@
 import datetime
 from decimal import Decimal
 
+from hypothesis import given, settings, strategies as st
+
 from repro.cdw.columns import TextColumn, TextSlice
 from repro.legacy.infer import infer_column_layout, infer_legacy_type
 
@@ -72,3 +74,38 @@ class TestInferResultLayout:
                               _text([])])
         assert [f.type.render() for f in layout.fields] == \
             ["VARCHAR(1)"] * 3
+
+
+#: values of one byte width each: ASCII, and equal bytes in unequal
+#: characters (``é`` is two bytes, like ``ab``).
+_UNIFORM = st.integers(0, 4).flatmap(lambda width: st.lists(
+    st.one_of(st.none(), st.text(st.sampled_from("ab|"), min_size=width,
+                                 max_size=width)), max_size=30))
+_MIXED_BYTES = st.lists(st.one_of(st.none(), st.sampled_from(
+    ["é", "ab", "☃", "abc", "éé", "abcd"])), max_size=30)
+_ANY = st.lists(st.one_of(st.none(), st.text(
+    st.sampled_from("ab\n|é☃\U0001F600"), max_size=6)), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(_UNIFORM, _MIXED_BYTES, _ANY), data=st.data())
+def test_text_layout_is_the_longest_value_in_characters(values, data):
+    """A text column's VARCHAR width, from its buffers, equals the
+    brute-force maximum of its values' characters (1 when there is
+    none), on the whole column, a slice of it and a sub-slice of that:
+    uniform and uneven byte widths, NULLs, empty and non-ASCII values."""
+    column = TextColumn()
+    column.append_many(values)
+    lo = data.draw(st.integers(0, len(values)))
+    hi = data.draw(st.integers(lo, len(values)))
+    start = data.draw(st.integers(0, hi - lo))
+    stop = data.draw(st.integers(start, hi - lo))
+    text = TextSlice(column, lo, hi)
+    for part, want in ((TextSlice(column, 0, len(values)), values),
+                       (text, values[lo:hi]),
+                       (text.sub(start, stop),
+                        values[lo + start:lo + stop])):
+        longest = max([len(v) for v in want if v is not None], default=0)
+        layout = infer_column_layout(["S"], [part])
+        assert layout.fields[0].type.render() == \
+            f"VARCHAR({max(longest, 1)})"

@@ -1,7 +1,9 @@
 """Tests for frame encoding and the Coalescer."""
 
+import struct
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError, TransportClosed
 from repro.legacy.protocol import (
@@ -123,25 +125,100 @@ class TestMessageChannel:
             server.recv_or_eof()
 
 
-@given(st.lists(
+_MESSAGE_SPECS = st.lists(
     st.tuples(
         st.sampled_from(list(MessageKind)),
         st.dictionaries(st.text(max_size=8),
                         st.one_of(st.integers(), st.text(max_size=12)),
                         max_size=4),
         st.binary(max_size=200)),
-    min_size=1, max_size=10),
-    st.integers(min_value=1, max_value=17))
-def test_coalescer_roundtrip_property(specs, mtu):
-    """Any message sequence survives arbitrary re-chunking."""
-    messages = [Message(kind, meta, body) for kind, meta, body in specs]
-    raw = b"".join(m.to_bytes() for m in messages)
+    min_size=1, max_size=10)
+
+
+def _frame(kind: int, meta_raw: bytes, body: bytes = b"",
+           magic: int = 0x4C50) -> bytes:
+    return struct.pack("<HHII", magic, kind, len(meta_raw),
+                       len(body)) + meta_raw + body
+
+
+#: frames the Coalescer must refuse, each with its error.
+_BAD_FRAMES = {
+    "magic": _frame(MessageKind.LOGON, b"{}", magic=0xBEEF),
+    "metadata": _frame(MessageKind.DATA, b"{not json", b"body"),
+    "kind": _frame(0xEE, b"{}", b"body"),
+}
+
+
+def _fed(chunks: "list[bytes]"):
+    """What one Coalescer makes of ``chunks``: the messages it yields,
+    the error it raises (or None) and its ``bytes_seen``."""
     coalescer = Coalescer()
-    out = []
-    for start in range(0, len(raw), mtu):
-        out.extend(coalescer.feed(raw[start:start + mtu]))
-    assert len(out) == len(messages)
-    for got, want in zip(out, messages):
-        assert got.kind == want.kind
-        assert got.meta == want.meta
-        assert got.body == want.body
+    out, error = [], None
+    try:
+        for chunk in chunks:
+            for message in coalescer.feed(chunk):
+                out.append((message.kind, message.meta, message.body))
+    except ProtocolError as exc:
+        error = str(exc)
+    return out, error, coalescer.bytes_seen
+
+
+def _feeds(frames: "list[bytes]", data) -> "dict[str, list[bytes]]":
+    """The same frames fed whole (one a feed), several a feed, cut
+    inside a header, and at an arbitrary transport size."""
+    raw = b"".join(frames)
+    per = data.draw(st.integers(2, 4), label="frames per feed")
+    groups = [b"".join(frames[i:i + per])
+              for i in range(0, len(frames), per)]
+    headers = []
+    for frame in frames:
+        cut = data.draw(st.integers(1, 11), label="header cut")
+        headers += [frame[:cut], frame[cut:]]
+    mtu = data.draw(st.integers(1, 17), label="mtu")
+    return {"whole": frames, "grouped": groups, "header cut": headers,
+            "mtu": [raw[i:i + mtu] for i in range(0, len(raw), mtu)]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MESSAGE_SPECS, st.data())
+def test_coalescer_roundtrip_property(specs, data):
+    """Any message sequence survives any chunking alike: whole frames
+    (cut in place), several frames a feed, a cut inside a header and
+    arbitrary re-chunking give the same messages and ``bytes_seen``."""
+    messages = [Message(kind, meta, body) for kind, meta, body in specs]
+    frames = [m.to_bytes() for m in messages]
+    want = ([(m.kind, m.meta, m.body) for m in messages], None,
+            sum(map(len, frames)))
+    for route, chunks in _feeds(frames, data).items():
+        assert _fed(chunks) == want, route
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MESSAGE_SPECS, st.sampled_from(sorted(_BAD_FRAMES)), st.data())
+def test_coalescer_errors_do_not_depend_on_chunking(specs, bad, data):
+    """A bad frame among good ones: every route yields the frames before
+    it and raises the same error."""
+    frames = [Message(kind, meta, body).to_bytes()
+              for kind, meta, body in specs]
+    at = data.draw(st.integers(0, len(frames)), label="bad frame at")
+    frames.insert(at, _BAD_FRAMES[bad])
+    outcomes = {route: _fed(chunks)[:2]
+                for route, chunks in _feeds(frames, data).items()}
+    whole = outcomes.pop("whole")
+    assert whole[1].startswith({"magic": "bad frame magic",
+                                "metadata": "bad frame metadata",
+                                "kind": "unknown message kind"}[bad])
+    assert len(whole[0]) == at
+    for route, outcome in outcomes.items():
+        assert outcome == whole, route
+
+
+def test_a_whole_frame_body_is_its_bytes():
+    """The in-place cut hands out the body's bytes, and the Coalescer
+    keeps nothing of the frame."""
+    body = bytes(range(256)) * 10
+    coalescer = Coalescer()
+    [message] = coalescer.feed(
+        Message(MessageKind.EXPORT_DATA, {"eof": False}, body).to_bytes())
+    assert type(message.body) is bytes and message.body == body
+    assert coalescer.pending_bytes == 0
