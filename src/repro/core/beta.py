@@ -49,12 +49,23 @@ from repro.sqlxc.parser import parse_statement
 from repro.sqlxc.rewrites import bind_params_to_columns, fresh_name, to_cdw
 
 __all__ = ["Beta", "ApplyRun", "ApplySummary", "PreparedDml",
-           "SEQ_COLUMN"]
+           "SEQ_COLUMN", "staging_names"]
 
 log = get_logger("beta")
 
 #: the synthetic order column Hyper-Q adds to every staging table.
 SEQ_COLUMN = "__SEQ"
+
+
+def staging_names(field_names: list[str]) -> list[str]:
+    """The staging column of each layout field: the field's own name,
+    but a field named like :data:`SEQ_COLUMN` takes the first of
+    ``__SEQ_``, ``__SEQ__``, … that no field has."""
+    fresh = SEQ_COLUMN
+    while fresh in {name.upper() for name in field_names}:
+        fresh += "_"
+    return [fresh if name.upper() == SEQ_COLUMN else name
+            for name in field_names]
 
 
 @dataclass
@@ -159,8 +170,9 @@ class Beta:
         statement = parse_statement(sql, dialect="legacy")
         # The staging binding never shares a name with the job's.
         alias = fresh_name("s", statement, layout.field_names)
+        columns = staging_names(layout.field_names)
         statement = bind_params_to_columns(
-            statement, layout.field_names, alias)
+            statement, layout.field_names, alias, columns)
         statement = to_cdw(statement)
         staging = n.TableRef(staging_table, alias)
 
@@ -207,8 +219,8 @@ class Beta:
         if isinstance(statement, n.Merge):
             source = n.Select(
                 items=[
-                    n.SelectItem(n.ColumnRef(f, table=alias), f)
-                    for f in layout.field_names
+                    n.SelectItem(n.ColumnRef(column, table=alias), f)
+                    for f, column in zip(layout.field_names, columns)
                 ],
                 from_=staging,
                 where=pred)

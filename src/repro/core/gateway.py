@@ -30,34 +30,29 @@ from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
 from repro.core.beta import Beta
 from repro.core.config import HyperQConfig
-from repro.core.converter import DataConverter
 from repro.core.credits import CreditManager
 from repro.core.frontend import ThreadedFrontend
-from repro.core.jobs import ExportJob, LoadJob, create_staging_table
+from repro.core.jobs import ExportJob, LoadJob
 from repro.core.metrics import JobMetrics
-from repro.core.pipeline import AcquisitionPipeline, PipelineWorkerPool
+from repro.core.pipeline import PipelineWorkerPool
 from repro.core.tdfcursor import TdfCursor
-from repro.dq import DqPrechecker, DqProfile
+from repro.dq import DqProfile
 from repro.errors import GatewayError, ProtocolError
 from repro.faults import FaultInjector, FaultyEndpoint
 from repro.obs import Observability, configure_logging, get_logger
-from repro.resilience import (
-    CheckpointJournal, CircuitBreakerRegistry, RetryPolicy, guarded_call,
-)
+from repro.resilience import CircuitBreakerRegistry, RetryPolicy
 from repro.wlm import WorkloadManager
 from repro.legacy.datafmt import FormatSpec, make_format
 from repro.legacy.protocol import (
-    TRACEPARENT_KEY, Message, MessageChannel, MessageKind, expect_data,
-    layout_to_wire, result_reply, serve_request,
+    TRACEPARENT_KEY, Message, MessageChannel, MessageKind, layout_to_wire,
+    result_reply, serve_request,
 )
 from repro.net import Listener
 from repro.sqlxc import to_cdw, transpile
 from repro.sqlxc.parser import parse_statement
 # _FEED_COMPACT_EVERY: the feed journal's compaction period, also read
 # from here by tests/stream.
-from repro.stream.feed import (  # noqa: F401
-    _FEED_COMPACT_EVERY, FeedBatch, StreamFeed, _ruleset_for_layout,
-)
+from repro.stream.feed import _FEED_COMPACT_EVERY, StreamFeed  # noqa: F401
 
 __all__ = ["HyperQNode"]
 
@@ -118,15 +113,10 @@ class HyperQNode:
         self.wlm = WorkloadManager.from_config(
             self.config, self.credits, obs=self.obs)
         #: declarative data-quality rulesets (repro.dq), resolved per
-        #: job against (target table, WLM pool).  Empty profile = the
-        #: precheck never runs.
+        #: job against (target table, WLM pool), and their per-job
+        #: accounting (stats()["dq"]).  Empty profile = the precheck
+        #: never runs.
         self.dq_profile = DqProfile.from_profile(self.config.dq_profile)
-        #: recent per-job dq summaries + running totals (stats()["dq"],
-        #: consumed by the qinsight top-violated-rules report).
-        self._dq_jobs: list[dict] = []
-        self._dq_totals: dict = {
-            "jobs_checked": 0, "checked": 0, "routed_rows": 0,
-            "violations": {}}
         self.breakers = CircuitBreakerRegistry.from_config(
             self.config, obs=self.obs)
         self.loader = CloudBulkLoader(
@@ -266,7 +256,7 @@ class HyperQNode:
                     len(self.obs.trace_store.segments())
                     if self.obs.trace_store is not None else 0),
             },
-            "dq": self._dq_snapshot(),
+            "dq": self.dq_profile.snapshot(),
             "streams": {feed.name: feed.snapshot() for feed in feeds},
             "slo": self.obs.slo.snapshot(),
             "flight": {
@@ -274,23 +264,6 @@ class HyperQNode:
                 "jobs_recorded": len(self.obs.flight.jobs()),
                 "dump_dir": self.obs.flight.dump_dir,
             },
-        }
-
-    def _dq_snapshot(self) -> dict:
-        """stats()["dq"]: profile shape + totals + recent job summaries."""
-        with self._registry_lock:
-            totals = {
-                "jobs_checked": self._dq_totals["jobs_checked"],
-                "checked": self._dq_totals["checked"],
-                "routed_rows": self._dq_totals["routed_rows"],
-                "violations": dict(self._dq_totals["violations"]),
-            }
-            jobs = [dict(j) for j in self._dq_jobs]
-        return {
-            "enabled": self.dq_profile.enabled,
-            "rulesets": [rs.name for rs in self.dq_profile.rulesets],
-            **totals,
-            "jobs": jobs,
         }
 
     def _storage_snapshot(self) -> dict:
@@ -406,15 +379,9 @@ class HyperQNode:
     # -- load jobs -----------------------------------------------------------------------
 
     def _registered(self, registry: dict, key: str):
-        """``registry[key]`` (a job, export or feed), or None."""
+        """``registry[key]`` (an export or a feed), or None."""
         with self._registry_lock:
             return registry.get(key)
-
-    def _job(self, job_id: str) -> LoadJob:
-        job = self._registered(self._jobs, job_id)
-        if job is None:
-            raise ProtocolError(f"unknown load job {job_id!r}")
-        return job
 
     def _classify(self, tenant: str, conn: dict, target: str = "") -> str:
         """Resource pool for one BEGIN_* request.
@@ -431,13 +398,11 @@ class HyperQNode:
                            message: Message, request: dict,
                            conn: dict) -> None:
         job_id, target = request["job_id"], request["target"]
-        stream = request["stream"]
         threading.current_thread().name = f"{self.name}-job-{job_id}-ctl"
         if not self.engine.catalog.exists(target):
             raise GatewayError(
                 f"target table {target!r} does not exist in the CDW")
-        ticket = batch = None
-        if stream is None:
+        if request["stream"] is None:
             # Admission control happens before ANY job state is
             # created, so a shed request leaves nothing behind — the
             # client just sees WLM_THROTTLED and retries the whole
@@ -446,30 +411,19 @@ class HyperQNode:
             pool = self._classify(request["tenant"], conn, target=target)
             ticket = self.wlm.admit(pool, job_id, kind="load",
                                     parent_span=request[TRACEPARENT_KEY])
+            try:
+                reply = LoadJob(self, request, conn, pool,
+                                ticket).begin_reply
+            except BaseException:
+                self.wlm.release(ticket)
+                raise
         else:
             # A micro-batch rides its feed's admission (one slot across
             # all cycles), and the feed's durable watermark decides
             # whether it already committed.
-            feed = self._stream_feed(request, conn)
-            pool = feed.pool
-            batch = feed.claim(job_id, stream["batch_seq"],
-                               stream["cursor"], stream["event_ts"])
-            if batch is None:
-                channel.send(Message(MessageKind.BEGIN_LOAD_OK, {
-                    "job_id": job_id, "committed": feed.watermark()}))
-                return
-        try:
-            job = self._begin_load_admitted(channel, request, pool,
-                                            ticket, batch)
-        except BaseException:
-            if batch is None:
-                self.wlm.release(ticket)
-            else:
-                batch.feed.release(batch)
-            raise
-        # This control connection owns the job: if it closes before
-        # END_LOAD the job is abandoned and its slot freed.
-        conn["loads"][job_id] = job
+            reply = self._stream_feed(request, conn).begin_batch(
+                request, conn)
+        channel.send(Message(MessageKind.BEGIN_LOAD_OK, reply))
 
     def _stream_feed(self, request: dict, conn: dict) -> StreamFeed:
         """Get or open the feed of a stream batch.  Its watermark dir:
@@ -495,170 +449,14 @@ class HyperQNode:
                 f"{feed.target!r}, not {target!r}")
         return feed
 
-    def _begin_load_admitted(self, channel: MessageChannel, request: dict,
-                             pool: str, ticket,
-                             batch: FeedBatch | None) -> LoadJob:
-        """Set up one admitted load job, or the job of feed ``batch``
-        (its drift resolved first)."""
-        job_id, target = request["job_id"], request["target"]
-        layout, format_spec = request["layout"], request["format"]
-        et_table, uv_table = request["et_table"], request["uv_table"]
-        resume = request["resume"]
-        if batch is not None:
-            batch.feed.resolve_drift(batch, layout)
-        # A restarted job (same job_id, resume flag) replaces whatever
-        # is left of its killed predecessor, whose end waits for its
-        # pipeline to go idle: the checkpoint journal carries the
-        # durable progress over.
-        stale = None
-        if resume:
-            stale = self._registered(self._jobs, job_id)
-            if stale is not None:
-                stale.end("restarted")
-
-        self._ensure_error_tables(et_table, uv_table, target)
-        if batch is None:
-            staging_dir = os.path.join(self._base_dir, job_id)
-            os.makedirs(staging_dir, exist_ok=True)
-            journal = CheckpointJournal(
-                os.path.join(staging_dir, "checkpoint.jsonl"),
-                fresh=not resume)
-            staging_table = f"HQ_STG_{job_id}"
-            if not (resume and self.engine.catalog.exists(staging_table)):
-                create_staging_table(self.engine, staging_table, layout)
-        else:
-            # A feed batch stages into the feed's table and writes no
-            # file: no staging directory, an in-memory journal.
-            staging_dir = None
-            staging_table = batch.feed.staging_table
-            journal = batch.feed.prepare_staging(job_id, layout, resume,
-                                                 stale)
-        # Per-pool/target rule resolution mirrors WLM classification:
-        # first matching ruleset in declaration order wins.
-        dq = None
-        ruleset = self.dq_profile.resolve(target=target, pool=pool)
-        if ruleset is not None and batch is not None:
-            # A route-to-error batch is bound for the error table whole,
-            # so the precheck would only route it twice.  Drift × DQ: a
-            # rule applies to a stream batch only once every column it
-            # references exists in the batch's layout — a column added
-            # mid-stream is exempt until the profile matches it
-            # (docs/STREAMING.md).
-            ruleset = None if batch.route_error else \
-                _ruleset_for_layout(ruleset, layout)
-        if ruleset is not None:
-            try:
-                dq = DqPrechecker(
-                    ruleset=ruleset, engine=self.engine,
-                    staging_table=staging_table,
-                    et_table=et_table, target_table=target,
-                    layout=layout, seq_stride=self.config.seq_stride,
-                    journal=journal, obs=self.obs, job_id=job_id)
-            except ValueError as exc:
-                raise GatewayError(f"dq profile rejected: {exc}") from exc
-
-        metrics = JobMetrics(job_id=job_id, sessions=request["sessions"],
-                             pool=pool)
-        # With a remote context the job span continues the client's
-        # trace; without one it is a locally-rooted trace as before.
-        job_span = self.obs.tracer.span(
-            "job", parent=request[TRACEPARENT_KEY], job_id=job_id,
-            target=target,
-            **({"pool": pool} if pool else {}))
-        if job_span.trace_id:
-            metrics.trace_id = f"{job_span.trace_id:032x}"
-        with self.obs.tracer.span(
-                "codec.compile", parent=job_span, job_id=job_id,
-                kind=format_spec.kind):
-            record_format = make_format(format_spec, layout)
-        self.obs.codec_compiles.labels(kind=format_spec.kind).inc()
-        converter = DataConverter(
-            record_format,
-            seq_stride=self.config.seq_stride,
-            obs=self.obs,
-            staging_table=staging_table)
-        pipeline = AcquisitionPipeline(
-            converter=converter,
-            credits=self.wlm.credit_source(pool),
-            loader=self.loader,
-            job_id=job_id,
-            engine=self.engine,
-            staging_table=staging_table,
-            container=self.config.container,
-            prefix=f"{job_id}/",
-            staging_dir=staging_dir,
-            config=self.config,
-            metrics=metrics,
-            obs=self.obs,
-            job_span=job_span,
-            faults=self.faults,
-            retry=self.retry,
-            breakers=self.breakers,
-            journal=journal,
-            resume=resume,
-            worker_pool=self._pipeline_pool,
-        )
-        job = LoadJob(
-            node=self, job_id=job_id, target=target,
-            et_table=et_table, uv_table=uv_table,
-            layout=layout,
-            staging_table=staging_table, staging_dir=staging_dir,
-            pipeline=pipeline, metrics=metrics,
-            span=job_span, ticket=ticket, dq=dq, batch=batch,
-            # A job that committed before a resume takes no more data.
-            phase="acquiring" if journal.applied is None else "applied",
-            applied=journal.applied,
-        )
-        job.total_watch.start()
-        self.obs.jobs_total.labels(event="started").inc()
-        self.obs.flight.record(
-            job_id, "started", target=target, pool=pool,
-            resume=resume, trace_id=metrics.trace_id)
-        log.info("load job started", extra={
-            "job_id": job_id, "target": target, "pool": pool,
-            "sessions": request["sessions"]})
-        with self._registry_lock:
-            self._jobs[job_id] = job
-        ok_meta: dict = {"job_id": job_id}
-        if resume:
-            # The authoritative durable set: with the immediate-ack
-            # pipeline an ack is NOT durability, so the client must only
-            # skip chunks the gateway confirms it still has.
-            ok_meta["durable_seqs"] = sorted(pipeline.resumed_seqs)
-            if journal.applied is not None:     # straight to END_LOAD
-                ok_meta["committed"] = journal.applied
-        channel.send(Message(MessageKind.BEGIN_LOAD_OK, ok_meta))
-        return job
-
-    def _ensure_error_tables(self, et_table: str, uv_table: str,
-                             target: str) -> None:
-        """Create the job's ET/UV tables unless the catalog has them —
-        a lookup, not a statement, for every job after a target's
-        first."""
-        # __RULE_ID/__REASON: shared provenance columns — dq-routed and
-        # split-routed rows land in one queryable schema (docs/DQ.md).
-        if not self.engine.catalog.exists(et_table):
-            self.engine.execute(
-                f"CREATE TABLE IF NOT EXISTS {et_table} ("
-                "SEQNO INT, ERRCODE INT, ERRFIELD NVARCHAR(128), "
-                "ERRMSG NVARCHAR(512), __RULE_ID NVARCHAR(64), "
-                "__REASON NVARCHAR(256))")
-        if not self.engine.catalog.exists(uv_table):
-            target_table = self.engine.table(target)
-            uv_columns = ", ".join(
-                f"{c.name} {c.ctype.render()}"
-                for c in target_table.columns)
-            self.engine.execute(
-                f"CREATE TABLE IF NOT EXISTS {uv_table} "
-                f"({uv_columns}, SEQNO INT, ERRCODE INT)")
+    # Job-bound handlers: serve_request passes each the job whose state
+    # took the request (protocol.TRANSITIONS).
 
     def _handle_data(self, channel: MessageChannel, message: Message,
-                     request: dict, conn: dict) -> None:
-        job = self._job(request["job_id"])
+                     request: dict, conn: dict, job: LoadJob) -> None:
         seq, session_no, body = (request["seq"], request["session_no"],
                                  message.body)
         with job.lock:
-            expect_data(job)
             # Stopwatch.start is a no-op while running, so the first
             # chunk starts the acquisition clock and the rest are free.
             job.acquisition_watch.start()
@@ -682,147 +480,16 @@ class HyperQNode:
         channel.send(Message(MessageKind.DATA_ACK, {"seq": seq}))
 
     def _handle_data_eof(self, channel: MessageChannel, message: Message,
-                         request: dict, conn: dict) -> None:
-        expect_data(self._job(request["job_id"]))
+                         request: dict, conn: dict, job: LoadJob) -> None:
         channel.send(Message(MessageKind.DATA_ACK, {"seq": -1}))
 
     def _handle_apply_dml(self, channel: MessageChannel, message: Message,
-                          request: dict, conn: dict) -> None:
-        job = self._job(request["job_id"])
-        with job.lock:
-            if job.phase == "ended":
-                raise ProtocolError(f"unknown load job {job.job_id!r}")
-            job.phase = "applied"
-        if job.applied is not None:
-            # Committed already (a repeat, or before a resume): the DML
-            # never runs twice.
-            channel.send(Message(MessageKind.APPLY_RESULT, job.applied))
-            return
-        # Acquisition ends once the pipeline has fully drained into the
-        # staging table (upload + in-cloud COPY included).
-        job.pipeline.drain()
-        job.acquisition_watch.stop()
-        job.metrics.acquisition_s = job.acquisition_watch.elapsed
-        job.metrics.sessions = max(
-            job.metrics.sessions, len(job.sessions_seen))
-
-        # A drifted batch under route-to-error never reaches Beta: its
-        # DML references columns the (un-evolved) target does not have.
-        if job.batch is not None and job.batch.route_error:
-            with job.application_watch, \
-                    self.obs.stage_seconds.labels(stage="apply").time():
-                summary = job.batch.feed.route(job)
-            self._record_apply_result(channel, job, summary)
-            return
-
-        # The dq precheck sits between acquisition and APPLY: one
-        # aggregated rule pass + violation routing, so Beta's split
-        # cascade only ever sees unexpected errors.  Its cost counts
-        # toward the application phase.
-        if job.dq is not None:
-            with job.application_watch:
-                job.dq.update_chunks(dict(job.pipeline.chunk_records))
-                job.dq.check_range(
-                    0, self._staging_seq_ceiling(job),
-                    parent_span=job.span)
-
-        apply_span = self.obs.tracer.span(
-            "apply", parent=job.span, job_id=job.job_id,
-            target=job.target)
-
-        def run_apply():
-            # The ``dml.apply`` injection point fires *before* Beta
-            # dispatches any DML, so an absorbed transient fault never
-            # retries a partially applied statement sequence.
-            self.faults.fire("dml.apply", job_id=job.job_id)
-            return self.beta.apply_dml(
-                sql=request["sql"],
-                layout=job.layout,
-                staging_table=job.staging_table,
-                target_table=job.target,
-                et_table=job.et_table,
-                uv_table=job.uv_table,
-                chunk_records=job.pipeline.chunk_records,
-                acquisition_errors=job.pipeline.acquisition_errors,
-                max_errors=request["max_errors"],
-                max_retries=request["max_retries"],
-                span=apply_span, job_id=job.job_id,
-            )
-
-        self.obs.flight.record(job.job_id, "apply_started")
-        try:
-            with job.application_watch, \
-                    self.obs.stage_seconds.labels(stage="apply").time():
-                summary = guarded_call(
-                    "dml.apply", run_apply, retry=self.retry,
-                    breakers=self.breakers, obs=self.obs,
-                    parent=apply_span, job_id=job.job_id)
-        except BaseException:
-            apply_span.end("error")
-            raise
-        apply_span.set_attribute("rows_inserted", summary.rows_inserted)
-        apply_span.end()
-        self._record_apply_result(channel, job, summary)
-
-    def _staging_seq_ceiling(self, job: LoadJob) -> int:
-        """Inclusive ``__SEQ`` upper bound covering every staged chunk."""
-        chunks = job.pipeline.chunk_records
-        return (1 + max(chunks, default=0)) * self.config.seq_stride - 1
-
-    def _note_dq_job(self, job: LoadJob) -> None:
-        """Fold a finished job's dq summary into the node accumulator."""
-        summary = job.dq.summary()
-        summary["job_id"] = job.job_id
-        summary["target"] = job.target
-        with self._registry_lock:
-            totals = self._dq_totals
-            totals["jobs_checked"] += 1
-            totals["checked"] += summary["checked"]
-            totals["routed_rows"] += summary["routed_rows"]
-            for rule_id, count in summary["violations"].items():
-                totals["violations"][rule_id] = \
-                    totals["violations"].get(rule_id, 0) + count
-            self._dq_jobs.append(summary)
-            del self._dq_jobs[:-64]
-
-    def _record_apply_result(self, channel: MessageChannel,
-                             job: LoadJob, summary) -> None:
-        """Fold an ApplySummary into job metrics and answer the client."""
-        result_meta = {key: getattr(summary, key) for key in (
-            "rows_inserted", "rows_updated", "rows_deleted", "et_errors",
-            "uv_errors")}
-        for key, value in result_meta.items():
-            setattr(job.metrics, key, value)
-        job.metrics.application_s = job.application_watch.elapsed
-        job.metrics.dml_statements = summary.statements
-        job.metrics.chunk_retries = summary.splits
-        if job.dq is not None:
-            dq_summary = job.dq.summary()
-            job.metrics.dq_checked = dq_summary["checked"]
-            job.metrics.dq_violations = sum(
-                dq_summary["violations"].values())
-            job.metrics.dq_routed_rows = dq_summary["routed_rows"]
-            result_meta["dq_violations"] = job.metrics.dq_violations
-            result_meta["dq_routed_rows"] = job.metrics.dq_routed_rows
-            self._note_dq_job(job)
-        # Exactly-once hinge: the commit record — the feed watermark, or
-        # the job journal's ``applied`` record a resume answers with as
-        # ``committed`` — is durable BEFORE the reply leaves the node.
-        if job.batch is not None:
-            job.batch.feed.commit(job.batch, summary, result_meta)
-        else:
-            job.pipeline.journal.record_applied(result_meta)
-        job.applied = result_meta
-        self.obs.flight.record(
-            job.job_id, "apply_finished",
-            rows_inserted=summary.rows_inserted,
-            et_errors=summary.et_errors, uv_errors=summary.uv_errors,
-            splits=summary.splits,
-            dq_routed=job.metrics.dq_routed_rows)
-        channel.send(Message(MessageKind.APPLY_RESULT, result_meta))
+                          request: dict, conn: dict, job: LoadJob) -> None:
+        channel.send(Message(MessageKind.APPLY_RESULT, job.apply(request)))
 
     def _handle_end_load(self, channel: MessageChannel, message: Message,
-                         request: dict, conn: dict) -> None:
+                         request: dict, conn: dict,
+                         job: LoadJob | None) -> None:
         job_id = request["job_id"]
         conn["loads"].pop(job_id, None)
         if request["stream_end"]:
@@ -830,12 +497,10 @@ class HyperQNode:
             feed = self._registered(self._streams, job_id)
             if feed is not None:
                 feed.close("feed_closed")
-        else:
+        elif job is not None:
             # No job is left for a feed batch that fast-skipped as
             # ``committed``, nor for one that already ended.
-            job = self._registered(self._jobs, job_id)
-            if job is not None:
-                job.end("aborted" if request["abort"] else "completed")
+            job.end("aborted" if request["abort"] else "completed")
         channel.send(Message(MessageKind.END_LOAD_OK))
 
     # -- export jobs ------------------------------------------------------------------------

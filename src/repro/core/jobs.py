@@ -1,28 +1,34 @@
 """Load and export jobs: each owns its state and ends in one place.
 
-Every way a :class:`LoadJob` or :class:`ExportJob` stops — END_LOAD, an
-abort, a dropped connection, a resume takeover, node stop — goes
-through the job's one end method, which gives back its WLM ticket last
-(a feed's counterpart: :meth:`repro.stream.feed.StreamFeed.close`).
+A :class:`LoadJob` is built once admitted and applies itself.  Every
+way it or an :class:`ExportJob` stops — END_LOAD, an abort, a dropped
+connection, a resume takeover, node stop — goes through the job's one
+end method, which gives back its WLM ticket last (a feed's
+counterpart: :meth:`repro.stream.feed.StreamFeed.close`).
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import threading
 from dataclasses import dataclass, field
 
 from repro.cdw.types import cdw_type_from_legacy
-from repro.core.beta import SEQ_COLUMN
+from repro.core.beta import SEQ_COLUMN, staging_names
+from repro.core.converter import DataConverter
 from repro.core.metrics import JobMetrics, Stopwatch
 from repro.core.pipeline import AcquisitionPipeline
 from repro.core.tdfcursor import TdfCursor
 from repro.dq import DqPrechecker
+from repro.errors import GatewayError
+from repro.legacy.datafmt import make_format
+from repro.legacy.protocol import TRACEPARENT_KEY, JobState
 from repro.legacy.types import Layout
 from repro.obs import NULL_SPAN, get_logger
-from repro.sqlxc import nodes as n
+from repro.resilience import CheckpointJournal, guarded_call
 
-__all__ = ["ENDINGS", "Ending", "ExportJob", "LoadJob",
+__all__ = ["ENDINGS", "Ending", "ExportJob", "JobStaging", "LoadJob",
            "create_staging_table"]
 
 log = get_logger("gateway")
@@ -56,9 +62,10 @@ ENDINGS = {
 def staging_columns(layout: Layout) -> list[str]:
     """Column definitions of a staging table for ``layout``."""
     columns = [
-        f"{fld.name} NVARCHAR" if fld.type.is_character else
-        f"{fld.name} {cdw_type_from_legacy(fld.type).render()}"
-        for fld in layout.fields]
+        f"{name} NVARCHAR" if fld.type.is_character else
+        f"{name} {cdw_type_from_legacy(fld.type).render()}"
+        for fld, name in zip(layout.fields,
+                             staging_names(layout.field_names))]
     columns.append(f"{SEQ_COLUMN} BIGINT")
     return columns
 
@@ -72,44 +79,276 @@ def create_staging_table(engine, name: str, layout: Layout) -> None:
         f"CREATE TABLE {name} ({', '.join(staging_columns(layout))})")
 
 
-@dataclass(eq=False)
-class LoadJob:
-    """One import job on a node, from BEGIN_LOAD to :meth:`end`."""
+def _ensure_error_tables(engine, et_table: str, uv_table: str,
+                         target: str) -> None:
+    """Create a job's ET/UV tables unless the catalog has them — a
+    lookup, not a statement, for every job after a target's first."""
+    # __RULE_ID/__REASON: shared provenance columns — dq-routed and
+    # split-routed rows land in one queryable schema (docs/DQ.md).
+    if not engine.catalog.exists(et_table):
+        engine.execute(
+            f"CREATE TABLE IF NOT EXISTS {et_table} ("
+            "SEQNO INT, ERRCODE INT, ERRFIELD NVARCHAR(128), "
+            "ERRMSG NVARCHAR(512), __RULE_ID NVARCHAR(64), "
+            "__REASON NVARCHAR(256))")
+    if not engine.catalog.exists(uv_table):
+        uv_columns = ", ".join(f"{c.name} {c.ctype.render()}"
+                               for c in engine.table(target).columns)
+        engine.execute(f"CREATE TABLE IF NOT EXISTS {uv_table} "
+                       f"({uv_columns}, SEQNO INT, ERRCODE INT)")
 
-    node: object
-    job_id: str
-    target: str
-    et_table: str
-    uv_table: str
-    layout: Layout
-    staging_table: str
-    #: the job's local state directory (None for a feed batch).
-    staging_dir: str | None
-    pipeline: AcquisitionPipeline
-    metrics: JobMetrics
-    #: the job's root trace span (parent of every stage span).
-    span: object = NULL_SPAN
-    #: workload-management admission (None when wlm is disabled, and
-    #: for a feed batch, which rides its feed's).
-    ticket: object = None
-    #: data-quality prechecker (None when no ruleset matched the job).
-    dq: DqPrechecker | None = None
-    #: the feed batch this job loads (None for a one-shot load).
-    batch: object = None
-    #: ``acquiring`` takes DATA; ``applied`` once APPLY_DML arrived (a
-    #: repeat answers ``applied``); ``ended`` once :meth:`end` ran.
-    phase: str = "acquiring"
-    #: the APPLY_RESULT meta, once APPLY committed.
-    applied: dict | None = None
-    #: phase stopwatches (Figure 7 split) — total runs begin→end load,
-    #: acquisition from the first DATA chunk until the pipeline drains,
-    #: application across Beta's DML run.
-    total_watch: Stopwatch = field(default_factory=Stopwatch)
-    acquisition_watch: Stopwatch = field(default_factory=Stopwatch)
-    application_watch: Stopwatch = field(default_factory=Stopwatch)
-    sessions_seen: set[int] = field(default_factory=set)
-    #: guards the counters and ``phase``; :meth:`end` holds it.
-    lock: threading.Lock = field(default_factory=threading.Lock)
+
+class JobStaging:
+    """A one-shot job's staging: its state directory (journal and
+    staging files) and its own staging table.  A feed batch's
+    counterpart is its :class:`repro.stream.feed.FeedBatch`."""
+
+    route_error = False
+
+    def __init__(self, node, job_id: str, layout: Layout, resume: bool):
+        self.dir = os.path.join(node._base_dir, job_id)
+        os.makedirs(self.dir, exist_ok=True)
+        self.journal = CheckpointJournal(
+            os.path.join(self.dir, "checkpoint.jsonl"), fresh=not resume)
+        self.table = f"HQ_STG_{job_id}"
+        if not (resume and node.engine.catalog.exists(self.table)):
+            create_staging_table(node.engine, self.table, layout)
+
+    def dq_rules(self, ruleset, layout: Layout):
+        """The rules of ``ruleset`` (or None) the precheck runs: all."""
+        return ruleset
+
+    def commit(self, summary, result: dict) -> None:
+        """Journal the result (``applied``: a resume's ``committed``)."""
+        self.journal.record_applied(result)
+
+    def release(self, job: "LoadJob", ending: Ending) -> None:
+        """Unless ``ending`` keeps them for a resume, drop the staging
+        table and delete the blobs and the state directory."""
+        if not ending.keep:
+            job.node.engine.execute(f"DROP TABLE IF EXISTS {self.table}")
+            job.discard_state()
+            shutil.rmtree(self.dir, ignore_errors=True)
+
+
+class LoadJob:
+    """One import job on a node, from BEGIN_LOAD to :meth:`end`: its
+    constructor sets it up, :meth:`apply` runs its APPLY, and ``state``
+    (``protocol.TRANSITIONS``) says where it is."""
+
+    def __init__(self, node, request: dict, conn: dict, pool: str,
+                 ticket=None, batch=None):
+        """Set up the job BEGIN_LOAD ``request`` asks for, once admitted
+        into ``pool`` (``ticket``: its WLM admission, None when wlm is
+        disabled), or the job of feed ``batch`` (which rides its feed's),
+        and register it on the node and on its control connection
+        ``conn``.  Its BEGIN_LOAD_OK meta is ``begin_reply``."""
+        obs, config = node.obs, node.config
+        self.node, self.ticket = node, ticket
+        self.job_id = job_id = request["job_id"]
+        self.target = target = request["target"]
+        self.et_table = et_table = request["et_table"]
+        self.uv_table = request["uv_table"]
+        self.layout = layout = request["layout"]
+        format_spec, resume = request["format"], request["resume"]
+        #: guards ``state`` and ``outcome``; :meth:`end` holds it.
+        self.lock = threading.Lock()
+        #: phase stopwatches (Figure 7 split) — total runs begin→end
+        #: load, acquisition from the first DATA chunk until the
+        #: pipeline drains, application across Beta's DML run.
+        self.total_watch, self.acquisition_watch, self.application_watch \
+            = Stopwatch(), Stopwatch(), Stopwatch()
+        self.sessions_seen: set[int] = set()
+        # A restarted job (same job_id, resume flag) replaces whatever
+        # is left of its killed predecessor, whose end waits for its
+        # pipeline to go idle: the checkpoint journal carries the
+        # durable progress over.
+        stale = node._jobs.get(job_id) if resume else None
+        if stale is not None:
+            stale.end("restarted")
+        _ensure_error_tables(node.engine, et_table, self.uv_table, target)
+        # The one choice between a one-shot job and a feed batch: what
+        # it stages into, commits to and releases at its end.
+        self.staging = staging = (
+            JobStaging(node, job_id, layout, resume) if batch is None
+            else batch.feed.prepare_staging(batch, layout, resume, stale))
+        journal = staging.journal
+        #: the APPLY_RESULT meta, once APPLY committed.  ``state`` is
+        #: ACQUIRING, APPLYING or COMMITTED (a resume of a job that
+        #: committed takes no more data), then ENDED with ``outcome``,
+        #: one of :data:`ENDINGS`.
+        self.result, self.outcome = journal.applied, None
+        self.state = (JobState.ACQUIRING if self.result is None
+                      else JobState.COMMITTED)
+        # Per-pool/target rule resolution mirrors WLM classification:
+        # first matching ruleset in declaration order wins.
+        ruleset = staging.dq_rules(
+            node.dq_profile.resolve(target=target, pool=pool), layout)
+        #: data-quality prechecker (None when no ruleset matched).
+        self.dq = None
+        if ruleset is not None:
+            try:
+                self.dq = DqPrechecker(
+                    ruleset=ruleset, engine=node.engine,
+                    staging_table=staging.table, et_table=et_table,
+                    target_table=target, layout=layout,
+                    seq_stride=config.seq_stride, journal=journal,
+                    obs=obs, job_id=job_id)
+            except ValueError as exc:
+                raise GatewayError(f"dq profile rejected: {exc}") from exc
+        self.metrics = metrics = JobMetrics(
+            job_id=job_id, sessions=request["sessions"], pool=pool)
+        #: the job's root trace span (parent of every stage span): it
+        #: continues the client's trace, or roots a local one.
+        self.span = obs.tracer.span(
+            "job", parent=request[TRACEPARENT_KEY], job_id=job_id,
+            target=target, **({"pool": pool} if pool else {}))
+        if self.span.trace_id:
+            metrics.trace_id = f"{self.span.trace_id:032x}"
+        with obs.tracer.span("codec.compile", parent=self.span,
+                             job_id=job_id, kind=format_spec.kind):
+            record_format = make_format(format_spec, layout)
+        obs.codec_compiles.labels(kind=format_spec.kind).inc()
+        self.pipeline = AcquisitionPipeline(
+            converter=DataConverter(
+                record_format, seq_stride=config.seq_stride, obs=obs,
+                staging_table=staging.table),
+            credits=node.wlm.credit_source(pool), loader=node.loader,
+            job_id=job_id, engine=node.engine,
+            staging_table=staging.table, container=config.container,
+            prefix=f"{job_id}/", staging_dir=staging.dir, config=config,
+            metrics=metrics, obs=obs, job_span=self.span,
+            faults=node.faults, retry=node.retry, breakers=node.breakers,
+            journal=journal, resume=resume,
+            worker_pool=node._pipeline_pool)
+        self.total_watch.start()
+        obs.jobs_total.labels(event="started").inc()
+        obs.flight.record(job_id, "started", target=target, pool=pool,
+                          resume=resume, trace_id=metrics.trace_id)
+        log.info("load job started", extra={
+            "job_id": job_id, "target": target, "pool": pool,
+            "sessions": request["sessions"]})
+        with node._registry_lock:
+            node._jobs[job_id] = self
+        # This control connection owns the job: if it closes before
+        # END_LOAD the job is abandoned and its slot freed.
+        conn["loads"][job_id] = self
+        self.begin_reply: dict = {"job_id": job_id}
+        if resume:
+            # The authoritative durable set: with the immediate-ack
+            # pipeline an ack is NOT durability, so the client must only
+            # skip chunks the gateway confirms it still has.
+            self.begin_reply["durable_seqs"] = sorted(
+                self.pipeline.resumed_seqs)
+            if self.result is not None:     # straight to END_LOAD
+                self.begin_reply["committed"] = self.result
+
+    def apply(self, request: dict) -> dict:
+        """APPLY_DML ``request``: drain, precheck, Beta (or a
+        route-to-error batch's routing), then the staging's commit; the
+        APPLY_RESULT meta.  A COMMITTED job answers it and runs nothing."""
+        if self.state is JobState.COMMITTED:
+            return self.result
+        # Acquisition ends once the pipeline has fully drained into the
+        # staging table (upload + in-cloud COPY included).
+        self.pipeline.drain()
+        self.acquisition_watch.stop()
+        metrics = self.metrics
+        metrics.acquisition_s = self.acquisition_watch.elapsed
+        metrics.sessions = max(metrics.sessions, len(self.sessions_seen))
+        if self.staging.route_error:
+            # A drifted batch under route-to-error never reaches Beta:
+            # its DML references columns the target does not have.
+            with self.application_watch, self.node.obs.stage_seconds \
+                    .labels(stage="apply").time():
+                summary = self.staging.route(self)
+        else:
+            summary = self._apply_dml(request)
+        return self._commit(summary)
+
+    def _apply_dml(self, request: dict):
+        """The dq precheck, then Beta under the node's retry policy."""
+        node, obs, chunks = self.node, self.node.obs, \
+            self.pipeline.chunk_records
+        # The dq precheck sits between acquisition and APPLY: one
+        # aggregated rule pass + violation routing, so Beta's split
+        # cascade only ever sees unexpected errors.  Its cost counts
+        # toward the application phase.
+        if self.dq is not None:
+            with self.application_watch:
+                self.dq.update_chunks(dict(chunks))
+                # the inclusive __SEQ bound of every staged chunk
+                self.dq.check_range(
+                    0, (1 + max(chunks, default=0))
+                    * node.config.seq_stride - 1, parent_span=self.span)
+        apply_span = obs.tracer.span("apply", parent=self.span,
+                                     job_id=self.job_id, target=self.target)
+
+        def run_apply():
+            # The ``dml.apply`` injection point fires *before* Beta
+            # dispatches any DML, so an absorbed transient fault never
+            # retries a partially applied statement sequence.
+            node.faults.fire("dml.apply", job_id=self.job_id)
+            return node.beta.apply_dml(
+                sql=request["sql"], layout=self.layout,
+                staging_table=self.staging.table, target_table=self.target,
+                et_table=self.et_table, uv_table=self.uv_table,
+                chunk_records=chunks,
+                acquisition_errors=self.pipeline.acquisition_errors,
+                max_errors=request["max_errors"],
+                max_retries=request["max_retries"],
+                span=apply_span, job_id=self.job_id)
+
+        obs.flight.record(self.job_id, "apply_started")
+        try:
+            with self.application_watch, \
+                    obs.stage_seconds.labels(stage="apply").time():
+                summary = guarded_call(
+                    "dml.apply", run_apply, retry=node.retry,
+                    breakers=node.breakers, obs=obs, parent=apply_span,
+                    job_id=self.job_id)
+        except BaseException:
+            apply_span.end("error")
+            raise
+        apply_span.set_attribute("rows_inserted", summary.rows_inserted)
+        apply_span.end()
+        return summary
+
+    def _commit(self, summary) -> dict:
+        """Fold an ApplySummary into the job's metrics and commit its
+        APPLY_RESULT meta; the job is then COMMITTED."""
+        metrics = self.metrics
+        result = {key: getattr(summary, key) for key in (
+            "rows_inserted", "rows_updated", "rows_deleted", "et_errors",
+            "uv_errors")}
+        for key, value in result.items():
+            setattr(metrics, key, value)
+        metrics.application_s = self.application_watch.elapsed
+        metrics.dml_statements = summary.statements
+        metrics.chunk_retries = summary.splits
+        if self.dq is not None:
+            dq = self.dq.summary()
+            metrics.dq_checked = dq["checked"]
+            metrics.dq_violations = result["dq_violations"] = sum(
+                dq["violations"].values())
+            metrics.dq_routed_rows = result["dq_routed_rows"] = \
+                dq["routed_rows"]
+            self.node.dq_profile.note(
+                dict(dq, job_id=self.job_id, target=self.target))
+        # Exactly-once hinge: the commit record — the feed watermark, or
+        # the job journal's ``applied`` record a resume answers with as
+        # ``committed`` — is durable BEFORE the reply leaves the node.
+        self.staging.commit(summary, result)
+        with self.lock:
+            self.result = result
+            if self.outcome is None:
+                self.state = JobState.COMMITTED
+        self.node.obs.flight.record(
+            self.job_id, "apply_finished",
+            rows_inserted=summary.rows_inserted,
+            et_errors=summary.et_errors, uv_errors=summary.uv_errors,
+            splits=summary.splits, dq_routed=metrics.dq_routed_rows)
+        return result
 
     def end(self, outcome: str) -> None:
         """End the job with one of :data:`ENDINGS` (idempotent; a second
@@ -118,37 +357,18 @@ class LoadJob:
         registry, and the WLM ticket last, whatever failed before it."""
         node = self.node
         with self.lock:
-            if self.phase == "ended":
+            if self.outcome is not None:
                 return
-            self.phase = "ended"
+            self.state, self.outcome = JobState.ENDED, outcome
             try:
-                self._release_state(ENDINGS[outcome])
+                self.pipeline.shutdown(30.0)
+                self.staging.release(self, ENDINGS[outcome])
                 self._account(outcome)
             finally:
                 with node._registry_lock:
                     if node._jobs.get(self.job_id) is self:
                         del node._jobs[self.job_id]
                 node.wlm.release(self.ticket)
-
-    def _release_state(self, ending: Ending) -> None:
-        """Steps 1-4 of :meth:`end`.  A feed batch already at or below
-        the watermark lost only its END_LOAD: whatever the outcome, no
-        resume wants its state."""
-        batch = self.batch
-        self.pipeline.shutdown(30.0)
-        if not ending.keep:
-            # A feed's staging table outlives its batches: emptied (one
-            # O(1) statement) for the next BEGIN.
-            self.node.engine.execute(
-                f"DROP TABLE IF EXISTS {self.staging_table}"
-                if batch is None
-                else n.Delete(n.TableRef(self.staging_table)))
-        keep = ending.keep and (
-            batch is None or batch.seq > batch.feed.committed_seq)
-        if not keep:
-            self.discard_state()
-        if batch is not None and not ending.handover:
-            batch.feed.release(batch, parked=self if keep else None)
 
     def _account(self, outcome: str) -> None:
         """Step 5 of :meth:`end`: watches, metrics, span status, SLO
@@ -186,13 +406,10 @@ class LoadJob:
             "uv_errors": metrics.uv_errors})
 
     def discard_state(self) -> None:
-        """Delete what a resume of the job would start from: its
-        uploaded blobs and its staging directory (journal included; a
-        feed batch has neither directory nor journal file)."""
+        """Delete the job's uploaded blobs, which a resume would start
+        from."""
         self.node.store.delete_prefix(self.node.config.container,
                                       f"{self.job_id}/")
-        if self.staging_dir is not None:
-            shutil.rmtree(self.staging_dir, ignore_errors=True)
 
     def _dump_flight(self, reason: str) -> None:
         """Best-effort post-mortem bundle: the job's flight events, the

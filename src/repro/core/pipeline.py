@@ -198,7 +198,6 @@ class AcquisitionPipeline:
         self.staging_table = staging_table
         self.container = container
         self.prefix = prefix
-        self.staging_dir = staging_dir
         self.config = config
         self.metrics = metrics
         self.obs = obs

@@ -14,9 +14,10 @@ of the application phase (the ``dq.precheck``):
 - :mod:`repro.dq.precheck` — runs the passes, routes violators to the
   job's error table (``__RULE_ID``/``__REASON`` provenance), deletes
   them from staging, and journals the routed seqs for exactly-once
-  resume;
-- :mod:`repro.dq.oracle`   — the pure-Python per-row reference used by
-  the differential tests.
+  resume.
+
+The pure-Python per-row reference the differential tests check the
+passes against lives with them, in ``tests/dq/oracle.py``.
 
 See ``docs/DQ.md`` for the rule reference and the precheck lifecycle.
 """

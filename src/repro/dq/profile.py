@@ -24,6 +24,8 @@ first-match-wins in declaration order.
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
@@ -85,9 +87,18 @@ class DqRuleSet:
 
 @dataclass(frozen=True)
 class DqProfile:
-    """Every configured ruleset, in declaration order."""
+    """Every configured ruleset, in declaration order, and its totals."""
 
     rulesets: tuple[DqRuleSet, ...] = ()
+    #: the last 64 per-job precheck summaries; running totals.
+    _jobs: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
+    _totals: Counter = field(default_factory=Counter, init=False,
+                             repr=False, compare=False)
+    _violations: Counter = field(default_factory=Counter, init=False,
+                                 repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  init=False, repr=False, compare=False)
 
     @property
     def enabled(self) -> bool:
@@ -133,3 +144,24 @@ class DqProfile:
             if ruleset.matches(attrs):
                 return ruleset if ruleset.rules else None
         return None
+
+    def note(self, summary: dict) -> None:
+        """Fold one finished job's precheck summary (its ``job_id`` and
+        ``target`` included) into the totals."""
+        with self._lock:
+            self._totals.update(jobs_checked=1, checked=summary["checked"],
+                                routed_rows=summary["routed_rows"])
+            self._violations.update(summary["violations"])
+            self._jobs.append(summary)
+            del self._jobs[:-64]
+
+    def snapshot(self) -> dict:
+        """``stats()["dq"]``: profile shape, totals and recent jobs
+        (consumed by the qinsight top-violated-rules report)."""
+        with self._lock:
+            return {"enabled": self.enabled,
+                    "rulesets": [rs.name for rs in self.rulesets],
+                    **{key: self._totals[key] for key in (
+                        "jobs_checked", "checked", "routed_rows")},
+                    "violations": dict(self._violations),
+                    "jobs": [dict(j) for j in self._jobs]}

@@ -21,17 +21,19 @@ Figure 2(a), and is used both by the reference legacy server and by
 Hyper-Q's Alpha listener.
 
 The protocol is also data: :data:`REQUESTS` has one row per request
-kind and :data:`REPLY_KEYS` the keys of each reply.  Both servers serve
+kind, :data:`REPLY_KEYS` the keys of each reply.  Both servers serve
 every frame through :func:`serve_request`, which checks it against its
-row once, before any job state exists, then calls ``_handle_<kind>``.
+row once, before any job state exists, and a job-bound one against
+:data:`TRANSITIONS`, then calls ``_handle_<kind>``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from dataclasses import dataclass, field
-from enum import IntEnum
+from enum import Enum, IntEnum
 from typing import Iterator
 
 from repro.errors import (
@@ -47,7 +49,8 @@ from repro.obs.trace import SpanContext
 
 __all__ = ["MessageKind", "Message", "Coalescer", "MessageChannel",
            "TRACEPARENT_KEY", "REQUESTS", "REPLY_KEYS", "STREAM", "Request",
-           "serve_request", "error_reply", "result_reply", "expect_data",
+           "JobState", "TRANSITIONS", "UNKNOWN_JOB", "AFTER_APPLY",
+           "serve_request", "error_reply", "result_reply",
            "layout_from_wire", "layout_to_wire"]
 
 log = get_logger("legacy.protocol")
@@ -405,6 +408,36 @@ REPLY_KEYS: dict[MessageKind, tuple[str, ...]] = {
     ).items()}
 
 
+class JobState(Enum):
+    """A load job's one lifecycle, the same on both servers."""
+
+    ACQUIRING = "acquiring"
+    APPLYING = "applying"
+    COMMITTED = "committed"
+    ENDED = "ended"
+
+
+#: the typed refusals of :data:`TRANSITIONS` (``ProtocolError`` texts).
+UNKNOWN_JOB = "unknown load job {job_id!r}"
+AFTER_APPLY = ("load job {job_id!r} is {state}: DATA and DATA_EOF come "
+               "before APPLY_DML")
+
+_ACQ, _APP, _COM, _END = JobState
+#: which job-bound request each state takes: the state a job moves to
+#: as it takes the request, or the refusal's text; ``None`` is no job
+#: (never begun, or ended and gone).  A committed APPLY then moves the
+#: job to COMMITTED; a failed one leaves it APPLYING (docs/PROTOCOL.md).
+TRANSITIONS: dict = {state: dict(zip((
+    MessageKind.DATA, MessageKind.DATA_EOF, MessageKind.APPLY_DML,
+    MessageKind.END_LOAD), row)) for state, row in (
+        (None, (UNKNOWN_JOB, UNKNOWN_JOB, UNKNOWN_JOB, None)),
+        (_ACQ, (_ACQ, _ACQ, _APP, _END)),
+        (_APP, (AFTER_APPLY, AFTER_APPLY, _APP, _END)),
+        (_COM, (AFTER_APPLY, AFTER_APPLY, _COM, _END)),
+        (_END, (UNKNOWN_JOB, UNKNOWN_JOB, UNKNOWN_JOB, None)))}
+_NO_JOB = contextlib.nullcontext()
+
+
 def result_reply(result, binary=BinaryFormat) -> Message:
     """The reply to an SQL_REQUEST: a RESULT_SET of the rows in the
     BINARY record encoding (``binary(layout)`` is the codec), or a
@@ -433,22 +466,17 @@ def error_reply(exc: ReproError, traceparent=None) -> Message:
     return Message(MessageKind.ERROR, meta)
 
 
-def expect_data(job) -> None:
-    """The sequence rule both servers keep: a load job takes DATA and
-    DATA_EOF only before its APPLY_DML (``job.phase`` ``acquiring``)."""
-    if job.phase != "acquiring":
-        raise ProtocolError(f"load job {job.job_id!r} is {job.phase}: "
-                            "DATA and DATA_EOF come before APPLY_DML")
-
-
 def serve_request(server, channel, message: Message, conn) -> None:
     """Serve one request frame, for ``HyperQNode`` and ``LegacyServer``.
 
     Counts it (``server.count_request(kind)``), checks it against its
     :data:`REQUESTS` row and calls ``server._handle_<kind>(channel,
-    message, request, conn)`` with the checked request.  Any typed
-    failure, the table's or the handler's, becomes one ERROR reply and
-    the connection goes on; a dead transport propagates.
+    message, request, conn)`` with the checked request.  A job-bound
+    kind's handler also gets the job (``server._jobs[job_id]``, or None)
+    once its state took the request and moved (:data:`TRANSITIONS`, under
+    the job's ``lock``).  Any typed failure, a table's or the handler's,
+    becomes one ERROR reply and the connection goes on; a dead transport
+    propagates.
     """
     kind = message.kind
     server.count_request(kind)
@@ -457,7 +485,19 @@ def serve_request(server, channel, message: Message, conn) -> None:
         if row is None:
             raise ProtocolError(f"unexpected message {kind.name}")
         request = row.check(message.meta, message.body)
-        getattr(server, _HANDLERS[kind])(channel, message, request, conn)
+        handler = getattr(server, _HANDLERS[kind])
+        if kind not in TRANSITIONS[None]:
+            return handler(channel, message, request, conn)
+        job = server._jobs.get(request["job_id"])
+        with _NO_JOB if job is None else job.lock:
+            state = job and job.state
+            step = TRANSITIONS[state][kind]
+            if type(step) is JobState:
+                job.state = step
+        if type(step) is str:
+            raise ProtocolError(step.format(job_id=request["job_id"],
+                                            state=state and state.value))
+        handler(channel, message, request, conn, job)
     except ReproError as exc:
         log.debug("request failed: %s", exc, extra={"kind": kind.name})
         meta = message.meta

@@ -34,7 +34,7 @@ from repro.legacy.datafmt import (
 )
 from repro.legacy.infer import infer_column_layout
 from repro.legacy.protocol import (
-    Message, MessageChannel, MessageKind, expect_data, layout_to_wire,
+    JobState, Message, MessageChannel, MessageKind, layout_to_wire,
     result_reply, serve_request,
 )
 from repro.legacy.types import Layout
@@ -67,8 +67,8 @@ class _LoadJob:
     layout: Layout
     format_spec: FormatSpec
     chunks: dict[int, bytes] = field(default_factory=dict)
-    #: ``acquiring`` takes DATA; ``applied`` once APPLY_DML arrived.
-    phase: str = "acquiring"
+    #: where the job is in its lifecycle (``protocol.TRANSITIONS``).
+    state: JobState = JobState.ACQUIRING
     #: the APPLY_RESULT meta a repeat APPLY_DML answers.
     result: dict | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -218,35 +218,23 @@ class LegacyServer:
             f"CREATE TABLE IF NOT EXISTS {job.uv_table} "
             f"({uv_columns}, {UV_EXTRA_COLUMNS_SQL})")
 
-    def _job(self, job_id: str) -> _LoadJob:
-        with self._jobs_lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise ProtocolError(f"unknown load job {job_id!r}")
-        return job
-
     def _handle_data(self, channel: MessageChannel, message: Message,
-                     request: dict, conn: dict) -> None:
-        job = self._job(request["job_id"])
+                     request: dict, conn: dict, job: _LoadJob) -> None:
         with job.lock:
-            expect_data(job)
             job.chunks[request["seq"]] = message.body
         channel.send(Message(MessageKind.DATA_ACK, {"seq": request["seq"]}))
 
     def _handle_data_eof(self, channel: MessageChannel, message: Message,
-                         request: dict, conn: dict) -> None:
-        expect_data(self._job(request["job_id"]))
+                         request: dict, conn: dict, job: _LoadJob) -> None:
         channel.send(Message(MessageKind.DATA_ACK, {"seq": -1}))
 
     # Tuple-at-a-time application: the defining legacy behaviour. ----------
 
     def _handle_apply_dml(self, channel: MessageChannel, message: Message,
-                          request: dict, conn: dict) -> None:
-        job = self._job(request["job_id"])
+                          request: dict, conn: dict, job: _LoadJob) -> None:
         with job.lock:
-            job.phase = "applied"
             ordered = [job.chunks[k] for k in sorted(job.chunks)]
-        if job.result is not None:      # a repeat: the DML ran once
+        if job.state is JobState.COMMITTED:     # a repeat: the DML ran once
             channel.send(Message(MessageKind.APPLY_RESULT, job.result))
             return
         template = parse_statement(request["sql"], dialect="legacy")
@@ -295,6 +283,7 @@ class LegacyServer:
             "et_errors": et_errors,
             "uv_errors": uv_errors,
         }
+        job.state = JobState.COMMITTED
         channel.send(Message(MessageKind.APPLY_RESULT, job.result))
 
     def _record_et(self, job: _LoadJob, rownum: int, code: int,
@@ -328,7 +317,8 @@ class LegacyServer:
             tuple_values + (rownum, _UV_CODE))])
 
     def _handle_end_load(self, channel: MessageChannel, message: Message,
-                         request: dict, conn: dict) -> None:
+                         request: dict, conn: dict,
+                         job: _LoadJob | None) -> None:
         with self._jobs_lock:
             self._jobs.pop(request["job_id"], None)
             self._jobs_completed += 1

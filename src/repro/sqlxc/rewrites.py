@@ -219,13 +219,16 @@ def collect_host_params(statement: n.Node) -> list[str]:
 
 
 def bind_params_to_columns(statement: n.Statement, field_names: list[str],
-                           table_alias: str) -> n.Statement:
-    """Replace ``:F`` with ``alias.F`` for every layout field ``F``.
+                           table_alias: str,
+                           columns: list[str] | None = None) -> n.Statement:
+    """Replace ``:F`` with ``alias.F`` for every layout field ``F`` (or
+    with ``alias.C``, ``C`` the field's entry in ``columns``).
 
     This is the key step that turns the script's tuple-at-a-time DML into
     the set-oriented DML Hyper-Q runs over the staging table.
     """
-    known = {name.upper(): name for name in field_names}
+    known = {name.upper(): column
+             for name, column in zip(field_names, columns or field_names)}
 
     def rule(node: n.Node) -> n.Node:
         if isinstance(node, n.HostParam):

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.core.beta import SEQ_COLUMN, ApplySummary
-from repro.core.jobs import create_staging_table, staging_columns
+from repro.core.jobs import LoadJob, create_staging_table, staging_columns
 from repro.dq.compiler import et_insert, staging_delete
 from repro.dq.precheck import _DELETE_BATCH, _INSERT_BATCH
 from repro.errors import (
@@ -69,7 +69,9 @@ def _ruleset_for_layout(ruleset, layout: Layout):
 @dataclass(eq=False)
 class FeedBatch:
     """The feed's batch in flight, claimed at BEGIN_LOAD and released
-    when its job ends."""
+    when its job ends, and the staging that job runs on: the feed's
+    table, no directory (each chunk's block uploads from memory) and an
+    in-memory journal."""
 
     feed: "StreamFeed"
     job_id: str
@@ -81,6 +83,115 @@ class FeedBatch:
     #: batch routes to the error table (route-to-error).
     drift: list = ()
     route_error: bool = False
+    #: the feed's staging table, and the batch's checkpoint journal
+    #: (:meth:`StreamFeed.prepare_staging`).
+    table: str = ""
+    journal: CheckpointJournal | None = None
+    #: no staging directory: the pipeline writes no file.
+    dir = None
+
+    def dq_rules(self, ruleset, layout: Layout):
+        """The rules of ``ruleset`` (or None) the batch's precheck runs.
+        A route-to-error batch is bound for the error table whole, so
+        the precheck would only route it twice.  Drift × DQ: a rule
+        applies to a batch only once every column it references exists
+        in the batch's layout — a column added mid-stream is exempt
+        until the profile matches it (docs/STREAMING.md)."""
+        if ruleset is None or self.route_error:
+            return None
+        return _ruleset_for_layout(ruleset, layout)
+
+    def route(self, job) -> ApplySummary:
+        """route-to-error APPLY: the whole staged batch → error table,
+        by the dq routing idiom (``__RULE_ID='schema_drift'``, the
+        events as ``__REASON``).  The watermark still advances."""
+        feed, node = self.feed, self.feed.node
+        engine = node.engine
+        result = engine.execute(f"SELECT {SEQ_COLUMN} FROM {self.table}")
+        seqs = sorted(row[0] for row in result.rows)
+        events = self.drift
+        reason = ("; ".join(
+            f"{e['kind']}:{e.get('column', '')}" for e in events))[:256]
+        column = events[0].get("column", "") if events else ""
+        rownum_of = node.beta.rownum_mapper(
+            dict(job.pipeline.chunk_records))
+        rows = []
+        for seq in seqs:
+            rownum = rownum_of(seq)
+            rows.append((
+                rownum, HYPERQ_SCHEMA_DRIFT, column,
+                (f"schema drift on feed {feed.name} routed "
+                 f"batch {self.seq} to the error table: "
+                 f"{reason}, row number: {rownum}")[:512],
+                "schema_drift", reason))
+        for i in range(0, len(rows), _INSERT_BATCH):
+            engine.execute(
+                et_insert(job.et_table, rows[i:i + _INSERT_BATCH]))
+        for i in range(0, len(seqs), _DELETE_BATCH):
+            engine.execute(staging_delete(
+                self.table, seqs[i:i + _DELETE_BATCH]))
+        node.obs.flight.record(
+            job.job_id, "stream_batch_routed", rows=len(seqs))
+        return ApplySummary(et_errors=len(seqs),
+                            statements=(len(rows) + _INSERT_BATCH - 1)
+                            // _INSERT_BATCH if rows else 0)
+
+    def commit(self, summary: ApplySummary, result_meta: dict) -> None:
+        """Durably advance the feed's watermark before APPLY_RESULT
+        leaves — the exactly-once crux: a client that never saw the
+        reply replays the batch into a fast-skip.  Every
+        ``_FEED_COMPACT_EVERY`` commits (and at close) the watermark
+        journal is compacted, so it stays O(feed state)."""
+        feed, seq = self.feed, self.seq
+        obs = feed.node.obs
+        rows = summary.rows_inserted + summary.rows_updated
+        with feed.lock:
+            feed.journal.record_stream_commit(seq, cursor=self.cursor,
+                                              rows=rows)
+            feed.committed_seq = max(feed.committed_seq, seq)
+            feed.cursor = self.cursor
+            feed.batches_committed += 1
+            if feed.batches_committed % _FEED_COMPACT_EVERY == 0:
+                feed.journal.compact()
+            feed.rows_committed += rows
+            committed_seq = feed.committed_seq
+        obs.stream_batches.labels(
+            feed=feed.name,
+            outcome="routed" if self.route_error else "committed").inc()
+        stream_result = {
+            "feed": feed.name, "seq": seq,
+            "committed_seq": committed_seq,
+            "routed": self.route_error,
+        }
+        if self.event_ts is not None:
+            lag = max(0.0, time.time() - self.event_ts)
+            obs.stream_lag_seconds.labels(feed=feed.name).set(lag)
+            stream_result["lag_s"] = round(lag, 6)
+        if self.drift:
+            stream_result["drift"] = list(self.drift)
+        result_meta["stream"] = stream_result
+        obs.flight.record(
+            f"stream:{feed.name}", "batch_committed",
+            seq=seq, rows=rows, routed=self.route_error)
+
+    def release(self, job, ending) -> None:
+        """The staging steps of the job's end: unless ``ending`` keeps
+        it, the feed's table is emptied (one O(1) statement) for the
+        next BEGIN; a batch at or below the watermark lost only its
+        END_LOAD, so no resume wants its state; a kept one parks on the
+        feed unless a resume took it over."""
+        feed = self.feed
+        if not ending.keep:
+            job.node.engine.execute(n.Delete(n.TableRef(self.table)))
+        keep = ending.keep and self.seq > feed.committed_seq
+        if not keep:
+            job.discard_state()
+        if not ending.handover:
+            with feed.lock:
+                if keep:
+                    feed.parked = job
+                if feed.live is self:
+                    feed.live = None
 
 
 @dataclass(eq=False)
@@ -174,42 +285,6 @@ class StreamFeed:
             "committed_seq": feed.committed_seq})
         return feed
 
-    def claim(self, job_id: str, seq: int, cursor: str | None,
-              event_ts: float | None) -> FeedBatch | None:
-        """Make batch ``seq`` (job ``job_id``) the one in flight; None
-        when it is at or below the watermark (a replay: it fast-skips).
-        Another uncommitted batch in flight is the typed protocol error:
-        batches share the staging table and DML template, and the
-        watermark assumes in-order commits."""
-        with self.lock:
-            if seq <= self.committed_seq:
-                self.batches_skipped += 1
-                batch = None
-            else:
-                live = self.live
-                # A committed batch whose teardown is still pending (its
-                # client died before END_LOAD) no longer owns anything.
-                if live is not None and live.job_id != job_id \
-                        and live.seq > self.committed_seq:
-                    raise ProtocolError(
-                        f"stream feed {self.name!r} already has batch "
-                        f"{live.seq} in flight as job {live.job_id!r}; "
-                        "one batch per feed at a time")
-                batch = self.live = FeedBatch(self, job_id, seq, cursor,
-                                              event_ts)
-        if batch is None:
-            self.node.obs.stream_batches.labels(
-                feed=self.name, outcome="skipped").inc()
-            self.node.obs.flight.record(
-                f"stream:{self.name}", "batch_skipped", seq=seq)
-        return batch
-
-    def watermark(self) -> dict:
-        """The ``committed`` reply to a batch that fast-skipped."""
-        with self.lock:
-            return {"stream": {"committed_seq": self.committed_seq,
-                               "cursor": self.cursor}}
-
     def resolve_drift(self, batch: FeedBatch, layout: Layout) -> None:
         """Diff a batch layout against the feed's; apply the policy,
         setting ``batch.drift`` (wire events) and ``route_error``.
@@ -263,10 +338,54 @@ class StreamFeed:
             log.info("stream drift evolved", extra={
                 "feed": self.name, "seq": seq, "events": wire})
 
-    def prepare_staging(self, job_id: str, layout: Layout, resume: bool,
-                        stale=None) -> CheckpointJournal:
-        """Make the staging table ready for batch ``job_id`` and return
-        the batch's in-memory checkpoint journal.
+    def begin_batch(self, request: dict, conn: dict) -> dict:
+        """BEGIN_LOAD of one batch: its BEGIN_LOAD_OK meta.  A replay at
+        or below the durable watermark fast-skips (``committed``, no
+        job); any other becomes the one batch in flight — batches share
+        the staging table and DML template, and the watermark assumes
+        in-order commits — and its job is built on it."""
+        job_id, stream = request["job_id"], request["stream"]
+        seq, obs = stream["batch_seq"], self.node.obs
+        with self.lock:
+            skipped = seq <= self.committed_seq
+            if skipped:
+                self.batches_skipped += 1
+                watermark = {"committed_seq": self.committed_seq,
+                             "cursor": self.cursor}
+            else:
+                live = self.live
+                # A committed batch whose teardown is still pending (its
+                # client died before END_LOAD) no longer owns anything.
+                if live is not None and live.job_id != job_id \
+                        and live.seq > self.committed_seq:
+                    raise ProtocolError(
+                        f"stream feed {self.name!r} already has batch "
+                        f"{live.seq} in flight as job {live.job_id!r}; "
+                        "one batch per feed at a time")
+                batch = self.live = FeedBatch(
+                    self, job_id, seq, stream["cursor"], stream["event_ts"],
+                    table=self.staging_table)
+        if skipped:
+            obs.stream_batches.labels(
+                feed=self.name, outcome="skipped").inc()
+            obs.flight.record(
+                f"stream:{self.name}", "batch_skipped", seq=seq)
+            return {"job_id": job_id, "committed": {"stream": watermark}}
+        try:
+            self.resolve_drift(batch, request["layout"])
+            return LoadJob(self.node, request, conn, self.pool,
+                           batch=batch).begin_reply
+        except BaseException:
+            with self.lock:
+                if self.live is batch:
+                    self.live = None
+            raise
+
+    def prepare_staging(self, batch: FeedBatch, layout: Layout,
+                        resume: bool, stale=None) -> FeedBatch:
+        """Make the staging table ready for ``batch``, give it its
+        in-memory checkpoint journal, and return it: the staging of the
+        batch's job.
 
         A resume carries its predecessor's journal over: ``stale`` (the
         job it just took over), else the parked job of the same id.
@@ -277,110 +396,29 @@ class StreamFeed:
             parked, self.parked = self.parked, None
         prior = stale
         if parked is not None:
-            if prior is None and resume and parked.job_id == job_id:
+            if prior is None and resume and parked.job_id == batch.job_id:
                 prior = parked
             else:
                 # Its landed rows are about to go; nothing may resume
                 # from the journal that still claims them.
                 parked.discard_state()
-        journal = (prior.pipeline.journal if prior is not None
-                   else CheckpointJournal(None))
+        journal = batch.journal = (
+            prior.pipeline.journal if prior is not None
+            else CheckpointJournal(None))
         engine, name = self.node.engine, self.staging_table
         if engine.catalog.exists(name):
             if journal.copy_rows is not None or journal.dq_routed:
-                return journal
+                return batch
             table = engine.table(name)
             have = [f"{c.name} {c.ctype.render()}".upper()
                     for c in table.columns]
             if have == [c.upper() for c in staging_columns(layout)]:
                 if table.row_count:
                     engine.execute(n.Delete(n.TableRef(name)))
-                return journal
+                return batch
             engine.execute(f"DROP TABLE {name}")
         create_staging_table(engine, name, layout)
-        return journal
-
-    def route(self, job) -> ApplySummary:
-        """route-to-error APPLY: the whole staged batch → error table,
-        by the dq routing idiom (``__RULE_ID='schema_drift'``, the
-        events as ``__REASON``).  The watermark still advances."""
-        engine, batch = self.node.engine, job.batch
-        result = engine.execute(
-            f"SELECT {SEQ_COLUMN} FROM {job.staging_table}")
-        seqs = sorted(row[0] for row in result.rows)
-        events = batch.drift
-        reason = ("; ".join(
-            f"{e['kind']}:{e.get('column', '')}" for e in events))[:256]
-        column = events[0].get("column", "") if events else ""
-        rownum_of = self.node.beta.rownum_mapper(
-            dict(job.pipeline.chunk_records))
-        rows = []
-        for seq in seqs:
-            rownum = rownum_of(seq)
-            rows.append((
-                rownum, HYPERQ_SCHEMA_DRIFT, column,
-                (f"schema drift on feed {self.name} routed "
-                 f"batch {batch.seq} to the error table: "
-                 f"{reason}, row number: {rownum}")[:512],
-                "schema_drift", reason))
-        for i in range(0, len(rows), _INSERT_BATCH):
-            engine.execute(
-                et_insert(job.et_table, rows[i:i + _INSERT_BATCH]))
-        for i in range(0, len(seqs), _DELETE_BATCH):
-            engine.execute(staging_delete(
-                job.staging_table, seqs[i:i + _DELETE_BATCH]))
-        self.node.obs.flight.record(
-            job.job_id, "stream_batch_routed", rows=len(seqs))
-        return ApplySummary(et_errors=len(seqs),
-                            statements=(len(rows) + _INSERT_BATCH - 1)
-                            // _INSERT_BATCH if rows else 0)
-
-    def commit(self, batch: FeedBatch, summary: ApplySummary,
-               result_meta: dict) -> None:
-        """Durably advance the watermark before APPLY_RESULT leaves —
-        the exactly-once crux: a client that never saw the reply
-        replays the batch into a fast-skip.  Every
-        ``_FEED_COMPACT_EVERY`` commits (and at close) the journal is
-        compacted, so it stays O(feed state)."""
-        obs, seq = self.node.obs, batch.seq
-        rows = summary.rows_inserted + summary.rows_updated
-        with self.lock:
-            self.journal.record_stream_commit(seq, cursor=batch.cursor,
-                                              rows=rows)
-            self.committed_seq = max(self.committed_seq, seq)
-            self.cursor = batch.cursor
-            self.batches_committed += 1
-            if self.batches_committed % _FEED_COMPACT_EVERY == 0:
-                self.journal.compact()
-            self.rows_committed += rows
-            committed_seq = self.committed_seq
-        obs.stream_batches.labels(
-            feed=self.name,
-            outcome="routed" if batch.route_error else "committed").inc()
-        stream_result = {
-            "feed": self.name, "seq": seq,
-            "committed_seq": committed_seq,
-            "routed": batch.route_error,
-        }
-        if batch.event_ts is not None:
-            lag = max(0.0, time.time() - batch.event_ts)
-            obs.stream_lag_seconds.labels(feed=self.name).set(lag)
-            stream_result["lag_s"] = round(lag, 6)
-        if batch.drift:
-            stream_result["drift"] = list(batch.drift)
-        result_meta["stream"] = stream_result
-        obs.flight.record(
-            f"stream:{self.name}", "batch_committed",
-            seq=seq, rows=rows, routed=batch.route_error)
-
-    def release(self, batch: FeedBatch, parked=None) -> None:
-        """``batch`` is no longer in flight; ``parked`` is its ended,
-        uncommitted job, whose resumable state the feed now holds."""
-        with self.lock:
-            if parked is not None:
-                self.parked = parked
-            if self.live is batch:
-                self.live = None
+        return batch
 
     def close(self, event: str) -> None:
         """Close the feed (idempotent): ``feed_closed`` (END_LOAD

@@ -173,6 +173,31 @@ class TestGeneratedNames:
         assert lt == ht
         assert ("zz", "const") in ht
 
+    def test_a_field_named_like_the_staging_sequence(self):
+        """A layout field ``__SEQ`` is the job's own, beside the order
+        column every staging table has."""
+        layout = Layout("L", [
+            FieldDef("K", parse_type("varchar(8)")),
+            FieldDef("__SEQ", parse_type("varchar(16)")),
+        ])
+
+        def load(connect, sql, data, chunk_bytes, table):
+            client = LegacyEtlClient(connect)
+            client.logon("h", "u", "p")
+            seeded(client, table)
+            result = client.run_import(ImportJobSpec(
+                target_table=table, et_table=f"{table}_ET",
+                uv_table=f"{table}_UV", layout=layout, apply_sql=sql,
+                data=data, sessions=2, chunk_bytes=chunk_bytes))
+            client.logoff()
+            return result
+
+        lr, lt, hr, ht = both("insert into T values (:K, :__SEQ)",
+                              b"x|1\ny|2\n", job=load)
+        assert counts(lr) == counts(hr) == (2, 0, 0, 0, 0)
+        assert lt == ht
+        assert ("x", "1") in ht and ("y", "2") in ht
+
 
 class TestUnqualifiedTargetColumns:
     """Legacy DML names only its target, so a bare column is the

@@ -4,7 +4,7 @@ Randomized dirty staging tables are checked twice — once through
 :class:`repro.dq.DqPrechecker` (the compiled aggregated-CASE counts
 pass, per-rule routing passes, and set-oriented unique/referential
 passes, all executed by the CDW engine) and once through the tuple-at-
-a-time oracle in :mod:`repro.dq.oracle`.  The two must agree *exactly*
+a-time oracle in ``tests/dq/oracle.py``.  The two must agree *exactly*
 on ``{rule_id: failed_count}`` and on the set of routed ``__SEQ`` s,
 for every seed.
 """
@@ -16,7 +16,7 @@ import pytest
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
 from repro.dq import DqPrechecker, DqProfile
-from repro.dq.oracle import evaluate
+from tests.dq.oracle import evaluate
 from repro.errors import HYPERQ_DQ_VIOLATION
 from repro.legacy.types import FieldDef, Layout, parse_type
 

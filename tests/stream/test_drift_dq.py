@@ -7,12 +7,12 @@ the drift must pass the precheck untouched (the rule references a
 column their layout does not have — routing them would be a false
 positive); batches after it must route exactly the rows whose region
 is NULL.  Verdicts are checked differentially against the pure-Python
-:func:`repro.dq.oracle.evaluate` oracle and the generator's manifest.
+``tests.dq.oracle.evaluate`` oracle and the generator's manifest.
 """
 
 from repro.core.config import HyperQConfig
-from repro.core.gateway import _ruleset_for_layout
-from repro.dq.oracle import evaluate
+from repro.stream.feed import _ruleset_for_layout
+from tests.dq.oracle import evaluate
 from repro.dq.profile import DqProfile
 from repro.stream import StreamRunner, StreamSession
 from repro.workloads.streamgen import stream_workload

@@ -10,7 +10,10 @@ import re
 
 from repro.core.config import HyperQConfig
 from repro.core.jobs import ENDINGS
-from repro.legacy.protocol import REPLY_KEYS, REQUESTS, STREAM
+from repro.legacy import protocol
+from repro.legacy.protocol import (
+    REPLY_KEYS, REQUESTS, STREAM, TRANSITIONS, JobState, MessageKind,
+)
 from repro.obs import Observability
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs")
@@ -63,6 +66,27 @@ def test_protocol_md_tables_match_the_schema():
     schema.update({kind.name: (set(keys), set())
                    for kind, keys in REPLY_KEYS.items()})
     assert _protocol_tables() == schema
+
+
+def test_protocol_md_state_table_matches_transitions():
+    """PROTOCOL.md's load-job state table is ``TRANSITIONS``: a cell is
+    a state, a refusal's constant name, or *no job*."""
+    section = read_doc("PROTOCOL.md").split("### Load-job states")[1]
+    lines = [line for line in section.split("\n#")[0].splitlines()
+             if line.startswith("| ")]
+    names = {"*no job*": None, **{f"`{state.name}`": state
+                                  for state in JobState}}
+    for refusal in ("UNKNOWN_JOB", "AFTER_APPLY"):
+        names[f"`{refusal}`"] = getattr(protocol, refusal)
+    header, rows = lines[0], lines[1:]
+    kinds = [MessageKind[cell.strip("` ")]
+             for cell in header.split("|")[2:-1]]
+    documented = {}
+    for row in rows:
+        state, *cells = [cell.strip() for cell in row.split("|")[1:-1]]
+        documented[names[state]] = {
+            kind: names[cell] for kind, cell in zip(kinds, cells)}
+    assert documented == TRANSITIONS
 
 
 def _emitted_job_events():
